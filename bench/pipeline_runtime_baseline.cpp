@@ -27,12 +27,10 @@
 // from; CI's multi-core artifact (BENCH_pipeline_runtime_ci.json) is the
 // one that demonstrates the win.
 //
-// The "stash" block is the memory half of the story: the same shape run
-// once with the legacy copy-restore stashes (copy_stashes = true) and once
-// with the default move/borrow + arena stashes. Peak stash bytes (max over
-// stages, per step) must shrink in borrow mode — asserted here every run —
-// and the arena recycle counts show steady-state steps reuse stash storage
-// instead of re-allocating it.
+// The "stash" block is the memory half of the story, taken from the
+// workers=2 row: peak stash bytes (max over stages, per step) of the
+// move/borrow stashes, and the arena recycle counts that show steady-state
+// steps reuse stash storage instead of re-allocating it.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -149,7 +147,7 @@ int main(int argc, char** argv) {
     return r;
   };
 
-  auto pipeline_run = [&](int workers, bool copy_stashes = false) {
+  auto pipeline_run = [&](int workers) {
     Rng rng(7);
     BertModel model(cfg, rng);
     PipelineRuntimeConfig pc;
@@ -163,7 +161,6 @@ int main(int argc, char** argv) {
     pc.stage_threads = 1;
     pc.use_kfac = true;
     pc.kfac.inverse_interval = 3;
-    pc.copy_stashes = copy_stashes;
     TimedRun r;
     pc.step_observer = [&r](const Timeline& tl) {
       r.step_timelines.push_back(tl);
@@ -193,8 +190,13 @@ int main(int argc, char** argv) {
   std::printf("  %.1f ms/step\n", serial.seconds_per_step * 1e3);
 
   std::string rows;
+  std::size_t stash_peak = 0, stash_recycled = 0;  // the workers=2 row's
   for (const int workers : {1, 2, 4}) {
     const auto pr = pipeline_run(workers);
+    if (workers == 2) {
+      stash_peak = max_peak_stash(pr);
+      stash_recycled = sum_recycled(pr);
+    }
     // The whole point: same bits, different wall clock.
     PF_CHECK(pr.losses == serial.losses)
         << "pipeline losses diverged from the serial reference at workers="
@@ -320,26 +322,6 @@ int main(int argc, char** argv) {
         err_mean, err_max, pred_util, cal_util_err, uncal_util_err);
   }
 
-  // Stash-overhead A/B: legacy copy-restore stashes vs the default
-  // move/borrow + arena stashes, same shape and bits (both asserted against
-  // the serial reference above via the workers loop; copy mode re-asserted
-  // here). Borrow mode must hold strictly less at peak.
-  const auto copy_run = pipeline_run(/*workers=*/2, /*copy_stashes=*/true);
-  const auto borrow_run = pipeline_run(/*workers=*/2);
-  PF_CHECK(copy_run.losses == serial.losses)
-      << "copy-stash run diverged from the serial reference";
-  const std::size_t copy_peak = max_peak_stash(copy_run);
-  const std::size_t borrow_peak = max_peak_stash(borrow_run);
-  PF_CHECK(borrow_peak < copy_peak)
-      << "move/borrow stashes did not shrink peak stash bytes: borrow "
-      << borrow_peak << " vs copy " << copy_peak;
-  std::printf(
-      "stash overhead: copy %zu KiB -> borrow %zu KiB peak per stage "
-      "(%.2fx smaller), %zu arena recycles/step in borrow mode\n",
-      copy_peak / 1024, borrow_peak / 1024,
-      static_cast<double>(copy_peak) / static_cast<double>(borrow_peak),
-      sum_recycled(borrow_run));
-
   // Boundary-handoff calibration, per transport: ping-pong samples
   // (bench/handoff_probe.h — the exact send/recv path the runtime's
   // channels run) fed through CalibrationAccumulator::add_handoff_sample,
@@ -388,16 +370,12 @@ int main(int argc, char** argv) {
       "  \"simulator_predicted_utilization\": %.4g,\n"
       "  \"fitted_t_handoff_us\": {\"mutex_channel\": %.3f, "
       "\"shm_ring\": %.3f},\n"
-      "  \"stash\": {\"copy_peak_stash_bytes\": %zu, "
-      "\"borrow_peak_stash_bytes\": %zu, \"shrink_factor\": %.4g, "
+      "  \"stash\": {\"borrow_peak_stash_bytes\": %zu, "
       "\"borrow_arena_recycled_per_step\": %zu},\n"
       "  \"pipeline\": {\n%s\n  }\n}\n",
       schedule, n_stages, n_micro, micro_batch, steps, cfg.d_model,
       cfg.n_layers, serial.seconds_per_step, sim_util, handoff_mutex * 1e6,
-      handoff_ring * 1e6, copy_peak,
-      borrow_peak,
-      static_cast<double>(copy_peak) / static_cast<double>(borrow_peak),
-      sum_recycled(borrow_run), rows.c_str());
+      handoff_ring * 1e6, stash_peak, stash_recycled, rows.c_str());
   FILE* f = std::fopen(path.c_str(), "w");
   PF_CHECK(f != nullptr) << "cannot open " << path;
   std::fputs(json.c_str(), f);

@@ -21,8 +21,6 @@
 //     blocked-wait stats. On a cgroup-limited container the multiproc row
 //     shows transport overhead, not speedup — the cpu_budget_note says
 //     which world the recording came from.
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -32,6 +30,7 @@
 #include "bench/handoff_probe.h"
 #include "src/comm/tensor_wire.h"
 #include "src/comm/transport_channel.h"
+#include "src/common/stats.h"
 #include "src/common/strings.h"
 #include "src/optim/lamb.h"
 #include "src/perfmodel/calibration.h"
@@ -59,22 +58,14 @@ double now_seconds() {
       .count();
 }
 
-double pct(std::vector<double> xs, double p) {
-  std::sort(xs.begin(), xs.end());
-  std::size_t k = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(xs.size())));
-  if (k == 0) k = 1;
-  return xs[k - 1];
-}
-
 struct HandoffRow {
   double p50 = 0.0, p95 = 0.0, fitted = 0.0;  // seconds
 };
 
 HandoffRow summarize(const std::vector<double>& samples) {
   HandoffRow r;
-  r.p50 = pct(samples, 50.0);
-  r.p95 = pct(samples, 95.0);
+  r.p50 = percentile_nearest_rank(samples, 50.0);
+  r.p95 = percentile_nearest_rank(samples, 95.0);
   CalibrationAccumulator acc(1);
   for (const double s : samples) acc.add_handoff_sample(s);
   r.fitted = acc.fit(1).t_handoff;

@@ -72,6 +72,16 @@ std::vector<double> smooth_moving_average(const std::vector<double>& y,
   return out;
 }
 
+double percentile_nearest_rank(std::vector<double> xs, double pct) {
+  PF_CHECK(!xs.empty()) << "percentile of an empty sample";
+  PF_CHECK(pct > 0.0 && pct <= 100.0) << "percentile " << pct
+                                      << " outside (0, 100]";
+  std::sort(xs.begin(), xs.end());
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(pct / 100.0 * static_cast<double>(xs.size())));
+  return xs[std::min(xs.size(), std::max<std::size_t>(rank, 1)) - 1];
+}
+
 long first_index_at_or_below(const std::vector<double>& y, double target,
                              std::size_t ignore_first) {
   for (std::size_t i = ignore_first; i < y.size(); ++i) {

@@ -46,6 +46,10 @@ class Ema {
 std::vector<double> smooth_moving_average(const std::vector<double>& y,
                                           std::size_t half_window);
 
+// Nearest-rank percentile: the ceil(pct/100 · n)-th smallest value.
+// Throws on an empty sample or a pct outside (0, 100].
+double percentile_nearest_rank(std::vector<double> xs, double pct);
+
 // First index where the smoothed series drops to <= target, or -1.
 // `ignore_first` skips an initial transient (the paper ignores fluctuations
 // around step 1000).

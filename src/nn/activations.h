@@ -42,7 +42,6 @@ class Gelu {
     x_cache_ = Matrix();
     return c;
   }
-  void restore_cache(const Cache& c) { x_cache_ = c.x; }
   void restore_cache(Cache&& c) { x_cache_ = std::move(c.x); }
 
  private:

@@ -150,19 +150,6 @@ MultiHeadSelfAttention::Cache MultiHeadSelfAttention::save_cache() {
   return c;
 }
 
-void MultiHeadSelfAttention::restore_cache(const Cache& c) {
-  q_ = c.q;
-  k_ = c.k;
-  v_ = c.v;
-  probs_ = c.probs;
-  batch_ = c.batch;
-  seq_ = c.seq;
-  wq_.restore_cache(c.wq);
-  wk_.restore_cache(c.wk);
-  wv_.restore_cache(c.wv);
-  wo_.restore_cache(c.wo);
-}
-
 void MultiHeadSelfAttention::restore_cache(Cache&& c) {
   q_ = std::move(c.q);
   k_ = std::move(c.k);

@@ -37,7 +37,6 @@ class MultiHeadSelfAttention {
     Linear::Cache wq, wk, wv, wo;
   };
   Cache save_cache();
-  void restore_cache(const Cache& c);
   void restore_cache(Cache&& c);
 
  private:

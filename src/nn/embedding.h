@@ -47,12 +47,6 @@ class Embedding {
     seg_cache_.clear();
     return c;
   }
-  void restore_cache(const Cache& c) {
-    ids_cache_ = c.ids;
-    seg_cache_ = c.segments;
-    batch_cache_ = c.batch;
-    seq_cache_ = c.seq;
-  }
   void restore_cache(Cache&& c) {
     ids_cache_ = std::move(c.ids);
     seg_cache_ = std::move(c.segments);

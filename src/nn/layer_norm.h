@@ -33,10 +33,6 @@ class LayerNorm {
     inv_std_.clear();
     return c;
   }
-  void restore_cache(const Cache& c) {
-    xhat_ = c.xhat;
-    inv_std_ = c.inv_std;
-  }
   void restore_cache(Cache&& c) {
     xhat_ = std::move(c.xhat);
     inv_std_ = std::move(c.inv_std);

@@ -59,12 +59,11 @@ class Linear {
   // stage keeps several micro-batches in flight, so the per-forward caches
   // move out into a per-micro stash after each op and come back in before
   // the matching backward. save_cache() MOVES the caches out (the layer is
-  // left cache-empty). restore_cache has two forms: the rvalue overload
-  // MOVES the stash entry back (the runtime's borrow path — backward reads
-  // but never mutates x, so the buffer survives the round trip bit for bit
-  // and is re-harvested for K-FAC afterwards); the const& overload copies,
-  // leaving the stash intact (the legacy copy_stashes path kept for A/B
-  // measurement).
+  // left cache-empty) and restore_cache() MOVES the stash entry back — the
+  // runtime's borrow path: backward reads but never mutates x, so the
+  // buffer survives the round trip bit for bit and is re-harvested for
+  // K-FAC afterwards. Stashes are only ever moved, never copied, so
+  // restore_cache takes an rvalue and the compiler enforces the borrow.
   struct Cache {
     Matrix x;   // a_l of one micro-batch
     Matrix dy;  // e_l, present only after the micro's backward ran
@@ -74,10 +73,6 @@ class Linear {
     x_cache_ = Matrix();
     dy_cache_ = Matrix();
     return c;
-  }
-  void restore_cache(const Cache& c) {
-    x_cache_ = c.x;
-    dy_cache_ = c.dy;
   }
   void restore_cache(Cache&& c) {
     x_cache_ = std::move(c.x);

@@ -81,31 +81,19 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
       << ") without a stashed forward";
   PF_CHECK(!kfac_stash_.contains(micro))
       << "stage " << index_ << ": duplicate backward for micro " << micro;
-  PF_CHECK(!(defer_dw && copy_stashes_))
-      << "defer_dw needs borrow-mode stashes (copy mode blanks a_l)";
 
-  // Loss gradients live outside the layer caches; in borrow mode they are
-  // the only thing left of the stash entry once the layers take their
-  // caches back, and they die (into the arena) at the end of this call.
-  Matrix mlm_dlogits, nsp_dlogits;
-  if (copy_stashes_) {
-    // Legacy path: deep-copy the stash into the layers; the entry keeps
-    // serving a_l to curvature-A tasks until clear_stash().
-    restore_caches(it->second);
-    mlm_dlogits = it->second.mlm_dlogits;
-    nsp_dlogits = it->second.nsp_dlogits;
-  } else {
-    // Borrow path: MOVE the whole cache set back into the layers and drop
-    // the entry. Backward reads but never mutates a_l, so the buffers
-    // survive the round trip bit for bit and are re-harvested below for
-    // the curvature tasks.
-    StageCache sc = std::move(it->second);
-    stash_sub(bytes_of(sc));
-    fwd_stash_.erase(it);
-    mlm_dlogits = std::move(sc.mlm_dlogits);
-    nsp_dlogits = std::move(sc.nsp_dlogits);
-    restore_caches(std::move(sc));
-  }
+  // MOVE the whole cache set back into the layers and drop the entry.
+  // Backward reads but never mutates a_l, so the buffers survive the round
+  // trip bit for bit and are re-harvested below for the curvature tasks.
+  // Loss gradients live outside the layer caches: they are the only thing
+  // left of the entry once the layers take their caches back, and they die
+  // (into the arena) at the end of this call.
+  StageCache sc = std::move(it->second);
+  stash_sub(bytes_of(sc));
+  fwd_stash_.erase(it);
+  Matrix mlm_dlogits = std::move(sc.mlm_dlogits);
+  Matrix nsp_dlogits = std::move(sc.nsp_dlogits);
+  restore_caches(std::move(sc));
 
   Matrix dh;
   if (is_last()) {
@@ -129,40 +117,27 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
     dh = Matrix();
   }
 
-  if (!copy_stashes_) {
-    arena_release(ctx.arena(), std::move(mlm_dlogits));
-    arena_release(ctx.arena(), std::move(nsp_dlogits));
-  }
+  arena_release(ctx.arena(), std::move(mlm_dlogits));
+  arena_release(ctx.arena(), std::move(nsp_dlogits));
 
   if (keep_kfac_stash || defer_dw) {
     // Harvest exactly what the curvature tasks read, in kfac_linears()
-    // order. Borrow mode moves each tracked linear's full {a_l, e_l} out
-    // (a curvature-A task scheduled before this backward may only run
-    // after it — a_l must stay addressable); copy mode keeps a_l in the
-    // forward stash and takes only e_l, as the historical code did.
+    // order: each tracked linear's full {a_l, e_l} moves out (a
+    // curvature-A task scheduled before this backward may only run after
+    // it — a_l must stay addressable). Otherwise the caches stay in the
+    // layers, where the next forward reuses their storage.
     // defer_dw additionally appends the head caches: the deferred W pass
     // reads the same {a_l, e_l} pairs the curvature tasks do, plus the
     // heads', without disturbing the tracked indices kfac_input() serves.
     std::vector<Linear::Cache> kcs;
     kcs.reserve(kfac_linears_.size() + (defer_dw && is_last() ? 2 : 0));
-    for (Linear* l : kfac_linears_) {
-      Linear::Cache c = l->save_cache();
-      if (copy_stashes_) c.x = Matrix();
-      kcs.push_back(std::move(c));
-    }
+    for (Linear* l : kfac_linears_) kcs.push_back(l->save_cache());
     if (defer_dw && is_last()) {
       kcs.push_back(mlm_head_->save_cache());
       kcs.push_back(nsp_head_->save_cache());
     }
     stash_add(bytes_of(kcs));
     kfac_stash_.emplace(micro, std::move(kcs));
-  } else if (copy_stashes_) {
-    // No curvature task will read this micro: release its activations now
-    // instead of holding every micro until end of step. (Borrow mode
-    // already erased the entry above; the caches sit in the layers, where
-    // the next forward reuses their storage.)
-    stash_sub(bytes_of(it->second));
-    fwd_stash_.erase(it);
   }
   return dh;
 }
@@ -209,7 +184,7 @@ BertLossBreakdown BertStage::losses(int micro) const {
 
 const Matrix& BertStage::kfac_input(int micro, std::size_t f) const {
   // Before the micro's backward a_l lives in the forward stash; after it
-  // (borrow mode) in the harvested K-FAC stash. Both serve the same bytes.
+  // in the harvested K-FAC stash. Both serve the same bytes.
   const auto it = fwd_stash_.find(micro);
   if (it != fwd_stash_.end()) {
     const Matrix& x = kfac_cache_of(it->second, f).x;
@@ -272,15 +247,6 @@ BertStage::StageCache BertStage::save_caches() {
   if (mlm_head_ != nullptr) c.mlm_head = mlm_head_->save_cache();
   if (nsp_head_ != nullptr) c.nsp_head = nsp_head_->save_cache();
   return c;
-}
-
-void BertStage::restore_caches(const StageCache& c) {
-  if (emb_ != nullptr) emb_->restore_cache(c.emb);
-  PF_CHECK(c.blocks.size() == blocks_.size());
-  for (std::size_t i = 0; i < blocks_.size(); ++i)
-    blocks_[i]->restore_cache(c.blocks[i]);
-  if (mlm_head_ != nullptr) mlm_head_->restore_cache(c.mlm_head);
-  if (nsp_head_ != nullptr) nsp_head_->restore_cache(c.nsp_head);
 }
 
 void BertStage::restore_caches(StageCache&& c) {

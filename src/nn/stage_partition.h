@@ -13,7 +13,7 @@
 // flight per stage, but every nn layer holds exactly one backward cache.
 // Each stage therefore stashes its layers' caches per micro-batch
 // (Layer::save_cache / restore_cache, see linear.h). Stash traffic is
-// move/borrow, never copy:
+// move/borrow, never copy — restore_cache takes only rvalues:
 //
 //   forward(m):  run layer forwards, then MOVE the fresh caches into
 //                fwd_stash[m]. The stash is immutable while it exists —
@@ -30,10 +30,6 @@
 //                recycles) the storage — peak stash bytes stay
 //                O(in-flight micros) + O(n_micro) · |{a_l, e_l}| instead
 //                of O(n_micro) full activation sets.
-//
-// set_copy_stashes(true) restores the historical copy-restore behaviour
-// (stash copied into the layers at backward, entries held to end of step)
-// — kept only so the stash-overhead benches can measure before/after.
 //
 // Gradients accumulate directly into the shared Param.g, so the caller
 // (the pipeline runtime) must order each stage's backwards by ascending
@@ -91,7 +87,7 @@ class BertStage {
   // the runtime chains per stage by ascending micro so each weight
   // coordinate accumulates in the serial trainer's order. Embedding,
   // LayerNorm and bias grads are cheap and stay here on the critical
-  // path. Incompatible with copy_stashes mode.
+  // path.
   Matrix backward(int micro, const BertBatch& batch, Matrix grad_in,
                   const ExecContext& ctx, bool keep_kfac_stash = true,
                   bool defer_dw = false);
@@ -120,10 +116,6 @@ class BertStage {
   // instead of being freed.
   void clear_stash(ArenaAllocator* arena = nullptr);
 
-  // Legacy copy-restore stash semantics (see file comment). Flip only
-  // between steps.
-  void set_copy_stashes(bool v) { copy_stashes_ = v; }
-
   // --- Stash telemetry ---------------------------------------------------
   // Bytes currently held by this stage's per-micro stashes (fwd + kfac) and
   // the high-water mark since reset_stash_stats(). Counts matrix/vector
@@ -151,7 +143,6 @@ class BertStage {
   };
 
   StageCache save_caches();
-  void restore_caches(const StageCache& c);
   void restore_caches(StageCache&& c);
   const Linear::Cache& kfac_cache_of(const StageCache& c,
                                      std::size_t f) const;
@@ -170,14 +161,12 @@ class BertStage {
   std::vector<Linear*> kfac_linears_;
   std::map<int, StageCache> fwd_stash_;
   // What K-FAC reads, harvested at backward in kfac_linears() order: a_l
-  // (empty in copy_stashes mode, where fwd_stash keeps serving it) and e_l
-  // of each tracked linear. Stashing the full cache set again would hold
-  // every forward activation twice until end of step.
+  // and e_l of each tracked linear. Stashing the full cache set again would
+  // hold every forward activation twice until end of step.
   std::map<int, std::vector<Linear::Cache>> kfac_stash_;
   // Losses live outside the cache stash: they survive a dropped stash
   // (keep_kfac_stash = false) until the step's loss fold reads them.
   std::map<int, BertLossBreakdown> loss_stash_;
-  bool copy_stashes_ = false;
   std::size_t stash_bytes_ = 0;
   std::size_t peak_stash_bytes_ = 0;
 };

@@ -51,15 +51,6 @@ TransformerBlock::Cache TransformerBlock::save_cache() {
   return c;
 }
 
-void TransformerBlock::restore_cache(const Cache& c) {
-  attn_.restore_cache(c.attn);
-  ln1_.restore_cache(c.ln1);
-  w1_.restore_cache(c.w1);
-  gelu_.restore_cache(c.gelu);
-  w2_.restore_cache(c.w2);
-  ln2_.restore_cache(c.ln2);
-}
-
 void TransformerBlock::restore_cache(Cache&& c) {
   attn_.restore_cache(std::move(c.attn));
   ln1_.restore_cache(std::move(c.ln1));

@@ -37,7 +37,6 @@ class TransformerBlock {
     Gelu::Cache gelu;
   };
   Cache save_cache();
-  void restore_cache(const Cache& c);
   void restore_cache(Cache&& c);
 
  private:

@@ -22,10 +22,6 @@ bool is_kfac_kind(WorkKind k) {
   }
 }
 
-bool StepPlan::is_kfac(std::size_t i) const {
-  return is_kfac_kind(tasks[i].kind);
-}
-
 void normalize_backward_order(std::vector<std::vector<PipeOp>>& programs) {
   for (auto& prog : programs) {
     std::map<std::pair<int, int>, std::vector<std::size_t>> group_slots;
@@ -283,7 +279,6 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
           ca.micro = m;
           ca.layer = layer;
           ca.factor = factor;
-          ca.splittable = true;
           PlannedTask cb = ca;
           prev_a = add_task(std::move(ca));
           chain_a = true;

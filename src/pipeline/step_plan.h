@@ -47,21 +47,16 @@ struct PlannedTask {
   int stage = -1, micro = -1, layer = -1, factor = -1;
   PipeOp op{};        // valid when is_op
   bool is_op = false;
-  // BubbleTask-shape reconstruction: curvature GEMMs are splittable work,
-  // commits/inversions/preconditions are not.
-  bool splittable = false;
 };
 
 struct StepPlan {
   std::vector<PlannedTask> tasks;
   std::size_t n_lanes = 0;
   bool split_backward = false;
-
-  bool is_kfac(std::size_t i) const;
 };
 
-// True for the kinds mirrored into the BubbleTask plan (curvature A/B,
-// commit, inversion A/B, precondition).
+// True for the K-FAC work kinds (curvature A/B, commit, inversion A/B,
+// precondition).
 bool is_kfac_kind(WorkKind k);
 
 // Rewrites each device's op order so that, within every (pipeline, stage)

@@ -7,19 +7,10 @@
 
 #include "src/comm/tensor_wire.h"
 #include "src/common/check.h"
+#include "src/common/stats.h"
 #include "src/common/strings.h"
 
 namespace pf {
-
-double percentile_nearest_rank(std::vector<double> xs, double pct) {
-  PF_CHECK(!xs.empty()) << "percentile of an empty sample";
-  PF_CHECK(pct > 0.0 && pct <= 100.0) << "percentile " << pct
-                                      << " outside (0, 100]";
-  std::sort(xs.begin(), xs.end());
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(pct / 100.0 * static_cast<double>(xs.size())));
-  return xs[std::min(xs.size(), std::max<std::size_t>(rank, 1)) - 1];
-}
 
 LatencyStats compute_latency_stats(const std::vector<double>& latencies) {
   LatencyStats s;

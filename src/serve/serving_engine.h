@@ -107,9 +107,7 @@ struct LatencyStats {
   double mean = 0.0, max = 0.0;
 };
 
-// Nearest-rank percentile: the ceil(pct/100 · n)-th smallest value.
-// Throws on an empty sample.
-double percentile_nearest_rank(std::vector<double> xs, double pct);
+// Nearest-rank p50/p95/p99 (common/stats.h), mean and max.
 LatencyStats compute_latency_stats(const std::vector<double>& latencies);
 
 struct ServingReport {

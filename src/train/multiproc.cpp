@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <utility>
@@ -15,32 +14,13 @@
 
 #include "src/comm/tensor_wire.h"
 #include "src/common/check.h"
+#include "src/common/stats.h"
 #include "src/common/strings.h"
-#include "src/optim/lamb.h"
-#include "src/pipeline/simulator.h"
+#include "src/train/plan_binder.h"
 
 namespace pf {
 
 namespace {
-
-ScheduleParams mp_params(const PipelineRuntimeConfig& cfg) {
-  ScheduleParams p;
-  p.n_stages = cfg.n_stages;
-  p.n_micro = cfg.n_micro;
-  p.virtual_chunks = cfg.virtual_chunks;
-  return p;
-}
-
-// Nearest-rank percentile over a non-empty sample (serve/serving_engine.h
-// keeps its own copy; duplicated here to keep the launcher's dependency
-// surface to the training stack).
-double nearest_rank(std::vector<double> xs, double pct) {
-  std::sort(xs.begin(), xs.end());
-  std::size_t k = static_cast<std::size_t>(
-      std::ceil(pct / 100.0 * static_cast<double>(xs.size())));
-  if (k == 0) k = 1;
-  return xs[k - 1];
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -57,37 +37,34 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
   (void)mcfg;
   PF_CHECK(false) << "run_multiproc requires fork() (POSIX only)";
 #else
-  PipelineRuntimeConfig cfg = mcfg.runtime;
+  const PipelineRuntimeConfig& cfg = mcfg.runtime;
   PF_CHECK(traits_of(cfg.schedule).flush)
       << cfg.schedule
       << ": multiproc runs synchronous steps only (flushless schedules "
          "stream in-process via run_flushless)";
-  ScheduleSpec spec = build_schedule(cfg.schedule, mp_params(cfg));
+  const ScheduleSpec spec = build_runtime_schedule(cfg);
   PF_CHECK(spec.n_pipelines == 1)
       << cfg.schedule << ": the shm rings are SPSC — " << spec.n_pipelines
       << " pipelines put two producer devices on one boundary";
-  PF_CHECK(!(spec.split_backward && cfg.copy_stashes))
-      << cfg.schedule << ": the deferred W pass reads the harvested "
-                         "borrow-mode stashes (copy mode blanks a_l)";
   PF_CHECK(cfg.n_micro >= 1 && cfg.micro_batch_size >= 1);
   PF_CHECK(cfg.stage_threads >= 1);
   PF_CHECK(cfg.total_steps >= 1);
   PF_CHECK(mcfg.channel_timeout_seconds > 0.0);
-  if (!cfg.base_optimizer)
-    cfg.base_optimizer = [] { return std::make_unique<Lamb>(); };
-
-  // Event order, identical to the in-process runtime's: static programs,
-  // or the greedy simulator's realized order for dynamic schedules —
-  // computed ONCE, pre-fork, so every child inherits the same order.
-  std::vector<std::vector<PipeOp>> device_order =
-      spec.dynamic_order ? simulate_step(spec, StepCosts{}).realized_programs
-                         : spec.programs;
-  normalize_backward_order(device_order);
 
   const int S = spec.n_stages;
   const int N = spec.n_micro;
   const int D = spec.n_devices;
   const int steps = static_cast<int>(cfg.total_steps);
+
+  // Event order and K-FAC factor counts: the plan inputs the in-process
+  // runtime derives, by the same calls — computed ONCE, pre-fork, so every
+  // child plans the same steps. Neither starts a thread or builds an
+  // engine (each child builds engines for its own stages, after the fork).
+  BertStagePartition partition(model, S);
+  const std::vector<std::vector<PipeOp>> device_order =
+      plan_device_order(spec);
+  const std::vector<std::size_t> factors =
+      kfac_factor_counts(partition, cfg.use_kfac);
 
   // Stage ownership: the device whose program runs the stage's ops. The
   // plan builder puts a stage's K-FAC and tail tasks on the same lane, so
@@ -105,17 +82,6 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
     PF_CHECK(owner[static_cast<std::size_t>(s)] >= 0)
         << "stage " << s << " appears in no device program";
 
-  BertStagePartition partition(model, S);
-
-  // Tracked K-FAC factor count per stage — the plan builder's input,
-  // computable without constructing engines (each child builds engines for
-  // its own stages only, after the fork).
-  std::vector<std::size_t> factors(static_cast<std::size_t>(S), 0);
-  if (cfg.use_kfac)
-    for (int s = 0; s < S; ++s)
-      factors[static_cast<std::size_t>(s)] =
-          partition.stage(s).kfac_linears().size();
-
   // Rings, created pre-fork in MAP_SHARED regions: every child inherits
   // the same mapping at the same address. At most N messages are in
   // flight per boundary+direction (a producer's next-step sends
@@ -127,6 +93,8 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
   std::vector<SharedRegion> regions;
   std::vector<std::unique_ptr<TransportChannel>> fwd_ch;  // boundary b -> b+1
   std::vector<std::unique_ptr<TransportChannel>> bwd_ch;  // boundary b+1 -> b
+  StageLinks links;
+  links.recv_timeout = mcfg.channel_timeout_seconds;
   auto make_ch = [&](const std::string& nm) {
     regions.emplace_back(ShmRing::required_bytes(ring_slots, slot_bytes));
     return std::make_unique<TransportChannel>(
@@ -136,6 +104,8 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
   for (int b = 0; b + 1 < S; ++b) {
     fwd_ch.push_back(make_ch(format("fwd[%d->%d]", b, b + 1)));
     bwd_ch.push_back(make_ch(format("bwd[%d->%d]", b + 1, b)));
+    links.fwd.push_back(fwd_ch.back().get());
+    links.bwd.push_back(bwd_ch.back().get());
   }
 
   // Result region layout (doubles): per-step losses ‖ final params (flat,
@@ -174,161 +144,38 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
       if (owner[static_cast<std::size_t>(s)] == d) owned.push_back(s);
 
     // Fresh pool AFTER the fork — an inherited pool has state but no
-    // threads. Engines and contexts must use this pool, never the
-    // process-global one (which would lazily spawn per-child thread herds).
+    // threads. The binder's contexts and engines run on this pool, never
+    // the process-global one (which would lazily spawn per-child thread
+    // herds). Every child re-draws the FULL deterministic batch stream —
+    // identical bytes in every process, no batch shipping, RNG in lockstep
+    // with the serial Trainer and the in-process runtime.
     ThreadPool pool(cfg.stage_threads > 1
                         ? static_cast<std::size_t>(cfg.stage_threads)
                         : 0);
-    std::vector<std::unique_ptr<ArenaAllocator>> arenas(
-        static_cast<std::size_t>(S));
-    std::vector<std::unique_ptr<ExecContext>> ctxs(
-        static_cast<std::size_t>(S));
-    std::vector<std::unique_ptr<KfacEngine>> engines(
-        static_cast<std::size_t>(S));
-    std::vector<std::unique_ptr<Optimizer>> opts(static_cast<std::size_t>(S));
-    std::vector<std::vector<Param*>> sparams(static_cast<std::size_t>(S));
-    for (const int s : owned) {
-      const auto si = static_cast<std::size_t>(s);
-      BertStage& st = partition.stage(s);
-      st.set_copy_stashes(cfg.copy_stashes);
-      sparams[si] = st.params();
-      arenas[si] = std::make_unique<ArenaAllocator>();
-      ctxs[si] = std::make_unique<ExecContext>(
-          cfg.stage_threads, cfg.stage_threads, RngPartition::kSequential,
-          &pool);
-      ctxs[si]->set_arena(arenas[si].get());
-      opts[si] = cfg.base_optimizer();
-      const auto kl = st.kfac_linears();
-      if (cfg.use_kfac && !kl.empty())
-        engines[si] = std::make_unique<KfacEngine>(kl, cfg.kfac.kfac, &pool);
-    }
-
-    // Every child re-draws the FULL deterministic batch stream — identical
-    // bytes in every process, no batch shipping, RNG in lockstep with the
-    // serial Trainer and the in-process runtime.
-    Rng data_rng(cfg.data_seed);
-    const double inv = 1.0 / static_cast<double>(N);
-    const bool owns_last = owner[static_cast<std::size_t>(S - 1)] == d;
+    PlanBinder binder(partition, spec, cfg, batcher, &pool, owned, links);
     const auto t0 = std::chrono::steady_clock::now();
     for (int t = 0; t < steps; ++t) {
-      std::vector<BertBatch> batches;
-      batches.reserve(static_cast<std::size_t>(N));
-      for (int m = 0; m < N; ++m)
-        batches.push_back(batcher.next_batch(cfg.micro_batch_size, data_rng));
-      for (const int s : owned)
-        zero_grads(sparams[static_cast<std::size_t>(s)]);
-      const double lr = cfg.lr.lr(static_cast<std::size_t>(t));
-      const bool curv_step =
-          cfg.use_kfac &&
-          static_cast<std::size_t>(t) % cfg.kfac.curvature_interval == 0;
-      const bool inv_step =
-          cfg.use_kfac &&
-          static_cast<std::size_t>(t) % cfg.kfac.inverse_interval == 0;
-      for (const int s : owned)
-        partition.stage(s).clear_stash(arenas[static_cast<std::size_t>(s)].get());
-
-      const StepPlan plan =
-          build_step_plan(spec, device_order, factors, curv_step, inv_step);
-      for (const PlannedTask& pt : plan.tasks) {
-        if (pt.lane != static_cast<std::size_t>(d)) continue;
-        const int s = pt.stage;
-        const int m = pt.micro;
-        const auto si = static_cast<std::size_t>(s);
-        BertStage* stage = &partition.stage(s);
-        const ExecContext& ctx = *ctxs[si];
-        KfacEngine* engine = engines[si].get();
-        const std::size_t f =
-            pt.layer >= 0 ? static_cast<std::size_t>(pt.layer) * 6 +
-                                static_cast<std::size_t>(pt.factor)
-                          : 0;
-        const bool keep_stash = curv_step && engine != nullptr;
-        // Channels are keyed by GLOBAL micro and never cleared between
-        // steps: a fast producer's next-step sends may land while a slow
-        // consumer still drains this step — a step-boundary clear would
-        // wipe them.
-        const int g = t * N + m;
-        switch (pt.kind) {
-          case WorkKind::kForward: {
-            Matrix in;
-            if (s > 0)
-              in = fwd_ch[si - 1]->recv(g, mcfg.channel_timeout_seconds);
-            Matrix out = stage->forward(
-                m, batches[static_cast<std::size_t>(m)], std::move(in), ctx);
-            if (s + 1 < S) fwd_ch[si]->send(g, std::move(out));
-            break;
-          }
-          case WorkKind::kBackward: {
-            Matrix gin;
-            if (s + 1 < S)
-              gin = bwd_ch[si]->recv(g, mcfg.channel_timeout_seconds);
-            Matrix gout = stage->backward(
-                m, batches[static_cast<std::size_t>(m)], std::move(gin), ctx,
-                keep_stash, /*defer_dw=*/spec.split_backward);
-            if (s > 0) bwd_ch[si - 1]->send(g, std::move(gout));
-            break;
-          }
-          case WorkKind::kBackwardWeight:
-            stage->backward_dw(m, ctx, /*release=*/!keep_stash,
-                               arenas[si].get());
-            break;
-          case WorkKind::kSyncGrad:
-            if (N > 1)
-              for (Param* p : sparams[si]) p->g *= inv;
-            break;
-          case WorkKind::kCurvatureA:
-            PF_CHECK(engine != nullptr);
-            engine->accumulate_curvature_a(f, stage->kfac_input(m, f));
-            break;
-          case WorkKind::kCurvatureB:
-            PF_CHECK(engine != nullptr);
-            engine->accumulate_curvature_b(f, stage->kfac_output_grad(m, f));
-            break;
-          case WorkKind::kSyncCurvature:
-            PF_CHECK(engine != nullptr);
-            engine->commit_curvature_layer(f);
-            break;
-          case WorkKind::kInversionA:
-            PF_CHECK(engine != nullptr);
-            engine->update_inverse_factor(f, false);
-            break;
-          case WorkKind::kInversionB:
-            PF_CHECK(engine != nullptr);
-            engine->update_inverse_factor(f, true);
-            break;
-          case WorkKind::kPrecondition:
-            PF_CHECK(engine != nullptr);
-            engine->precondition_layer(f);
-            break;
-          case WorkKind::kOptimizerUpdate:
-            opts[si]->step(sparams[si], lr);
-            break;
-          default:
-            PF_CHECK(false) << "unexpected kind in multiproc step plan";
-        }
-      }
-
-      if (owns_last) {
-        BertLossBreakdown sum{};
-        for (int m = 0; m < N; ++m) {
-          const auto l = partition.stage(S - 1).losses(m);
-          sum.total += l.total;
-          sum.mlm += l.mlm;
-          sum.nsp += l.nsp;
-        }
+      binder.begin_step(static_cast<std::size_t>(t), N);
+      const StepPlan plan = build_step_plan(spec, device_order, factors,
+                                            binder.curv_step(),
+                                            binder.inv_step());
+      for (const PlannedTask& pt : plan.tasks)
+        if (pt.lane == static_cast<std::size_t>(d)) binder.run(pt);
+      if (owner[static_cast<std::size_t>(S - 1)] == d) {
+        const BertLossBreakdown l = binder.mean_loss(0, N);
         double* out = res + losses_off + static_cast<std::size_t>(t) * 3;
-        out[0] = sum.total * inv;
-        out[1] = sum.mlm * inv;
-        out[2] = sum.nsp * inv;
+        out[0] = l.total;
+        out[1] = l.mlm;
+        out[2] = l.nsp;
       }
-      for (const int s : owned)
-        partition.stage(s).clear_stash(arenas[static_cast<std::size_t>(s)].get());
+      binder.end_step();
     }
     const double wall = seconds_since(t0);
 
     for (const int s : owned) {
-      const auto si = static_cast<std::size_t>(s);
-      double* dst = res + params_off + stage_param_off[si];
-      for (const Param* p : sparams[si]) {
+      double* dst =
+          res + params_off + stage_param_off[static_cast<std::size_t>(s)];
+      for (const Param* p : binder.worker(s).params) {
         std::copy(p->w.data(), p->w.data() + p->w.size(), dst);
         dst += p->w.size();
       }
@@ -340,8 +187,8 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
       double* out = res + handoff_off + ring_idx * 4;
       out[0] = static_cast<double>(w.size());
       if (!w.empty()) {
-        out[1] = nearest_rank(w, 50.0);
-        out[2] = nearest_rank(w, 95.0);
+        out[1] = percentile_nearest_rank(w, 50.0);
+        out[2] = percentile_nearest_rank(w, 95.0);
         double sum = 0.0;
         for (const double x : w) sum += x;
         out[3] = sum / static_cast<double>(w.size());
@@ -402,10 +249,7 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
   out.n_processes = D;
   for (int t = 0; t < steps; ++t) {
     const double* l = res + losses_off + static_cast<std::size_t>(t) * 3;
-    out.trace.lr.push_back(cfg.lr.lr(static_cast<std::size_t>(t)));
-    out.trace.loss.push_back(l[0]);
-    out.trace.mlm_loss.push_back(l[1]);
-    out.trace.nsp_loss.push_back(l[2]);
+    out.trace.add(cfg.lr.lr(static_cast<std::size_t>(t)), {l[0], l[1], l[2]});
   }
   const double* src = res + params_off;
   for (int s = 0; s < S; ++s)

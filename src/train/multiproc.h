@@ -10,7 +10,9 @@
 // MAP_SHARED|MAP_ANONYMOUS regions, and a shared result region — then
 // forks spec.n_devices children. Child d executes the step plan
 // (pipeline/step_plan.h, the exact graph PipelineRuntime::step() runs)
-// filtered to tasks with lane == d, in ascending plan index. Because every
+// filtered to tasks with lane == d, in ascending plan index, through the
+// same PlanBinder::run() the in-process runtime binds (plan_binder.h —
+// the one place a task kind maps to training work). Because every
 // dependency edge points at a smaller plan index, per-lane index order is
 // a valid linear extension of the global DAG: whenever a child blocks in
 // recv(), the producing task has a smaller index on some other lane whose
@@ -28,9 +30,10 @@
 //
 // Data path: each child re-draws the full deterministic batch stream from
 // its own Rng(data_seed) — identical bytes in every process, no batch
-// shipping. Each child builds its own ThreadPool/ExecContexts/KfacEngines/
-// optimizers AFTER the fork (a forked child inherits a pool's state but
-// none of its threads; engines must be handed the child's pool, never the
+// shipping. Each child builds its own ThreadPool and a PlanBinder for the
+// stages it owns AFTER the fork — contexts, engines and one base optimizer
+// per owned stage (a forked child inherits a pool's state but none of its
+// threads; engines must be handed the child's pool, never the
 // process-global one). Results flow back through the shared region: the
 // last stage's owner writes per-step losses, every child writes its owned
 // stages' final parameters and its consumer-side handoff-wait stats, and

@@ -38,6 +38,11 @@
 //   * per-stage optimizers — LAMB's update is per-tensor, so per-stage
 //     instances stepping their own parameters reproduce the global step.
 //
+// What each planned task does is bound in ONE place, shared with the
+// forked launcher (train/multiproc.h): train/plan_binder.h's per-stage
+// workers and PlanBinder::run(). step() only wraps that call in executor
+// closures, one per plan task.
+//
 // Each stage runs under its own ExecContext whose nn/GEMM budget is
 // `stage_threads` (every value is bitwise-neutral); the runtime owns a
 // dedicated ThreadPool of `workers` threads shared by stage ops, their
@@ -63,7 +68,6 @@
 #include "src/comm/transport_channel.h"
 #include "src/common/arena.h"
 #include "src/common/task_executor.h"
-#include "src/core/kfac_work.h"
 #include "src/data/mlm_batcher.h"
 #include "src/nn/stage_partition.h"
 #include "src/optim/kfac_optimizer.h"
@@ -86,18 +90,14 @@ struct PipelineRuntimeConfig {
   // every op the stage runs (bitwise-neutral; >= 1).
   int stage_threads = 1;
   // Runtime pool size. 0 = one worker per device. The pool is shared by
-  // inter-stage parallelism, the stages' nn-loop fan-out and bubble K-FAC
-  // work (GEMM row blocks use the process-global pool — see above).
+  // inter-stage parallelism, the stages' nn-loop fan-out, their GEMM and
+  // Cholesky row blocks and bubble K-FAC work (see above).
   int workers = 0;
   bool use_kfac = true;
-  // Legacy copy-restore stash semantics (stage_partition.h): restore by
-  // deep copy, hold every forward stash to end of step. Only for measuring
-  // the stash overhead the default move/borrow path removes.
-  bool copy_stashes = false;
   // K-FAC knobs; per_micro_curvature is implied (the runtime always
   // accumulates curvature per micro-batch — the paper's semantics).
   KfacOptimizerOptions kfac;
-  // Base optimizer, instantiated once per stage (LAMB by default, per-
+  // Base optimizer, instantiated once per stage (LAMB when unset, per-
   // tensor like the serial reference).
   std::function<std::unique_ptr<Optimizer>()> base_optimizer;
   // Boundary transport: "" resolves through PF_TRANSPORT then defaults to
@@ -114,10 +114,13 @@ struct PipelineRuntimeConfig {
   std::function<void(const Timeline&)> step_observer;
 };
 
+class PlanBinder;
+
 class PipelineRuntime {
  public:
   PipelineRuntime(BertModel& model, const MlmBatcher& batcher,
                   const PipelineRuntimeConfig& cfg);
+  ~PipelineRuntime();
 
   // One synchronous training step (n_micro micros + flush + optimizer);
   // returns the accumulated losses exactly as Trainer::step does.
@@ -159,10 +162,10 @@ class PipelineRuntime {
 
   // The exact task graph step() would execute for a step with the given
   // K-FAC refresh flags: every lane, priority, resource token and
-  // dependency edge, minus the bodies. step() itself attaches bodies to
-  // this plan (executor ids == plan indices), so a calibrated virtual-time
-  // replay of the plan (perfmodel/calibration.h) predicts the same
-  // structure reality runs.
+  // dependency edge, minus the bodies. step() binds every task of this plan
+  // to PlanBinder::run() (executor ids == plan indices), so a calibrated
+  // virtual-time replay of the plan (perfmodel/calibration.h) predicts the
+  // same structure reality runs.
   StepPlan make_step_plan(bool curv_step, bool inv_step) const;
   // Threads that drain the step's task graph: the runtime pool's workers
   // plus the main thread, which participates in TaskExecutor::run(). The
@@ -181,11 +184,6 @@ class PipelineRuntime {
   // Executed wall-clock timeline of the last step (one lane per device).
   const Timeline& last_executed_timeline() const { return last_timeline_; }
   double last_step_wall_seconds() const { return last_wall_seconds_; }
-  // The last step's K-FAC work items, BubbleTask-shaped: deps index into
-  // the same vector; durations are the realized seconds.
-  const std::vector<BubbleTask>& last_kfac_plan() const {
-    return kfac_plan_;
-  }
   // Realized handover order on a boundary (micro ids in send order).
   std::vector<int> forward_send_order(int boundary) const;
   std::vector<int> backward_send_order(int boundary) const;
@@ -203,33 +201,24 @@ class PipelineRuntime {
   }
 
  private:
-  struct TaskMeta {
-    std::size_t device = 0;
-    WorkKind kind = WorkKind::kForward;
-    int stage = -1, micro = -1, layer = -1, factor = -1;
-    PipeOp op{};       // valid for kForward/kBackward metas
-    bool is_op = false;
-  };
+  // Executed task ids of the last step per lane, in realized start order.
+  std::vector<std::vector<std::size_t>> executed_by_lane() const;
 
-  const MlmBatcher& batcher_;
   PipelineRuntimeConfig cfg_;
-  Rng data_rng_;
   ScheduleSpec spec_;
   BertStagePartition partition_;
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<ArenaAllocator>> arenas_;  // one per stage
   std::vector<std::vector<PipeOp>> device_order_;
-  std::vector<int> pipeline_of_micro_;
-  std::vector<ExecContext> stage_ctx_;
-  std::vector<std::vector<Param*>> stage_params_;
-  std::vector<std::unique_ptr<KfacEngine>> engines_;   // per stage, may be null
-  std::vector<std::unique_ptr<Optimizer>> stage_opt_;
+  std::vector<std::size_t> kfac_factors_;         // per stage, 0 = none
   std::string transport_;                         // resolved backend
   std::vector<SharedRegion> regions_;             // ring storage (shm only)
   std::vector<std::unique_ptr<Channel>> fwd_ch_;  // boundary s -> s+1
   std::vector<std::unique_ptr<Channel>> bwd_ch_;  // boundary s+1 -> s
-  std::vector<BubbleTask> kfac_plan_;
-  std::vector<TaskMeta> last_meta_;
+  std::unique_ptr<PlanBinder> binder_;            // every stage's worker
+  // The last step's plan and its executor records (same indices): the
+  // Timeline and last_realized_order() read lane, kind, stage, micro and
+  // op from the plan.
+  StepPlan last_plan_;
   std::vector<TaskExecutor::Record> last_records_;
   Timeline last_timeline_;
   std::vector<StageMemoryStats> last_memory_stats_;

@@ -52,11 +52,8 @@ TrainTrace Trainer::run() {
   TrainTrace trace;
   trace.loss.reserve(cfg_.total_steps);
   for (std::size_t i = 0; i < cfg_.total_steps; ++i) {
-    trace.lr.push_back(cfg_.schedule.lr(t_));
-    const auto l = step();
-    trace.loss.push_back(l.total);
-    trace.mlm_loss.push_back(l.mlm);
-    trace.nsp_loss.push_back(l.nsp);
+    const double lr = cfg_.schedule.lr(t_);  // before step() advances t_
+    trace.add(lr, step());
   }
   return trace;
 }

@@ -31,6 +31,13 @@ struct TrainTrace {
   std::vector<double> mlm_loss;
   std::vector<double> nsp_loss;
   std::vector<double> lr;
+  // Appends one step's LR and losses.
+  void add(double step_lr, const BertLossBreakdown& l) {
+    lr.push_back(step_lr);
+    loss.push_back(l.total);
+    mlm_loss.push_back(l.mlm);
+    nsp_loss.push_back(l.nsp);
+  }
   double final_loss_smoothed(std::size_t half_window = 10) const;
 };
 

@@ -128,6 +128,26 @@ TEST(Smoothing, FirstIndexAtOrBelow) {
   EXPECT_EQ(first_index_at_or_below(y, -1.0), -1);
 }
 
+TEST(ServingStats, NearestRankPercentiles) {
+  // 1..100 shuffled: nearest-rank p is exactly p.
+  std::vector<double> xs;
+  for (int i = 100; i >= 1; --i) xs.push_back(i);
+  EXPECT_DOUBLE_EQ(percentile_nearest_rank(xs, 50.0), 50.0);
+  EXPECT_DOUBLE_EQ(percentile_nearest_rank(xs, 95.0), 95.0);
+  EXPECT_DOUBLE_EQ(percentile_nearest_rank(xs, 99.0), 99.0);
+  EXPECT_DOUBLE_EQ(percentile_nearest_rank(xs, 100.0), 100.0);
+  EXPECT_DOUBLE_EQ(percentile_nearest_rank(xs, 1.0), 1.0);
+  // Small n: ceil(p/100·n) ranks. n=4 → p50 is the 2nd smallest, p99 the
+  // 4th; n=1 → every percentile is the sample.
+  const std::vector<double> four = {40.0, 10.0, 30.0, 20.0};
+  EXPECT_DOUBLE_EQ(percentile_nearest_rank(four, 50.0), 20.0);
+  EXPECT_DOUBLE_EQ(percentile_nearest_rank(four, 99.0), 40.0);
+  EXPECT_DOUBLE_EQ(percentile_nearest_rank({7.0}, 50.0), 7.0);
+  EXPECT_THROW(percentile_nearest_rank({}, 50.0), Error);
+  EXPECT_THROW(percentile_nearest_rank({1.0}, 0.0), Error);
+  EXPECT_THROW(percentile_nearest_rank({1.0}, 101.0), Error);
+}
+
 TEST(Strings, Format) {
   EXPECT_EQ(format("%d-%s", 7, "x"), "7-x");
 }

@@ -9,8 +9,11 @@
 // parent is undefined-behavior territory. CI runs this file in the
 // regular and multi-process job legs only.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -158,6 +161,39 @@ TEST(Multiproc, InterleavedTwoStagesKfac) {
 }
 TEST(Multiproc, ZeroBubbleTwoStagesLamb) { check_grid_point("zb-h1", 2, false); }
 TEST(Multiproc, ZeroBubbleTwoStagesKfac) { check_grid_point("zb-h1", 2, true); }
+// Middle stages' deferred W passes with curvature stashes kept across
+// processes: only D > 2 has a stage that both receives and sends.
+TEST(Multiproc, ZeroBubbleFourStagesKfac) { check_grid_point("zb-h1", 4, true); }
+
+TEST(Multiproc, BaseOptimizerBuiltOncePerStageInChildrenOnly) {
+  // Children build per-stage state after the fork, for the stages they
+  // own only: the factory runs exactly once per stage, never in the
+  // parent. interleaved-1f1b puts two model stages on each of 2 children.
+  struct Calls {
+    std::atomic<int> total{0};
+    std::atomic<int> in_parent{0};
+  };
+  static_assert(std::atomic<int>::is_always_lock_free);
+  SharedRegion region(sizeof(Calls));
+  Calls* calls = new (region.data()) Calls();
+  const pid_t parent = getpid();
+  const BertConfig cfg = small_bert();
+  MultiprocConfig mcfg;
+  mcfg.runtime = runtime_config("interleaved-1f1b", 2, true);
+  mcfg.runtime.base_optimizer = [calls, parent] {
+    ++calls->total;
+    if (getpid() == parent) ++calls->in_parent;
+    return std::make_unique<Lamb>();
+  };
+  Rng rng(7);
+  BertModel model(cfg, rng);
+  Corpus data(cfg);
+  const MultiprocResult mp = run_multiproc(model, data.batcher, mcfg);
+  EXPECT_EQ(mp.n_processes, 2);
+  EXPECT_EQ(calls->total.load(), 4);  // D · virtual_chunks model stages
+  EXPECT_EQ(calls->in_parent.load(), 0);
+  calls->~Calls();
+}
 
 TEST(Multiproc, HandoffStatsCoverEveryBoundaryDirection) {
   const BertConfig cfg = small_bert();

@@ -213,36 +213,6 @@ TEST(PipelineRuntime, RelayStagesKeepTheContractOnShallowModels) {
   expect_bitwise_equal(ref, pr, "interleaved relay stages");
 }
 
-TEST(PipelineRuntime, CopyAndBorrowStashModesAreBitwiseIdentical) {
-  // The move/borrow stash path (default) and the legacy copy-restore path
-  // must produce identical bits — and the borrow path must hold strictly
-  // fewer stash bytes at its peak (the overhead the refactor removes).
-  const auto cfg = small_bert(4);
-  const int n_micro = 4;
-  const std::size_t micro_batch = 4, steps = 3;
-  const auto ref = serial_reference(cfg, n_micro, micro_batch, steps, true);
-  for (const char* schedule : {"1f1b", "gpipe"}) {
-    auto pc = runtime_config(schedule, 2, n_micro, micro_batch, steps, true,
-                             /*workers=*/2, /*stage_threads=*/1);
-    PipelineRuntime* borrow_rt = nullptr;
-    const auto borrow = pipeline_run(cfg, pc, &borrow_rt);
-    pc.copy_stashes = true;
-    PipelineRuntime* copy_rt = nullptr;
-    const auto copy = pipeline_run(cfg, pc, &copy_rt);
-    expect_bitwise_equal(ref, borrow, format("%s borrow", schedule));
-    expect_bitwise_equal(ref, copy, format("%s copy", schedule));
-    const auto& bs = borrow_rt->memory_stats();
-    const auto& cs = copy_rt->memory_stats();
-    ASSERT_EQ(bs.size(), cs.size());
-    for (std::size_t st = 0; st < bs.size(); ++st) {
-      EXPECT_GT(bs[st].peak_stash_bytes, 0u) << schedule << " stage " << st;
-      EXPECT_LT(bs[st].peak_stash_bytes, cs[st].peak_stash_bytes)
-          << schedule << " stage " << st
-          << ": borrow peak not below copy peak";
-    }
-  }
-}
-
 TEST(PipelineRuntime, ArenaRecyclesStashBuffersAcrossSteps) {
   // By the last step the stage arenas must be serving recycled storage to
   // the forwards (buffers parked by earlier steps' stash teardown), and
@@ -325,6 +295,7 @@ TEST(PipelineRuntime, ExecutedTimelineCoversAllWorkAndReportsUtilization) {
   for (std::size_t d = 0; d < tl.n_devices(); ++d) {
     for (const auto& iv : tl.device_intervals(d)) {
       EXPECT_GE(iv.end, iv.start);
+      EXPECT_GE(iv.stage, 0);
       if (iv.kind == WorkKind::kForward) ++fwd;
       if (iv.kind == WorkKind::kBackward) ++bwd;
       if (iv.kind == WorkKind::kCurvatureA ||
@@ -342,11 +313,6 @@ TEST(PipelineRuntime, ExecutedTimelineCoversAllWorkAndReportsUtilization) {
   const double u = tl.utilization();
   EXPECT_GT(u, 0.0);
   EXPECT_LE(u, 1.0 + 1e-9);
-  // The K-FAC plan mirrors the executed work items with realized times.
-  for (const auto& task : rt->last_kfac_plan()) {
-    EXPECT_GE(task.duration, 0.0);
-    EXPECT_GE(task.stage, 0);
-  }
 }
 
 TEST(PipelineRuntime, ExecutedOpOrderMatchesSimulatedOpOrder) {
@@ -516,6 +482,42 @@ TEST(StagePartition, SingleStepMatchesMonolithicModel) {
     for (std::size_t e = 0; e < pm[i]->g.size(); ++e)
       EXPECT_EQ(pm[i]->g.data()[e], ps[i]->g.data()[e])
           << pm[i]->name << " elem " << e;
+}
+
+TEST(BertStage, BackwardShrinksTheStashBelowItsForward) {
+  // Stashes move, never copy: backward takes the forward's whole cache set
+  // back and keeps at most each tracked linear's {a_l, e_l} for the
+  // curvature tasks — strictly less than the forward stashed (a
+  // copy-restore stash would hold more than the forward's bytes here).
+  // Without curvature readers nothing stays stashed.
+  const auto cfg = small_bert(2);
+  Rng rng(5);
+  BertModel model(cfg, rng);
+  Corpus data(cfg);
+  Rng drng(17);
+  const auto batch = data.batcher.next_batch(4, drng);
+  const ExecContext ctx = ExecContext::serial();
+  for (const bool keep : {true, false}) {
+    BertStagePartition part(model, 2);
+    Matrix h = part.stage(0).forward(0, batch, Matrix(), ctx);
+    part.stage(1).forward(0, batch, std::move(h), ctx);
+    const std::size_t after_fwd0 = part.stage(0).stash_bytes();
+    const std::size_t after_fwd1 = part.stage(1).stash_bytes();
+    ASSERT_GT(after_fwd0, 0u);
+    ASSERT_GT(after_fwd1, 0u);
+    Matrix g = part.stage(1).backward(0, batch, Matrix(), ctx, keep);
+    part.stage(0).backward(0, batch, std::move(g), ctx, keep);
+    if (keep) {
+      EXPECT_GT(part.stage(0).stash_bytes(), 0u);
+      EXPECT_LT(part.stage(0).stash_bytes(), after_fwd0);
+      EXPECT_LT(part.stage(1).stash_bytes(), after_fwd1);
+    } else {
+      EXPECT_EQ(part.stage(0).stash_bytes(), 0u);
+      EXPECT_EQ(part.stage(1).stash_bytes(), 0u);
+    }
+    part.stage(0).clear_stash();
+    part.stage(1).clear_stash();
+  }
 }
 
 TEST(PipelineRuntime, FlushlessSchedulesStreamOnlyThroughRunFlushless) {

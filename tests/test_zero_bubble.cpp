@@ -321,17 +321,6 @@ TEST(ZeroBubbleRuntime, KfacBitwiseEqualsSerialAcrossStages) {
   }
 }
 
-TEST(ZeroBubbleRuntime, RejectsCopyStashes) {
-  const auto cfg = small_bert(2);
-  Rng rng(7);
-  BertModel model(cfg, rng);
-  Corpus data(cfg);
-  auto pc = runtime_config("zb-h1", 2, 4, 4, 1, false, 1, 1);
-  pc.copy_stashes = true;  // copy mode blanks a_l; the deferred-dW stash
-                           // cannot be harvested from it
-  EXPECT_THROW(PipelineRuntime(model, data.batcher, pc), Error);
-}
-
 // --- Flushless streaming --------------------------------------------------
 
 TEST(FlushlessRuntime, BitwiseInvariantToWorkers) {
