@@ -94,6 +94,17 @@ Matrix arena_copy(ArenaAllocator* arena, const Matrix& src);
 void arena_release(ArenaAllocator* arena, Matrix&& m);
 void arena_release(ArenaAllocator* arena, std::vector<double>&& buf);
 
+// Reshapes dst to rows x cols for the caller to overwrite, reusing dst's own
+// storage, or an arena buffer when it has none (the same two cases as
+// arena_assign below). Contents are unspecified.
+inline void arena_reshape(ArenaAllocator* arena, Matrix& dst, std::size_t rows,
+                          std::size_t cols) {
+  std::vector<double> buf = arena != nullptr && dst.empty()
+                                ? arena->acquire(rows * cols)
+                                : dst.take_data();
+  dst = Matrix(rows, cols, std::move(buf));
+}
+
 // Copy-assigns src into dst, recycling arena storage when dst has none. A
 // layer cache in the serial trainer keeps its buffer between steps, so the
 // plain copy-assign reuses that capacity; in the pipeline the stash

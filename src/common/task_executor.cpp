@@ -5,7 +5,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <queue>
+#include <set>
 
 #include "src/common/check.h"
 
@@ -31,11 +31,9 @@ struct TaskExecutor::State {
 
   std::mutex mu;
   std::condition_variable cv;
-  // Min-heap per lane on (priority, id): ready tasks not yet started.
+  // Per lane, ready tasks not yet started, ordered by (priority, id).
   using Entry = std::pair<long, std::size_t>;
-  std::vector<std::priority_queue<Entry, std::vector<Entry>,
-                                  std::greater<Entry>>>
-      lane_ready;
+  std::vector<std::set<Entry>> lane_ready;
   std::vector<bool> lane_busy;
   std::vector<bool> resource_busy;
   std::size_t done = 0;
@@ -147,36 +145,34 @@ void TaskExecutor::run() {
   // write; it is cleared after the drain, when no body can be running.
   live_ = st;
 
-  // Picks the best startable (lane, task): an idle lane whose top-priority
-  // ready task has a free resource. When the head of a lane's heap is
-  // blocked on its resource, lower-priority ready tasks of that lane may
-  // still run (work conservation — a blocked op must not idle the device
-  // when bubble work is ready). Caller holds the state mutex.
+  // Picks the startable task with the smallest (priority, id) across every
+  // idle lane — the rule perfmodel's predict_step replays — so bubble work
+  // never takes a thread while an idle lane has a runnable pipeline op. A
+  // task whose resource is held is skipped, not waited on: a lower-priority
+  // ready task of the same lane may still run (work conservation — a
+  // blocked op must not idle the device when bubble work is ready). Caller
+  // holds the state mutex.
   auto pick_startable = [this, &st](std::size_t* out_task) -> bool {
-    for (std::size_t lane = 0; lane < st->lane_ready.size(); ++lane) {
-      if (st->lane_busy[lane] || st->lane_ready[lane].empty()) continue;
-      auto& heap = st->lane_ready[lane];
-      // Pop blocked heads into a side buffer, take the first startable
-      // task, then push the buffer back.
-      std::vector<State::Entry> blocked;
-      bool found = false;
-      while (!heap.empty()) {
-        const auto top = heap.top();
-        const int res = nodes_[top.second].resource;
-        if (res >= 0 && st->resource_busy[static_cast<std::size_t>(res)]) {
-          blocked.push_back(top);
-          heap.pop();
-          continue;
-        }
-        heap.pop();
-        *out_task = top.second;
-        found = true;
-        break;
+    std::size_t best_lane = n_lanes_;
+    std::set<State::Entry>::iterator best;
+    for (std::size_t lane = 0; lane < n_lanes_; ++lane) {
+      if (st->lane_busy[lane]) continue;
+      auto& ready = st->lane_ready[lane];
+      const auto it =
+          std::find_if(ready.begin(), ready.end(), [&](const State::Entry& e) {
+            const int res = nodes_[e.second].resource;
+            return res < 0 || !st->resource_busy[static_cast<std::size_t>(res)];
+          });
+      if (it == ready.end()) continue;
+      if (best_lane == n_lanes_ || *it < *best) {
+        best_lane = lane;
+        best = it;
       }
-      for (const auto& e : blocked) heap.push(e);
-      if (found) return true;
     }
-    return false;
+    if (best_lane == n_lanes_) return false;
+    *out_task = best->second;
+    st->lane_ready[best_lane].erase(best);
+    return true;
   };
 
   // Executes one startable task (caller holds the lock via `lk`); returns

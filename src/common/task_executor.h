@@ -11,12 +11,14 @@
 // because resources are acquired by the scheduler before a task starts —
 // never blocked on mid-task — they cannot deadlock.
 //
-// Dispatch rule: whenever a lane is idle, the executor starts the READY
-// (all dependencies done) task with the smallest priority value whose
-// resource is free. The pipeline runtime gives pipeline ops low priorities
-// (their event-order position) and K-FAC work high priorities, which
-// realizes PipeFisher's bubble rule: curvature/inversion work runs exactly
-// when a device has no runnable pipeline op — in the realized idle gaps.
+// Dispatch rule: whenever a thread is free, the executor starts, across
+// every idle lane, the READY (all dependencies done) task with the smallest
+// (priority, id) whose resource is free — the rule perfmodel's
+// predict_step replays (perfmodel/calibration.h). The pipeline runtime
+// gives pipeline ops low priorities (their event-order position) and K-FAC
+// work high priorities, which realizes PipeFisher's bubble rule:
+// curvature/inversion work never takes a thread while an idle lane has a
+// runnable pipeline op, so it runs in the realized idle gaps.
 //
 // Determinism: the executor makes no ordering guarantees beyond the
 // dependency edges — any value the computation produces must be pinned by

@@ -25,7 +25,11 @@ Matrix softmax_rows(const Matrix& logits,
 Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
                              const ExecContext& ctx = ExecContext::defaults());
 
-// Stateful GELU layer for use inside blocks.
+// Stateful GELU layer for use inside blocks. A training forward computes
+// GELU'(x) from the same tanh as its output and caches that derivative
+// instead of x (same size), so backward is one multiply per element,
+// bitwise equal to gelu_backward(x, dy). An inference forward (training =
+// false) writes no cache.
 class Gelu {
  public:
   Matrix forward(const Matrix& x, bool training = true,
@@ -35,17 +39,17 @@ class Gelu {
 
   // Cache externalization for pipeline stages (see linear.h).
   struct Cache {
-    Matrix x;
+    Matrix dydx;  // GELU'(x) of the last training forward, x's shape
   };
   Cache save_cache() {
-    Cache c{std::move(x_cache_)};
-    x_cache_ = Matrix();
+    Cache c{std::move(dydx_cache_)};
+    dydx_cache_ = Matrix();
     return c;
   }
-  void restore_cache(Cache&& c) { x_cache_ = std::move(c.x); }
+  void restore_cache(Cache&& c) { dydx_cache_ = std::move(c.dydx); }
 
  private:
-  Matrix x_cache_;
+  Matrix dydx_cache_;
 };
 
 }  // namespace pf

@@ -28,13 +28,13 @@ Matrix BertStage::forward(int micro, const BertBatch& batch, Matrix in,
     // Identical op sequence to BertModel::train_step_backward's head/loss
     // section — the bitwise contract depends on it.
     const Matrix mlm_logits = mlm_head_->forward(h, /*training=*/true, ctx);
-    const auto mlm = softmax_cross_entropy(mlm_logits, batch.mlm_labels, ctx);
+    auto mlm = softmax_cross_entropy(mlm_logits, batch.mlm_labels, ctx);
     const Matrix cls = gather_cls_rows(h, batch.batch, batch.seq);
     const Matrix nsp_logits = nsp_head_->forward(cls, /*training=*/true, ctx);
-    const auto nsp = softmax_cross_entropy(nsp_logits, batch.nsp_labels, ctx);
+    auto nsp = softmax_cross_entropy(nsp_logits, batch.nsp_labels, ctx);
     loss_stash_[micro] = {mlm.loss + nsp.loss, mlm.loss, nsp.loss};
-    mlm_dlogits = mlm.dlogits;
-    nsp_dlogits = nsp.dlogits;
+    mlm_dlogits = std::move(mlm.dlogits);
+    nsp_dlogits = std::move(nsp.dlogits);
     h = Matrix();  // the step ends here; no boundary activation
   }
 
@@ -86,8 +86,9 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
   // Backward reads but never mutates a_l, so the buffers survive the round
   // trip bit for bit and are re-harvested below for the curvature tasks.
   // Loss gradients live outside the layer caches: they are the only thing
-  // left of the entry once the layers take their caches back, and they die
-  // (into the arena) at the end of this call.
+  // left of the entry once the layers take their caches back, and they are
+  // freed at the end of this call — not parked in the arena, where no
+  // acquire is of their size and every step would add a set.
   StageCache sc = std::move(it->second);
   stash_sub(bytes_of(sc));
   fwd_stash_.erase(it);
@@ -116,9 +117,6 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
     emb_->backward(dh, ctx);
     dh = Matrix();
   }
-
-  arena_release(ctx.arena(), std::move(mlm_dlogits));
-  arena_release(ctx.arena(), std::move(nsp_dlogits));
 
   if (keep_kfac_stash || defer_dw) {
     // Harvest exactly what the curvature tasks read, in kfac_linears()
@@ -274,7 +272,7 @@ std::size_t BertStage::bytes_of(const StageCache& c) {
          lin_bytes(bc.attn.wv) + lin_bytes(bc.attn.wo);
     n += mat_bytes(bc.ln1.xhat) + bc.ln1.inv_std.size() * sizeof(double);
     n += mat_bytes(bc.ln2.xhat) + bc.ln2.inv_std.size() * sizeof(double);
-    n += lin_bytes(bc.w1) + lin_bytes(bc.w2) + mat_bytes(bc.gelu.x);
+    n += lin_bytes(bc.w1) + lin_bytes(bc.w2) + mat_bytes(bc.gelu.dydx);
   }
   n += lin_bytes(c.mlm_head) + lin_bytes(c.nsp_head);
   n += mat_bytes(c.mlm_dlogits) + mat_bytes(c.nsp_dlogits);
@@ -289,7 +287,7 @@ std::size_t BertStage::bytes_of(const std::vector<Linear::Cache>& kcs) {
 
 void BertStage::release_to_arena(ArenaAllocator* arena, StageCache&& c) {
   // Doubles only: int id/segment vectors cannot feed the double arena and
-  // just free normally.
+  // just free normally, as do the loss gradients (see backward()).
   for (TransformerBlock::Cache& bc : c.blocks) {
     arena->release(std::move(bc.attn.q));
     arena->release(std::move(bc.attn.k));
@@ -304,14 +302,12 @@ void BertStage::release_to_arena(ArenaAllocator* arena, StageCache&& c) {
     arena->release(std::move(bc.ln1.inv_std));
     arena->release(std::move(bc.ln2.xhat));
     arena->release(std::move(bc.ln2.inv_std));
-    arena->release(std::move(bc.gelu.x));
+    arena->release(std::move(bc.gelu.dydx));
   }
   for (Linear::Cache* lc : {&c.mlm_head, &c.nsp_head}) {
     arena->release(std::move(lc->x));
     arena->release(std::move(lc->dy));
   }
-  arena->release(std::move(c.mlm_dlogits));
-  arena->release(std::move(c.nsp_dlogits));
 }
 
 void BertStage::stash_add(std::size_t bytes) {

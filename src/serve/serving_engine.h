@@ -18,8 +18,10 @@
 //
 // Dispatch uses the training runtime's lane/priority rule: lane = stage,
 // forwards at priority = micro id, admission at kAdmissionPriorityBase + m
-// on lane 0. The executor picks the smallest priority whose lane is idle,
-// so admission runs exactly in realized lane-0 idle gaps — and because
+// on lane 0. A free thread starts the smallest priority across idle lanes,
+// so admission runs exactly in realized lane-0 idle gaps and, when a
+// thread must choose, yields to a runnable forward on another lane — and
+// because
 // admissions are chained (Admit(m+1) depends on Admit(m)), a blocking pop
 // can only start when lane 0 has no runnable forward, and no new lane-0
 // forward can become ready until it returns: queue waits never block
@@ -141,6 +143,8 @@ class ServingEngine {
   const ServingEngineConfig& config() const { return cfg_; }
 
  private:
+  // tests/test_serving.cpp wraps a boundary channel to pin an interleaving.
+  friend struct ServingEngineTestAccess;
   struct RunState;
 
   void add_admission(TaskExecutor& ex, RunState& rs, RequestQueue& queue,

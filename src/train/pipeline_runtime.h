@@ -9,10 +9,11 @@
 // boundary activations and grad-activations over comm/stage_channel, and
 // dispatches the K-FAC engine's per-factor/per-micro work items
 // (kfac/kfac_engine.h) into the realized idle gaps: K-FAC tasks carry
-// lower dispatch priority than pipeline ops, so a device only runs
-// curvature/inversion work when none of its pipeline ops is runnable —
-// the executable analog of core/bubble_assigner's greedy gap packing,
-// with the simulator's readiness rules become task dependencies:
+// lower dispatch priority than pipeline ops, and the executor's pick is
+// global across idle lanes, so bubble work never takes a thread while an
+// idle lane has a runnable pipeline op — the executable analog of
+// core/bubble_assigner's greedy gap packing, with the simulator's
+// readiness rules become task dependencies:
 //
 //   curvature-A(f, m)  after Forward(stage_of(f), m)   [+ the (f, m-1)
 //   curvature-B(f, m)  after Backward(stage_of(f), m)    fold-order chain]

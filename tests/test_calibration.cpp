@@ -1,5 +1,8 @@
 // Trace-calibrated cost model + schedule autotuner
 // (src/perfmodel/calibration.h, src/perfmodel/autotune.h):
+//   * dispatch agreement — a zero-worker TaskExecutor runs every executable
+//     schedule's StepPlan in exactly predict_step()'s one-thread start
+//     order (LAMB and K-FAC plans);
 //   * round-trip exactness — a synthetic simulator timeline fitted and
 //     replayed through predict_step() reproduces the simulated makespan
 //     bit-for-bit (fused and zero-bubble-split variants);
@@ -20,15 +23,18 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/task_executor.h"
 #include "src/perfmodel/autotune.h"
 #include "src/perfmodel/calibration.h"
 #include "src/perfmodel/perf_model.h"
 #include "src/pipeline/simulator.h"
 #include "src/pipeline/step_plan.h"
 #include "src/train/pipeline_runtime.h"
+#include "src/train/plan_binder.h"
 
 namespace pf {
 namespace {
@@ -97,6 +103,77 @@ StepPlan plan_of(const ScheduleSpec& spec) {
 }
 
 }  // namespace
+
+// --- Dispatch agreement ---------------------------------------------------
+
+// predict_step replays TaskExecutor's dispatch rule. With one thread and
+// unit costs every task starts alone, so the replay's start order must be
+// exactly the order a zero-worker executor (serial on the caller) runs the
+// same plan in — for every schedule the runtime executes, with and without
+// K-FAC work in the bubbles.
+TEST(DispatchAgreement, ZeroWorkerExecutorRealizesPredictStepOrder) {
+  ScheduleParams p;
+  p.n_stages = 4;
+  p.n_micro = 8;
+  p.virtual_chunks = 2;
+  using Key = std::tuple<std::size_t, WorkKind, int, int, int, int>;
+  for (const std::string& name : list_schedules()) {
+    const ScheduleTraits& traits = traits_of(name);
+    if (!traits.flush || traits.n_pipelines > 2) continue;  // not executable
+    const ScheduleSpec spec = build_schedule(name, p);
+    const auto S = static_cast<std::size_t>(spec.n_stages);
+    CalibratedCosts unit;
+    unit.n_stages = spec.n_stages;
+    unit.n_threads = 1;
+    for (std::vector<double>* v :
+         {&unit.t_forward, &unit.t_backward, &unit.t_backward_b,
+          &unit.t_backward_w, &unit.t_curvature_a, &unit.t_curvature_b,
+          &unit.t_commit, &unit.t_inversion_a, &unit.t_inversion_b,
+          &unit.t_precondition, &unit.t_grad_final, &unit.t_optimizer})
+      v->assign(S, 1.0);
+    for (const bool kfac : {false, true}) {
+      const std::string label = name + (kfac ? " kfac" : " lamb");
+      const StepPlan plan = build_step_plan(
+          spec, plan_device_order(spec),
+          std::vector<std::size_t>(S, kfac ? 6 : 0), kfac, kfac);
+
+      auto intervals = predict_step(plan, unit, 1).timeline.all_intervals();
+      std::stable_sort(intervals.begin(), intervals.end(),
+                       [](const Interval& a, const Interval& b) {
+                         return a.start < b.start;
+                       });
+      std::vector<Key> predicted;
+      for (const Interval& iv : intervals)
+        predicted.emplace_back(iv.device, iv.kind, iv.stage, iv.micro,
+                               iv.layer, iv.factor);
+
+      ThreadPool pool(0);
+      TaskExecutor ex(pool, plan.n_lanes);
+      std::vector<std::size_t> ran;
+      for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
+        const PlannedTask& t = plan.tasks[i];
+        ex.add([&ran, i] { ran.push_back(i); }, t.lane, t.priority, t.deps,
+               t.resource);
+      }
+      ex.run();
+      std::vector<Key> realized;
+      for (const std::size_t i : ran) {
+        const PlannedTask& t = plan.tasks[i];
+        realized.emplace_back(t.lane, t.kind, t.stage, t.micro, t.layer,
+                              t.factor);
+      }
+
+      ASSERT_EQ(realized.size(), plan.tasks.size()) << label;
+      ASSERT_EQ(predicted.size(), realized.size()) << label;
+      const auto diverge = std::mismatch(realized.begin(), realized.end(),
+                                         predicted.begin());
+      EXPECT_TRUE(diverge.first == realized.end())
+          << label << ": the executor's start "
+          << diverge.first - realized.begin()
+          << " differs from predict_step's";
+    }
+  }
+}
 
 // --- Round-trip exactness -------------------------------------------------
 

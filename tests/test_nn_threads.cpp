@@ -102,6 +102,42 @@ TEST(NnThreads, ActivationsBitwise) {
   }
 }
 
+TEST(NnThreads, GeluLayerBackwardEqualsReferenceFromItsCache) {
+  // The layer caches GELU'(x) at forward time; its backward must be the
+  // stateless gelu_backward(x, dy) bit for bit at every thread count, and an
+  // inference forward must leave the cache alone.
+  Rng rng(109);
+  const Matrix x = Matrix::randn(19, 21, rng, 1.5);
+  const Matrix other = Matrix::randn(19, 21, rng, 1.5);
+  const Matrix dy = Matrix::randn(19, 21, rng);
+  const Matrix want = gelu_backward(x, dy, ExecContext::serial());
+  for (int t : kThreadCounts) {
+    const ExecContext ctx(t, t);
+    Gelu fresh;
+    expect_bitwise(fresh.forward(x, /*training=*/false, ctx), gelu(x, ctx),
+                   "Gelu inference forward", t);
+    EXPECT_TRUE(fresh.save_cache().dydx.empty())
+        << "inference forward wrote a cache, threads=" << t;
+
+    Gelu g;
+    expect_bitwise(g.forward(x, /*training=*/true, ctx), gelu(x, ctx),
+                   "Gelu training forward", t);
+    g.forward(other, /*training=*/false, ctx);  // must not touch the cache
+    expect_bitwise(g.backward(dy, ctx), want, "Gelu backward", t);
+
+    // A second training forward of the same shape refills the cache's own
+    // storage instead of reallocating.
+    Gelu::Cache c = g.save_cache();
+    const double* storage = c.dydx.data();
+    g.restore_cache(std::move(c));
+    g.forward(x, /*training=*/true, ctx);
+    c = g.save_cache();
+    EXPECT_EQ(c.dydx.data(), storage) << "threads=" << t;
+    g.restore_cache(std::move(c));
+    expect_bitwise(g.backward(dy, ctx), want, "Gelu backward (refilled)", t);
+  }
+}
+
 TEST(NnThreads, AttentionForwardBackwardBitwise) {
   const std::size_t batch = 3, seq = 5, d_model = 16, heads = 4;
   Rng data_rng(109);

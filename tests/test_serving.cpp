@@ -13,7 +13,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +31,14 @@
 #include "src/trace/timeline.h"
 
 namespace pf {
+
+// The engine's boundary channels (ServingEngine befriends this struct).
+struct ServingEngineTestAccess {
+  static std::unique_ptr<Channel>& boundary(ServingEngine& e, int s) {
+    return e.fwd_ch_[static_cast<std::size_t>(s)];
+  }
+};
+
 namespace {
 
 BertConfig serving_bert() {
@@ -370,15 +382,73 @@ TEST(ServingEngine, StaticPolicyMatchesSerialToo) {
   EXPECT_EQ(rep.n_micros, trace.size() / ec.max_batch);
 }
 
+// Wraps a boundary channel so that the consumer's take(m) returns only
+// after the producer has sent micro m + 1 (every micro but the last): the
+// next stage's forward of micro m cannot finish before admission m + 1 has
+// run and micro m + 1's first forward has sent. That is the overlap
+// continuous batching exists for, pinned rather than left to the OS
+// scheduler. An engine that waits for micro m to drain before admitting
+// m + 1 never sends m + 1, and the wait fails after `timeout_seconds`.
+class HoldUntilNextSend : public Channel {
+ public:
+  HoldUntilNextSend(std::unique_ptr<Channel> inner, int last_micro,
+                    double timeout_seconds)
+      : inner_(std::move(inner)),
+        last_micro_(last_micro),
+        timeout_(timeout_seconds) {}
+
+  void send(int micro, Matrix payload) override {
+    inner_->send(micro, std::move(payload));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      max_sent_ = std::max(max_sent_, micro);
+    }
+    cv_.notify_all();
+  }
+  Matrix take(int micro) override {
+    if (micro < last_micro_) {
+      std::unique_lock<std::mutex> lock(mu_);
+      PF_CHECK(cv_.wait_for(lock, std::chrono::duration<double>(timeout_),
+                            [&] { return max_sent_ > micro; }))
+          << name() << ": micro " << micro + 1
+          << " was never sent while micro " << micro << " was in flight";
+    }
+    return inner_->take(micro);
+  }
+  Matrix recv(int micro, double timeout_seconds) override {
+    return inner_->recv(micro, timeout_seconds);
+  }
+  bool has(int micro) const override { return inner_->has(micro); }
+  std::size_t pending() const override { return inner_->pending(); }
+  std::vector<int> send_order() const override {
+    return inner_->send_order();
+  }
+  void clear() override {
+    inner_->clear();
+    std::lock_guard<std::mutex> lock(mu_);
+    max_sent_ = -1;
+  }
+  const std::string& name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<Channel> inner_;
+  const int last_micro_;
+  const double timeout_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int max_sent_ = -1;
+};
+
 TEST(ServingEngine, ContinuousBatchingRefillsSlotsMidFlight) {
   const BertConfig cfg = serving_bert();
   Rng rng(7);
   BertModel model(cfg, rng);
   // 8 micros of 2 through a 2-stage pipe with max_inflight defaulting to
-  // 3: the slot pool is 6, so micro 3 onward reuses freed slots. With a
-  // worker driving the other lane, admissions land while earlier micros
-  // are mid-forward — a forward is ~1000x the work of a queue pop, so the
-  // in-flight admission count is positive on every plausible interleaving.
+  // 3: the slot pool is 6, so micro 3 onward reuses freed slots. The held
+  // boundary keeps micro m in flight until admission m + 1 has run, so
+  // every admission after the first lands in a live pipeline (7 x 2 = 14
+  // requests), and of the 14 slots they fill at most the 4 the first
+  // admission left unused are fresh — at least 10 are refills.
   const auto trace = fixed_trace(16, cfg);
 
   ServingEngineConfig ec;
@@ -386,6 +456,9 @@ TEST(ServingEngine, ContinuousBatchingRefillsSlotsMidFlight) {
   ec.max_batch = 2;
   ec.workers = 2;
   ServingEngine engine(model, ec);
+  auto& boundary = ServingEngineTestAccess::boundary(engine, 0);
+  boundary = std::make_unique<HoldUntilNextSend>(
+      std::move(boundary), /*last_micro=*/7, /*timeout_seconds=*/30.0);
   RequestQueue q;
   q.push_all(trace);
   q.close();
@@ -393,10 +466,10 @@ TEST(ServingEngine, ContinuousBatchingRefillsSlotsMidFlight) {
 
   ASSERT_EQ(rep.records.size(), trace.size());
   EXPECT_EQ(rep.n_micros, 8u);
-  EXPECT_GT(rep.admitted_while_in_flight, 0u)
-      << "continuous batching never admitted into a live pipeline";
-  EXPECT_GT(rep.slots_refilled_in_flight, 0u)
-      << "no freed slot was handed to a new request mid-flight";
+  EXPECT_EQ(rep.admitted_while_in_flight, 14u)
+      << "continuous batching did not admit into the live pipeline";
+  EXPECT_GE(rep.slots_refilled_in_flight, 10u)
+      << "freed slots were not handed to new requests mid-flight";
 }
 
 TEST(ServingEngine, ReportAccountingAndTimeline) {
