@@ -51,7 +51,8 @@ int main() {
   cfg.n_micro = 4;
   cfg.b_micro = 32;
   StepCosts costs = derive_step_costs(cfg, false);
-  costs.stage_cost_scale = {2.0, 1.3, 0.8, 0.5};
+  costs.stage_forward_scale = {2.0, 1.3, 0.8, 0.5};
+  costs.stage_backward_scale = costs.stage_forward_scale;
   const auto spec = build_schedule(cfg);
   const auto imbalanced = simulate_step(spec, costs);
   const double util =

@@ -6,7 +6,6 @@
 
 #include "src/common/check.h"
 #include "src/common/strings.h"
-#include "src/pipeline/simulator.h"
 #include "src/pipeline/step_plan.h"
 #include "src/train/pipeline_runtime.h"
 
@@ -85,18 +84,14 @@ StepPlan candidate_plan(const AutotuneCandidate& c,
   PF_CHECK(spec.n_stages == prof.n_stages)
       << c.schedule << ": profile fitted at " << prof.n_stages
       << " model stages, candidate needs " << spec.n_stages;
-  std::vector<std::vector<PipeOp>> order =
-      spec.dynamic_order ? simulate_step(spec, StepCosts{}).realized_programs
-                         : spec.programs;
-  normalize_backward_order(order);
   std::vector<std::size_t> factors(static_cast<std::size_t>(spec.n_stages),
                                    0);
   if (use_kfac)
     for (int s = 0; s < spec.n_stages; ++s)
       factors[static_cast<std::size_t>(s)] = static_cast<std::size_t>(
           prof.n_factors[static_cast<std::size_t>(s)] + 0.5);
-  return build_step_plan(spec, order, factors, use_kfac && curv_step,
-                         use_kfac && inv_step);
+  return build_step_plan(spec, plan_device_order(spec), factors,
+                         use_kfac && curv_step, use_kfac && inv_step);
 }
 
 struct BurstResult {

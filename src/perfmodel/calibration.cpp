@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <queue>
 
 #include "src/common/check.h"
 #include "src/common/strings.h"
@@ -432,6 +431,17 @@ struct JsonReader {
         << "calibrated-costs JSON: missing number field \"" << key << "\"";
     return it->second;
   }
+  // A whole number in [0, 2^bits): casting anything else to an integer
+  // type of that many value bits would truncate or be undefined.
+  double count(const char* key, int bits) {
+    const double v = num(key);
+    PF_CHECK(v >= 0.0 && v < std::ldexp(1.0, bits) && v == std::floor(v))
+        << "calibrated-costs JSON: \"" << key
+        << "\" must be a non-negative integer below 2^" << bits << ", got "
+        << v;
+    return v;
+  }
+  // Per-stage seconds or counts: `size` entries, none negative.
   std::vector<double> vec(const char* key, std::size_t size) {
     const auto it = vecs.find(key);
     PF_CHECK(it != vecs.end())
@@ -439,6 +449,10 @@ struct JsonReader {
     PF_CHECK(it->second.size() == size)
         << "calibrated-costs JSON: \"" << key << "\" has " << it->second.size()
         << " entries, expected " << size;
+    for (std::size_t s = 0; s < size; ++s)
+      PF_CHECK(it->second[s] >= 0.0)
+          << "calibrated-costs JSON: \"" << key << "\"[" << s
+          << "] is negative (" << it->second[s] << ")";
     return it->second;
   }
 };
@@ -486,13 +500,21 @@ CalibratedCosts CalibratedCosts::from_json(const std::string& json) {
   PF_CHECK(ns >= 1 && ns <= 4096 && ns == std::floor(ns))
       << "calibrated-costs JSON: bad n_stages " << ns;
   c.n_stages = static_cast<int>(ns);
-  c.n_threads = static_cast<int>(r.num("n_threads"));
+  c.n_threads = static_cast<int>(
+      r.count("n_threads", std::numeric_limits<int>::digits));
+  c.samples = static_cast<std::size_t>(
+      r.count("samples", std::numeric_limits<std::size_t>::digits));
   c.residual_scale = r.num("residual_scale");
   PF_CHECK(c.residual_scale > 0.0)
-      << "calibrated-costs JSON: residual_scale must be positive";
+      << "calibrated-costs JSON: \"residual_scale\" must be positive";
   c.t_handoff = r.num("t_handoff");
+  PF_CHECK(c.t_handoff >= 0.0)
+      << "calibrated-costs JSON: \"t_handoff\" must be non-negative, got "
+      << c.t_handoff;
   c.backward_w_fraction = r.num("backward_w_fraction");
-  c.samples = static_cast<std::size_t>(r.num("samples"));
+  PF_CHECK(c.backward_w_fraction > 0.0 && c.backward_w_fraction < 1.0)
+      << "calibrated-costs JSON: \"backward_w_fraction\" must be in (0, 1), "
+      << "got " << c.backward_w_fraction;
   const auto S = static_cast<std::size_t>(c.n_stages);
   c.n_factors = r.vec("n_factors", S);
   c.t_forward = r.vec("t_forward", S);
@@ -514,119 +536,17 @@ CalibratedCosts CalibratedCosts::from_json(const std::string& json) {
 
 PlanPrediction predict_step(const StepPlan& plan, const CalibratedCosts& costs,
                             std::size_t n_threads) {
-  PF_CHECK(n_threads >= 1);
   PF_CHECK(costs.residual_scale > 0.0);
-  const auto& tasks = plan.tasks;
-  const std::size_t n = tasks.size();
-  PF_CHECK(n > 0) << "empty step plan";
-
-  std::vector<double> dur(n, 0.0);
-  int max_resource = -1;
-  for (std::size_t i = 0; i < n; ++i) {
-    dur[i] = costs.task_seconds(tasks[i].kind, tasks[i].stage,
-                                plan.split_backward) *
-             costs.residual_scale;
-    max_resource = std::max(max_resource, tasks[i].resource);
-  }
-
-  std::vector<std::vector<std::size_t>> children(n);
-  std::vector<std::size_t> pending(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    pending[i] = tasks[i].deps.size();
-    for (const std::size_t d : tasks[i].deps) {
-      PF_CHECK(d < i) << "plan deps must precede their dependents";
-      children[d].push_back(i);
-    }
-  }
-
-  std::vector<double> ready(n, 0.0);
-  std::vector<char> started(n, 0);
-  std::vector<double> start_at(n, 0.0), end_at(n, 0.0);
-  std::vector<char> lane_busy(plan.n_lanes, 0);
-  std::vector<char> res_busy(static_cast<std::size_t>(max_resource + 1), 0);
-  // Completion events, earliest end first.
-  using Event = std::pair<double, std::size_t>;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> running;
-  std::size_t free_threads = n_threads;
-  std::size_t remaining = n;
-  double now = 0.0;
-
-  // Dispatch mirror of TaskExecutor: whenever a thread is free, run the
-  // smallest-priority task (ties by insertion id) whose deps are done,
-  // whose ready time has arrived, and whose lane + resource are free.
-  auto dispatch = [&] {
-    while (free_threads > 0) {
-      std::size_t best = n;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (started[i] || pending[i] != 0 || ready[i] > now) continue;
-        if (lane_busy[tasks[i].lane]) continue;
-        if (tasks[i].resource >= 0 &&
-            res_busy[static_cast<std::size_t>(tasks[i].resource)])
-          continue;
-        if (best == n || tasks[i].priority < tasks[best].priority) best = i;
-      }
-      if (best == n) return;
-      started[best] = 1;
-      lane_busy[tasks[best].lane] = 1;
-      if (tasks[best].resource >= 0)
-        res_busy[static_cast<std::size_t>(tasks[best].resource)] = 1;
-      start_at[best] = now;
-      end_at[best] = now + dur[best];
-      running.push({end_at[best], best});
-      --free_threads;
-    }
-  };
-
-  dispatch();
-  while (remaining > 0) {
-    double next = std::numeric_limits<double>::infinity();
-    if (!running.empty()) next = running.top().first;
-    for (std::size_t i = 0; i < n; ++i)
-      if (!started[i] && pending[i] == 0 && ready[i] > now)
-        next = std::min(next, ready[i]);
-    PF_CHECK(std::isfinite(next)) << "plan replay deadlocked with " << remaining
-                                  << " tasks left";
-    now = next;
-    while (!running.empty() && running.top().first <= now) {
-      const std::size_t i = running.top().second;
-      running.pop();
-      lane_busy[tasks[i].lane] = 0;
-      if (tasks[i].resource >= 0)
-        res_busy[static_cast<std::size_t>(tasks[i].resource)] = 0;
-      ++free_threads;
-      --remaining;
-      for (const std::size_t c : children[i]) {
-        PF_CHECK(pending[c] > 0);
-        --pending[c];
-        // Boundary-crossing edges pay the fitted channel handoff latency.
-        const double lat =
-            tasks[c].lane != tasks[i].lane ? costs.t_handoff : 0.0;
-        ready[c] = std::max(ready[c], end_at[i] + lat);
-      }
-    }
-    dispatch();
-  }
-
+  std::vector<double> seconds;
+  seconds.reserve(plan.tasks.size());
+  for (const PlannedTask& t : plan.tasks)
+    seconds.push_back(
+        costs.task_seconds(t.kind, t.stage, plan.split_backward) *
+        costs.residual_scale);
+  const PlanReplay r = replay_plan(plan, seconds, costs.t_handoff, n_threads);
   PlanPrediction out;
-  out.timeline = Timeline(plan.n_lanes);
-  std::vector<std::vector<std::size_t>> by_lane(plan.n_lanes);
-  for (std::size_t i = 0; i < n; ++i) by_lane[tasks[i].lane].push_back(i);
-  for (auto& ids : by_lane) {
-    std::sort(ids.begin(), ids.end(), [&](std::size_t a, std::size_t b) {
-      return start_at[a] < start_at[b];
-    });
-    for (const std::size_t i : ids) {
-      out.timeline.add(Interval{.device = tasks[i].lane,
-                                .start = start_at[i],
-                                .end = end_at[i],
-                                .kind = tasks[i].kind,
-                                .stage = tasks[i].stage,
-                                .micro = tasks[i].micro,
-                                .layer = tasks[i].layer,
-                                .factor = tasks[i].factor});
-      out.makespan = std::max(out.makespan, end_at[i]);
-    }
-  }
+  out.makespan = r.makespan;
+  out.timeline = replay_timeline(plan, r);
   return out;
 }
 

@@ -17,13 +17,16 @@
 //    (to_step_costs()) and PerfModelInput (the `calibrated` pointer).
 //  * predict_step() replays a StepPlan — the EXACT task graph
 //    PipelineRuntime::step() executes, lanes/priorities/resources/deps and
-//    all — in virtual time under the fitted durations and a concurrency
+//    all — through the library's one virtual-time engine (replay_plan,
+//    pipeline/step_plan.h), under the fitted durations and a concurrency
 //    cap equal to the executor's thread count (pool workers + the
 //    participating main thread). Because the plan is shared with the
 //    runtime and the fitted durations were sampled at the same worker
 //    count (so CPU-oversubscription inflation is baked into them), the
 //    prediction tracks executed makespans to within ~10% where the
-//    uncalibrated closed form was off by ~50%.
+//    uncalibrated closed form was off by ~50%. simulate_step replays its
+//    own graph through the same engine, so the two models share one
+//    dispatch rule by construction.
 //
 // DNNsim's simulate-with-CHECK idiom: every prediction this module emits
 // is cross-checked against execution in bench/autotune_baseline and
@@ -107,9 +110,13 @@ struct CalibratedCosts {
   StepCosts to_step_costs() const;
 
   // Committable-artifact serialization. The JSON is flat (numbers and
-  // per-stage arrays under a "pf-calibrated-costs-v1" schema tag);
-  // from_json throws pf::Error on malformed input, unknown schema, or
-  // size-mismatched arrays — fuzzed in tests/test_calibration.cpp.
+  // per-stage arrays under a "pf-calibrated-costs-v1" schema tag).
+  // from_json throws pf::Error, naming the field, on malformed input, an
+  // unknown schema, size-mismatched arrays and out-of-range values:
+  // n_threads and samples must be non-negative integers that fit their
+  // types, t_handoff >= 0, backward_w_fraction in (0, 1), residual_scale
+  // > 0 and every per-stage value >= 0. Fuzzed in
+  // tests/test_calibration.cpp.
   std::string to_json() const;
   static CalibratedCosts from_json(const std::string& json);
 };
@@ -155,12 +162,12 @@ class CalibrationAccumulator {
   std::vector<std::set<std::pair<int, int>>> factors_seen_;  // per stage
 };
 
-// Virtual-time replay of a StepPlan under fitted durations: a greedy list
-// scheduler honoring lane serialization, resource exclusivity, dispatch
-// priority (smallest first, ties by insertion id — TaskExecutor's rule)
-// and a hard concurrency cap of `n_threads` simultaneously running tasks.
-// Boundary-crossing dependency edges add costs.t_handoff latency; every
-// duration is scaled by costs.residual_scale.
+// Virtual-time replay of a StepPlan under fitted durations: an adapter
+// that turns the profile into per-task seconds (task_seconds ×
+// residual_scale) and hands them to replay_plan (pipeline/step_plan.h)
+// with costs.t_handoff on cross-lane edges and a cap of `n_threads`
+// simultaneously running tasks. Tasks the profile fits to 0 s (commit,
+// gradient finalization, optimizer) are legal.
 struct PlanPrediction {
   double makespan = 0.0;
   Timeline timeline;  // one lane per device, virtual clock

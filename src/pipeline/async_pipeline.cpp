@@ -1,6 +1,7 @@
 #include "src/pipeline/async_pipeline.h"
 
 #include <algorithm>
+#include <map>
 
 #include "src/common/check.h"
 #include "src/pipeline/schedule_registry.h"
@@ -16,14 +17,43 @@ AsyncPipelineReport simulate_async_1f1b(int n_stages, int n_micro,
   // micro-batches (backward of batch i overlaps forward of batch i+1),
   // with device-local updates inline.
   const int total_micros = n_micro * iterations;
-  StepCosts c = costs;
-  c.inline_update_every = n_micro;
   ScheduleParams p;
   p.n_stages = n_stages;
   p.n_micro = total_micros;
   const auto spec = build_schedule("1f1b-flushless", p);
   PF_ASSERT(!traits_of("1f1b-flushless").flush);
-  auto res = simulate_step(spec, c);
+
+  // Each device (one stage) updates its weights after every n_micro-th
+  // backward. The update takes the program slot and the deps of the op
+  // after it, so it starts when that op could, and that op then waits for
+  // it.
+  SimGraph g = build_sim_graph(spec, costs);
+  std::map<long, std::size_t> task_of;
+  for (std::size_t i = 0; i < g.plan.tasks.size(); ++i)
+    task_of[op_key(g.plan.tasks[i].op)] = i;
+  for (std::size_t d = 0; d < spec.programs.size(); ++d) {
+    const auto& prog = spec.programs[d];
+    int backwards = 0;
+    for (std::size_t j = 0; j < prog.size(); ++j) {
+      if (prog[j].type != OpType::kBackward || ++backwards % n_micro != 0)
+        continue;
+      PlannedTask update;
+      update.lane = d;
+      update.kind = WorkKind::kOptimizerUpdate;
+      update.priority = static_cast<long>(j + 1);
+      const std::size_t id = g.plan.tasks.size();
+      if (j + 1 < prog.size()) {
+        PlannedTask& next = g.plan.tasks[task_of.at(op_key(prog[j + 1]))];
+        update.deps = next.deps;
+        next.deps.push_back(id);
+      } else {
+        update.deps = {task_of.at(op_key(prog[j]))};
+      }
+      g.plan.tasks.push_back(std::move(update));
+      g.seconds.push_back(costs.t_optimizer);
+    }
+  }
+  auto res = replay_sim_graph(g, costs.t_p2p);
 
   AsyncPipelineReport rep;
   rep.stream_makespan = res.pipe_makespan;

@@ -1,60 +1,23 @@
 #include "src/pipeline/simulator.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "src/common/check.h"
 
 namespace pf {
 
-namespace {
-
-struct Pending {
-  PipeOp op;
-  std::size_t program_pos;  // position within its device program (static)
-};
-
-// Priority for dynamic (Chimera) scheduling: backward drains first, then the
-// micro injected earliest *within its own pipeline* (this is what makes the
-// two pipelines alternate and reproduces the published Chimera schedule),
-// then the down pipeline, then shallower stage.
-bool higher_priority(const PipeOp& a, const PipeOp& b,
-                     const std::vector<int>& micro_index) {
-  const int ta = a.type == OpType::kBackward ? 0 : 1;
-  const int tb = b.type == OpType::kBackward ? 0 : 1;
-  if (ta != tb) return ta < tb;
-  const int ia = micro_index[static_cast<std::size_t>(a.micro)];
-  const int ib = micro_index[static_cast<std::size_t>(b.micro)];
-  if (ia != ib) return ia < ib;
-  if (a.pipeline != b.pipeline) return a.pipeline < b.pipeline;
-  return a.stage < b.stage;
-}
-
-}  // namespace
-
 double StepCosts::forward_cost(int stage) const {
-  if (!stage_forward_scale.empty()) {
-    PF_ASSERT(stage >= 0 &&
-              static_cast<std::size_t>(stage) < stage_forward_scale.size());
-    return t_forward * stage_forward_scale[static_cast<std::size_t>(stage)];
-  }
-  if (stage_cost_scale.empty()) return t_forward;
+  if (stage_forward_scale.empty()) return t_forward;
   PF_ASSERT(stage >= 0 &&
-            static_cast<std::size_t>(stage) < stage_cost_scale.size());
-  return t_forward * stage_cost_scale[static_cast<std::size_t>(stage)];
+            static_cast<std::size_t>(stage) < stage_forward_scale.size());
+  return t_forward * stage_forward_scale[static_cast<std::size_t>(stage)];
 }
 
 double StepCosts::backward_cost(int stage) const {
-  if (!stage_backward_scale.empty()) {
-    PF_ASSERT(stage >= 0 &&
-              static_cast<std::size_t>(stage) < stage_backward_scale.size());
-    return t_backward * stage_backward_scale[static_cast<std::size_t>(stage)];
-  }
-  if (stage_cost_scale.empty()) return t_backward;
+  if (stage_backward_scale.empty()) return t_backward;
   PF_ASSERT(stage >= 0 &&
-            static_cast<std::size_t>(stage) < stage_cost_scale.size());
-  return t_backward * stage_cost_scale[static_cast<std::size_t>(stage)];
+            static_cast<std::size_t>(stage) < stage_backward_scale.size());
+  return t_backward * stage_backward_scale[static_cast<std::size_t>(stage)];
 }
 
 double StepCosts::backward_w_cost(int stage) const {
@@ -90,257 +53,129 @@ double StepSimResult::last_backward_end(std::size_t device) const {
   return last;
 }
 
-StepSimResult simulate_step(const ScheduleSpec& spec, const StepCosts& costs) {
+SimGraph build_sim_graph(const ScheduleSpec& spec, const StepCosts& costs) {
   spec.validate();
   PF_CHECK(costs.t_forward > 0 && costs.t_backward > 0);
   PF_CHECK(!(spec.dynamic_order && spec.split_backward))
       << "split_backward needs static programs (W floats, F/B do not)";
-  const int D = spec.n_stages;
+  const int S = spec.n_stages;
 
-  StepSimResult res(static_cast<std::size_t>(spec.n_devices));
-  res.realized_programs.resize(static_cast<std::size_t>(spec.n_devices));
-
-  // Build pending op sets per device.
-  std::vector<std::vector<PipeOp>> pending(
-      static_cast<std::size_t>(spec.n_devices));
-  if (spec.dynamic_order) {
-    for (const auto& op : spec.all_ops())
-      pending[static_cast<std::size_t>(spec.device_of(op.pipeline, op.stage))]
-          .push_back(op);
-  } else {
-    for (int d = 0; d < spec.n_devices; ++d)
-      pending[static_cast<std::size_t>(d)] =
-          spec.programs[static_cast<std::size_t>(d)];
-  }
-  std::vector<std::size_t> head(static_cast<std::size_t>(spec.n_devices), 0);
-  std::vector<double> free_at(static_cast<std::size_t>(spec.n_devices), 0.0);
-
-  // Floating W pools (split_backward): per device, one chain per owned
-  // (pipeline, stage) in ascending micro injection order. A chain head is
-  // schedulable once its micro's B pass ends; advancing head-of-chain keeps
-  // dW accumulation ascending — the executable runtime's bitwise contract —
-  // while the greedy loop below slots heads into idle time only (a program
-  // op that can start at the same instant always wins the tie).
-  std::vector<std::vector<std::vector<PipeOp>>> w_chains(
-      static_cast<std::size_t>(spec.n_devices));
-  std::vector<std::vector<std::size_t>> w_heads(
-      static_cast<std::size_t>(spec.n_devices));
-  if (spec.split_backward) {
-    for (int d = 0; d < spec.n_devices; ++d) {
-      const auto du = static_cast<std::size_t>(d);
-      for (const auto& [pl, s] : spec.stages_of_device(d)) {
-        std::vector<PipeOp> chain;
-        for (int m : spec.micros_of_pipeline[static_cast<std::size_t>(pl)])
-          chain.push_back({OpType::kBackwardWeight, pl, s, m});
-        w_heads[du].push_back(0);
-        w_chains[du].push_back(std::move(chain));
-      }
-    }
-  }
-
-  // Asynchronous-mode bookkeeping: backwards completed per device since the
-  // last device-local update.
-  std::vector<int> backwards_since_update(
-      static_cast<std::size_t>(spec.n_devices), 0);
-  std::vector<bool> pending_update(
-      static_cast<std::size_t>(spec.n_devices), false);
-
-  // Injection index of each micro within its own pipeline.
-  std::vector<int> micro_index(static_cast<std::size_t>(spec.n_micro), 0);
-  for (const auto& micros : spec.micros_of_pipeline)
-    for (std::size_t i = 0; i < micros.size(); ++i)
-      micro_index[static_cast<std::size_t>(micros[i])] = static_cast<int>(i);
-
-  auto ready_time = [&](const PipeOp& op, double* when) -> bool {
-    double t = 0.0;
+  SimGraph g;
+  g.plan.n_lanes = static_cast<std::size_t>(spec.n_devices);
+  g.plan.split_backward = spec.split_backward;
+  std::map<long, std::size_t> task_of;  // op_key -> task index
+  auto add_op = [&](const PipeOp& op, long priority) {
+    PlannedTask t;
+    t.lane = static_cast<std::size_t>(spec.device_of(op.pipeline, op.stage));
+    t.priority = priority;
+    t.stage = op.stage;
+    t.micro = op.micro;
+    t.op = op;
+    t.is_op = true;
     if (op.type == OpType::kForward) {
-      if (op.stage > 0) {
-        const PipeOp dep{OpType::kForward, op.pipeline, op.stage - 1,
-                         op.micro};
-        auto it = res.op_end_times.find(op_key(dep));
-        if (it == res.op_end_times.end()) return false;
-        t = it->second + costs.t_p2p;
-      }
+      t.kind = WorkKind::kForward;
+      g.seconds.push_back(costs.forward_cost(op.stage));
     } else if (op.type == OpType::kBackwardWeight) {
-      // W reads the caches its own B pass harvested; no p2p, no
-      // cross-stage dependency. Chain order handles the ascending-micro
-      // constraint (same device, head-of-chain).
-      const PipeOp dep{OpType::kBackward, op.pipeline, op.stage, op.micro};
-      auto it = res.op_end_times.find(op_key(dep));
-      if (it == res.op_end_times.end()) return false;
-      t = it->second;
+      t.kind = WorkKind::kBackwardWeight;
+      g.seconds.push_back(costs.backward_w_cost(op.stage));
     } else {
-      const PipeOp own_fwd{OpType::kForward, op.pipeline, op.stage, op.micro};
-      auto itf = res.op_end_times.find(op_key(own_fwd));
-      if (itf == res.op_end_times.end()) return false;
-      t = itf->second;
-      if (op.stage < D - 1) {
-        const PipeOp dep{OpType::kBackward, op.pipeline, op.stage + 1,
-                         op.micro};
-        auto it = res.op_end_times.find(op_key(dep));
-        if (it == res.op_end_times.end()) return false;
-        t = std::max(t, it->second + costs.t_p2p);
-      }
+      t.kind = WorkKind::kBackward;
+      g.seconds.push_back(spec.split_backward ? costs.backward_b_cost(op.stage)
+                                              : costs.backward_cost(op.stage));
     }
-    *when = t;
-    return true;
+    task_of[op_key(op)] = g.plan.tasks.size();
+    g.plan.tasks.push_back(std::move(t));
+    return g.plan.tasks.size() - 1;
   };
 
-  std::size_t remaining = 0;
-  for (const auto& v : pending) remaining += v.size();
-  for (const auto& chains : w_chains)
-    for (const auto& c : chains) remaining += c.size();
-
-  while (remaining > 0) {
-    // Find the globally earliest schedulable (device, op).
-    int best_dev = -1;
-    std::size_t best_idx = 0;
-    int best_w_chain = -1;  // >= 0: best_op is a floating W chain head
-    double best_start = std::numeric_limits<double>::infinity();
-    PipeOp best_op{};
-    for (int d = 0; d < spec.n_devices; ++d) {
-      const auto du = static_cast<std::size_t>(d);
-      if (spec.dynamic_order) {
-        for (std::size_t i = 0; i < pending[du].size(); ++i) {
-          double when;
-          if (!ready_time(pending[du][i], &when)) continue;
-          const double start = std::max(when, free_at[du]);
-          const bool better =
-              start < best_start - 1e-15 ||
-              (std::abs(start - best_start) <= 1e-15 && best_dev >= 0 &&
-               higher_priority(pending[du][i], best_op, micro_index));
-          if (best_dev < 0 || better) {
-            best_dev = d;
-            best_idx = i;
-            best_w_chain = -1;
-            best_start = start;
-            best_op = pending[du][i];
-          }
-        }
-      } else {
-        // Program head first: at equal start times the program op wins
-        // and any ready W keeps floating (strictly-earlier-only below).
-        if (head[du] < pending[du].size()) {
-          const PipeOp& op = pending[du][head[du]];
-          double when;
-          if (ready_time(op, &when)) {
-            const double start = std::max(when, free_at[du]);
-            if (best_dev < 0 || start < best_start - 1e-15) {
-              best_dev = d;
-              best_idx = head[du];
-              best_w_chain = -1;
-              best_start = start;
-              best_op = op;
-            }
-          }
-        }
-        for (std::size_t c = 0; c < w_chains[du].size(); ++c) {
-          if (w_heads[du][c] >= w_chains[du][c].size()) continue;
-          const PipeOp& op = w_chains[du][c][w_heads[du][c]];
-          double when;
-          if (!ready_time(op, &when)) continue;
-          const double start = std::max(when, free_at[du]);
-          if (best_dev < 0 || start < best_start - 1e-15) {
-            best_dev = d;
-            best_idx = w_heads[du][c];
-            best_w_chain = static_cast<int>(c);
-            best_start = start;
-            best_op = op;
-          }
+  if (spec.dynamic_order) {
+    // The greedy rule as one priority: backward drains first, then the
+    // micro injected earliest *within its own pipeline* (this is what makes
+    // the two pipelines alternate and reproduces the published Chimera
+    // schedule), then the lower pipeline, then the shallower stage.
+    std::vector<long> micro_index(static_cast<std::size_t>(spec.n_micro), 0);
+    for (const auto& micros : spec.micros_of_pipeline)
+      for (std::size_t i = 0; i < micros.size(); ++i)
+        micro_index[static_cast<std::size_t>(micros[i])] =
+            static_cast<long>(i);
+    for (const PipeOp& op : spec.all_ops()) {
+      const long forward = op.type == OpType::kForward ? 1 : 0;
+      const long micro = micro_index[static_cast<std::size_t>(op.micro)];
+      add_op(op, ((forward * spec.n_micro + micro) * spec.n_pipelines +
+                  op.pipeline) * S + op.stage);
+    }
+  } else {
+    // Head-of-line programs: priority = program position, and each op
+    // follows its program predecessor (the task created just before it).
+    for (const auto& prog : spec.programs)
+      for (std::size_t i = 0; i < prog.size(); ++i) {
+        const std::size_t t = add_op(prog[i], static_cast<long>(i));
+        if (i > 0) g.plan.tasks[t].deps.push_back(t - 1);
+      }
+  }
+  if (spec.split_backward) {
+    // Floating W chains, one per owned (pipeline, stage), ascending micro:
+    // the order dW accumulates in.
+    for (int d = 0; d < spec.n_devices; ++d)
+      for (const auto& [pl, s] : spec.stages_of_device(d)) {
+        const auto& micros =
+            spec.micros_of_pipeline[static_cast<std::size_t>(pl)];
+        for (std::size_t i = 0; i < micros.size(); ++i) {
+          const std::size_t t = add_op(
+              {OpType::kBackwardWeight, pl, s, micros[i]},
+              kWeightPriorityBase);
+          if (i > 0) g.plan.tasks[t].deps.push_back(t - 1);
         }
       }
-    }
-    PF_CHECK(best_dev >= 0)
-        << "pipeline schedule deadlocked with " << remaining
-        << " ops remaining (schedule " << spec.name << ")";
-
-    const auto du = static_cast<std::size_t>(best_dev);
-
-    // Asynchronous mode: a due device-local update runs before the op.
-    // Zero-duration updates are still recorded so weight-version accounting
-    // (staleness analysis) sees them.
-    if (costs.inline_update_every > 0 && pending_update[du]) {
-      const double udur =
-          costs.t_optimizer *
-          static_cast<double>(spec.stages_of_device(best_dev).size());
-      res.timeline.add(Interval{.device = du,
-                                .start = best_start,
-                                .end = best_start + udur,
-                                .kind = WorkKind::kOptimizerUpdate});
-      free_at[du] = best_start + udur;
-      best_start += udur;
-      pending_update[du] = false;
-    }
-
-    double dur;
-    WorkKind kind;
-    if (best_op.type == OpType::kForward) {
-      dur = costs.forward_cost(best_op.stage);
-      kind = WorkKind::kForward;
-    } else if (best_op.type == OpType::kBackwardWeight) {
-      dur = costs.backward_w_cost(best_op.stage);
-      kind = WorkKind::kBackwardWeight;
-    } else if (spec.split_backward) {
-      dur = costs.backward_b_cost(best_op.stage);
-      kind = WorkKind::kBackward;
-    } else {
-      dur = costs.backward_cost(best_op.stage);
-      kind = WorkKind::kBackward;
-    }
-    const double end = best_start + dur;
-    res.timeline.add(Interval{
-        .device = du,
-        .start = best_start,
-        .end = end,
-        .kind = kind,
-        .stage = best_op.stage,
-        .micro = best_op.micro,
-    });
-    res.op_start_times[op_key(best_op)] = best_start;
-    res.op_end_times[op_key(best_op)] = end;
-    res.realized_programs[du].push_back(best_op);
-    free_at[du] = end;
-    if (best_w_chain >= 0) {
-      ++w_heads[du][static_cast<std::size_t>(best_w_chain)];
-    } else if (spec.dynamic_order) {
-      pending[du].erase(pending[du].begin() +
-                        static_cast<std::ptrdiff_t>(best_idx));
-    } else {
-      ++head[du];
-    }
-    --remaining;
-    res.pipe_makespan = std::max(res.pipe_makespan, end);
-
-    if (costs.inline_update_every > 0 &&
-        best_op.type == OpType::kBackward) {
-      if (++backwards_since_update[du] >= costs.inline_update_every) {
-        backwards_since_update[du] = 0;
-        pending_update[du] = true;
-      }
-    }
   }
 
-  if (costs.inline_update_every > 0) {
-    // Asynchronous pipelines have no flush: the "step" is just the stream.
-    // Flush any update still pending at stream end (the final mini-batch's).
-    for (int d = 0; d < spec.n_devices; ++d) {
-      const auto du = static_cast<std::size_t>(d);
-      if (!pending_update[du]) continue;
-      const double udur =
-          costs.t_optimizer *
-          static_cast<double>(spec.stages_of_device(d).size());
-      res.timeline.add(Interval{.device = du,
-                                .start = free_at[du],
-                                .end = free_at[du] + udur,
-                                .kind = WorkKind::kOptimizerUpdate});
-      free_at[du] += udur;
-      pending_update[du] = false;
+  // Data dependencies, now that every op has a task.
+  for (PlannedTask& t : g.plan.tasks) {
+    const PipeOp& op = t.op;
+    auto need = [&](OpType type, int stage) {
+      t.deps.push_back(
+          task_of.at(op_key({type, op.pipeline, stage, op.micro})));
+    };
+    if (op.type == OpType::kForward) {
+      if (op.stage > 0) need(OpType::kForward, op.stage - 1);
+    } else if (op.type == OpType::kBackwardWeight) {
+      need(OpType::kBackward, op.stage);  // the caches its B pass harvested
+    } else {
+      need(OpType::kForward, op.stage);
+      if (op.stage < S - 1) need(OpType::kBackward, op.stage + 1);
     }
-    res.step_time = *std::max_element(free_at.begin(), free_at.end());
-    return res;
   }
+  return g;
+}
+
+StepSimResult replay_sim_graph(const SimGraph& graph, double t_p2p) {
+  const StepPlan& plan = graph.plan;
+  const PlanReplay r = replay_plan(plan, graph.seconds, t_p2p, plan.n_lanes);
+  StepSimResult res(plan.n_lanes);
+  res.timeline = replay_timeline(plan, r);
+  res.realized_programs.resize(plan.n_lanes);
+  for (std::size_t d = 0; d < plan.n_lanes; ++d)
+    for (const std::size_t i : r.lanes[d]) {
+      const PlannedTask& t = plan.tasks[i];
+      if (!t.is_op) continue;
+      res.realized_programs[d].push_back(t.op);
+      res.op_start_times[op_key(t.op)] = r.start[i];
+      res.op_end_times[op_key(t.op)] = r.end[i];
+      res.pipe_makespan = std::max(res.pipe_makespan, r.end[i]);
+    }
+  res.step_time = r.makespan;
+  return res;
+}
+
+StepSimResult simulate_step(const ScheduleSpec& spec, const StepCosts& costs) {
+  StepSimResult res =
+      replay_sim_graph(build_sim_graph(spec, costs), costs.t_p2p);
 
   // ---- Step tail: sync-grad, precondition, optimizer update ----
+  std::vector<double> free_at(static_cast<std::size_t>(spec.n_devices), 0.0);
+  for (std::size_t d = 0; d < free_at.size(); ++d)
+    if (!res.timeline.device_intervals(d).empty())
+      free_at[d] = res.timeline.device_intervals(d).back().end;
   if (costs.t_sync_grad > 0.0) {
     std::vector<double> sync_start(free_at);
     if (spec.n_pipelines == 2) {

@@ -2,20 +2,32 @@
 //
 // Executes a ScheduleSpec under per-op costs and produces a Timeline — the
 // simulated analog of the paper's Nsight profile of one pipeline step.
+// simulate_step builds the step as a task graph (a StepPlan, see
+// build_sim_graph) and replays it through the library's one virtual-time
+// engine, replay_plan (pipeline/step_plan.h), with one thread per device.
 //
 // Semantics:
-//  * Forward(pl, s, m) requires Forward(pl, s-1, m) plus a P2P delay.
-//  * Backward(pl, s, m) requires Forward(pl, s, m) on the same device and
-//    Backward(pl, s+1, m) plus a P2P delay.
-//  * A device executes its program head-of-line (static schedules) or — for
-//    dynamic_order schedules (Chimera) — greedily picks the ready op with
-//    the highest priority (backward first, then lowest micro id, then the
-//    down pipeline) whenever it is idle. The executor is work-conserving.
+//  * One task per op, on its device's lane; a device runs one op at a time.
+//  * Forward(pl, s, m) requires Forward(pl, s-1, m). Backward(pl, s, m)
+//    requires Forward(pl, s, m) and Backward(pl, s+1, m).
+//  * A dependency on another device adds t_p2p (the engine's handoff). For
+//    every registry schedule consecutive stages sit on different devices
+//    when D >= 2, so this is "p2p on every stage boundary"; a hand-built
+//    spec that put consecutive stages on one device would not pay t_p2p
+//    between them.
+//  * Static schedules run their programs head-of-line: each op depends on
+//    the previous op of its device program and has its program position as
+//    dispatch priority. dynamic_order schedules (Chimera, interleaved 1F1B)
+//    run greedily: an idle device starts its ready op with the highest
+//    priority — backward first, then the lowest micro index within its
+//    pipeline, then the lower pipeline, then the shallower stage.
 //  * split_backward schedules (ZB-H1) additionally float one
 //    BackwardWeight(pl, s, m) op per backward, ready when its own B pass
-//    ends, chained per (pipeline, stage) by ascending micro. A floating W
-//    runs only when it can start strictly before the device's program head
-//    — it fills bubbles, it never displaces the critical path.
+//    ends, chained per (pipeline, stage) by ascending micro at priority
+//    kWeightPriorityBase. A device starts a floating W only when no program
+//    op is ready — it fills bubbles, it never displaces the critical path.
+//  * Ties compare exactly: when a W becomes ready one ulp before the
+//    program head, the W takes the slot.
 //  * After the last pipeline op, each device runs the step tail:
 //    sync-grad (Chimera: paired with the mirror device D-1-d, starting when
 //    both are done), precondition (PipeFisher only), optimizer update.
@@ -27,6 +39,7 @@
 #include <map>
 
 #include "src/pipeline/ops.h"
+#include "src/pipeline/step_plan.h"
 #include "src/trace/timeline.h"
 
 namespace pf {
@@ -39,24 +52,14 @@ struct StepCosts {
   double t_precondition = 0.0; // per stage at step end (0 = skip)
   double t_optimizer = 0.0;    // per stage at step end (0 = skip)
 
-  // Optional per-stage cost multiplier (size n_stages). Uniform transformer
-  // stages use the default; non-uniform architectures (the §5 CNN
-  // discussion) scale forward/backward of stage s by stage_cost_scale[s].
-  std::vector<double> stage_cost_scale;
-
-  // Optional SEPARATE per-stage multipliers for forward and backward (size
-  // n_stages; empty = fall back to stage_cost_scale for both). Fitted
-  // profiles need this: realized stage costs are not fwd/bwd-proportional
-  // — stage 0 carries the embedding, the last stage the heads + loss —
-  // so CalibratedCosts::to_step_costs() fills these from the trace.
+  // Optional per-stage multipliers for forward and backward (size
+  // n_stages; empty = uniform stages). Non-uniform architectures (the §5
+  // CNN discussion) set both to the same values. Fitted profiles set them
+  // apart: realized stage costs are not fwd/bwd-proportional — stage 0
+  // carries the embedding, the last stage the heads + loss — so
+  // CalibratedCosts::to_step_costs() fills these from the trace.
   std::vector<double> stage_forward_scale;
   std::vector<double> stage_backward_scale;
-
-  // Asynchronous pipelines (Appendix C.1): when > 0, each device runs a
-  // device-local optimizer update (duration t_optimizer per owned stage)
-  // inline after every `inline_update_every` backwards — no flush, no
-  // barrier. The step tail is skipped in this mode.
-  int inline_update_every = 0;
 
   // Zero-bubble split (split_backward schedules only): fraction of
   // t_backward spent in the deferred W (dW) pass; the B (dx) pass gets the
@@ -84,8 +87,8 @@ class StepSimResult {
   Timeline timeline;
   double pipe_makespan = 0.0;  // end of last forward/backward
   double step_time = 0.0;      // end of the step tail = step period
-  // Realized per-device op order (equals the input programs for static
-  // schedules; the greedy order for Chimera).
+  // Realized per-device op order: the input programs for static schedules
+  // (with each floating W where it ran), the greedy order for dynamic ones.
   std::vector<std::vector<PipeOp>> realized_programs;
 
   // End time of an executed op; throws if the op was not executed.
@@ -101,6 +104,21 @@ class StepSimResult {
 };
 
 StepSimResult simulate_step(const ScheduleSpec& spec, const StepCosts& costs);
+
+// simulate_step's task graph, before the step tail: the plan plus each
+// task's duration in seconds. Every task is an op task (is_op); callers may
+// add more (the asynchronous stream adds its inline optimizer updates)
+// before replaying it.
+struct SimGraph {
+  StepPlan plan;
+  std::vector<double> seconds;
+};
+SimGraph build_sim_graph(const ScheduleSpec& spec, const StepCosts& costs);
+
+// Replays a simulator graph with one thread per device and t_p2p as the
+// cross-device handoff. Fills every StepSimResult field; step_time is the
+// latest task end (no step tail).
+StepSimResult replay_sim_graph(const SimGraph& graph, double t_p2p);
 
 // k steps back-to-back at the single-step period (synchronous training).
 Timeline replicate_steps(const StepSimResult& step, int k);

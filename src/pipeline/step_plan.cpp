@@ -1,10 +1,15 @@
 #include "src/pipeline/step_plan.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
+#include <queue>
+#include <tuple>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/pipeline/simulator.h"
 
 namespace pf {
 
@@ -37,6 +42,154 @@ void normalize_backward_order(std::vector<std::vector<PipeOp>>& programs) {
         prog[slots[k]].micro = micros[k];
     }
   }
+}
+
+std::vector<std::vector<PipeOp>> plan_device_order(const ScheduleSpec& spec) {
+  // Static orders are honored exactly (head-of-line chaining); dynamic
+  // schedules run greedily with the order as dispatch priority — which is
+  // what `dynamic_order` means in the simulator too.
+  std::vector<std::vector<PipeOp>> order =
+      spec.dynamic_order ? simulate_step(spec, StepCosts{}).realized_programs
+                         : spec.programs;
+  normalize_backward_order(order);
+  return order;
+}
+
+PlanReplay replay_plan(const StepPlan& plan, const std::vector<double>& seconds,
+                       double handoff, std::size_t n_threads) {
+  const auto& tasks = plan.tasks;
+  const std::size_t n = tasks.size();
+  PF_CHECK(n > 0) << "empty step plan";
+  PF_CHECK(seconds.size() == n)
+      << seconds.size() << " durations for " << n << " plan tasks";
+  PF_CHECK(n_threads >= 1);
+  PF_CHECK(handoff >= 0.0) << "negative handoff " << handoff;
+
+  std::vector<std::vector<std::size_t>> children(n);
+  std::vector<std::size_t> pending(n, 0);
+  int max_resource = -1;
+  for (std::size_t i = 0; i < n; ++i) {
+    PF_CHECK(tasks[i].lane < plan.n_lanes)
+        << "task " << i << " on lane " << tasks[i].lane << " of "
+        << plan.n_lanes;
+    PF_CHECK(seconds[i] >= 0.0)
+        << "task " << i << " (" << work_kind_name(tasks[i].kind)
+        << ") has negative duration " << seconds[i];
+    max_resource = std::max(max_resource, tasks[i].resource);
+    pending[i] = tasks[i].deps.size();
+    for (const std::size_t d : tasks[i].deps) {
+      PF_CHECK(d < n) << "task " << i << " depends on missing task " << d;
+      children[d].push_back(i);
+    }
+  }
+
+  PlanReplay out;
+  out.start.assign(n, 0.0);
+  out.end.assign(n, 0.0);
+  // Tasks whose deps have all finished but that have not started yet.
+  std::vector<std::size_t> open;
+  for (std::size_t i = 0; i < n; ++i)
+    if (pending[i] == 0) open.push_back(i);
+  std::vector<double> ready(n, 0.0);
+  std::vector<char> lane_busy(plan.n_lanes, 0);
+  std::vector<char> res_busy(static_cast<std::size_t>(max_resource + 1), 0);
+  // Completion events, earliest end first.
+  using Event = std::pair<double, std::size_t>;
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> running;
+  std::size_t free_threads = n_threads;
+  std::size_t remaining = n;
+  double now = 0.0;
+
+  auto startable = [&](std::size_t i) {
+    return ready[i] <= now && !lane_busy[tasks[i].lane] &&
+           (tasks[i].resource < 0 ||
+            !res_busy[static_cast<std::size_t>(tasks[i].resource)]);
+  };
+  auto dispatch = [&] {
+    while (free_threads > 0) {
+      std::size_t best = open.size();
+      for (std::size_t k = 0; k < open.size(); ++k) {
+        const std::size_t i = open[k];
+        if (!startable(i)) continue;
+        if (best == open.size() ||
+            std::tie(tasks[i].priority, i) <
+                std::tie(tasks[open[best]].priority, open[best]))
+          best = k;
+      }
+      if (best == open.size()) return;
+      const std::size_t i = open[best];
+      open[best] = open.back();
+      open.pop_back();
+      lane_busy[tasks[i].lane] = 1;
+      if (tasks[i].resource >= 0)
+        res_busy[static_cast<std::size_t>(tasks[i].resource)] = 1;
+      out.start[i] = now;
+      out.end[i] = now + seconds[i];
+      running.push({out.end[i], i});
+      --free_threads;
+    }
+  };
+
+  dispatch();
+  while (remaining > 0) {
+    double next = std::numeric_limits<double>::infinity();
+    if (!running.empty()) next = running.top().first;
+    for (const std::size_t i : open)
+      if (ready[i] > now) next = std::min(next, ready[i]);
+    if (!std::isfinite(next)) {
+      std::size_t stuck = 0;
+      while (pending[stuck] == 0) ++stuck;
+      PF_CHECK(false) << "step plan deadlocked: " << remaining
+                      << " tasks wait on a dependency cycle (e.g. task "
+                      << stuck << ", " << work_kind_name(tasks[stuck].kind)
+                      << " stage " << tasks[stuck].stage << " micro "
+                      << tasks[stuck].micro << " on lane "
+                      << tasks[stuck].lane << ")";
+    }
+    now = next;
+    while (!running.empty() && running.top().first <= now) {
+      const std::size_t i = running.top().second;
+      running.pop();
+      lane_busy[tasks[i].lane] = 0;
+      if (tasks[i].resource >= 0)
+        res_busy[static_cast<std::size_t>(tasks[i].resource)] = 0;
+      ++free_threads;
+      --remaining;
+      out.makespan = std::max(out.makespan, out.end[i]);
+      for (const std::size_t c : children[i]) {
+        const double lat = tasks[c].lane != tasks[i].lane ? handoff : 0.0;
+        ready[c] = std::max(ready[c], out.end[i] + lat);
+        if (--pending[c] == 0) open.push_back(c);
+      }
+    }
+    dispatch();
+  }
+
+  out.lanes.resize(plan.n_lanes);
+  for (std::size_t i = 0; i < n; ++i) out.lanes[tasks[i].lane].push_back(i);
+  for (auto& ids : out.lanes)
+    std::sort(ids.begin(), ids.end(), [&](std::size_t a, std::size_t b) {
+      return std::tie(out.start[a], out.end[a], a) <
+             std::tie(out.start[b], out.end[b], b);
+    });
+  return out;
+}
+
+Timeline replay_timeline(const StepPlan& plan, const PlanReplay& replay) {
+  Timeline tl(plan.n_lanes);
+  for (const auto& ids : replay.lanes)
+    for (const std::size_t i : ids) {
+      const PlannedTask& t = plan.tasks[i];
+      tl.add(Interval{.device = t.lane,
+                      .start = replay.start[i],
+                      .end = replay.end[i],
+                      .kind = t.kind,
+                      .stage = t.stage,
+                      .micro = t.micro,
+                      .layer = t.layer,
+                      .factor = t.factor});
+    }
+  return tl;
 }
 
 StepPlan build_step_plan(const ScheduleSpec& spec,
@@ -189,8 +342,8 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
   // serial trainer's sequence. Deps: the micro's own B pass (which
   // harvested the {a_l, e_l} caches) plus the chain predecessor. Priority
   // kWeightPriorityBase sits above every program position: a lane runs a W
-  // only when none of its pipeline ops is runnable, exactly like the
-  // simulator's floating W pools fill realized idle gaps.
+  // only when none of its pipeline ops is runnable — the same floating rule
+  // simulate_step's graph uses.
   if (split) {
     for (int s = 0; s < S; ++s) {
       std::size_t prev_w = 0;

@@ -1,21 +1,20 @@
-// Executable step plan: the task graph PipelineRuntime::step() runs, as a
-// pure value — every task's lane, dispatch priority, resource token and
-// dependency edges, WITHOUT the bodies that do the work.
+// Step plan: a pipeline step as a task graph — every task's lane, dispatch
+// priority, resource token and dependency edges, WITHOUT the bodies that do
+// the work — and the one virtual-time engine that replays such a graph.
 //
-// Splitting plan construction from body attachment buys two things:
-//  * the runtime's graph build becomes data the rest of the library can
-//    inspect (tests assert over it instead of re-deriving orders);
-//  * the perfmodel calibration layer (src/perfmodel/calibration.h) can
-//    replay the EXACT graph the executor will run in virtual time under
-//    fitted per-(kind, stage) durations — a prediction that shares every
-//    structural property (head-of-line chains, floating W priorities,
-//    K-FAC gap-filling tiers, resource exclusion) with reality, instead of
-//    re-approximating them from closed forms.
+// Two graphs are built as StepPlans:
+//  * build_step_plan() below: the graph PipelineRuntime::step() executes
+//    (its TaskExecutor runs exactly these tasks);
+//  * the paper's idealized step (pipeline/simulator.h): simulate_step()
+//    describes the schedule as a plan and replays it.
+// replay_plan() is the library's only virtual-time scheduler. simulate_step
+// and perfmodel's predict_step (src/perfmodel/calibration.h) both call it;
+// they differ only in the graph and the per-task seconds they hand it.
 //
-// The plan is bitwise-load-bearing: PipelineRuntime attaches bodies to the
-// tasks in plan order and asserts executor ids equal plan indices, so lanes,
-// priorities and dependency edges here ARE the ones that pin the serial
-// gradient-fold order. Change construction order only with the
+// The runtime plan is bitwise-load-bearing: PipelineRuntime attaches bodies
+// to the tasks in plan order and asserts executor ids equal plan indices,
+// so lanes, priorities and dependency edges here ARE the ones that pin the
+// serial gradient-fold order. Change construction order only with the
 // test_pipeline_runtime / test_zero_bubble bitwise grids green.
 #pragma once
 
@@ -30,9 +29,9 @@ namespace pf {
 // Dispatch-priority tiers (smallest value dispatches first). Pipeline ops
 // get their event-order position; deferred W passes (zb-h1) sit above every
 // program position so a lane takes one only when no pipeline op is runnable
-// — the executed analog of the simulator's floating W pools; step-tail
-// tasks follow; K-FAC work sits above everything so it is only dispatched
-// into lane idle time (realized bubbles).
+// — W passes float into idle time; step-tail tasks follow; K-FAC work sits
+// above everything so it is only dispatched into lane idle time (realized
+// bubbles).
 constexpr long kWeightPriorityBase = 1L << 16;
 constexpr long kTailPriorityBase = 1L << 18;
 constexpr long kKfacPriorityBase = 1L << 20;
@@ -55,6 +54,36 @@ struct StepPlan {
   bool split_backward = false;
 };
 
+// --- The virtual-time engine ------------------------------------------------
+//
+// replay_plan() is a greedy list scheduler with TaskExecutor's dispatch rule
+// (common/task_executor.h). Whenever one of `n_threads` threads is free, it
+// starts the startable task with the smallest (priority, index). A task is
+// startable when every dep has finished and its handoff has elapsed, its
+// lane is idle and its resource token is free. A dep on another lane delays
+// its dependent by `handoff` seconds; a dep on the same lane does not. Times
+// compare exactly: two tasks that become startable one ulp apart are not a
+// tie.
+//
+// Any acyclic plan replays; deps need not precede their dependents (only
+// TaskExecutor needs that, and build_step_plan keeps it). A dependency cycle
+// throws a deadlock error naming a stuck task.
+struct PlanReplay {
+  std::vector<double> start, end;  // per task, seconds from step start
+  double makespan = 0.0;
+  // Per lane, task indices in start order; equal starts order by end, then
+  // index, so a zero-length task precedes the task it abuts.
+  std::vector<std::vector<std::size_t>> lanes;
+};
+
+PlanReplay replay_plan(const StepPlan& plan, const std::vector<double>& seconds,
+                       double handoff, std::size_t n_threads);
+
+// The replay as a per-lane Timeline: one interval per task, in
+// PlanReplay::lanes order, labeled with the task's kind, stage, micro,
+// layer and factor.
+Timeline replay_timeline(const StepPlan& plan, const PlanReplay& replay);
+
 // True for the K-FAC work kinds (curvature A/B, commit, inversion A/B,
 // precondition).
 bool is_kfac_kind(WorkKind k);
@@ -68,6 +97,11 @@ bool is_kfac_kind(WorkKind k);
 // micro, so LIFO buys nothing here).
 void normalize_backward_order(std::vector<std::vector<PipeOp>>& programs);
 
+// The event order a runtime step plan follows: the static programs, or for
+// dynamic_order schedules the order simulate_step realizes under unit
+// §3.3 costs; backward-normalized either way.
+std::vector<std::vector<PipeOp>> plan_device_order(const ScheduleSpec& spec);
+
 // Builds the full step graph for one synchronous step:
 //   pipeline F/B ops (creation order honors `device_order`), deferred W
 //   chains (split_backward), per-stage gradient finalization, K-FAC
@@ -75,9 +109,8 @@ void normalize_backward_order(std::vector<std::vector<PipeOp>>& programs);
 //   factors_per_stage[s] > 0 (gated by curv_step / inv_step), and the
 //   per-stage optimizer updates.
 //
-// `device_order` is the normalized event order (static programs or the
-// greedy simulator's realized order); `factors_per_stage[s]` is the K-FAC
-// engine's tracked-factor count on stage s (0 = no engine).
+// `device_order` is plan_device_order(spec); `factors_per_stage[s]` is the
+// K-FAC engine's tracked-factor count on stage s (0 = no engine).
 StepPlan build_step_plan(const ScheduleSpec& spec,
                          const std::vector<std::vector<PipeOp>>& device_order,
                          const std::vector<std::size_t>& factors_per_stage,

@@ -4,7 +4,6 @@
 
 #include "src/common/check.h"
 #include "src/optim/lamb.h"
-#include "src/pipeline/simulator.h"
 
 namespace pf {
 
@@ -14,17 +13,6 @@ ScheduleSpec build_runtime_schedule(const PipelineRuntimeConfig& cfg) {
   p.n_micro = cfg.n_micro;
   p.virtual_chunks = cfg.virtual_chunks;
   return build_schedule(cfg.schedule, p);
-}
-
-std::vector<std::vector<PipeOp>> plan_device_order(const ScheduleSpec& spec) {
-  // Static orders are honored exactly (head-of-line chaining); dynamic
-  // schedules run greedily with the order as dispatch priority — which is
-  // what `dynamic_order` means in the simulator too.
-  std::vector<std::vector<PipeOp>> order =
-      spec.dynamic_order ? simulate_step(spec, StepCosts{}).realized_programs
-                         : spec.programs;
-  normalize_backward_order(order);
-  return order;
 }
 
 std::vector<std::size_t> kfac_factor_counts(const BertStagePartition& part,

@@ -29,11 +29,6 @@ namespace pf {
 // The schedule a runtime config names (registry build).
 ScheduleSpec build_runtime_schedule(const PipelineRuntimeConfig& cfg);
 
-// The event order a step plan follows: the static programs, or the greedy
-// simulator's realized order for dynamic schedules (unit §3.3 costs),
-// backward-normalized (step_plan.h).
-std::vector<std::vector<PipeOp>> plan_device_order(const ScheduleSpec& spec);
-
 // Tracked K-FAC factors per stage, the plan builder's input: 0 where the
 // stage runs no K-FAC engine. Needs no engine, so a launcher can plan
 // before it forks.

@@ -20,7 +20,8 @@ StepCosts unit_costs() {
 
 TEST(StageCostScale, ScalesPerStageDurations) {
   StepCosts c = unit_costs();
-  c.stage_cost_scale = {1.0, 3.0};
+  c.stage_forward_scale = {1.0, 3.0};
+  c.stage_backward_scale = {1.0, 3.0};
   const auto spec = make_gpipe(2, 1);
   const auto res = simulate_step(spec, c);
   EXPECT_DOUBLE_EQ(res.op_end({OpType::kForward, 0, 0, 0}), 1.0);
@@ -32,7 +33,8 @@ TEST(StageCostScale, ScalesPerStageDurations) {
 TEST(StageCostScale, SlowestStageGatesThroughput) {
   StepCosts uniform = unit_costs();
   StepCosts skew = unit_costs();
-  skew.stage_cost_scale = {2.0, 1.0, 0.5, 0.5};
+  skew.stage_forward_scale = {2.0, 1.0, 0.5, 0.5};
+  skew.stage_backward_scale = {2.0, 1.0, 0.5, 0.5};
   const auto u = simulate_step(make_gpipe(4, 8), uniform);
   const auto s = simulate_step(make_gpipe(4, 8), skew);
   // Same mean stage cost, but the imbalanced pipeline is strictly slower

@@ -3,12 +3,14 @@
 //   * dispatch agreement — a zero-worker TaskExecutor runs every executable
 //     schedule's StepPlan in exactly predict_step()'s one-thread start
 //     order (LAMB and K-FAC plans);
+//   * zero-cost tasks — profiles that fit tail tasks to 0 s replay on
+//     every executable shape;
 //   * round-trip exactness — a synthetic simulator timeline fitted and
 //     replayed through predict_step() reproduces the simulated makespan
-//     bit-for-bit (fused and zero-bubble-split variants);
+//     (fused and zero-bubble-split variants);
 //   * the profile artifact — JSON serialize/parse round-trip plus a
 //     truncation/mutation fuzz sweep that must always throw pf::Error,
-//     never crash or mis-parse;
+//     never crash or mis-parse, and out-of-range fields rejected by name;
 //   * autotuner determinism — rank_candidates() is a pure function of
 //     (profiles, options);
 //   * K-FAC inversion accounting — executed inversion counts per device
@@ -24,6 +26,7 @@
 #include <cmath>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
@@ -34,7 +37,6 @@
 #include "src/pipeline/simulator.h"
 #include "src/pipeline/step_plan.h"
 #include "src/train/pipeline_runtime.h"
-#include "src/train/plan_binder.h"
 
 namespace pf {
 namespace {
@@ -93,13 +95,9 @@ CalibratedCosts synthetic_profile() {
 }
 
 StepPlan plan_of(const ScheduleSpec& spec) {
-  std::vector<std::vector<PipeOp>> order =
-      spec.dynamic_order ? simulate_step(spec, StepCosts{}).realized_programs
-                         : spec.programs;
-  normalize_backward_order(order);
   const std::vector<std::size_t> factors(
       static_cast<std::size_t>(spec.n_stages), 0);
-  return build_step_plan(spec, order, factors, false, false);
+  return build_step_plan(spec, plan_device_order(spec), factors, false, false);
 }
 
 }  // namespace
@@ -173,6 +171,52 @@ TEST(DispatchAgreement, ZeroWorkerExecutorRealizesPredictStepOrder) {
           << " differs from predict_step's";
     }
   }
+}
+
+// Profiles may fit the commit, gradient-finalization and optimizer buckets
+// to 0 s. A zero-length task then starts when the next task on its lane
+// starts; the replay's timeline must still order every lane (equal starts
+// by end, then index) instead of throwing "overlapping interval".
+TEST(PredictStep, ZeroCostTasksReplayOnEveryShape) {
+  int shapes = 0;
+  for (const std::string& name : list_schedules()) {
+    const ScheduleTraits& traits = traits_of(name);
+    if (!traits.flush || traits.n_pipelines > 2) continue;  // not executable
+    for (const int d : {2, 4})
+      for (const int n : {4, 8, 16}) {
+        ScheduleParams p;
+        p.n_stages = d;
+        p.n_micro = n;
+        p.virtual_chunks = 2;
+        const ScheduleSpec spec = build_schedule(name, p);
+        const auto S = static_cast<std::size_t>(spec.n_stages);
+        CalibratedCosts prof;
+        prof.n_stages = spec.n_stages;
+        for (std::vector<double>* v :
+             {&prof.t_forward, &prof.t_backward, &prof.t_backward_b,
+              &prof.t_backward_w, &prof.t_curvature_a, &prof.t_curvature_b,
+              &prof.t_inversion_a, &prof.t_inversion_b, &prof.t_precondition})
+          v->assign(S, 1e-3);
+        for (std::vector<double>* v :
+             {&prof.t_commit, &prof.t_grad_final, &prof.t_optimizer})
+          v->assign(S, 0.0);
+        const StepPlan plan = build_step_plan(
+            spec, plan_device_order(spec), std::vector<std::size_t>(S, 6),
+            true, true);
+        for (const std::size_t threads : {1, 2, 3, 8}) {
+          const std::string label = name + " D=" + std::to_string(d) +
+                                    " N=" + std::to_string(n) + " threads=" +
+                                    std::to_string(threads);
+          PlanPrediction pred;
+          ASSERT_NO_THROW(pred = predict_step(plan, prof, threads)) << label;
+          EXPECT_EQ(pred.timeline.all_intervals().size(), plan.tasks.size())
+              << label;
+          EXPECT_GT(pred.makespan, 0.0) << label;
+          ++shapes;
+        }
+      }
+  }
+  EXPECT_EQ(shapes, 120);
 }
 
 // --- Round-trip exactness -------------------------------------------------
@@ -329,6 +373,36 @@ TEST(CalibrationProfile, JsonRejectsMalformed) {
   inf.replace(rpos, std::string("\"residual_scale\": 1").size(),
               "\"residual_scale\": inf");
   EXPECT_THROW(CalibratedCosts::from_json(inf), Error);
+
+  // Out-of-range values: each is rejected by an error naming its field.
+  // `with` swaps a scalar field's value, or an array field's first entry.
+  auto with = [&](const std::string& field, const std::string& value) {
+    std::string json = good;
+    std::size_t at = json.find("\"" + field + "\": ");
+    EXPECT_NE(at, std::string::npos) << field;
+    at += field.size() + 4;
+    if (json[at] == '[') ++at;
+    json.replace(at, json.find_first_of(",]", at) - at, value);
+    return json;
+  };
+  EXPECT_EQ(CalibratedCosts::from_json(with("n_threads", "5")).n_threads, 5);
+  const std::vector<std::pair<std::string, std::string>> out_of_range = {
+      {"t_handoff", "-0.5"},          {"n_threads", "-7"},
+      {"n_threads", "2.5"},           {"n_threads", "4294967296"},
+      {"samples", "-1"},              {"samples", "0.5"},
+      {"backward_w_fraction", "3"},   {"backward_w_fraction", "0"},
+      {"t_optimizer", "-1e-3"},       {"n_factors", "-6"},
+  };
+  for (const auto& [field, value] : out_of_range) {
+    try {
+      CalibratedCosts::from_json(with(field, value));
+      ADD_FAILURE() << field << " = " << value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + field + "\""),
+                std::string::npos)
+          << field << " = " << value << ": " << e.what();
+    }
+  }
 }
 
 // --- StepCosts / perf-model plug-ins --------------------------------------

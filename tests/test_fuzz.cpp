@@ -57,8 +57,11 @@ StepCosts random_costs(Rng& rng, int n_stages) {
   if (rng.bernoulli(0.3)) c.t_precondition = rng.uniform(0.0, 0.5);
   if (rng.bernoulli(0.3)) c.t_optimizer = rng.uniform(0.0, 0.5);
   if (rng.bernoulli(0.25)) {
-    for (int s = 0; s < n_stages; ++s)
-      c.stage_cost_scale.push_back(rng.uniform(0.5, 2.0));
+    for (int s = 0; s < n_stages; ++s) {
+      const double scale = rng.uniform(0.5, 2.0);
+      c.stage_forward_scale.push_back(scale);
+      c.stage_backward_scale.push_back(scale);
+    }
   }
   return c;
 }

@@ -1,16 +1,20 @@
-// Tests for src/pipeline: schedule generators and the discrete-event
-// simulator. The quantitative assertions mirror the paper's Table 1:
+// Tests for src/pipeline: schedule generators, the virtual-time engine
+// (replay_plan) and the discrete-event simulator built on it. The
+// quantitative assertions mirror the paper's Table 1:
 //   GPipe / 1F1B:  C_f = C_b = N + D - 1 (with pipeline flush)
 //   Chimera:       C_f = D, C_b = 2D - 2 when N_micro = D
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <string>
 
 #include "src/common/check.h"
 #include "src/pipeline/chimera.h"
 #include "src/pipeline/gpipe.h"
 #include "src/pipeline/one_f_one_b.h"
 #include "src/pipeline/simulator.h"
+#include "src/pipeline/step_plan.h"
 
 namespace pf {
 namespace {
@@ -262,6 +266,57 @@ INSTANTIATE_TEST_SUITE_P(
                       UtilCase{4, 4, 2.0}, UtilCase{4, 12, 3.0},
                       UtilCase{8, 8, 2.0}, UtilCase{8, 24, 1.5},
                       UtilCase{16, 16, 2.0}));
+
+// replay_plan takes any acyclic plan: a dep may be created after its
+// dependent. A cross-lane edge pays the handoff; a cycle is a named
+// deadlock, not a hang.
+TEST(PlanReplay, AcceptsAnyAcyclicOrderAndNamesCycles) {
+  StepPlan plan;
+  plan.n_lanes = 2;
+  plan.tasks.resize(2);
+  plan.tasks[0].lane = 1;
+  plan.tasks[0].deps = {1};
+  plan.tasks[1].lane = 0;
+  const PlanReplay r = replay_plan(plan, {2.0, 1.0}, 0.5, 2);
+  EXPECT_EQ(r.start[1], 0.0);
+  EXPECT_EQ(r.start[0], 1.5);
+  EXPECT_EQ(r.makespan, 3.5);
+
+  plan.tasks[1].deps = {0};
+  try {
+    replay_plan(plan, {2.0, 1.0}, 0.5, 2);
+    ADD_FAILURE() << "a dependency cycle replayed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("deadlocked"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Start times compare exactly. Lane 0 frees at t = 1; a floating task
+// (kWeightPriorityBase) is ready then, and the program head (priority 0)
+// one ulp later, so the floating task takes the slot. When both are ready
+// at t = 1, the program head wins on priority.
+TEST(PlanReplay, StartTimesCompareExactly) {
+  StepPlan plan;
+  plan.n_lanes = 2;
+  plan.tasks.resize(4);
+  plan.tasks[0].lane = 1;  // the program head's cross-lane producer
+  plan.tasks[1].lane = 0;  // occupies lane 0 until t = 1
+  plan.tasks[2].lane = 0;  // program head
+  plan.tasks[2].deps = {0, 1};
+  plan.tasks[3].lane = 0;  // floating task
+  plan.tasks[3].priority = kWeightPriorityBase;
+  plan.tasks[3].deps = {1};
+  const double one_ulp_late = std::nextafter(1.0, 2.0);
+
+  PlanReplay r = replay_plan(plan, {one_ulp_late, 1.0, 1.0, 1.0}, 0.0, 2);
+  EXPECT_EQ(r.start[3], 1.0);
+  EXPECT_EQ(r.start[2], 2.0);
+
+  r = replay_plan(plan, {1.0, 1.0, 1.0, 1.0}, 0.0, 2);
+  EXPECT_EQ(r.start[2], 1.0);
+  EXPECT_EQ(r.start[3], 2.0);
+}
 
 }  // namespace
 }  // namespace pf

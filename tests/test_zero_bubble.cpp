@@ -244,7 +244,8 @@ TEST(ZeroBubble, SplitCostsSumToFusedBackward) {
   EXPECT_DOUBLE_EQ(costs.backward_b_cost(0) + costs.backward_w_cost(0),
                    costs.backward_cost(0));
   costs.backward_w_fraction = 0.3;
-  costs.stage_cost_scale = {1.0, 2.0};
+  costs.stage_forward_scale = {1.0, 2.0};
+  costs.stage_backward_scale = {1.0, 2.0};
   EXPECT_DOUBLE_EQ(costs.backward_b_cost(1) + costs.backward_w_cost(1),
                    costs.backward_cost(1));
 }
