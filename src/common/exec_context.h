@@ -5,13 +5,13 @@
 // parallelism only through the global, and their own row/head/token loops
 // stayed serial. ExecContext makes parallelism a first-class parameter of
 // every forward/backward instead: it carries the thread-pool handle, the nn
-// loop chunk count, the GEMM row-block count, the SIMD dispatch level the
-// kernels beneath will use, and the RNG partitioning policy for stochastic
-// layers (Dropout). A process-default instance — mutated through
-// set_default_nn_threads / set_default_gemm_threads (the latter is what the
-// legacy set_gemm_threads free function now writes) — replaces the old
-// global as the single knob; layer signatures default to it, so call sites
-// without an explicit context keep compiling and keep following the knobs.
+// loop chunk count, the GEMM row-block count, the activation arena and the
+// SIMD dispatch level the kernels beneath will use. A process-default
+// instance — mutated through set_default_nn_threads /
+// set_default_gemm_threads (the latter is what the legacy set_gemm_threads
+// free function now writes) — replaces the old global as the single knob;
+// layer signatures default to it, so call sites without an explicit
+// context keep compiling and keep following the knobs.
 //
 // Determinism contract (extends gemm.h): every layer loop parallelized over
 // an ExecContext partitions its work so each memory location receives its
@@ -30,32 +30,14 @@ namespace pf {
 
 class ArenaAllocator;  // common/arena.h
 
-// How layers that consume randomness (Dropout) map their RNG stream onto a
-// parallel loop.
-enum class RngPartition {
-  // One sequential stream drawn in row-major order on the calling thread
-  // (the seed behaviour). Mask generation stays serial — only the
-  // elementwise apply parallelizes — so results match the seed bit for bit
-  // at every thread count.
-  kSequential = 0,
-  // One counter-derived substream per row (rng.h: derive_stream_seed).
-  // Fully parallel and bitwise identical for every thread count, but a
-  // different (equally valid) mask than the sequential stream.
-  kPerRow = 1,
-};
-
 class ExecContext {
  public:
   // Follows the process-default knobs: thread counts of 0 resolve through
   // default_nn_threads() / the gemm default at the moment of use.
   ExecContext() = default;
   explicit ExecContext(int nn_threads, int gemm_threads = 0,
-                       RngPartition rng_partition = RngPartition::kSequential,
                        ThreadPool* pool = nullptr)
-      : nn_threads_(nn_threads),
-        gemm_threads_(gemm_threads),
-        rng_partition_(rng_partition),
-        pool_(pool) {}
+      : nn_threads_(nn_threads), gemm_threads_(gemm_threads), pool_(pool) {}
 
   // Pinned {1, 1}: the serial seed execution, independent of every knob.
   // Layers use it for tiny per-task products inside an already-parallel
@@ -67,7 +49,6 @@ class ExecContext {
   // Raw knob values; 0 = follow the corresponding process default.
   int nn_threads() const { return nn_threads_; }
   int gemm_threads() const { return gemm_threads_; }
-  RngPartition rng_partition() const { return rng_partition_; }
 
   // Pool the nn loops fan out on (the shared global pool unless overridden).
   ThreadPool& pool() const { return pool_ ? *pool_ : ThreadPool::global(); }
@@ -117,7 +98,6 @@ class ExecContext {
  private:
   int nn_threads_ = 0;
   int gemm_threads_ = 0;
-  RngPartition rng_partition_ = RngPartition::kSequential;
   ThreadPool* pool_ = nullptr;
   ArenaAllocator* arena_ = nullptr;
 };

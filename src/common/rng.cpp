@@ -20,14 +20,6 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 }
 }  // namespace
 
-std::uint64_t derive_stream_seed(std::uint64_t base, std::uint64_t stream,
-                                 std::uint64_t index) {
-  std::uint64_t x = base;
-  x ^= splitmix64(x) ^ stream;
-  x ^= splitmix64(x) ^ index;
-  return splitmix64(x);
-}
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);

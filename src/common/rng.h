@@ -9,14 +9,6 @@
 
 namespace pf {
 
-// Mixes a base seed with a (stream, index) pair into an independent derived
-// seed — the counter-based partitioning behind ExecContext's
-// RngPartition::kPerRow policy (e.g. Dropout draws row `index` of its
-// `stream`-th forward from Rng(derive_stream_seed(seed, stream, index))).
-// Deterministic and platform-independent; splitmix64 absorption per word.
-std::uint64_t derive_stream_seed(std::uint64_t base, std::uint64_t stream,
-                                 std::uint64_t index);
-
 // Deterministic PRNG with convenience distributions.
 // The same seed always produces the same stream on every platform.
 class Rng {

@@ -7,56 +7,6 @@
 
 namespace pf {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::mean() const {
-  PF_CHECK(n_ > 0);
-  return mean_;
-}
-
-double RunningStats::variance() const {
-  PF_CHECK(n_ > 0);
-  return m2_ / static_cast<double>(n_);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const {
-  PF_CHECK(n_ > 0);
-  return min_;
-}
-
-double RunningStats::max() const {
-  PF_CHECK(n_ > 0);
-  return max_;
-}
-
-Ema::Ema(double decay) : decay_(decay) {
-  PF_CHECK(decay > 0.0 && decay < 1.0) << "decay=" << decay;
-}
-
-void Ema::add(double x) {
-  acc_ = decay_ * acc_ + (1.0 - decay_) * x;
-  ++n_;
-}
-
-double Ema::value() const {
-  PF_CHECK(n_ > 0);
-  const double correction = 1.0 - std::pow(decay_, static_cast<double>(n_));
-  return acc_ / correction;
-}
-
 std::vector<double> smooth_moving_average(const std::vector<double>& y,
                                           std::size_t half_window) {
   std::vector<double> out(y.size());

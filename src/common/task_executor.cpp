@@ -130,8 +130,6 @@ std::size_t TaskExecutor::add(std::function<void()> fn, std::size_t lane,
   return id;
 }
 
-std::size_t TaskExecutor::n_tasks() const { return nodes_.size(); }
-
 void TaskExecutor::run() {
   PF_CHECK(!ran_) << "run() is single-shot";
   ran_ = true;

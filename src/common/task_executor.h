@@ -67,7 +67,6 @@ class TaskExecutor {
   std::size_t add(std::function<void()> fn, std::size_t lane, long priority,
                   std::vector<std::size_t> deps = {}, int resource = -1);
 
-  std::size_t n_tasks() const;
   std::size_t n_lanes() const { return n_lanes_; }
 
   // Executes the graph. The calling thread participates as a worker, so a

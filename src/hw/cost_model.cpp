@@ -50,10 +50,6 @@ double CostModel::flops_precondition_linear(const LinearShape& l) {
   return 2.0 * (dout * dout * din + dout * din * din);
 }
 
-double CostModel::gemm_seconds(double flops) const {
-  return flops / (hw_.peak_flops * hw_.eff_gemm) + hw_.kernel_overhead;
-}
-
 double CostModel::time_forward_stage(const StageShape& s) const {
   const double flops =
       static_cast<double>(s.blocks) * flops_forward_block(s.cfg, s.b_micro);
@@ -159,21 +155,6 @@ double CostModel::time_sync_grad_stage(const TransformerConfig& cfg,
                                        std::size_t blocks,
                                        std::size_t world) const {
   return time_allreduce(stage_gradient_bytes(cfg, blocks), world);
-}
-
-double CostModel::time_sync_curvature_stage(const TransformerConfig& cfg,
-                                            std::size_t blocks,
-                                            std::size_t world) const {
-  return time_allreduce(kfac_factor_bytes(cfg, blocks), world);
-}
-
-double kfac_factor_bytes(const TransformerConfig& cfg, std::size_t blocks) {
-  double floats = 0.0;
-  for (const auto& l : cfg.kfac_linears_per_block()) {
-    floats += static_cast<double>(l.d_in) * static_cast<double>(l.d_in);
-    floats += static_cast<double>(l.d_out) * static_cast<double>(l.d_out);
-  }
-  return floats * static_cast<double>(blocks) * kFp32Bytes;
 }
 
 double stage_gradient_bytes(const TransformerConfig& cfg,

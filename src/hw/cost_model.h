@@ -81,19 +81,10 @@ class CostModel {
   // Gradient sync for one stage across `world` data-parallel replicas.
   double time_sync_grad_stage(const TransformerConfig& cfg,
                               std::size_t blocks, std::size_t world) const;
-  // Curvature (Kronecker factor) sync for one stage across replicas.
-  double time_sync_curvature_stage(const TransformerConfig& cfg,
-                                   std::size_t blocks,
-                                   std::size_t world) const;
 
  private:
-  double gemm_seconds(double flops) const;
   HardwareProfile hw_;
 };
-
-// Bytes of one Kronecker-factor set (A and B for every linear of `blocks`
-// transformer blocks), fp32 as on the GPUs of the paper.
-double kfac_factor_bytes(const TransformerConfig& cfg, std::size_t blocks);
 
 // Bytes of the gradients (=parameters) of a stage, fp32.
 double stage_gradient_bytes(const TransformerConfig& cfg, std::size_t blocks);

@@ -11,8 +11,7 @@ KfacEngine::KfacEngine(std::vector<Linear*> layers, const KfacOptions& opts,
                        ThreadPool* pool)
     : layers_(std::move(layers)),
       opts_(opts),
-      exec_(/*nn_threads=*/1, opts.gemm_threads, RngPartition::kSequential,
-            pool) {
+      exec_(/*nn_threads=*/1, opts.gemm_threads, pool) {
   PF_CHECK(!layers_.empty());
   PF_CHECK(opts_.ema_decay > 0.0 && opts_.ema_decay < 1.0);
   PF_CHECK(opts_.damping > 0.0);
@@ -43,7 +42,7 @@ void KfacEngine::for_each_layer(
   // context is built.
   const ExecContext ctx(
       static_cast<int>(resolve_gemm_threads(opts_.layer_threads)),
-      opts_.gemm_threads, RngPartition::kSequential, &exec_.pool());
+      opts_.gemm_threads, &exec_.pool());
   ctx.parallel_for(layers_.size(), [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) fn(i);
   });

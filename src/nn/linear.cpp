@@ -1,20 +1,9 @@
 #include "src/nn/linear.h"
 
-#include <cmath>
-
 #include "src/common/arena.h"
 #include "src/linalg/gemm.h"
 
 namespace pf {
-
-double global_grad_norm(const std::vector<Param*>& params) {
-  double s = 0.0;
-  for (const Param* p : params) {
-    const double n = p->g.frobenius_norm();
-    s += n * n;
-  }
-  return std::sqrt(s);
-}
 
 Linear::Linear(std::size_t d_in, std::size_t d_out, Rng& rng,
                const std::string& name, double init_std)

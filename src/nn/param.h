@@ -26,7 +26,4 @@ inline void zero_grads(const std::vector<Param*>& params) {
   for (Param* p : params) p->zero_grad();
 }
 
-// Global L2 norm of all gradients (diagnostics / clipping).
-double global_grad_norm(const std::vector<Param*>& params);
-
 }  // namespace pf

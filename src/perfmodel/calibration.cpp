@@ -19,17 +19,6 @@ double vec_at(const std::vector<double>& v, int stage) {
   return v[static_cast<std::size_t>(stage)];
 }
 
-double mean_nonzero(const std::vector<double>& v) {
-  double total = 0.0;
-  std::size_t n = 0;
-  for (const double x : v)
-    if (x > 0.0) {
-      total += x;
-      ++n;
-    }
-  return n > 0 ? total / static_cast<double>(n) : 0.0;
-}
-
 }  // namespace
 
 double CalibratedCosts::fused_backward(int stage) const {
@@ -48,27 +37,6 @@ double CalibratedCosts::split_backward_w(int stage) const {
   const double w = vec_at(t_backward_w, stage);
   if (w > 0.0) return w;
   return fused_backward(stage) * backward_w_fraction;
-}
-
-double CalibratedCosts::mean_forward() const { return mean_nonzero(t_forward); }
-
-double CalibratedCosts::mean_backward() const {
-  double total = 0.0;
-  std::size_t n = 0;
-  for (int s = 0; s < n_stages; ++s) {
-    const double b = fused_backward(s);
-    if (b > 0.0) {
-      total += b;
-      ++n;
-    }
-  }
-  return n > 0 ? total / static_cast<double>(n) : 0.0;
-}
-
-bool CalibratedCosts::has_kfac() const {
-  for (const double f : n_factors)
-    if (f > 0.0) return true;
-  return false;
 }
 
 double CalibratedCosts::task_seconds(WorkKind kind, int stage,
@@ -122,37 +90,6 @@ double CalibratedCosts::task_seconds(WorkKind kind, int stage,
       << "profile has no fitted " << work_kind_name(kind) << " cost for stage "
       << stage << " — the calibration burst must exercise this kind";
   return v;
-}
-
-StepCosts CalibratedCosts::to_step_costs() const {
-  StepCosts sc;
-  sc.t_forward = mean_forward();
-  sc.t_backward = mean_backward();
-  PF_CHECK(sc.t_forward > 0.0 && sc.t_backward > 0.0)
-      << "profile has no fitted forward/backward costs";
-  sc.stage_forward_scale.assign(static_cast<std::size_t>(n_stages), 1.0);
-  sc.stage_backward_scale.assign(static_cast<std::size_t>(n_stages), 1.0);
-  for (int s = 0; s < n_stages; ++s) {
-    const auto si = static_cast<std::size_t>(s);
-    if (vec_at(t_forward, s) > 0.0)
-      sc.stage_forward_scale[si] = vec_at(t_forward, s) / sc.t_forward;
-    if (fused_backward(s) > 0.0)
-      sc.stage_backward_scale[si] = fused_backward(s) / sc.t_backward;
-  }
-  sc.t_p2p = t_handoff;
-  if (backward_w_fraction > 0.0 && backward_w_fraction < 1.0)
-    sc.backward_w_fraction = backward_w_fraction;
-  sc.t_sync_grad = mean_nonzero(t_grad_final);
-  sc.t_optimizer = mean_nonzero(t_optimizer);
-  // StepCosts models preconditioning as one per-stage tail cost; the
-  // profile fits it per factor, so scale by the stage's factor count.
-  std::vector<double> precond_per_stage(static_cast<std::size_t>(n_stages),
-                                        0.0);
-  for (int s = 0; s < n_stages; ++s)
-    precond_per_stage[static_cast<std::size_t>(s)] =
-        vec_at(n_factors, s) * vec_at(t_precondition, s);
-  sc.t_precondition = mean_nonzero(precond_per_stage);
-  return sc;
 }
 
 // --- Accumulator ----------------------------------------------------------

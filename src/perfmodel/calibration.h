@@ -12,9 +12,9 @@
 //    T_f/T_b per stage, the B/W split of split-backward schedules, the
 //    per-factor K-FAC curvature/commit/inversion/precondition terms, the
 //    step-tail costs, and the per-boundary handoff overhead.
-//  * CalibratedCosts is the fitted profile: a committable artifact
-//    (to_json()/from_json() round-trip) that plugs into StepCosts
-//    (to_step_costs()) and PerfModelInput (the `calibrated` pointer).
+//  * CalibratedCosts is the fitted profile: per-task seconds for
+//    predict_step() and a committable artifact (to_json()/from_json()
+//    round-trip).
 //  * predict_step() replays a StepPlan — the EXACT task graph
 //    PipelineRuntime::step() executes, lanes/priorities/resources/deps and
 //    all — through the library's one virtual-time engine (replay_plan,
@@ -40,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/pipeline/simulator.h"
 #include "src/pipeline/step_plan.h"
 #include "src/trace/timeline.h"
 
@@ -93,21 +92,10 @@ struct CalibratedCosts {
   double split_backward_b(int stage) const;
   double split_backward_w(int stage) const;
 
-  // Means over stages with observations (0 if none).
-  double mean_forward() const;
-  double mean_backward() const;
-
   // Realized duration of one planned task. `split` selects the B/W or the
   // fused reading of WorkKind::kBackward. Throws when the kind was never
   // observed and cannot be reconstructed.
   double task_seconds(WorkKind kind, int stage, bool split) const;
-
-  bool has_kfac() const;
-
-  // Simulator plug-in: mean T_f/T_b with per-stage forward/backward scale
-  // vectors, the fitted B/W split, t_handoff as t_p2p, and the mean
-  // step-tail costs.
-  StepCosts to_step_costs() const;
 
   // Committable-artifact serialization. The JSON is flat (numbers and
   // per-stage arrays under a "pf-calibrated-costs-v1" schema tag).

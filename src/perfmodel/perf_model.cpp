@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/check.h"
-#include "src/perfmodel/calibration.h"
 #include "src/pipeline/schedule_registry.h"
 
 namespace pf {
@@ -26,48 +25,8 @@ PerfModelResult run_perf_model(const PerfModelInput& in) {
   const CostModel cm(in.hw);
   const StageShape shape{in.cfg, in.blocks_per_stage, in.b_micro};
   const double n = static_cast<double>(in.n_micro);
-  const double d = static_cast<double>(in.depth);
 
   PerfModelResult r;
-  if (in.calibrated != nullptr) {
-    // Trace-fitted stage costs. The closed form is stage-uniform, so the
-    // profile's per-stage fits collapse to means; stages with no K-FAC
-    // factors (relay stages of over-partitioned shallow models) are
-    // excluded from the K-FAC means by the n_factors weighting.
-    const CalibratedCosts& cal = *in.calibrated;
-    PF_CHECK(cal.n_stages == traits.model_stages(sp))
-        << in.schedule << ": profile fitted at " << cal.n_stages
-        << " model stages, this input needs " << traits.model_stages(sp);
-    r.t_forward = cal.mean_forward();
-    r.t_backward = cal.mean_backward();
-    PF_CHECK(r.t_forward > 0.0 && r.t_backward > 0.0)
-        << "calibrated profile has no fitted forward/backward costs";
-    if (traits.split_backward) {
-      // The FITTED split, not the 50/50 prior (see StepCosts).
-      r.t_backward_w = cal.backward_w_fraction * r.t_backward;
-      r.t_backward_b = r.t_backward - r.t_backward_w;
-    }
-    double curv = 0.0, inv = 0.0, prec = 0.0;
-    std::size_t kfac_stages = 0;
-    for (int s = 0; s < cal.n_stages; ++s) {
-      const auto si = static_cast<std::size_t>(s);
-      const double f = cal.n_factors[si];
-      if (f <= 0.0) continue;
-      ++kfac_stages;
-      curv += f * (cal.t_curvature_a[si] + cal.t_curvature_b[si]);
-      // Commit folds the per-micro curvature sums into the factor state
-      // once per refresh — same cadence as the inversion, so it is lumped
-      // into T_inv here.
-      inv += f * (cal.t_commit[si] + cal.t_inversion_a[si] +
-                  cal.t_inversion_b[si]);
-      prec += f * cal.t_precondition[si];
-    }
-    if (kfac_stages > 0) {
-      r.t_curvature = curv / static_cast<double>(kfac_stages);
-      r.t_inversion = inv / static_cast<double>(kfac_stages);
-      r.t_precondition = prec / static_cast<double>(kfac_stages);
-    }
-  } else {
   r.t_forward = cm.time_forward_stage(shape);
   r.t_backward = in.recompute ? cm.time_backward_stage_recompute(shape)
                               : cm.time_backward_stage(shape);
@@ -100,7 +59,6 @@ PerfModelResult run_perf_model(const PerfModelInput& in) {
     r.t_inversion = inv * static_cast<double>(in.blocks_per_stage);
   }
   r.t_precondition = cm.time_precondition_stage(in.cfg, in.blocks_per_stage);
-  }
 
   const double cf = traits.critical_path_forwards(sp);
   const double cb = traits.critical_path_backwards(sp);

@@ -24,8 +24,6 @@
 
 namespace pf {
 
-struct CalibratedCosts;  // src/perfmodel/calibration.h
-
 struct PerfModelInput {
   TransformerConfig cfg;
   HardwareProfile hw;
@@ -42,16 +40,6 @@ struct PerfModelInput {
   // a factor of dim d shrinks to k·(d/k)² per token and inversion to
   // k·(d/k)³ — enabling very wide layers.
   std::size_t block_diag_k = 1;
-
-  // Optional fitted profile (src/perfmodel/calibration.h). When set, the
-  // per-stage work times come from the trace fit instead of the hw/ FLOP
-  // model: T_f/T_b are the profile's stage means, the B/W split is the
-  // fitted backward_w_fraction, T_curv/T_inv/T_prec are rebuilt from the
-  // per-factor terms (commit is lumped into T_inv — both run once per
-  // refresh). The profile must be fitted at this input's model-stage count
-  // (traits.model_stages: D, or D·V for virtual-pipeline schedules).
-  // Not owned; must outlive the call.
-  const CalibratedCosts* calibrated = nullptr;
 };
 
 struct PerfModelResult {

@@ -46,13 +46,6 @@ double StepSimResult::op_start(const PipeOp& op) const {
   return it->second;
 }
 
-double StepSimResult::last_backward_end(std::size_t device) const {
-  double last = 0.0;
-  for (const auto& op : realized_programs[device])
-    if (op.type == OpType::kBackward) last = std::max(last, op_end(op));
-  return last;
-}
-
 SimGraph build_sim_graph(const ScheduleSpec& spec, const StepCosts& costs) {
   spec.validate();
   PF_CHECK(costs.t_forward > 0 && costs.t_backward > 0);
@@ -220,15 +213,6 @@ StepSimResult simulate_step(const ScheduleSpec& spec, const StepCosts& costs) {
   }
   res.step_time = *std::max_element(free_at.begin(), free_at.end());
   return res;
-}
-
-Timeline replicate_steps(const StepSimResult& step, int k) {
-  PF_CHECK(k >= 1);
-  Timeline out(step.timeline.n_devices());
-  for (int i = 0; i < k; ++i)
-    out.append_shifted(step.timeline,
-                       static_cast<double>(i) * step.step_time);
-  return out;
 }
 
 double total_bubble_time(const StepSimResult& step) {

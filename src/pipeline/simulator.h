@@ -54,10 +54,7 @@ struct StepCosts {
 
   // Optional per-stage multipliers for forward and backward (size
   // n_stages; empty = uniform stages). Non-uniform architectures (the §5
-  // CNN discussion) set both to the same values. Fitted profiles set them
-  // apart: realized stage costs are not fwd/bwd-proportional — stage 0
-  // carries the embedding, the last stage the heads + loss — so
-  // CalibratedCosts::to_step_costs() fills these from the trace.
+  // CNN discussion) set both to the same values.
   std::vector<double> stage_forward_scale;
   std::vector<double> stage_backward_scale;
 
@@ -96,9 +93,6 @@ class StepSimResult {
   bool has_op(const PipeOp& op) const;
   double op_start(const PipeOp& op) const;
 
-  // End of the last backward executed by `device` (pipeline ops only).
-  double last_backward_end(std::size_t device) const;
-
   std::map<long, double> op_end_times;
   std::map<long, double> op_start_times;
 };
@@ -119,9 +113,6 @@ SimGraph build_sim_graph(const ScheduleSpec& spec, const StepCosts& costs);
 // cross-device handoff. Fills every StepSimResult field; step_time is the
 // latest task end (no step tail).
 StepSimResult replay_sim_graph(const SimGraph& graph, double t_p2p);
-
-// k steps back-to-back at the single-step period (synchronous training).
-Timeline replicate_steps(const StepSimResult& step, int k);
 
 // Convenience: total bubble (idle) time across devices within the pipeline
 // portion [0, pipe_makespan] of the step.

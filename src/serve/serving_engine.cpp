@@ -80,8 +80,7 @@ ServingEngine::ServingEngine(BertModel& model, const ServingEngineConfig& cfg)
                          : static_cast<std::size_t>(cfg.n_stages) + 1);
   pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(cfg.workers));
   for (int s = 0; s < cfg.n_stages; ++s)
-    stage_ctx_.emplace_back(cfg.stage_threads, cfg.stage_threads,
-                            RngPartition::kSequential, pool_.get());
+    stage_ctx_.emplace_back(cfg.stage_threads, cfg.stage_threads, pool_.get());
   transport_ = resolve_transport(cfg.transport);
   // Ring sizing mirrors the training runtime: the largest boundary tensor
   // is the full-batch (max_batch · seq_len) × d_model activation, and at

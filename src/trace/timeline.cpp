@@ -167,17 +167,4 @@ void Timeline::append_shifted(const Timeline& other, double dt) {
   }
 }
 
-std::map<std::pair<WorkKind, int>, Timeline::DurationStat>
-Timeline::duration_stats() const {
-  std::map<std::pair<WorkKind, int>, DurationStat> out;
-  for (const auto& lane : per_device_) {
-    for (const Interval& iv : lane) {
-      DurationStat& st = out[{iv.kind, iv.stage}];
-      ++st.count;
-      st.total += iv.duration();
-    }
-  }
-  return out;
-}
-
 }  // namespace pf

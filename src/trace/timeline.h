@@ -7,9 +7,7 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace pf {
@@ -100,18 +98,6 @@ class Timeline {
 
   // Append all intervals of `other` shifted by dt (device-aligned).
   void append_shifted(const Timeline& other, double dt);
-
-  // Realized-duration aggregation keyed by (kind, stage): every executed
-  // interval contributes its wall-clock duration to its op kind's bucket.
-  // This is the per-task duration export the perfmodel calibration fit
-  // consumes (CalibrationAccumulator::ingest); intervals without a stage
-  // label aggregate under stage -1.
-  struct DurationStat {
-    std::size_t count = 0;
-    double total = 0.0;
-    double mean() const { return count > 0 ? total / static_cast<double>(count) : 0.0; }
-  };
-  std::map<std::pair<WorkKind, int>, DurationStat> duration_stats() const;
 
  private:
   std::vector<std::vector<Interval>> per_device_;

@@ -43,8 +43,7 @@ PlanBinder::PlanBinder(BertStagePartition& partition, const ScheduleSpec& spec,
     w.stage = &partition.stage(s);
     w.params = w.stage->params();
     w.arena = std::make_unique<ArenaAllocator>();
-    w.ctx = ExecContext(cfg.stage_threads, cfg.stage_threads,
-                        RngPartition::kSequential, pool);
+    w.ctx = ExecContext(cfg.stage_threads, cfg.stage_threads, pool);
     w.ctx.set_arena(w.arena.get());
     w.opt = cfg.base_optimizer ? cfg.base_optimizer()
                                : std::make_unique<Lamb>();

@@ -1,4 +1,4 @@
-#include "src/nn/grad_check.h"
+#include "tests/support/grad_check.h"
 
 #include <algorithm>
 #include <cmath>

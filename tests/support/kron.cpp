@@ -1,4 +1,4 @@
-#include "src/linalg/kron.h"
+#include "tests/support/kron.h"
 
 #include "src/linalg/gemm.h"
 

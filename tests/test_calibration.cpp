@@ -33,7 +33,6 @@
 #include "src/common/task_executor.h"
 #include "src/perfmodel/autotune.h"
 #include "src/perfmodel/calibration.h"
-#include "src/perfmodel/perf_model.h"
 #include "src/pipeline/simulator.h"
 #include "src/pipeline/step_plan.h"
 #include "src/train/pipeline_runtime.h"
@@ -403,53 +402,6 @@ TEST(CalibrationProfile, JsonRejectsMalformed) {
           << field << " = " << value << ": " << e.what();
     }
   }
-}
-
-// --- StepCosts / perf-model plug-ins --------------------------------------
-
-TEST(CalibrationProfile, ToStepCostsCarriesFittedShape) {
-  const CalibratedCosts prof = synthetic_profile();
-  const StepCosts sc = prof.to_step_costs();
-  EXPECT_DOUBLE_EQ(sc.t_forward, prof.mean_forward());
-  EXPECT_DOUBLE_EQ(sc.t_backward, prof.mean_backward());
-  EXPECT_DOUBLE_EQ(sc.backward_w_fraction, prof.backward_w_fraction);
-  EXPECT_DOUBLE_EQ(sc.t_p2p, prof.t_handoff);
-  ASSERT_EQ(sc.stage_forward_scale.size(), 4u);
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_NEAR(sc.t_forward * sc.stage_forward_scale[s],
-                prof.t_forward[static_cast<std::size_t>(s)], 1e-15);
-    EXPECT_NEAR(sc.t_backward * sc.stage_backward_scale[s],
-                prof.fused_backward(s), 1e-15);
-  }
-}
-
-TEST(PerfModelCalibrated, FittedCostsReplaceFlopModel) {
-  const CalibratedCosts prof = synthetic_profile();
-  PerfModelInput in;
-  in.cfg = bert_base();
-  in.hw = p100();
-  in.schedule = "1f1b";
-  in.depth = 4;
-  in.n_micro = 8;
-  in.b_micro = 8;
-  in.calibrated = &prof;
-  const PerfModelResult r = run_perf_model(in);
-  EXPECT_DOUBLE_EQ(r.t_forward, prof.mean_forward());
-  EXPECT_DOUBLE_EQ(r.t_backward, prof.mean_backward());
-  // Per-stage K-FAC terms: 6 factors/stage, uniform profile -> the means
-  // are the per-stage totals.
-  EXPECT_NEAR(r.t_curvature,
-              6.0 * (prof.t_curvature_a[0] + prof.t_curvature_b[0]) / 4.0 +
-                  6.0 * (prof.t_curvature_a[1] + prof.t_curvature_b[1]) / 4.0 +
-                  6.0 * (prof.t_curvature_a[2] + prof.t_curvature_b[2]) / 4.0 +
-                  6.0 * (prof.t_curvature_a[3] + prof.t_curvature_b[3]) / 4.0,
-              1e-15);
-  EXPECT_GT(r.t_inversion, 0.0);
-  EXPECT_GT(r.throughput_pipefisher, 0.0);
-
-  // Stage-count mismatch is rejected, not silently mis-scaled.
-  in.depth = 2;
-  EXPECT_THROW(run_perf_model(in), Error);
 }
 
 // --- Autotuner ------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "src/common/stats.h"
 #include "src/common/strings.h"
 #include "src/common/thread_pool.h"
+#include "tests/support/running_stats.h"
 
 namespace pf {
 namespace {
@@ -97,12 +98,6 @@ TEST(RunningStats, MeanVarianceMinMax) {
   EXPECT_DOUBLE_EQ(st.variance(), 4.0);
   EXPECT_DOUBLE_EQ(st.min(), 2.0);
   EXPECT_DOUBLE_EQ(st.max(), 9.0);
-}
-
-TEST(Ema, BiasCorrectedConstantSeries) {
-  Ema ema(0.9);
-  for (int i = 0; i < 5; ++i) ema.add(3.0);
-  EXPECT_NEAR(ema.value(), 3.0, 1e-12);
 }
 
 TEST(Smoothing, FlatSeriesUnchanged) {

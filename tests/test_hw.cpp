@@ -194,13 +194,6 @@ TEST(MemoryModel, BertBaseStageFitsP100) {
   EXPECT_LT(model_memory(in).total(), p100().memory_capacity);
 }
 
-TEST(MemoryModel, KfacFactorBytesMatchShapeSum) {
-  // 10 factors of d² plus 2 of dff², fp32.
-  const double expect =
-      (10.0 * 768 * 768 + 2.0 * 3072 * 3072) * 4.0;
-  EXPECT_DOUBLE_EQ(kfac_factor_bytes(bert_base(), 1), expect);
-}
-
 // Property sweep across all Table-3 architectures.
 class ArchSweepTest : public ::testing::TestWithParam<std::string> {};
 

@@ -10,7 +10,7 @@
 #include "src/kfac/kfac_engine.h"
 #include "src/linalg/cholesky.h"
 #include "src/linalg/gemm.h"
-#include "src/linalg/kron.h"
+#include "tests/support/kron.h"
 
 namespace pf {
 namespace {

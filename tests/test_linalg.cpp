@@ -8,13 +8,11 @@
 #include <vector>
 
 #include "src/common/cpu_features.h"
-#include "src/common/exec_context.h"
 #include "src/common/rng.h"
 #include "src/linalg/cholesky.h"
-#include "src/linalg/eig.h"
 #include "src/linalg/gemm.h"
-#include "src/linalg/kron.h"
 #include "src/linalg/matrix.h"
+#include "tests/support/kron.h"
 
 namespace pf {
 namespace {
@@ -608,62 +606,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::size_t, std::size_t>{6, 2},
                       std::pair<std::size_t, std::size_t>{8, 5},
                       std::pair<std::size_t, std::size_t>{3, 9}));
-
-// The last serial cubic kernel, now threaded behind the ExecContext: the
-// fused Jacobi rotation updates and the eigenvector/matrix-function
-// accumulations must be bitwise identical to serial at every thread count.
-// parallel_cutoff = 0 forces the parallel rotation path on matrices small
-// enough to test (production defaults clamp below n = 512 — see eig.h).
-TEST(EigThreads, SymEigBitwiseThreadNeutral) {
-  Rng rng(404);
-  for (const std::size_t n : {24u, 64u}) {
-    const Matrix m = random_spd(n, rng);
-    const auto ref = sym_eig(m, 64, 1e-12, ExecContext::serial());
-    for (int t : {2, 4}) {
-      const ExecContext ctx(t, 1);
-      const auto eig = sym_eig(m, 64, 1e-12, ctx, /*parallel_cutoff=*/0);
-      ASSERT_EQ(eig.values.size(), ref.values.size());
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(eig.values[i], ref.values[i])
-            << "eigenvalue " << i << " n=" << n << " threads=" << t;
-      for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < n; ++c)
-          ASSERT_EQ(eig.vectors(r, c), ref.vectors(r, c))
-              << "eigvec (" << r << "," << c << ") n=" << n
-              << " threads=" << t;
-    }
-  }
-}
-
-TEST(EigThreads, InversePthRootBitwiseThreadNeutral) {
-  // Below the rotation cutoff this exercises the threaded
-  // sym_matrix_function reconstruction on top of the (serial) eig.
-  Rng rng(405);
-  const Matrix m = random_spd(56, rng);
-  const Matrix ref = sym_inverse_pth_root(m, 4.0, 1e-6, ExecContext::serial());
-  for (int t : {2, 4}) {
-    const Matrix root = sym_inverse_pth_root(m, 4.0, 1e-6, ExecContext(t, 1));
-    for (std::size_t r = 0; r < ref.rows(); ++r)
-      for (std::size_t c = 0; c < ref.cols(); ++c)
-        ASSERT_EQ(root(r, c), ref(r, c))
-            << "(" << r << "," << c << ") threads=" << t;
-  }
-}
-
-TEST(EigThreads, MatrixFunctionShardsKeepAscendingEigenvalueOrder) {
-  Rng rng(406);
-  const Matrix m = random_spd(50, rng);
-  const auto eig = sym_eig(m);
-  const auto f = [](double lambda) { return lambda > 0.3 ? 1.0 / lambda : 0.0; };
-  const Matrix ref = sym_matrix_function(eig, f, ExecContext::serial());
-  for (int t : {2, 4}) {
-    const Matrix out = sym_matrix_function(eig, f, ExecContext(t, 1));
-    for (std::size_t r = 0; r < ref.rows(); ++r)
-      for (std::size_t c = 0; c < ref.cols(); ++c)
-        ASSERT_EQ(out(r, c), ref(r, c))
-            << "(" << r << "," << c << ") threads=" << t;
-  }
-}
 
 }  // namespace
 }  // namespace pf

@@ -1,71 +1,13 @@
-// Tests for the auxiliary features: dropout and CSV sweep export.
+// Tests for the CSV sweep export.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 
-#include "src/common/check.h"
-#include "src/nn/bert.h"
-#include "src/nn/dropout.h"
-#include "src/nn/serialize.h"
-#include "src/optim/grad_clip.h"
 #include "src/perfmodel/csv.h"
 
 namespace pf {
 namespace {
-
-TEST(Dropout, EvaluationIsIdentity) {
-  Dropout drop(0.5, 1);
-  Rng rng(2);
-  const Matrix x = Matrix::randn(4, 6, rng);
-  EXPECT_LT(max_abs_diff(drop.forward(x, false), x), 1e-300);
-}
-
-TEST(Dropout, ZeroProbabilityIsIdentityEvenWhenTraining) {
-  Dropout drop(0.0, 1);
-  Rng rng(3);
-  const Matrix x = Matrix::randn(4, 6, rng);
-  EXPECT_LT(max_abs_diff(drop.forward(x, true), x), 1e-300);
-  EXPECT_LT(max_abs_diff(drop.backward(x), x), 1e-300);
-}
-
-TEST(Dropout, DropRateAndInvertedScaling) {
-  Dropout drop(0.3, 7);
-  Matrix x(200, 200, 1.0);
-  const Matrix y = drop.forward(x, true);
-  std::size_t zeros = 0;
-  double sum = 0.0;
-  for (std::size_t r = 0; r < 200; ++r)
-    for (std::size_t c = 0; c < 200; ++c) {
-      if (y(r, c) == 0.0)
-        ++zeros;
-      else
-        EXPECT_NEAR(y(r, c), 1.0 / 0.7, 1e-12);
-      sum += y(r, c);
-    }
-  EXPECT_NEAR(static_cast<double>(zeros) / 40000.0, 0.3, 0.02);
-  // Inverted scaling preserves the expectation.
-  EXPECT_NEAR(sum / 40000.0, 1.0, 0.03);
-}
-
-TEST(Dropout, BackwardUsesTheCachedMask) {
-  Dropout drop(0.5, 11);
-  Matrix x(8, 8, 2.0);
-  const Matrix y = drop.forward(x, true);
-  Matrix dy(8, 8, 1.0);
-  const Matrix dx = drop.backward(dy);
-  for (std::size_t r = 0; r < 8; ++r)
-    for (std::size_t c = 0; c < 8; ++c) {
-      // Gradient flows exactly where the activation survived, same scale.
-      EXPECT_DOUBLE_EQ(dx(r, c), y(r, c) / 2.0);
-    }
-}
-
-TEST(Dropout, RejectsInvalidProbability) {
-  EXPECT_THROW(Dropout(1.0, 1), Error);
-  EXPECT_THROW(Dropout(-0.1, 1), Error);
-}
 
 TEST(SweepCsv, HeaderAndRowColumnCountsMatch) {
   const auto pts = sweep_depth_bmicro(bert_base(), p100(), "chimera", {4},
@@ -98,73 +40,6 @@ TEST(SweepCsv, WritesFile) {
   std::string first;
   std::getline(f, first);
   EXPECT_EQ(first, sweep_csv_header());
-}
-
-TEST(GradClip, ScalesOnlyWhenAboveThreshold) {
-  Param p(1, 2, "w");
-  p.g = Matrix::from_rows({{3.0, 4.0}});  // norm 5
-  EXPECT_DOUBLE_EQ(clip_grad_norm({&p}, 10.0), 5.0);
-  EXPECT_DOUBLE_EQ(p.g(0, 0), 3.0);  // untouched
-  EXPECT_DOUBLE_EQ(clip_grad_norm({&p}, 1.0), 5.0);
-  EXPECT_NEAR(global_grad_norm({&p}), 1.0, 1e-12);
-  EXPECT_NEAR(p.g(0, 1), 4.0 / 5.0, 1e-12);
-}
-
-TEST(GradClip, GlobalNormSpansAllParams) {
-  Param a(1, 1, "a"), b(1, 1, "b");
-  a.g(0, 0) = 3.0;
-  b.g(0, 0) = 4.0;
-  clip_grad_norm({&a, &b}, 1.0);
-  EXPECT_NEAR(a.g(0, 0) / b.g(0, 0), 0.75, 1e-12);  // direction preserved
-  EXPECT_NEAR(global_grad_norm({&a, &b}), 1.0, 1e-12);
-}
-
-TEST(Serialize, RoundTripPreservesWeights) {
-  BertConfig cfg;
-  cfg.vocab = 16;
-  cfg.d_model = 8;
-  cfg.d_ff = 16;
-  cfg.n_heads = 2;
-  cfg.n_layers = 1;
-  cfg.seq_len = 8;
-  Rng rng1(3), rng2(99);
-  BertModel m1(cfg, rng1);
-  BertModel m2(cfg, rng2);  // different init
-  const std::string path = ::testing::TempDir() + "/model.ckpt";
-  save_params(m1.params(), path);
-  load_params(m2.params(), path);
-  const auto p1 = m1.params(), p2 = m2.params();
-  for (std::size_t i = 0; i < p1.size(); ++i)
-    EXPECT_LT(max_abs_diff(p1[i]->w, p2[i]->w), 1e-300) << p1[i]->name;
-}
-
-TEST(Serialize, RejectsMismatchedModel) {
-  BertConfig small;
-  small.vocab = 16;
-  small.d_model = 8;
-  small.d_ff = 16;
-  small.n_heads = 2;
-  small.n_layers = 1;
-  small.seq_len = 8;
-  BertConfig big = small;
-  big.d_model = 16;
-  big.d_ff = 32;
-  Rng rng(5);
-  BertModel m1(small, rng);
-  BertModel m2(big, rng);
-  const std::string path = ::testing::TempDir() + "/mismatch.ckpt";
-  save_params(m1.params(), path);
-  EXPECT_THROW(load_params(m2.params(), path), Error);
-}
-
-TEST(Serialize, RejectsGarbageFile) {
-  const std::string path = ::testing::TempDir() + "/garbage.ckpt";
-  {
-    std::ofstream f(path);
-    f << "this is not a checkpoint";
-  }
-  Param p(1, 1, "w");
-  EXPECT_THROW(load_params({&p}, path), Error);
 }
 
 }  // namespace

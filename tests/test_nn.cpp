@@ -8,11 +8,11 @@
 #include "src/nn/activations.h"
 #include "src/nn/attention.h"
 #include "src/nn/bert.h"
-#include "src/nn/grad_check.h"
 #include "src/nn/layer_norm.h"
 #include "src/nn/linear.h"
 #include "src/nn/loss.h"
 #include "src/nn/transformer_block.h"
+#include "tests/support/grad_check.h"
 
 namespace pf {
 namespace {

@@ -12,15 +12,14 @@
 #include "src/nn/activations.h"
 #include "src/nn/attention.h"
 #include "src/nn/bert.h"
-#include "src/nn/dropout.h"
 #include "src/nn/embedding.h"
-#include "src/nn/grad_check.h"
 #include "src/nn/layer_norm.h"
 #include "src/nn/linear.h"
 #include "src/nn/loss.h"
 #include "src/nn/transformer_block.h"
 #include "src/optim/lamb.h"
 #include "src/train/trainer.h"
+#include "tests/support/grad_check.h"
 
 namespace pf {
 namespace {
@@ -193,44 +192,6 @@ TEST(NnThreads, EmbeddingScatterBitwise) {
       const auto params = emb.params();
       for (std::size_t i = 0; i < params.size(); ++i)
         expect_bitwise(params[i]->g, ref_grads[i], "Embedding table grad", t);
-    }
-  }
-}
-
-TEST(NnThreads, DropoutSequentialPolicyMatchesSeedStream) {
-  // kSequential: the mask is the seed's serial stream at every thread
-  // count — outputs are bitwise identical to the serial layer.
-  Rng data_rng(127);
-  const Matrix x = Matrix::randn(9, 8, data_rng);
-  const Matrix dy = Matrix::randn(9, 8, data_rng);
-  Dropout ref_drop(0.4, 77);
-  const Matrix ref_y = ref_drop.forward(x, true, ExecContext::serial());
-  const Matrix ref_dx = ref_drop.backward(dy, ExecContext::serial());
-  for (int t : {2, 4}) {
-    const ExecContext ctx(t, t);  // default policy: kSequential
-    Dropout drop(0.4, 77);
-    expect_bitwise(drop.forward(x, true, ctx), ref_y, "Dropout seq y", t);
-    expect_bitwise(drop.backward(dy, ctx), ref_dx, "Dropout seq dx", t);
-  }
-}
-
-TEST(NnThreads, DropoutPerRowPolicyThreadNeutralAndAdvancing) {
-  Rng data_rng(131);
-  const Matrix x = Matrix::randn(11, 6, data_rng);
-  Matrix ref_y1, ref_y2;
-  for (int t : kThreadCounts) {
-    const ExecContext ctx(t, t, RngPartition::kPerRow);
-    Dropout drop(0.3, 99);
-    const Matrix y1 = drop.forward(x, true, ctx);
-    const Matrix y2 = drop.forward(x, true, ctx);
-    if (t == 1) {
-      ref_y1 = y1;
-      ref_y2 = y2;
-      // Successive draws must differ (the counter advances the stream).
-      EXPECT_GT(max_abs_diff(y1, y2), 0.0);
-    } else {
-      expect_bitwise(y1, ref_y1, "Dropout per-row draw 1", t);
-      expect_bitwise(y2, ref_y2, "Dropout per-row draw 2", t);
     }
   }
 }

@@ -1,5 +1,5 @@
-// Tests for src/optim: SGD, Adam, LAMB, the paper's LR schedule, and the
-// K-FAC optimizer wrapper. Convergence checks use small quadratic and
+// Tests for src/optim: LAMB, the paper's LR schedule, and the K-FAC
+// optimizer wrapper, against the plain-SGD reference (tests/support). Convergence checks use small quadratic and
 // ill-conditioned problems where second-order preconditioning provably wins.
 #include <gtest/gtest.h>
 
@@ -9,11 +9,10 @@
 #include "src/common/check.h"
 #include "src/linalg/gemm.h"
 #include "src/nn/loss.h"
-#include "src/optim/adam.h"
 #include "src/optim/kfac_optimizer.h"
 #include "src/optim/lamb.h"
 #include "src/optim/lr_schedule.h"
-#include "src/optim/sgd.h"
+#include "tests/support/sgd.h"
 
 namespace pf {
 namespace {
@@ -48,40 +47,6 @@ double optimize_quadratic(Opt& opt, double lr, int steps) {
 TEST(Sgd, ConvergesOnQuadratic) {
   Sgd opt;
   EXPECT_LT(optimize_quadratic(opt, 0.5, 100), 1e-10);
-}
-
-TEST(Sgd, MomentumAcceleratesConvergence) {
-  Sgd plain;
-  Sgd momentum(0.9);
-  const double slow = optimize_quadratic(plain, 0.05, 60);
-  const double fast = optimize_quadratic(momentum, 0.05, 60);
-  EXPECT_LT(fast, slow);
-}
-
-TEST(Sgd, WeightDecayShrinksWeights) {
-  Sgd opt(0.0, 0.1);
-  Param p(1, 1, "w");
-  p.w(0, 0) = 1.0;
-  p.g(0, 0) = 0.0;
-  opt.step({&p}, 0.5);
-  EXPECT_NEAR(p.w(0, 0), 1.0 - 0.5 * 0.1 * 1.0, 1e-12);
-}
-
-TEST(Adam, ConvergesOnQuadratic) {
-  Adam opt;
-  EXPECT_LT(optimize_quadratic(opt, 0.1, 300), 1e-6);
-}
-
-TEST(Adam, FirstStepIsLrSizedRegardlessOfGradScale) {
-  // Bias correction ⇒ |Δw| ≈ lr for any gradient magnitude on step 1.
-  for (double scale : {1e-6, 1.0, 1e6}) {
-    Adam opt;
-    Param p(1, 1, "w");
-    p.w(0, 0) = 0.0;
-    p.g(0, 0) = scale;
-    opt.step({&p}, 0.01);
-    EXPECT_NEAR(std::abs(p.w(0, 0)), 0.01, 0.001) << "scale=" << scale;
-  }
 }
 
 TEST(Lamb, ConvergesOnQuadratic) {

@@ -5,14 +5,18 @@
 //   Chimera:       C_f = D, C_b = 2D - 2 when N_micro = D
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "src/common/check.h"
 #include "src/pipeline/chimera.h"
 #include "src/pipeline/gpipe.h"
 #include "src/pipeline/one_f_one_b.h"
+#include "src/pipeline/schedule_registry.h"
 #include "src/pipeline/simulator.h"
 #include "src/pipeline/step_plan.h"
 
@@ -224,16 +228,6 @@ TEST(StepTail, ChimeraSyncPairsMirrorDevices) {
   }
 }
 
-TEST(Replicate, StepsTileAtThePeriod) {
-  StepCosts c = unit_costs();
-  c.t_optimizer = 0.5;
-  const auto res = simulate_step(make_gpipe(2, 2), c);
-  const Timeline three = replicate_steps(res, 3);
-  EXPECT_EQ(three.device_intervals(0).size(),
-            3 * res.timeline.device_intervals(0).size());
-  EXPECT_NEAR(three.makespan(), 2.0 * res.step_time + res.step_time, 1e-9);
-}
-
 TEST(Bubbles, GPipeBubbleFractionDecreasesWithMoreMicrobatches) {
   const auto few = simulate_step(make_gpipe(4, 4), unit_costs());
   const auto many = simulate_step(make_gpipe(4, 16), unit_costs());
@@ -316,6 +310,104 @@ TEST(PlanReplay, StartTimesCompareExactly) {
   r = replay_plan(plan, {1.0, 1.0, 1.0, 1.0}, 0.0, 2);
   EXPECT_EQ(r.start[2], 1.0);
   EXPECT_EQ(r.start[3], 2.0);
+}
+
+// Structural properties of the runtime's step graph, over every registry
+// schedule and shape the grid allows, with and without K-FAC work:
+//  * every dep precedes its task (TaskExecutor needs deps to exist first);
+//  * each lane's F/B ops, sorted by priority, are plan_device_order's;
+//  * B(s, m) depends on B(s, m-1): backwards fold micros in order;
+//  * W(s, m) depends on its own B(s, m) and on W(s, m-1).
+TEST(StepPlanProperties, HoldOnEveryRegistryShape) {
+  struct KfacStep {
+    const char* name;
+    std::size_t factors;
+    bool curv_step, inv_step;
+  };
+  const KfacStep kfac_steps[] = {{"no-kfac", 0, false, false},
+                                 {"curvature", 6, true, false},
+                                 {"inversion", 6, true, true}};
+  for (const std::string& name : list_schedules()) {
+    int shapes = 0;
+    for (const int d : {2, 3, 4, 6, 8})
+      for (const int n : {1, 2, 4, 6, 8, 12, 16})
+        for (const int v : {1, 2, 3}) {
+          const ScheduleParams p{d, n, v};
+          try {
+            traits_of(name).check_params(p);
+          } catch (const Error&) {
+            continue;  // a shape the schedule does not take
+          }
+          const ScheduleSpec spec = build_schedule(name, p);
+          const auto order = plan_device_order(spec);
+          for (const KfacStep& k : kfac_steps) {
+            const std::string label = name + " D=" + std::to_string(d) +
+                                      " N=" + std::to_string(n) +
+                                      " V=" + std::to_string(v) + " " +
+                                      k.name;
+            const StepPlan plan = build_step_plan(
+                spec, order,
+                std::vector<std::size_t>(
+                    static_cast<std::size_t>(spec.n_stages), k.factors),
+                k.curv_step, k.inv_step);
+            ++shapes;
+
+            // (kind, stage, micro) -> task; a micro belongs to one pipeline.
+            std::map<std::tuple<WorkKind, int, int>, std::size_t> op_task;
+            std::vector<std::vector<std::size_t>> lane_ops(plan.n_lanes);
+            for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
+              const PlannedTask& t = plan.tasks[i];
+              for (const std::size_t dep : t.deps)
+                ASSERT_LT(dep, i) << label << ": task " << i;
+              if (!t.is_op) continue;
+              op_task[{t.kind, t.stage, t.micro}] = i;
+              if (t.kind != WorkKind::kBackwardWeight)
+                lane_ops[t.lane].push_back(i);
+            }
+            const auto depends_on = [&](std::size_t task, WorkKind kind,
+                                        int stage, int micro) {
+              const auto it = op_task.find({kind, stage, micro});
+              const auto& deps = plan.tasks[task].deps;
+              return it != op_task.end() &&
+                     std::find(deps.begin(), deps.end(), it->second) !=
+                         deps.end();
+            };
+
+            ASSERT_EQ(lane_ops.size(), order.size()) << label;
+            for (std::size_t l = 0; l < lane_ops.size(); ++l) {
+              auto& ids = lane_ops[l];
+              std::stable_sort(ids.begin(), ids.end(),
+                               [&](std::size_t a, std::size_t b) {
+                                 return plan.tasks[a].priority <
+                                        plan.tasks[b].priority;
+                               });
+              std::vector<PipeOp> ops;
+              for (const std::size_t i : ids) ops.push_back(plan.tasks[i].op);
+              EXPECT_EQ(ops, order[l]) << label << ": lane " << l;
+            }
+
+            for (const auto& [key, i] : op_task) {
+              const auto [kind, s, m] = key;
+              const std::string at = "(" + std::to_string(s) + ", " +
+                                     std::to_string(m) + ")";
+              if (kind == WorkKind::kBackward && m > 0) {
+                EXPECT_TRUE(depends_on(i, WorkKind::kBackward, s, m - 1))
+                    << label << ": B" << at << " after B(s, m-1)";
+              }
+              if (kind == WorkKind::kBackwardWeight) {
+                EXPECT_TRUE(depends_on(i, WorkKind::kBackward, s, m))
+                    << label << ": W" << at << " after its own B";
+                if (m > 0) {
+                  EXPECT_TRUE(
+                      depends_on(i, WorkKind::kBackwardWeight, s, m - 1))
+                      << label << ": W" << at << " after W(s, m-1)";
+                }
+              }
+            }
+          }
+        }
+    EXPECT_GT(shapes, 0) << name << " took no shape of the grid";
+  }
 }
 
 }  // namespace

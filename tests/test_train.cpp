@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "src/common/check.h"
-#include "src/optim/adam.h"
 #include "src/optim/lamb.h"
 #include "src/train/convergence.h"
 #include "src/train/trainer.h"
@@ -25,7 +24,7 @@ BertConfig tiny_config() {
   return cfg;
 }
 
-TEST(Trainer, LossDecreasesUnderAdam) {
+TEST(Trainer, LossDecreasesUnderLamb) {
   const auto cfg = tiny_config();
   Rng rng(3);
   BertModel model(cfg, rng);
@@ -39,8 +38,10 @@ TEST(Trainer, LossDecreasesUnderAdam) {
   TrainerConfig tc;
   tc.batch_size = 8;
   tc.total_steps = 300;
-  tc.schedule = PolyWarmupSchedule(3e-3, 10, 300);
-  Trainer trainer(model, batcher, std::make_unique<Adam>(), tc);
+  // LAMB scales each step by its trust ratio; 1e-2 is the peak LR the
+  // integration and NnThreads trainer runs give it too.
+  tc.schedule = PolyWarmupSchedule(1e-2, 10, 300);
+  Trainer trainer(model, batcher, std::make_unique<Lamb>(), tc);
   const auto trace = trainer.run();
   ASSERT_EQ(trace.loss.size(), 300u);
   // Average of first vs last 20 steps.

@@ -9,9 +9,11 @@
 //
 // Usage:
 //   multiproc_train [schedule] [n_stages] [n_micro] [steps] [lamb|kfac]
-// Defaults: 1f1b 2 4 3 lamb.
+// Defaults: 1f1b 2 4 3 lamb. A count that is not a positive whole number
+// or an optimizer other than lamb/kfac exits 2 naming the argument.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,18 +138,48 @@ int compare(const RunResult& a, const RunResult& b, const char* label) {
   return bad;
 }
 
+// A positive whole number, or false for anything else ("two", "2x", "-1",
+// "0", overflow).
+bool parse_count(const char* s, int& out) {
+  const char* end = s + std::strlen(s);
+  int v = 0;
+  const auto [stop, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || stop != end || v < 1) return false;
+  out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string schedule = argc > 1 ? argv[1] : "1f1b";
-  const int n_stages = argc > 2 ? std::atoi(argv[2]) : 2;
-  const int n_micro = argc > 3 ? std::atoi(argv[3]) : 4;
-  const int steps = argc > 4 ? std::atoi(argv[4]) : 3;
+  int n_stages = 2, n_micro = 4, steps = 3;
+  const struct {
+    int* value;
+    const char* name;
+  } counts[] = {{&n_stages, "n_stages"}, {&n_micro, "n_micro"},
+                {&steps, "steps"}};
+  for (int i = 0; i < 3 && i + 2 < argc; ++i)
+    if (!parse_count(argv[i + 2], *counts[i].value)) {
+      std::fprintf(stderr,
+                   "multiproc_train: %s must be a positive whole number, "
+                   "got '%s'\n",
+                   counts[i].name, argv[i + 2]);
+      return 2;
+    }
   const std::string optim = argc > 5 ? argv[5] : "lamb";
+  if (optim != "lamb" && optim != "kfac") {
+    std::fprintf(stderr,
+                 "multiproc_train: unknown optimizer '%s' (want lamb or "
+                 "kfac)\n",
+                 optim.c_str());
+    return 2;
+  }
   const bool use_kfac = optim == "kfac";
   const std::size_t micro_batch = 2;
 
   try {
+
     const pf::BertConfig bcfg = small_bert();
 
     // Multi-process run FIRST: fork() wants a quiescent, thread-free
