@@ -1,8 +1,10 @@
 // Kernel microbenchmarks (google-benchmark): the measurement hooks that
 // would calibrate the cost model on real hardware. On the GPUs of the paper
 // these are the Nsight-profiled kernels; here they time our CPU kernels for
-// GEMM (forward/backward), SYRK-style curvature, Cholesky + inverse
-// (inversion work) and the two-sided precondition product.
+// GEMM (forward/backward), the symmetric curvature product syrk_tn_acc
+// (lower-triangle tiles only, upper mirrored), Cholesky + the batched
+// 32-column cholesky_inverse (inversion work) and the two-sided
+// precondition product.
 //
 // GEMM-family benchmarks carry two extra dimensions:
 //   threads  1 = serial, >1 = row-block ThreadPool path (bitwise identical
@@ -12,7 +14,10 @@
 //            2 = the AVX-512F microkernel. Rows above the host's/build's
 //            detected tier are skipped (set_simd_level clamps).
 //
-// CI compares the GFLOP/s of these rows against the committed
+// A family that reports items_per_second counts a fixed, documented amount
+// of work per call (see each family), so a kernel that reaches the same
+// result with fewer operations shows a higher rate. CI compares the rates
+// of the GEMM families and BM_InversionWork against the committed
 // BENCH_kernels.json via tools/check_bench_regression.py — but only when
 // context.num_cpus matches the baseline's, because the committed file may
 // come from a cgroup-limited dev container (see the cpu_budget_note context
@@ -20,6 +25,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/common/cpu_features.h"
+#include "src/common/exec_context.h"
 #include "src/common/rng.h"
 #include "src/linalg/cholesky.h"
 #include "src/linalg/gemm.h"
@@ -81,7 +87,10 @@ BENCHMARK(BM_GemmBackwardNt)
     ->ArgNames({"n", "threads", "simd"});
 
 void BM_CurvatureFactor(benchmark::State& state) {
-  // A_l = XᵀX/N for N tokens of dimension d (the SYRK-style tn kernel).
+  // A_l = XᵀX/N for N tokens of dimension d: syrk_tn_acc, the kernel the
+  // K-FAC engine runs. Items stay tokens·d² per call (the count this family
+  // has always reported; the full product's multiply-adds), so the rate
+  // compares across kernel changes.
   const auto d = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<int>(state.range(1));
   const SimdLevel entry_level = pf::active_simd_level();
@@ -89,9 +98,10 @@ void BM_CurvatureFactor(benchmark::State& state) {
   const std::size_t tokens = 256;
   pf::Rng rng(2);
   const Matrix x = Matrix::randn(tokens, d, rng);
+  const pf::ExecContext ctx(1, threads);
   for (auto _ : state) {
     Matrix a(d, d, 0.0);
-    pf::matmul_tn_acc(x, x, a, 1.0 / static_cast<double>(tokens), threads);
+    pf::syrk_tn_acc(x, a, 1.0 / static_cast<double>(tokens), ctx);
     benchmark::DoNotOptimize(a);
   }
   state.SetItemsProcessed(state.iterations() * tokens * d * d);
@@ -102,8 +112,11 @@ BENCHMARK(BM_CurvatureFactor)
     ->ArgNames({"d", "threads", "simd"});
 
 void BM_InversionWork(benchmark::State& state) {
-  // Cholesky + cholesky_inverse of a damped SPD factor — now the blocked
-  // right-looking factorization with column-parallel inverse solves.
+  // Cholesky + cholesky_inverse of a damped SPD factor: the blocked
+  // right-looking factorization, then the inverse solving 32 unit columns
+  // per pass. Items are the textbook flop count d³ per call — d³/3 for the
+  // factorization plus 2d³/3 for the inverse from the factor (LAPACK
+  // potrf + potri) — not the operations this code happens to execute.
   const auto d = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<int>(state.range(1));
   pf::Rng rng(3);
@@ -115,6 +128,7 @@ void BM_InversionWork(benchmark::State& state) {
     benchmark::DoNotOptimize(
         pf::cholesky_inverse(pf::cholesky(spd, threads), threads));
   }
+  state.SetItemsProcessed(state.iterations() * d * d * d);
 }
 BENCHMARK(BM_InversionWork)
     ->ArgsProduct({{32, 64, 128}, {1, 2, 4}})

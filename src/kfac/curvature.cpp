@@ -1,11 +1,32 @@
 // Curvature work: building the Kronecker factors from layer caches.
 // Also home of the engine's layer-parallel dispatch helper.
+#include <cmath>
+
 #include "src/common/check.h"
 #include "src/common/exec_context.h"
 #include "src/kfac/kfac_engine.h"
 #include "src/linalg/gemm.h"
 
 namespace pf {
+
+namespace {
+
+// Any non-finite entry of X (or dY) lands on the diagonal of XᵀX (dYᵀdY),
+// as does an overflowing product, so an O(d) scan of a pending factor's
+// diagonal stops a bad curvature input before it reaches the EMA — and
+// names the layer here rather than failing at the next inversion.
+void check_finite_diagonal(const Matrix& f, const Linear& layer, char side,
+                           std::size_t update) {
+  for (std::size_t j = 0; j < f.rows(); ++j)
+    PF_CHECK(std::isfinite(f(j, j)))
+        << "K-FAC curvature update " << update << " of layer '"
+        << layer.name() << "': factor " << side << " has diagonal entry "
+        << f(j, j) << " at index " << j
+        << " (from a NaN, infinite or overflowing entry of the layer's "
+        << (side == 'A' ? "input x" : "output gradient dy") << ")";
+}
+
+}  // namespace
 
 KfacEngine::KfacEngine(std::vector<Linear*> layers, const KfacOptions& opts,
                        ThreadPool* pool)
@@ -58,7 +79,7 @@ void KfacEngine::accumulate_curvature_a(std::size_t i, const Matrix& x) {
   // contribution lands element-wise after micros 0..m-1's (the caller
   // orders the calls), so the pending factor is bit-identical however the
   // micros were executed.
-  matmul_tn_acc(x, x, st.pending_a, 1.0, exec_);
+  syrk_tn_acc(x, st.pending_a, 1.0, exec_);
   st.pending_rows += static_cast<double>(x.rows());
 }
 
@@ -70,8 +91,7 @@ void KfacEngine::accumulate_curvature_b(std::size_t i, const Matrix& dy) {
   if (st.pending_b.empty())
     st.pending_b = Matrix(l->d_out(), l->d_out(), 0.0);
   // dy holds the mean-loss gradient; ×N undoes one 1/N (see kfac_engine.h).
-  matmul_tn_acc(dy, dy, st.pending_b, static_cast<double>(dy.rows()),
-                exec_);
+  syrk_tn_acc(dy, st.pending_b, static_cast<double>(dy.rows()), exec_);
   ++st.pending_micros;
 }
 
@@ -86,6 +106,10 @@ void KfacEngine::commit_curvature_layer(std::size_t i) {
   PF_CHECK(st.pending_micros > 0 && !st.pending_a.empty() &&
            st.pending_rows > 0.0)
       << "commit with a partial A/B accumulation";
+  check_finite_diagonal(st.pending_a, *layers_[i], 'A',
+                        st.curvature_updates + 1);
+  check_finite_diagonal(st.pending_b, *layers_[i], 'B',
+                        st.curvature_updates + 1);
   // A = (Σ XᵀX) / (Σ N_m); B averages the per-micro N·dYᵀdY estimates.
   // Single-micro equivalence to update_curvature (alpha applied inside the
   // GEMM): exact while the reduction fits one k-panel (N ≤ 256 token rows)
@@ -116,11 +140,13 @@ void KfacEngine::update_curvature() {
 
     // A = XᵀX / N ; B = N·dYᵀdY (see kfac_engine.h for the scaling).
     Matrix a(l->d_in(), l->d_in(), 0.0);
-    matmul_tn_acc(x, x, a, 1.0 / n, exec_);
+    syrk_tn_acc(x, a, 1.0 / n, exec_);
     Matrix b(l->d_out(), l->d_out(), 0.0);
-    matmul_tn_acc(dy, dy, b, n, exec_);
+    syrk_tn_acc(dy, b, n, exec_);
 
     auto& st = states_[i];
+    check_finite_diagonal(a, *l, 'A', st.curvature_updates + 1);
+    check_finite_diagonal(b, *l, 'B', st.curvature_updates + 1);
     st.a_ema.axpby(opts_.ema_decay, a, 1.0 - opts_.ema_decay);
     st.b_ema.axpby(opts_.ema_decay, b, 1.0 - opts_.ema_decay);
     ++st.curvature_updates;

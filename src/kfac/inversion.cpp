@@ -11,7 +11,7 @@ namespace {
 
 // (block-diag_k(m) + damping·I)⁻¹: inverts the k diagonal blocks
 // independently and zeroes all cross-block entries (Appendix A.2).
-// `ctx` reaches the blocked Cholesky + column solves (cholesky.h).
+// `ctx` reaches the blocked Cholesky and the batched inverse (cholesky.h).
 Matrix block_diag_inverse(const Matrix& m, double damping, std::size_t k,
                           const ExecContext& ctx) {
   const std::size_t n = m.rows();

@@ -43,10 +43,10 @@ struct KfacOptions {
   // ExecContext built in for_each_layer) in chunks of layers. Results are
   // bitwise identical for any value. 1 = serial seed behaviour, 0 = follow
   // the set_gemm_threads knob. Composes with gemm_threads: a layer task may
-  // itself fan row blocks onto the pool (parallel_for callers help drain
-  // the queue, so nesting cannot deadlock), but the two knobs compete for
-  // the same cores — prefer layer_threads for many small layers,
-  // gemm_threads for few wide ones.
+  // itself fan row blocks onto the pool (parallel_for is chunk-claiming: a
+  // caller runs its own loop's unclaimed chunks, so nesting cannot
+  // deadlock), but the two knobs compete for the same cores — prefer
+  // layer_threads for many small layers, gemm_threads for few wide ones.
   int layer_threads = 1;
 };
 
@@ -62,7 +62,11 @@ class KfacEngine {
              ThreadPool* pool = nullptr);
 
   // Curvature work: folds each layer's cached (a_l, e_l) into the factor
-  // EMAs. Layers without caches (never ran backward) are skipped.
+  // EMAs. Layers without caches (never ran backward) are skipped. Throws
+  // pf::Error naming the layer, as commit_curvature_layer does, when a
+  // factor has a non-finite diagonal entry; that layer's EMAs stay as they
+  // were, but layers folded before it (or alongside it, with
+  // layer_threads > 1) keep their update.
   void update_curvature();
 
   // Inversion work: recomputes the damped inverses from the current EMAs.
@@ -92,7 +96,10 @@ class KfacEngine {
   void accumulate_curvature_a(std::size_t i, const Matrix& x);
   void accumulate_curvature_b(std::size_t i, const Matrix& dy);
   // Averages the pending micro contributions into the factor EMAs (no-op
-  // for a layer with nothing pending).
+  // for a layer with nothing pending). Throws pf::Error naming the layer,
+  // the factor side and the curvature update, and leaves the layer's EMAs
+  // and pending sums as they were, when a pending factor has a non-finite
+  // diagonal entry (a NaN, infinite or overflowing x or dy).
   void commit_curvature_layer(std::size_t i);
   // Recomputes one damped factor inverse from the current EMA. Call with
   // b_side = false then true; the B side increments inverse_updates.

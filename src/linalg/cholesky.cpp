@@ -112,22 +112,70 @@ std::optional<Matrix> try_cholesky_on(const Matrix& m, std::size_t n_threads,
   return w;
 }
 
+// Unit columns one cholesky_inverse pass solves together. A row of the
+// pass's work buffer holds these columns contiguously, so the innermost
+// loops run across columns and vectorize.
+constexpr std::size_t kInvCols = 32;
+
+// Solves (L·Lᵀ)·X = [e_j0 … e_j0+nb−1] into inv's columns [j0, j0 + nb).
+// lt = Lᵀ, so the back substitution walks L's columns as rows. w is an
+// n × kInvCols buffer; row i holds the pass's values of row i.
+//
+// Every element keeps the chain of the per-column cholesky_solve (forward,
+// then back substitution): ascending-k mul-then-subtract from its unit entry,
+// then one divide by the diagonal. The forward pass starts at row and term
+// j0: for column j ≥ j0, rows above j come out +0, and the terms it skips
+// subtract l·(+0) — a signed zero — from +0 or 1.0, which leaves them
+// unchanged. For finite L the result is therefore the per-column one, bit
+// for bit.
+void solve_unit_columns(const Matrix& l, const Matrix& lt, std::size_t j0,
+                        std::size_t nb, double* w, Matrix& inv) {
+  const std::size_t n = l.rows();
+  double s[kInvCols];
+  std::fill(w, w + j0 * kInvCols, 0.0);
+  for (std::size_t i = j0; i < n; ++i) {
+    const double* lrow = l.row(i);
+    for (std::size_t c = 0; c < nb; ++c) s[c] = i == j0 + c ? 1.0 : 0.0;
+    for (std::size_t k = j0; k < i; ++k) {
+      const double lik = lrow[k];
+      const double* yk = w + k * kInvCols;
+      for (std::size_t c = 0; c < nb; ++c) s[c] -= lik * yk[c];
+    }
+    double* yi = w + i * kInvCols;
+    for (std::size_t c = 0; c < nb; ++c) yi[c] = s[c] / lrow[i];
+  }
+  for (std::size_t ii = n; ii-- > 0;) {
+    const double* ltrow = lt.row(ii);  // ltrow[k] = l(k, ii)
+    double* xi = w + ii * kInvCols;
+    for (std::size_t c = 0; c < nb; ++c) s[c] = xi[c];
+    for (std::size_t k = ii + 1; k < n; ++k) {
+      const double lki = ltrow[k];
+      const double* xk = w + k * kInvCols;
+      for (std::size_t c = 0; c < nb; ++c) s[c] -= lki * xk[c];
+    }
+    double* out = inv.row(ii) + j0;
+    for (std::size_t c = 0; c < nb; ++c) out[c] = xi[c] = s[c] / ltrow[ii];
+  }
+}
+
 Matrix cholesky_inverse_on(const Matrix& l, std::size_t n_threads,
                            ThreadPool* pool) {
   const std::size_t n = l.rows();
   PF_CHECK(l.cols() == n);
-  // Solve (LLᵀ) X = I column by column. O(n³), matching the cost model's
-  // treatment of inversion work as a cubic kernel. Columns are independent,
-  // so they fan out across the pool without changing any result bit.
+  // Solve (LLᵀ) X = I kInvCols unit columns per pass. O(n³), matching the
+  // cost model's treatment of inversion work as a cubic kernel. Passes are
+  // independent, so they fan out across the pool without changing any
+  // result bit.
+  const Matrix lt = l.transposed();
   Matrix inv(n, n, 0.0);
+  const std::size_t n_passes = (n + kInvCols - 1) / kInvCols;
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
-  tp.parallel_for(n, n_threads, [&](std::size_t b, std::size_t e) {
-    std::vector<double> unit(n, 0.0);
-    for (std::size_t j = b; j < e; ++j) {
-      unit[j] = 1.0;
-      const std::vector<double> col = cholesky_solve(l, unit);
-      unit[j] = 0.0;
-      for (std::size_t i = 0; i < n; ++i) inv(i, j) = col[i];
+  tp.parallel_for(n_passes, n_threads, [&](std::size_t b, std::size_t e) {
+    std::vector<double> w(n * kInvCols);
+    for (std::size_t p = b; p < e; ++p) {
+      const std::size_t j0 = p * kInvCols;
+      solve_unit_columns(l, lt, j0, std::min(kInvCols, n - j0), w.data(),
+                         inv);
     }
   });
   // Symmetrize to wash out round-off asymmetry.
@@ -161,38 +209,6 @@ Matrix cholesky(const Matrix& m, const ExecContext& ctx) {
   auto l = try_cholesky(m, ctx);
   PF_CHECK(l.has_value()) << "matrix is not positive definite";
   return std::move(*l);
-}
-
-std::vector<double> forward_substitute(const Matrix& l,
-                                       const std::vector<double>& b) {
-  const std::size_t n = l.rows();
-  PF_CHECK(l.cols() == n && b.size() == n);
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    const double* lrow = l.row(i);
-    for (std::size_t k = 0; k < i; ++k) s -= lrow[k] * y[k];
-    y[i] = s / lrow[i];
-  }
-  return y;
-}
-
-std::vector<double> back_substitute(const Matrix& l,
-                                    const std::vector<double>& y) {
-  const std::size_t n = l.rows();
-  PF_CHECK(l.cols() == n && y.size() == n);
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
-    x[ii] = s / l(ii, ii);
-  }
-  return x;
-}
-
-std::vector<double> cholesky_solve(const Matrix& l,
-                                   const std::vector<double>& b) {
-  return back_substitute(l, forward_substitute(l, b));
 }
 
 Matrix cholesky_inverse(const Matrix& l, int threads) {

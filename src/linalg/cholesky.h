@@ -5,8 +5,10 @@
 // torch.linalg.cholesky() followed by torch.linalg.cholesky_inverse().
 //
 // The factorization is right-looking and blocked (64-wide panels): the panel
-// solve and trailing rank-k update parallelize over rows, and
-// cholesky_inverse fans its independent column solves the same way. Two call
+// solve and trailing rank-k update parallelize over rows. cholesky_inverse
+// solves 32 unit columns per pass over a transposed copy of L (the inner
+// loops run across the pass's columns) and fans the independent passes
+// across the pool. Two call
 // styles, as in gemm.h: a trailing `int threads` (1 = serial, 0 = the
 // process-wide set_gemm_threads default; dispatches on the process-global
 // pool) and a trailing ExecContext (row blocks = ctx.gemm_threads() on
@@ -29,19 +31,10 @@ Matrix cholesky(const Matrix& m, int threads = 0);
 // Same, but returns nullopt instead of throwing on a non-PD matrix.
 std::optional<Matrix> try_cholesky(const Matrix& m, int threads = 0);
 
-// Solve L·y = b (forward substitution), L lower-triangular.
-std::vector<double> forward_substitute(const Matrix& l,
-                                       const std::vector<double>& b);
-
-// Solve Lᵀ·x = y (back substitution), L lower-triangular.
-std::vector<double> back_substitute(const Matrix& l,
-                                    const std::vector<double>& y);
-
-// Solve (L·Lᵀ)·x = b.
-std::vector<double> cholesky_solve(const Matrix& l,
-                                   const std::vector<double>& b);
-
-// Full inverse (L·Lᵀ)⁻¹ from the factor L (torch.cholesky_inverse analog).
+// Full inverse (L·Lᵀ)⁻¹ from the factor L (torch.cholesky_inverse analog),
+// symmetrized as 0.5·(x_ij + x_ji). For finite L it is bit for bit what
+// forward then back substitution of each unit column gives (the oracle in
+// tests/support/triangular_solve.h).
 Matrix cholesky_inverse(const Matrix& l, int threads = 0);
 
 // Convenience: (m + damping·I)⁻¹ for symmetric PSD m via Cholesky.

@@ -122,17 +122,20 @@ std::vector<double> pack_b(std::size_t K, std::size_t N, const BGet& b,
 // Computes C rows [r0, r1) += alpha * Op(A)·Op(B) from the pre-packed B.
 // Loop order: row block → k block → column sliver → row tile, so each output
 // element sees ascending k regardless of where [r0, r1) starts — the thread
-// partition cannot change results within one SIMD level.
+// partition cannot change results within one SIMD level. lower_only skips
+// every register tile lying wholly above the diagonal (column > row for all
+// its elements); the tiles it runs are computed exactly as without it.
 template <typename AGet>
 void gemm_rows_packed(std::size_t r0, std::size_t r1, std::size_t N,
                       std::size_t K, double alpha, const AGet& a,
                       const DirectA& da, const double* packed_b, Matrix& cmat,
-                      const detail::KernelSpec& spec) {
+                      const detail::KernelSpec& spec, bool lower_only) {
   const std::size_t MR = spec.mr, NR = spec.nr;
   const std::size_t n_panels = (N + NR - 1) / NR;
   const std::size_t ldc = cmat.cols();
-  // Per-thread scratch for packed A tiles; reused across calls. Safe with
-  // nested parallel_for help-draining: executions on one thread are
+  // Per-thread scratch for packed A tiles; reused across calls. This
+  // function never enters the pool (no parallel_for, no waits), so a thread
+  // cannot start a second call inside the first: calls on one thread are
   // sequential and repack before every use.
   thread_local std::vector<double> apack;
   if (da.base == nullptr) apack.resize(kMC * kKC);
@@ -153,6 +156,7 @@ void gemm_rows_packed(std::size_t r0, std::size_t r1, std::size_t N,
       const double* bblock = packed_b + k0 * n_panels * NR;
       for (std::size_t p = 0; p < n_panels; ++p) {
         const std::size_t j0 = p * NR;
+        if (lower_only && j0 >= i1) break;  // later slivers lie further right
         const std::size_t jw = std::min(NR, N - j0);
         const double* bp = bblock + p * kb * NR;
         if (p + 1 < n_panels) {
@@ -164,6 +168,7 @@ void gemm_rows_packed(std::size_t r0, std::size_t r1, std::size_t N,
         }
         for (std::size_t ti = i0; ti < i1; ti += MR) {
           const std::size_t mr = std::min(MR, i1 - ti);
+          if (lower_only && ti + mr <= j0) continue;
           if (ti + MR < i1) PF_PREFETCH_R(cmat.row(ti + MR) + j0);
           const double* ap = da.base != nullptr
                                  ? da.base + k0 * da.stride + ti
@@ -181,23 +186,27 @@ void gemm_rows_packed(std::size_t r0, std::size_t r1, std::size_t N,
 // b(k, j) absorbing the nn/tn/nt transposes (da short-circuits the A pack
 // when Op(A) is k-major in memory). B is packed once up front; output rows
 // are then split into contiguous blocks of `n_threads` chunks on `pool`
-// (nullptr = the process-global pool).
+// (nullptr = the process-global pool). lower_only (square C) runs only the
+// tiles touching the lower triangle, in the same row chunks.
 template <typename AGet, typename BGet>
 void gemm_driver(std::size_t M, std::size_t N, std::size_t K, double alpha,
                  const AGet& a, const DirectA& da, const BGet& b, Matrix& c,
-                 std::size_t n_threads, ThreadPool* pool) {
+                 std::size_t n_threads, ThreadPool* pool,
+                 bool lower_only = false) {
   if (M == 0 || N == 0 || K == 0) return;  // += alpha·0: nothing to do
   const detail::KernelSpec spec = detail::active_kernel_spec();
   const std::vector<double> packed_b = pack_b(K, N, b, spec.nr);
   if (n_threads <= 1 || M <= 1) {
     // Serial fast path: skip the std::function wrap — small products in the
     // nn forward/backward loops call in here at high frequency.
-    gemm_rows_packed(0, M, N, K, alpha, a, da, packed_b.data(), c, spec);
+    gemm_rows_packed(0, M, N, K, alpha, a, da, packed_b.data(), c, spec,
+                     lower_only);
     return;
   }
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
   tp.parallel_for(M, n_threads, [&](std::size_t r0, std::size_t r1) {
-    gemm_rows_packed(r0, r1, N, K, alpha, a, da, packed_b.data(), c, spec);
+    gemm_rows_packed(r0, r1, N, K, alpha, a, da, packed_b.data(), c, spec,
+                     lower_only);
   });
 }
 
@@ -215,7 +224,8 @@ void matmul_acc_on(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
 }
 
 void matmul_tn_acc_on(const Matrix& a, const Matrix& b, Matrix& c,
-                      double alpha, std::size_t n_threads, ThreadPool* pool) {
+                      double alpha, std::size_t n_threads, ThreadPool* pool,
+                      bool lower_only = false) {
   // a: (M×K), b: (M×N), c: (K×N) += alpha * aᵀ b. Reduction dim is M.
   const std::size_t M = a.rows(), K = a.cols(), N = b.cols();
   PF_CHECK(b.rows() == M) << "matmul_tn shape mismatch";
@@ -227,7 +237,7 @@ void matmul_tn_acc_on(const Matrix& a, const Matrix& b, Matrix& c,
       [&](std::size_t i, std::size_t k) { return a.row(k)[i]; },
       DirectA{a.data(), a.cols()},
       [&](std::size_t k, std::size_t j) { return b.row(k)[j]; }, c, n_threads,
-      pool);
+      pool, lower_only);
 }
 
 void matmul_nt_acc_on(const Matrix& a, const Matrix& b, Matrix& c,
@@ -241,6 +251,15 @@ void matmul_nt_acc_on(const Matrix& a, const Matrix& b, Matrix& c,
       [&](std::size_t i, std::size_t k) { return a.row(i)[k]; }, DirectA{},
       [&](std::size_t k, std::size_t j) { return b.row(j)[k]; }, c, n_threads,
       pool);
+}
+
+void syrk_tn_acc_on(const Matrix& a, Matrix& c, double alpha,
+                    std::size_t n_threads, ThreadPool* pool) {
+  matmul_tn_acc_on(a, a, c, alpha, n_threads, pool, /*lower_only=*/true);
+  // Mirror once every chunk has finished: the source (j, i) of an upper
+  // element (i, j) may belong to another chunk's rows.
+  for (std::size_t i = 0; i < c.rows(); ++i)
+    for (std::size_t j = i + 1; j < c.cols(); ++j) c(i, j) = c(j, i);
 }
 
 }  // namespace
@@ -329,6 +348,12 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b, const ExecContext& ctx) {
   Matrix c(a.rows(), b.rows(), 0.0);
   matmul_nt_acc(a, b, c, 1.0, ctx);
   return c;
+}
+
+void syrk_tn_acc(const Matrix& a, Matrix& c, double alpha,
+                 const ExecContext& ctx) {
+  syrk_tn_acc_on(a, c, alpha, resolve_gemm_threads(ctx.gemm_threads()),
+                 &ctx.pool());
 }
 
 std::vector<double> matvec(const Matrix& a, const std::vector<double>& x) {

@@ -3,12 +3,14 @@
 // matmul     : C = A · B
 // matmul_tn  : C = Aᵀ · B   (used for Kronecker factors  A_l = Uᵀ U)
 // matmul_nt  : C = A · Bᵀ   (used for backward passes dX = dY · Wᵀ ... )
+// syrk_tn_acc: C += α·Aᵀ · A (the K-FAC curvature factor; only the lower
+//              triangle's tiles run, the upper is mirrored)
 //
-// All three products (and their _acc variants) run through one packed
-// driver: B is packed once into NR-wide column slivers, A into MR-row tiles
-// (matmul_tn skips the A pack entirely — aᵀ's column walk is already k-major
-// in a's row-major storage, so the microkernel reads the source matrix
-// directly), and an MR×NR register microkernel does the flops. The kernel
+// All of them run through one packed driver: B is packed once into NR-wide
+// column slivers, A into MR-row tiles (the tn products skip the A pack
+// entirely — aᵀ's column walk is already k-major in a's row-major storage,
+// so the microkernel reads the source matrix directly), and an MR×NR
+// register microkernel does the flops. The kernel
 // and its tile geometry are chosen at runtime via src/common/cpu_features.h:
 //   scalar   6×8 portable tile, no ISA assumptions
 //   avx2     6×8 AVX2+FMA tile
@@ -88,6 +90,17 @@ void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
                    const ExecContext& ctx);
 void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
                    const ExecContext& ctx);
+
+// Symmetric rank-k update c(K×K) += alpha · aᵀa for a (M×K). Only the
+// register tiles touching the lower triangle run (about half the flops of
+// matmul_tn_acc); the upper triangle is then mirrored from the lower. c must
+// be symmetric on entry (zero, or the result of earlier syrk_tn_acc calls)
+// and stays so. The result is bitwise equal to matmul_tn_acc(a, a, c, alpha,
+// ctx) on every SIMD level and thread count: element (i, j) and (j, i) run
+// the same ascending-k chain of products a(k,i)·a(k,j), and a rounded
+// product or an FMA does not depend on the order of its two factors.
+void syrk_tn_acc(const Matrix& a, Matrix& c, double alpha,
+                 const ExecContext& ctx);
 
 // y = A·x for a vector x (len = cols). Result length = rows.
 std::vector<double> matvec(const Matrix& a, const std::vector<double>& x);

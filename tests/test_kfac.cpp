@@ -5,12 +5,14 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "src/common/check.h"
 #include "src/kfac/kfac_engine.h"
 #include "src/linalg/cholesky.h"
 #include "src/linalg/gemm.h"
 #include "tests/support/kron.h"
+#include "tests/support/triangular_solve.h"
 
 namespace pf {
 namespace {
@@ -294,6 +296,61 @@ TEST(KfacEngine, GemmThreadsReachInversionWithoutChangingResults) {
   const auto [a4, b4] = run_engine(4);
   EXPECT_EQ(max_abs_diff(a1, a4), 0.0);
   EXPECT_EQ(max_abs_diff(b1, b4), 0.0);
+}
+
+TEST(KfacEngine, NonFiniteCurvatureFailsAtCommitNamingTheLayer) {
+  // One NaN or overflowing entry in a micro's x (or dy) reaches the diagonal
+  // of its factor. The commit that would fold it into the EMA must fail and
+  // name the layer, the side and the update — not the next inversion, with
+  // a NaN π-damping check or "not positive definite" and no layer name.
+  for (bool pi_correction : {true, false}) {
+    for (double bad : {std::nan(""), 1e200}) {
+      for (char side : {'A', 'B'}) {
+        Rng rng(41);
+        Linear l(8, 8, rng, "blk0.attn.wq");
+        KfacOptions opts;
+        opts.pi_correction = pi_correction;
+        KfacEngine engine({&l}, opts);
+        Matrix x = Matrix::randn(16, 8, rng);
+        Matrix dy = Matrix::randn(16, 8, rng);
+        engine.accumulate_curvature_a(0, x);
+        engine.accumulate_curvature_b(0, dy);
+        engine.commit_curvature_layer(0);
+        const Matrix a_ema = engine.state(0).a_ema;
+        const Matrix b_ema = engine.state(0).b_ema;
+        (side == 'A' ? x : dy)(5, 3) = bad;
+        engine.accumulate_curvature_a(0, x);
+        engine.accumulate_curvature_b(0, dy);
+        const std::string what = [&] {
+          try {
+            engine.commit_curvature_layer(0);
+          } catch (const Error& e) {
+            return std::string(e.what());
+          }
+          return std::string("commit did not throw");
+        }();
+        const std::string label = std::string("pi=") +
+                                  (pi_correction ? "on" : "off") +
+                                  " bad=" + std::to_string(bad) + " " + side;
+        EXPECT_NE(what.find("'blk0.attn.wq'"), std::string::npos)
+            << label << ": " << what;
+        EXPECT_NE(what.find(std::string("factor ") + side),
+                  std::string::npos)
+            << label << ": " << what;
+        EXPECT_NE(what.find("curvature update 2"), std::string::npos)
+            << label << ": " << what;
+        // Nothing was folded: the EMAs and the update count are as before.
+        EXPECT_EQ(engine.state(0).curvature_updates, 1u) << label;
+        EXPECT_EQ(max_abs_diff(engine.state(0).a_ema, a_ema), 0.0) << label;
+        EXPECT_EQ(max_abs_diff(engine.state(0).b_ema, b_ema), 0.0) << label;
+
+        // The whole-step path checks the same diagonals.
+        zero_grads(l.params());
+        fake_pass(l, x, dy);
+        EXPECT_THROW(engine.update_curvature(), Error) << label;
+      }
+    }
+  }
 }
 
 TEST(KfacEngine, RejectsBadOptions) {

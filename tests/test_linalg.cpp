@@ -5,14 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "src/common/cpu_features.h"
+#include "src/common/exec_context.h"
 #include "src/common/rng.h"
 #include "src/linalg/cholesky.h"
 #include "src/linalg/gemm.h"
 #include "src/linalg/matrix.h"
 #include "tests/support/kron.h"
+#include "tests/support/triangular_solve.h"
 
 namespace pf {
 namespace {
@@ -23,6 +26,13 @@ Matrix random_spd(std::size_t n, Rng& rng, double damping = 0.5) {
   spd *= 1.0 / static_cast<double>(n);
   add_diagonal(spd, damping);
   return spd;
+}
+
+// memcmp equality: distinguishes ±0 and NaN payloads, which == does not.
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
 }
 
 TEST(Matrix, ConstructionAndAccess) {
@@ -393,6 +403,52 @@ TEST(GemmSimd, ScalarKernelMatchesNaiveReference) {
   EXPECT_LT(max_abs_diff(matmul(a, b, 1), ref), 1e-12);
 }
 
+TEST(GemmSyrk, BitwiseEqualsTnProductAndIsExactlySymmetric) {
+  // syrk_tn_acc runs only the tiles touching the lower triangle and mirrors
+  // the rest, yet must reproduce matmul_tn_acc(a, a, ...) bit for bit on
+  // every tier, thread count and alpha — across the 256-deep k panel, at
+  // tile edges, and accumulating onto its own earlier results.
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  for (SimdLevel v : vector_levels()) levels.push_back(v);
+  Rng rng(139);
+  for (std::size_t d : {1u, 7u, 8u, 9u, 16u, 17u, 63u, 64u, 65u, 128u, 129u}) {
+    for (std::size_t rows : {1u, 255u, 256u, 257u, 600u}) {
+      const Matrix a = Matrix::randn(rows, d, rng);
+      const double r = static_cast<double>(rows);
+      for (SimdLevel level : levels) {
+        ScopedSimdLevel guard(level);
+        for (int threads : {1, 2, 3}) {
+          const ExecContext ctx(1, threads);
+          for (double alpha : {1.0, 1.0 / r, r}) {
+            Matrix want(d, d, 0.0), got(d, d, 0.0);
+            for (int rep = 0; rep < 3; ++rep) {
+              matmul_tn_acc(a, a, want, alpha, ctx);
+              syrk_tn_acc(a, got, alpha, ctx);
+              ASSERT_TRUE(same_bits(got, want))
+                  << simd_level_name(level) << " d=" << d << " rows=" << rows
+                  << " threads=" << threads << " alpha=" << alpha
+                  << " accumulation " << rep;
+            }
+            for (std::size_t i = 0; i < d; ++i)
+              for (std::size_t j = i + 1; j < d; ++j)
+                ASSERT_EQ(std::memcmp(&got(i, j), &got(j, i), sizeof(double)),
+                          0)
+                    << simd_level_name(level) << " d=" << d
+                    << " rows=" << rows << " (" << i << ", " << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmSyrk, ShapeMismatchThrows) {
+  Rng rng(149);
+  const Matrix a = Matrix::randn(5, 4, rng);
+  Matrix c(5, 5, 0.0);
+  EXPECT_THROW(syrk_tn_acc(a, c, 1.0, ExecContext(1, 1)), Error);
+}
+
 TEST(Gemm, Matvec) {
   const Matrix a = Matrix::from_rows({{1, 2}, {3, 4}, {5, 6}});
   const auto y = matvec(a, {1.0, -1.0});
@@ -504,6 +560,50 @@ TEST(CholeskyBlocked, ThreadCountIsBitwiseNeutral) {
         << "cholesky_inverse threads=" << threads;
     EXPECT_EQ(max_abs_diff(spd_inverse(m, 0.3, threads), spd1), 0.0)
         << "spd_inverse threads=" << threads;
+  }
+}
+
+// The per-column inverse cholesky_inverse replaced: cholesky_solve per unit
+// column, then the same symmetrize.
+Matrix reference_cholesky_inverse(const Matrix& l) {
+  const std::size_t n = l.rows();
+  Matrix inv(n, n, 0.0);
+  std::vector<double> unit(n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    unit[j] = 1.0;
+    const std::vector<double> col = cholesky_solve(l, unit);
+    unit[j] = 0.0;
+    for (std::size_t i = 0; i < n; ++i) inv(i, j) = col[i];
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double v = 0.5 * (inv(i, j) + inv(j, i));
+      inv(i, j) = v;
+      inv(j, i) = v;
+    }
+  return inv;
+}
+
+TEST(CholeskyBlocked, InverseBitwiseEqualsPerColumnReference) {
+  // Sizes straddle the 32-column pass and the 64-wide factorization panel.
+  Rng rng(137);
+  for (std::size_t n :
+       {1u, 2u, 31u, 32u, 33u, 63u, 64u, 65u, 96u, 128u, 129u, 200u}) {
+    const Matrix m = random_spd(n, rng);
+    const Matrix l = cholesky(m, 1);
+    const Matrix ref = reference_cholesky_inverse(l);
+    Matrix damped = m;
+    add_diagonal(damped, 0.3);
+    const Matrix ref_damped = reference_cholesky_inverse(cholesky(damped, 1));
+    for (int threads : {1, 2, 3, 8}) {
+      EXPECT_TRUE(same_bits(cholesky_inverse(l, threads), ref))
+          << "cholesky_inverse n=" << n << " threads=" << threads;
+      EXPECT_TRUE(same_bits(spd_inverse(m, 0.3, threads), ref_damped))
+          << "spd_inverse n=" << n << " threads=" << threads;
+      EXPECT_TRUE(
+          same_bits(spd_inverse(m, 0.3, ExecContext(1, threads)), ref_damped))
+          << "spd_inverse(ctx) n=" << n << " threads=" << threads;
+    }
   }
 }
 

@@ -1,12 +1,19 @@
 #!/usr/bin/env python3
-"""Gate CI on GEMM microbench throughput regressions.
+"""Gate CI on kernel microbench throughput regressions.
 
 Compares a fresh microbench_kernels JSON run against a committed baseline
-and fails (exit 1) when any GEMM-family benchmark's GFLOP/s
-(items_per_second) drops more than --threshold (default 30%).
+and fails (exit 1) when any gated benchmark's rate (items_per_second: a
+fixed, documented work count per call) drops more than --threshold
+(default 30%). The gated families are the GEMM ones — including
+BM_CurvatureFactor, K-FAC's symmetric curvature product — and
+BM_InversionWork, K-FAC's Cholesky + inverse. A gated row the baseline has
+no rate for (a family that started reporting items after the baseline was
+recorded) is listed and not compared. A baseline recorded before a kernel
+change can make the gate looser than its threshold for that kernel: see
+tools/bench_baselines/README.md for which committed rows are stale.
 
 BASELINE may be a single JSON file or a directory of per-runner-shape
-baselines (tools/bench_baselines/*.json). GFLOP/s across different CPU
+baselines (tools/bench_baselines/*.json). Rates across different CPU
 budgets is not a like-for-like comparison (the dev-container baseline is
 cgroup-limited to 1 CPU), so the baseline whose context.num_cpus matches the
 current run is selected.
@@ -38,8 +45,9 @@ import json
 import os
 import sys
 
-# Benchmark families whose items_per_second is a GFLOP/s measure we gate on.
-GEMM_FAMILIES = ("BM_GemmForward", "BM_GemmBackwardNt", "BM_CurvatureFactor")
+# Benchmark families whose items_per_second we gate on.
+GATED_FAMILIES = ("BM_GemmForward", "BM_GemmBackwardNt", "BM_CurvatureFactor",
+                  "BM_InversionWork")
 
 
 def load(path):
@@ -51,7 +59,7 @@ def num_cpus(doc):
     return doc.get("context", {}).get("num_cpus")
 
 
-def gemm_rates(doc):
+def gated_rates(doc):
     rates = {}
     for bench in doc.get("benchmarks", []):
         name = bench.get("name", "")
@@ -59,7 +67,7 @@ def gemm_rates(doc):
             continue
         if bench.get("error_occurred"):
             continue  # e.g. avx2 rows skipped on a non-AVX2 runner
-        if name.startswith(GEMM_FAMILIES) and "items_per_second" in bench:
+        if name.startswith(GATED_FAMILIES) and "items_per_second" in bench:
             rates[name] = bench["items_per_second"]
     return rates
 
@@ -88,11 +96,13 @@ def pick_baseline(path, cur_cpus):
 def compare(baseline, current, threshold, label):
     """Prints the per-benchmark comparison; returns (failures, compared) or
     None when there is nothing to compare."""
-    base_rates = gemm_rates(baseline)
-    cur_rates = gemm_rates(current)
+    base_rates = gated_rates(baseline)
+    cur_rates = gated_rates(current)
     if not base_rates:
-        print(f"note: {label} has no GEMM-family benchmarks to compare")
+        print(f"note: {label} has no gated benchmarks to compare")
         return None
+    for name in sorted(cur_rates.keys() - base_rates.keys()):
+        print(f"note: '{name}' has no rate in {label}; not compared")
     failures = []
     compared = 0
     for name, base in sorted(base_rates.items()):
@@ -104,11 +114,11 @@ def compare(baseline, current, threshold, label):
         ratio = cur / base
         marker = "FAIL" if ratio < 1.0 - threshold else "ok"
         print(f"{marker:>4}  {name}: {base / 1e9:.2f} -> {cur / 1e9:.2f} "
-              f"GFLOP/s ({ratio:.2%} of {label})")
+              f"G items/s ({ratio:.2%} of {label})")
         if ratio < 1.0 - threshold:
             failures.append(name)
     if compared == 0:
-        print(f"note: no overlapping GEMM benchmarks with {label}")
+        print(f"note: no overlapping gated benchmarks with {label}")
         return None
     return failures, compared
 
@@ -152,7 +162,7 @@ def main():
                          "per-runner-shape baselines")
     ap.add_argument("current", nargs="?")
     ap.add_argument("--threshold", type=float, default=0.30,
-                    help="max tolerated fractional GFLOP/s drop vs a "
+                    help="max tolerated fractional rate drop vs a "
                          "committed baseline (default 0.30)")
     ap.add_argument("--fallback", default=None,
                     help="per-shape baseline from the previous CI run on "
@@ -206,10 +216,10 @@ def main():
 
     failures, compared = result
     if failures:
-        print(f"\n{len(failures)}/{compared} GEMM benchmarks regressed "
+        print(f"\n{len(failures)}/{compared} gated benchmarks regressed "
               f"beyond the threshold")
         return 1
-    print(f"\nall {compared} GEMM benchmarks within threshold")
+    print(f"\nall {compared} gated benchmarks within threshold")
     return 0
 
 
