@@ -92,7 +92,7 @@ std::vector<BubbleTask> make_kfac_tasks(const ScheduleSpec& spec,
             // added below).
             std::vector<std::size_t> inv_deps_a = curv_a_ids;
             std::vector<std::size_t> inv_deps_b = curv_b_ids;
-            if (opts.world > 1 && opts.sync_curvature) {
+            if (opts.world > 1) {
               BubbleTask sync;
               sync.device = dev;
               sync.kind = WorkKind::kSyncCurvature;

@@ -47,11 +47,9 @@ struct KfacWorkOptions {
   // (Osawa et al. 2019 inversion parallelism).
   bool inversion_parallel = false;
   // Number of data-parallel replicas per pipeline (1 = none). Replica r of
-  // device d is device d + r*n_base_devices.
+  // device d is device d + r*n_base_devices. world > 1 inserts a
+  // sync-curvature allreduce of each factor pair before its inversion.
   int world = 1;
-  // Insert sync-curvature collectives (factor allreduce before inversion,
-  // inverse allgather after) when world > 1.
-  bool sync_curvature = true;
 };
 
 // Generates the K-FAC task list for one pipeline step.

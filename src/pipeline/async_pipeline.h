@@ -9,9 +9,11 @@
 //   PipeFisher:      bubbles filled with stale-CURVATURE work
 //                    θ_{t+1} = θ_t − η·F̂⁻¹_{t−n}·g_t  (fresh gradients)
 //
-// This module simulates the async stream and reports utilization plus the
-// realized per-stage weight staleness so the two designs can be compared
-// quantitatively (bench/ext_async_pipeline).
+// This module replays the async stream in virtual time and reports
+// utilization plus the realized per-stage weight staleness so the two
+// designs can be compared quantitatively (bench/ext_async_pipeline). The
+// stream is the plan PipelineRuntime::run_flushless() executes for real:
+// build_step_plan() over every micro-batch with micros_per_step = n_micro.
 #pragma once
 
 #include "src/pipeline/simulator.h"
@@ -30,8 +32,9 @@ struct AsyncPipelineReport {
 };
 
 // Simulates `iterations` mini-batches of `n_micro` micro-batches streaming
-// through a D-stage 1F1B pipeline without flush; device-local optimizer
-// updates run inline after every n_micro backwards.
+// through a D-stage 1F1B pipeline without flush; each stage's sync-grad
+// (0 s) and optimizer update (t_optimizer) run in its device chain after
+// every n_micro-th backward, starting when the device's next op could.
 AsyncPipelineReport simulate_async_1f1b(int n_stages, int n_micro,
                                         int iterations,
                                         const StepCosts& costs);

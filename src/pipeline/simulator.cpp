@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/pipeline/step_plan.h"
 
 namespace pf {
 
@@ -45,6 +46,15 @@ double StepSimResult::op_start(const PipeOp& op) const {
   PF_CHECK(it != op_start_times.end()) << "op not executed: " << op_debug(op);
   return it->second;
 }
+
+namespace {
+
+// simulate_step's task graph, before the step tail: the plan plus each
+// task's duration in seconds. Every task is an op task (is_op).
+struct SimGraph {
+  StepPlan plan;
+  std::vector<double> seconds;
+};
 
 SimGraph build_sim_graph(const ScheduleSpec& spec, const StepCosts& costs) {
   spec.validate();
@@ -141,28 +151,24 @@ SimGraph build_sim_graph(const ScheduleSpec& spec, const StepCosts& costs) {
   return g;
 }
 
-StepSimResult replay_sim_graph(const SimGraph& graph, double t_p2p) {
-  const StepPlan& plan = graph.plan;
-  const PlanReplay r = replay_plan(plan, graph.seconds, t_p2p, plan.n_lanes);
+}  // namespace
+
+StepSimResult simulate_step(const ScheduleSpec& spec, const StepCosts& costs) {
+  // One thread per device; t_p2p is the cross-device handoff.
+  const SimGraph g = build_sim_graph(spec, costs);
+  const StepPlan& plan = g.plan;
+  const PlanReplay r = replay_plan(plan, g.seconds, costs.t_p2p, plan.n_lanes);
   StepSimResult res(plan.n_lanes);
   res.timeline = replay_timeline(plan, r);
   res.realized_programs.resize(plan.n_lanes);
   for (std::size_t d = 0; d < plan.n_lanes; ++d)
     for (const std::size_t i : r.lanes[d]) {
-      const PlannedTask& t = plan.tasks[i];
-      if (!t.is_op) continue;
-      res.realized_programs[d].push_back(t.op);
-      res.op_start_times[op_key(t.op)] = r.start[i];
-      res.op_end_times[op_key(t.op)] = r.end[i];
+      const PipeOp& op = plan.tasks[i].op;
+      res.realized_programs[d].push_back(op);
+      res.op_start_times[op_key(op)] = r.start[i];
+      res.op_end_times[op_key(op)] = r.end[i];
       res.pipe_makespan = std::max(res.pipe_makespan, r.end[i]);
     }
-  res.step_time = r.makespan;
-  return res;
-}
-
-StepSimResult simulate_step(const ScheduleSpec& spec, const StepCosts& costs) {
-  StepSimResult res =
-      replay_sim_graph(build_sim_graph(spec, costs), costs.t_p2p);
 
   // ---- Step tail: sync-grad, precondition, optimizer update ----
   std::vector<double> free_at(static_cast<std::size_t>(spec.n_devices), 0.0);

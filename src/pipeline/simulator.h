@@ -2,9 +2,9 @@
 //
 // Executes a ScheduleSpec under per-op costs and produces a Timeline — the
 // simulated analog of the paper's Nsight profile of one pipeline step.
-// simulate_step builds the step as a task graph (a StepPlan, see
-// build_sim_graph) and replays it through the library's one virtual-time
-// engine, replay_plan (pipeline/step_plan.h), with one thread per device.
+// simulate_step builds the step as a task graph (a StepPlan) and replays it
+// through the library's one virtual-time engine, replay_plan
+// (pipeline/step_plan.h), with one thread per device.
 //
 // Semantics:
 //  * One task per op, on its device's lane; a device runs one op at a time.
@@ -39,7 +39,6 @@
 #include <map>
 
 #include "src/pipeline/ops.h"
-#include "src/pipeline/step_plan.h"
 #include "src/trace/timeline.h"
 
 namespace pf {
@@ -98,21 +97,6 @@ class StepSimResult {
 };
 
 StepSimResult simulate_step(const ScheduleSpec& spec, const StepCosts& costs);
-
-// simulate_step's task graph, before the step tail: the plan plus each
-// task's duration in seconds. Every task is an op task (is_op); callers may
-// add more (the asynchronous stream adds its inline optimizer updates)
-// before replaying it.
-struct SimGraph {
-  StepPlan plan;
-  std::vector<double> seconds;
-};
-SimGraph build_sim_graph(const ScheduleSpec& spec, const StepCosts& costs);
-
-// Replays a simulator graph with one thread per device and t_p2p as the
-// cross-device handoff. Fills every StepSimResult field; step_time is the
-// latest task end (no step tail).
-StepSimResult replay_sim_graph(const SimGraph& graph, double t_p2p);
 
 // Convenience: total bubble (idle) time across devices within the pipeline
 // portion [0, pipe_makespan] of the step.

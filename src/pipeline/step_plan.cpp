@@ -195,12 +195,22 @@ Timeline replay_timeline(const StepPlan& plan, const PlanReplay& replay) {
 StepPlan build_step_plan(const ScheduleSpec& spec,
                          const std::vector<std::vector<PipeOp>>& device_order,
                          const std::vector<std::size_t>& factors_per_stage,
-                         bool curv_step, bool inv_step) {
+                         bool curv_step, bool inv_step, int micros_per_step) {
   const int S = spec.n_stages;
   const int N = spec.n_micro;
   const bool split = spec.split_backward;
   PF_CHECK(factors_per_stage.size() == static_cast<std::size_t>(S))
       << "factors_per_stage must have one entry per model stage";
+  const int per_step = micros_per_step > 0 ? micros_per_step : N;
+  PF_CHECK(micros_per_step >= 0 && N % per_step == 0)
+      << micros_per_step << " micros per step do not divide " << N;
+  const int n_steps = N / per_step;
+  PF_CHECK(n_steps == 1 ||
+           (!spec.dynamic_order && !split &&
+            std::all_of(factors_per_stage.begin(), factors_per_stage.end(),
+                        [](std::size_t f) { return f == 0; })))
+      << spec.name
+      << ": a multi-step plan needs static, unsplit programs and no K-FAC";
 
   StepPlan plan;
   plan.n_lanes = static_cast<std::size_t>(spec.n_devices);
@@ -240,7 +250,7 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
   //   backward(pl, s, m): forward(pl, s, m)              [stashed caches]
   //                       backward(pl, s+1, m)           [grad-activation]
   //                       backward(*, s, prev micro)     [grad fold order]
-  //   static schedules:   the device's previous program op [event order]
+  //   static schedules:   the device's previous task     [event order]
   auto op_deps = [&](const PipeOp& op) {
     std::vector<PipeOp> deps;
     if (op.type == OpType::kForward) {
@@ -270,7 +280,28 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
     t.micro = op.micro;
     t.op = op;
     t.is_op = true;
-    op_task[op_key(op)] = add_task(std::move(t));
+    const std::size_t id = add_task(std::move(t));
+    op_task[op_key(op)] = id;
+    return id;
+  };
+
+  // A stream's step tail for the stage of step-closing backward `close`:
+  // gradient finalization, then the stage's optimizer update. Returns the
+  // update's index.
+  auto add_step_tail = [&](const PipeOp& close, long priority,
+                           std::vector<std::size_t> deps) {
+    PlannedTask sync;
+    sync.lane = static_cast<std::size_t>(spec.device_of(0, close.stage));
+    sync.priority = priority;
+    sync.deps = std::move(deps);
+    sync.kind = WorkKind::kSyncGrad;
+    sync.stage = close.stage;
+    sync.step = close.micro / per_step;
+    PlannedTask update = sync;
+    update.resource = close.stage;
+    update.deps = {add_task(std::move(sync))};
+    update.kind = WorkKind::kOptimizerUpdate;
+    return add_task(std::move(update));
   };
 
   // Create op tasks in a topological order (the executor requires
@@ -299,24 +330,26 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
       }
   } else {
     // Static schedules honor their programs exactly: each op additionally
-    // depends on the previous op of its device program (head-of-line), so
-    // the realized order IS the planned order. Creation sweeps the
-    // programs; a schedule whose program fights the gradient-fold order
+    // depends on the task before it on its device (head-of-line), so the
+    // realized order IS the planned order. Creation sweeps the programs; a
+    // schedule whose program fights the gradient-fold order
     // (normalize_backward_order prevents this for the built-ins) fails
     // loudly instead of deadlocking.
+    //
+    // A stream's mid-plan step tail is created just before the device's
+    // next op, with that op's deps; the op then follows the tail instead.
     std::vector<std::size_t> next_in_prog(device_order.size(), 0);
+    std::vector<std::size_t> lane_last(device_order.size(), 0);
+    std::vector<const PipeOp*> tail_due(device_order.size(), nullptr);
     std::size_t remaining = planned_ops;
     while (remaining > 0) {
       bool progress = false;
       for (std::size_t d = 0; d < device_order.size(); ++d) {
         while (next_in_prog[d] < device_order[d].size()) {
           const PipeOp& op = device_order[d][next_in_prog[d]];
-          std::vector<PipeOp> deps = op_deps(op);
-          if (next_in_prog[d] > 0)
-            deps.push_back(device_order[d][next_in_prog[d] - 1]);
           std::vector<std::size_t> dep_ids;
           bool ready = true;
-          for (const PipeOp& dep : deps) {
+          for (const PipeOp& dep : op_deps(op)) {
             const auto it = op_task.find(op_key(dep));
             if (it == op_task.end()) {
               ready = false;
@@ -325,7 +358,21 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
             dep_ids.push_back(it->second);
           }
           if (!ready) break;
-          make_op_task(op, std::move(dep_ids));
+          if (next_in_prog[d] > 0) {
+            std::size_t prev = lane_last[d];
+            if (tail_due[d] != nullptr) {
+              std::vector<std::size_t> tail_deps = dep_ids;
+              tail_deps.push_back(prev);
+              prev = add_step_tail(*tail_due[d], op_priority.at(op_key(op)),
+                                   std::move(tail_deps));
+              tail_due[d] = nullptr;
+            }
+            dep_ids.push_back(prev);
+          }
+          lane_last[d] = make_op_task(op, std::move(dep_ids));
+          if (op.type == OpType::kBackward && (op.micro + 1) % per_step == 0 &&
+              op.micro + 1 < N)
+            tail_due[d] = &op;
           ++next_in_prog[d];
           --remaining;
           progress = true;
@@ -389,6 +436,7 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
     t.deps = {last_bwd[static_cast<std::size_t>(s)]};
     t.kind = WorkKind::kSyncGrad;
     t.stage = s;
+    t.step = n_steps - 1;
     grad_final[static_cast<std::size_t>(s)] = add_task(std::move(t));
   }
 
@@ -509,6 +557,7 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
       t.deps.push_back(p);
     t.kind = WorkKind::kOptimizerUpdate;
     t.stage = s;
+    t.step = n_steps - 1;
     add_task(std::move(t));
   }
 

@@ -2,14 +2,17 @@
 // priority, resource token and dependency edges, WITHOUT the bodies that do
 // the work — and the one virtual-time engine that replays such a graph.
 //
-// Two graphs are built as StepPlans:
-//  * build_step_plan() below: the graph PipelineRuntime::step() executes
-//    (its TaskExecutor runs exactly these tasks);
+// Two builders produce StepPlans:
+//  * build_step_plan() below: the graph PipelineRuntime executes — one
+//    synchronous step for step() and the forked launcher, or the whole
+//    flushless stream (micros_per_step < n_micro) for run_flushless(),
+//    which simulate_async_1f1b (pipeline/async_pipeline.h) also replays;
 //  * the paper's idealized step (pipeline/simulator.h): simulate_step()
 //    describes the schedule as a plan and replays it.
-// replay_plan() is the library's only virtual-time scheduler. simulate_step
-// and perfmodel's predict_step (src/perfmodel/calibration.h) both call it;
-// they differ only in the graph and the per-task seconds they hand it.
+// replay_plan() is the library's only virtual-time scheduler.
+// simulate_step, simulate_async_1f1b and perfmodel's predict_step
+// (src/perfmodel/calibration.h) all call it; they differ only in the graph
+// and the per-task seconds they hand it.
 //
 // The runtime plan is bitwise-load-bearing: PipelineRuntime attaches bodies
 // to the tasks in plan order and asserts executor ids equal plan indices,
@@ -44,6 +47,9 @@ struct PlannedTask {
 
   WorkKind kind = WorkKind::kForward;
   int stage = -1, micro = -1, layer = -1, factor = -1;
+  // Step a kSyncGrad / kOptimizerUpdate tail closes, counted from the
+  // plan's first step (always 0 in a one-step plan).
+  int step = 0;
   PipeOp op{};        // valid when is_op
   bool is_op = false;
 };
@@ -102,7 +108,8 @@ void normalize_backward_order(std::vector<std::vector<PipeOp>>& programs);
 // §3.3 costs; backward-normalized either way.
 std::vector<std::vector<PipeOp>> plan_device_order(const ScheduleSpec& spec);
 
-// Builds the full step graph for one synchronous step:
+// Builds the full task graph of one synchronous step (or of a stream, see
+// micros_per_step below):
 //   pipeline F/B ops (creation order honors `device_order`), deferred W
 //   chains (split_backward), per-stage gradient finalization, K-FAC
 //   curvature/commit/inversion/precondition work for every stage with
@@ -111,9 +118,19 @@ std::vector<std::vector<PipeOp>> plan_device_order(const ScheduleSpec& spec);
 //
 // `device_order` is plan_device_order(spec); `factors_per_stage[s]` is the
 // K-FAC engine's tracked-factor count on stage s (0 = no engine).
+//
+// `micros_per_step` (0 = spec.n_micro) cuts the plan into steps: a value
+// below spec.n_micro that divides it makes the plan a flushless stream of
+// n_micro / micros_per_step steps (static, unsplit programs without K-FAC
+// only). After each stage's step-closing backward, except in the last
+// step, the stage's tail — kSyncGrad, then kOptimizerUpdate, tagged with
+// PlannedTask::step — joins its device chain. The tail takes the deps of
+// the device's next op, so it starts when that op could, and that op then
+// waits for it. The last step keeps the end-of-plan tail.
 StepPlan build_step_plan(const ScheduleSpec& spec,
                          const std::vector<std::vector<PipeOp>>& device_order,
                          const std::vector<std::size_t>& factors_per_stage,
-                         bool curv_step, bool inv_step);
+                         bool curv_step, bool inv_step,
+                         int micros_per_step = 0);
 
 }  // namespace pf

@@ -1,13 +1,11 @@
 #include "src/train/pipeline_runtime.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "src/comm/tensor_wire.h"
 #include "src/common/check.h"
 #include "src/common/strings.h"
-#include "src/pipeline/one_f_one_b.h"
 #include "src/train/plan_binder.h"
 
 namespace pf {
@@ -98,55 +96,16 @@ BertLossBreakdown PipelineRuntime::step() {
       << cfg_.schedule
       << " is flushless: stream it with run_flushless() instead";
   const int S = spec_.n_stages;
-  const int D = spec_.n_devices;
 
   // --- Step preamble: exactly the serial Trainer's ---------------------
-  // Entry reset (not just exit): a step that threw mid-flight leaves
-  // stashes and channel boxes populated — clearing here keeps a retried
-  // step() reporting its own errors instead of phantom duplicates.
+  // Entry reset (not just exit): begin_step() clears the stashes a step
+  // that threw mid-flight left populated.
   binder_->begin_step(t_, spec_.n_micro);
   std::vector<ArenaAllocator::Stats> arena_before;
   for (int s = 0; s < S; ++s)
     arena_before.push_back(binder_->worker(s).arena->stats());
-  for (auto& ch : fwd_ch_) ch->clear();
-  for (auto& ch : bwd_ch_) ch->clear();
 
-  // --- Bind the step plan's tasks and hand them to the executor --------
-  // The graph itself (lanes, priorities, resources, dependency edges) is
-  // built by build_step_plan(); each closure only calls the binder. Executor
-  // ids equal plan indices by construction — asserted below — which is
-  // what lets the perfmodel calibration layer replay the identical plan in
-  // virtual time.
-  StepPlan plan = make_step_plan(binder_->curv_step(), binder_->inv_step());
-  TaskExecutor ex(*pool_, static_cast<std::size_t>(D));
-  for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
-    const PlannedTask& pt = plan.tasks[i];
-    const std::size_t id = ex.add([this, &pt] { binder_->run(pt); }, pt.lane,
-                                  pt.priority, pt.deps, pt.resource);
-    PF_ASSERT(id == i);
-  }
-
-  // --- Execute ----------------------------------------------------------
-  ex.run();
-  last_records_ = ex.records();
-  last_plan_ = std::move(plan);
-
-  // Realized timeline: per-device intervals sorted by wall-clock start.
-  last_timeline_ = Timeline(static_cast<std::size_t>(D));
-  last_wall_seconds_ = 0.0;
-  for (const auto& ids : executed_by_lane())
-    for (const std::size_t i : ids) {
-      const PlannedTask& pt = last_plan_.tasks[i];
-      last_timeline_.add(Interval{.device = pt.lane,
-                                  .start = last_records_[i].start,
-                                  .end = last_records_[i].end,
-                                  .kind = pt.kind,
-                                  .stage = pt.stage,
-                                  .micro = pt.micro,
-                                  .layer = pt.layer,
-                                  .factor = pt.factor});
-      last_wall_seconds_ = std::max(last_wall_seconds_, last_records_[i].end);
-    }
+  execute(make_step_plan(binder_->curv_step(), binder_->inv_step()));
   if (cfg_.step_observer) cfg_.step_observer(last_timeline_);
 
   // --- Step epilogue: losses in micro order, stash cleanup --------------
@@ -166,10 +125,6 @@ BertLossBreakdown PipelineRuntime::step() {
     last_memory_stats_[si].arena_fresh = now.fresh - arena_before[si].fresh;
     last_memory_stats_[si].arena_free_bytes = now.free_bytes;
   }
-  for (const auto& ch : fwd_ch_)
-    PF_CHECK(ch->pending() == 0) << ch->name() << ": undelivered activations";
-  for (const auto& ch : bwd_ch_)
-    PF_CHECK(ch->pending() == 0) << ch->name() << ": undelivered gradients";
   ++t_;
   return total;
 }
@@ -188,127 +143,77 @@ TrainTrace PipelineRuntime::run_flushless() {
   PF_CHECK(!traits_of(cfg_.schedule).flush)
       << cfg_.schedule << " flushes at step boundaries: use run()";
   PF_CHECK(t_ == 0) << "run_flushless() streams once per runtime instance";
-  const int S = spec_.n_stages;
   const int N = spec_.n_micro;
-  const int D = spec_.n_devices;
   const int steps = static_cast<int>(cfg_.total_steps);
   PF_CHECK(steps >= 1);
-  const int G = N * steps;
 
-  // One streaming program over every step: the per-step 1F1B program with
-  // N·steps global micros. Warmup and drain exist only at stream entry and
-  // exit; the interior is the steady state a flush would repeatedly break.
-  const std::vector<std::vector<PipeOp>> order =
-      plan_device_order(make_1f1b(S, G));
+  // One plan over every step: the schedule's program over N·steps global
+  // micros, each stage's tail spliced into its device chain after the
+  // stage's step-closing backward. Warmup and drain exist only at stream
+  // entry and exit; the interior is the steady state a flush would
+  // repeatedly break.
+  const ScheduleSpec stream = build_schedule(
+      cfg_.schedule, {cfg_.n_stages, N * steps, cfg_.virtual_chunks});
+  StepPlan plan = build_step_plan(stream, plan_device_order(stream),
+                                  kfac_factors_, false, false, N);
 
   // The step preamble once for the whole stream: every micro-batch drawn up
   // front in the serial order, indexed (and channel-keyed) by global micro.
-  binder_->begin_step(0, G);
-  for (auto& ch : fwd_ch_) ch->clear();
-  for (auto& ch : bwd_ch_) ch->clear();
-
-  fl_fwd_ver_.assign(static_cast<std::size_t>(S),
-                     std::vector<int>(static_cast<std::size_t>(G), 0));
-  fl_bwd_ver_.assign(static_cast<std::size_t>(S),
-                     std::vector<int>(static_cast<std::size_t>(G), 0));
-  // Inline updates applied per stage so far. Only tasks on stage s's lane
-  // touch slot s (head-of-line chained), so plain ints are race-free.
-  std::vector<int> version(static_cast<std::size_t>(S), 0);
-
-  TaskExecutor ex(*pool_, static_cast<std::size_t>(D));
-  std::map<long, std::size_t> op_task;
-  // Creation sweep like step()'s static path: ops join their device chain
-  // in program order, with the stage's inline update spliced in right
-  // after its step-closing backward — everything that reads or writes the
-  // stage's weights stays on one serialized chain.
-  std::vector<std::size_t> next(order.size(), 0);
-  std::vector<bool> has_prev(static_cast<std::size_t>(D), false);
-  std::vector<std::size_t> prev_task(static_cast<std::size_t>(D), 0);
-  std::vector<long> prio(static_cast<std::size_t>(D), 0);
-  std::size_t remaining = 0;
-  for (const auto& p : order) remaining += p.size();
-  while (remaining > 0) {
-    bool progress = false;
-    for (std::size_t d = 0; d < order.size(); ++d) {
-      while (next[d] < order[d].size()) {
-        const PipeOp& op = order[d][next[d]];
-        const int s = op.stage;
-        const int g = op.micro;
-        const auto si = static_cast<std::size_t>(s);
-        std::vector<PipeOp> pdeps;
-        if (op.type == OpType::kForward) {
-          if (s > 0) pdeps.push_back({OpType::kForward, 0, s - 1, g});
-        } else {
-          pdeps.push_back({OpType::kForward, 0, s, g});
-          if (s + 1 < S) pdeps.push_back({OpType::kBackward, 0, s + 1, g});
-        }
-        std::vector<std::size_t> dep_ids;
-        bool ready = true;
-        for (const PipeOp& dep : pdeps) {
-          const auto it = op_task.find(op_key(dep));
-          if (it == op_task.end()) {
-            ready = false;
-            break;
-          }
-          dep_ids.push_back(it->second);
-        }
-        if (!ready) break;
-        if (has_prev[d]) dep_ids.push_back(prev_task[d]);
-        const auto gi = static_cast<std::size_t>(g);
-        std::function<void()> body;
-        if (op.type == OpType::kForward) {
-          body = [this, s, si, g, gi, &version] {
-            fl_fwd_ver_[si][gi] = version[si];
-            binder_->forward(s, g);
-          };
-        } else {
-          // keep_kfac_stash = false: nothing reads the stashes later, so
-          // in-flight memory stays O(D) micros for the whole stream.
-          body = [this, s, si, g, gi, &version] {
-            fl_bwd_ver_[si][gi] = version[si];
-            binder_->backward(s, g, /*keep_kfac_stash=*/false,
-                              /*defer_dw=*/false);
-          };
-        }
-        prev_task[d] = ex.add(std::move(body), d, prio[d]++,
-                              std::move(dep_ids), /*resource=*/s);
-        has_prev[d] = true;
-        op_task[op_key(op)] = prev_task[d];
-        ++next[d];
-        --remaining;
-        progress = true;
-        if (op.type == OpType::kBackward && (g + 1) % N == 0) {
-          // Device-local update closing step k for this stage: fold the
-          // accumulated gradients, step the per-stage optimizer at the
-          // step's LR, re-zero for the next step's fold, bump the version.
-          const auto k = static_cast<std::size_t>(g / N);
-          auto update = [this, s, si, k, &version] {
-            binder_->sync_grads(s);
-            binder_->update(s, cfg_.lr.lr(k));
-            zero_grads(binder_->worker(s).params);
-            ++version[si];
-          };
-          prev_task[d] = ex.add(std::move(update), d, prio[d]++,
-                                {prev_task[d]}, /*resource=*/s);
-        }
-      }
-    }
-    PF_CHECK(progress) << cfg_.schedule << ": flushless stream deadlocked";
-  }
-
-  ex.run();
+  binder_->begin_step(0, N * steps);
+  execute(std::move(plan));
 
   TrainTrace trace;
   for (int k = 0; k < steps; ++k)
     trace.add(cfg_.lr.lr(static_cast<std::size_t>(k)),
               binder_->mean_loss(k * N, N));
   binder_->end_step();
+  t_ = static_cast<std::size_t>(steps);
+  return trace;
+}
+
+void PipelineRuntime::execute(StepPlan plan) {
+  // A plan that threw mid-flight leaves channel boxes populated; clearing
+  // here keeps a retry reporting its own errors instead of phantom
+  // duplicates.
+  for (auto& ch : fwd_ch_) ch->clear();
+  for (auto& ch : bwd_ch_) ch->clear();
+
+  // The graph itself (lanes, priorities, resources, dependency edges) is
+  // built by build_step_plan(); each closure only calls the binder.
+  // Executor ids equal plan indices by construction — asserted below —
+  // which is what lets the perfmodel calibration layer replay the
+  // identical plan in virtual time.
+  TaskExecutor ex(*pool_, plan.n_lanes);
+  for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
+    const PlannedTask& pt = plan.tasks[i];
+    const std::size_t id = ex.add([this, &pt] { binder_->run(pt); }, pt.lane,
+                                  pt.priority, pt.deps, pt.resource);
+    PF_ASSERT(id == i);
+  }
+  ex.run();
+  last_records_ = ex.records();
+  last_plan_ = std::move(plan);
+
+  // Realized timeline: per-device intervals sorted by wall-clock start.
+  last_timeline_ = Timeline(last_plan_.n_lanes);
+  last_wall_seconds_ = 0.0;
+  for (const auto& ids : executed_by_lane())
+    for (const std::size_t i : ids) {
+      const PlannedTask& pt = last_plan_.tasks[i];
+      last_timeline_.add(Interval{.device = pt.lane,
+                                  .start = last_records_[i].start,
+                                  .end = last_records_[i].end,
+                                  .kind = pt.kind,
+                                  .stage = pt.stage,
+                                  .micro = pt.micro,
+                                  .layer = pt.layer,
+                                  .factor = pt.factor});
+      last_wall_seconds_ = std::max(last_wall_seconds_, last_records_[i].end);
+    }
   for (const auto& ch : fwd_ch_)
     PF_CHECK(ch->pending() == 0) << ch->name() << ": undelivered activations";
   for (const auto& ch : bwd_ch_)
     PF_CHECK(ch->pending() == 0) << ch->name() << ": undelivered gradients";
-  t_ = static_cast<std::size_t>(steps);
-  return trace;
 }
 
 std::vector<std::vector<std::size_t>> PipelineRuntime::executed_by_lane()

@@ -6,12 +6,13 @@
 // as a real task on a thread pool (common/task_executor.h) in the event
 // order produced by the schedule registry — gpipe, 1f1b,
 // interleaved-1f1b and chimera all drive the same code path — hands
-// boundary activations and grad-activations over comm/stage_channel, and
-// dispatches the K-FAC engine's per-factor/per-micro work items
-// (kfac/kfac_engine.h) into the realized idle gaps: K-FAC tasks carry
-// lower dispatch priority than pipeline ops, and the executor's pick is
-// global across idle lanes, so bubble work never takes a thread while an
-// idle lane has a runnable pipeline op — the executable analog of
+// boundary activations and grad-activations over Channels (the mutex
+// comm/stage_channel or the shm rings of comm/transport_channel, see
+// `transport`), and dispatches the K-FAC engine's per-factor/per-micro
+// work items (kfac/kfac_engine.h) into the realized idle gaps: K-FAC tasks
+// carry lower dispatch priority than pipeline ops, and the executor's pick
+// is global across idle lanes, so bubble work never takes a thread while
+// an idle lane has a runnable pipeline op — the executable analog of
 // core/bubble_assigner's greedy gap packing, with the simulator's
 // readiness rules become task dependencies:
 //
@@ -41,8 +42,8 @@
 //
 // What each planned task does is bound in ONE place, shared with the
 // forked launcher (train/multiproc.h): train/plan_binder.h's per-stage
-// workers and PlanBinder::run(). step() only wraps that call in executor
-// closures, one per plan task.
+// workers and PlanBinder::run(). step() and run_flushless() only wrap that
+// call in executor closures, one per plan task.
 //
 // Each stage runs under its own ExecContext whose nn/GEMM budget is
 // `stage_threads` (every value is bitwise-neutral); the runtime owns a
@@ -57,7 +58,7 @@
 // recycle instead of malloc'ing; stages report per-step stash high-water
 // marks and arena recycle counts through memory_stats().
 //
-// After each step the runtime exposes the realized execution as a
+// After each step or stream the runtime exposes the realized execution as a
 // trace::Timeline (real wall-clock intervals, one lane per device) for
 // comparison against the simulator's predicted schedule.
 #pragma once
@@ -111,7 +112,8 @@ struct PipelineRuntimeConfig {
   // the realized wall-clock Timeline. This is how executed durations flow
   // into the perfmodel calibration fit (CalibrationAccumulator::ingest)
   // without the caller having to poll last_executed_timeline() between
-  // steps of run(). Not called by run_flushless() (no per-step timeline).
+  // steps of run(). Not called by run_flushless(): its one timeline spans
+  // the whole stream, not a step.
   std::function<void(const Timeline&)> step_observer;
 };
 
@@ -130,33 +132,24 @@ class PipelineRuntime {
   // cfg.total_steps steps; trace shape identical to Trainer::run().
   TrainTrace run();
 
-  // PipeDream-style flushless streaming (1f1b-flushless): ONE task graph
-  // over total_steps · n_micro global micros — the per-step 1F1B program
-  // concatenated with no flush between steps — with each stage's optimizer
-  // update inlined into its device chain after the stage's N-th backward of
-  // every step. Later forwards read whatever weight version their stage has
-  // applied by then (the paper's Appendix C.1 stale-weight semantics;
-  // tagged below). Bitwise deterministic across worker counts: every
-  // read/write of a stage's weights — forward, backward, update — runs on
-  // that stage's lane, head-of-line chained. Requires a flushless schedule,
-  // use_kfac = false (no step boundary anchors curvature refreshes), and
-  // streams once per runtime instance. step()/run() reject flushless
-  // schedules; this is their streaming counterpart.
+  // PipeDream-style flushless streaming (e.g. 1f1b-flushless): ONE plan
+  // over total_steps · n_micro global micros — cfg.schedule's program over
+  // all of them, with no flush between steps — built by build_step_plan()
+  // with micros_per_step = n_micro, so each stage's sync-grad and optimizer
+  // update join its device chain after the stage's step-closing backward.
+  // Executed exactly like a step(). Later forwards read whatever weight
+  // version their stage has applied by then (the paper's Appendix C.1
+  // stale-weight semantics): last_executed_timeline() shows, per lane, how
+  // many kOptimizerUpdate intervals precede each op. Bitwise deterministic
+  // across worker counts: every read/write of a stage's weights — forward,
+  // backward, update — runs on that stage's lane, head-of-line chained.
+  // Requires a flushless schedule, use_kfac = false (no step boundary
+  // anchors curvature refreshes), and streams once per runtime instance.
+  // step()/run() reject flushless schedules; this is their streaming
+  // counterpart.
   TrainTrace run_flushless();
 
-  // Weight-version tags of the last run_flushless(): [stage][global micro]
-  // = inline updates that stage had applied when its forward/backward of
-  // the micro ran. backward_version - forward_version >= 0 is the
-  // PipeDream-style staleness (0 everywhere for a synchronous run).
-  const std::vector<std::vector<int>>& flushless_forward_versions() const {
-    return fl_fwd_ver_;
-  }
-  const std::vector<std::vector<int>>& flushless_backward_versions() const {
-    return fl_bwd_ver_;
-  }
-
   const ScheduleSpec& spec() const { return spec_; }
-  int n_model_stages() const { return spec_.n_stages; }
   std::size_t steps_taken() const { return t_; }
   // Resolved boundary transport ("inproc" or "shm").
   const std::string& transport() const { return transport_; }
@@ -182,7 +175,8 @@ class PipelineRuntime {
   // Per-device op order actually executed last step (sorted by realized
   // start time).
   std::vector<std::vector<PipeOp>> last_realized_order() const;
-  // Executed wall-clock timeline of the last step (one lane per device).
+  // Executed wall-clock timeline of the last step or stream (one lane per
+  // device).
   const Timeline& last_executed_timeline() const { return last_timeline_; }
   double last_step_wall_seconds() const { return last_wall_seconds_; }
   // Realized handover order on a boundary (micro ids in send order).
@@ -202,6 +196,9 @@ class PipelineRuntime {
   }
 
  private:
+  // Binds every task of `plan` to PlanBinder::run(), runs them on the pool
+  // and keeps the plan, the executor records and the Timeline.
+  void execute(StepPlan plan);
   // Executed task ids of the last step per lane, in realized start order.
   std::vector<std::vector<std::size_t>> executed_by_lane() const;
 
@@ -224,7 +221,6 @@ class PipelineRuntime {
   Timeline last_timeline_;
   std::vector<StageMemoryStats> last_memory_stats_;
   double last_wall_seconds_ = 0.0;
-  std::vector<std::vector<int>> fl_fwd_ver_, fl_bwd_ver_;
   std::size_t t_ = 0;
 };
 

@@ -60,7 +60,7 @@ void PlanBinder::begin_step(std::size_t t, int n_batches) {
   batches_.reserve(static_cast<std::size_t>(n_batches));
   for (int m = 0; m < n_batches; ++m)
     batches_.push_back(batcher_.next_batch(cfg_.micro_batch_size, data_rng_));
-  lr_ = cfg_.lr.lr(t);
+  t_ = t;
   curv_step_ = cfg_.use_kfac && t % cfg_.kfac.curvature_interval == 0;
   inv_step_ = cfg_.use_kfac && t % cfg_.kfac.inverse_interval == 0;
   key_base_ = links_.recv_timeout > 0.0 ? static_cast<int>(t) * n_micro_ : 0;
@@ -128,7 +128,9 @@ void PlanBinder::run(const PlannedTask& task) {
       engine->precondition_layer(f);
       return;
     case WorkKind::kOptimizerUpdate:
-      update(s, lr_);
+      w.opt->step(w.params,
+                  cfg_.lr.lr(t_ + static_cast<std::size_t>(task.step)));
+      zero_grads(w.params);
       return;
     default:
       PF_CHECK(false) << "unexpected kind in step plan";
@@ -168,11 +170,6 @@ void PlanBinder::sync_grads(int s) {
   if (n_micro_ <= 1) return;
   const double inv = 1.0 / static_cast<double>(n_micro_);
   for (Param* p : worker(s).params) p->g *= inv;
-}
-
-void PlanBinder::update(int s, double lr) {
-  StageWorker& w = worker(s);
-  w.opt->step(w.params, lr);
 }
 
 BertLossBreakdown PlanBinder::mean_loss(int first, int n) const {

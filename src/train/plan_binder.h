@@ -6,11 +6,10 @@
 // owns the workers of the stages one process runs, and its run() is the
 // ONLY place in the library where a planned task's WorkKind turns into
 // training work:
-//   * PipelineRuntime::step() wraps run() in its TaskExecutor closures;
+//   * PipelineRuntime::step() and run_flushless() wrap run() in their
+//     TaskExecutor closures, one per task of a build_step_plan() plan;
 //   * a forked child of run_multiproc filters the step plan by lane and
-//     calls run() in plan-index order;
-//   * PipelineRuntime::run_flushless() calls the forward(), backward() and
-//     update entry points run() itself uses.
+//     calls run() in plan-index order.
 // The StepPlan that perfmodel's predict_step replays is therefore, by
 // construction, the work every executor runs.
 //
@@ -71,23 +70,18 @@ class PlanBinder {
   // Step preamble, exactly the serial Trainer's: draws `n_batches`
   // micro-batches in the serial order (one data RNG across steps), zeroes
   // the owned stages' gradients, clears their stashes and fixes step t's
-  // LR and K-FAC refresh flags.
+  // K-FAC refresh flags. A stream's plan starts at t and draws every
+  // step's batches up front.
   void begin_step(std::size_t t, int n_batches);
   // Parks the owned stages' surviving stashes in their arenas.
   void end_step();
   bool curv_step() const { return curv_step_; }
   bool inv_step() const { return inv_step_; }
 
-  // Runs one planned task's work.
+  // Runs one planned task's work. `task.micro` indexes the batches
+  // begin_step() drew. kOptimizerUpdate steps the stage at the LR of step
+  // t + task.step and leaves its gradients zero for the next step's fold.
   void run(const PlannedTask& task);
-
-  // The entry points run() uses. `micro` indexes the batches begin_step()
-  // drew.
-  void forward(int s, int micro);
-  void backward(int s, int micro, bool keep_kfac_stash, bool defer_dw);
-  // Averages the stage's accumulated gradients over the step's micros.
-  void sync_grads(int s);
-  void update(int s, double lr);
 
   // The last stage's losses over micros [first, first + n), summed in
   // micro order and averaged, exactly as Trainer::step folds them.
@@ -96,6 +90,10 @@ class PlanBinder {
   StageWorker& worker(int s) { return workers_[static_cast<std::size_t>(s)]; }
 
  private:
+  void forward(int s, int micro);
+  void backward(int s, int micro, bool keep_kfac_stash, bool defer_dw);
+  // Averages the stage's accumulated gradients over the step's micros.
+  void sync_grads(int s);
   Matrix receive(Channel* ch, int micro) const;
   bool keeps_kfac_stash(const StageWorker& w) const {
     return curv_step_ && w.engine != nullptr;
@@ -112,7 +110,7 @@ class PlanBinder {
 
   // Fixed by begin_step().
   std::vector<BertBatch> batches_;
-  double lr_ = 0.0;
+  std::size_t t_ = 0;
   bool curv_step_ = false, inv_step_ = false;
   int key_base_ = 0;
 };

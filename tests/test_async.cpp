@@ -83,6 +83,23 @@ TEST(AsyncPipeline, InlineUpdatesAppearOncePerIterationPerDevice) {
   }
 }
 
+// Exact values of the stream's replay. They move if the rule that places
+// each step tail in its device chain (it takes the deps of the device's
+// next op) drifts.
+TEST(AsyncPipeline, StreamReplayIsPinned) {
+  StepCosts c = unit_costs();
+  c.t_p2p = 0.1;
+  c.t_optimizer = 0.25;
+  const auto deep = simulate_async_1f1b(4, 4, 6, c);
+  EXPECT_EQ(deep.stream_makespan, 86.249999999999972);
+  EXPECT_EQ(deep.utilization, 0.95304347826086944);
+  EXPECT_EQ(deep.staleness_per_stage, (std::vector<double>{1, 1, 1, 0}));
+  const auto shallow = simulate_async_1f1b(3, 2, 5, c);
+  EXPECT_EQ(shallow.stream_makespan, 38.600000000000009);
+  EXPECT_EQ(shallow.utilization, 0.9597006332757626);
+  EXPECT_EQ(shallow.staleness_per_stage, (std::vector<double>{1, 1, 0}));
+}
+
 TEST(AsyncPipeline, ThroughputApproachesIdeal) {
   // Ideal flushless throughput: one micro per (T_f + T_b) per device row.
   const auto rep = simulate_async_1f1b(4, 4, 12, unit_costs());

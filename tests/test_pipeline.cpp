@@ -410,5 +410,76 @@ TEST(StepPlanProperties, HoldOnEveryRegistryShape) {
   }
 }
 
+// The same builder's flushless stream: 1f1b-flushless over steps·N micros
+// in steps of N, over D 2–8 × N {1, 2, 4, 8} × steps {1, 2, 3, 5}:
+//  * every dep precedes its task;
+//  * each lane is one chain in plan order (every task depends on the
+//    lane's previous task), so execution order, and with it the weight
+//    version each op reads, is fixed by the plan;
+//  * each lane's ops are plan_device_order's, in order;
+//  * each stage runs exactly `steps` updates, tagged 0..steps-1 in lane
+//    order, each right after its own kSyncGrad;
+//  * update k follows every backward of step k and precedes every
+//    backward of step k+1 on its lane.
+TEST(StepPlanProperties, HoldOnEveryStreamShape) {
+  int shapes = 0;
+  for (int d = 2; d <= 8; ++d)
+    for (const int n : {1, 2, 4, 8})
+      for (const int steps : {1, 2, 3, 5}) {
+        const std::string label = "D=" + std::to_string(d) +
+                                  " N=" + std::to_string(n) +
+                                  " steps=" + std::to_string(steps);
+        const ScheduleSpec spec =
+            build_schedule("1f1b-flushless", {d, n * steps, 1});
+        const auto order = plan_device_order(spec);
+        const StepPlan plan = build_step_plan(
+            spec, order, std::vector<std::size_t>(static_cast<std::size_t>(d)),
+            false, false, n);
+        ++shapes;
+
+        std::vector<std::vector<std::size_t>> lanes(plan.n_lanes);
+        for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
+          for (const std::size_t dep : plan.tasks[i].deps)
+            ASSERT_LT(dep, i) << label << ": task " << i;
+          lanes[plan.tasks[i].lane].push_back(i);
+        }
+        ASSERT_EQ(lanes.size(), order.size()) << label;
+        for (std::size_t l = 0; l < lanes.size(); ++l) {
+          const auto& ids = lanes[l];
+          const std::string at = label + ": lane " + std::to_string(l);
+          std::vector<PipeOp> ops;
+          std::map<int, int> updates;  // stage -> updates so far
+          for (std::size_t k = 0; k < ids.size(); ++k) {
+            const PlannedTask& t = plan.tasks[ids[k]];
+            if (k > 0) {
+              EXPECT_NE(std::find(t.deps.begin(), t.deps.end(), ids[k - 1]),
+                        t.deps.end())
+                  << at << ": task " << ids[k] << " is off the lane chain";
+            }
+            if (t.is_op) ops.push_back(t.op);
+            if (t.kind == WorkKind::kBackward) {
+              EXPECT_EQ(updates[t.stage], t.micro / n)
+                  << at << ": B(" << t.stage << ", " << t.micro << ") after "
+                  << updates[t.stage] << " updates";
+            }
+            if (t.kind == WorkKind::kOptimizerUpdate) {
+              EXPECT_EQ(t.step, updates[t.stage]) << at;
+              ASSERT_GT(k, 0u) << at;
+              const PlannedTask& sync = plan.tasks[ids[k - 1]];
+              EXPECT_TRUE(sync.kind == WorkKind::kSyncGrad &&
+                          sync.stage == t.stage && sync.step == t.step)
+                  << at << ": update " << t.step << " of stage " << t.stage
+                  << " not right after its sync-grad";
+              ++updates[t.stage];
+            }
+          }
+          EXPECT_EQ(ops, order[l]) << at;
+          for (const auto& [s, u] : updates)
+            EXPECT_EQ(u, steps) << at << ": stage " << s;
+        }
+      }
+  EXPECT_EQ(shapes, 7 * 4 * 4);
+}
+
 }  // namespace
 }  // namespace pf

@@ -3,17 +3,19 @@
 // fused pass; the zb-h1 schedule floats one W op per backward through the
 // simulator without ever displacing the critical path; the executable
 // runtime keeps the serial-Trainer bitwise contract across stages and
-// worker counts; and the flushless streaming path (run_flushless) is
-// bitwise invariant to workers while exposing PipeDream-style weight
-// staleness through its version tags.
+// worker counts; and the flushless streaming path (run_flushless) runs
+// the configured schedule's stream plan, is bitwise invariant to workers
+// and shows PipeDream-style weight staleness in its executed timeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <tuple>
 
 #include "src/common/strings.h"
 #include "src/optim/lamb.h"
+#include "src/pipeline/gpipe.h"
 #include "src/pipeline/simulator.h"
 #include "src/pipeline/zero_bubble.h"
 #include "src/train/pipeline_runtime.h"
@@ -340,7 +342,33 @@ TEST(FlushlessRuntime, BitwiseInvariantToWorkers) {
   }
 }
 
-TEST(FlushlessRuntime, VersionTagsExposeBoundedStaleness) {
+// Weight versions of a stream, read from its executed timeline:
+// [stage][global micro] = updates of that stage its lane had run when the
+// micro's forward (or backward) started.
+struct StreamVersions {
+  std::vector<std::vector<int>> fwd, bwd;
+};
+
+StreamVersions stream_versions(const Timeline& tl, int stages, int G) {
+  StreamVersions v;
+  v.fwd.assign(static_cast<std::size_t>(stages),
+               std::vector<int>(static_cast<std::size_t>(G), -1));
+  v.bwd = v.fwd;
+  for (std::size_t d = 0; d < tl.n_devices(); ++d) {
+    std::vector<int> applied(static_cast<std::size_t>(stages), 0);
+    for (const Interval& iv : tl.device_intervals(d)) {
+      const auto s = static_cast<std::size_t>(iv.stage);
+      if (iv.kind == WorkKind::kOptimizerUpdate) ++applied[s];
+      if (iv.kind == WorkKind::kForward)
+        v.fwd[s][static_cast<std::size_t>(iv.micro)] = applied[s];
+      if (iv.kind == WorkKind::kBackward)
+        v.bwd[s][static_cast<std::size_t>(iv.micro)] = applied[s];
+    }
+  }
+  return v;
+}
+
+TEST(FlushlessRuntime, TimelineExposesBoundedStaleness) {
   const auto cfg = small_bert(4);
   const int stages = 4, n_micro = 4;
   const std::size_t micro_batch = 4, steps = 3;
@@ -351,19 +379,17 @@ TEST(FlushlessRuntime, VersionTagsExposeBoundedStaleness) {
                                  micro_batch, steps, false, 2, 1);
   PipelineRuntime rt(model, data.batcher, pc);
   rt.run_flushless();
-  const auto& fwd = rt.flushless_forward_versions();
-  const auto& bwd = rt.flushless_backward_versions();
   const int G = n_micro * static_cast<int>(steps);
-  ASSERT_EQ(fwd.size(), static_cast<std::size_t>(stages));
-  ASSERT_EQ(bwd.size(), static_cast<std::size_t>(stages));
+  const auto [fwd, bwd] =
+      stream_versions(rt.last_executed_timeline(), stages, G);
   int max_staleness = 0;
   for (int s = 0; s < stages; ++s) {
-    ASSERT_EQ(fwd[s].size(), static_cast<std::size_t>(G));
-    ASSERT_EQ(bwd[s].size(), static_cast<std::size_t>(G));
     for (int g = 0; g < G; ++g) {
-      // A micro's backward never sees an OLDER weight version than its
-      // forward, versions only grow along the stream, and no op can see
-      // more updates than its own stage has closed out by then.
+      // Every op ran once; a micro's backward never sees an OLDER weight
+      // version than its forward, versions only grow along the stream, and
+      // no op can see more updates than its own stage has closed out by
+      // then.
+      ASSERT_GE(fwd[s][g], 0) << "s=" << s << " g=" << g;
       EXPECT_GE(bwd[s][g], fwd[s][g]) << "s=" << s << " g=" << g;
       EXPECT_LE(bwd[s][g], g / n_micro + 1) << "s=" << s << " g=" << g;
       if (g > 0) {
@@ -382,6 +408,68 @@ TEST(FlushlessRuntime, VersionTagsExposeBoundedStaleness) {
   // A runtime streams exactly once.
   EXPECT_THROW(rt.run_flushless(), Error);
   EXPECT_EQ(rt.steps_taken(), steps);
+}
+
+// A flushless schedule registered through the extension point: GPipe's
+// program, streamed without flushes.
+ScheduleSpec gpipe_flushless_factory(const ScheduleParams& p) {
+  auto spec = make_gpipe(p.n_stages, p.n_micro);
+  spec.name = "test-gpipe-flushless";
+  return spec;
+}
+
+TEST(FlushlessRuntime, StreamsTheConfiguredSchedule) {
+  ScheduleTraits t;
+  t.name = "test-gpipe-flushless";
+  t.description = "gpipe program streamed without flushes (test suite)";
+  t.flush = false;
+  t.c_f = {1.0, 1.0, -1.0};
+  t.c_b = {1.0, 1.0, -1.0};
+  // Registration is process-global and permanent; stay idempotent so the
+  // suite survives --gtest_repeat.
+  if (!schedule_registered(t.name))
+    register_schedule(t, &gpipe_flushless_factory);
+
+  const auto cfg = small_bert(4);
+  const int stages = 2, n_micro = 2, steps = 3;
+  Rng rng(7);
+  BertModel model(cfg, rng);
+  Corpus data(cfg);
+  PipelineRuntime rt(model, data.batcher,
+                     runtime_config(t.name, stages, n_micro, /*micro_batch=*/4,
+                                    steps, false, /*workers=*/2, 1));
+  rt.run_flushless();
+  const Timeline& tl = rt.last_executed_timeline();
+  ASSERT_EQ(tl.n_devices(), static_cast<std::size_t>(stages));
+
+  // Each lane ran the backward-normalized registered program over every
+  // step's micros, with its stage's sync-grad and update after each
+  // step-closing backward.
+  auto programs = make_gpipe(stages, n_micro * steps).programs;
+  normalize_backward_order(programs);
+  using Slot = std::tuple<WorkKind, int, int>;  // kind, stage, micro
+  for (int d = 0; d < stages; ++d) {
+    std::vector<Slot> want, got;
+    for (const PipeOp& op : programs[static_cast<std::size_t>(d)]) {
+      const bool fwd = op.type == OpType::kForward;
+      want.emplace_back(fwd ? WorkKind::kForward : WorkKind::kBackward,
+                        op.stage, op.micro);
+      if (!fwd && (op.micro + 1) % n_micro == 0) {
+        want.emplace_back(WorkKind::kSyncGrad, op.stage, -1);
+        want.emplace_back(WorkKind::kOptimizerUpdate, op.stage, -1);
+      }
+    }
+    for (const Interval& iv :
+         tl.device_intervals(static_cast<std::size_t>(d)))
+      got.emplace_back(iv.kind, iv.stage, iv.micro);
+    EXPECT_EQ(got, want) << "lane " << d;
+  }
+  // GPipe order runs every forward before the first update: no forward
+  // sees an updated weight.
+  const auto versions = stream_versions(tl, stages, n_micro * steps);
+  for (int s = 0; s < stages; ++s)
+    for (const int v : versions.fwd[static_cast<std::size_t>(s)])
+      EXPECT_EQ(v, 0) << "stage " << s;
 }
 
 }  // namespace
