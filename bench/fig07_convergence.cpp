@@ -18,10 +18,11 @@
 // time fraction ~50-75%), not absolute.
 //
 // Environment: PF_FIG7_STEPS overrides the 600-step default (e.g. 150 for a
-// quick run, 1200 for a tighter curve). PF_GEMM_THREADS=<n> runs the GEMM
-// kernels n-way row-block parallel (bitwise-identical results).
-// PF_NN_THREADS=<n> parallelizes the nn forward/backward loops the same
-// way (also bitwise-identical; src/common/exec_context.h).
+// quick run, 1200 for a tighter curve). PF_NN_THREADS=<n> and
+// PF_GEMM_THREADS=<n> build the ExecContext both training runs thread
+// through: n-way nn loops and n-way GEMM row blocks (bitwise-identical
+// results; src/common/exec_context.h). The K-FAC run's engine takes the
+// same GEMM count, and PF_KFAC_LAYER_THREADS=<n> fans its per-layer loops.
 // PF_SCHEDULE=<name> picks the pipeline schedule for the steps→time
 // conversion (any name in list_schedules(); default chimera, as in the
 // paper).
@@ -35,7 +36,6 @@
 #include "src/common/exec_context.h"
 #include "src/common/stats.h"
 #include "src/core/pipefisher.h"
-#include "src/linalg/gemm.h"
 #include "src/pipeline/schedule_registry.h"
 #include "src/trace/ascii_plot.h"
 #include "src/optim/kfac_optimizer.h"
@@ -48,10 +48,12 @@ using namespace pf;
 namespace {
 
 TrainTrace run_training(const BertConfig& cfg, const MlmBatcher& batcher,
-                        std::size_t steps, bool use_kfac) {
+                        std::size_t steps, bool use_kfac,
+                        const ExecContext& exec) {
   Rng rng(7);  // same init for both runs
   BertModel model(cfg, rng);
-  TrainerConfig tc;  // tc.exec defaults to the follow-the-knobs context
+  TrainerConfig tc;
+  tc.exec = exec;
   tc.batch_size = 32;
   tc.total_steps = steps;
   // NVLAMB warms up for 28% of the run (2000/7038); K-FAC for 8.5%
@@ -62,7 +64,7 @@ TrainTrace run_training(const BertConfig& cfg, const MlmBatcher& batcher,
   if (use_kfac) {
     KfacOptimizerOptions o;
     o.kfac.damping = 1e-3;
-    o.kfac.gemm_threads = 0;  // follow the PF_GEMM_THREADS global knob
+    o.kfac.gemm_threads = exec.gemm_threads();
     o.kfac.layer_threads = env_int("PF_KFAC_LAYER_THREADS", 1);
     o.curvature_interval = 1;
     o.inverse_interval = 3;  // PipeFisher-style frequent refresh
@@ -80,8 +82,8 @@ TrainTrace run_training(const BertConfig& cfg, const MlmBatcher& batcher,
 int main() {
   const std::size_t steps =
       static_cast<std::size_t>(std::max(1, env_int("PF_FIG7_STEPS", 600)));
-  set_gemm_threads(env_int("PF_GEMM_THREADS", 1));
-  ExecContext::set_default_nn_threads(env_int("PF_NN_THREADS", 1));
+  const ExecContext exec(env_int("PF_NN_THREADS", 1),
+                         env_int("PF_GEMM_THREADS", 1));
   const std::string schedule = env_str("PF_SCHEDULE", "chimera");
   // Fail a typo (or a flushless schedule, which has no per-step bubble
   // model) now, not after the training runs.
@@ -112,9 +114,9 @@ int main() {
               std::log(static_cast<double>(corpus.n_words())));
 
   std::printf("training NVLAMB baseline...\n");
-  const auto lamb_trace = run_training(cfg, batcher, steps, false);
+  const auto lamb_trace = run_training(cfg, batcher, steps, false, exec);
   std::printf("training K-FAC...\n");
-  const auto kfac_trace = run_training(cfg, batcher, steps, true);
+  const auto kfac_trace = run_training(cfg, batcher, steps, true, exec);
 
   // Per-step times from the pipeline simulation (paper: 256 P100 GPUs,
   // Chimera, 4 stages; we default to the same D=4 Chimera configuration —

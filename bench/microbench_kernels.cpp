@@ -57,8 +57,9 @@ void BM_GemmForward(benchmark::State& state) {
   pf::Rng rng(1);
   const Matrix x = Matrix::randn(n, n, rng);
   const Matrix w = Matrix::randn(n, n, rng);
+  const pf::ExecContext ctx(1, threads);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pf::matmul(x, w, threads));
+    benchmark::DoNotOptimize(pf::matmul(x, w, ctx));
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
   pf::set_simd_level(entry_level);
@@ -76,8 +77,9 @@ void BM_GemmBackwardNt(benchmark::State& state) {
   pf::Rng rng(5);
   const Matrix dy = Matrix::randn(n, n, rng);
   const Matrix w = Matrix::randn(n, n, rng);
+  const pf::ExecContext ctx(1, threads);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pf::matmul_nt(dy, w, threads));
+    benchmark::DoNotOptimize(pf::matmul_nt(dy, w, ctx));
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
   pf::set_simd_level(entry_level);
@@ -124,9 +126,9 @@ void BM_InversionWork(benchmark::State& state) {
   Matrix spd = pf::matmul_tn(u, u);
   spd *= 1.0 / static_cast<double>(d);
   pf::add_diagonal(spd, 1.0);
+  const pf::ExecContext ctx(1, threads);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pf::cholesky_inverse(pf::cholesky(spd, threads), threads));
+    benchmark::DoNotOptimize(pf::cholesky_inverse(pf::cholesky(spd, ctx), ctx));
   }
   state.SetItemsProcessed(state.iterations() * d * d * d);
 }
@@ -144,9 +146,9 @@ void BM_PreconditionWork(benchmark::State& state) {
   const Matrix a_inv = Matrix::randn(d, d, rng);
   const Matrix b_inv = Matrix::randn(4 * d, 4 * d, rng);
   const Matrix g = Matrix::randn(d, 4 * d, rng);
+  const pf::ExecContext ctx(1, threads);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pf::matmul(pf::matmul(a_inv, g, threads), b_inv, threads));
+    benchmark::DoNotOptimize(pf::matmul(pf::matmul(a_inv, g, ctx), b_inv, ctx));
   }
   pf::set_simd_level(entry_level);
 }

@@ -6,9 +6,10 @@
 //
 // PF_NN_THREADS=<n> parallelizes the nn forward/backward loops — attention
 // heads, layer-norm rows, embedding gather/scatter, activations, loss —
-// over n pool chunks via the process-default ExecContext (results are
+// over n pool chunks, and PF_GEMM_THREADS=<n> the GEMM row blocks the same
+// way: the two build the one ExecContext the serial trainer threads
+// through, and the K-FAC engines take the same GEMM count (results are
 // bitwise identical to the serial run; see src/common/exec_context.h).
-// PF_GEMM_THREADS=<n> parallelizes the GEMM row blocks the same way.
 // PF_KFAC_LAYER_THREADS=<n> fans the per-layer K-FAC loops across n pool
 // chunks (also bitwise identical; see KfacOptions::layer_threads).
 // PF_FORCE_SCALAR=1 pins the GEMM microkernel to the portable scalar path
@@ -38,7 +39,6 @@
 #include "src/common/stats.h"
 #include "src/common/strings.h"
 #include "src/core/pipefisher.h"
-#include "src/linalg/gemm.h"
 #include "src/pipeline/schedule_registry.h"
 #include "src/pipeline/simulator.h"
 #include "src/optim/kfac_optimizer.h"
@@ -46,12 +46,15 @@
 #include "src/train/convergence.h"
 #include "src/train/pipeline_runtime.h"
 
-int main(int argc, char** argv) {
-  using namespace pf;
+namespace {
+
+using namespace pf;
+
+int run(int argc, char** argv) {
   const std::size_t steps =
       argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 200;
-  set_gemm_threads(env_int("PF_GEMM_THREADS", 1));
-  ExecContext::set_default_nn_threads(env_int("PF_NN_THREADS", 1));
+  const ExecContext exec(env_int("PF_NN_THREADS", 1),
+                         env_int("PF_GEMM_THREADS", 1));
   const int layer_threads = env_int("PF_KFAC_LAYER_THREADS", 1);
   const int n_stages = env_int("PF_STAGES", 0);
   const int n_micros = env_int("PF_MICROS", 1);
@@ -64,8 +67,8 @@ int main(int argc, char** argv) {
                "linalg: %s kernels (detected %s), gemm_threads=%d, "
                "nn_threads=%d, kfac layer_threads=%d\n",
                simd_level_name(active_simd_level()),
-               simd_level_name(detected_simd_level()), gemm_threads(),
-               ExecContext::default_nn_threads(), layer_threads);
+               simd_level_name(detected_simd_level()), exec.gemm_threads(),
+               exec.nn_threads(), layer_threads);
   if (n_stages > 0)
     std::fprintf(stderr,
                  "[pipeline] executable runtime: D=%d, micros=%d, "
@@ -124,7 +127,7 @@ int main(int argc, char** argv) {
         2e-2, use_kfac ? steps * 85 / 1000 : steps * 28 / 100, steps);
     KfacOptimizerOptions o;
     o.kfac.damping = 1e-3;
-    o.kfac.gemm_threads = 0;  // follow the PF_GEMM_THREADS global knob
+    o.kfac.gemm_threads = exec.gemm_threads();
     o.kfac.layer_threads = layer_threads;
     o.inverse_interval = 3;
     // Per-micro curvature is the runtime's semantics. For THIS example's
@@ -160,8 +163,8 @@ int main(int argc, char** argv) {
                        .c_str());
       return trace;
     }
-    TrainerConfig tc;  // tc.exec defaults to the follow-the-knobs context:
-                       // nn loops track PF_NN_THREADS, GEMMs PF_GEMM_THREADS
+    TrainerConfig tc;
+    tc.exec = exec;
     tc.batch_size = 32;
     tc.accumulation_steps = static_cast<std::size_t>(n_micros);
     tc.total_steps = steps;
@@ -227,4 +230,17 @@ int main(int argc, char** argv) {
       percent(prep.utilization_baseline).c_str(),
       percent(prep.utilization).c_str());
   return 0;
+}
+
+}  // namespace
+
+// A bad knob (an unknown PF_SIMD_LEVEL, a thread count below 1, a
+// flushless PF_SCHEDULE) ends the run with its message, not an abort.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "example_bert_pretraining: %s\n", e.what());
+    return 1;
+  }
 }

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <string>
 
+#include "src/common/check.h"
 #include "src/common/strings.h"
 
 namespace pf {
@@ -35,12 +36,17 @@ SimdLevel clamp_to_detected(SimdLevel level) {
 SimdLevel env_override(SimdLevel detected) {
   // PF_SIMD_LEVEL pins a tier by name; the legacy PF_FORCE_SCALAR=1 knob
   // stays working as an alias for PF_SIMD_LEVEL=scalar. An unrecognized
-  // value is ignored (detected level wins) rather than aborting: the knob
-  // exists for CI matrix legs and perf triage, not program logic.
+  // name is an error: a typo in a CI leg's pinned tier would otherwise test
+  // the detected tier in silence. A valid name above the detected tier
+  // clamps down, so AVX-512 rows self-skip on hosts without it.
   const std::string name = env_str("PF_SIMD_LEVEL", "");
-  SimdLevel parsed;
-  if (!name.empty() && parse_simd_level(name.c_str(), &parsed))
+  if (!name.empty()) {
+    SimdLevel parsed = SimdLevel::kScalar;
+    PF_CHECK(parse_simd_level(name.c_str(), &parsed))
+        << "PF_SIMD_LEVEL='" << name
+        << "' is not a SIMD level (want scalar, avx2 or avx512)";
     return clamp_to_detected(parsed);
+  }
   if (env_int("PF_FORCE_SCALAR", 0) != 0) return SimdLevel::kScalar;
   return detected;
 }

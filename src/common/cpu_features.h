@@ -14,6 +14,7 @@
 //   active_simd_level()    what the kernels will actually use. Starts at the
 //                          detected level, demoted by the PF_SIMD_LEVEL
 //                          environment knob (values: scalar, avx2, avx512;
+//                          any other value throws pf::Error on first use;
 //                          the legacy PF_FORCE_SCALAR=1 is an alias for
 //                          PF_SIMD_LEVEL=scalar), and adjustable with
 //                          set_simd_level so tests and benches can compare
@@ -44,7 +45,8 @@ bool parse_simd_level(const char* name, SimdLevel* out);
 // Highest level this host + build supports. Computed once (cpuid), cached.
 SimdLevel detected_simd_level();
 
-// Level the linalg kernels dispatch on right now.
+// Level the linalg kernels dispatch on right now. The first call reads
+// PF_SIMD_LEVEL and throws pf::Error naming an unknown value.
 SimdLevel active_simd_level();
 
 // Requests a level; clamped to detected_simd_level(). Returns the level

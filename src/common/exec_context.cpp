@@ -1,38 +1,15 @@
 #include "src/common/exec_context.h"
 
-#include <algorithm>
-#include <atomic>
+#include "src/common/check.h"
 
 namespace pf {
 
-namespace {
-// The process-default knobs. Both start at 1 — the serial seed behaviour —
-// so nothing parallelizes until an example/test turns a knob.
-std::atomic<int> g_default_nn_threads{1};
-std::atomic<int> g_default_gemm_threads{1};
-}  // namespace
-
-std::size_t ExecContext::resolved_nn_threads() const {
-  const int n = nn_threads_ == 0
-                    ? g_default_nn_threads.load(std::memory_order_relaxed)
-                    : nn_threads_;
-  return static_cast<std::size_t>(std::max(1, n));
-}
-
-void ExecContext::set_default_nn_threads(int n) {
-  g_default_nn_threads.store(std::max(1, n), std::memory_order_relaxed);
-}
-
-int ExecContext::default_nn_threads() {
-  return g_default_nn_threads.load(std::memory_order_relaxed);
-}
-
-void ExecContext::set_default_gemm_threads(int n) {
-  g_default_gemm_threads.store(std::max(1, n), std::memory_order_relaxed);
-}
-
-int ExecContext::default_gemm_threads() {
-  return g_default_gemm_threads.load(std::memory_order_relaxed);
+ExecContext::ExecContext(int nn_threads, int gemm_threads, ThreadPool* pool)
+    : nn_threads_(nn_threads), gemm_threads_(gemm_threads), pool_(pool) {
+  PF_CHECK(nn_threads >= 1)
+      << "ExecContext nn_threads must be >= 1, got " << nn_threads;
+  PF_CHECK(gemm_threads >= 1)
+      << "ExecContext gemm_threads must be >= 1, got " << gemm_threads;
 }
 
 }  // namespace pf

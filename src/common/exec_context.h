@@ -1,17 +1,14 @@
 // Explicit execution context for the compute stack.
 //
-// PR 1/PR 3 threaded the linalg kernels behind trailing `threads` arguments
-// and the implicit set_gemm_threads global; the nn layers reached that
-// parallelism only through the global, and their own row/head/token loops
-// stayed serial. ExecContext makes parallelism a first-class parameter of
-// every forward/backward instead: it carries the thread-pool handle, the nn
-// loop chunk count, the GEMM row-block count, the activation arena and the
-// SIMD dispatch level the kernels beneath will use. A process-default
-// instance — mutated through set_default_nn_threads /
-// set_default_gemm_threads (the latter is what the legacy set_gemm_threads
-// free function now writes) — replaces the old global as the single knob;
-// layer signatures default to it, so call sites without an explicit
-// context keep compiling and keep following the knobs.
+// A thread count reaches a kernel one way only: through the ExecContext it
+// is called with. The context carries the thread-pool handle, the nn loop
+// chunk count, the GEMM row-block count, the activation arena and the SIMD
+// dispatch level the kernels beneath will use. Every nn forward/backward
+// and every GEMM/Cholesky entry takes one; a defaulted argument binds the
+// default context, which is serial ({1, 1} on the process-global pool), so
+// nothing parallelizes unless a caller asks with explicit counts — the
+// pipeline runtime builds one context per stage, the training binaries one
+// from their PF_NN_THREADS / PF_GEMM_THREADS environment.
 //
 // Determinism contract (extends gemm.h): every layer loop parallelized over
 // an ExecContext partitions its work so each memory location receives its
@@ -32,25 +29,20 @@ class ArenaAllocator;  // common/arena.h
 
 class ExecContext {
  public:
-  // Follows the process-default knobs: thread counts of 0 resolve through
-  // default_nn_threads() / the gemm default at the moment of use.
+  // Serial: one nn chunk, one GEMM row block, the process-global pool.
   ExecContext() = default;
-  explicit ExecContext(int nn_threads, int gemm_threads = 0,
-                       ThreadPool* pool = nullptr)
-      : nn_threads_(nn_threads), gemm_threads_(gemm_threads), pool_(pool) {}
+  // Both counts must be >= 1; throws pf::Error naming the field otherwise.
+  // pool == nullptr selects the process-global pool.
+  explicit ExecContext(int nn_threads, int gemm_threads,
+                       ThreadPool* pool = nullptr);
 
-  // Pinned {1, 1}: the serial seed execution, independent of every knob.
-  // Layers use it for tiny per-task products inside an already-parallel
-  // region (e.g. per-head attention GEMMs) to avoid nested fan-out.
-  static ExecContext serial() { return ExecContext(1, 1); }
-  // Follow-the-knobs instance — what every defaulted layer signature binds.
-  static ExecContext defaults() { return ExecContext(); }
-
-  // Raw knob values; 0 = follow the corresponding process default.
+  // Chunk count of the nn row/head/token loops.
   int nn_threads() const { return nn_threads_; }
+  // Row blocks (column passes for cholesky_inverse) of the linalg kernels.
   int gemm_threads() const { return gemm_threads_; }
 
-  // Pool the nn loops fan out on (the shared global pool unless overridden).
+  // Pool the nn loops and linalg kernels fan out on (the shared global pool
+  // unless overridden).
   ThreadPool& pool() const { return pool_ ? *pool_ : ThreadPool::global(); }
 
   // Buffer recycler for activation caches/stashes; nullptr (the default)
@@ -69,15 +61,12 @@ class ExecContext {
   // surfaces it so consumers log/record the level their results depend on.
   SimdLevel simd_level() const { return active_simd_level(); }
 
-  // nn_threads with the 0 = process-default convention applied, floor 1.
-  std::size_t resolved_nn_threads() const;
-
-  // Runs fn(begin, end) over [0, total) in resolved_nn_threads() contiguous
-  // chunks on pool(); serial contexts call fn(0, total) inline with no
+  // Runs fn(begin, end) over [0, total) in nn_threads() contiguous chunks
+  // on pool(); serial contexts call fn(0, total) inline with no
   // std::function wrap (the nn loops sit on hot paths).
   template <typename Fn>
   void parallel_for(std::size_t total, Fn&& fn) const {
-    const std::size_t n = resolved_nn_threads();
+    const auto n = static_cast<std::size_t>(nn_threads_);
     if (n <= 1 || total <= 1) {
       if (total > 0) fn(std::size_t{0}, total);
       return;
@@ -85,19 +74,9 @@ class ExecContext {
     pool().parallel_for(total, n, std::forward<Fn>(fn));
   }
 
-  // Process-default knobs. nn: chunk count for the nn row/head/token loops
-  // (PF_NN_THREADS in the examples). gemm: row-block count the linalg
-  // kernels use for threads == 0 calls — the storage behind the legacy
-  // set_gemm_threads/gemm_threads functions in gemm.h. Both floor at 1 and
-  // are safe to flip between steps (atomic), not mid-kernel.
-  static void set_default_nn_threads(int n);
-  static int default_nn_threads();
-  static void set_default_gemm_threads(int n);
-  static int default_gemm_threads();
-
  private:
-  int nn_threads_ = 0;
-  int gemm_threads_ = 0;
+  int nn_threads_ = 1;
+  int gemm_threads_ = 1;
   ThreadPool* pool_ = nullptr;
   ArenaAllocator* arena_ = nullptr;
 };

@@ -30,12 +30,16 @@ void check_finite_diagonal(const Matrix& f, const Linear& layer, char side,
 
 KfacEngine::KfacEngine(std::vector<Linear*> layers, const KfacOptions& opts,
                        ThreadPool* pool)
-    : layers_(std::move(layers)),
-      opts_(opts),
-      exec_(/*nn_threads=*/1, opts.gemm_threads, pool) {
+    : layers_(std::move(layers)), opts_(opts) {
   PF_CHECK(!layers_.empty());
   PF_CHECK(opts_.ema_decay > 0.0 && opts_.ema_decay < 1.0);
   PF_CHECK(opts_.damping > 0.0);
+  PF_CHECK(opts_.gemm_threads >= 1)
+      << "KfacOptions::gemm_threads must be >= 1, got " << opts_.gemm_threads;
+  PF_CHECK(opts_.layer_threads >= 1)
+      << "KfacOptions::layer_threads must be >= 1, got "
+      << opts_.layer_threads;
+  exec_ = ExecContext(/*nn_threads=*/1, opts_.gemm_threads, pool);
   states_.resize(layers_.size());
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     states_[i].a_ema = Matrix(layers_[i]->d_in(), layers_[i]->d_in(), 0.0);
@@ -58,12 +62,9 @@ void KfacEngine::for_each_layer(
   // Layers are independent: chunking them across the pool cannot change any
   // per-layer result, so every layer_threads value is bitwise equivalent.
   // The fan-out rides the same ExecContext machinery as the nn stack (layer
-  // chunks play the nn_threads role); layer_threads == 0 keeps its
-  // documented follow-the-gemm-knob behaviour by resolving before the
-  // context is built.
-  const ExecContext ctx(
-      static_cast<int>(resolve_gemm_threads(opts_.layer_threads)),
-      opts_.gemm_threads, &exec_.pool());
+  // chunks play the nn_threads role).
+  const ExecContext ctx(opts_.layer_threads, opts_.gemm_threads,
+                        &exec_.pool());
   ctx.parallel_for(layers_.size(), [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) fn(i);
   });

@@ -34,19 +34,19 @@ struct KfacOptions {
   // k = 1 is exact K-FAC; k = dim degenerates to diagonal preconditioning.
   std::size_t block_diag_k = 1;
   // Row-block threads for the GEMM-dominated curvature and precondition
-  // work. 1 = serial seed behaviour (results are bitwise identical for any
-  // value; see gemm.h). 0 = follow the process-wide set_gemm_threads knob.
+  // work and the Cholesky-bound inversion. 1 = serial; results are bitwise
+  // identical for any value >= 1 (see gemm.h).
   int gemm_threads = 1;
   // Layer-level parallelism: each layer's curvature, inversion and
   // precondition work is independent of every other layer's, so the
-  // per-layer loops dispatch across the shared ThreadPool (via an
-  // ExecContext built in for_each_layer) in chunks of layers. Results are
-  // bitwise identical for any value. 1 = serial seed behaviour, 0 = follow
-  // the set_gemm_threads knob. Composes with gemm_threads: a layer task may
-  // itself fan row blocks onto the pool (parallel_for is chunk-claiming: a
-  // caller runs its own loop's unclaimed chunks, so nesting cannot
-  // deadlock), but the two knobs compete for the same cores — prefer
-  // layer_threads for many small layers, gemm_threads for few wide ones.
+  // per-layer loops dispatch across the engine's pool (via an ExecContext
+  // built in for_each_layer) in chunks of layers. 1 = serial; results are
+  // bitwise identical for any value >= 1. Composes with gemm_threads: a
+  // layer task may itself fan row blocks onto the pool (parallel_for is
+  // chunk-claiming: a caller runs its own loop's unclaimed chunks, so
+  // nesting cannot deadlock), but the two knobs compete for the same cores
+  // — prefer layer_threads for many small layers, gemm_threads for few
+  // wide ones.
   int layer_threads = 1;
 };
 
@@ -57,7 +57,8 @@ class KfacEngine {
   // pool (the serial KfacOptimizer's behaviour). The pipeline runtime
   // passes its own pool so bubble-filled K-FAC work never escapes the
   // `workers` budget. Bitwise neutral — pools change where blocks run,
-  // never how results fold (see exec_context.h).
+  // never how results fold (see exec_context.h). Throws pf::Error naming
+  // the field when gemm_threads or layer_threads is below 1.
   KfacEngine(std::vector<Linear*> layers, const KfacOptions& opts,
              ThreadPool* pool = nullptr);
 
@@ -121,7 +122,7 @@ class KfacEngine {
   std::vector<KfacFactorState> states_;
   KfacOptions opts_;
   // Threads the engine's GEMMs/Choleskys: gemm_threads row blocks on the
-  // injected pool (gemm.h ctx overloads).
+  // injected pool.
   ExecContext exec_;
 };
 

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/exec_context.h"
-#include "src/common/thread_pool.h"
-#include "src/linalg/gemm.h"
-
 namespace pf {
 
 namespace {
@@ -36,14 +32,15 @@ bool factor_diag_block(Matrix& w, std::size_t j0, std::size_t jb) {
   return true;
 }
 
-// Pool-parametric core: row blocks run in `n_threads` chunks on `pool`
-// (nullptr = the process-global pool). The ExecContext overloads below route
-// a pipeline stage's factorizations onto the runtime's own worker pool.
-std::optional<Matrix> try_cholesky_on(const Matrix& m, std::size_t n_threads,
-                                      ThreadPool* pool) {
+}  // namespace
+
+// Row blocks run in ctx.gemm_threads() chunks on ctx.pool(), so a pipeline
+// stage's factorizations stay on the runtime's own worker pool.
+std::optional<Matrix> try_cholesky(const Matrix& m, const ExecContext& ctx) {
   PF_CHECK(m.rows() == m.cols()) << "cholesky needs a square matrix";
   const std::size_t n = m.rows();
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
+  const auto n_threads = static_cast<std::size_t>(ctx.gemm_threads());
+  ThreadPool& tp = ctx.pool();
   Matrix w = m;
   // Right-looking blocked algorithm: factor a kNB-wide diagonal block, solve
   // the panel below it, then rank-kNB-downdate the trailing matrix. The two
@@ -112,6 +109,14 @@ std::optional<Matrix> try_cholesky_on(const Matrix& m, std::size_t n_threads,
   return w;
 }
 
+Matrix cholesky(const Matrix& m, const ExecContext& ctx) {
+  auto l = try_cholesky(m, ctx);
+  PF_CHECK(l.has_value()) << "matrix is not positive definite";
+  return std::move(*l);
+}
+
+namespace {
+
 // Unit columns one cholesky_inverse pass solves together. A row of the
 // pass's work buffer holds these columns contiguously, so the innermost
 // loops run across columns and vectorize.
@@ -158,8 +163,9 @@ void solve_unit_columns(const Matrix& l, const Matrix& lt, std::size_t j0,
   }
 }
 
-Matrix cholesky_inverse_on(const Matrix& l, std::size_t n_threads,
-                           ThreadPool* pool) {
+}  // namespace
+
+Matrix cholesky_inverse(const Matrix& l, const ExecContext& ctx) {
   const std::size_t n = l.rows();
   PF_CHECK(l.cols() == n);
   // Solve (LLᵀ) X = I kInvCols unit columns per pass. O(n³), matching the
@@ -169,7 +175,8 @@ Matrix cholesky_inverse_on(const Matrix& l, std::size_t n_threads,
   const Matrix lt = l.transposed();
   Matrix inv(n, n, 0.0);
   const std::size_t n_passes = (n + kInvCols - 1) / kInvCols;
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
+  const auto n_threads = static_cast<std::size_t>(ctx.gemm_threads());
+  ThreadPool& tp = ctx.pool();
   tp.parallel_for(n_passes, n_threads, [&](std::size_t b, std::size_t e) {
     std::vector<double> w(n * kInvCols);
     for (std::size_t p = b; p < e; ++p) {
@@ -188,50 +195,15 @@ Matrix cholesky_inverse_on(const Matrix& l, std::size_t n_threads,
   return inv;
 }
 
-}  // namespace
-
-std::optional<Matrix> try_cholesky(const Matrix& m, int threads) {
-  return try_cholesky_on(m, resolve_gemm_threads(threads), nullptr);
-}
-
-std::optional<Matrix> try_cholesky(const Matrix& m, const ExecContext& ctx) {
-  return try_cholesky_on(m, resolve_gemm_threads(ctx.gemm_threads()),
-                         &ctx.pool());
-}
-
-Matrix cholesky(const Matrix& m, int threads) {
-  auto l = try_cholesky(m, threads);
-  PF_CHECK(l.has_value()) << "matrix is not positive definite";
-  return std::move(*l);
-}
-
-Matrix cholesky(const Matrix& m, const ExecContext& ctx) {
-  auto l = try_cholesky(m, ctx);
-  PF_CHECK(l.has_value()) << "matrix is not positive definite";
-  return std::move(*l);
-}
-
-Matrix cholesky_inverse(const Matrix& l, int threads) {
-  return cholesky_inverse_on(l, resolve_gemm_threads(threads), nullptr);
-}
-
-Matrix cholesky_inverse(const Matrix& l, const ExecContext& ctx) {
-  return cholesky_inverse_on(l, resolve_gemm_threads(ctx.gemm_threads()),
-                             &ctx.pool());
-}
-
-Matrix spd_inverse(const Matrix& m, double damping, int threads) {
-  PF_CHECK(damping >= 0.0);
-  Matrix damped = m;
-  if (damping > 0.0) add_diagonal(damped, damping);
-  return cholesky_inverse(cholesky(damped, threads), threads);
-}
-
 Matrix spd_inverse(const Matrix& m, double damping, const ExecContext& ctx) {
   PF_CHECK(damping >= 0.0);
   Matrix damped = m;
   if (damping > 0.0) add_diagonal(damped, damping);
   return cholesky_inverse(cholesky(damped, ctx), ctx);
+}
+
+Matrix spd_inverse(const Matrix& m, double damping, int threads) {
+  return spd_inverse(m, damping, ExecContext(1, threads));
 }
 
 void add_diagonal(Matrix& m, double eps) {

@@ -4,8 +4,6 @@
 #include <vector>
 
 #include "src/common/cpu_features.h"
-#include "src/common/exec_context.h"
-#include "src/common/thread_pool.h"
 #include "src/linalg/gemm_kernel.h"
 
 // Read-prefetch with high temporal locality; a no-op where unsupported.
@@ -185,17 +183,17 @@ void gemm_rows_packed(std::size_t r0, std::size_t r1, std::size_t N,
 // Shared driver: C(M×N) += alpha * Op(A)·Op(B) with element getters a(i, k),
 // b(k, j) absorbing the nn/tn/nt transposes (da short-circuits the A pack
 // when Op(A) is k-major in memory). B is packed once up front; output rows
-// are then split into contiguous blocks of `n_threads` chunks on `pool`
-// (nullptr = the process-global pool). lower_only (square C) runs only the
-// tiles touching the lower triangle, in the same row chunks.
+// are then split into ctx.gemm_threads() contiguous blocks on ctx.pool().
+// lower_only (square C) runs only the tiles touching the lower triangle, in
+// the same row chunks.
 template <typename AGet, typename BGet>
 void gemm_driver(std::size_t M, std::size_t N, std::size_t K, double alpha,
                  const AGet& a, const DirectA& da, const BGet& b, Matrix& c,
-                 std::size_t n_threads, ThreadPool* pool,
-                 bool lower_only = false) {
+                 const ExecContext& ctx, bool lower_only = false) {
   if (M == 0 || N == 0 || K == 0) return;  // += alpha·0: nothing to do
   const detail::KernelSpec spec = detail::active_kernel_spec();
   const std::vector<double> packed_b = pack_b(K, N, b, spec.nr);
+  const auto n_threads = static_cast<std::size_t>(ctx.gemm_threads());
   if (n_threads <= 1 || M <= 1) {
     // Serial fast path: skip the std::function wrap — small products in the
     // nn forward/backward loops call in here at high frequency.
@@ -203,30 +201,15 @@ void gemm_driver(std::size_t M, std::size_t N, std::size_t K, double alpha,
                      lower_only);
     return;
   }
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
-  tp.parallel_for(M, n_threads, [&](std::size_t r0, std::size_t r1) {
+  ctx.pool().parallel_for(M, n_threads, [&](std::size_t r0, std::size_t r1) {
     gemm_rows_packed(r0, r1, N, K, alpha, a, da, packed_b.data(), c, spec,
                      lower_only);
   });
 }
 
-void matmul_acc_on(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
-                   std::size_t n_threads, ThreadPool* pool) {
-  const std::size_t M = a.rows(), K = a.cols(), N = b.cols();
-  PF_CHECK(b.rows() == K) << "matmul shape: " << M << "x" << K << " * "
-                          << b.rows() << "x" << N;
-  PF_CHECK(c.rows() == M && c.cols() == N);
-  gemm_driver(
-      M, N, K, alpha,
-      [&](std::size_t i, std::size_t k) { return a.row(i)[k]; }, DirectA{},
-      [&](std::size_t k, std::size_t j) { return b.row(k)[j]; }, c, n_threads,
-      pool);
-}
-
-void matmul_tn_acc_on(const Matrix& a, const Matrix& b, Matrix& c,
-                      double alpha, std::size_t n_threads, ThreadPool* pool,
-                      bool lower_only = false) {
-  // a: (M×K), b: (M×N), c: (K×N) += alpha * aᵀ b. Reduction dim is M.
+// c(K×N) += alpha · aᵀb for a (M×K), b (M×N); the reduction dim is M.
+void tn_acc(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
+            const ExecContext& ctx, bool lower_only) {
   const std::size_t M = a.rows(), K = a.cols(), N = b.cols();
   PF_CHECK(b.rows() == M) << "matmul_tn shape mismatch";
   PF_CHECK(c.rows() == K && c.cols() == N);
@@ -236,88 +219,22 @@ void matmul_tn_acc_on(const Matrix& a, const Matrix& b, Matrix& c,
       K, N, M, alpha,
       [&](std::size_t i, std::size_t k) { return a.row(k)[i]; },
       DirectA{a.data(), a.cols()},
-      [&](std::size_t k, std::size_t j) { return b.row(k)[j]; }, c, n_threads,
-      pool, lower_only);
-}
-
-void matmul_nt_acc_on(const Matrix& a, const Matrix& b, Matrix& c,
-                      double alpha, std::size_t n_threads, ThreadPool* pool) {
-  // a: (M×K), b: (N×K), c: (M×N) += alpha * a bᵀ. Reduction dim is K.
-  const std::size_t M = a.rows(), K = a.cols(), N = b.rows();
-  PF_CHECK(b.cols() == K) << "matmul_nt shape mismatch";
-  PF_CHECK(c.rows() == M && c.cols() == N);
-  gemm_driver(
-      M, N, K, alpha,
-      [&](std::size_t i, std::size_t k) { return a.row(i)[k]; }, DirectA{},
-      [&](std::size_t k, std::size_t j) { return b.row(j)[k]; }, c, n_threads,
-      pool);
-}
-
-void syrk_tn_acc_on(const Matrix& a, Matrix& c, double alpha,
-                    std::size_t n_threads, ThreadPool* pool) {
-  matmul_tn_acc_on(a, a, c, alpha, n_threads, pool, /*lower_only=*/true);
-  // Mirror once every chunk has finished: the source (j, i) of an upper
-  // element (i, j) may belong to another chunk's rows.
-  for (std::size_t i = 0; i < c.rows(); ++i)
-    for (std::size_t j = i + 1; j < c.cols(); ++j) c(i, j) = c(j, i);
+      [&](std::size_t k, std::size_t j) { return b.row(k)[j]; }, c, ctx,
+      lower_only);
 }
 
 }  // namespace
 
-void set_gemm_threads(int n) { ExecContext::set_default_gemm_threads(n); }
-
-int gemm_threads() { return ExecContext::default_gemm_threads(); }
-
-std::size_t resolve_gemm_threads(int threads) {
-  const int n = threads == 0 ? ExecContext::default_gemm_threads() : threads;
-  return static_cast<std::size_t>(std::max(1, n));
-}
-
-// --- Legacy int-threads entry points (process-global pool) -----------------
-// Kept deliberately on ThreadPool::global(): they serve tests, benches and
-// serial-trainer call sites that have no per-stage budget to respect. Hot
-// paths inside pipeline stages use the ExecContext overloads below, which
-// dispatch on the context's pool.
-
-void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
-                int threads) {
-  matmul_acc_on(a, b, c, alpha, resolve_gemm_threads(threads), nullptr);
-}
-
-Matrix matmul(const Matrix& a, const Matrix& b, int threads) {
-  Matrix c(a.rows(), b.cols(), 0.0);
-  matmul_acc(a, b, c, 1.0, threads);
-  return c;
-}
-
-void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
-                   int threads) {
-  matmul_tn_acc_on(a, b, c, alpha, resolve_gemm_threads(threads), nullptr);
-}
-
-Matrix matmul_tn(const Matrix& a, const Matrix& b, int threads) {
-  Matrix c(a.cols(), b.cols(), 0.0);
-  matmul_tn_acc(a, b, c, 1.0, threads);
-  return c;
-}
-
-void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
-                   int threads) {
-  matmul_nt_acc_on(a, b, c, alpha, resolve_gemm_threads(threads), nullptr);
-}
-
-Matrix matmul_nt(const Matrix& a, const Matrix& b, int threads) {
-  Matrix c(a.rows(), b.rows(), 0.0);
-  matmul_nt_acc(a, b, c, 1.0, threads);
-  return c;
-}
-
-// --- ExecContext entry points (the context's pool and budget) --------------
-
 void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
                 const ExecContext& ctx) {
-  matmul_acc_on(a, b, c, alpha, resolve_gemm_threads(ctx.gemm_threads()),
-                &ctx.pool());
+  const std::size_t M = a.rows(), K = a.cols(), N = b.cols();
+  PF_CHECK(b.rows() == K) << "matmul shape: " << M << "x" << K << " * "
+                          << b.rows() << "x" << N;
+  PF_CHECK(c.rows() == M && c.cols() == N);
+  gemm_driver(
+      M, N, K, alpha,
+      [&](std::size_t i, std::size_t k) { return a.row(i)[k]; }, DirectA{},
+      [&](std::size_t k, std::size_t j) { return b.row(k)[j]; }, c, ctx);
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b, const ExecContext& ctx) {
@@ -326,10 +243,13 @@ Matrix matmul(const Matrix& a, const Matrix& b, const ExecContext& ctx) {
   return c;
 }
 
+Matrix matmul(const Matrix& a, const Matrix& b, int threads) {
+  return matmul(a, b, ExecContext(1, threads));
+}
+
 void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
                    const ExecContext& ctx) {
-  matmul_tn_acc_on(a, b, c, alpha, resolve_gemm_threads(ctx.gemm_threads()),
-                   &ctx.pool());
+  tn_acc(a, b, c, alpha, ctx, /*lower_only=*/false);
 }
 
 Matrix matmul_tn(const Matrix& a, const Matrix& b, const ExecContext& ctx) {
@@ -338,10 +258,20 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b, const ExecContext& ctx) {
   return c;
 }
 
+Matrix matmul_tn(const Matrix& a, const Matrix& b, int threads) {
+  return matmul_tn(a, b, ExecContext(1, threads));
+}
+
 void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
                    const ExecContext& ctx) {
-  matmul_nt_acc_on(a, b, c, alpha, resolve_gemm_threads(ctx.gemm_threads()),
-                   &ctx.pool());
+  // a: (M×K), b: (N×K), c: (M×N) += alpha * a bᵀ. Reduction dim is K.
+  const std::size_t M = a.rows(), K = a.cols(), N = b.rows();
+  PF_CHECK(b.cols() == K) << "matmul_nt shape mismatch";
+  PF_CHECK(c.rows() == M && c.cols() == N);
+  gemm_driver(
+      M, N, K, alpha,
+      [&](std::size_t i, std::size_t k) { return a.row(i)[k]; }, DirectA{},
+      [&](std::size_t k, std::size_t j) { return b.row(j)[k]; }, c, ctx);
 }
 
 Matrix matmul_nt(const Matrix& a, const Matrix& b, const ExecContext& ctx) {
@@ -352,8 +282,11 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b, const ExecContext& ctx) {
 
 void syrk_tn_acc(const Matrix& a, Matrix& c, double alpha,
                  const ExecContext& ctx) {
-  syrk_tn_acc_on(a, c, alpha, resolve_gemm_threads(ctx.gemm_threads()),
-                 &ctx.pool());
+  tn_acc(a, a, c, alpha, ctx, /*lower_only=*/true);
+  // Mirror once every chunk has finished: the source (j, i) of an upper
+  // element (i, j) may belong to another chunk's rows.
+  for (std::size_t i = 0; i < c.rows(); ++i)
+    for (std::size_t j = i + 1; j < c.cols(); ++j) c(i, j) = c(j, i);
 }
 
 std::vector<double> matvec(const Matrix& a, const std::vector<double>& x) {

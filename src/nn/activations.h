@@ -2,8 +2,7 @@
 //
 // All four free functions parallelize their row loops over the ExecContext
 // (rows are independent, so every thread count is bitwise identical to the
-// serial seed path); the defaulted context keeps the seed-era signatures
-// compiling and following the process knobs.
+// serial seed path); the defaulted context is serial.
 #pragma once
 
 #include "src/common/exec_context.h"
@@ -12,18 +11,17 @@
 namespace pf {
 
 // Stateless forward; callers keep the pre-activation for backward.
-Matrix gelu(const Matrix& x, const ExecContext& ctx = ExecContext::defaults());
+Matrix gelu(const Matrix& x, const ExecContext& ctx = {});
 // dL/dx given pre-activation x and upstream gradient dy.
 Matrix gelu_backward(const Matrix& x, const Matrix& dy,
-                     const ExecContext& ctx = ExecContext::defaults());
+                     const ExecContext& ctx = {});
 
 // Row-wise softmax (numerically stable).
-Matrix softmax_rows(const Matrix& logits,
-                    const ExecContext& ctx = ExecContext::defaults());
+Matrix softmax_rows(const Matrix& logits, const ExecContext& ctx = {});
 // Backward through softmax given its output p and upstream dy:
 // dx = p ∘ (dy − rowsum(dy ∘ p)).
 Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
-                             const ExecContext& ctx = ExecContext::defaults());
+                             const ExecContext& ctx = {});
 
 // Stateful GELU layer for use inside blocks. A training forward computes
 // GELU'(x) from the same tanh as its output and caches that derivative
@@ -33,9 +31,8 @@ Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
 class Gelu {
  public:
   Matrix forward(const Matrix& x, bool training = true,
-                 const ExecContext& ctx = ExecContext::defaults());
-  Matrix backward(const Matrix& dy,
-                  const ExecContext& ctx = ExecContext::defaults());
+                 const ExecContext& ctx = {});
+  Matrix backward(const Matrix& dy, const ExecContext& ctx = {});
 
   // Cache externalization for pipeline stages (see linear.h).
   struct Cache {

@@ -65,11 +65,10 @@ Matrix MultiHeadSelfAttention::forward(const Matrix& x, std::size_t batch,
   // of head h), so any partition is race-free and bitwise identical. When
   // this loop actually fans out, the tiny per-head products run serial
   // inside each task (the parallelism budget is the loop itself); with a
-  // serial outer loop they keep following the context's GEMM row-block
-  // knob, as before the ExecContext refactor. Either choice is bitwise
-  // neutral.
-  const bool fan_out = ctx.resolved_nn_threads() > 1;
-  const ExecContext inner = fan_out ? ExecContext::serial() : ctx;
+  // serial outer loop they use the context's GEMM row blocks. Either choice
+  // is bitwise neutral.
+  const bool fan_out = ctx.nn_threads() > 1;
+  const ExecContext inner = fan_out ? ExecContext() : ctx;
   ctx.parallel_for(batch * n_heads_, [&](std::size_t bh0, std::size_t bh1) {
     for (std::size_t bh = bh0; bh < bh1; ++bh) {
       const std::size_t b = bh / n_heads_;
@@ -101,8 +100,8 @@ Matrix MultiHeadSelfAttention::backward(const Matrix& dy,
   Matrix dv(v_.rows(), d_model_, 0.0);
   // Same task shape as forward: (batch, head) tasks write disjoint slices
   // of dq/dk/dv, with the same inner-threading rule.
-  const bool fan_out = ctx.resolved_nn_threads() > 1;
-  const ExecContext inner = fan_out ? ExecContext::serial() : ctx;
+  const bool fan_out = ctx.nn_threads() > 1;
+  const ExecContext inner = fan_out ? ExecContext() : ctx;
   ctx.parallel_for(batch_ * n_heads_, [&](std::size_t bh0, std::size_t bh1) {
     for (std::size_t bh = bh0; bh < bh1; ++bh) {
       const std::size_t b = bh / n_heads_;

@@ -16,13 +16,11 @@ class MultiHeadSelfAttention {
   // context — tasks write disjoint slices, so every thread count is bitwise
   // identical to serial (see exec_context.h).
   Matrix forward(const Matrix& x, std::size_t batch, std::size_t seq,
-                 bool training = true,
-                 const ExecContext& ctx = ExecContext::defaults());
+                 bool training = true, const ExecContext& ctx = {});
   // `dx_only` routes the four projections through Linear::backward_dx (the
   // zero-bubble B pass): their dW GEMMs are deferred to a later
   // backward_dw over the harvested caches (see stage_partition.h).
-  Matrix backward(const Matrix& dy,
-                  const ExecContext& ctx = ExecContext::defaults(),
+  Matrix backward(const Matrix& dy, const ExecContext& ctx = {},
                   bool dx_only = false);
 
   std::vector<Param*> params();

@@ -57,7 +57,7 @@ class BertModel {
   // gradients are bitwise identical for every thread count (NnThreads
   // suite pins this end to end).
   BertLossBreakdown train_step_backward(
-      const BertBatch& batch, const ExecContext& ctx = ExecContext::defaults());
+      const BertBatch& batch, const ExecContext& ctx = {});
 
   // Inference forward returning the head logits. With the default
   // `training=false` every layer skips its backward cache stash (no
@@ -66,12 +66,12 @@ class BertModel {
   // `training=true` leaves the caches populated for callers that want
   // logits and a backward. Labels in `batch` are ignored.
   BertInferOutput forward(const BertBatch& batch, bool training = false,
-                          const ExecContext& ctx = ExecContext::defaults());
+                          const ExecContext& ctx = {});
 
   // Inference-only loss evaluation (no caches, no gradients); forward()
   // plus the two cross-entropies.
   BertLossBreakdown evaluate(const BertBatch& batch,
-                             const ExecContext& ctx = ExecContext::defaults());
+                             const ExecContext& ctx = {});
 
   std::vector<Param*> params();
   // The K-FAC-tracked linears: all encoder linears (6 per block). The MLM

@@ -22,15 +22,14 @@ class Embedding {
   // (output rows are independent).
   Matrix forward(const std::vector<int>& ids, const std::vector<int>& segments,
                  std::size_t batch, std::size_t seq, bool training = true,
-                 const ExecContext& ctx = ExecContext::defaults());
+                 const ExecContext& ctx = {});
   // Scatter-adds gradients into the tables. Owner-computes sharding: the
   // concatenated table rows [tokens | positions | segments] are split
   // contiguously across threads and every shard scans the tokens in
   // ascending order, applying only the updates landing in its rows — each
   // table coordinate sees the serial accumulation order at every thread
   // count (bitwise identical; see exec_context.h).
-  void backward(const Matrix& dy,
-                const ExecContext& ctx = ExecContext::defaults());
+  void backward(const Matrix& dy, const ExecContext& ctx = {});
 
   std::vector<Param*> params() { return {&tokens_, &positions_, &segments_}; }
   std::size_t d_model() const { return d_model_; }

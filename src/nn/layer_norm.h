@@ -13,12 +13,11 @@ class LayerNorm {
   // Row-parallel over the context: each row's mean/variance/normalization
   // is independent, so every thread count matches serial bit for bit.
   Matrix forward(const Matrix& x, bool training = true,
-                 const ExecContext& ctx = ExecContext::defaults());
+                 const ExecContext& ctx = {});
   // dx is row-parallel; the gamma/beta gradient accumulation is
   // column-sharded (each coordinate sums rows in ascending order — the
   // serial per-location order at every thread count).
-  Matrix backward(const Matrix& dy,
-                  const ExecContext& ctx = ExecContext::defaults());
+  Matrix backward(const Matrix& dy, const ExecContext& ctx = {});
 
   std::vector<Param*> params() { return {&gamma_, &beta_}; }
 

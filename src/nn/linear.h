@@ -21,11 +21,10 @@ class Linear {
   // row blocks and the bias-add row loop (bitwise identical at every thread
   // count — see exec_context.h).
   Matrix forward(const Matrix& x, bool training = true,
-                 const ExecContext& ctx = ExecContext::defaults());
+                 const ExecContext& ctx = {});
   // Accumulates dW, db; returns dx. Caches dy for K-FAC. db is
   // column-sharded so each bias coordinate sums its rows in serial order.
-  Matrix backward(const Matrix& dy,
-                  const ExecContext& ctx = ExecContext::defaults());
+  Matrix backward(const Matrix& dy, const ExecContext& ctx = {});
 
   // Zero-bubble split of backward() (ZB-H1: Qi et al. 2023). backward_dx is
   // the B pass: caches dy, accumulates db, returns dx — everything on the
@@ -36,9 +35,8 @@ class Linear {
   // the same operands, and dW touches coordinates disjoint from db/dx, so
   // only the per-micro order of dW accumulation matters — the caller (the
   // pipeline runtime's per-stage W chain) keeps it ascending.
-  Matrix backward_dx(const Matrix& dy,
-                     const ExecContext& ctx = ExecContext::defaults());
-  void backward_dw(const ExecContext& ctx = ExecContext::defaults());
+  Matrix backward_dx(const Matrix& dy, const ExecContext& ctx = {});
+  void backward_dw(const ExecContext& ctx = {});
 
   std::size_t d_in() const { return d_in_; }
   std::size_t d_out() const { return d_out_; }
@@ -81,8 +79,7 @@ class Linear {
 
   // W pass over an externalized cache (the pipeline runtime's deferred-dW
   // stash): dW += c.xᵀ·c.dy without touching the live caches.
-  void backward_dw(const Cache& c,
-                   const ExecContext& ctx = ExecContext::defaults());
+  void backward_dw(const Cache& c, const ExecContext& ctx = {});
 
   std::vector<Param*> params() { return {&w_, &b_}; }
   const std::string& name() const { return name_; }

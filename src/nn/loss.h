@@ -21,7 +21,6 @@ struct LossResult {
 // its accumulation order (and hence the value) matches the seed exactly.
 LossResult softmax_cross_entropy(const Matrix& logits,
                                  const std::vector<int>& labels,
-                                 const ExecContext& ctx =
-                                     ExecContext::defaults());
+                                 const ExecContext& ctx = {});
 
 }  // namespace pf

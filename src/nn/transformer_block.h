@@ -17,12 +17,10 @@ class TransformerBlock {
                    Rng& rng, const std::string& name);
 
   Matrix forward(const Matrix& x, std::size_t batch, std::size_t seq,
-                 bool training = true,
-                 const ExecContext& ctx = ExecContext::defaults());
+                 bool training = true, const ExecContext& ctx = {});
   // `dx_only` defers the six tracked linears' dW GEMMs (zero-bubble B pass;
   // LayerNorm/GELU grads are cheap and stay on the critical path).
-  Matrix backward(const Matrix& dy,
-                  const ExecContext& ctx = ExecContext::defaults(),
+  Matrix backward(const Matrix& dy, const ExecContext& ctx = {},
                   bool dx_only = false);
 
   std::vector<Param*> params();

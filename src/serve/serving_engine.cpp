@@ -12,6 +12,15 @@
 
 namespace pf {
 
+namespace {
+
+// Admission waits this long for requests before erroring (replay queues
+// never wait; live producers that stall longer are a bug, same policy as
+// StageChannel::recv).
+constexpr double kAdmitTimeoutSeconds = 60.0;
+
+}  // namespace
+
 LatencyStats compute_latency_stats(const std::vector<double>& latencies) {
   LatencyStats s;
   s.n = latencies.size();
@@ -72,7 +81,6 @@ ServingEngine::ServingEngine(BertModel& model, const ServingEngineConfig& cfg)
   PF_CHECK(cfg.max_inflight >= 0);
   PF_CHECK(cfg.workers >= 0);
   PF_CHECK(cfg.stage_threads >= 1);
-  PF_CHECK(cfg.admit_timeout_seconds > 0.0);
   inflight_ = cfg.policy == BatchPolicy::kStatic
                   ? 1
                   : (cfg.max_inflight > 0
@@ -119,7 +127,7 @@ void ServingEngine::admit(TaskExecutor& ex, RunState& rs, RequestQueue& queue,
   std::vector<InferRequest> got =
       queue.wait_pop(want,
                      cfg_.policy == BatchPolicy::kStatic ? want : 1,
-                     cfg_.admit_timeout_seconds);
+                     kAdmitTimeoutSeconds);
   // Empty means closed-and-drained: the admission chain ends here and the
   // graph drains (run() returns once in-flight forwards finish).
   if (got.empty()) return;

@@ -84,10 +84,6 @@ struct ServingEngineConfig {
   // by construction, so every config is eligible.
   std::string transport;
   int pad_id = 0;
-  // Admission waits this long for requests before erroring (replay queues
-  // never wait; live producers that stall longer are a bug, same policy as
-  // StageChannel::recv).
-  double admit_timeout_seconds = 60.0;
 };
 
 // Per-request accounting. Timestamps are seconds relative to run() entry

@@ -12,7 +12,6 @@ const char* work_kind_name(WorkKind k) {
     case WorkKind::kForward: return "forward";
     case WorkKind::kBackward: return "backward";
     case WorkKind::kBackwardWeight: return "backward-w";
-    case WorkKind::kRecomputeForward: return "recompute";
     case WorkKind::kCurvatureA: return "curvatureA";
     case WorkKind::kCurvatureB: return "curvatureB";
     case WorkKind::kInversionA: return "inversionA";
@@ -21,7 +20,6 @@ const char* work_kind_name(WorkKind k) {
     case WorkKind::kSyncGrad: return "sync-grad";
     case WorkKind::kSyncCurvature: return "sync-curvature";
     case WorkKind::kOptimizerUpdate: return "optimizer";
-    case WorkKind::kP2P: return "p2p";
     case WorkKind::kEigendecomposition: return "eigendecomposition";
     case WorkKind::kSamForward: return "sam-forward";
     case WorkKind::kSamBackward: return "sam-backward";
@@ -35,7 +33,6 @@ char work_kind_glyph(WorkKind k) {
     case WorkKind::kForward: return 'F';
     case WorkKind::kBackward: return 'B';
     case WorkKind::kBackwardWeight: return 'W';
-    case WorkKind::kRecomputeForward: return 'f';
     case WorkKind::kCurvatureA: return 'a';
     case WorkKind::kCurvatureB: return 'b';
     case WorkKind::kInversionA: return 'I';
@@ -44,7 +41,6 @@ char work_kind_glyph(WorkKind k) {
     case WorkKind::kSyncGrad: return 'g';
     case WorkKind::kSyncCurvature: return 'c';
     case WorkKind::kOptimizerUpdate: return 'U';
-    case WorkKind::kP2P: return '>';
     case WorkKind::kEigendecomposition: return 'E';
     case WorkKind::kSamForward: return 's';
     case WorkKind::kSamBackward: return 'S';
@@ -55,10 +51,10 @@ char work_kind_glyph(WorkKind k) {
 
 bool counts_as_busy(WorkKind k) {
   // The paper colors forward/backward/curvature/inverse/sync/precondition;
-  // P2P wait is idle. The optimizer update is a real kernel, so it counts.
-  // Admission is queue-wait dominated (it blocks on request arrival), so
-  // utilization treats it as idle time like P2P.
-  return k != WorkKind::kP2P && k != WorkKind::kAdmission;
+  // the optimizer update is a real kernel, so it counts. Admission is
+  // queue-wait dominated (it blocks on request arrival), so utilization
+  // treats it as idle time.
+  return k != WorkKind::kAdmission;
 }
 
 void Timeline::add(const Interval& iv) {

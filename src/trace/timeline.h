@@ -18,7 +18,6 @@ enum class WorkKind {
   // Zero-bubble split (ZB-H1): kBackward is the B (dx) pass, this is the
   // deferred W (dW) pass slotted into what would otherwise be bubbles.
   kBackwardWeight,
-  kRecomputeForward,
   kCurvatureA,
   kCurvatureB,
   kInversionA,
@@ -27,7 +26,6 @@ enum class WorkKind {
   kSyncGrad,
   kSyncCurvature,
   kOptimizerUpdate,
-  kP2P,
   // §5 extensions: Shampoo eigendecompositions and SAM's extra passes.
   kEigendecomposition,
   kSamForward,

@@ -22,6 +22,11 @@ namespace pf {
 
 namespace {
 
+// Bound on every blocking channel wait (recv and ring-full sends). A peer
+// that stalls longer is a bug (or a dead child) and surfaces as a pf::Error
+// naming the channel, micro and pending keys.
+constexpr double kChannelTimeoutSeconds = 120.0;
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -49,7 +54,6 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
   PF_CHECK(cfg.n_micro >= 1 && cfg.micro_batch_size >= 1);
   PF_CHECK(cfg.stage_threads >= 1);
   PF_CHECK(cfg.total_steps >= 1);
-  PF_CHECK(mcfg.channel_timeout_seconds > 0.0);
 
   const int S = spec.n_stages;
   const int N = spec.n_micro;
@@ -94,12 +98,12 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
   std::vector<std::unique_ptr<TransportChannel>> fwd_ch;  // boundary b -> b+1
   std::vector<std::unique_ptr<TransportChannel>> bwd_ch;  // boundary b+1 -> b
   StageLinks links;
-  links.recv_timeout = mcfg.channel_timeout_seconds;
+  links.recv_timeout = kChannelTimeoutSeconds;
   auto make_ch = [&](const std::string& nm) {
     regions.emplace_back(ShmRing::required_bytes(ring_slots, slot_bytes));
     return std::make_unique<TransportChannel>(
         nm, ShmRing::create(regions.back().data(), ring_slots, slot_bytes, nm),
-        mcfg.channel_timeout_seconds);
+        kChannelTimeoutSeconds);
   };
   for (int b = 0; b + 1 < S; ++b) {
     fwd_ch.push_back(make_ch(format("fwd[%d->%d]", b, b + 1)));

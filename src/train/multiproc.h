@@ -61,10 +61,6 @@ struct MultiprocConfig {
   // stage_threads is each child's intra-stage budget) and `transport` is
   // ignored (the wire is always the shm ring — that is the point).
   PipelineRuntimeConfig runtime;
-  // Bound on every blocking channel wait (recv and ring-full sends). A
-  // peer that stalls longer is a bug (or a dead child) and surfaces as a
-  // pf::Error naming the channel, micro and pending keys.
-  double channel_timeout_seconds = 120.0;
 };
 
 // Consumer-endpoint handoff accounting for one ring (waits that actually

@@ -21,9 +21,9 @@ struct TrainerConfig {
   // GPUs by accumulating over 8 sub-steps).
   std::size_t accumulation_steps = 1;
   // Execution context every forward/backward of the run threads through
-  // (PF_NN_THREADS / PF_GEMM_THREADS in the examples). The default follows
-  // the process knobs; any value is bitwise identical to serial.
-  ExecContext exec = ExecContext::defaults();
+  // (built from PF_NN_THREADS / PF_GEMM_THREADS in the training binaries).
+  // The default is serial; any value is bitwise identical to it.
+  ExecContext exec;
 };
 
 struct TrainTrace {

@@ -43,7 +43,7 @@ double max_grad_check_error(const std::vector<Param*>& params,
                             std::uint64_t seed, double denom_floor) {
   return max_grad_check_error(
       params, [&](const ExecContext&) { return loss_fn(); },
-      ExecContext::defaults(), samples, eps, seed, denom_floor);
+      ExecContext(), samples, eps, seed, denom_floor);
 }
 
 }  // namespace pf

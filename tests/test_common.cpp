@@ -1,5 +1,5 @@
 // Tests for src/common: checked errors, RNG, statistics, strings, thread
-// pool, CPU feature detection.
+// pool, execution context, CPU feature detection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include "src/common/arena.h"
 #include "src/common/check.h"
 #include "src/common/cpu_features.h"
+#include "src/common/exec_context.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/strings.h"
@@ -250,6 +251,29 @@ TEST(ThreadPool, GlobalPoolIsUsable) {
   });
   EXPECT_EQ(sum.load(), 7);
   EXPECT_GE(ThreadPool::global().n_threads(), 1u);
+}
+
+TEST(ExecContext, DefaultIsSerialAndCountsBelowOneThrowNamingTheField) {
+  const ExecContext serial;
+  EXPECT_EQ(serial.nn_threads(), 1);
+  EXPECT_EQ(serial.gemm_threads(), 1);
+  // Counts below 1 are errors, named by field: a count reaches a kernel
+  // only through the context it is called with.
+  const struct {
+    int nn, gemm;
+    const char* field;
+  } bad[] = {{0, 1, "nn_threads"}, {1, 0, "gemm_threads"},
+             {-2, 1, "nn_threads"}};
+  for (const auto& b : bad) {
+    try {
+      ExecContext ctx(b.nn, b.gemm);
+      ADD_FAILURE() << "ExecContext(" << b.nn << ", " << b.gemm
+                    << ") was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(b.field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CpuFeatures, LevelsAreOrderedAndNamed) {

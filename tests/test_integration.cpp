@@ -67,12 +67,11 @@ TEST(Integration, SchedulerRefreshFeedsNumericKfacIntervals) {
 }
 
 TEST(Integration, ParallelGemmTrainingIsBitwiseIdenticalToSerial) {
-  // End-to-end guarantee behind the gemm_threads knob: a full K-FAC
+  // End-to-end guarantee behind the gemm_threads count: a full K-FAC
   // training run (forward, backward, curvature, precondition, optimizer)
   // produces the exact same loss trajectory with row-block parallel GEMMs
   // as with the serial seed kernels.
   auto run_short_training = [](int threads) {
-    set_gemm_threads(threads);  // default threads=0 call sites follow this
     BertConfig cfg;
     cfg.vocab = 36;
     cfg.d_model = 16;
@@ -92,16 +91,15 @@ TEST(Integration, ParallelGemmTrainingIsBitwiseIdenticalToSerial) {
     tc.batch_size = 8;
     tc.total_steps = 25;
     tc.schedule = PolyWarmupSchedule(1e-2, 4, 25);
+    tc.exec = ExecContext(1, threads);
     KfacOptimizerOptions o;
-    o.kfac.gemm_threads = 0;  // follow the global knob too
+    o.kfac.gemm_threads = threads;
     o.inverse_interval = 3;
     Trainer trainer(model, batcher,
                     std::make_unique<KfacOptimizer>(
                         model.kfac_linears(), std::make_unique<Lamb>(), o),
                     tc);
-    const auto trace = trainer.run();
-    set_gemm_threads(1);
-    return trace.loss;
+    return trainer.run().loss;
   };
   const auto serial = run_short_training(1);
   const auto parallel = run_short_training(4);

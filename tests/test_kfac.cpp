@@ -363,6 +363,21 @@ TEST(KfacEngine, RejectsBadOptions) {
   bad.damping = 0.0;
   EXPECT_THROW(KfacEngine({&l}, bad), Error);
   EXPECT_THROW(KfacEngine({}, KfacOptions{}), Error);
+  // Thread counts below 1 fail at construction, naming the field.
+  const std::pair<int KfacOptions::*, std::string> counts[] = {
+      {&KfacOptions::gemm_threads, "KfacOptions::gemm_threads"},
+      {&KfacOptions::layer_threads, "KfacOptions::layer_threads"}};
+  for (const auto& [field, name] : counts) {
+    bad = KfacOptions{};
+    bad.*field = 0;
+    try {
+      KfacEngine engine({&l}, bad);
+      ADD_FAILURE() << name << " = 0 was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -144,15 +144,16 @@ TEST(GemmParallel, AllVariantsBitwiseEqualSerialAcrossThreadCounts) {
   const Matrix b = Matrix::randn(43, 71, rng);
   const Matrix t = Matrix::randn(97, 71, rng);   // for tn: (97x43)ᵀ·(97x71)
   const Matrix n = Matrix::randn(51, 43, rng);   // for nt: (97x43)·(51x43)ᵀ
-  const Matrix s_nn = matmul(a, b, 1);
-  const Matrix s_tn = matmul_tn(a, t, 1);
-  const Matrix s_nt = matmul_nt(a, n, 1);
+  const Matrix s_nn = matmul(a, b);
+  const Matrix s_tn = matmul_tn(a, t);
+  const Matrix s_nt = matmul_nt(a, n);
   for (int threads : {2, 3, 7, 16, 64}) {
-    EXPECT_EQ(max_abs_diff(matmul(a, b, threads), s_nn), 0.0)
+    const ExecContext ctx(1, threads);
+    EXPECT_EQ(max_abs_diff(matmul(a, b, ctx), s_nn), 0.0)
         << "matmul threads=" << threads;
-    EXPECT_EQ(max_abs_diff(matmul_tn(a, t, threads), s_tn), 0.0)
+    EXPECT_EQ(max_abs_diff(matmul_tn(a, t, ctx), s_tn), 0.0)
         << "matmul_tn threads=" << threads;
-    EXPECT_EQ(max_abs_diff(matmul_nt(a, n, threads), s_nt), 0.0)
+    EXPECT_EQ(max_abs_diff(matmul_nt(a, n, ctx), s_nt), 0.0)
         << "matmul_nt threads=" << threads;
   }
 }
@@ -162,47 +163,32 @@ TEST(GemmParallel, AccumulatingVariantsBitwiseEqualSerial) {
   const Matrix a = Matrix::randn(66, 30, rng);
   const Matrix b = Matrix::randn(30, 20, rng);
   Matrix serial(66, 20, 0.5), parallel(66, 20, 0.5);
-  matmul_acc(a, b, serial, 1.7, 1);
-  matmul_acc(a, b, parallel, 1.7, 5);
+  matmul_acc(a, b, serial, 1.7);
+  matmul_acc(a, b, parallel, 1.7, ExecContext(1, 5));
   EXPECT_EQ(max_abs_diff(serial, parallel), 0.0);
 
   const Matrix dy = Matrix::randn(66, 20, rng);
   Matrix s_tn(30, 20, -1.0), p_tn(30, 20, -1.0);
-  matmul_tn_acc(a, dy, s_tn, 0.25, 1);
-  matmul_tn_acc(a, dy, p_tn, 0.25, 4);
+  matmul_tn_acc(a, dy, s_tn, 0.25);
+  matmul_tn_acc(a, dy, p_tn, 0.25, ExecContext(1, 4));
   EXPECT_EQ(max_abs_diff(s_tn, p_tn), 0.0);
 
   const Matrix c = Matrix::randn(20, 30, rng);
   Matrix s_nt(66, 20, 2.0), p_nt(66, 20, 2.0);
-  matmul_nt_acc(a, c, s_nt, -3.0, 1);
-  matmul_nt_acc(a, c, p_nt, -3.0, 8);
+  matmul_nt_acc(a, c, s_nt, -3.0);
+  matmul_nt_acc(a, c, p_nt, -3.0, ExecContext(1, 8));
   EXPECT_EQ(max_abs_diff(s_nt, p_nt), 0.0);
-}
-
-TEST(GemmParallel, GlobalThreadKnobSelectsParallelPath) {
-  Rng rng(79);
-  const Matrix a = Matrix::randn(40, 25, rng);
-  const Matrix b = Matrix::randn(25, 33, rng);
-  const Matrix serial = matmul(a, b, 1);
-  EXPECT_EQ(gemm_threads(), 1);  // seed default: serial
-  set_gemm_threads(4);
-  EXPECT_EQ(gemm_threads(), 4);
-  const Matrix via_knob = matmul(a, b);  // threads=0 → global default
-  set_gemm_threads(1);
-  EXPECT_EQ(max_abs_diff(via_knob, serial), 0.0);
-  // The knob floors at 1: "0 threads" is not a meaningful request.
-  set_gemm_threads(-3);
-  EXPECT_EQ(gemm_threads(), 1);
 }
 
 TEST(GemmParallel, ShapeMismatchThrowsOnThreadedPath) {
   Matrix a(4, 3), b(5, 6), c(4, 6);
-  EXPECT_THROW(matmul(a, b, 4), Error);
-  EXPECT_THROW(matmul_tn(a, b, 4), Error);
-  EXPECT_THROW(matmul_nt(a, b, 4), Error);
+  const ExecContext ctx(1, 4);
+  EXPECT_THROW(matmul(a, b, ctx), Error);
+  EXPECT_THROW(matmul_tn(a, b, ctx), Error);
+  EXPECT_THROW(matmul_nt(a, b, ctx), Error);
   Matrix bad_c(3, 6);
   Matrix b_ok(3, 6);
-  EXPECT_THROW(matmul_acc(a, b_ok, bad_c, 1.0, 4), Error);
+  EXPECT_THROW(matmul_acc(a, b_ok, bad_c, 1.0, ctx), Error);
 }
 
 TEST(GemmParallel, ZeroSizedAndSingleRowEdgeCases) {
@@ -210,21 +196,22 @@ TEST(GemmParallel, ZeroSizedAndSingleRowEdgeCases) {
   // operands must yield empty/zero results on both paths.
   Rng rng(83);
   for (int threads : {1, 8}) {
-    const Matrix e0 = matmul(Matrix(0, 5), Matrix(5, 3), threads);
+    const ExecContext ctx(1, threads);
+    const Matrix e0 = matmul(Matrix(0, 5), Matrix(5, 3), ctx);
     EXPECT_EQ(e0.rows(), 0u);
     EXPECT_EQ(e0.cols(), 3u);
-    const Matrix e1 = matmul(Matrix(3, 0), Matrix(0, 2), threads);
+    const Matrix e1 = matmul(Matrix(3, 0), Matrix(0, 2), ctx);
     EXPECT_EQ(e1.rows(), 3u);
     EXPECT_EQ(e1.cols(), 2u);
     EXPECT_DOUBLE_EQ(e1.max_abs(), 0.0);  // empty K: all-zero accumulators
 
     const Matrix row = Matrix::randn(1, 9, rng);
     const Matrix w = Matrix::randn(9, 4, rng);
-    EXPECT_EQ(max_abs_diff(matmul(row, w, threads), matmul(row, w, 1)), 0.0);
+    EXPECT_EQ(max_abs_diff(matmul(row, w, ctx), matmul(row, w)), 0.0);
     const Matrix col = Matrix::randn(9, 1, rng);
-    const Matrix tn = matmul_tn(col, Matrix::randn(9, 6, rng), threads);
+    const Matrix tn = matmul_tn(col, Matrix::randn(9, 6, rng), ctx);
     EXPECT_EQ(tn.rows(), 1u);
-    const Matrix nt = matmul_nt(row, Matrix::randn(1, 9, rng), threads);
+    const Matrix nt = matmul_nt(row, Matrix::randn(1, 9, rng), ctx);
     EXPECT_EQ(nt.cols(), 1u);
   }
 }
@@ -314,23 +301,24 @@ TEST(GemmSimd, VectorTiersMatchScalarWithinEpsilonAcrossOddShapes) {
     const Matrix bt = Matrix::randn(s.n, s.k, rng);  // nt: (m×k)·(n×k)ᵀ
     const double tol = 1e-11 * static_cast<double>(s.k);
     for (int threads : {1, 3}) {
+      const ExecContext ctx(1, threads);
       Matrix nn_sc, tn_sc, nt_sc;
       {
         ScopedSimdLevel scalar(SimdLevel::kScalar);
-        nn_sc = matmul(a, b, threads);
-        tn_sc = matmul_tn(at, bn, threads);
-        nt_sc = matmul_nt(a, bt, threads);
+        nn_sc = matmul(a, b, ctx);
+        tn_sc = matmul_tn(at, bn, ctx);
+        nt_sc = matmul_nt(a, bt, ctx);
       }
       for (SimdLevel level : levels) {
         ScopedSimdLevel guard(level);
         const char* ln = simd_level_name(level);
-        EXPECT_LT(max_abs_diff(matmul(a, b, threads), nn_sc), tol)
+        EXPECT_LT(max_abs_diff(matmul(a, b, ctx), nn_sc), tol)
             << ln << " nn " << s.m << "x" << s.k << "x" << s.n
             << " t=" << threads;
-        EXPECT_LT(max_abs_diff(matmul_tn(at, bn, threads), tn_sc), tol)
+        EXPECT_LT(max_abs_diff(matmul_tn(at, bn, ctx), tn_sc), tol)
             << ln << " tn " << s.m << "x" << s.k << "x" << s.n
             << " t=" << threads;
-        EXPECT_LT(max_abs_diff(matmul_nt(a, bt, threads), nt_sc), tol)
+        EXPECT_LT(max_abs_diff(matmul_nt(a, bt, ctx), nt_sc), tol)
             << ln << " nt " << s.m << "x" << s.k << "x" << s.n
             << " t=" << threads;
       }
@@ -348,19 +336,20 @@ TEST(GemmSimd, AccVariantsMatchAcrossIsaWithinEpsilon) {
   const Matrix c_nt = Matrix::randn(13, 70, rng);
   const double alpha = -1.7;
   for (int threads : {1, 4}) {
+    const ExecContext ctx(1, threads);
     Matrix acc_sc(11, 13, 0.25), tn_sc(70, 13, -2.0), nt_sc(11, 13, 0.5);
     {
       ScopedSimdLevel scalar(SimdLevel::kScalar);
-      matmul_acc(a, b, acc_sc, alpha, threads);
-      matmul_tn_acc(a, dy, tn_sc, alpha, threads);
-      matmul_nt_acc(a, c_nt, nt_sc, alpha, threads);
+      matmul_acc(a, b, acc_sc, alpha, ctx);
+      matmul_tn_acc(a, dy, tn_sc, alpha, ctx);
+      matmul_nt_acc(a, c_nt, nt_sc, alpha, ctx);
     }
     for (SimdLevel level : levels) {
       Matrix acc_v(11, 13, 0.25), tn_v(70, 13, -2.0), nt_v(11, 13, 0.5);
       ScopedSimdLevel guard(level);
-      matmul_acc(a, b, acc_v, alpha, threads);
-      matmul_tn_acc(a, dy, tn_v, alpha, threads);
-      matmul_nt_acc(a, c_nt, nt_v, alpha, threads);
+      matmul_acc(a, b, acc_v, alpha, ctx);
+      matmul_tn_acc(a, dy, tn_v, alpha, ctx);
+      matmul_nt_acc(a, c_nt, nt_v, alpha, ctx);
       const char* ln = simd_level_name(level);
       EXPECT_LT(max_abs_diff(acc_sc, acc_v), 1e-9) << ln << " t=" << threads;
       EXPECT_LT(max_abs_diff(tn_sc, tn_v), 1e-9) << ln << " t=" << threads;
@@ -381,9 +370,10 @@ TEST(GemmSimd, ThreadPartitionIsBitwiseNeutralPerIsa) {
   for (SimdLevel v : vector_levels()) levels.push_back(v);
   for (SimdLevel level : levels) {
     ScopedSimdLevel guard(level);
-    const Matrix serial = matmul(a, b, 1);
+    const Matrix serial = matmul(a, b);
     for (int threads : {2, 3, 7, 16, 89}) {
-      EXPECT_EQ(max_abs_diff(matmul(a, b, threads), serial), 0.0)
+      EXPECT_EQ(max_abs_diff(matmul(a, b, ExecContext(1, threads)), serial),
+                0.0)
           << simd_level_name(level) << " threads=" << threads;
     }
   }
@@ -400,7 +390,7 @@ TEST(GemmSimd, ScalarKernelMatchesNaiveReference) {
   for (std::size_t i = 0; i < 19; ++i)
     for (std::size_t k = 0; k < 31; ++k)
       for (std::size_t j = 0; j < 23; ++j) ref(i, j) += a(i, k) * b(k, j);
-  EXPECT_LT(max_abs_diff(matmul(a, b, 1), ref), 1e-12);
+  EXPECT_LT(max_abs_diff(matmul(a, b), ref), 1e-12);
 }
 
 TEST(GemmSyrk, BitwiseEqualsTnProductAndIsExactlySymmetric) {
@@ -446,7 +436,7 @@ TEST(GemmSyrk, ShapeMismatchThrows) {
   Rng rng(149);
   const Matrix a = Matrix::randn(5, 4, rng);
   Matrix c(5, 5, 0.0);
-  EXPECT_THROW(syrk_tn_acc(a, c, 1.0, ExecContext(1, 1)), Error);
+  EXPECT_THROW(syrk_tn_acc(a, c, 1.0), Error);
 }
 
 TEST(Gemm, Matvec) {
@@ -550,15 +540,16 @@ TEST(CholeskyBlocked, ThreadCountIsBitwiseNeutral) {
   // serial factorization (and inverse) exactly.
   Rng rng(127);
   const Matrix m = random_spd(130, rng);
-  const Matrix l1 = cholesky(m, 1);
-  const Matrix inv1 = cholesky_inverse(l1, 1);
-  const Matrix spd1 = spd_inverse(m, 0.3, 1);
+  const Matrix l1 = cholesky(m);
+  const Matrix inv1 = cholesky_inverse(l1);
+  const Matrix spd1 = spd_inverse(m, 0.3);
   for (int threads : {2, 3, 8}) {
-    EXPECT_EQ(max_abs_diff(cholesky(m, threads), l1), 0.0)
+    const ExecContext ctx(1, threads);
+    EXPECT_EQ(max_abs_diff(cholesky(m, ctx), l1), 0.0)
         << "cholesky threads=" << threads;
-    EXPECT_EQ(max_abs_diff(cholesky_inverse(l1, threads), inv1), 0.0)
+    EXPECT_EQ(max_abs_diff(cholesky_inverse(l1, ctx), inv1), 0.0)
         << "cholesky_inverse threads=" << threads;
-    EXPECT_EQ(max_abs_diff(spd_inverse(m, 0.3, threads), spd1), 0.0)
+    EXPECT_EQ(max_abs_diff(spd_inverse(m, 0.3, ctx), spd1), 0.0)
         << "spd_inverse threads=" << threads;
   }
 }
@@ -590,19 +581,17 @@ TEST(CholeskyBlocked, InverseBitwiseEqualsPerColumnReference) {
   for (std::size_t n :
        {1u, 2u, 31u, 32u, 33u, 63u, 64u, 65u, 96u, 128u, 129u, 200u}) {
     const Matrix m = random_spd(n, rng);
-    const Matrix l = cholesky(m, 1);
+    const Matrix l = cholesky(m);
     const Matrix ref = reference_cholesky_inverse(l);
     Matrix damped = m;
     add_diagonal(damped, 0.3);
-    const Matrix ref_damped = reference_cholesky_inverse(cholesky(damped, 1));
+    const Matrix ref_damped = reference_cholesky_inverse(cholesky(damped));
     for (int threads : {1, 2, 3, 8}) {
-      EXPECT_TRUE(same_bits(cholesky_inverse(l, threads), ref))
+      const ExecContext ctx(1, threads);
+      EXPECT_TRUE(same_bits(cholesky_inverse(l, ctx), ref))
           << "cholesky_inverse n=" << n << " threads=" << threads;
-      EXPECT_TRUE(same_bits(spd_inverse(m, 0.3, threads), ref_damped))
+      EXPECT_TRUE(same_bits(spd_inverse(m, 0.3, ctx), ref_damped))
           << "spd_inverse n=" << n << " threads=" << threads;
-      EXPECT_TRUE(
-          same_bits(spd_inverse(m, 0.3, ExecContext(1, threads)), ref_damped))
-          << "spd_inverse(ctx) n=" << n << " threads=" << threads;
     }
   }
 }
@@ -610,7 +599,7 @@ TEST(CholeskyBlocked, InverseBitwiseEqualsPerColumnReference) {
 TEST(CholeskyBlocked, ParallelInverseTimesInputIsIdentity) {
   Rng rng(131);
   const Matrix m = random_spd(96, rng);
-  const Matrix inv = spd_inverse(m, 0.0, 4);
+  const Matrix inv = spd_inverse(m, 0.0, ExecContext(1, 4));
   EXPECT_LT(max_abs_diff(matmul(inv, m), Matrix::identity(96)), 1e-7);
 }
 
@@ -621,10 +610,10 @@ TEST(CholeskyBlocked, RejectsSpdViolationInLaterPanel) {
   m(80, 80) = -2.0;
   EXPECT_FALSE(try_cholesky(m).has_value());
   EXPECT_THROW(cholesky(m), Error);
-  EXPECT_THROW(cholesky(m, 4), Error);
-  EXPECT_THROW(spd_inverse(m, 0.0, 4), Error);
+  EXPECT_THROW(cholesky(m, ExecContext(1, 4)), Error);
+  EXPECT_THROW(spd_inverse(m, 0.0, ExecContext(1, 4)), Error);
   // Damping large enough to cross back into PD must succeed again.
-  EXPECT_NO_THROW(spd_inverse(m, 4.0, 2));
+  EXPECT_NO_THROW(spd_inverse(m, 4.0, ExecContext(1, 2)));
 }
 
 TEST(Kron, MatchesDefinitionOnSmallExample) {

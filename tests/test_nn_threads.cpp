@@ -86,7 +86,7 @@ TEST(NnThreads, ActivationsBitwise) {
   Rng rng(107);
   const Matrix x = Matrix::randn(19, 21, rng, 1.5);
   const Matrix dy = Matrix::randn(19, 21, rng);
-  const ExecContext serial = ExecContext::serial();
+  const ExecContext serial;
   const Matrix g1 = gelu(x, serial);
   const Matrix gb1 = gelu_backward(x, dy, serial);
   const Matrix p1 = softmax_rows(x, serial);
@@ -109,7 +109,7 @@ TEST(NnThreads, GeluLayerBackwardEqualsReferenceFromItsCache) {
   const Matrix x = Matrix::randn(19, 21, rng, 1.5);
   const Matrix other = Matrix::randn(19, 21, rng, 1.5);
   const Matrix dy = Matrix::randn(19, 21, rng);
-  const Matrix want = gelu_backward(x, dy, ExecContext::serial());
+  const Matrix want = gelu_backward(x, dy, ExecContext());
   for (int t : kThreadCounts) {
     const ExecContext ctx(t, t);
     Gelu fresh;
@@ -202,7 +202,7 @@ TEST(NnThreads, LossBitwise) {
   std::vector<int> labels;
   for (std::size_t r = 0; r < 15; ++r)
     labels.push_back(r % 3 == 0 ? -1 : static_cast<int>(rng.uniform_int(11)));
-  const auto ref = softmax_cross_entropy(logits, labels, ExecContext::serial());
+  const auto ref = softmax_cross_entropy(logits, labels, ExecContext());
   for (int t : {2, 4}) {
     const ExecContext ctx(t, t);
     const auto res = softmax_cross_entropy(logits, labels, ctx);

@@ -528,7 +528,7 @@ TEST(StagePartition, SingleStepMatchesMonolithicModel) {
 
   BertStagePartition part(split, 2);
   zero_grads(split.params());
-  const ExecContext ctx = ExecContext::serial();
+  const ExecContext ctx;
   Matrix h = part.stage(0).forward(0, batch, Matrix(), ctx);
   part.stage(1).forward(0, batch, std::move(h), ctx);
   const auto losses = part.stage(1).losses(0);
@@ -559,7 +559,7 @@ TEST(BertStage, BackwardShrinksTheStashBelowItsForward) {
   Corpus data(cfg);
   Rng drng(17);
   const auto batch = data.batcher.next_batch(4, drng);
-  const ExecContext ctx = ExecContext::serial();
+  const ExecContext ctx;
   for (const bool keep : {true, false}) {
     BertStagePartition part(model, 2);
     Matrix h = part.stage(0).forward(0, batch, Matrix(), ctx);

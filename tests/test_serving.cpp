@@ -300,9 +300,9 @@ TEST(ServingInference, StageInferLeavesStashEmptyAndMatchesModelForward) {
   const BertInferOutput want = model.forward(batch, /*training=*/false);
 
   BertStagePartition part(model, /*n_stages=*/2);
-  Matrix h = part.stage(0).infer(batch, Matrix(), ExecContext::defaults());
+  Matrix h = part.stage(0).infer(batch, Matrix(), ExecContext());
   BertInferOutput got;
-  part.stage(1).infer(batch, std::move(h), ExecContext::defaults(), &got);
+  part.stage(1).infer(batch, std::move(h), ExecContext(), &got);
   expect_bitwise_equal(want.mlm_logits, got.mlm_logits, "mlm via stages");
   expect_bitwise_equal(want.nsp_logits, got.nsp_logits, "nsp via stages");
   // No backward is coming: infer() must not have stashed anything.

@@ -52,9 +52,9 @@ TEST(Timeline, UtilizationMatchesHandComputation) {
   EXPECT_DOUBLE_EQ(tl.utilization(0.0, 4.0), 0.375);
 }
 
-TEST(Timeline, P2PDoesNotCountAsBusy) {
+TEST(Timeline, AdmissionDoesNotCountAsBusy) {
   Timeline tl(1);
-  tl.add(iv(0, 0.0, 1.0, WorkKind::kP2P));
+  tl.add(iv(0, 0.0, 1.0, WorkKind::kAdmission));
   tl.add(iv(0, 1.0, 2.0, WorkKind::kForward));
   EXPECT_DOUBLE_EQ(tl.utilization(0.0, 2.0), 0.5);
 }
