@@ -3,10 +3,10 @@
 // these are the Nsight-profiled kernels; here they time our CPU kernels for
 // GEMM (forward/backward), the symmetric curvature product syrk_tn_acc
 // (lower-triangle tiles only, upper mirrored), Cholesky + the batched
-// 32-column cholesky_inverse (inversion work) and the two-sided
-// precondition product.
+// 32-column cholesky_inverse (inversion work), the two-sided precondition
+// product and the exp kernel under GELU and softmax (exp_span).
 //
-// GEMM-family benchmarks carry two extra dimensions:
+// GEMM-family benchmarks carry two extra dimensions, BM_ExpSpan the second:
 //   threads  1 = serial, >1 = row-block ThreadPool path (bitwise identical
 //            within one SIMD level).
 //   simd     0 = the portable scalar microkernel (what PF_SIMD_LEVEL=scalar
@@ -17,17 +17,20 @@
 // A family that reports items_per_second counts a fixed, documented amount
 // of work per call (see each family), so a kernel that reaches the same
 // result with fewer operations shows a higher rate. CI compares the rates
-// of the GEMM families and BM_InversionWork against the committed
-// BENCH_kernels.json via tools/check_bench_regression.py — but only when
-// context.num_cpus matches the baseline's, because the committed file may
-// come from a cgroup-limited dev container (see the cpu_budget_note context
-// entry written by the bench_all target).
+// of the GEMM families, BM_InversionWork and BM_ExpSpan against the
+// committed BENCH_kernels.json via tools/check_bench_regression.py — but
+// only when context.num_cpus matches the baseline's, because the committed
+// file may come from a cgroup-limited dev container (see the
+// cpu_budget_note context entry written by the bench_all target).
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "src/common/cpu_features.h"
 #include "src/common/exec_context.h"
 #include "src/common/rng.h"
 #include "src/linalg/cholesky.h"
+#include "src/linalg/exp_span.h"
 #include "src/linalg/gemm.h"
 
 namespace {
@@ -155,6 +158,29 @@ void BM_PreconditionWork(benchmark::State& state) {
 BENCHMARK(BM_PreconditionWork)
     ->ArgsProduct({{32, 64}, {1, 2, 4}, {0, 1, 2}})
     ->ArgNames({"d", "threads", "simd"});
+
+void BM_ExpSpan(benchmark::State& state) {
+  // exp_span over n elements: the exponential under GELU (rows of d_ff) and
+  // softmax (rows of seq). Items are elements per call. Every tier returns
+  // the same bits, so the simd rows differ in speed only. GELU and softmax
+  // call it in place; out of place keeps the input fixed across iterations.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const SimdLevel entry_level = pf::active_simd_level();
+  if (!apply_simd_arg(state, state.range(1))) return;
+  pf::Rng rng(6);
+  std::vector<double> x(n), y(n);
+  for (double& v : x) v = 3.0 * rng.normal();
+  for (auto _ : state) {
+    pf::exp_span(x.data(), y.data(), n);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  pf::set_simd_level(entry_level);
+}
+BENCHMARK(BM_ExpSpan)
+    ->ArgsProduct({{32, 128, 4096}, {0, 1, 2}})
+    ->ArgNames({"n", "simd"});
 
 }  // namespace
 

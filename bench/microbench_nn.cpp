@@ -11,6 +11,7 @@
 
 #include "src/common/exec_context.h"
 #include "src/common/rng.h"
+#include "src/nn/activations.h"
 #include "src/nn/attention.h"
 #include "src/nn/bert.h"
 #include "src/nn/embedding.h"
@@ -54,6 +55,21 @@ void BM_AttentionBackward(benchmark::State& state) {
 BENCHMARK(BM_AttentionBackward)
     ->ArgsProduct({{32, 64}, {1, 2, 4}})
     ->ArgNames({"seq", "threads"});
+
+void BM_GeluForward(benchmark::State& state) {
+  // The Gelu layer's training forward (value plus cached derivative) on one
+  // train-kfac micro-batch: 8 sequences × 32 tokens by d_ff = 128.
+  const ExecContext ctx(static_cast<int>(state.range(0)), 1);
+  const std::size_t rows = 256, d_ff = 128;
+  pf::Rng rng(31);
+  const Matrix x = Matrix::randn(rows, d_ff, rng);
+  pf::Gelu gelu;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gelu.forward(x, true, ctx));
+  }
+  state.SetItemsProcessed(state.iterations() * rows * d_ff);
+}
+BENCHMARK(BM_GeluForward)->Arg(1)->Arg(2)->Arg(4)->ArgNames({"threads"});
 
 void BM_LayerNormForward(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));

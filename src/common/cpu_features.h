@@ -20,11 +20,15 @@
 //                          set_simd_level so tests and benches can compare
 //                          paths in one process.
 //
-// Determinism contract (see gemm.h): within one SIMD level results are
-// bitwise reproducible across thread counts; across levels results may
-// differ in the last ulps because FMA rounds the multiply-add as one
-// operation and wider tiles change the (fixed, documented) order in which
-// each kernel walks k.
+// The exp kernel under GELU and softmax (src/linalg/exp_span.h) dispatches
+// on the same level, from one loop compiled per tier.
+//
+// Determinism contract: within one SIMD level results are bitwise
+// reproducible across thread counts. Across levels the GEMM family
+// (gemm.h) may differ in the last ulps, because FMA rounds the multiply-add
+// as one operation and wider tiles change the (fixed, documented) order in
+// which each kernel walks k. The exp kernel, and with it GELU and softmax,
+// returns the same bits on every level and reads no libm.
 #pragma once
 
 namespace pf {

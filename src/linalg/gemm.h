@@ -31,7 +31,9 @@
 // addressed. Across SIMD levels results may differ in the last ulps (the
 // FMA paths fuse each multiply-add into one rounding; the scalar path
 // rounds twice), so cross-ISA comparisons need an epsilon, not equality —
-// see the GemmSimd tests.
+// see the GemmSimd tests. The exp kernel that dispatches on the same levels
+// (exp_span.h, under GELU and softmax) is the exception: its tiers return
+// identical bits.
 #pragma once
 
 #include "src/common/exec_context.h"

@@ -1,42 +1,55 @@
 #include "src/nn/activations.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "src/common/arena.h"
 #include "src/common/check.h"
+#include "src/linalg/exp_span.h"
 
 namespace pf {
 
 namespace {
 constexpr double kSqrt2OverPi = 0.7978845608028654;
 constexpr double kGeluC = 0.044715;
+// e^700 ≈ 1e304 is finite, and past it q = 2/(e^{2u} + 1) < 2e-304 leaves
+// GELU = v and GELU' = 1 to the last bit; without the clamp e^{2u} would
+// overflow and e^{2u}·q turn into ∞·0.
+constexpr double kMaxTwoU = 700.0;
 
-// GELU(v) and GELU'(v) from one tanh. Every GELU value and derivative in
-// the library comes from here, so the stateless functions and the Gelu
-// layer cannot drift apart; callers that need one half let the compiler
-// drop the other.
-struct GeluPoint {
-  double y;
-  double dydx;
-};
-
-inline GeluPoint gelu_point(double v) {
-  const double inner = kSqrt2OverPi * (v + kGeluC * v * v * v);
-  const double t = std::tanh(inner);
-  const double dinner = kSqrt2OverPi * (1.0 + 3.0 * kGeluC * v * v);
-  return {0.5 * v * (1.0 + t),
-          0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner};
+// GELU(v) = ½v·(1 + tanh u) and GELU'(v) for u = √(2/π)(v + 0.044715v³),
+// over n contiguous elements, from one exp_span call: with E = e^{2u} and
+// t = tanh u,
+//   1 − t = q = 2/(E + 1),   1 + t = E·q,   1 − t² = (1 − t)(1 + t) = E·q·q,
+// so neither form subtracts two numbers near ±1. E is staged in y (or in
+// dydx when y is null) and exponentiated in place. Every GELU value and
+// derivative in the library comes from here, so the stateless functions and
+// the Gelu layer cannot drift apart; a null y or dydx skips that half.
+void gelu_span(const double* x, std::size_t n, double* y, double* dydx) {
+  double* e = y != nullptr ? y : dydx;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = x[i];
+    const double two_u = 2.0 * kSqrt2OverPi * (v + kGeluC * v * v * v);
+    e[i] = two_u > kMaxTwoU ? kMaxTwoU : two_u;
+  }
+  exp_span(e, e, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = x[i];
+    const double q = 2.0 / (e[i] + 1.0);
+    const double one_plus_t = e[i] * q;
+    if (dydx != nullptr) {
+      const double du = kSqrt2OverPi * (1.0 + 3.0 * kGeluC * v * v);
+      dydx[i] = 0.5 * one_plus_t + 0.5 * v * one_plus_t * q * du;
+    }
+    if (y != nullptr) y[i] = 0.5 * v * one_plus_t;
+  }
 }
 }  // namespace
 
 Matrix gelu(const Matrix& x, const ExecContext& ctx) {
   Matrix y(x.rows(), x.cols());
   ctx.parallel_for(x.rows(), [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      const double* xr = x.row(r);
-      double* yr = y.row(r);
-      for (std::size_t c = 0; c < x.cols(); ++c) yr[c] = gelu_point(xr[c]).y;
-    }
+    for (std::size_t r = r0; r < r1; ++r)
+      gelu_span(x.row(r), x.cols(), y.row(r), nullptr);
   });
   return y;
 }
@@ -47,29 +60,30 @@ Matrix gelu_backward(const Matrix& x, const Matrix& dy,
   Matrix dx(x.rows(), x.cols());
   ctx.parallel_for(x.rows(), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
-      for (std::size_t c = 0; c < x.cols(); ++c)
-        dx(r, c) = gelu_point(x(r, c)).dydx * dy(r, c);
+      double* dxr = dx.row(r);
+      const double* dyr = dy.row(r);
+      gelu_span(x.row(r), x.cols(), nullptr, dxr);
+      for (std::size_t c = 0; c < x.cols(); ++c) dxr[c] *= dyr[c];
     }
   });
   return dx;
 }
 
 Matrix softmax_rows(const Matrix& logits, const ExecContext& ctx) {
-  Matrix p(logits.rows(), logits.cols());
+  const std::size_t cols = logits.cols();
+  Matrix p(logits.rows(), cols);
   ctx.parallel_for(logits.rows(), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       const double* row = logits.row(r);
+      double* pr = p.row(r);
       double mx = row[0];
-      for (std::size_t c = 1; c < logits.cols(); ++c)
-        mx = std::max(mx, row[c]);
+      for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, row[c]);
+      for (std::size_t c = 0; c < cols; ++c) pr[c] = row[c] - mx;
+      exp_span(pr, pr, cols);
       double sum = 0.0;
-      for (std::size_t c = 0; c < logits.cols(); ++c) {
-        const double e = std::exp(row[c] - mx);
-        p(r, c) = e;
-        sum += e;
-      }
+      for (std::size_t c = 0; c < cols; ++c) sum += pr[c];
       const double inv = 1.0 / sum;
-      for (std::size_t c = 0; c < logits.cols(); ++c) p(r, c) *= inv;
+      for (std::size_t c = 0; c < cols; ++c) pr[c] *= inv;
     }
   });
   return p;
@@ -78,13 +92,16 @@ Matrix softmax_rows(const Matrix& logits, const ExecContext& ctx) {
 Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
                              const ExecContext& ctx) {
   PF_CHECK(p.same_shape(dy));
-  Matrix dx(p.rows(), p.cols());
+  const std::size_t cols = p.cols();
+  Matrix dx(p.rows(), cols);
   ctx.parallel_for(p.rows(), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
+      const double* pr = p.row(r);
+      const double* dyr = dy.row(r);
+      double* dxr = dx.row(r);
       double dot = 0.0;
-      for (std::size_t c = 0; c < p.cols(); ++c) dot += p(r, c) * dy(r, c);
-      for (std::size_t c = 0; c < p.cols(); ++c)
-        dx(r, c) = p(r, c) * (dy(r, c) - dot);
+      for (std::size_t c = 0; c < cols; ++c) dot += pr[c] * dyr[c];
+      for (std::size_t c = 0; c < cols; ++c) dxr[c] = pr[c] * (dyr[c] - dot);
     }
   });
   return dx;
@@ -95,16 +112,8 @@ Matrix Gelu::forward(const Matrix& x, bool training, const ExecContext& ctx) {
   Matrix y(x.rows(), x.cols());
   arena_reshape(ctx.arena(), dydx_cache_, x.rows(), x.cols());
   ctx.parallel_for(x.rows(), [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      const double* xr = x.row(r);
-      double* yr = y.row(r);
-      double* gr = dydx_cache_.row(r);
-      for (std::size_t c = 0; c < x.cols(); ++c) {
-        const GeluPoint p = gelu_point(xr[c]);
-        yr[c] = p.y;
-        gr[c] = p.dydx;
-      }
-    }
+    for (std::size_t r = r0; r < r1; ++r)
+      gelu_span(x.row(r), x.cols(), y.row(r), dydx_cache_.row(r));
   });
   return y;
 }

@@ -1,5 +1,10 @@
 // GELU activation (tanh approximation, as in BERT) and row-wise softmax.
 //
+// Both take their exponentials from the exp kernel (src/linalg/exp_span.h),
+// not libm: GELU writes tanh u through e^{2u}, softmax exponentiates each
+// row's x − max. The kernel returns the same bits on every SIMD tier, so
+// these functions do too, on any host.
+//
 // All four free functions parallelize their row loops over the ExecContext
 // (rows are independent, so every thread count is bitwise identical to the
 // serial seed path); the defaulted context is serial.
@@ -24,10 +29,10 @@ Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
                              const ExecContext& ctx = {});
 
 // Stateful GELU layer for use inside blocks. A training forward computes
-// GELU'(x) from the same tanh as its output and caches that derivative
-// instead of x (same size), so backward is one multiply per element,
-// bitwise equal to gelu_backward(x, dy). An inference forward (training =
-// false) writes no cache.
+// GELU'(x) from the same exp_span call as its output and caches that
+// derivative instead of x (same size), so backward is one multiply per
+// element, bitwise equal to gelu_backward(x, dy). An inference forward
+// (training = false) writes no cache.
 class Gelu {
  public:
   Matrix forward(const Matrix& x, bool training = true,

@@ -78,9 +78,9 @@ Matrix MultiHeadSelfAttention::forward(const Matrix& x, std::size_t batch,
       const Matrix vb = slice_bh(v_, b, h, seq, d_head_);
       Matrix scores = matmul_nt(qb, kb, inner);
       scores *= scale;
-      const Matrix p = softmax_rows(scores, inner);
-      if (training) probs_[bh] = p;
+      Matrix p = softmax_rows(scores, inner);
       const Matrix head_ctx = matmul(p, vb, inner);
+      if (training) probs_[bh] = std::move(p);
       add_slice_bh(context, head_ctx, b, h, seq, d_head_);
     }
   });

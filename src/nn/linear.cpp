@@ -20,10 +20,11 @@ Matrix Linear::forward(const Matrix& x, bool training,
   PF_CHECK(x.cols() == d_in_)
       << name_ << ": input cols " << x.cols() << " != d_in " << d_in_;
   Matrix y = matmul(x, w_.w, ctx);
+  const double* bias = b_.w.row(0);
   ctx.parallel_for(y.rows(), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       double* row = y.row(r);
-      for (std::size_t c = 0; c < d_out_; ++c) row[c] += b_.w(0, c);
+      for (std::size_t c = 0; c < d_out_; ++c) row[c] += bias[c];
     }
   });
   if (training) arena_assign(ctx.arena(), x_cache_, x);

@@ -1,4 +1,5 @@
-// Tests for src/linalg: Matrix, GEMM variants, Cholesky, Kronecker algebra.
+// Tests for src/linalg: Matrix, GEMM variants, the exp kernel, Cholesky,
+// Kronecker algebra.
 //
 // The Kronecker identities proven here are exactly the ones K-FAC relies on:
 //   (A ⊗ B)⁻¹ = A⁻¹ ⊗ B⁻¹   and   (A ⊗ B) vec(X) = vec(B X Aᵀ).
@@ -6,15 +7,18 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/common/cpu_features.h"
 #include "src/common/exec_context.h"
 #include "src/common/rng.h"
 #include "src/linalg/cholesky.h"
+#include "src/linalg/exp_span.h"
 #include "src/linalg/gemm.h"
 #include "src/linalg/matrix.h"
 #include "tests/support/kron.h"
+#include "tests/support/simd_levels.h"
 #include "tests/support/triangular_solve.h"
 
 namespace pf {
@@ -216,18 +220,6 @@ TEST(GemmParallel, ZeroSizedAndSingleRowEdgeCases) {
   }
 }
 
-// RAII guard: force a SIMD level for one scope, restore the previous one.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level) : prev_(active_simd_level()) {
-    set_simd_level(level);
-  }
-  ~ScopedSimdLevel() { set_simd_level(prev_); }
-
- private:
-  SimdLevel prev_;
-};
-
 // The packed microkernel has two ISA paths (gemm.h): cross-ISA results may
 // differ in the last ulps (FMA fuses one rounding, the AVX-512 tile walks a
 // different fixed k-grouping), so the vector-vs-scalar comparisons use an
@@ -391,6 +383,153 @@ TEST(GemmSimd, ScalarKernelMatchesNaiveReference) {
     for (std::size_t k = 0; k < 31; ++k)
       for (std::size_t j = 0; j < 23; ++j) ref(i, j) += a(i, k) * b(k, j);
   EXPECT_LT(max_abs_diff(matmul(a, b), ref), 1e-12);
+}
+
+// The exp kernel (exp_span.h) is one loop compiled per tier like the GEMM
+// microkernels, but unlike them every tier must return the same bits; it
+// must also stay within 2 ulp of the exact value and keep its stated
+// underflow policy.
+
+// |got − want| in units of the spacing of doubles just above |want|
+// (2^−1074 for subnormals).
+double ulps(double got, long double want) {
+  const double w = std::fabs(static_cast<double>(want));
+  const double spacing =
+      std::nextafter(w, std::numeric_limits<double>::infinity()) - w;
+  return static_cast<double>(
+      std::fabs(static_cast<long double>(got) - want) / spacing);
+}
+
+// Bitwise equality that lets any two NaNs match: the tiers promise the same
+// value, not the same NaN payload.
+bool same_bits_or_both_nan(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(ExpSpan, WithinTwoUlpOfLongDoubleExpOnDenseSweeps) {
+  // [−708.4, 709.78] runs from just below 2^−1022 to just below overflow;
+  // [−1, 1] covers the reduced argument densely.
+  std::vector<double> x;
+  const std::size_t n = 400001;
+  for (std::size_t i = 0; i < n; ++i)
+    x.push_back(-708.4 + (709.78 + 708.4) * static_cast<double>(i) /
+                             static_cast<double>(n - 1));
+  for (std::size_t i = 0; i < n; ++i)
+    x.push_back(-1.0 + 2.0 * static_cast<double>(i) /
+                           static_cast<double>(n - 1));
+  std::vector<double> y(x.size());
+  for (SimdLevel level : host_simd_levels()) {
+    ScopedSimdLevel guard(level);
+    exp_span(x.data(), y.data(), x.size());
+    double worst = 0.0, worst_x = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double u = ulps(y[i], expl(static_cast<long double>(x[i])));
+      if (u > worst) {
+        worst = u;
+        worst_x = x[i];
+      }
+    }
+    EXPECT_LT(worst, 2.0) << simd_level_name(level) << " at x=" << worst_x;
+  }
+}
+
+TEST(ExpSpan, SpecialValuesAreExact) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double x[] = {0.0,    -0.0,   -inf,   inf,     std::nan(""),
+                      709.78, 709.79, 1e-300, -1e-300, -1e4};
+  constexpr std::size_t n = sizeof x / sizeof x[0];
+  for (SimdLevel level : host_simd_levels()) {
+    ScopedSimdLevel guard(level);
+    const char* ln = simd_level_name(level);
+    double y[n];
+    exp_span(x, y, n);
+    EXPECT_EQ(y[0], 1.0) << ln;
+    EXPECT_EQ(y[1], 1.0) << ln;
+    EXPECT_EQ(y[2], 0.0) << ln;
+    EXPECT_FALSE(std::signbit(y[2])) << ln << ": exp(-inf) must be +0";
+    EXPECT_EQ(y[3], inf) << ln;
+    EXPECT_TRUE(std::isnan(y[4])) << ln;
+    EXPECT_TRUE(std::isfinite(y[5])) << ln << ": exp(709.78) = " << y[5];
+    EXPECT_GT(y[5], 1.79e308) << ln;
+    EXPECT_EQ(y[6], inf) << ln;
+    EXPECT_EQ(y[7], 1.0) << ln;
+    EXPECT_EQ(y[8], 1.0) << ln;
+    EXPECT_EQ(y[9], 0.0) << ln;
+    EXPECT_FALSE(std::signbit(y[9])) << ln;
+  }
+}
+
+TEST(ExpSpan, UnderflowIsGradual) {
+  // exp_span.h's policy below 2^−1022: the result is the subnormal within
+  // one step (2^−1074) of the exact value — never flushed to zero while a
+  // subnormal can represent it — and +0 once the exact value rounds there.
+  const double step = std::numeric_limits<double>::denorm_min();
+  const double tiny = std::numeric_limits<double>::min();  // 2^−1022
+  std::vector<double> x;
+  for (int i = 0; i <= 40000; ++i) x.push_back(-745.2 + 36.8 * i / 40000.0);
+  std::vector<double> y(x.size());
+  for (SimdLevel level : host_simd_levels()) {
+    ScopedSimdLevel guard(level);
+    const char* ln = simd_level_name(level);
+    exp_span(x.data(), y.data(), x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const long double want = expl(static_cast<long double>(x[i]));
+      ASSERT_LE(std::fabs(static_cast<long double>(y[i]) - want), step)
+          << ln << " x=" << x[i];
+      if (want >= step) {
+        ASSERT_GT(y[i], 0.0) << ln << " x=" << x[i];
+      }
+    }
+    const double below[] = {-720.0, -744.0, -745.2, -746.0, -1000.0};
+    double out[5];
+    exp_span(below, out, 5);
+    EXPECT_GT(out[0], 0.0) << ln;
+    EXPECT_LT(out[0], tiny) << ln << ": exp(-720) is subnormal";
+    EXPECT_EQ(out[1], 2 * step) << ln << ": exp(-744) = 1.57 steps";
+    for (int i = 2; i < 5; ++i) {
+      EXPECT_EQ(out[i], 0.0) << ln << " x=" << below[i];
+      EXPECT_FALSE(std::signbit(out[i])) << ln << " x=" << below[i];
+    }
+  }
+}
+
+TEST(ExpSpan, EveryTierReturnsTheSameBitsInPlaceOrNot) {
+  // Lengths around every vector width (2, 4, 8 doubles) so each tier's
+  // main loop and remainder both run, on values spanning the whole range
+  // plus the special inputs. The long span is there because a subtle tier
+  // defect is rare: a build that fused the AVX-512 tier's multiply-adds
+  // changed fewer than 1 result in 1,000.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0, -0.0, inf, -inf, std::nan(""), 709.79,
+                             -745.2, -720.0, 709.78, 1e-300};
+  Rng rng(113);
+  const auto levels = host_simd_levels();
+  for (std::size_t n :
+       {0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 100, 257, 100003}) {
+    std::vector<double> x(n);
+    for (std::size_t i = 0; i < n; ++i)
+      x[i] = i % 7 == 3 ? specials[(i / 7) % 10] : rng.uniform(-750.0, 715.0);
+    std::vector<double> ref(n);
+    {
+      ScopedSimdLevel scalar(SimdLevel::kScalar);
+      exp_span(x.data(), ref.data(), n);
+    }
+    for (SimdLevel level : levels) {
+      ScopedSimdLevel guard(level);
+      std::vector<double> y(n), in_place = x;
+      exp_span(x.data(), y.data(), n);
+      exp_span(in_place.data(), in_place.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(same_bits_or_both_nan(y[i], ref[i]))
+            << simd_level_name(level) << " n=" << n << " x=" << x[i] << ": "
+            << y[i] << " vs scalar " << ref[i];
+        ASSERT_TRUE(same_bits_or_both_nan(in_place[i], ref[i]))
+            << simd_level_name(level) << " in place, n=" << n
+            << " x=" << x[i];
+      }
+    }
+  }
 }
 
 TEST(GemmSyrk, BitwiseEqualsTnProductAndIsExactlySymmetric) {

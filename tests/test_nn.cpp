@@ -2,9 +2,12 @@
 // central finite differences, plus shape/behavior checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/common/check.h"
+#include "src/common/rng.h"
 #include "src/nn/activations.h"
 #include "src/nn/attention.h"
 #include "src/nn/bert.h"
@@ -160,6 +163,61 @@ TEST(Gelu, BackwardMatchesFiniteDifference) {
       x(r, c) = orig;
       EXPECT_NEAR(dx(r, c), (up - down) / (2 * eps), 1e-6);
     }
+}
+
+// GELU and GELU' in long double with the library's constants, from expl so
+// that no form subtracts numbers near ±1: 1 + tanh u = 2/(1 + e^{−2u}) and
+// 1 − tanh u = 2/(1 + e^{2u}).
+struct GeluReference {
+  long double y, dydx;
+};
+GeluReference gelu_reference(double v) {
+  const long double s = 0.7978845608028654, g = 0.044715, lv = v;
+  const long double u = s * (lv + g * lv * lv * lv);
+  const long double one_plus_t = 2.0L / (1.0L + expl(-2.0L * u));
+  const long double one_minus_t = 2.0L / (1.0L + expl(2.0L * u));
+  const long double du = s * (1.0L + 3.0L * g * lv * lv);
+  return {0.5L * lv * one_plus_t,
+          0.5L * one_plus_t + 0.5L * lv * one_plus_t * one_minus_t * du};
+}
+
+TEST(Gelu, ValueAndDerivativeWithinLongDoubleReference) {
+  // Dense [−20, 20], activation-sized N(0, 0.05) draws, and ±2^k from far
+  // below one to far into the saturated tails. GELU's error is measured
+  // against max(1, |v|), so its tails are held to relative and its middle
+  // to absolute accuracy; GELU' is bounded (below 1.13), so its error is
+  // absolute. The 1 − tanh² form (std::tanh) missed that bound by 2.6x near
+  // v = 7.2, where it cancels.
+  std::vector<double> v;
+  for (int i = 0; i <= 40000; ++i) v.push_back(-20.0 + i * 1e-3);
+  Rng rng(31);
+  for (int i = 0; i < 20000; ++i) v.push_back(rng.normal(0.0, 0.05));
+  for (int k = -40; k <= 20; ++k) {
+    v.push_back(std::ldexp(1.0, k));
+    v.push_back(-std::ldexp(1.0, k));
+  }
+  Matrix x(1, v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) x(0, i) = v[i];
+  const Matrix y = gelu(x);
+  const Matrix dydx = gelu_backward(x, Matrix(1, v.size(), 1.0));
+  double worst_y = 0.0, worst_d = 0.0, at_y = 0.0, at_d = 0.0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const GeluReference ref = gelu_reference(v[i]);
+    const long double scale = std::max(1.0, std::fabs(v[i]));
+    const double ey =
+        static_cast<double>(std::fabs(y(0, i) - ref.y) / scale);
+    const double ed = static_cast<double>(std::fabs(dydx(0, i) - ref.dydx));
+    if (ey > worst_y) {
+      worst_y = ey;
+      at_y = v[i];
+    }
+    if (ed > worst_d) {
+      worst_d = ed;
+      at_d = v[i];
+    }
+  }
+  EXPECT_LE(worst_y, 1e-15) << "GELU at v=" << at_y;
+  EXPECT_LE(worst_d, 1e-15) << "GELU' at v=" << at_d;
 }
 
 TEST(Softmax, RowsSumToOne) {

@@ -2,10 +2,12 @@
 // nn layer's forward/backward is bitwise identical across thread counts
 // (threads ∈ {1, 2, 4}, serial vs threaded), for outputs, input gradients
 // and parameter gradients, plus an end-to-end BERT step and a grad check
-// run under a multi-threaded context. See src/common/exec_context.h for
-// the per-layer sharding arguments these tests pin down.
+// run under a multi-threaded context. GELU, softmax and the loss are also
+// pinned across SIMD tiers. See src/common/exec_context.h for the
+// per-layer sharding arguments these tests pin down.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/common/exec_context.h"
@@ -20,6 +22,7 @@
 #include "src/optim/lamb.h"
 #include "src/train/trainer.h"
 #include "tests/support/grad_check.h"
+#include "tests/support/simd_levels.h"
 
 namespace pf {
 namespace {
@@ -134,6 +137,58 @@ TEST(NnThreads, GeluLayerBackwardEqualsReferenceFromItsCache) {
     EXPECT_EQ(c.dydx.data(), storage) << "threads=" << t;
     g.restore_cache(std::move(c));
     expect_bitwise(g.backward(dy, ctx), want, "Gelu backward (refilled)", t);
+  }
+}
+
+TEST(NnThreads, ActivationsAndLossBitwiseAcrossSimdTiers) {
+  // GELU and softmax take their exponentials from exp_span, whose tiers
+  // return the same bits, so every SIMD tier × thread count must reproduce
+  // the scalar serial run bit for bit. Row lengths 1, 13 and 131 are not
+  // multiples of any vector width.
+  const auto levels = host_simd_levels();
+  Rng rng(139);
+  for (std::size_t cols : {1, 13, 131}) {
+    const Matrix x = Matrix::randn(19, cols, rng, 3.0);
+    const Matrix dy = Matrix::randn(19, cols, rng);
+    std::vector<int> labels;
+    for (std::size_t r = 0; r < 19; ++r)
+      labels.push_back(r % 4 == 0 ? -1
+                                  : static_cast<int>(rng.uniform_int(cols)));
+    Matrix g, gb, layer_y, layer_dx, p, pb;
+    LossResult loss;
+    const auto run = [&](const ExecContext& ctx) {
+      g = gelu(x, ctx);
+      gb = gelu_backward(x, dy, ctx);
+      Gelu layer;
+      layer_y = layer.forward(x, /*training=*/true, ctx);
+      layer_dx = layer.backward(dy, ctx);
+      p = softmax_rows(x, ctx);
+      pb = softmax_rows_backward(p, dy, ctx);
+      loss = softmax_cross_entropy(x, labels, ctx);
+    };
+    {
+      ScopedSimdLevel scalar(SimdLevel::kScalar);
+      run(ExecContext());
+    }
+    const Matrix g1 = g, gb1 = gb, y1 = layer_y, dx1 = layer_dx, p1 = p,
+                 pb1 = pb;
+    const LossResult loss1 = loss;
+    for (SimdLevel level : levels) {
+      ScopedSimdLevel guard(level);
+      for (int t : {1, 2, 3}) {
+        SCOPED_TRACE(std::string(simd_level_name(level)) +
+                     " cols=" + std::to_string(cols));
+        run(ExecContext(t, t));
+        expect_bitwise(g, g1, "gelu", t);
+        expect_bitwise(gb, gb1, "gelu_backward", t);
+        expect_bitwise(layer_y, y1, "Gelu forward", t);
+        expect_bitwise(layer_dx, dx1, "Gelu backward", t);
+        expect_bitwise(p, p1, "softmax_rows", t);
+        expect_bitwise(pb, pb1, "softmax_rows_backward", t);
+        EXPECT_EQ(loss.loss, loss1.loss) << "threads=" << t;
+        expect_bitwise(loss.dlogits, loss1.dlogits, "loss dlogits", t);
+      }
+    }
   }
 }
 
