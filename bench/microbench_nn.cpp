@@ -22,10 +22,21 @@ namespace {
 using pf::ExecContext;
 using pf::Matrix;
 
+// Attention rows: seq {32, 64} at batch 4 with 8 heads of 8, plus the
+// train-kfac shape (batch 8, seq 32, 4 heads of 16); d_model 64 throughout.
+void attention_rows(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"seq", "threads", "batch", "heads"});
+  for (int seq : {32, 64})
+    for (int threads : {1, 2, 4}) b->Args({seq, threads, 4, 8});
+  for (int threads : {1, 2, 4}) b->Args({32, threads, 8, 4});
+}
+
 void BM_AttentionForward(benchmark::State& state) {
   const auto seq = static_cast<std::size_t>(state.range(0));
   const ExecContext ctx(static_cast<int>(state.range(1)), 1);
-  const std::size_t batch = 4, d_model = 64, heads = 8;
+  const auto batch = static_cast<std::size_t>(state.range(2));
+  const auto heads = static_cast<std::size_t>(state.range(3));
+  const std::size_t d_model = 64;
   pf::Rng rng(11);
   pf::MultiHeadSelfAttention attn(d_model, heads, rng, "attn");
   const Matrix x = Matrix::randn(batch * seq, d_model, rng);
@@ -34,14 +45,14 @@ void BM_AttentionForward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * heads * seq * seq);
 }
-BENCHMARK(BM_AttentionForward)
-    ->ArgsProduct({{32, 64}, {1, 2, 4}})
-    ->ArgNames({"seq", "threads"});
+BENCHMARK(BM_AttentionForward)->Apply(attention_rows);
 
 void BM_AttentionBackward(benchmark::State& state) {
   const auto seq = static_cast<std::size_t>(state.range(0));
   const ExecContext ctx(static_cast<int>(state.range(1)), 1);
-  const std::size_t batch = 4, d_model = 64, heads = 8;
+  const auto batch = static_cast<std::size_t>(state.range(2));
+  const auto heads = static_cast<std::size_t>(state.range(3));
+  const std::size_t d_model = 64;
   pf::Rng rng(13);
   pf::MultiHeadSelfAttention attn(d_model, heads, rng, "attn");
   const Matrix x = Matrix::randn(batch * seq, d_model, rng);
@@ -52,9 +63,7 @@ void BM_AttentionBackward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * heads * seq * seq);
 }
-BENCHMARK(BM_AttentionBackward)
-    ->ArgsProduct({{32, 64}, {1, 2, 4}})
-    ->ArgNames({"seq", "threads"});
+BENCHMARK(BM_AttentionBackward)->Apply(attention_rows);
 
 void BM_GeluForward(benchmark::State& state) {
   // The Gelu layer's training forward (value plus cached derivative) on one

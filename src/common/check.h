@@ -3,8 +3,10 @@
 // All invariant violations throw pf::Error (derived from std::runtime_error)
 // carrying the failing expression and location. Library code uses PF_CHECK
 // for conditions that depend on caller input and PF_ASSERT for internal
-// invariants; both are always on (this library is not performance-bound by
-// branch checks).
+// invariants; both are always on. A check per element is not free (a bias
+// column sum through Matrix::operator() takes about twice as long as through
+// a row pointer), so hot loops check shapes once, then index through row
+// pointers or GEMM views (linalg/gemm.h), whose bounds are checked per view.
 #pragma once
 
 // The library uses C++20 (defaulted PipeOp::operator== in src/pipeline/ops.h,

@@ -1,6 +1,7 @@
 #include "src/linalg/gemm.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/cpu_features.h"
@@ -78,43 +79,86 @@ namespace {
 using detail::kKC;
 using detail::kMC;
 
-// When set, Op(A) is already laid out k-major in memory — ap for the tile at
-// output rows [ti, ·) and k block k0 is base + k0*stride + ti, fed to the
-// microkernel with a_stride = stride instead of a packed copy. matmul_tn is
-// the case: Op(A)(i, k) = a(k, i) sits at a.data()[k*lda + i], so its
-// "column-wise walk" needs no A pack at all. Addressing never enters the
-// arithmetic, so this is bitwise identical to the packed path.
-struct DirectA {
-  const double* base = nullptr;
-  std::size_t stride = 0;
+// Where Op(A)(i, k) lives. Row-major A (the nn and nt products) is packed
+// into MR-row tiles: Op(A)(i, k) = p[i*ld + k]. When k_major is set, Op(A)
+// is already laid out k-major in memory — the tile at output rows [ti, ·)
+// and k block k0 is p + k0*ld + ti, fed to the microkernel with
+// a_stride = ld instead of a packed copy. matmul_tn is the case:
+// Op(A)(i, k) = a(k, i) sits at a.data[k*ld + i], so its column-wise walk
+// needs no A pack at all. Addressing never enters the arithmetic, so this is
+// bitwise identical to the packed path.
+struct ASource {
+  const double* p;
+  std::size_t ld;
+  bool k_major;
 };
 
-// Packs all of B (reduction dim K × output cols N, element getter b(k, j))
-// into NR-wide, zero-padded column slivers grouped by kKC block:
+// Where Op(B)(k, j) lives: p[k*ld + j] for row-major B (the nn and tn
+// products), p[j*ld + k] when transposed (the nt product's Bᵀ).
+struct BSource {
+  const double* p;
+  std::size_t ld;
+  bool transposed;
+};
+
+// Packs all of Op(B) (reduction dim K × output cols N) into NR-wide column
+// slivers grouped by kKC block:
 //   packed[block t][panel p][k*NR + j]
 // NR is the active kernel's full tile width (8 for scalar/AVX2, 16 for
-// AVX-512). Block t occupies kb_t * n_panels * NR doubles starting at
-// t * kKC * n_panels * NR (every block before the last is full, so the
-// prefix is exact). Packing happens once, before the row-parallel phase; the
-// workers only read it.
-template <typename BGet>
-std::vector<double> pack_b(std::size_t K, std::size_t N, const BGet& b,
-                           std::size_t NR) {
+// AVX-512), a template argument so that the full-panel copies unroll. Block
+// t occupies kb_t * n_panels * NR doubles starting at t * kKC * n_panels * NR
+// (every block before the last is full, so the prefix is exact). Full
+// panels are copied branch-free; only a partial last panel is zero-padded
+// past its width, so whatever an earlier product left in the buffer is
+// overwritten before the microkernel reads it.
+template <std::size_t NR>
+void pack_panels(std::size_t K, std::size_t N, const BSource& b,
+                 double* packed) {
   const std::size_t n_panels = (N + NR - 1) / NR;
-  std::vector<double> packed(K * n_panels * NR);
   for (std::size_t k0 = 0; k0 < K; k0 += kKC) {
     const std::size_t kb = std::min(kKC, K - k0);
-    double* block = packed.data() + k0 * n_panels * NR;
+    double* block = packed + k0 * n_panels * NR;
     for (std::size_t p = 0; p < n_panels; ++p) {
       const std::size_t j0 = p * NR;
       const std::size_t jw = std::min(NR, N - j0);
       double* dst = block + p * kb * NR;
-      for (std::size_t k = 0; k < kb; ++k)
-        for (std::size_t jj = 0; jj < NR; ++jj)
-          dst[k * NR + jj] = jj < jw ? b(k0 + k, j0 + jj) : 0.0;
+      if (jw == NR && !b.transposed) {
+        for (std::size_t k = 0; k < kb; ++k) {
+          const double* src = b.p + (k0 + k) * b.ld + j0;
+          for (std::size_t jj = 0; jj < NR; ++jj) dst[k * NR + jj] = src[jj];
+        }
+      } else if (jw == NR) {
+        for (std::size_t k = 0; k < kb; ++k) {
+          const double* src = b.p + j0 * b.ld + k0 + k;
+          for (std::size_t jj = 0; jj < NR; ++jj)
+            dst[k * NR + jj] = src[jj * b.ld];
+        }
+      } else {
+        for (std::size_t k = 0; k < kb; ++k)
+          for (std::size_t jj = 0; jj < NR; ++jj)
+            dst[k * NR + jj] =
+                jj < jw ? b.p[b.transposed ? (j0 + jj) * b.ld + k0 + k
+                                           : (k0 + k) * b.ld + j0 + jj]
+                        : 0.0;
+      }
     }
   }
-  return packed;
+}
+
+// Packs Op(B) for a kernel of tile width NR into this thread's buffer and
+// returns it. The buffer is grow-only and shared by every product kind.
+// Packing happens once, before the row-parallel phase; the workers only read
+// it. That is safe because a parallel_for caller runs only its own loop's
+// chunks (thread_pool.h), and those (gemm_rows_packed) never pack B: no
+// thread rewrites its buffer while another thread reads it.
+const double* pack_b(std::size_t K, std::size_t N, const BSource& b,
+                     std::size_t NR) {
+  PF_ASSERT(NR == 8 || NR == 16) << "no B pack for tile width " << NR;
+  thread_local std::vector<double> buf;
+  const std::size_t size = K * ((N + NR - 1) / NR) * NR;
+  if (buf.size() < size) buf.resize(size);
+  (NR == 16 ? pack_panels<16> : pack_panels<8>)(K, N, b, buf.data());
+  return buf.data();
 }
 
 // Computes C rows [r0, r1) += alpha * Op(A)·Op(B) from the pre-packed B.
@@ -123,32 +167,31 @@ std::vector<double> pack_b(std::size_t K, std::size_t N, const BGet& b,
 // partition cannot change results within one SIMD level. lower_only skips
 // every register tile lying wholly above the diagonal (column > row for all
 // its elements); the tiles it runs are computed exactly as without it.
-template <typename AGet>
 void gemm_rows_packed(std::size_t r0, std::size_t r1, std::size_t N,
-                      std::size_t K, double alpha, const AGet& a,
-                      const DirectA& da, const double* packed_b, Matrix& cmat,
+                      std::size_t K, double alpha, const ASource& a,
+                      const double* packed_b, const MatView& c,
                       const detail::KernelSpec& spec, bool lower_only) {
   const std::size_t MR = spec.mr, NR = spec.nr;
   const std::size_t n_panels = (N + NR - 1) / NR;
-  const std::size_t ldc = cmat.cols();
   // Per-thread scratch for packed A tiles; reused across calls. This
   // function never enters the pool (no parallel_for, no waits), so a thread
   // cannot start a second call inside the first: calls on one thread are
   // sequential and repack before every use.
   thread_local std::vector<double> apack;
-  if (da.base == nullptr) apack.resize(kMC * kKC);
+  if (!a.k_major && apack.size() < kMC * kKC) apack.resize(kMC * kKC);
   for (std::size_t i0 = r0; i0 < r1; i0 += kMC) {
     const std::size_t i1 = std::min(r1, i0 + kMC);
     for (std::size_t k0 = 0; k0 < K; k0 += kKC) {
       const std::size_t kb = std::min(kKC, K - k0);
-      if (da.base == nullptr) {
+      if (!a.k_major) {
         // Pack A rows [i0, i1) × k block into MR tiles, k-major, stride mr.
         for (std::size_t ti = i0; ti < i1; ti += MR) {
           const std::size_t mr = std::min(MR, i1 - ti);
           double* dst = apack.data() + (ti - i0) * kb;
-          for (std::size_t k = 0; k < kb; ++k)
-            for (std::size_t ii = 0; ii < mr; ++ii)
-              dst[k * mr + ii] = a(ti + ii, k0 + k);
+          for (std::size_t ii = 0; ii < mr; ++ii) {
+            const double* src = a.p + (ti + ii) * a.ld + k0;
+            for (std::size_t k = 0; k < kb; ++k) dst[k * mr + ii] = src[k];
+          }
         }
       }
       const double* bblock = packed_b + k0 * n_panels * NR;
@@ -167,74 +210,109 @@ void gemm_rows_packed(std::size_t r0, std::size_t r1, std::size_t N,
         for (std::size_t ti = i0; ti < i1; ti += MR) {
           const std::size_t mr = std::min(MR, i1 - ti);
           if (lower_only && ti + mr <= j0) continue;
-          if (ti + MR < i1) PF_PREFETCH_R(cmat.row(ti + MR) + j0);
-          const double* ap = da.base != nullptr
-                                 ? da.base + k0 * da.stride + ti
-                                 : apack.data() + (ti - i0) * kb;
-          const std::size_t a_stride = da.base != nullptr ? da.stride : mr;
-          spec.fn(kb, alpha, ap, a_stride, bp, cmat.row(ti) + j0, ldc, mr,
-                  jw);
+          if (ti + MR < i1) PF_PREFETCH_R(c.data + (ti + MR) * c.ld + j0);
+          const double* ap = a.k_major ? a.p + k0 * a.ld + ti
+                                       : apack.data() + (ti - i0) * kb;
+          spec.fn(kb, alpha, ap, a.k_major ? a.ld : mr, bp,
+                  c.data + ti * c.ld + j0, c.ld, mr, jw);
         }
       }
     }
   }
 }
 
-// Shared driver: C(M×N) += alpha * Op(A)·Op(B) with element getters a(i, k),
-// b(k, j) absorbing the nn/tn/nt transposes (da short-circuits the A pack
-// when Op(A) is k-major in memory). B is packed once up front; output rows
-// are then split into ctx.gemm_threads() contiguous blocks on ctx.pool().
-// lower_only (square C) runs only the tiles touching the lower triangle, in
-// the same row chunks.
-template <typename AGet, typename BGet>
+// Shared driver: C(M×N) += alpha * Op(A)·Op(B). B is packed once up front;
+// output rows are then split into ctx.gemm_threads() contiguous blocks on
+// ctx.pool(). lower_only (square C) runs only the tiles touching the lower
+// triangle, in the same row chunks.
 void gemm_driver(std::size_t M, std::size_t N, std::size_t K, double alpha,
-                 const AGet& a, const DirectA& da, const BGet& b, Matrix& c,
+                 const ASource& a, const BSource& b, const MatView& c,
                  const ExecContext& ctx, bool lower_only = false) {
   if (M == 0 || N == 0 || K == 0) return;  // += alpha·0: nothing to do
   const detail::KernelSpec spec = detail::active_kernel_spec();
-  const std::vector<double> packed_b = pack_b(K, N, b, spec.nr);
+  const double* packed_b = pack_b(K, N, b, spec.nr);
   const auto n_threads = static_cast<std::size_t>(ctx.gemm_threads());
   if (n_threads <= 1 || M <= 1) {
     // Serial fast path: skip the std::function wrap — small products in the
     // nn forward/backward loops call in here at high frequency.
-    gemm_rows_packed(0, M, N, K, alpha, a, da, packed_b.data(), c, spec,
-                     lower_only);
+    gemm_rows_packed(0, M, N, K, alpha, a, packed_b, c, spec, lower_only);
     return;
   }
   ctx.pool().parallel_for(M, n_threads, [&](std::size_t r0, std::size_t r1) {
-    gemm_rows_packed(r0, r1, N, K, alpha, a, da, packed_b.data(), c, spec,
-                     lower_only);
+    gemm_rows_packed(r0, r1, N, K, alpha, a, packed_b, c, spec, lower_only);
   });
 }
 
+// Offset of a view's first element in m, once its block is checked to lie
+// inside m.
+std::size_t block_offset(const Matrix& m, std::size_t r0, std::size_t c0,
+                         std::size_t rows, std::size_t cols) {
+  PF_CHECK(r0 <= m.rows() && rows <= m.rows() - r0 && c0 <= m.cols() &&
+           cols <= m.cols() - c0)
+      << "view " << rows << "x" << cols << " at (" << r0 << "," << c0
+      << ") outside a " << m.rows() << "x" << m.cols() << " matrix";
+  return r0 * m.cols() + c0;
+}
+
+// True when the element ranges [data, data + (rows-1)*ld + cols) of two
+// views share no byte; an empty view shares none.
+template <typename X, typename Y>
+bool disjoint(const X& x, const Y& y) {
+  if (x.rows == 0 || x.cols == 0 || y.rows == 0 || y.cols == 0) return true;
+  const auto x0 = reinterpret_cast<std::uintptr_t>(x.data);
+  const auto y0 = reinterpret_cast<std::uintptr_t>(y.data);
+  return x0 + ((x.rows - 1) * x.ld + x.cols) * sizeof(double) <= y0 ||
+         y0 + ((y.rows - 1) * y.ld + y.cols) * sizeof(double) <= x0;
+}
+
+// The checks every product runs once per call, before any element moves.
+void check_operands(const char* what, const ConstMatView& a,
+                    const ConstMatView& b, const MatView& c) {
+  PF_CHECK(a.ld >= a.cols && b.ld >= b.cols && c.ld >= c.cols)
+      << what << ": leading dimension below the view's cols";
+  PF_CHECK(disjoint(c, a) && disjoint(c, b))
+      << what << ": C overlaps an input";
+}
+
 // c(K×N) += alpha · aᵀb for a (M×K), b (M×N); the reduction dim is M.
-void tn_acc(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
-            const ExecContext& ctx, bool lower_only) {
-  const std::size_t M = a.rows(), K = a.cols(), N = b.cols();
-  PF_CHECK(b.rows() == M) << "matmul_tn shape mismatch";
-  PF_CHECK(c.rows() == K && c.cols() == N);
-  // aᵀ is k-major in a's row-major storage: Op(A)(i, k) = a.data()[k*K + i]
-  // — the copy-free DirectA case.
-  gemm_driver(
-      K, N, M, alpha,
-      [&](std::size_t i, std::size_t k) { return a.row(k)[i]; },
-      DirectA{a.data(), a.cols()},
-      [&](std::size_t k, std::size_t j) { return b.row(k)[j]; }, c, ctx,
-      lower_only);
+void tn_acc(const ConstMatView& a, const ConstMatView& b, const MatView& c,
+            double alpha, const ExecContext& ctx, bool lower_only) {
+  const std::size_t M = a.rows, K = a.cols, N = b.cols;
+  PF_CHECK(b.rows == M) << "matmul_tn shape: " << M << "x" << K << "^T * "
+                        << b.rows << "x" << N;
+  PF_CHECK(c.rows == K && c.cols == N) << "matmul_tn output " << c.rows << "x"
+                                       << c.cols << ", want " << K << "x" << N;
+  check_operands("matmul_tn", a, b, c);
+  gemm_driver(K, N, M, alpha, ASource{a.data, a.ld, /*k_major=*/true},
+              BSource{b.data, b.ld, /*transposed=*/false}, c, ctx, lower_only);
 }
 
 }  // namespace
 
-void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
+ConstMatView::ConstMatView(const Matrix& m, std::size_t r0, std::size_t c0,
+                           std::size_t rows_, std::size_t cols_)
+    : data(m.data() + block_offset(m, r0, c0, rows_, cols_)),
+      rows(rows_),
+      cols(cols_),
+      ld(m.cols()) {}
+
+MatView::MatView(Matrix& m, std::size_t r0, std::size_t c0, std::size_t rows_,
+                 std::size_t cols_)
+    : data(m.data() + block_offset(m, r0, c0, rows_, cols_)),
+      rows(rows_),
+      cols(cols_),
+      ld(m.cols()) {}
+
+void matmul_acc(ConstMatView a, ConstMatView b, MatView c, double alpha,
                 const ExecContext& ctx) {
-  const std::size_t M = a.rows(), K = a.cols(), N = b.cols();
-  PF_CHECK(b.rows() == K) << "matmul shape: " << M << "x" << K << " * "
-                          << b.rows() << "x" << N;
-  PF_CHECK(c.rows() == M && c.cols() == N);
-  gemm_driver(
-      M, N, K, alpha,
-      [&](std::size_t i, std::size_t k) { return a.row(i)[k]; }, DirectA{},
-      [&](std::size_t k, std::size_t j) { return b.row(k)[j]; }, c, ctx);
+  const std::size_t M = a.rows, K = a.cols, N = b.cols;
+  PF_CHECK(b.rows == K) << "matmul shape: " << M << "x" << K << " * "
+                        << b.rows << "x" << N;
+  PF_CHECK(c.rows == M && c.cols == N) << "matmul output " << c.rows << "x"
+                                       << c.cols << ", want " << M << "x" << N;
+  check_operands("matmul", a, b, c);
+  gemm_driver(M, N, K, alpha, ASource{a.data, a.ld, /*k_major=*/false},
+              BSource{b.data, b.ld, /*transposed=*/false}, c, ctx);
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b, const ExecContext& ctx) {
@@ -247,7 +325,7 @@ Matrix matmul(const Matrix& a, const Matrix& b, int threads) {
   return matmul(a, b, ExecContext(1, threads));
 }
 
-void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
+void matmul_tn_acc(ConstMatView a, ConstMatView b, MatView c, double alpha,
                    const ExecContext& ctx) {
   tn_acc(a, b, c, alpha, ctx, /*lower_only=*/false);
 }
@@ -262,16 +340,17 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b, int threads) {
   return matmul_tn(a, b, ExecContext(1, threads));
 }
 
-void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
+void matmul_nt_acc(ConstMatView a, ConstMatView b, MatView c, double alpha,
                    const ExecContext& ctx) {
   // a: (M×K), b: (N×K), c: (M×N) += alpha * a bᵀ. Reduction dim is K.
-  const std::size_t M = a.rows(), K = a.cols(), N = b.rows();
-  PF_CHECK(b.cols() == K) << "matmul_nt shape mismatch";
-  PF_CHECK(c.rows() == M && c.cols() == N);
-  gemm_driver(
-      M, N, K, alpha,
-      [&](std::size_t i, std::size_t k) { return a.row(i)[k]; }, DirectA{},
-      [&](std::size_t k, std::size_t j) { return b.row(j)[k]; }, c, ctx);
+  const std::size_t M = a.rows, K = a.cols, N = b.rows;
+  PF_CHECK(b.cols == K) << "matmul_nt shape: " << M << "x" << K << " * "
+                        << b.rows << "x" << b.cols << "^T";
+  PF_CHECK(c.rows == M && c.cols == N) << "matmul_nt output " << c.rows << "x"
+                                       << c.cols << ", want " << M << "x" << N;
+  check_operands("matmul_nt", a, b, c);
+  gemm_driver(M, N, K, alpha, ASource{a.data, a.ld, /*k_major=*/false},
+              BSource{b.data, b.ld, /*transposed=*/true}, c, ctx);
 }
 
 Matrix matmul_nt(const Matrix& a, const Matrix& b, const ExecContext& ctx) {
@@ -285,8 +364,10 @@ void syrk_tn_acc(const Matrix& a, Matrix& c, double alpha,
   tn_acc(a, a, c, alpha, ctx, /*lower_only=*/true);
   // Mirror once every chunk has finished: the source (j, i) of an upper
   // element (i, j) may belong to another chunk's rows.
-  for (std::size_t i = 0; i < c.rows(); ++i)
-    for (std::size_t j = i + 1; j < c.cols(); ++j) c(i, j) = c(j, i);
+  const std::size_t n = c.rows();
+  double* d = c.data();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) d[i * n + j] = d[j * n + i];
 }
 
 std::vector<double> matvec(const Matrix& a, const std::vector<double>& x) {

@@ -19,6 +19,27 @@
 // other value throws; PF_FORCE_SCALAR=1 remains an alias for scalar);
 // set_simd_level() switches it programmatically.
 //
+// Views: the accumulating products read A and B and write C through
+// ConstMatView/MatView — a (pointer, rows, cols, leading dimension) window
+// onto a Matrix, element (i, j) at data[i*ld + j]. A const Matrix& converts
+// implicitly to a view of the whole matrix and a Matrix& lvalue to a
+// writable one; the block constructors PF_CHECK that the block lies inside
+// its Matrix, and each product PF_CHECKs ld >= cols and that C's span
+// overlaps neither A's nor B's. Bounds are thus checked once per view, not
+// per element. Views are call arguments: build them at the call and never
+// store one (a view does not keep its Matrix alive, and reassigning the
+// Matrix moves its storage). Addressing never enters the arithmetic, so a
+// product on views gives the same bits as on contiguous copies.
+//
+// Pack buffer: each thread packs B into one grow-only thread_local buffer
+// that every product kind shares (A tiles likewise). A threaded product's
+// workers read the buffer of the thread that called it. That thread
+// rewrites the buffer only at its next product, and while it waits in
+// parallel_for it runs only its own loop's chunks (thread_pool.h), none of
+// which packs B, so no buffer changes under a reader. Full panels are
+// copied branch-free; only a partial last panel is zero-padded, so stale
+// contents never reach C.
+//
 // Threading: every kernel takes a trailing ExecContext (default: serial).
 // Output rows split into ctx.gemm_threads() contiguous blocks dispatched on
 // ctx.pool() — inside a pipeline stage that is the runtime's own worker
@@ -27,9 +48,9 @@
 //
 // Determinism: within one SIMD level, results are bitwise identical for
 // every thread count and pool — each output element accumulates its k terms
-// in ascending order no matter how the rows are partitioned or how A is
-// addressed. Across SIMD levels results may differ in the last ulps (the
-// FMA paths fuse each multiply-add into one rounding; the scalar path
+// in ascending order no matter how the rows are partitioned or how A, B and
+// C are addressed. Across SIMD levels results may differ in the last ulps
+// (the FMA paths fuse each multiply-add into one rounding; the scalar path
 // rounds twice), so cross-ISA comparisons need an epsilon, not equality —
 // see the GemmSimd tests. The exp kernel that dispatches on the same levels
 // (exp_span.h, under GELU and softmax) is the exception: its tiers return
@@ -52,12 +73,37 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b,
 Matrix matmul_nt(const Matrix& a, const Matrix& b,
                  const ExecContext& ctx = {});
 
-// In-place accumulating variants: c += alpha * product. Shapes must match.
-void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c,
-                double alpha = 1.0, const ExecContext& ctx = {});
-void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c,
+// Read-only view of a row-major block: element (i, j) at data[i*ld + j].
+struct ConstMatView {
+  const double* data;
+  std::size_t rows, cols, ld;
+  // The whole matrix (implicit, so a Matrix passes wherever a view goes).
+  ConstMatView(const Matrix& m)
+      : data(m.data()), rows(m.rows()), cols(m.cols()), ld(m.cols()) {}
+  // The rows × cols block of m at (r0, c0); PF_CHECKs that it lies inside m.
+  ConstMatView(const Matrix& m, std::size_t r0, std::size_t c0,
+               std::size_t rows, std::size_t cols);
+};
+
+// Writable view of a row-major block: element (i, j) at data[i*ld + j].
+struct MatView {
+  double* data;
+  std::size_t rows, cols, ld;
+  // The whole matrix (implicit, as above; only from a non-const lvalue).
+  MatView(Matrix& m)
+      : data(m.data()), rows(m.rows()), cols(m.cols()), ld(m.cols()) {}
+  // The rows × cols block of m at (r0, c0); PF_CHECKs that it lies inside m.
+  MatView(Matrix& m, std::size_t r0, std::size_t c0, std::size_t rows,
+          std::size_t cols);
+};
+
+// In-place accumulating variants: c += alpha * product. Shapes must match,
+// and c may not overlap a or b.
+void matmul_acc(ConstMatView a, ConstMatView b, MatView c, double alpha = 1.0,
+                const ExecContext& ctx = {});
+void matmul_tn_acc(ConstMatView a, ConstMatView b, MatView c,
                    double alpha = 1.0, const ExecContext& ctx = {});
-void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c,
+void matmul_nt_acc(ConstMatView a, ConstMatView b, MatView c,
                    double alpha = 1.0, const ExecContext& ctx = {});
 
 // Forwards for callers that pass a bare row-block count: the same product

@@ -1,8 +1,11 @@
 // Dense row-major matrix of doubles — the numeric workhorse of the library.
 //
-// Deliberately simple: value semantics, bounds-checked access, and a handful
-// of elementwise helpers. Heavy kernels (GEMM, Cholesky) live in gemm.h and
-// cholesky.h as free functions.
+// Deliberately simple: value semantics, bounds-checked element access, and a
+// handful of elementwise helpers. operator() checks every index, so it is
+// for tests and cold code; hot loops check shapes once and then index
+// through row(r) or data(). Heavy kernels (GEMM, Cholesky) live in gemm.h
+// and cholesky.h as free functions; gemm.h's views address a block of a
+// Matrix in place.
 #pragma once
 
 #include <cstddef>

@@ -69,22 +69,61 @@ Matrix gelu_backward(const Matrix& x, const Matrix& dy,
   return dx;
 }
 
+namespace {
+
+// Softmax of the R consecutive rows at x (row length cols, contiguous) into
+// p. Each row's max and sum still ascend its columns; the R rows' chains
+// only run side by side, and one exp_span covers the block. The bits are
+// those of one row at a time.
+template <std::size_t R>
+void softmax_block(const double* x, double* p, std::size_t cols) {
+  double mx[R], sum[R];
+  for (std::size_t i = 0; i < R; ++i) mx[i] = x[i * cols];
+  for (std::size_t c = 1; c < cols; ++c)
+    for (std::size_t i = 0; i < R; ++i)
+      mx[i] = std::max(mx[i], x[i * cols + c]);
+  for (std::size_t i = 0; i < R; ++i)
+    for (std::size_t c = 0; c < cols; ++c)
+      p[i * cols + c] = x[i * cols + c] - mx[i];
+  exp_span(p, p, R * cols);
+  for (std::size_t i = 0; i < R; ++i) sum[i] = 0.0;
+  for (std::size_t c = 0; c < cols; ++c)
+    for (std::size_t i = 0; i < R; ++i) sum[i] += p[i * cols + c];
+  for (std::size_t i = 0; i < R; ++i) {
+    const double inv = 1.0 / sum[i];
+    for (std::size_t c = 0; c < cols; ++c) p[i * cols + c] *= inv;
+  }
+}
+
+// dx = p ∘ (dy − rowsum(dy ∘ p)) for R consecutive rows, their dot-product
+// chains side by side, each ascending its columns.
+template <std::size_t R>
+void softmax_backward_block(const double* p, const double* dy, double* dx,
+                            std::size_t cols) {
+  double dot[R] = {};
+  for (std::size_t c = 0; c < cols; ++c)
+    for (std::size_t i = 0; i < R; ++i)
+      dot[i] += p[i * cols + c] * dy[i * cols + c];
+  for (std::size_t i = 0; i < R; ++i)
+    for (std::size_t c = 0; c < cols; ++c)
+      dx[i * cols + c] = p[i * cols + c] * (dy[i * cols + c] - dot[i]);
+}
+
+constexpr std::size_t kSoftmaxRows = 4;  // row chains run side by side
+
+}  // namespace
+
 Matrix softmax_rows(const Matrix& logits, const ExecContext& ctx) {
   const std::size_t cols = logits.cols();
+  PF_CHECK(cols > 0 || logits.rows() == 0)
+      << "softmax_rows of a " << logits.rows() << "x" << cols
+      << " matrix: a row needs at least one column";
   Matrix p(logits.rows(), cols);
   ctx.parallel_for(logits.rows(), [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      const double* row = logits.row(r);
-      double* pr = p.row(r);
-      double mx = row[0];
-      for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, row[c]);
-      for (std::size_t c = 0; c < cols; ++c) pr[c] = row[c] - mx;
-      exp_span(pr, pr, cols);
-      double sum = 0.0;
-      for (std::size_t c = 0; c < cols; ++c) sum += pr[c];
-      const double inv = 1.0 / sum;
-      for (std::size_t c = 0; c < cols; ++c) pr[c] *= inv;
-    }
+    std::size_t r = r0;
+    for (; r + kSoftmaxRows <= r1; r += kSoftmaxRows)
+      softmax_block<kSoftmaxRows>(logits.row(r), p.row(r), cols);
+    for (; r < r1; ++r) softmax_block<1>(logits.row(r), p.row(r), cols);
   });
   return p;
 }
@@ -95,14 +134,12 @@ Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
   const std::size_t cols = p.cols();
   Matrix dx(p.rows(), cols);
   ctx.parallel_for(p.rows(), [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      const double* pr = p.row(r);
-      const double* dyr = dy.row(r);
-      double* dxr = dx.row(r);
-      double dot = 0.0;
-      for (std::size_t c = 0; c < cols; ++c) dot += pr[c] * dyr[c];
-      for (std::size_t c = 0; c < cols; ++c) dxr[c] = pr[c] * (dyr[c] - dot);
-    }
+    std::size_t r = r0;
+    for (; r + kSoftmaxRows <= r1; r += kSoftmaxRows)
+      softmax_backward_block<kSoftmaxRows>(p.row(r), dy.row(r), dx.row(r),
+                                           cols);
+    for (; r < r1; ++r)
+      softmax_backward_block<1>(p.row(r), dy.row(r), dx.row(r), cols);
   });
   return dx;
 }

@@ -8,31 +8,6 @@
 
 namespace pf {
 
-namespace {
-
-// Copies the [seq × d_head] slice of one (batch, head) out of a
-// [batch·seq × d_model] tensor.
-Matrix slice_bh(const Matrix& x, std::size_t b, std::size_t h,
-                std::size_t seq, std::size_t d_head) {
-  Matrix out(seq, d_head);
-  for (std::size_t s = 0; s < seq; ++s) {
-    const double* row = x.row(b * seq + s);
-    for (std::size_t c = 0; c < d_head; ++c) out(s, c) = row[h * d_head + c];
-  }
-  return out;
-}
-
-void add_slice_bh(Matrix& x, const Matrix& piece, std::size_t b,
-                  std::size_t h, std::size_t seq, std::size_t d_head) {
-  for (std::size_t s = 0; s < seq; ++s) {
-    double* row = x.row(b * seq + s);
-    for (std::size_t c = 0; c < d_head; ++c)
-      row[h * d_head + c] += piece(s, c);
-  }
-}
-
-}  // namespace
-
 MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t d_model,
                                                std::size_t n_heads, Rng& rng,
                                                const std::string& name)
@@ -61,27 +36,32 @@ Matrix MultiHeadSelfAttention::forward(const Matrix& x, std::size_t batch,
   Matrix context(batch * seq, d_model_, 0.0);
   if (training) probs_.assign(batch * n_heads_, Matrix());
   // One task per (batch, head): each writes its own probs_ slot and a
-  // disjoint [seq × d_head] slice of `context` (rows of sequence b, columns
+  // disjoint [seq × d_head] block of `context` (rows of sequence b, columns
   // of head h), so any partition is race-free and bitwise identical. When
   // this loop actually fans out, the tiny per-head products run serial
   // inside each task (the parallelism budget is the loop itself); with a
   // serial outer loop they use the context's GEMM row blocks. Either choice
   // is bitwise neutral.
+  //
+  // Heads are multiplied in place through views of q_, k_, v_ and context.
+  // The scale rides in as the scores product's alpha: for d_head ≤ 256 (one
+  // k block) that rounds scale·acc once per score, as scaling the finished
+  // product did. The context block starts at 0 and is written once, so
+  // accumulating into it equals computing the head apart and adding it.
   const bool fan_out = ctx.nn_threads() > 1;
   const ExecContext inner = fan_out ? ExecContext() : ctx;
   ctx.parallel_for(batch * n_heads_, [&](std::size_t bh0, std::size_t bh1) {
     for (std::size_t bh = bh0; bh < bh1; ++bh) {
-      const std::size_t b = bh / n_heads_;
-      const std::size_t h = bh % n_heads_;
-      const Matrix qb = slice_bh(q_, b, h, seq, d_head_);
-      const Matrix kb = slice_bh(k_, b, h, seq, d_head_);
-      const Matrix vb = slice_bh(v_, b, h, seq, d_head_);
-      Matrix scores = matmul_nt(qb, kb, inner);
-      scores *= scale;
+      const std::size_t r0 = (bh / n_heads_) * seq;
+      const std::size_t c0 = (bh % n_heads_) * d_head_;
+      Matrix scores(seq, seq, 0.0);
+      matmul_nt_acc(ConstMatView(q_, r0, c0, seq, d_head_),
+                    ConstMatView(k_, r0, c0, seq, d_head_), scores, scale,
+                    inner);
       Matrix p = softmax_rows(scores, inner);
-      const Matrix head_ctx = matmul(p, vb, inner);
+      matmul_acc(p, ConstMatView(v_, r0, c0, seq, d_head_),
+                 MatView(context, r0, c0, seq, d_head_), 1.0, inner);
       if (training) probs_[bh] = std::move(p);
-      add_slice_bh(context, head_ctx, b, h, seq, d_head_);
     }
   });
   return wo_.forward(context, training, ctx);
@@ -98,30 +78,29 @@ Matrix MultiHeadSelfAttention::backward(const Matrix& dy,
   Matrix dq(q_.rows(), d_model_, 0.0);
   Matrix dk(k_.rows(), d_model_, 0.0);
   Matrix dv(v_.rows(), d_model_, 0.0);
-  // Same task shape as forward: (batch, head) tasks write disjoint slices
-  // of dq/dk/dv, with the same inner-threading rule.
+  // Same task shape as forward: (batch, head) tasks read their head's
+  // blocks in place and accumulate into disjoint, zeroed blocks of
+  // dq/dk/dv, with the same inner-threading rule.
   const bool fan_out = ctx.nn_threads() > 1;
   const ExecContext inner = fan_out ? ExecContext() : ctx;
   ctx.parallel_for(batch_ * n_heads_, [&](std::size_t bh0, std::size_t bh1) {
     for (std::size_t bh = bh0; bh < bh1; ++bh) {
-      const std::size_t b = bh / n_heads_;
-      const std::size_t h = bh % n_heads_;
+      const std::size_t r0 = (bh / n_heads_) * seq_;
+      const std::size_t c0 = (bh % n_heads_) * d_head_;
       const Matrix& p = probs_[bh];
-      const Matrix qb = slice_bh(q_, b, h, seq_, d_head_);
-      const Matrix kb = slice_bh(k_, b, h, seq_, d_head_);
-      const Matrix vb = slice_bh(v_, b, h, seq_, d_head_);
-      const Matrix dctx = slice_bh(dcontext, b, h, seq_, d_head_);
+      const ConstMatView dctx(dcontext, r0, c0, seq_, d_head_);
       // head_ctx = p · v.
-      const Matrix dp = matmul_nt(dctx, vb, inner);
-      const Matrix dvb = matmul_tn(p, dctx, inner);
+      Matrix dp(seq_, seq_, 0.0);
+      matmul_nt_acc(dctx, ConstMatView(v_, r0, c0, seq_, d_head_), dp, 1.0,
+                    inner);
+      matmul_tn_acc(p, dctx, MatView(dv, r0, c0, seq_, d_head_), 1.0, inner);
       // scores backward through softmax, then through q·kᵀ·scale.
       Matrix dscores = softmax_rows_backward(p, dp, inner);
       dscores *= scale;
-      const Matrix dqb = matmul(dscores, kb, inner);
-      const Matrix dkb = matmul_tn(dscores, qb, inner);
-      add_slice_bh(dq, dqb, b, h, seq_, d_head_);
-      add_slice_bh(dk, dkb, b, h, seq_, d_head_);
-      add_slice_bh(dv, dvb, b, h, seq_, d_head_);
+      matmul_acc(dscores, ConstMatView(k_, r0, c0, seq_, d_head_),
+                 MatView(dq, r0, c0, seq_, d_head_), 1.0, inner);
+      matmul_tn_acc(dscores, ConstMatView(q_, r0, c0, seq_, d_head_),
+                    MatView(dk, r0, c0, seq_, d_head_), 1.0, inner);
     }
   });
   Matrix dx = dx_only ? wq_.backward_dx(dq, ctx) : wq_.backward(dq, ctx);

@@ -13,8 +13,10 @@ class MultiHeadSelfAttention {
 
   // x is [batch·seq × d_model]; attention runs within each sequence. The
   // score/softmax/AV work parallelizes one task per (batch, head) over the
-  // context — tasks write disjoint slices, so every thread count is bitwise
-  // identical to serial (see exec_context.h).
+  // context. Each task multiplies its head's blocks of Q/K/V in place
+  // through GEMM views (linalg/gemm.h) and accumulates into its own zeroed
+  // block of the output, so every thread count is bitwise identical to
+  // serial (see exec_context.h).
   Matrix forward(const Matrix& x, std::size_t batch, std::size_t seq,
                  bool training = true, const ExecContext& ctx = {});
   // `dx_only` routes the four projections through Linear::backward_dx (the

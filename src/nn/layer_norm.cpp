@@ -26,9 +26,14 @@ Matrix LayerNorm::forward(const Matrix& x, bool training,
     xhat_ = arena_matrix(ctx.arena(), n, dim_);
     inv_std_.assign(n, 0.0);
   }
+  // Shapes are checked above, so the loops index through row pointers.
+  const double* gamma = gamma_.w.row(0);
+  const double* beta = beta_.w.row(0);
   ctx.parallel_for(n, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       const double* row = x.row(r);
+      double* yr = y.row(r);
+      double* xh_r = training ? xhat_.row(r) : nullptr;
       double mean = 0.0;
       for (std::size_t c = 0; c < dim_; ++c) mean += row[c];
       mean /= static_cast<double>(dim_);
@@ -41,8 +46,8 @@ Matrix LayerNorm::forward(const Matrix& x, bool training,
       const double inv = 1.0 / std::sqrt(var + eps_);
       for (std::size_t c = 0; c < dim_; ++c) {
         const double xh = (row[c] - mean) * inv;
-        if (training) xhat_(r, c) = xh;
-        y(r, c) = xh * gamma_.w(0, c) + beta_.w(0, c);
+        if (training) xh_r[c] = xh;
+        yr[c] = xh * gamma[c] + beta[c];
       }
       if (training) inv_std_[r] = inv;
     }
@@ -56,33 +61,40 @@ Matrix LayerNorm::backward(const Matrix& dy, const ExecContext& ctx) {
   const std::size_t n = dy.rows();
   const double dimd = static_cast<double>(dim_);
   Matrix dx(n, dim_);
+  const double* gamma = gamma_.w.row(0);
   // Phase 1, row-parallel: dxhat = dy ∘ gamma;
   // dx = inv_std·(dxhat − mean(dxhat) − xhat·mean(dxhat ∘ xhat)).
   ctx.parallel_for(n, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
+      const double* dyr = dy.row(r);
+      const double* xh = xhat_.row(r);
+      double* dxr = dx.row(r);
       double mean_dxhat = 0.0, mean_dxhat_xhat = 0.0;
       for (std::size_t c = 0; c < dim_; ++c) {
-        const double dxh = dy(r, c) * gamma_.w(0, c);
+        const double dxh = dyr[c] * gamma[c];
         mean_dxhat += dxh;
-        mean_dxhat_xhat += dxh * xhat_(r, c);
+        mean_dxhat_xhat += dxh * xh[c];
       }
       mean_dxhat /= dimd;
       mean_dxhat_xhat /= dimd;
       for (std::size_t c = 0; c < dim_; ++c) {
-        const double dxh = dy(r, c) * gamma_.w(0, c);
-        dx(r, c) =
-            inv_std_[r] * (dxh - mean_dxhat - xhat_(r, c) * mean_dxhat_xhat);
+        const double dxh = dyr[c] * gamma[c];
+        dxr[c] = inv_std_[r] * (dxh - mean_dxhat - xh[c] * mean_dxhat_xhat);
       }
     }
   });
   // Phase 2, column-sharded parameter gradients: each gamma/beta coordinate
   // accumulates its rows in ascending order — the serial sequence per
   // memory location, so every thread count is bitwise equal to serial.
+  double* dgamma = gamma_.g.row(0);
+  double* dbeta = beta_.g.row(0);
   ctx.parallel_for(dim_, [&](std::size_t c0, std::size_t c1) {
     for (std::size_t r = 0; r < n; ++r) {
+      const double* dyr = dy.row(r);
+      const double* xh = xhat_.row(r);
       for (std::size_t c = c0; c < c1; ++c) {
-        gamma_.g(0, c) += dy(r, c) * xhat_(r, c);
-        beta_.g(0, c) += dy(r, c);
+        dgamma[c] += dyr[c] * xh[c];
+        dbeta[c] += dyr[c];
       }
     }
   });

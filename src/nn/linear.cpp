@@ -32,21 +32,11 @@ Matrix Linear::forward(const Matrix& x, bool training,
 }
 
 Matrix Linear::backward(const Matrix& dy, const ExecContext& ctx) {
-  PF_CHECK(dy.cols() == d_out_);
-  PF_CHECK(!x_cache_.empty()) << name_ << ": backward before forward";
-  PF_CHECK(dy.rows() == x_cache_.rows());
-  arena_assign(ctx.arena(), dy_cache_, dy);
-  // dW += xᵀ·dy; db += column sums; dx = dy·Wᵀ.
-  matmul_tn_acc(x_cache_, dy, w_.g, 1.0, ctx);
-  // db column-sharded: every bias coordinate accumulates its rows in
-  // ascending order regardless of the partition — bitwise equal to serial.
-  ctx.parallel_for(d_out_, [&](std::size_t c0, std::size_t c1) {
-    for (std::size_t r = 0; r < dy.rows(); ++r) {
-      const double* row = dy.row(r);
-      for (std::size_t c = c0; c < c1; ++c) b_.g(0, c) += row[c];
-    }
-  });
-  return matmul_nt(dy, w_.w, ctx);
+  // dW, db and dx write disjoint memory from unchanged inputs, so the B pass
+  // then the W pass is the fused backward, bit for bit.
+  Matrix dx = backward_dx(dy, ctx);
+  backward_dw(ctx);
+  return dx;
 }
 
 Matrix Linear::backward_dx(const Matrix& dy, const ExecContext& ctx) {
@@ -55,10 +45,13 @@ Matrix Linear::backward_dx(const Matrix& dy, const ExecContext& ctx) {
   PF_CHECK(dy.rows() == x_cache_.rows());
   arena_assign(ctx.arena(), dy_cache_, dy);
   // db += column sums; dx = dy·Wᵀ. The dW GEMM is deferred to backward_dw.
+  // db is column-sharded: every bias coordinate accumulates its rows in
+  // ascending order regardless of the partition — bitwise equal to serial.
+  double* db = b_.g.row(0);
   ctx.parallel_for(d_out_, [&](std::size_t c0, std::size_t c1) {
     for (std::size_t r = 0; r < dy.rows(); ++r) {
       const double* row = dy.row(r);
-      for (std::size_t c = c0; c < c1; ++c) b_.g(0, c) += row[c];
+      for (std::size_t c = c0; c < c1; ++c) db[c] += row[c];
     }
   });
   return matmul_nt(dy, w_.w, ctx);

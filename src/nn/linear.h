@@ -30,11 +30,11 @@ class Linear {
   // the B pass: caches dy, accumulates db, returns dx — everything on the
   // pipeline's critical path — and skips the dW GEMM. backward_dw is the W
   // pass: dW += xᵀ·dy from the live caches (or an externalized Cache), the
-  // deferrable weight-gradient GEMM. Running backward_dx then backward_dw
-  // is BITWISE identical to the fused backward(): the same matmul_tn_acc on
-  // the same operands, and dW touches coordinates disjoint from db/dx, so
-  // only the per-micro order of dW accumulation matters — the caller (the
-  // pipeline runtime's per-stage W chain) keeps it ascending.
+  // deferrable weight-gradient GEMM. The fused backward() is backward_dx
+  // then backward_dw, so the split is BITWISE identical by construction:
+  // dW touches coordinates disjoint from db/dx, and only the per-micro
+  // order of dW accumulation matters — the caller (the pipeline runtime's
+  // per-stage W chain) keeps it ascending.
   Matrix backward_dx(const Matrix& dy, const ExecContext& ctx = {});
   void backward_dw(const ExecContext& ctx = {});
 

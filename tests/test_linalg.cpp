@@ -5,9 +5,12 @@
 //   (A ⊗ B)⁻¹ = A⁻¹ ⊗ B⁻¹   and   (A ⊗ B) vec(X) = vec(B X Aᵀ).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/cpu_features.h"
@@ -576,6 +579,224 @@ TEST(GemmSyrk, ShapeMismatchThrows) {
   const Matrix a = Matrix::randn(5, 4, rng);
   Matrix c(5, 5, 0.0);
   EXPECT_THROW(syrk_tn_acc(a, c, 1.0), Error);
+}
+
+// GemmView: the accumulating products read and write through strided views.
+enum class ProductKind { kNn, kTn, kNt, kSyrk };
+
+const char* kind_name(ProductKind kind) {
+  switch (kind) {
+    case ProductKind::kNn: return "nn";
+    case ProductKind::kTn: return "tn";
+    case ProductKind::kNt: return "nt";
+    case ProductKind::kSyrk: return "syrk";
+  }
+  return "?";
+}
+
+// Contiguous operands of one product kind with output m×n and reduction
+// depth k; syrk's output is m×m and starts at zero (it must be symmetric).
+struct ProductOperands {
+  Matrix a, b, c;
+};
+
+ProductOperands make_operands(ProductKind kind, std::size_t m, std::size_t k,
+                              std::size_t n, Rng& rng) {
+  switch (kind) {
+    case ProductKind::kNn:
+      return {Matrix::randn(m, k, rng), Matrix::randn(k, n, rng),
+              Matrix::randn(m, n, rng)};
+    case ProductKind::kTn:
+      return {Matrix::randn(k, m, rng), Matrix::randn(k, n, rng),
+              Matrix::randn(m, n, rng)};
+    case ProductKind::kNt:
+      return {Matrix::randn(m, k, rng), Matrix::randn(n, k, rng),
+              Matrix::randn(m, n, rng)};
+    case ProductKind::kSyrk: {
+      Matrix a = Matrix::randn(k, m, rng);
+      return {a, a, Matrix(m, m, 0.0)};
+    }
+  }
+  return {};
+}
+
+// The product on views; syrk's view form is the tn product of a with itself.
+void product_on_views(ProductKind kind, ConstMatView a, ConstMatView b,
+                      MatView c, double alpha, const ExecContext& ctx) {
+  switch (kind) {
+    case ProductKind::kNn: matmul_acc(a, b, c, alpha, ctx); return;
+    case ProductKind::kTn: matmul_tn_acc(a, b, c, alpha, ctx); return;
+    case ProductKind::kNt: matmul_nt_acc(a, b, c, alpha, ctx); return;
+    case ProductKind::kSyrk: matmul_tn_acc(a, a, c, alpha, ctx); return;
+  }
+}
+
+// The product on contiguous matrices; syrk through syrk_tn_acc.
+void product_on_copies(ProductKind kind, const Matrix& a, const Matrix& b,
+                       Matrix& c, double alpha, const ExecContext& ctx) {
+  if (kind == ProductKind::kSyrk)
+    syrk_tn_acc(a, c, alpha, ctx);
+  else
+    product_on_views(kind, a, b, c, alpha, ctx);
+}
+
+// Around an input block: a NaN with a payload no arithmetic produces, so a
+// read outside the block poisons C and memcmp tells it apart.
+double input_sentinel() {
+  return std::bit_cast<double>(0x7ff8'dead'beef'0001ULL);
+}
+
+// Around an output block: −0.0. The kernels only ever add to C, and a NaN
+// would swallow any sum; −0.0 changes bits under every write of a product
+// with alpha > 0, even one of +0.0 from zero-padded panel lanes.
+constexpr double kOutputSentinel = -0.0;
+
+// src placed at (r0, c0) inside a larger matrix of `fill`: pad_r rows and
+// pad_c columns more than src, so a view of the block has ld > cols.
+Matrix embed(const Matrix& src, std::size_t r0, std::size_t c0,
+             std::size_t pad_r, std::size_t pad_c, double fill) {
+  Matrix out(src.rows() + pad_r, src.cols() + pad_c, fill);
+  for (std::size_t r = 0; r < src.rows(); ++r)
+    std::memcpy(out.row(r0 + r) + c0, src.row(r), src.cols() * sizeof(double));
+  return out;
+}
+
+// Runs `check(level, threads)` on every host tier × gemm_threads {1, 2, 3}.
+template <typename Check>
+void for_each_tier_and_thread_count(const Check& check) {
+  for (SimdLevel level : host_simd_levels()) {
+    ScopedSimdLevel guard(level);
+    for (int threads : {1, 2, 3}) check(level, threads);
+  }
+}
+
+TEST(GemmView, ProductsOnViewsEqualProductsOnContiguousCopies) {
+  // Every operand is a block at a non-zero offset with ld > cols. n 19 and
+  // 37 leave a partial last B panel on the 8- and 16-wide tiers; k 300
+  // crosses the 256-deep k panel. The block of C must get the bits the
+  // contiguous product gets, and every sentinel around it must survive.
+  struct Dims {
+    std::size_t m, k, n;
+  };
+  Rng rng(163);
+  for_each_tier_and_thread_count([&](SimdLevel level, int threads) {
+    const ExecContext ctx(1, threads);
+    for (ProductKind kind : {ProductKind::kNn, ProductKind::kTn,
+                             ProductKind::kNt, ProductKind::kSyrk}) {
+      for (const Dims& d : {Dims{1, 1, 1}, Dims{7, 5, 19}, Dims{13, 300, 37}}) {
+        SCOPED_TRACE(std::string(simd_level_name(level)) + " " +
+                     kind_name(kind) + " threads=" + std::to_string(threads) +
+                     " m=" + std::to_string(d.m) + " k=" + std::to_string(d.k) +
+                     " n=" + std::to_string(d.n));
+        ProductOperands ops = make_operands(kind, d.m, d.k, d.n, rng);
+        const Matrix pa = embed(ops.a, 2, 3, 3, 5, input_sentinel());
+        const Matrix pb = embed(ops.b, 1, 4, 4, 6, input_sentinel());
+        Matrix pc = embed(ops.c, 2, 1, 2, 7, kOutputSentinel);
+        product_on_views(
+            kind, ConstMatView(pa, 2, 3, ops.a.rows(), ops.a.cols()),
+            ConstMatView(pb, 1, 4, ops.b.rows(), ops.b.cols()),
+            MatView(pc, 2, 1, ops.c.rows(), ops.c.cols()), 0.75, ctx);
+        product_on_copies(kind, ops.a, ops.b, ops.c, 0.75, ctx);
+        const Matrix want = embed(ops.c, 2, 1, 2, 7, kOutputSentinel);
+        ASSERT_TRUE(same_bits(pc, want));
+      }
+    }
+  });
+}
+
+TEST(GemmView, GuardBandAroundOutputViewStaysUntouched) {
+  // An output block in the middle of a matrix of sentinels, one sentinel
+  // wide on every side (and past the row end, where ld > cols): only the
+  // block may change. 21 columns end in a partial panel on every tier.
+  Rng rng(165);
+  for_each_tier_and_thread_count([&](SimdLevel level, int threads) {
+    const ExecContext ctx(1, threads);
+    for (ProductKind kind : {ProductKind::kNn, ProductKind::kTn,
+                             ProductKind::kNt, ProductKind::kSyrk}) {
+      ProductOperands ops = make_operands(kind, 11, 9, 21, rng);
+      const std::size_t rows = ops.c.rows(), cols = ops.c.cols();
+      Matrix guarded(rows + 2, cols + 2, kOutputSentinel);
+      product_on_views(kind, ops.a, ops.b, MatView(guarded, 1, 1, rows, cols),
+                       1.5, ctx);
+      for (std::size_t r = 0; r < rows + 2; ++r)
+        for (std::size_t c = 0; c < cols + 2; ++c) {
+          const bool inside = r >= 1 && r <= rows && c >= 1 && c <= cols;
+          if (inside) continue;
+          ASSERT_EQ(std::memcmp(&guarded(r, c), &kOutputSentinel,
+                                sizeof(double)),
+                    0)
+              << simd_level_name(level) << " " << kind_name(kind)
+              << " threads=" << threads << " wrote (" << r << "," << c << ")";
+        }
+    }
+  });
+}
+
+TEST(GemmView, StalePackContentsNeverReachC) {
+  // Each thread packs B into one grow-only buffer that every product shares.
+  // Fill it with NaN and ±Inf through a larger product, then run products
+  // whose 5 columns fill part of one panel: each must give the bits it gives
+  // on a fresh thread, whose buffer is still empty, as in a fresh process.
+  Rng rng(167);
+  const Matrix a = Matrix::randn(9, 13, rng);
+  const Matrix a_t = Matrix::randn(13, 9, rng);
+  const Matrix b = Matrix::randn(13, 5, rng);
+  const Matrix b_t = Matrix::randn(5, 13, rng);
+  const Matrix poison_a = Matrix::randn(11, 300, rng);
+  Matrix poison_b(300, 70);
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  for (std::size_t i = 0; i < poison_b.size(); ++i)
+    poison_b.data()[i] = specials[i % 3];
+  for_each_tier_and_thread_count([&](SimdLevel level, int threads) {
+    const ExecContext ctx(1, threads);
+    const auto run = [&] {
+      std::vector<Matrix> out(3, Matrix(9, 5, 0.25));
+      matmul_acc(a, b, out[0], 1.0, ctx);
+      matmul_tn_acc(a_t, b, out[1], 1.0, ctx);
+      matmul_nt_acc(a, b_t, out[2], 1.0, ctx);
+      return out;
+    };
+    std::vector<Matrix> fresh;
+    std::thread([&] { fresh = run(); }).join();
+    Matrix junk(11, 70, 0.0);
+    matmul_acc(poison_a, poison_b, junk, 1.0, ctx);
+    const std::vector<Matrix> got = run();
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_TRUE(same_bits(got[i], fresh[i]))
+          << simd_level_name(level) << " threads=" << threads << " product "
+          << i;
+  });
+}
+
+TEST(GemmView, OverlappingOutputAndOutOfRangeViewsThrow) {
+  Matrix m(8, 8, 1.0);
+  const Matrix b(4, 4, 1.0);
+  // C overlapping A, or B, throws — for whole matrices and for blocks.
+  EXPECT_THROW(matmul_acc(m, m, m), Error);
+  EXPECT_THROW(matmul_tn_acc(m, m, m), Error);
+  EXPECT_THROW(matmul_nt_acc(m, m, m), Error);
+  EXPECT_THROW(matmul_acc(ConstMatView(m, 0, 0, 4, 4), b,
+                          MatView(m, 2, 2, 4, 4)),
+               Error);
+  EXPECT_THROW(matmul_acc(b, ConstMatView(m, 3, 3, 4, 4),
+                          MatView(m, 4, 4, 4, 4)),
+               Error);
+  // The check is on spans: side-by-side column blocks of the same rows share
+  // no element, but their spans interleave, so that throws too.
+  EXPECT_THROW(matmul_acc(ConstMatView(m, 0, 0, 4, 4), b,
+                          MatView(m, 0, 4, 4, 4)),
+               Error);
+  // Disjoint row blocks of one matrix are fine.
+  matmul_acc(ConstMatView(m, 0, 0, 4, 4), b, MatView(m, 4, 0, 4, 4));
+  EXPECT_EQ(m(4, 0), 5.0);
+  // A view must lie inside its matrix.
+  EXPECT_THROW(ConstMatView(m, 5, 0, 4, 4), Error);
+  EXPECT_THROW(ConstMatView(m, 0, 6, 2, 3), Error);
+  EXPECT_THROW(MatView(m, 9, 0, 0, 0), Error);
+  EXPECT_THROW(MatView(m, 0, 0, 8, 9), Error);
+  EXPECT_NO_THROW(ConstMatView(m, 8, 8, 0, 0));
 }
 
 TEST(Gemm, Matvec) {

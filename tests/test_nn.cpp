@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/common/check.h"
@@ -241,6 +242,48 @@ TEST(Softmax, StableUnderLargeLogits) {
   EXPECT_TRUE(std::isfinite(p(0, 0)));
   EXPECT_NEAR(p(0, 0) + p(0, 1), 1.0, 1e-12);
   EXPECT_GT(p(0, 0), p(0, 1));
+}
+
+TEST(Softmax, RowBlocksGiveTheBitsOfSingleRows) {
+  // softmax_rows runs four rows' chains side by side; each row must still
+  // get the bits it gets alone (a 1-row input takes the single-row path).
+  Rng rng(19);
+  for (std::size_t rows : {1, 3, 4, 5, 9}) {
+    const Matrix x = Matrix::randn(rows, 11, rng, 3.0);
+    const Matrix dy = Matrix::randn(rows, 11, rng);
+    const Matrix p = softmax_rows(x);
+    const Matrix dx = softmax_rows_backward(p, dy);
+    for (std::size_t r = 0; r < rows; ++r) {
+      Matrix xr(1, 11), pr(1, 11), dyr(1, 11);
+      for (std::size_t c = 0; c < 11; ++c) {
+        xr(0, c) = x(r, c);
+        pr(0, c) = p(r, c);
+        dyr(0, c) = dy(r, c);
+      }
+      const Matrix p1 = softmax_rows(xr);
+      const Matrix dx1 = softmax_rows_backward(pr, dyr);
+      for (std::size_t c = 0; c < 11; ++c) {
+        EXPECT_EQ(p(r, c), p1(0, c)) << "rows=" << rows << " r=" << r;
+        EXPECT_EQ(dx(r, c), dx1(0, c)) << "rows=" << rows << " r=" << r;
+      }
+    }
+  }
+}
+
+TEST(Softmax, EmptyRowsThrowNamingTheShape) {
+  // A row without columns has no softmax; both entry points say so before
+  // touching an element (the loss before its label check).
+  const Matrix empty_rows(3, 0);
+  try {
+    softmax_rows(empty_rows);
+    ADD_FAILURE() << "softmax_rows accepted a 3x0 input";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("3x0"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(softmax_cross_entropy(empty_rows, {0, 0, 0}), Error);
+  EXPECT_THROW(softmax_cross_entropy(empty_rows, {-1, -1, -1}), Error);
+  EXPECT_EQ(softmax_rows(Matrix(0, 4)).rows(), 0u);  // no rows: nothing to do
 }
 
 TEST(Attention, GradCheck) {

@@ -21,6 +21,7 @@
 #include "src/nn/transformer_block.h"
 #include "src/optim/lamb.h"
 #include "src/train/trainer.h"
+#include "tests/support/attention_reference.h"
 #include "tests/support/grad_check.h"
 #include "tests/support/simd_levels.h"
 
@@ -215,6 +216,42 @@ TEST(NnThreads, AttentionForwardBackwardBitwise) {
       const auto params = attn.params();
       for (std::size_t i = 0; i < params.size(); ++i)
         expect_bitwise(params[i]->g, ref_grads[i], "Attention param grad", t);
+    }
+  }
+}
+
+TEST(NnThreads, AttentionEqualsSliceCopyReferenceOnEveryTier) {
+  // Heads are multiplied in place through GEMM views; the slice-copy oracle
+  // copies each head out and adds it back. Every tier × thread count must
+  // give the oracle's bits (at that tier): the output, dx and all eight
+  // projection gradients. seq 33 leaves a partial last B panel on every
+  // tier; d_head 5 and 16 straddle and fill the 8-wide panels.
+  struct Shape {
+    std::size_t batch, seq, d_model, heads;
+  };
+  for (const Shape& s : {Shape{2, 7, 15, 3}, Shape{3, 33, 64, 4}}) {
+    Rng data_rng(157);
+    const Matrix x = Matrix::randn(s.batch * s.seq, s.d_model, data_rng);
+    const Matrix dy = Matrix::randn(s.batch * s.seq, s.d_model, data_rng);
+    for (SimdLevel level : host_simd_levels()) {
+      ScopedSimdLevel guard(level);
+      for (int t : {1, 2, 3}) {
+        SCOPED_TRACE(std::string(simd_level_name(level)) +
+                     " d_model=" + std::to_string(s.d_model));
+        Rng rng(17);
+        MultiHeadSelfAttention attn(s.d_model, s.heads, rng, "attn");
+        const AttentionReference ref =
+            attention_slice_reference(attn, s.heads, x, dy, s.batch, s.seq);
+        const ExecContext ctx(t, t);
+        expect_bitwise(attn.forward(x, s.batch, s.seq, true, ctx), ref.y,
+                       "Attention forward", t);
+        expect_bitwise(attn.backward(dy, ctx), ref.dx, "Attention dx", t);
+        const auto params = attn.params();
+        ASSERT_EQ(params.size(), 8u);
+        for (std::size_t i = 0; i < params.size(); ++i)
+          expect_bitwise(params[i]->g, ref.param_grads[i],
+                         params[i]->name.c_str(), t);
+      }
     }
   }
 }
