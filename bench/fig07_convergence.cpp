@@ -21,11 +21,11 @@
 // quick run, 1200 for a tighter curve). PF_NN_THREADS=<n> and
 // PF_GEMM_THREADS=<n> build the ExecContext both training runs thread
 // through: n-way nn loops and n-way GEMM row blocks (bitwise-identical
-// results; src/common/exec_context.h). The K-FAC run's engine takes the
-// same GEMM count, and PF_KFAC_LAYER_THREADS=<n> fans its per-layer loops.
-// PF_SCHEDULE=<name> picks the pipeline schedule for the steps→time
-// conversion (any name in list_schedules(); default chimera, as in the
-// paper).
+// results; src/common/exec_context.h). The K-FAC optimizer runs under the
+// same context, so its per-layer loops take the nn count and its GEMMs and
+// Choleskys the GEMM count. PF_SCHEDULE=<name> picks the pipeline schedule
+// for the steps→time conversion (any name in list_schedules(); default
+// chimera, as in the paper).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -63,13 +63,10 @@ TrainTrace run_training(const BertConfig& cfg, const MlmBatcher& batcher,
   std::unique_ptr<Optimizer> opt;
   if (use_kfac) {
     KfacOptimizerOptions o;
-    o.kfac.damping = 1e-3;
-    o.kfac.gemm_threads = exec.gemm_threads();
-    o.kfac.layer_threads = env_int("PF_KFAC_LAYER_THREADS", 1);
     o.curvature_interval = 1;
     o.inverse_interval = 3;  // PipeFisher-style frequent refresh
     opt = std::make_unique<KfacOptimizer>(model.kfac_linears(),
-                                          std::make_unique<Lamb>(), o);
+                                          std::make_unique<Lamb>(), o, exec);
   } else {
     opt = std::make_unique<Lamb>();
   }

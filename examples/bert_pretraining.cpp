@@ -2,18 +2,18 @@
 // (LAMB) and with K-FAC, reproducing the optimizer-level half of Figure 7
 // at demo scale (~1 minute on a laptop core).
 //
-//   $ ./bert_pretraining [steps]
+//   $ ./bert_pretraining [steps]     (a positive integer; default 200)
 //
 // PF_NN_THREADS=<n> parallelizes the nn forward/backward loops — attention
 // heads, layer-norm rows, embedding gather/scatter, activations, loss —
 // over n pool chunks, and PF_GEMM_THREADS=<n> the GEMM row blocks the same
-// way: the two build the one ExecContext the serial trainer threads
-// through, and the K-FAC engines take the same GEMM count (results are
-// bitwise identical to the serial run; see src/common/exec_context.h).
-// PF_KFAC_LAYER_THREADS=<n> fans the per-layer K-FAC loops across n pool
-// chunks (also bitwise identical; see KfacOptions::layer_threads).
-// PF_FORCE_SCALAR=1 pins the GEMM microkernel to the portable scalar path
-// (the banner line reports which SIMD level is active).
+// way: the two build the one ExecContext the serial trainer and its K-FAC
+// optimizer thread through, the K-FAC layer loops taking the nn count
+// (results are bitwise identical to the serial run; see
+// src/common/exec_context.h). An integer knob that does not parse stops
+// the run naming the variable. PF_FORCE_SCALAR=1 pins the GEMM microkernel
+// to the portable scalar path (the banner line reports which SIMD level is
+// active).
 // PF_SCHEDULE=<name> picks the pipeline schedule used for the closing
 // steps→simulated-wall-clock report (any name in list_schedules();
 // default chimera, mirroring PF_GEMM_THREADS' env-knob style).
@@ -25,13 +25,12 @@
 // the PF_SCHEDULE schedule (flush schedules only). PF_MICROS=<N> sets the
 // micro-batches per step (gradient accumulation in serial mode, pipeline
 // micro-batches in runtime mode), PF_STAGE_THREADS the per-stage
-// ExecContext budget, PF_STAGE_WORKERS the pool size (0 = one per
-// device). The contract: stdout is byte-identical across PF_STAGES /
-// PF_STAGE_THREADS / PF_STAGE_WORKERS at a fixed PF_MICROS — the runtime
-// is bitwise equal to the serial trainer; the executed-timeline
-// utilization report goes to stderr.
+// ExecContext budget (bubble K-FAC work included), PF_STAGE_WORKERS the
+// pool size (0 = one per device). The contract: stdout is byte-identical
+// across PF_STAGES / PF_STAGE_THREADS / PF_STAGE_WORKERS at a fixed
+// PF_MICROS — the runtime is bitwise equal to the serial trainer; the
+// executed-timeline utilization report goes to stderr.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "src/common/cpu_features.h"
@@ -51,11 +50,11 @@ namespace {
 using namespace pf;
 
 int run(int argc, char** argv) {
-  const std::size_t steps =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 200;
+  const int steps_arg = argc > 1 ? parse_int("steps", argv[1]) : 200;
+  PF_CHECK(steps_arg >= 1) << "steps must be positive, got " << steps_arg;
+  const auto steps = static_cast<std::size_t>(steps_arg);
   const ExecContext exec(env_int("PF_NN_THREADS", 1),
                          env_int("PF_GEMM_THREADS", 1));
-  const int layer_threads = env_int("PF_KFAC_LAYER_THREADS", 1);
   const int n_stages = env_int("PF_STAGES", 0);
   const int n_micros = env_int("PF_MICROS", 1);
   const int stage_threads = env_int("PF_STAGE_THREADS", 1);
@@ -65,10 +64,10 @@ int run(int argc, char** argv) {
   // the bitwise-neutral thread knobs (the verify contract for this binary).
   std::fprintf(stderr,
                "linalg: %s kernels (detected %s), gemm_threads=%d, "
-               "nn_threads=%d, kfac layer_threads=%d\n",
+               "nn_threads=%d\n",
                simd_level_name(active_simd_level()),
                simd_level_name(detected_simd_level()), exec.gemm_threads(),
-               exec.nn_threads(), layer_threads);
+               exec.nn_threads());
   if (n_stages > 0)
     std::fprintf(stderr,
                  "[pipeline] executable runtime: D=%d, micros=%d, "
@@ -126,16 +125,9 @@ int run(int argc, char** argv) {
     const PolyWarmupSchedule lr(
         2e-2, use_kfac ? steps * 85 / 1000 : steps * 28 / 100, steps);
     KfacOptimizerOptions o;
-    o.kfac.damping = 1e-3;
-    o.kfac.gemm_threads = exec.gemm_threads();
-    o.kfac.layer_threads = layer_threads;
     o.inverse_interval = 3;
-    // Per-micro curvature is the runtime's semantics. For THIS example's
-    // micro shape (32 sequences × 16 tokens = 512 rows, a power of two)
-    // the single-micro estimate is bit-identical to the legacy path —
-    // 1/512 scaling commutes with the GEMM's per-panel rounding — so the
-    // default run's output is unchanged (see curvature.cpp for the
-    // general shape caveat).
+    // Per-micro curvature is the runtime's semantics; at PF_MICROS=1 it
+    // runs the same engine calls as the last-micro estimate.
     o.per_micro_curvature = true;
     if (use_kfac && n_stages > 0) {
       // Executable pipeline runtime: same math, really pipelined.
@@ -172,7 +164,8 @@ int run(int argc, char** argv) {
     std::unique_ptr<Optimizer> opt;
     if (use_kfac) {
       opt = std::make_unique<KfacOptimizer>(model.kfac_linears(),
-                                            std::make_unique<Lamb>(), o);
+                                            std::make_unique<Lamb>(), o,
+                                            exec);
     } else {
       opt = std::make_unique<Lamb>();
     }
@@ -234,8 +227,9 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// A bad knob (an unknown PF_SIMD_LEVEL, a thread count below 1, a
-// flushless PF_SCHEDULE) ends the run with its message, not an abort.
+// A bad knob (an unknown PF_SIMD_LEVEL, a malformed integer, a thread
+// count below 1, a flushless PF_SCHEDULE) ends the run with its message,
+// not an abort.
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);

@@ -28,6 +28,7 @@
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/serve/serving_engine.h"
 #include "src/trace/ascii_gantt.h"
 
@@ -35,15 +36,10 @@ namespace {
 
 using namespace pf;
 
-// Reads an env knob as a number; anything non-numeric or out of
-// [lo, hi] aborts with a message naming the variable, up front.
-long env_long(const char* name, long def, long lo, long hi) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return def;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  PF_CHECK(end != raw && *end == '\0')
-      << name << "='" << raw << "' is not an integer";
+// Reads an integer env knob (env_int: a malformed value throws naming the
+// variable); a value outside [lo, hi] aborts the same way, up front.
+int env_int_in(const char* name, int def, int lo, int hi) {
+  const int v = env_int(name, def);
   PF_CHECK(v >= lo && v <= hi)
       << name << "=" << v << " outside [" << lo << ", " << hi << "]";
   return v;
@@ -66,14 +62,13 @@ double env_double(const char* name, double def, double lo, double hi) {
 int main() {
   // Validate every knob before building anything, so a typo fails fast
   // with the variable's name instead of deep in the engine.
-  const int stages = static_cast<int>(env_long("PF_SERVE_STAGES", 2, 1, 4));
+  const int stages = env_int_in("PF_SERVE_STAGES", 2, 1, 4);
   const std::size_t max_batch =
-      static_cast<std::size_t>(env_long("PF_SERVE_BATCH", 4, 1, 64));
-  const int workers = static_cast<int>(env_long("PF_SERVE_WORKERS", 2, 0, 64));
-  const int inflight =
-      static_cast<int>(env_long("PF_SERVE_INFLIGHT", 0, 0, 64));
+      static_cast<std::size_t>(env_int_in("PF_SERVE_BATCH", 4, 1, 64));
+  const int workers = env_int_in("PF_SERVE_WORKERS", 2, 0, 64);
+  const int inflight = env_int_in("PF_SERVE_INFLIGHT", 0, 0, 64);
   const std::size_t n_requests =
-      static_cast<std::size_t>(env_long("PF_SERVE_REQUESTS", 32, 1, 100000));
+      static_cast<std::size_t>(env_int_in("PF_SERVE_REQUESTS", 32, 1, 100000));
   const double load = env_double("PF_SERVE_LOAD", 0.0, 0.0, 1e9);
   const char* policy_raw = std::getenv("PF_SERVE_POLICY");
   const BatchPolicy policy =

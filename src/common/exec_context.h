@@ -3,12 +3,13 @@
 // A thread count reaches a kernel one way only: through the ExecContext it
 // is called with. The context carries the thread-pool handle, the nn loop
 // chunk count, the GEMM row-block count, the activation arena and the SIMD
-// dispatch level the kernels beneath will use. Every nn forward/backward
-// and every GEMM/Cholesky entry takes one; a defaulted argument binds the
-// default context, which is serial ({1, 1} on the process-global pool), so
-// nothing parallelizes unless a caller asks with explicit counts — the
-// pipeline runtime builds one context per stage, the training binaries one
-// from their PF_NN_THREADS / PF_GEMM_THREADS environment.
+// dispatch level the kernels beneath will use. Every nn forward/backward,
+// every GEMM/Cholesky entry and every K-FAC engine method takes one; a
+// defaulted argument binds the default context, which is serial ({1, 1} on
+// the process-global pool), so nothing parallelizes unless a caller asks
+// with explicit counts — the pipeline runtime builds one context per stage,
+// the training binaries one from their PF_NN_THREADS / PF_GEMM_THREADS
+// environment.
 //
 // Determinism contract (extends gemm.h): every layer loop parallelized over
 // an ExecContext partitions its work so each memory location receives its

@@ -67,16 +67,20 @@ std::string join(const std::vector<std::string>& parts,
   return out;
 }
 
-int env_int(const char* name, int fallback) {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
+int parse_int(const char* what, const char* raw) {
   char* end = nullptr;
   errno = 0;
   const long v = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || errno == ERANGE || v < INT_MIN ||
-      v > INT_MAX)
-    return fallback;
+  PF_CHECK(end != raw && *end == '\0' && errno != ERANGE && v >= INT_MIN &&
+           v <= INT_MAX)
+      << what << "='" << raw << "' is not an integer";
   return static_cast<int>(v);
+}
+
+int env_int(const char* name, int fallback) {
+  const char* raw = std::getenv(name);
+  if (!raw || !*raw) return fallback;
+  return parse_int(name, raw);
 }
 
 std::string env_str(const char* name, const std::string& fallback) {

@@ -26,8 +26,15 @@ std::string pad_left(const std::string& s, std::size_t width);
 std::string join(const std::vector<std::string>& parts,
                  const std::string& sep);
 
+// Parses `raw` as a base-10 int. Throws pf::Error reading
+// "<what>='<raw>' is not an integer" when it is empty, carries anything
+// after the digits or does not fit an int.
+int parse_int(const char* what, const char* raw);
+
 // Integer environment knob: returns fallback when the variable is unset or
-// not a valid integer. Used for runtime tuning flags like PF_GEMM_THREADS.
+// empty, and parses it with parse_int otherwise, so a malformed value
+// throws naming the variable. Used for runtime tuning flags like
+// PF_GEMM_THREADS.
 int env_int(const char* name, int fallback);
 
 // String environment knob: returns fallback when the variable is unset or

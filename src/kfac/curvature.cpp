@@ -1,9 +1,7 @@
 // Curvature work: building the Kronecker factors from layer caches.
-// Also home of the engine's layer-parallel dispatch helper.
 #include <cmath>
 
 #include "src/common/check.h"
-#include "src/common/exec_context.h"
 #include "src/kfac/kfac_engine.h"
 #include "src/linalg/gemm.h"
 
@@ -28,18 +26,9 @@ void check_finite_diagonal(const Matrix& f, const Linear& layer, char side,
 
 }  // namespace
 
-KfacEngine::KfacEngine(std::vector<Linear*> layers, const KfacOptions& opts,
-                       ThreadPool* pool)
-    : layers_(std::move(layers)), opts_(opts) {
-  PF_CHECK(!layers_.empty());
-  PF_CHECK(opts_.ema_decay > 0.0 && opts_.ema_decay < 1.0);
-  PF_CHECK(opts_.damping > 0.0);
-  PF_CHECK(opts_.gemm_threads >= 1)
-      << "KfacOptions::gemm_threads must be >= 1, got " << opts_.gemm_threads;
-  PF_CHECK(opts_.layer_threads >= 1)
-      << "KfacOptions::layer_threads must be >= 1, got "
-      << opts_.layer_threads;
-  exec_ = ExecContext(/*nn_threads=*/1, opts_.gemm_threads, pool);
+KfacEngine::KfacEngine(std::vector<Linear*> layers)
+    : layers_(std::move(layers)) {
+  PF_CHECK(!layers_.empty()) << "a K-FAC engine needs at least one layer";
   states_.resize(layers_.size());
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     states_[i].a_ema = Matrix(layers_[i]->d_in(), layers_[i]->d_in(), 0.0);
@@ -57,20 +46,8 @@ Linear* KfacEngine::layer(std::size_t i) const {
   return layers_[i];
 }
 
-void KfacEngine::for_each_layer(
-    const std::function<void(std::size_t)>& fn) {
-  // Layers are independent: chunking them across the pool cannot change any
-  // per-layer result, so every layer_threads value is bitwise equivalent.
-  // The fan-out rides the same ExecContext machinery as the nn stack (layer
-  // chunks play the nn_threads role).
-  const ExecContext ctx(opts_.layer_threads, opts_.gemm_threads,
-                        &exec_.pool());
-  ctx.parallel_for(layers_.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) fn(i);
-  });
-}
-
-void KfacEngine::accumulate_curvature_a(std::size_t i, const Matrix& x) {
+void KfacEngine::accumulate_curvature_a(std::size_t i, const Matrix& x,
+                                        const ExecContext& ctx) {
   PF_CHECK(i < states_.size());
   Linear* l = layers_[i];
   PF_CHECK(x.cols() == l->d_in());
@@ -80,11 +57,12 @@ void KfacEngine::accumulate_curvature_a(std::size_t i, const Matrix& x) {
   // contribution lands element-wise after micros 0..m-1's (the caller
   // orders the calls), so the pending factor is bit-identical however the
   // micros were executed.
-  syrk_tn_acc(x, st.pending_a, 1.0, exec_);
+  syrk_tn_acc(x, st.pending_a, 1.0, ctx);
   st.pending_rows += static_cast<double>(x.rows());
 }
 
-void KfacEngine::accumulate_curvature_b(std::size_t i, const Matrix& dy) {
+void KfacEngine::accumulate_curvature_b(std::size_t i, const Matrix& dy,
+                                        const ExecContext& ctx) {
   PF_CHECK(i < states_.size());
   Linear* l = layers_[i];
   PF_CHECK(dy.cols() == l->d_out());
@@ -92,18 +70,15 @@ void KfacEngine::accumulate_curvature_b(std::size_t i, const Matrix& dy) {
   if (st.pending_b.empty())
     st.pending_b = Matrix(l->d_out(), l->d_out(), 0.0);
   // dy holds the mean-loss gradient; ×N undoes one 1/N (see kfac_engine.h).
-  syrk_tn_acc(dy, st.pending_b, static_cast<double>(dy.rows()), exec_);
+  syrk_tn_acc(dy, st.pending_b, static_cast<double>(dy.rows()), ctx);
   ++st.pending_micros;
 }
 
 void KfacEngine::commit_curvature_layer(std::size_t i) {
   PF_CHECK(i < states_.size());
   auto& st = states_[i];
-  if (st.pending_micros == 0 && st.pending_a.empty()) {
-    // Nothing accumulated (layer never ran) — mirror update_curvature's
-    // skip rule.
-    return;
-  }
+  // Nothing accumulated (the layer never ran): nothing to fold.
+  if (st.pending_micros == 0 && st.pending_a.empty()) return;
   PF_CHECK(st.pending_micros > 0 && !st.pending_a.empty() &&
            st.pending_rows > 0.0)
       << "commit with a partial A/B accumulation";
@@ -112,18 +87,12 @@ void KfacEngine::commit_curvature_layer(std::size_t i) {
   check_finite_diagonal(st.pending_b, *layers_[i], 'B',
                         st.curvature_updates + 1);
   // A = (Σ XᵀX) / (Σ N_m); B averages the per-micro N·dYᵀdY estimates.
-  // Single-micro equivalence to update_curvature (alpha applied inside the
-  // GEMM): exact while the reduction fits one k-panel (N ≤ 256 token rows)
-  // or when 1/N is a power of two (scaling then commutes with the
-  // per-panel rounding) — e.g. the 512-row micros of the example. Beyond
-  // that the legacy path scales each 256-deep panel before summing and the
-  // two differ in the last bits; per-micro mode is therefore opt-in.
   Matrix a = std::move(st.pending_a);
   a *= 1.0 / st.pending_rows;
   Matrix b = std::move(st.pending_b);
   b *= 1.0 / static_cast<double>(st.pending_micros);
-  st.a_ema.axpby(opts_.ema_decay, a, 1.0 - opts_.ema_decay);
-  st.b_ema.axpby(opts_.ema_decay, b, 1.0 - opts_.ema_decay);
+  st.a_ema.axpby(kKfacEmaDecay, a, 1.0 - kKfacEmaDecay);
+  st.b_ema.axpby(kKfacEmaDecay, b, 1.0 - kKfacEmaDecay);
   ++st.curvature_updates;
   st.pending_a = Matrix();
   st.pending_b = Matrix();
@@ -131,26 +100,15 @@ void KfacEngine::commit_curvature_layer(std::size_t i) {
   st.pending_micros = 0;
 }
 
-void KfacEngine::update_curvature() {
-  for_each_layer([&](std::size_t i) {
-    Linear* l = layers_[i];
-    if (!l->has_kfac_caches()) return;
-    const Matrix& x = l->cached_input();        // a_l  [N × d_in]
-    const Matrix& dy = l->cached_output_grad();  // e_l  [N × d_out]
-    const double n = static_cast<double>(x.rows());
-
-    // A = XᵀX / N ; B = N·dYᵀdY (see kfac_engine.h for the scaling).
-    Matrix a(l->d_in(), l->d_in(), 0.0);
-    syrk_tn_acc(x, a, 1.0 / n, exec_);
-    Matrix b(l->d_out(), l->d_out(), 0.0);
-    syrk_tn_acc(dy, b, n, exec_);
-
-    auto& st = states_[i];
-    check_finite_diagonal(a, *l, 'A', st.curvature_updates + 1);
-    check_finite_diagonal(b, *l, 'B', st.curvature_updates + 1);
-    st.a_ema.axpby(opts_.ema_decay, a, 1.0 - opts_.ema_decay);
-    st.b_ema.axpby(opts_.ema_decay, b, 1.0 - opts_.ema_decay);
-    ++st.curvature_updates;
+void KfacEngine::update_curvature(const ExecContext& ctx) {
+  ctx.parallel_for(layers_.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      Linear* l = layers_[i];
+      if (!l->has_kfac_caches()) continue;
+      accumulate_curvature_a(i, l->cached_input(), ctx);
+      accumulate_curvature_b(i, l->cached_output_grad(), ctx);
+      commit_curvature_layer(i);
+    }
   });
 }
 

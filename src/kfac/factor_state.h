@@ -1,9 +1,9 @@
 // Per-layer Kronecker factor state for K-FAC.
 //
 // Holds the EMA estimates of A_l = ⟨a_l a_lᵀ⟩ and B_l = ⟨e_l e_lᵀ⟩ and their
-// damped inverses. The engine (curvature.h / inversion.h / precondition.h)
-// performs exactly the three kinds of work PipeFisher schedules into
-// bubbles.
+// damped inverses. The engine (curvature.cpp / inversion.cpp /
+// precondition.cpp) performs exactly the three kinds of work PipeFisher
+// schedules into bubbles.
 #pragma once
 
 #include "src/linalg/matrix.h"

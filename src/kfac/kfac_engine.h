@@ -9,81 +9,60 @@
 //                                          one 1/N to estimate the empirical
 //                                          Fisher of per-example errors)
 //   dŴ  = (A_l + π γ I)⁻¹ · dW · (B_l + γ/π I)⁻¹
-// with Tikhonov damping γ = sqrt(damping) split by the standard π-correction
-// π = sqrt( (tr A/d_in) / (tr B/d_out) ) of Martens & Grosse.
+// with Tikhonov damping γ = sqrt(kKfacDamping) split by the standard
+// π-correction π = sqrt( (tr A/d_in) / (tr B/d_out) ) of Martens & Grosse.
+// Both factors are EMAs with decay kKfacEmaDecay, read bias-corrected.
+//
+// Threads: every method runs under the ExecContext it is called with, as
+// the nn layers and the linalg kernels do. gemm_threads() row blocks reach
+// each layer's GEMMs and Choleskys; the whole-model methods also chunk
+// their layer loop into nn_threads() pieces (layers are independent). Both
+// counts are bitwise neutral, and the default context is serial. The
+// pipeline runtime calls the per-factor methods under each stage's
+// context, so bubble K-FAC spends the stage's budget.
 #pragma once
 
-#include <functional>
 #include <vector>
 
+#include "src/common/exec_context.h"
 #include "src/kfac/factor_state.h"
 #include "src/nn/linear.h"
 
 namespace pf {
-class ThreadPool;
-}  // namespace pf
 
-namespace pf {
-
-struct KfacOptions {
-  double ema_decay = 0.95;
-  double damping = 1e-3;
-  bool pi_correction = true;
-  // Appendix A.2: approximate each factor by a k-block diagonal matrix so
-  // very wide layers (d_ff ~ 16384) stay invertible in bubble-sized chunks.
-  // k = 1 is exact K-FAC; k = dim degenerates to diagonal preconditioning.
-  std::size_t block_diag_k = 1;
-  // Row-block threads for the GEMM-dominated curvature and precondition
-  // work and the Cholesky-bound inversion. 1 = serial; results are bitwise
-  // identical for any value >= 1 (see gemm.h).
-  int gemm_threads = 1;
-  // Layer-level parallelism: each layer's curvature, inversion and
-  // precondition work is independent of every other layer's, so the
-  // per-layer loops dispatch across the engine's pool (via an ExecContext
-  // built in for_each_layer) in chunks of layers. 1 = serial; results are
-  // bitwise identical for any value >= 1. Composes with gemm_threads: a
-  // layer task may itself fan row blocks onto the pool (parallel_for is
-  // chunk-claiming: a caller runs its own loop's unclaimed chunks, so
-  // nesting cannot deadlock), but the two knobs compete for the same cores
-  // — prefer layer_threads for many small layers, gemm_threads for few
-  // wide ones.
-  int layer_threads = 1;
-};
+// EMA decay of the Kronecker factor estimates.
+inline constexpr double kKfacEmaDecay = 0.95;
+// Tikhonov damping; its square root is split between A and B by π.
+inline constexpr double kKfacDamping = 1e-3;
 
 class KfacEngine {
  public:
-  // `pool`: the ThreadPool every GEMM row block, Cholesky panel and layer
-  // fan-out of this engine dispatches on; nullptr = the process-global
-  // pool (the serial KfacOptimizer's behaviour). The pipeline runtime
-  // passes its own pool so bubble-filled K-FAC work never escapes the
-  // `workers` budget. Bitwise neutral — pools change where blocks run,
-  // never how results fold (see exec_context.h). Throws pf::Error naming
-  // the field when gemm_threads or layer_threads is below 1.
-  KfacEngine(std::vector<Linear*> layers, const KfacOptions& opts,
-             ThreadPool* pool = nullptr);
+  // Throws pf::Error when `layers` is empty.
+  explicit KfacEngine(std::vector<Linear*> layers);
 
   // Curvature work: folds each layer's cached (a_l, e_l) into the factor
-  // EMAs. Layers without caches (never ran backward) are skipped. Throws
-  // pf::Error naming the layer, as commit_curvature_layer does, when a
-  // factor has a non-finite diagonal entry; that layer's EMAs stay as they
-  // were, but layers folded before it (or alongside it, with
-  // layer_threads > 1) keep their update.
-  void update_curvature();
+  // EMAs through accumulate_curvature_{a,b} and commit_curvature_layer, as
+  // one micro-batch. Layers without caches (never ran backward) are
+  // skipped. A non-finite factor throws as commit_curvature_layer does;
+  // layers folded before it (or alongside it, with nn_threads > 1) keep
+  // their update.
+  void update_curvature(const ExecContext& ctx = {});
 
   // Inversion work: recomputes the damped inverses from the current EMAs.
-  void update_inverses();
+  void update_inverses(const ExecContext& ctx = {});
 
   // Precondition work: replaces each layer's weight gradient with
   // B⁻¹-and-A⁻¹-preconditioned gradient. Layers whose inverses have never
   // been computed are left untouched (the paper's "stale inverse" rule
   // degenerates to identity preconditioning before the first inversion).
-  void precondition();
+  void precondition(const ExecContext& ctx = {});
 
   // ---- Per-factor / per-micro decomposition -------------------------------
   // The granularity PipeFisher schedules into bubbles: every method below is
-  // one BubbleTask-shaped work item. The serial KfacOptimizer (with
-  // per_micro_curvature) and the pipeline runtime both drive THESE methods,
-  // which is what makes the two execution modes bit-identical.
+  // one BubbleTask-shaped work item. The serial KfacOptimizer and the
+  // pipeline runtime both drive THESE methods (the whole-model ones above
+  // are loops over them), which is what makes the two execution modes
+  // bit-identical.
   //
   // Ordering contract: for one layer, accumulate_curvature_{a,b} must be
   // called once per micro-batch in ascending micro order (the two factor
@@ -94,8 +73,10 @@ class KfacEngine {
 
   // Folds one micro-batch's a_l = x ([N×d_in]) / e_l = dy ([N×d_out]) into
   // the layer's pending factor sums.
-  void accumulate_curvature_a(std::size_t i, const Matrix& x);
-  void accumulate_curvature_b(std::size_t i, const Matrix& dy);
+  void accumulate_curvature_a(std::size_t i, const Matrix& x,
+                              const ExecContext& ctx = {});
+  void accumulate_curvature_b(std::size_t i, const Matrix& dy,
+                              const ExecContext& ctx = {});
   // Averages the pending micro contributions into the factor EMAs (no-op
   // for a layer with nothing pending). Throws pf::Error naming the layer,
   // the factor side and the curvature update, and leaves the layer's EMAs
@@ -104,26 +85,18 @@ class KfacEngine {
   void commit_curvature_layer(std::size_t i);
   // Recomputes one damped factor inverse from the current EMA. Call with
   // b_side = false then true; the B side increments inverse_updates.
-  void update_inverse_factor(std::size_t i, bool b_side);
+  void update_inverse_factor(std::size_t i, bool b_side,
+                             const ExecContext& ctx = {});
   // Preconditions one layer's weight gradient (stale-inverse rule applies).
-  void precondition_layer(std::size_t i);
+  void precondition_layer(std::size_t i, const ExecContext& ctx = {});
 
   std::size_t n_layers() const { return layers_.size(); }
   Linear* layer(std::size_t i) const;
   const KfacFactorState& state(std::size_t i) const;
-  const KfacOptions& options() const { return opts_; }
 
  private:
-  // Runs fn(i) for every layer index, serially or chunked across the
-  // engine's pool according to opts_.layer_threads (see curvature.cpp).
-  void for_each_layer(const std::function<void(std::size_t)>& fn);
-
   std::vector<Linear*> layers_;
   std::vector<KfacFactorState> states_;
-  KfacOptions opts_;
-  // Threads the engine's GEMMs/Choleskys: gemm_threads row blocks on the
-  // injected pool.
-  ExecContext exec_;
 };
 
 }  // namespace pf

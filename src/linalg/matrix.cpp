@@ -55,10 +55,6 @@ Matrix& Matrix::axpby(double a, const Matrix& o, double b) {
 
 void Matrix::fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
-void Matrix::apply(const std::function<double(double)>& f) {
-  for (auto& v : data_) v = f(v);
-}
-
 double Matrix::frobenius_norm() const {
   double s = 0.0;
   for (double v : data_) s += v * v;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "src/common/check.h"
@@ -83,7 +82,6 @@ class Matrix {
   // this = this * a + o * b (axpby).
   Matrix& axpby(double a, const Matrix& o, double b);
   void fill(double v);
-  void apply(const std::function<double(double)>& f);
 
   // Reductions.
   double frobenius_norm() const;

@@ -6,10 +6,12 @@ namespace pf {
 
 KfacOptimizer::KfacOptimizer(std::vector<Linear*> kfac_layers,
                              std::unique_ptr<Optimizer> base,
-                             const KfacOptimizerOptions& opts)
-    : engine_(std::move(kfac_layers), opts.kfac),
+                             const KfacOptimizerOptions& opts,
+                             const ExecContext& ctx)
+    : engine_(std::move(kfac_layers)),
       base_(std::move(base)),
-      opts_(opts) {
+      opts_(opts),
+      ctx_(ctx) {
   PF_CHECK(base_ != nullptr);
   PF_CHECK(opts_.curvature_interval >= 1);
   PF_CHECK(opts_.inverse_interval >= 1);
@@ -24,8 +26,8 @@ void KfacOptimizer::on_micro_batch() {
   for (std::size_t i = 0; i < engine_.n_layers(); ++i) {
     Linear* l = engine_.layer(i);
     if (!l->has_kfac_caches()) continue;
-    engine_.accumulate_curvature_a(i, l->cached_input());
-    engine_.accumulate_curvature_b(i, l->cached_output_grad());
+    engine_.accumulate_curvature_a(i, l->cached_input(), ctx_);
+    engine_.accumulate_curvature_b(i, l->cached_output_grad(), ctx_);
   }
 }
 
@@ -48,11 +50,11 @@ void KfacOptimizer::step(const std::vector<Param*>& params, double lr) {
       for (std::size_t i = 0; i < engine_.n_layers(); ++i)
         engine_.commit_curvature_layer(i);
     } else {
-      engine_.update_curvature();
+      engine_.update_curvature(ctx_);
     }
   }
-  if (t_ % opts_.inverse_interval == 0) engine_.update_inverses();
-  engine_.precondition();
+  if (t_ % opts_.inverse_interval == 0) engine_.update_inverses(ctx_);
+  engine_.precondition(ctx_);
   base_->step(params, lr);
   ++t_;
 }

@@ -7,6 +7,10 @@
 // Curvature and inversion run at configurable intervals; PipeFisher's whole
 // point is that on a pipeline these refreshes are free (hidden in bubbles)
 // and can therefore be frequent (every 2-10 steps instead of every 100).
+//
+// Every engine call runs under the ExecContext given at construction (the
+// serial default, or the trainer's own context); the engine's numeric
+// settings are the constants in kfac_engine.h.
 #pragma once
 
 #include <memory>
@@ -17,7 +21,6 @@
 namespace pf {
 
 struct KfacOptimizerOptions {
-  KfacOptions kfac;
   std::size_t curvature_interval = 1;  // steps between curvature updates
   std::size_t inverse_interval = 1;    // steps between inversions
   // Estimate curvature from EVERY micro-batch of an accumulation step
@@ -25,18 +28,20 @@ struct KfacOptimizerOptions {
   // hook) instead of only the last micro's caches. This is the paper's
   // semantics — PipeFisher's curvature work is per micro-batch — and the
   // serial reference the pipeline runtime is bit-compared against. With
-  // accumulation_steps = 1 the two modes agree bit for bit when a micro's
-  // token count is <= the GEMM k-panel depth (256 rows) or a power of two;
-  // other shapes differ in the last bits (see curvature.cpp). Default off:
-  // the legacy last-micro estimate stays the behaviour of existing runs.
+  // accumulation_steps = 1 the two modes run the same engine calls and
+  // agree bit for bit. Default off: the last-micro estimate stays the
+  // behaviour of existing runs.
   bool per_micro_curvature = false;
 };
 
 class KfacOptimizer : public Optimizer {
  public:
+  // `ctx` is the thread budget of every engine call (see kfac_engine.h); a
+  // pool it names must outlive the optimizer.
   KfacOptimizer(std::vector<Linear*> kfac_layers,
                 std::unique_ptr<Optimizer> base,
-                const KfacOptimizerOptions& opts);
+                const KfacOptimizerOptions& opts,
+                const ExecContext& ctx = {});
 
   // Precondition (every step, stale inverses allowed) then base step.
   // Curvature/inversion refresh when due.
@@ -53,6 +58,7 @@ class KfacOptimizer : public Optimizer {
   KfacEngine engine_;
   std::unique_ptr<Optimizer> base_;
   KfacOptimizerOptions opts_;
+  ExecContext ctx_;
   std::size_t t_ = 0;
 };
 

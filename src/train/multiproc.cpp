@@ -148,11 +148,12 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
       if (owner[static_cast<std::size_t>(s)] == d) owned.push_back(s);
 
     // Fresh pool AFTER the fork — an inherited pool has state but no
-    // threads. The binder's contexts and engines run on this pool, never
-    // the process-global one (which would lazily spawn per-child thread
-    // herds). Every child re-draws the FULL deterministic batch stream —
-    // identical bytes in every process, no batch shipping, RNG in lockstep
-    // with the serial Trainer and the in-process runtime.
+    // threads. The binder's stage contexts, and so every task they run,
+    // K-FAC included, dispatch on this pool, never the process-global one
+    // (which would lazily spawn per-child thread herds). Every child
+    // re-draws the FULL deterministic batch stream — identical bytes in
+    // every process, no batch shipping, RNG in lockstep with the serial
+    // Trainer and the in-process runtime.
     ThreadPool pool(cfg.stage_threads > 1
                         ? static_cast<std::size_t>(cfg.stage_threads)
                         : 0);

@@ -33,11 +33,12 @@
 // shipping. Each child builds its own ThreadPool and a PlanBinder for the
 // stages it owns AFTER the fork — contexts, engines and one base optimizer
 // per owned stage (a forked child inherits a pool's state but none of its
-// threads; engines must be handed the child's pool, never the
-// process-global one). Results flow back through the shared region: the
-// last stage's owner writes per-step losses, every child writes its owned
-// stages' final parameters and its consumer-side handoff-wait stats, and
-// the parent joins exit codes and assembles the result.
+// threads, so the stage contexts name the child's pool; engines hold no
+// pool and run under those contexts). Results flow back through the
+// shared region: the last stage's owner writes per-step losses, every
+// child writes its owned stages' final parameters and its consumer-side
+// handoff-wait stats, and the parent joins exit codes and assembles the
+// result.
 //
 // Bitwise contract (pinned in tests/test_multiproc.cpp): losses and final
 // parameters equal the in-process PipelineRuntime and the serial Trainer

@@ -46,11 +46,12 @@
 // call in executor closures, one per plan task.
 //
 // Each stage runs under its own ExecContext whose nn/GEMM budget is
-// `stage_threads` (every value is bitwise-neutral); the runtime owns a
-// dedicated ThreadPool of `workers` threads shared by stage ops, their
+// `stage_threads` (every value is bitwise-neutral); the stage's
+// bubble-filled K-FAC tasks run under that same context. The runtime owns
+// a dedicated ThreadPool of `workers` threads shared by stage ops, their
 // nn-loop fan-out, GEMM/Cholesky row blocks (gemm.h / cholesky.h ctx
-// overloads — nothing the stages or the K-FAC engines run dispatches on
-// the process-global pool) and the bubble-filled K-FAC work.
+// overloads — nothing a stage runs dispatches on the process-global pool)
+// and the K-FAC work.
 //
 // Memory: each stage's context carries a private ArenaAllocator
 // (common/arena.h). Activation caches and stash traffic draw their
@@ -89,7 +90,8 @@ struct PipelineRuntimeConfig {
   PolyWarmupSchedule lr{1e-3, 30, 300};
   std::uint64_t data_seed = 99;
   // Per-stage ExecContext budget: nn-loop chunks and GEMM row blocks of
-  // every op the stage runs (bitwise-neutral; >= 1).
+  // every op the stage runs, its bubble K-FAC work included
+  // (bitwise-neutral; >= 1).
   int stage_threads = 1;
   // Runtime pool size. 0 = one worker per device. The pool is shared by
   // inter-stage parallelism, the stages' nn-loop fan-out, their GEMM and

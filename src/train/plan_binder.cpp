@@ -47,11 +47,11 @@ PlanBinder::PlanBinder(BertStagePartition& partition, const ScheduleSpec& spec,
     w.ctx.set_arena(w.arena.get());
     w.opt = cfg.base_optimizer ? cfg.base_optimizer()
                                : std::make_unique<Lamb>();
+    // The stage's K-FAC tasks run under w.ctx like its other ops, so bubble
+    // K-FAC work spends the stage's thread budget on the executor's pool.
     const auto kl = w.stage->kfac_linears();
-    // The engine's GEMM/Cholesky row blocks dispatch on `pool` too — bubble
-    // K-FAC work stays inside the executor's thread budget.
     if (cfg.use_kfac && !kl.empty())
-      w.engine = std::make_unique<KfacEngine>(kl, cfg.kfac.kfac, pool);
+      w.engine = std::make_unique<KfacEngine>(kl);
   }
 }
 
@@ -110,22 +110,23 @@ void PlanBinder::run(const PlannedTask& task) {
       sync_grads(s);
       return;
     case WorkKind::kCurvatureA:
-      engine->accumulate_curvature_a(f, w.stage->kfac_input(m, f));
+      engine->accumulate_curvature_a(f, w.stage->kfac_input(m, f), w.ctx);
       return;
     case WorkKind::kCurvatureB:
-      engine->accumulate_curvature_b(f, w.stage->kfac_output_grad(m, f));
+      engine->accumulate_curvature_b(f, w.stage->kfac_output_grad(m, f),
+                                     w.ctx);
       return;
     case WorkKind::kSyncCurvature:
       engine->commit_curvature_layer(f);
       return;
     case WorkKind::kInversionA:
-      engine->update_inverse_factor(f, false);
+      engine->update_inverse_factor(f, false, w.ctx);
       return;
     case WorkKind::kInversionB:
-      engine->update_inverse_factor(f, true);
+      engine->update_inverse_factor(f, true, w.ctx);
       return;
     case WorkKind::kPrecondition:
-      engine->precondition_layer(f);
+      engine->precondition_layer(f, w.ctx);
       return;
     case WorkKind::kOptimizerUpdate:
       w.opt->step(w.params,

@@ -60,7 +60,8 @@ class PlanBinder {
  public:
   // Builds a worker for every stage in `owned`. Calls cfg.base_optimizer
   // (LAMB when unset) exactly once per owned stage and starts no thread:
-  // contexts and engines dispatch on `pool`. The partition, config and
+  // each stage's context dispatches on `pool`, and every task of the stage,
+  // K-FAC included, runs under that context. The partition, config and
   // batcher must outlive the binder.
   PlanBinder(BertStagePartition& partition, const ScheduleSpec& spec,
              const PipelineRuntimeConfig& cfg, const MlmBatcher& batcher,

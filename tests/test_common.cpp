@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <mutex>
+#include <string>
 #include <utility>
 
 #include "src/common/arena.h"
@@ -168,6 +170,32 @@ TEST(Strings, Padding) {
 TEST(Strings, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");
+}
+
+TEST(Strings, EnvIntFallsBackOnlyWhenUnsetOrEmptyAndNamesAMalformedValue) {
+  const char* name = "PF_TEST_ENV_INT";
+  ::unsetenv(name);
+  EXPECT_EQ(env_int(name, 7), 7);
+  ::setenv(name, "", 1);
+  EXPECT_EQ(env_int(name, 7), 7);
+  ::setenv(name, "-12", 1);
+  EXPECT_EQ(env_int(name, 7), -12);
+  for (const char* bad : {"2x", "three", "1.5", "99999999999"}) {
+    ::setenv(name, bad, 1);
+    try {
+      env_int(name, 7);
+      ADD_FAILURE() << "'" << bad << "' was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(name) + "='" + bad +
+                                           "' is not an integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv(name);
+  EXPECT_EQ(parse_int("steps", "30"), 30);
+  EXPECT_THROW(parse_int("steps", "abc"), Error);
+  EXPECT_THROW(parse_int("steps", ""), Error);
 }
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {

@@ -1,6 +1,5 @@
-// Tests for the paper's §5 / Appendix A.2 extensions: block-diagonal K-FAC
-// factors, the interleaved-1F1B schedule, Shampoo/SAM bubble work, and
-// gradient accumulation.
+// Tests for the paper's §5 extensions: the interleaved-1F1B schedule,
+// Shampoo/SAM bubble work, and gradient accumulation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,9 +8,6 @@
 #include "src/common/check.h"
 #include "src/core/extra_work.h"
 #include "src/core/pipefisher.h"
-#include "src/kfac/kfac_engine.h"
-#include "src/linalg/cholesky.h"
-#include "src/linalg/gemm.h"
 #include "src/optim/lamb.h"
 #include "src/pipeline/interleaved_1f1b.h"
 #include "src/pipeline/one_f_one_b.h"
@@ -20,78 +16,6 @@
 
 namespace pf {
 namespace {
-
-TEST(BlockDiagonalKfac, KEqualsOneMatchesExactInverse) {
-  Rng rng(13);
-  Linear l(6, 4, rng, "l");
-  KfacOptions exact;
-  exact.pi_correction = false;
-  KfacOptions blocked = exact;
-  blocked.block_diag_k = 1;
-  KfacEngine e1({&l}, exact), e2({&l}, blocked);
-  const Matrix x = Matrix::randn(16, 6, rng);
-  const Matrix dy = Matrix::randn(16, 4, rng);
-  l.forward(x, true);
-  l.backward(dy);
-  e1.update_curvature();
-  e2.update_curvature();
-  e1.update_inverses();
-  e2.update_inverses();
-  EXPECT_LT(max_abs_diff(e1.state(0).a_inv, e2.state(0).a_inv), 1e-12);
-}
-
-TEST(BlockDiagonalKfac, BlockInverseIsExactForBlockDiagonalInput) {
-  // If the true factor IS block diagonal, k-block inversion is exact.
-  Rng rng(17);
-  Linear l(6, 6, rng, "l");
-  KfacOptions opts;
-  opts.pi_correction = false;
-  opts.block_diag_k = 2;
-  KfacEngine engine({&l}, opts);
-  // Activations whose first 3 and last 3 dims are independent by
-  // construction: x = [u, 0; 0, v] pattern per half of the batch... use
-  // exactly block activations.
-  Matrix x(32, 6, 0.0);
-  for (std::size_t r = 0; r < 32; ++r)
-    for (std::size_t c = 0; c < 3; ++c)
-      x(r, c + (r % 2 ? 3 : 0)) = rng.normal();
-  // A = XᵀX/N is then 2-block diagonal (cross terms are exactly zero since
-  // each row touches only one half).
-  const Matrix dy = Matrix::randn(32, 6, rng);
-  l.forward(x, true);
-  l.backward(dy);
-  engine.update_curvature();
-  engine.update_inverses();
-  const Matrix a = engine.state(0).corrected_a(opts.ema_decay);
-  Matrix damped = a;
-  add_diagonal(damped, std::sqrt(opts.damping));
-  EXPECT_LT(max_abs_diff(matmul(engine.state(0).a_inv, damped),
-                         Matrix::identity(6)),
-            1e-8);
-}
-
-TEST(BlockDiagonalKfac, FullySplitIsDiagonalPreconditioning) {
-  Rng rng(19);
-  Linear l(4, 4, rng, "l");
-  KfacOptions opts;
-  opts.pi_correction = false;
-  opts.block_diag_k = 4;  // k = dim
-  KfacEngine engine({&l}, opts);
-  const Matrix x = Matrix::randn(8, 4, rng);
-  const Matrix dy = Matrix::randn(8, 4, rng);
-  l.forward(x, true);
-  l.backward(dy);
-  engine.update_curvature();
-  engine.update_inverses();
-  const Matrix& inv = engine.state(0).a_inv;
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      if (i != j) {
-        EXPECT_DOUBLE_EQ(inv(i, j), 0.0);
-      }
-    }
-  }
-}
 
 TEST(Interleaved1F1B, SpecShape) {
   const auto spec = make_interleaved_1f1b(4, 2, 8);

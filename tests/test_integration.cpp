@@ -68,9 +68,10 @@ TEST(Integration, SchedulerRefreshFeedsNumericKfacIntervals) {
 
 TEST(Integration, ParallelGemmTrainingIsBitwiseIdenticalToSerial) {
   // End-to-end guarantee behind the gemm_threads count: a full K-FAC
-  // training run (forward, backward, curvature, precondition, optimizer)
-  // produces the exact same loss trajectory with row-block parallel GEMMs
-  // as with the serial seed kernels.
+  // training run (forward, backward, curvature, precondition, optimizer),
+  // its K-FAC optimizer under the trainer's context, produces the exact
+  // same loss trajectory with row-block parallel GEMMs as with the serial
+  // seed kernels.
   auto run_short_training = [](int threads) {
     BertConfig cfg;
     cfg.vocab = 36;
@@ -93,11 +94,11 @@ TEST(Integration, ParallelGemmTrainingIsBitwiseIdenticalToSerial) {
     tc.schedule = PolyWarmupSchedule(1e-2, 4, 25);
     tc.exec = ExecContext(1, threads);
     KfacOptimizerOptions o;
-    o.kfac.gemm_threads = threads;
     o.inverse_interval = 3;
     Trainer trainer(model, batcher,
-                    std::make_unique<KfacOptimizer>(
-                        model.kfac_linears(), std::make_unique<Lamb>(), o),
+                    std::make_unique<KfacOptimizer>(model.kfac_linears(),
+                                                    std::make_unique<Lamb>(),
+                                                    o, tc.exec),
                     tc);
     return trainer.run().loss;
   };

@@ -145,9 +145,8 @@ TEST(KfacOptimizer, BeatsSgdOnIllConditionedClassification) {
   for (int i = 0; i < 200; ++i) sgd_loss = sgd_problem.run_step(sgd, lr);
 
   IllConditionedProblem kfac_problem;
-  KfacOptimizerOptions opts;
-  opts.kfac.damping = 1e-2;
-  KfacOptimizer kfac({&kfac_problem.layer}, std::make_unique<Sgd>(), opts);
+  KfacOptimizer kfac({&kfac_problem.layer}, std::make_unique<Sgd>(),
+                     KfacOptimizerOptions{});
   double kfac_loss = 0.0;
   for (int i = 0; i < 200; ++i) kfac_loss = kfac_problem.run_step(kfac, lr);
 

@@ -17,6 +17,7 @@
 
 #include "src/common/strings.h"
 #include "src/common/task_executor.h"
+#include "src/common/thread_pool.h"
 #include "src/optim/lamb.h"
 #include "src/pipeline/simulator.h"
 #include "src/train/pipeline_runtime.h"
@@ -56,13 +57,15 @@ struct RunResult {
   std::vector<std::vector<double>> params;  // copied parameter values
 };
 
+// `ctx` threads the trainer and its K-FAC optimizer.
 RunResult serial_reference(const BertConfig& cfg, int n_micro,
                            std::size_t micro_batch, std::size_t steps,
-                           bool use_kfac) {
+                           bool use_kfac, const ExecContext& ctx = {}) {
   Rng rng(7);
   BertModel model(cfg, rng);
   Corpus data(cfg);
   TrainerConfig tc;
+  tc.exec = ctx;
   tc.batch_size = micro_batch;
   tc.accumulation_steps = static_cast<std::size_t>(n_micro);
   tc.total_steps = steps;
@@ -73,7 +76,7 @@ RunResult serial_reference(const BertConfig& cfg, int n_micro,
     o.inverse_interval = 3;
     o.per_micro_curvature = true;  // the paper's (and the runtime's) mode
     opt = std::make_unique<KfacOptimizer>(model.kfac_linears(),
-                                          std::make_unique<Lamb>(), o);
+                                          std::make_unique<Lamb>(), o, ctx);
   } else {
     opt = std::make_unique<Lamb>();
   }
@@ -188,6 +191,23 @@ TEST(PipelineRuntime, BitwiseInvariantToWorkersAndStageThreads) {
           ref, pr, format("workers=%d stage_threads=%d", workers, threads));
     }
   }
+}
+
+TEST(PipelineRuntime, BubbleKfacSpendsTheStageThreadsBitwiseNeutrally) {
+  // A stage's K-FAC tasks run under the stage's context, as the serial
+  // KfacOptimizer runs under the one it is given: a serial reference whose
+  // trainer and optimizer fan out 3 ways on a pool equals the runtime at
+  // stage_threads 3.
+  const auto cfg = small_bert(4);
+  const int n_micro = 4;
+  const std::size_t micro_batch = 4, steps = 4;
+  ThreadPool pool(3);
+  const auto ref = serial_reference(cfg, n_micro, micro_batch, steps, true,
+                                    ExecContext(3, 3, &pool));
+  const auto pr = pipeline_run(
+      cfg, runtime_config("1f1b", 4, n_micro, micro_batch, steps, true,
+                          /*workers=*/2, /*stage_threads=*/3));
+  expect_bitwise_equal(ref, pr, "stage_threads=3");
 }
 
 TEST(PipelineRuntime, LambOnlyModeBitwiseEqualsSerial) {
