@@ -30,6 +30,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 
 #include "bench/bench_util.h"
@@ -74,9 +75,7 @@ TrainTrace run_training(const BertConfig& cfg, const MlmBatcher& batcher,
   return trainer.run();
 }
 
-}  // namespace
-
-int main() {
+int run() {
   const std::size_t steps =
       static_cast<std::size_t>(std::max(1, env_int("PF_FIG7_STEPS", 600)));
   const ExecContext exec(env_int("PF_NN_THREADS", 1),
@@ -229,4 +228,16 @@ int main() {
       "flush for\nbounded staleness (D-1 updates at most), not for "
       "convergence.\n");
   return 0;
+}
+
+}  // namespace
+
+// A bad argument or knob ends the run with its message, not an abort.
+int main() {
+  try {
+    return run();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fig07_convergence: %s\n", e.what());
+    return 1;
+  }
 }

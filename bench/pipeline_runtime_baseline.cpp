@@ -162,14 +162,13 @@ int main(int argc, char** argv) {
     pc.use_kfac = true;
     pc.kfac.inverse_interval = 3;
     TimedRun r;
-    pc.step_observer = [&r](const Timeline& tl) {
-      r.step_timelines.push_back(tl);
-    };
     PipelineRuntime rt(model, batcher, pc);
     const double t0 = now_seconds();
-    const auto trace = rt.run();
+    for (std::size_t i = 0; i < steps; ++i) {
+      r.losses.push_back(rt.step().total);
+      r.step_timelines.push_back(rt.last_executed_timeline());
+    }
     r.seconds_per_step = (now_seconds() - t0) / static_cast<double>(steps);
-    r.losses = trace.loss;
     r.utilization = rt.last_executed_timeline().utilization();
     r.mem = rt.memory_stats();
     r.plan_curv = rt.make_step_plan(/*curv_step=*/true, /*inv_step=*/false);

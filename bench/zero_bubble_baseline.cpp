@@ -122,17 +122,15 @@ int main(int argc, char** argv) {
     pc.stage_threads = 1;
     pc.use_kfac = use_kfac;
     pc.kfac.inverse_interval = 3;
-    if (acc != nullptr)
-      pc.step_observer = [acc, step = std::size_t{0}](
-                             const Timeline& tl) mutable {
-        if (step++ > 0) acc->ingest(tl);  // step 0 pays cold-start costs
-      };
     PipelineRuntime rt(model, batcher, pc);
     TimedRun r;
     const double t0 = now_seconds();
-    const auto trace = rt.run();
+    for (std::size_t i = 0; i < steps; ++i) {
+      r.losses.push_back(rt.step().total);
+      // Step 0 pays cold-start costs.
+      if (acc != nullptr && i > 0) acc->ingest(rt.last_executed_timeline());
+    }
     r.seconds_per_step = (now_seconds() - t0) / static_cast<double>(steps);
-    r.losses = trace.loss;
     r.executed_makespan = rt.last_executed_timeline().makespan() -
                           rt.last_executed_timeline().earliest_start();
     r.utilization = rt.last_executed_timeline().utilization();

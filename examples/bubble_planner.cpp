@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 
 #include "src/common/strings.h"
 #include "src/perfmodel/autotune.h"
@@ -96,9 +97,7 @@ int run_autotune(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pf;
   if (argc > 1 && std::strcmp(argv[1], "autotune") == 0)
     return run_autotune(argc, argv);
@@ -147,4 +146,16 @@ int main(int argc, char** argv) {
       "they model a model V=2x deeper than the other rows — compare within "
       "a row's\nmodel size, or rescale blocks per stage.\n");
   return 0;
+}
+
+}  // namespace
+
+// A bad argument or knob ends the run with its message, not an abort.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "example_bubble_planner: %s\n", e.what());
+    return 1;
+  }
 }

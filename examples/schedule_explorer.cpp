@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "src/common/strings.h"
@@ -41,9 +42,7 @@ void print_registry() {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pf;
   if (argc > 1 && std::strcmp(argv[1], "list") == 0) {
     print_registry();
@@ -118,4 +117,16 @@ int main(int argc, char** argv) {
   write_chrome_trace(rep.pipefisher_window, trace);
   std::printf("\nwrote %s\n", trace.c_str());
   return 0;
+}
+
+}  // namespace
+
+// A bad argument or knob ends the run with its message, not an abort.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "example_schedule_explorer: %s\n", e.what());
+    return 1;
+  }
 }

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,9 +58,7 @@ double env_double(const char* name, double def, double lo, double hi) {
   return v;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   // Validate every knob before building anything, so a typo fails fast
   // with the variable's name instead of deep in the engine.
   const int stages = env_int_in("PF_SERVE_STAGES", 2, 1, 4);
@@ -151,4 +150,16 @@ int main() {
   go.width = 72;
   std::printf("\n%s", render_ascii_gantt(rep.timeline, go).c_str());
   return 0;
+}
+
+}  // namespace
+
+// A bad argument or knob ends the run with its message, not an abort.
+int main() {
+  try {
+    return run();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "example_serving_demo: %s\n", e.what());
+    return 1;
+  }
 }

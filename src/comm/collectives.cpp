@@ -39,13 +39,6 @@ double allreduce_best_time(const LinkModel& link, double bytes,
                   recursive_doubling_allreduce_time(link, bytes, world));
 }
 
-double broadcast_time(const LinkModel& link, double bytes,
-                      std::size_t world) {
-  PF_CHECK(bytes >= 0.0 && world >= 1);
-  if (world == 1) return 0.0;
-  return log2_ceil(world) * (link.latency + bytes / link.bandwidth);
-}
-
 double ring_allgather_time(const LinkModel& link, double bytes,
                            std::size_t world) {
   PF_CHECK(bytes >= 0.0 && world >= 1);
@@ -58,18 +51,6 @@ double ring_allgather_time(const LinkModel& link, double bytes,
 double p2p_time(const LinkModel& link, double bytes) {
   PF_CHECK(bytes >= 0.0);
   return link.latency + bytes / link.bandwidth;
-}
-
-double allreduce_crossover_bytes(const LinkModel& link, std::size_t world) {
-  PF_CHECK(world >= 2);
-  const double w = static_cast<double>(world);
-  // Solve ring(n) = doubling(n):
-  //   2(w-1)/w·n/β + 2(w-1)α = 2n/β + 2·ceil(log2 w)·α
-  //   n·(2(w-1)/w − 2)/β = 2α(ceil(log2 w) − (w−1))
-  const double lhs_coeff = (2.0 * (w - 1.0) / w - 2.0) / link.bandwidth;
-  const double rhs = 2.0 * link.latency * (log2_ceil(world) - (w - 1.0));
-  if (lhs_coeff == 0.0) return 0.0;  // w == 1 degenerate
-  return rhs / lhs_coeff;
 }
 
 }  // namespace pf

@@ -2,13 +2,12 @@
 //
 // The paper's distributed K-FAC variants rely on three collectives:
 // sync-grad (allreduce of gradients), sync-curvature (allreduce of
-// Kronecker factors), and the broadcast/allgather of inverses under
-// inversion parallelism. This module models their cost for the standard
-// algorithms so the simulator can charge realistic times:
+// Kronecker factors), and the allgather of inverses under inversion
+// parallelism. This module models their cost for the standard algorithms
+// so the simulator can charge realistic times:
 //
 //   ring allreduce            2(w-1)/w · n/β + 2(w-1)·α
 //   recursive halving-doubling  ~2 n/β + 2 log2(w)·α  (w power of two)
-//   binomial-tree broadcast    ceil(log2 w) · (α + n/β)
 //   ring allgather            (w-1)/w · n/β + (w-1)·α
 //
 // with α = per-message latency and β = link bandwidth. Small messages favor
@@ -32,12 +31,8 @@ double recursive_doubling_allreduce_time(const LinkModel& link, double bytes,
                                          std::size_t world);
 double allreduce_best_time(const LinkModel& link, double bytes,
                            std::size_t world);
-double broadcast_time(const LinkModel& link, double bytes, std::size_t world);
 double ring_allgather_time(const LinkModel& link, double bytes,
                            std::size_t world);
 double p2p_time(const LinkModel& link, double bytes);
-
-// Message size at which the ring starts beating recursive doubling.
-double allreduce_crossover_bytes(const LinkModel& link, std::size_t world);
 
 }  // namespace pf

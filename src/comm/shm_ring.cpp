@@ -42,15 +42,6 @@ SharedRegion::~SharedRegion() {
 SharedRegion::SharedRegion(SharedRegion&& o) noexcept
     : data_(std::exchange(o.data_, nullptr)), bytes_(std::exchange(o.bytes_, 0)) {}
 
-SharedRegion& SharedRegion::operator=(SharedRegion&& o) noexcept {
-  if (this != &o) {
-    if (data_ != nullptr) ::munmap(data_, bytes_);
-    data_ = std::exchange(o.data_, nullptr);
-    bytes_ = std::exchange(o.bytes_, 0);
-  }
-  return *this;
-}
-
 // ---------------------------------------------------------------------------
 // Futex-parked waiting
 
@@ -101,7 +92,6 @@ void wake_all(std::atomic<std::uint32_t>*) {}
 // Ring layout
 
 struct ShmRing::Header {
-  std::uint64_t magic = 0;
   std::uint64_t slot_count = 0;
   std::uint64_t slot_bytes = 0;
   std::uint64_t slot_stride = 0;
@@ -125,8 +115,6 @@ struct ShmRing::Slot {
 };
 
 namespace {
-constexpr std::uint64_t kRingMagic = 0x5046'5249'4e47'3031ULL;  // PFRING01
-
 std::size_t align_up(std::size_t n, std::size_t a) {
   return (n + a - 1) / a * a;
 }
@@ -148,20 +136,6 @@ ShmRing ShmRing::create(void* mem, std::size_t slot_count,
   h->slot_count = slot_count;
   h->slot_bytes = slot_bytes;
   h->slot_stride = align_up(sizeof(std::uint64_t) + slot_bytes, 64);
-  // Magic last: an attach() racing create() sees either no ring or a
-  // fully-formed one. (In practice creation happens before fork/threads.)
-  h->magic = kRingMagic;
-  ShmRing r;
-  r.h_ = h;
-  r.name_ = std::move(name);
-  return r;
-}
-
-ShmRing ShmRing::attach(void* mem, std::string name) {
-  PF_CHECK(mem != nullptr);
-  auto* h = static_cast<Header*>(mem);
-  PF_CHECK(h->magic == kRingMagic)
-      << name << ": attach to a region with no formatted ring";
   ShmRing r;
   r.h_ = h;
   r.name_ = std::move(name);
@@ -174,7 +148,6 @@ ShmRing::Slot* ShmRing::slot(std::uint64_t index) const {
                                  (index % h_->slot_count) * h_->slot_stride);
 }
 
-std::size_t ShmRing::slot_count() const { return h_->slot_count; }
 std::size_t ShmRing::slot_bytes() const { return h_->slot_bytes; }
 
 std::size_t ShmRing::size() const {

@@ -44,7 +44,6 @@ class SharedRegion {
   explicit SharedRegion(std::size_t bytes);
   ~SharedRegion();
   SharedRegion(SharedRegion&& o) noexcept;
-  SharedRegion& operator=(SharedRegion&& o) noexcept;
   SharedRegion(const SharedRegion&) = delete;
   SharedRegion& operator=(const SharedRegion&) = delete;
 
@@ -68,14 +67,11 @@ class ShmRing {
 
   // Formats a ring in `mem` (>= required_bytes, zero-initialized — fresh
   // SharedRegions are) and returns a view. Called once, by the creating
-  // process, before any endpoint attaches.
+  // process, before any other endpoint holds a copy of the view (threads
+  // copy it; forked children inherit it).
   static ShmRing create(void* mem, std::size_t slot_count,
                         std::size_t slot_bytes, std::string name = "ring");
 
-  // View onto a ring some other endpoint create()d in the same region.
-  static ShmRing attach(void* mem, std::string name = "ring");
-
-  std::size_t slot_count() const;
   std::size_t slot_bytes() const;
   // Messages published and not yet consumed. Racy by nature (either cursor
   // may move concurrently) but exact when the caller knows its side is

@@ -59,29 +59,10 @@ ArenaAllocator::Stats ArenaAllocator::stats() const {
   return stats_;
 }
 
-void ArenaAllocator::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  free_.clear();
-  stats_ = Stats{};
-}
-
 Matrix arena_matrix(ArenaAllocator* arena, std::size_t rows, std::size_t cols,
                     double fill) {
   return arena != nullptr ? arena->acquire_matrix(rows, cols, fill)
                           : Matrix(rows, cols, fill);
-}
-
-Matrix arena_copy(ArenaAllocator* arena, const Matrix& src) {
-  return arena != nullptr ? arena->copy_matrix(src) : src;
-}
-
-void arena_release(ArenaAllocator* arena, Matrix&& m) {
-  if (arena != nullptr) arena->release(std::move(m));
-  // else: the Matrix destructor frees the storage normally.
-}
-
-void arena_release(ArenaAllocator* arena, std::vector<double>&& buf) {
-  if (arena != nullptr) arena->release(std::move(buf));
 }
 
 }  // namespace pf

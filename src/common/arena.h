@@ -74,9 +74,6 @@ class ArenaAllocator {
   };
   Stats stats() const;
 
-  // Drops every parked buffer and zeroes the counters (between bench runs).
-  void clear();
-
  private:
   mutable std::mutex mu_;
   // Free buffers keyed by capacity; multimap because several same-shaped
@@ -90,9 +87,6 @@ class ArenaAllocator {
 // identical either way.
 Matrix arena_matrix(ArenaAllocator* arena, std::size_t rows, std::size_t cols,
                     double fill = 0.0);
-Matrix arena_copy(ArenaAllocator* arena, const Matrix& src);
-void arena_release(ArenaAllocator* arena, Matrix&& m);
-void arena_release(ArenaAllocator* arena, std::vector<double>&& buf);
 
 // Reshapes dst to rows x cols for the caller to overwrite, reusing dst's own
 // storage, or an arena buffer when it has none (the same two cases as

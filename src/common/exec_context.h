@@ -48,9 +48,10 @@ class ExecContext {
 
   // Buffer recycler for activation caches/stashes; nullptr (the default)
   // means plain allocation. Set by the pipeline runtime on each stage's
-  // context; layers route cache storage through arena_matrix/arena_copy
-  // (common/arena.h), which fall back cleanly on null. Arena-backed values
-  // equal plain-allocated values bit for bit — only the storage is reused.
+  // context; layers route cache storage through arena_matrix,
+  // arena_reshape and arena_assign (common/arena.h), which fall back
+  // cleanly on null. Arena-backed values equal plain-allocated values bit
+  // for bit — only the storage is reused.
   ArenaAllocator* arena() const { return arena_; }
   ExecContext& set_arena(ArenaAllocator* arena) {
     arena_ = arena;

@@ -42,11 +42,6 @@ double Rng::uniform() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform(double lo, double hi) {
-  PF_CHECK(lo <= hi) << "lo=" << lo << " hi=" << hi;
-  return lo + (hi - lo) * uniform();
-}
-
 std::uint64_t Rng::uniform_int(std::uint64_t n) {
   PF_CHECK(n > 0);
   // Rejection sampling to avoid modulo bias.

@@ -21,9 +21,6 @@ class Rng {
   // Uniform double in [0, 1).
   double uniform();
 
-  // Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
-
   // Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_int(std::uint64_t n);
 

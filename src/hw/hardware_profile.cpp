@@ -81,8 +81,4 @@ HardwareProfile hardware_by_name(const std::string& name) {
   __builtin_unreachable();
 }
 
-std::vector<std::string> known_hardware_names() {
-  return {"p100", "v100", "rtx3090", "toy"};
-}
-
 }  // namespace pf

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 namespace pf {
 
@@ -42,6 +41,5 @@ HardwareProfile toy_accelerator();
 
 // Lookup by name ("p100", "v100", "rtx3090", "toy"); throws on unknown.
 HardwareProfile hardware_by_name(const std::string& name);
-std::vector<std::string> known_hardware_names();
 
 }  // namespace pf

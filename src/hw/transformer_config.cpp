@@ -91,9 +91,4 @@ TransformerConfig transformer_by_name(const std::string& name) {
   __builtin_unreachable();
 }
 
-std::vector<std::string> known_transformer_names() {
-  return {"bert-base", "bert-large", "t5-base",
-          "t5-large",  "opt-125m",   "opt-350m"};
-}
-
 }  // namespace pf

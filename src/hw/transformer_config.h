@@ -56,6 +56,5 @@ TransformerConfig opt_125m();     // 768 / 3072 / 12 / S=2048
 TransformerConfig opt_350m();     // 1024 / 4096 / 16 / S=2048
 
 TransformerConfig transformer_by_name(const std::string& name);
-std::vector<std::string> known_transformer_names();
 
 }  // namespace pf

@@ -370,16 +370,4 @@ void syrk_tn_acc(const Matrix& a, Matrix& c, double alpha,
     for (std::size_t j = i + 1; j < n; ++j) d[i * n + j] = d[j * n + i];
 }
 
-std::vector<double> matvec(const Matrix& a, const std::vector<double>& x) {
-  PF_CHECK(a.cols() == x.size());
-  std::vector<double> y(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row(i);
-    double s = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) s += arow[j] * x[j];
-    y[i] = s;
-  }
-  return y;
-}
-
 }  // namespace pf

@@ -123,7 +123,4 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b, int threads);
 void syrk_tn_acc(const Matrix& a, Matrix& c, double alpha,
                  const ExecContext& ctx = {});
 
-// y = A·x for a vector x (len = cols). Result length = rows.
-std::vector<double> matvec(const Matrix& a, const std::vector<double>& x);
-
 }  // namespace pf

@@ -44,11 +44,8 @@ class Matrix {
   static Matrix zeros(std::size_t rows, std::size_t cols) {
     return Matrix(rows, cols, 0.0);
   }
-  static Matrix identity(std::size_t n);
   static Matrix randn(std::size_t rows, std::size_t cols, Rng& rng,
                       double stddev = 1.0);
-  // Build from nested initializer-like data (row major).
-  static Matrix from_rows(const std::vector<std::vector<double>>& rows);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -77,16 +74,12 @@ class Matrix {
 
   // Elementwise in-place ops (shapes must match).
   Matrix& operator+=(const Matrix& o);
-  Matrix& operator-=(const Matrix& o);
   Matrix& operator*=(double s);
   // this = this * a + o * b (axpby).
   Matrix& axpby(double a, const Matrix& o, double b);
   void fill(double v);
 
-  // Reductions.
   double frobenius_norm() const;
-  double max_abs() const;
-  double sum() const;
 
   Matrix transposed() const;
 
@@ -95,13 +88,5 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-Matrix operator+(Matrix a, const Matrix& b);
-Matrix operator-(Matrix a, const Matrix& b);
-Matrix operator*(Matrix a, double s);
-Matrix operator*(double s, Matrix a);
-
-// Max elementwise absolute difference, for test assertions.
-double max_abs_diff(const Matrix& a, const Matrix& b);
 
 }  // namespace pf

@@ -71,14 +71,6 @@ BertInferOutput BertModel::forward(const BertBatch& batch, bool training,
   return out;
 }
 
-BertLossBreakdown BertModel::evaluate(const BertBatch& batch,
-                                      const ExecContext& ctx) {
-  const BertInferOutput out = forward(batch, /*training=*/false, ctx);
-  const auto mlm = softmax_cross_entropy(out.mlm_logits, batch.mlm_labels, ctx);
-  const auto nsp = softmax_cross_entropy(out.nsp_logits, batch.nsp_labels, ctx);
-  return {mlm.loss + nsp.loss, mlm.loss, nsp.loss};
-}
-
 std::vector<Param*> BertModel::params() {
   std::vector<Param*> out = emb_.params();
   for (auto& b : blocks_)

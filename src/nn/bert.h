@@ -68,11 +68,6 @@ class BertModel {
   BertInferOutput forward(const BertBatch& batch, bool training = false,
                           const ExecContext& ctx = {});
 
-  // Inference-only loss evaluation (no caches, no gradients); forward()
-  // plus the two cross-entropies.
-  BertLossBreakdown evaluate(const BertBatch& batch,
-                             const ExecContext& ctx = {});
-
   std::vector<Param*> params();
   // The K-FAC-tracked linears: all encoder linears (6 per block). The MLM
   // and NSP heads are excluded, mirroring the paper.

@@ -379,11 +379,4 @@ const BertStage& BertStagePartition::stage(int s) const {
   return stages_[static_cast<std::size_t>(s)];
 }
 
-std::vector<Param*> BertStagePartition::params() const {
-  std::vector<Param*> out;
-  for (const BertStage& s : stages_)
-    for (Param* p : s.params()) out.push_back(p);
-  return out;
-}
-
 }  // namespace pf

@@ -178,12 +178,10 @@ class BertStagePartition {
   BertStagePartition(BertModel& model, int n_stages);
 
   int n_stages() const { return static_cast<int>(stages_.size()); }
+  // The stages' params and kfac linears, concatenated in stage order,
+  // equal the model's own ordering (pinned in tests).
   BertStage& stage(int s);
   const BertStage& stage(int s) const;
-
-  // Every stage's params / kfac linears concatenated in stage order equals
-  // the model's own ordering (pinned in tests).
-  std::vector<Param*> params() const;
 
  private:
   std::vector<BertStage> stages_;

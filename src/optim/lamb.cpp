@@ -41,17 +41,10 @@ void Lamb::step(const std::vector<Param*>& params, double lr) {
     double trust = 1.0;
     if (wnorm > 0.0 && unorm > 0.0)
       trust = std::min(wnorm / unorm, max_trust_);
-    last_trust_[p] = trust;
     for (std::size_t i = 0; i < p->w.rows(); ++i)
       for (std::size_t j = 0; j < p->w.cols(); ++j)
         p->w(i, j) -= lr * trust * update(i, j);
   }
-}
-
-double Lamb::last_trust_ratio(Param* p) const {
-  auto it = last_trust_.find(p);
-  PF_CHECK(it != last_trust_.end()) << "no step taken for this param";
-  return it->second;
 }
 
 }  // namespace pf

@@ -15,14 +15,10 @@ class Lamb : public Optimizer {
        double weight_decay = 0.01, double max_trust = 10.0);
   void step(const std::vector<Param*>& params, double lr) override;
 
-  // Trust ratio used for the most recent step of a parameter (diagnostics).
-  double last_trust_ratio(Param* p) const;
-
  private:
   double beta1_, beta2_, eps_, weight_decay_, max_trust_;
   std::size_t t_ = 0;
   ParamBuffers m_, v_;
-  std::unordered_map<Param*, double> last_trust_;
 };
 
 }  // namespace pf

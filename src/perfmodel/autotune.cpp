@@ -123,14 +123,14 @@ BurstResult run_burst(const BertConfig& model_cfg, const MlmBatcher& batcher,
   pc.kfac.curvature_interval = 1;
   pc.kfac.inverse_interval = 1;
   BurstResult r;
-  std::size_t idx = 0;
-  pc.step_observer = [&](const Timeline& tl) {
-    if (idx++ == 0) return;
+  PipelineRuntime rt(model, batcher, pc);
+  for (std::size_t i = 0; i < pc.total_steps; ++i) {
+    rt.step();
+    if (i == 0) continue;  // cold step
+    const Timeline& tl = rt.last_executed_timeline();
     acc.ingest(tl);
     r.makespans.push_back(tl.makespan() - tl.earliest_start());
-  };
-  PipelineRuntime rt(model, batcher, pc);
-  rt.run();
+  }
   r.threads = rt.executor_threads();
   r.plan = rt.make_step_plan(o.use_kfac, o.use_kfac);
   return r;
@@ -273,14 +273,15 @@ AutotuneReport autotune(const BertConfig& model_cfg, const MlmBatcher& batcher,
       pc.kfac.curvature_interval = 1;
       pc.kfac.inverse_interval = options.inverse_interval;
       double total = 0.0;
-      std::size_t n = 0, idx = 0;
-      pc.step_observer = [&](const Timeline& tl) {
-        if (idx++ == 0) return;  // cold step
+      std::size_t n = 0;
+      PipelineRuntime rt(model, batcher, pc);
+      for (std::size_t i = 0; i < pc.total_steps; ++i) {
+        rt.step();
+        if (i == 0) continue;  // cold step
+        const Timeline& tl = rt.last_executed_timeline();
         total += tl.makespan() - tl.earliest_start();
         ++n;
-      };
-      PipelineRuntime rt(model, batcher, pc);
-      rt.run();
+      }
       if (n > 0) c.executed_makespan = total / static_cast<double>(n);
     }
   }

@@ -1,9 +1,6 @@
 #include "src/perfmodel/calibration.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <limits>
 
 #include "src/common/check.h"
 #include "src/common/strings.h"
@@ -263,137 +260,6 @@ void append_vec(std::string& out, const char* name,
   out += "],\n";
 }
 
-// Minimal recursive-descent parser for the flat profile subset: one object
-// of "key": number | string | [numbers]. No dependencies, throws pf::Error
-// (via PF_CHECK) on anything malformed.
-struct JsonReader {
-  const std::string& s;
-  std::size_t i = 0;
-
-  std::map<std::string, double> nums;
-  std::map<std::string, std::vector<double>> vecs;
-  std::map<std::string, std::string> strs;
-
-  void skip_ws() {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                            s[i] == '\r'))
-      ++i;
-  }
-  char peek() {
-    skip_ws();
-    PF_CHECK(i < s.size()) << "calibrated-costs JSON: unexpected end of input";
-    return s[i];
-  }
-  void expect(char c) {
-    PF_CHECK(peek() == c) << "calibrated-costs JSON: expected '" << c
-                          << "' at offset " << i;
-    ++i;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      PF_CHECK(i < s.size()) << "calibrated-costs JSON: unterminated string";
-      const char c = s[i++];
-      if (c == '"') break;
-      PF_CHECK(c != '\\')
-          << "calibrated-costs JSON: escapes are not part of the profile "
-             "schema";
-      out += c;
-    }
-    return out;
-  }
-  double parse_number() {
-    skip_ws();
-    PF_CHECK(i < s.size()) << "calibrated-costs JSON: unexpected end of input";
-    const char* begin = s.c_str() + i;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    PF_CHECK(end != nullptr && end != begin)
-        << "calibrated-costs JSON: expected a number at offset " << i;
-    PF_CHECK(std::isfinite(v))
-        << "calibrated-costs JSON: non-finite number at offset " << i;
-    i += static_cast<std::size_t>(end - begin);
-    return v;
-  }
-  void parse() {
-    expect('{');
-    if (peek() == '}') {
-      ++i;
-    } else {
-      while (true) {
-        const std::string key = parse_string();
-        expect(':');
-        const char c = peek();
-        if (c == '[') {
-          ++i;
-          std::vector<double> v;
-          if (peek() == ']') {
-            ++i;
-          } else {
-            while (true) {
-              v.push_back(parse_number());
-              const char d = peek();
-              if (d == ',') {
-                ++i;
-                continue;
-              }
-              expect(']');
-              break;
-            }
-          }
-          vecs[key] = std::move(v);
-        } else if (c == '"') {
-          strs[key] = parse_string();
-        } else {
-          nums[key] = parse_number();
-        }
-        const char d = peek();
-        if (d == ',') {
-          ++i;
-          continue;
-        }
-        expect('}');
-        break;
-      }
-    }
-    skip_ws();
-    PF_CHECK(i == s.size())
-        << "calibrated-costs JSON: trailing garbage at offset " << i;
-  }
-
-  double num(const char* key) {
-    const auto it = nums.find(key);
-    PF_CHECK(it != nums.end())
-        << "calibrated-costs JSON: missing number field \"" << key << "\"";
-    return it->second;
-  }
-  // A whole number in [0, 2^bits): casting anything else to an integer
-  // type of that many value bits would truncate or be undefined.
-  double count(const char* key, int bits) {
-    const double v = num(key);
-    PF_CHECK(v >= 0.0 && v < std::ldexp(1.0, bits) && v == std::floor(v))
-        << "calibrated-costs JSON: \"" << key
-        << "\" must be a non-negative integer below 2^" << bits << ", got "
-        << v;
-    return v;
-  }
-  // Per-stage seconds or counts: `size` entries, none negative.
-  std::vector<double> vec(const char* key, std::size_t size) {
-    const auto it = vecs.find(key);
-    PF_CHECK(it != vecs.end())
-        << "calibrated-costs JSON: missing array field \"" << key << "\"";
-    PF_CHECK(it->second.size() == size)
-        << "calibrated-costs JSON: \"" << key << "\" has " << it->second.size()
-        << " entries, expected " << size;
-    for (std::size_t s = 0; s < size; ++s)
-      PF_CHECK(it->second[s] >= 0.0)
-          << "calibrated-costs JSON: \"" << key << "\"[" << s
-          << "] is negative (" << it->second[s] << ")";
-    return it->second;
-  }
-};
-
 }  // namespace
 
 std::string CalibratedCosts::to_json() const {
@@ -423,50 +289,6 @@ std::string CalibratedCosts::to_json() const {
   append_vec(out, "t_optimizer", t_optimizer);
   out += "  \"end\": 0\n}";
   return out;
-}
-
-CalibratedCosts CalibratedCosts::from_json(const std::string& json) {
-  JsonReader r{json};
-  r.parse();
-  const auto schema = r.strs.find("schema");
-  PF_CHECK(schema != r.strs.end() && schema->second == kSchema)
-      << "calibrated-costs JSON: missing or unknown schema tag (want \""
-      << kSchema << "\")";
-  CalibratedCosts c;
-  const double ns = r.num("n_stages");
-  PF_CHECK(ns >= 1 && ns <= 4096 && ns == std::floor(ns))
-      << "calibrated-costs JSON: bad n_stages " << ns;
-  c.n_stages = static_cast<int>(ns);
-  c.n_threads = static_cast<int>(
-      r.count("n_threads", std::numeric_limits<int>::digits));
-  c.samples = static_cast<std::size_t>(
-      r.count("samples", std::numeric_limits<std::size_t>::digits));
-  c.residual_scale = r.num("residual_scale");
-  PF_CHECK(c.residual_scale > 0.0)
-      << "calibrated-costs JSON: \"residual_scale\" must be positive";
-  c.t_handoff = r.num("t_handoff");
-  PF_CHECK(c.t_handoff >= 0.0)
-      << "calibrated-costs JSON: \"t_handoff\" must be non-negative, got "
-      << c.t_handoff;
-  c.backward_w_fraction = r.num("backward_w_fraction");
-  PF_CHECK(c.backward_w_fraction > 0.0 && c.backward_w_fraction < 1.0)
-      << "calibrated-costs JSON: \"backward_w_fraction\" must be in (0, 1), "
-      << "got " << c.backward_w_fraction;
-  const auto S = static_cast<std::size_t>(c.n_stages);
-  c.n_factors = r.vec("n_factors", S);
-  c.t_forward = r.vec("t_forward", S);
-  c.t_backward = r.vec("t_backward", S);
-  c.t_backward_b = r.vec("t_backward_b", S);
-  c.t_backward_w = r.vec("t_backward_w", S);
-  c.t_curvature_a = r.vec("t_curvature_a", S);
-  c.t_curvature_b = r.vec("t_curvature_b", S);
-  c.t_commit = r.vec("t_commit", S);
-  c.t_inversion_a = r.vec("t_inversion_a", S);
-  c.t_inversion_b = r.vec("t_inversion_b", S);
-  c.t_precondition = r.vec("t_precondition", S);
-  c.t_grad_final = r.vec("t_grad_final", S);
-  c.t_optimizer = r.vec("t_optimizer", S);
-  return c;
 }
 
 // --- Plan replay ----------------------------------------------------------

@@ -6,15 +6,14 @@
 // closed forms assume unit costs, infinite cores and free dispatch. This
 // module replaces the hand-set constants with measurements:
 //
-//  * CalibrationAccumulator ingests executed Timelines (live
-//    PipelineRuntime runs via cfg.step_observer, or trace replays) and
+//  * CalibrationAccumulator ingests executed Timelines (each live
+//    PipelineRuntime step's last_executed_timeline(), or trace replays) and
 //    fits the mean realized duration of every (WorkKind, stage) bucket —
 //    T_f/T_b per stage, the B/W split of split-backward schedules, the
 //    per-factor K-FAC curvature/commit/inversion/precondition terms, the
 //    step-tail costs, and the per-boundary handoff overhead.
 //  * CalibratedCosts is the fitted profile: per-task seconds for
-//    predict_step() and a committable artifact (to_json()/from_json()
-//    round-trip).
+//    predict_step(), written into committed bench JSON by to_json().
 //  * predict_step() replays a StepPlan — the EXACT task graph
 //    PipelineRuntime::step() executes, lanes/priorities/resources/deps and
 //    all — through the library's one virtual-time engine (replay_plan,
@@ -97,20 +96,15 @@ struct CalibratedCosts {
   // observed and cannot be reconstructed.
   double task_seconds(WorkKind kind, int stage, bool split) const;
 
-  // Committable-artifact serialization. The JSON is flat (numbers and
-  // per-stage arrays under a "pf-calibrated-costs-v1" schema tag).
-  // from_json throws pf::Error, naming the field, on malformed input, an
-  // unknown schema, size-mismatched arrays and out-of-range values:
-  // n_threads and samples must be non-negative integers that fit their
-  // types, t_handoff >= 0, backward_w_fraction in (0, 1), residual_scale
-  // > 0 and every per-stage value >= 0. Fuzzed in
-  // tests/test_calibration.cpp.
+  // Committable-artifact serialization: flat JSON (numbers at full
+  // precision and per-stage arrays under a "pf-calibrated-costs-v1" schema
+  // tag). No reader exists yet; one arrives with its first program user.
   std::string to_json() const;
-  static CalibratedCosts from_json(const std::string& json);
 };
 
-// Streaming fitter. Feed one executed Timeline per step (wire it as the
-// runtime's cfg.step_observer); fit() aggregates whatever was seen.
+// Streaming fitter. Feed one executed Timeline per step (the runtime's
+// last_executed_timeline() after each step()); fit() aggregates whatever
+// was seen.
 // Split-backward timelines are auto-detected (they contain
 // kBackwardWeight intervals) and route their kBackward intervals into the
 // B bucket instead of the fused bucket, so one accumulator can ingest a

@@ -37,16 +37,6 @@ double StepSimResult::op_end(const PipeOp& op) const {
   return it->second;
 }
 
-bool StepSimResult::has_op(const PipeOp& op) const {
-  return op_end_times.count(op_key(op)) > 0;
-}
-
-double StepSimResult::op_start(const PipeOp& op) const {
-  auto it = op_start_times.find(op_key(op));
-  PF_CHECK(it != op_start_times.end()) << "op not executed: " << op_debug(op);
-  return it->second;
-}
-
 namespace {
 
 // simulate_step's task graph, before the step tail: the plan plus each
@@ -165,7 +155,6 @@ StepSimResult simulate_step(const ScheduleSpec& spec, const StepCosts& costs) {
     for (const std::size_t i : r.lanes[d]) {
       const PipeOp& op = plan.tasks[i].op;
       res.realized_programs[d].push_back(op);
-      res.op_start_times[op_key(op)] = r.start[i];
       res.op_end_times[op_key(op)] = r.end[i];
       res.pipe_makespan = std::max(res.pipe_makespan, r.end[i]);
     }

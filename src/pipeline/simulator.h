@@ -89,11 +89,8 @@ class StepSimResult {
 
   // End time of an executed op; throws if the op was not executed.
   double op_end(const PipeOp& op) const;
-  bool has_op(const PipeOp& op) const;
-  double op_start(const PipeOp& op) const;
 
   std::map<long, double> op_end_times;
-  std::map<long, double> op_start_times;
 };
 
 StepSimResult simulate_step(const ScheduleSpec& spec, const StepCosts& costs);

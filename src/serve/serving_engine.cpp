@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 
-#include "src/comm/tensor_wire.h"
 #include "src/common/check.h"
 #include "src/common/stats.h"
 #include "src/common/strings.h"
@@ -43,9 +42,8 @@ LatencyStats compute_latency_stats(const std::vector<double>& latencies) {
 // after run() returns — the executor's own mutex carries the
 // happens-before edges.
 struct ServingEngine::RunState {
-  RunState(std::size_t max_batch, std::size_t seq_len, int pad_id,
-           std::size_t n_slots)
-      : batcher(max_batch, seq_len, pad_id, n_slots) {}
+  RunState(std::size_t max_batch, std::size_t seq_len, std::size_t n_slots)
+      : batcher(max_batch, seq_len, /*pad_id=*/0, n_slots) {}
 
   double epoch = 0.0;
   ContinuousBatcher batcher;
@@ -89,24 +87,9 @@ ServingEngine::ServingEngine(BertModel& model, const ServingEngineConfig& cfg)
   pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(cfg.workers));
   for (int s = 0; s < cfg.n_stages; ++s)
     stage_ctx_.emplace_back(cfg.stage_threads, cfg.stage_threads, pool_.get());
-  transport_ = resolve_transport(cfg.transport);
-  // Ring sizing mirrors the training runtime: the largest boundary tensor
-  // is the full-batch (max_batch · seq_len) × d_model activation, and at
-  // most `inflight_` micros can have an un-consumed handoff per boundary.
-  const std::size_t slot_bytes =
-      wire_bytes(cfg.max_batch * seq_len_, model.config().d_model);
-  const std::size_t ring_slots = inflight_ + 1;
-  for (int s = 0; s + 1 < cfg.n_stages; ++s) {
-    const std::string name = format("serve-fwd[%d->%d]", s, s + 1);
-    if (transport_ == "inproc") {
-      fwd_ch_.push_back(std::make_unique<StageChannel>(name));
-    } else {
-      regions_.emplace_back(ShmRing::required_bytes(ring_slots, slot_bytes));
-      fwd_ch_.push_back(std::make_unique<TransportChannel>(
-          name, ShmRing::create(regions_.back().data(), ring_slots,
-                                slot_bytes, name)));
-    }
-  }
+  for (int s = 0; s + 1 < cfg.n_stages; ++s)
+    fwd_ch_.push_back(
+        std::make_unique<StageChannel>(format("serve-fwd[%d->%d]", s, s + 1)));
 }
 
 void ServingEngine::add_admission(TaskExecutor& ex, RunState& rs,
@@ -237,8 +220,7 @@ void ServingEngine::complete_micro(RunState& rs, int micro,
 
 ServingReport ServingEngine::run(RequestQueue& queue) {
   for (auto& ch : fwd_ch_) ch->clear();
-  RunState rs(cfg_.max_batch, seq_len_, cfg_.pad_id,
-              cfg_.max_batch * inflight_);
+  RunState rs(cfg_.max_batch, seq_len_, cfg_.max_batch * inflight_);
   rs.epoch = now_seconds();
 
   TaskExecutor ex(*pool_, static_cast<std::size_t>(cfg_.n_stages));

@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "src/comm/stage_channel.h"
-#include "src/comm/transport_channel.h"
 #include "src/common/task_executor.h"
 #include "src/nn/stage_partition.h"
 #include "src/serve/batcher.h"
@@ -78,12 +77,6 @@ struct ServingEngineConfig {
   // under live traffic at any value (see file comment).
   int stage_threads = 1;
   BatchPolicy policy = BatchPolicy::kContinuous;
-  // Boundary transport: "" resolves through PF_TRANSPORT, default
-  // "inproc"; "shm" hands activations over lock-free SPSC rings
-  // (comm/transport_channel.h) — forward-only serving is single-pipeline
-  // by construction, so every config is eligible.
-  std::string transport;
-  int pad_id = 0;
 };
 
 // Per-request accounting. Timestamps are seconds relative to run() entry
@@ -154,8 +147,6 @@ class ServingEngine {
   BertStagePartition partition_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<ExecContext> stage_ctx_;
-  std::string transport_;                         // resolved backend
-  std::vector<SharedRegion> regions_;             // ring storage (shm only)
   std::vector<std::unique_ptr<Channel>> fwd_ch_;  // s -> s+1
 };
 

@@ -106,7 +106,6 @@ BertLossBreakdown PipelineRuntime::step() {
     arena_before.push_back(binder_->worker(s).arena->stats());
 
   execute(make_step_plan(binder_->curv_step(), binder_->inv_step()));
-  if (cfg_.step_observer) cfg_.step_observer(last_timeline_);
 
   // --- Step epilogue: losses in micro order, stash cleanup --------------
   const BertLossBreakdown total = binder_->mean_loss(0, spec_.n_micro);

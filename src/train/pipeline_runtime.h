@@ -110,13 +110,6 @@ struct PipelineRuntimeConfig {
   // identical payloads, single-pipeline schedules only (the rings are
   // SPSC; Chimera puts two producer devices on one boundary).
   std::string transport;
-  // Duration-aggregation hook: called after every synchronous step() with
-  // the realized wall-clock Timeline. This is how executed durations flow
-  // into the perfmodel calibration fit (CalibrationAccumulator::ingest)
-  // without the caller having to poll last_executed_timeline() between
-  // steps of run(). Not called by run_flushless(): its one timeline spans
-  // the whole stream, not a step.
-  std::function<void(const Timeline&)> step_observer;
 };
 
 class PlanBinder;

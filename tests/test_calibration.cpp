@@ -8,9 +8,8 @@
 //   * round-trip exactness — a synthetic simulator timeline fitted and
 //     replayed through predict_step() reproduces the simulated makespan
 //     (fused and zero-bubble-split variants);
-//   * the profile artifact — JSON serialize/parse round-trip plus a
-//     truncation/mutation fuzz sweep that must always throw pf::Error,
-//     never crash or mis-parse, and out-of-range fields rejected by name;
+//   * the profile artifact — to_json() writes every field, each number
+//     reading back exactly;
 //   * autotuner determinism — rank_candidates() is a pure function of
 //     (profiles, options);
 //   * K-FAC inversion accounting — executed inversion counts per device
@@ -24,6 +23,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -310,98 +310,56 @@ TEST(CalibrationRoundTrip, MixedFusedAndSplitIngest) {
 
 // --- Profile artifact (JSON) ----------------------------------------------
 
-TEST(CalibrationProfile, JsonRoundTrip) {
+TEST(CalibrationProfile, JsonWritesEveryFieldExactly) {
   CalibratedCosts a = synthetic_profile();
   a.residual_scale = 1.2345;
-  const CalibratedCosts b = CalibratedCosts::from_json(a.to_json());
-  EXPECT_EQ(b.n_stages, a.n_stages);
-  EXPECT_EQ(b.n_threads, a.n_threads);
-  EXPECT_EQ(b.samples, a.samples);
-  EXPECT_DOUBLE_EQ(b.residual_scale, a.residual_scale);
-  EXPECT_DOUBLE_EQ(b.t_handoff, a.t_handoff);
-  EXPECT_DOUBLE_EQ(b.backward_w_fraction, a.backward_w_fraction);
-  EXPECT_EQ(b.n_factors, a.n_factors);
-  EXPECT_EQ(b.t_forward, a.t_forward);
-  EXPECT_EQ(b.t_backward, a.t_backward);
-  EXPECT_EQ(b.t_backward_b, a.t_backward_b);
-  EXPECT_EQ(b.t_backward_w, a.t_backward_w);
-  EXPECT_EQ(b.t_curvature_a, a.t_curvature_a);
-  EXPECT_EQ(b.t_curvature_b, a.t_curvature_b);
-  EXPECT_EQ(b.t_commit, a.t_commit);
-  EXPECT_EQ(b.t_inversion_a, a.t_inversion_a);
-  EXPECT_EQ(b.t_inversion_b, a.t_inversion_b);
-  EXPECT_EQ(b.t_precondition, a.t_precondition);
-  EXPECT_EQ(b.t_grad_final, a.t_grad_final);
-  EXPECT_EQ(b.t_optimizer, a.t_optimizer);
-}
-
-TEST(CalibrationProfile, JsonRejectsMalformed) {
-  const std::string good = synthetic_profile().to_json();
-  // Hand-picked malformations.
-  const std::vector<std::string> bad = {
-      "",
-      "{",
-      "[1, 2]",
-      "{}",
-      "null",
-      good + "x",                // trailing garbage
-      good + " {}",              // second value
-      "{\"schema\": \"other-schema\"}",
-      "{\"schema\": \"pf-calibrated-costs-v1\"}",  // missing fields
-  };
-  for (const std::string& s : bad)
-    EXPECT_THROW(CalibratedCosts::from_json(s), Error) << s;
-
-  // Truncation fuzz: every strict prefix must throw, never crash or parse.
-  for (std::size_t i = 0; i < good.size(); i += 7)
-    EXPECT_THROW(CalibratedCosts::from_json(good.substr(0, i)), Error)
-        << "prefix length " << i;
-
-  // Structured mutations: wrong array size, non-finite number, bad stage
-  // count.
-  std::string wrong_size = good;
-  const std::size_t pos = wrong_size.find("\"t_forward\": [");
-  ASSERT_NE(pos, std::string::npos);
-  wrong_size.erase(wrong_size.find(',', pos),
-                   wrong_size.find(']', pos) - wrong_size.find(',', pos));
-  EXPECT_THROW(CalibratedCosts::from_json(wrong_size), Error);
-
-  std::string inf = good;
-  const std::size_t rpos = inf.find("\"residual_scale\": ");
-  ASSERT_NE(rpos, std::string::npos);
-  inf.replace(rpos, std::string("\"residual_scale\": 1").size(),
-              "\"residual_scale\": inf");
-  EXPECT_THROW(CalibratedCosts::from_json(inf), Error);
-
-  // Out-of-range values: each is rejected by an error naming its field.
-  // `with` swaps a scalar field's value, or an array field's first entry.
-  auto with = [&](const std::string& field, const std::string& value) {
-    std::string json = good;
-    std::size_t at = json.find("\"" + field + "\": ");
-    EXPECT_NE(at, std::string::npos) << field;
-    at += field.size() + 4;
-    if (json[at] == '[') ++at;
-    json.replace(at, json.find_first_of(",]", at) - at, value);
-    return json;
-  };
-  EXPECT_EQ(CalibratedCosts::from_json(with("n_threads", "5")).n_threads, 5);
-  const std::vector<std::pair<std::string, std::string>> out_of_range = {
-      {"t_handoff", "-0.5"},          {"n_threads", "-7"},
-      {"n_threads", "2.5"},           {"n_threads", "4294967296"},
-      {"samples", "-1"},              {"samples", "0.5"},
-      {"backward_w_fraction", "3"},   {"backward_w_fraction", "0"},
-      {"t_optimizer", "-1e-3"},       {"n_factors", "-6"},
-  };
-  for (const auto& [field, value] : out_of_range) {
-    try {
-      CalibratedCosts::from_json(with(field, value));
-      ADD_FAILURE() << field << " = " << value << " was accepted";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("\"" + field + "\""),
-                std::string::npos)
-          << field << " = " << value << ": " << e.what();
+  const std::string json = a.to_json();
+  EXPECT_NE(json.find("\"schema\": \"pf-calibrated-costs-v1\""),
+            std::string::npos);
+  // The numbers after `"key": ` (a scalar, or an array's entries), read
+  // back with strtod: %.17g round-trips every double exactly.
+  auto numbers = [&](const std::string& key) {
+    std::vector<double> out;
+    const std::size_t at = json.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key;
+    if (at == std::string::npos) return out;
+    const char* p = json.c_str() + at + key.size() + 4;
+    const bool array = *p == '[';
+    if (array) ++p;
+    while (true) {
+      char* end = nullptr;
+      const double v = std::strtod(p, &end);
+      if (end == p) break;
+      out.push_back(v);
+      if (!array || *end != ',') break;
+      p = end + 1;
     }
-  }
+    return out;
+  };
+  auto scalar = [&](const std::string& key) {
+    const std::vector<double> v = numbers(key);
+    EXPECT_EQ(v.size(), 1u) << key;
+    return v.empty() ? -1.0 : v[0];
+  };
+  EXPECT_EQ(scalar("n_stages"), a.n_stages);
+  EXPECT_EQ(scalar("n_threads"), a.n_threads);
+  EXPECT_EQ(scalar("samples"), static_cast<double>(a.samples));
+  EXPECT_EQ(scalar("residual_scale"), a.residual_scale);
+  EXPECT_EQ(scalar("t_handoff"), a.t_handoff);
+  EXPECT_EQ(scalar("backward_w_fraction"), a.backward_w_fraction);
+  EXPECT_EQ(numbers("n_factors"), a.n_factors);
+  EXPECT_EQ(numbers("t_forward"), a.t_forward);
+  EXPECT_EQ(numbers("t_backward"), a.t_backward);
+  EXPECT_EQ(numbers("t_backward_b"), a.t_backward_b);
+  EXPECT_EQ(numbers("t_backward_w"), a.t_backward_w);
+  EXPECT_EQ(numbers("t_curvature_a"), a.t_curvature_a);
+  EXPECT_EQ(numbers("t_curvature_b"), a.t_curvature_b);
+  EXPECT_EQ(numbers("t_commit"), a.t_commit);
+  EXPECT_EQ(numbers("t_inversion_a"), a.t_inversion_a);
+  EXPECT_EQ(numbers("t_inversion_b"), a.t_inversion_b);
+  EXPECT_EQ(numbers("t_precondition"), a.t_precondition);
+  EXPECT_EQ(numbers("t_grad_final"), a.t_grad_final);
+  EXPECT_EQ(numbers("t_optimizer"), a.t_optimizer);
 }
 
 // --- Autotuner ------------------------------------------------------------

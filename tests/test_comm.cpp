@@ -24,7 +24,6 @@ const LinkModel kLink{10e9, 5e-6};  // 10 GB/s, 5 us
 TEST(Collectives, SingleDeviceIsFree) {
   EXPECT_DOUBLE_EQ(ring_allreduce_time(kLink, 1e9, 1), 0.0);
   EXPECT_DOUBLE_EQ(recursive_doubling_allreduce_time(kLink, 1e9, 1), 0.0);
-  EXPECT_DOUBLE_EQ(broadcast_time(kLink, 1e9, 1), 0.0);
   EXPECT_DOUBLE_EQ(ring_allgather_time(kLink, 1e9, 1), 0.0);
 }
 
@@ -53,21 +52,6 @@ TEST(Collectives, BestPicksTheCheaper) {
     EXPECT_LE(best, ring_allreduce_time(kLink, bytes, 16));
     EXPECT_LE(best, recursive_doubling_allreduce_time(kLink, bytes, 16));
   }
-}
-
-TEST(Collectives, CrossoverSeparatesTheRegimes) {
-  const double cross = allreduce_crossover_bytes(kLink, 16);
-  EXPECT_GT(cross, 0.0);
-  EXPECT_LT(ring_allreduce_time(kLink, cross * 10, 16),
-            recursive_doubling_allreduce_time(kLink, cross * 10, 16));
-  EXPECT_GT(ring_allreduce_time(kLink, cross / 10, 16),
-            recursive_doubling_allreduce_time(kLink, cross / 10, 16));
-}
-
-TEST(Collectives, BroadcastLogarithmicInWorld) {
-  const double b2 = broadcast_time(kLink, 1e6, 2);
-  const double b16 = broadcast_time(kLink, 1e6, 16);
-  EXPECT_NEAR(b16 / b2, 4.0, 1e-9);  // log2(16)/log2(2)
 }
 
 TEST(Collectives, AllgatherHalfOfAllreduce) {

@@ -17,6 +17,7 @@
 #include "src/pipeline/one_f_one_b.h"
 #include "src/pipeline/schedule_registry.h"
 #include "src/pipeline/simulator.h"
+#include "tests/support/op_start.h"
 
 namespace pf {
 namespace {
@@ -48,17 +49,22 @@ ScheduleSpec random_schedule(Rng& rng) {
   }
 }
 
+// Uniform double in [lo, hi).
+double uniform_in(Rng& rng, double lo, double hi) {
+  return lo + (hi - lo) * rng.uniform();
+}
+
 StepCosts random_costs(Rng& rng, int n_stages) {
   StepCosts c;
-  c.t_forward = rng.uniform(0.2, 3.0);
-  c.t_backward = c.t_forward * rng.uniform(1.0, 3.0);
-  if (rng.bernoulli(0.3)) c.t_p2p = rng.uniform(0.0, 0.2);
-  if (rng.bernoulli(0.3)) c.t_sync_grad = rng.uniform(0.0, 0.5);
-  if (rng.bernoulli(0.3)) c.t_precondition = rng.uniform(0.0, 0.5);
-  if (rng.bernoulli(0.3)) c.t_optimizer = rng.uniform(0.0, 0.5);
+  c.t_forward = uniform_in(rng, 0.2, 3.0);
+  c.t_backward = c.t_forward * uniform_in(rng, 1.0, 3.0);
+  if (rng.bernoulli(0.3)) c.t_p2p = uniform_in(rng, 0.0, 0.2);
+  if (rng.bernoulli(0.3)) c.t_sync_grad = uniform_in(rng, 0.0, 0.5);
+  if (rng.bernoulli(0.3)) c.t_precondition = uniform_in(rng, 0.0, 0.5);
+  if (rng.bernoulli(0.3)) c.t_optimizer = uniform_in(rng, 0.0, 0.5);
   if (rng.bernoulli(0.25)) {
     for (int s = 0; s < n_stages; ++s) {
-      const double scale = rng.uniform(0.5, 2.0);
+      const double scale = uniform_in(rng, 0.5, 2.0);
       c.stage_forward_scale.push_back(scale);
       c.stage_backward_scale.push_back(scale);
     }
@@ -82,7 +88,7 @@ TEST(SimulatorFuzz, InvariantsHoldForRandomConfigurations) {
 
     // 2. Dependencies respected.
     for (const auto& op : spec.all_ops()) {
-      const double start = res.op_start(op);
+      const double start = op_start(spec, res, op);
       if (op.type == OpType::kForward) {
         if (op.stage > 0) {
           ASSERT_GE(start + 1e-9,
@@ -139,17 +145,17 @@ TEST(AssignerFuzz, RandomTaskSetsAlwaysPlaceCompletely) {
     // Random base step: one device pattern replicated.
     const std::size_t n_dev = 1 + rng.uniform_int(4);
     Timeline base(n_dev);
-    const double step_time = rng.uniform(4.0, 10.0);
+    const double step_time = uniform_in(rng, 4.0, 10.0);
     // Leave a guaranteed >= 2.0s trailing gap per step so every
     // non-splittable task (capped below 2.0) has a feasible home.
     for (std::size_t d = 0; d < n_dev; ++d) {
-      double t = rng.uniform(0.0, 1.0);
+      double t = uniform_in(rng, 0.0, 1.0);
       while (t < step_time - 3.5) {
-        const double len = rng.uniform(0.3, 1.5);
+        const double len = uniform_in(rng, 0.3, 1.5);
         const double end = std::min(t + len, step_time - 2.0);
         base.add({.device = d, .start = t, .end = end,
                   .kind = WorkKind::kForward});
-        t = end + rng.uniform(0.2, 1.2);
+        t = end + uniform_in(rng, 0.2, 1.2);
       }
     }
 
@@ -168,9 +174,9 @@ TEST(AssignerFuzz, RandomTaskSetsAlwaysPlaceCompletely) {
         t.splittable = rng.bernoulli(0.7);
         // Splittable work can be arbitrarily large; atomic work must fit
         // the guaranteed 2.0s trailing gap.
-        t.duration =
-            t.splittable ? rng.uniform(0.05, 4.0) : rng.uniform(0.05, 1.9);
-        t.earliest_start = rng.uniform(0.0, step_time);
+        t.duration = t.splittable ? uniform_in(rng, 0.05, 4.0)
+                                  : uniform_in(rng, 0.05, 1.9);
+        t.earliest_start = uniform_in(rng, 0.0, step_time);
         t.min_chunk = 0.01;
         if (prev != SIZE_MAX) t.deps.push_back(prev);
         prev = t.id;
@@ -262,7 +268,7 @@ TEST(AssignerFuzz, UtilizationNeverDecreases) {
       BubbleTask t;
       t.id = i;
       t.device = rng.uniform_int(2);
-      t.duration = rng.uniform(0.1, 1.0);
+      t.duration = uniform_in(rng, 0.1, 1.0);
       tasks.push_back(std::move(t));
     }
     const auto res = assign_to_bubbles(base, 2.0, tasks);

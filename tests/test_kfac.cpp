@@ -15,6 +15,7 @@
 #include "src/linalg/cholesky.h"
 #include "src/linalg/gemm.h"
 #include "tests/support/kron.h"
+#include "tests/support/matrix_util.h"
 #include "tests/support/simd_levels.h"
 #include "tests/support/triangular_solve.h"
 
@@ -96,10 +97,10 @@ TEST(KfacEngine, InversesAreDampedInverses) {
   add_diagonal(a, damp_a);
   add_diagonal(b, damp_b);
   EXPECT_LT(max_abs_diff(matmul(engine.state(0).a_inv, a),
-                         Matrix::identity(3)),
+                         identity(3)),
             1e-8);
   EXPECT_LT(max_abs_diff(matmul(engine.state(0).b_inv, b),
-                         Matrix::identity(2)),
+                         identity(2)),
             1e-8);
 }
 
@@ -158,7 +159,8 @@ TEST(KfacEngine, PiCorrectionBalancesDamping) {
   KfacEngine engine({&l});
   Matrix x = Matrix::randn(8, 4, rng);
   x *= 100.0;  // huge activations → tr(A) >> tr(B)
-  const Matrix dy = Matrix::randn(8, 4, rng) * 0.001;
+  Matrix dy = Matrix::randn(8, 4, rng);
+  dy *= 0.001;
   fake_pass(l, x, dy);
   engine.update_curvature();
   engine.update_inverses();

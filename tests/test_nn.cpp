@@ -16,7 +16,9 @@
 #include "src/nn/linear.h"
 #include "src/nn/loss.h"
 #include "src/nn/transformer_block.h"
+#include "tests/support/bert_reference.h"
 #include "tests/support/grad_check.h"
+#include "tests/support/matrix_util.h"
 
 namespace pf {
 namespace {
@@ -34,9 +36,9 @@ double weighted_sum(const Matrix& y, const Matrix& weights) {
 TEST(Linear, ForwardMatchesManualComputation) {
   Rng rng(3);
   Linear l(2, 3, rng, "l");
-  l.weight().w = Matrix::from_rows({{1, 2, 3}, {4, 5, 6}});
-  l.bias().w = Matrix::from_rows({{0.5, -0.5, 0.0}});
-  const Matrix x = Matrix::from_rows({{1, 1}});
+  l.weight().w = from_rows({{1, 2, 3}, {4, 5, 6}});
+  l.bias().w = from_rows({{0.5, -0.5, 0.0}});
+  const Matrix x = from_rows({{1, 1}});
   const Matrix y = l.forward(x);
   EXPECT_DOUBLE_EQ(y(0, 0), 5.5);
   EXPECT_DOUBLE_EQ(y(0, 1), 6.5);
@@ -422,7 +424,7 @@ TEST(Bert, FullModelGradCheck) {
   Rng rng(53);
   BertModel model(cfg, rng);
   const auto batch = tiny_batch(cfg, 55);
-  auto loss = [&]() { return model.evaluate(batch).total; };
+  auto loss = [&]() { return evaluate_loss(model, batch).total; };
   zero_grads(model.params());
   model.train_step_backward(batch);
   EXPECT_LT(max_grad_check_error(model.params(), loss, 4), 5e-5);
@@ -433,7 +435,7 @@ TEST(Bert, LossStartsNearLogVocabPlusLog2) {
   Rng rng(59);
   BertModel model(cfg, rng);
   const auto batch = tiny_batch(cfg, 61);
-  const auto l = model.evaluate(batch);
+  const auto l = evaluate_loss(model, batch);
   EXPECT_NEAR(l.mlm, std::log(static_cast<double>(cfg.vocab)), 1.0);
   EXPECT_NEAR(l.nsp, std::log(2.0), 0.5);
   EXPECT_NEAR(l.total, l.mlm + l.nsp, 1e-12);

@@ -12,6 +12,7 @@
 #include "src/optim/kfac_optimizer.h"
 #include "src/optim/lamb.h"
 #include "src/optim/lr_schedule.h"
+#include "tests/support/matrix_util.h"
 #include "tests/support/sgd.h"
 
 namespace pf {
@@ -54,23 +55,34 @@ TEST(Lamb, ConvergesOnQuadratic) {
   EXPECT_LT(optimize_quadratic(opt, 0.05, 400), 1e-4);
 }
 
+// One LAMB step from zero moments with wd = 0 and a gradient of 1 at
+// (0, 0) only: the update there is m̂/(√v̂+ε) = 1/(1+ε) and 0 elsewhere,
+// so the weight moves by lr·trust/(1+ε) and the trust ratio can be read
+// back from that move.
+double first_step_trust_ratio(double max_trust, const Matrix& w,
+                              double lr) {
+  Lamb opt(0.9, 0.999, 1e-6, 0.0, max_trust);
+  Param p(w.rows(), w.cols(), "w");
+  p.w = w;
+  p.g = Matrix(w.rows(), w.cols(), 0.0);
+  p.g(0, 0) = 1.0;
+  opt.step({&p}, lr);
+  for (std::size_t i = 1; i < w.size(); ++i)
+    EXPECT_EQ(p.w.data()[i], w.data()[i]) << "only (0, 0) has an update";
+  return (w(0, 0) - p.w(0, 0)) / lr * (1.0 + 1e-6);
+}
+
 TEST(Lamb, TrustRatioIsNormRatio) {
-  Lamb opt(0.9, 0.999, 1e-6, 0.0, 1e9);
-  Param p(2, 2, "w");
-  p.w = Matrix::from_rows({{3, 0}, {0, 4}});  // ‖w‖ = 5
-  p.g = Matrix::from_rows({{1, 0}, {0, 0}});
-  opt.step({&p}, 0.0);  // lr 0: inspect ratio without moving weights
-  // update ≈ sign-ish normalized: m̂/(√v̂+ε) = 1 at the single coordinate.
-  EXPECT_NEAR(opt.last_trust_ratio(&p), 5.0, 0.01);
+  // ‖w‖ = 5 and ‖update‖ = 1/(1+ε): the ratio is 5(1+ε).
+  EXPECT_NEAR(first_step_trust_ratio(1e9, from_rows({{3, 0}, {0, 4}}), 1.0),
+              5.0, 0.01);
 }
 
 TEST(Lamb, TrustRatioClamped) {
-  Lamb opt(0.9, 0.999, 1e-6, 0.0, 10.0);
-  Param p(1, 2, "w");
-  p.w = Matrix::from_rows({{1e6, 0.0}});
-  p.g = Matrix::from_rows({{1.0, 0.0}});
-  opt.step({&p}, 0.0);
-  EXPECT_DOUBLE_EQ(opt.last_trust_ratio(&p), 10.0);
+  // ‖w‖/‖update‖ ≈ 1e6, clamped to max_trust.
+  const Matrix w = from_rows({{1e6, 0.0}});
+  EXPECT_NEAR(first_step_trust_ratio(10.0, w, 1.0), 10.0, 1e-8);
+  EXPECT_NEAR(first_step_trust_ratio(1e9, w, 1e-3), 1e6 * (1.0 + 1e-6), 1e-3);
 }
 
 TEST(LrSchedule, WarmupThenPolyDecay) {

@@ -19,6 +19,7 @@
 #include "src/pipeline/schedule_registry.h"
 #include "src/pipeline/simulator.h"
 #include "src/pipeline/step_plan.h"
+#include "tests/support/op_start.h"
 
 namespace pf {
 namespace {
@@ -34,7 +35,7 @@ void expect_dependencies_respected(const ScheduleSpec& spec,
                                    const StepSimResult& res,
                                    double t_p2p = 0.0) {
   for (const auto& op : spec.all_ops()) {
-    const double start = res.op_start(op);
+    const double start = op_start(spec, res, op);
     if (op.type == OpType::kForward) {
       if (op.stage > 0) {
         const PipeOp dep{OpType::kForward, op.pipeline, op.stage - 1,
@@ -148,7 +149,7 @@ TEST(Simulator, EveryOpExecutedExactlyOnce) {
     for (const auto& prog : res.realized_programs) executed += prog.size();
     EXPECT_EQ(executed, spec.all_ops().size()) << spec.name;
     for (const auto& op : spec.all_ops())
-      EXPECT_TRUE(res.has_op(op)) << op_debug(op);
+      EXPECT_TRUE(res.op_end_times.count(op_key(op))) << op_debug(op);
   }
 }
 

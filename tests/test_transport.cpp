@@ -9,12 +9,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 #include "src/comm/tensor_wire.h"
 #include "src/comm/transport_channel.h"
@@ -88,16 +97,22 @@ TEST(TensorWire, DeserializeRejectsTruncationAndCorruption) {
 
 // --- SPSC ring ------------------------------------------------------------
 
-TEST(ShmRing, CreateAttachAndCapacity) {
+TEST(ShmRing, CreateFormatsTheRequestedCapacity) {
   const std::size_t slots = 3, bytes = 64;
   SharedRegion region(ShmRing::required_bytes(slots, bytes));
   ShmRing ring = ShmRing::create(region.data(), slots, bytes, "t");
-  EXPECT_EQ(ring.slot_count(), slots);
   EXPECT_EQ(ring.slot_bytes(), bytes);
+  EXPECT_EQ(ring.name(), "t");
   EXPECT_TRUE(ring.empty());
-  ShmRing view = ShmRing::attach(region.data(), "t-view");
-  EXPECT_EQ(view.slot_count(), slots);
-  EXPECT_EQ(view.slot_bytes(), bytes);
+  // A copy is another handle onto the same ring: what one publishes, the
+  // other sees, and `slots` messages fill it.
+  ShmRing view = ring;
+  for (std::size_t i = 0; i < slots; ++i) {
+    view.acquire_slot(1.0);
+    view.publish(bytes);
+  }
+  EXPECT_EQ(ring.size(), slots);
+  EXPECT_THROW(ring.acquire_slot(0.05), Error);
 }
 
 TEST(ShmRing, FillDrainAndWraparound) {
@@ -146,7 +161,7 @@ TEST(ShmRing, ConcurrentProducerConsumer) {
   SharedRegion region(ShmRing::required_bytes(slots, 32));
   ShmRing ring = ShmRing::create(region.data(), slots, 32, "spsc");
   std::thread producer([&] {
-    ShmRing prod = ShmRing::attach(region.data(), "spsc-prod");
+    ShmRing prod = ring;
     for (std::uint64_t i = 0; i < n; ++i) {
       unsigned char* slot = prod.acquire_slot(30.0);
       const std::uint64_t vals[2] = {i, i * 2654435761u};
@@ -239,9 +254,58 @@ TEST(TransportChannel, ConcurrentSendRecvBitwise) {
   }
   producer.join();
   EXPECT_EQ(rc.ch.pending(), 0u);
-  // Blocked waits were recorded (the consumer ran ahead of the producer at
-  // least once across 200 round-trips).
-  EXPECT_GE(rc.ch.recv_wait_seconds().size(), 1u);
+}
+
+#ifdef __linux__
+// True when thread `tid` of this process sleeps in a futex wait on a word
+// inside `region` — for a ring's region, the consumer parked in
+// ShmRing::peek (the only futex words there are the ring's wait words).
+bool parked_on(const SharedRegion& region, long tid) {
+  const std::string dir = "/proc/self/task/" + std::to_string(tid) + "/";
+  std::ifstream stat(dir + "stat");
+  std::string line;
+  std::getline(stat, line);
+  // The state is the field after the parenthesized command name.
+  const std::size_t close = line.rfind(')');
+  if (close == std::string::npos || line.compare(close, 3, ") S") != 0)
+    return false;
+  std::ifstream syscall_file(dir + "syscall");
+  long nr = -1;
+  std::string uaddr;
+  syscall_file >> nr >> uaddr;
+  if (nr != SYS_futex) return false;
+  const auto addr = std::stoull(uaddr, nullptr, 16);
+  const auto base = reinterpret_cast<std::uintptr_t>(region.data());
+  return addr >= base && addr < base + region.bytes();
+}
+#endif
+
+TEST(TransportChannel, BlockedRecvRecordsItsWait) {
+#ifndef __linux__
+  GTEST_SKIP() << "reads the consumer's futex wait from /proc";
+#else
+  RingChannel rc(4, 3, 5, "parked");
+  std::atomic<long> tid{0};
+  Matrix got;
+  std::thread consumer([&] {
+    tid.store(::syscall(SYS_gettid));
+    got = rc.ch.recv(0, 60.0);
+  });
+  while (tid.load() == 0) std::this_thread::yield();
+  // Send only once the consumer sleeps on the ring: its recv found the wire
+  // empty and blocked, so that recv must record one wait.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  bool parked = false;
+  while (!(parked = parked_on(rc.region, tid.load())) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  rc.ch.send(0, pattern_matrix(3, 5, 0.0));
+  consumer.join();
+  ASSERT_TRUE(parked) << "the consumer never parked on the ring";
+  EXPECT_TRUE(bitwise_equal(got, pattern_matrix(3, 5, 0.0)));
+  EXPECT_EQ(rc.ch.recv_wait_seconds().size(), 1u);
+#endif
 }
 
 // --- recv timeout diagnostics (both backends name channel, micro, and the

@@ -19,6 +19,7 @@
 #include "src/pipeline/simulator.h"
 #include "src/pipeline/zero_bubble.h"
 #include "src/train/pipeline_runtime.h"
+#include "tests/support/op_start.h"
 
 namespace pf {
 namespace {
@@ -261,21 +262,23 @@ TEST(ZeroBubble, SimulatorExecutesEveryWOpAndBeatsOneFOneB) {
       ScheduleParams p;
       p.n_stages = d;
       p.n_micro = n;
-      const auto zb = simulate_step(build_schedule("zb-h1", p), costs);
+      const ScheduleSpec zb_spec = build_schedule("zb-h1", p);
+      const auto zb = simulate_step(zb_spec, costs);
       const auto ofob = simulate_step(build_schedule("1f1b", p), costs);
       EXPECT_LT(zb.pipe_makespan, ofob.pipe_makespan)
           << "D=" << d << " N=" << n;
       for (int s = 0; s < d; ++s)
         for (int m = 0; m < n; ++m) {
           const PipeOp w{OpType::kBackwardWeight, 0, s, m};
-          ASSERT_TRUE(zb.has_op(w)) << "D=" << d << " N=" << n << " W(" << s
-                                    << "," << m << ") never executed";
+          ASSERT_TRUE(zb.op_end_times.count(op_key(w)))
+              << "D=" << d << " N=" << n << " W(" << s << "," << m
+              << ") never executed";
           const PipeOp b{OpType::kBackward, 0, s, m};
-          EXPECT_GE(zb.op_start(w), zb.op_end(b) - 1e-12)
+          EXPECT_GE(op_start(zb_spec, zb, w), zb.op_end(b) - 1e-12)
               << "W(" << s << "," << m << ") started before its own B pass";
           if (m > 0) {
             const PipeOp wp{OpType::kBackwardWeight, 0, s, m - 1};
-            EXPECT_GE(zb.op_start(w), zb.op_end(wp) - 1e-12)
+            EXPECT_GE(op_start(zb_spec, zb, w), zb.op_end(wp) - 1e-12)
                 << "per-stage W chain must run ascending micros";
           }
         }
