@@ -6,7 +6,8 @@
 // 32-column cholesky_inverse (inversion work), the two-sided precondition
 // product and the exp kernel under GELU and softmax (exp_span).
 //
-// GEMM-family benchmarks carry two extra dimensions, BM_ExpSpan the second:
+// GEMM-family benchmarks carry two extra dimensions, BM_GemmShapes and
+// BM_ExpSpan the second:
 //   threads  1 = serial, >1 = row-block ThreadPool path (bitwise identical
 //            within one SIMD level).
 //   simd     0 = the portable scalar microkernel (what PF_SIMD_LEVEL=scalar
@@ -17,11 +18,12 @@
 // A family that reports items_per_second counts a fixed, documented amount
 // of work per call (see each family), so a kernel that reaches the same
 // result with fewer operations shows a higher rate. CI compares the rates
-// of the GEMM families, BM_InversionWork and BM_ExpSpan against the
-// committed BENCH_kernels.json via tools/check_bench_regression.py — but
-// only when context.num_cpus matches the baseline's, because the committed
-// file may come from a cgroup-limited dev container (see the
-// cpu_budget_note context entry written by the bench_all target).
+// of the GEMM families (BM_GemmShapes at the workloads' own shapes),
+// BM_InversionWork and BM_ExpSpan against the committed BENCH_kernels.json
+// via tools/check_bench_regression.py — but only when context.num_cpus
+// matches the baseline's, because the committed file may come from a
+// cgroup-limited dev container (see the cpu_budget_note context entry
+// written by the bench_all target).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -90,6 +92,61 @@ void BM_GemmBackwardNt(benchmark::State& state) {
 BENCHMARK(BM_GemmBackwardNt)
     ->ArgsProduct({{64, 128}, {1, 2, 4}, {0, 1, 2}})
     ->ArgNames({"n", "threads", "simd"});
+
+// The products the training workloads run, at their shapes: a micro batch
+// of 256 tokens (8 sequences of 32), d_model 64, d_ff 128 and 4 heads of 16.
+// Each row names its role and its m×k×n: output m×n, reduction depth k.
+// Threads 1; items are 2·m·k·n per call. The accumulating form keeps the
+// output's allocation out of the timing.
+enum class GemmOp { kNn, kNt, kTn };
+
+void BM_GemmShapes(benchmark::State& state, GemmOp op, std::size_t m,
+                   std::size_t k, std::size_t n) {
+  const SimdLevel entry_level = pf::active_simd_level();
+  if (!apply_simd_arg(state, state.range(0))) return;
+  pf::Rng rng(7);
+  const Matrix a = op == GemmOp::kTn ? Matrix::randn(k, m, rng)
+                                     : Matrix::randn(m, k, rng);
+  const Matrix b = op == GemmOp::kNt ? Matrix::randn(n, k, rng)
+                                     : Matrix::randn(k, n, rng);
+  Matrix c(m, n, 0.0);
+  for (auto _ : state) {
+    switch (op) {
+      case GemmOp::kNn: pf::matmul_acc(a, b, c); break;
+      case GemmOp::kNt: pf::matmul_nt_acc(a, b, c); break;
+      case GemmOp::kTn: pf::matmul_tn_acc(a, b, c); break;
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+  pf::set_simd_level(entry_level);
+}
+// The Linear forward: x·W for the attention projections and the FFN's two.
+BENCHMARK_CAPTURE(BM_GemmShapes, linear_fwd_256x64x64, GemmOp::kNn, 256, 64,
+                  64)
+    ->DenseRange(0, 2)->ArgName("simd");
+BENCHMARK_CAPTURE(BM_GemmShapes, linear_fwd_256x64x128, GemmOp::kNn, 256, 64,
+                  128)
+    ->DenseRange(0, 2)->ArgName("simd");
+BENCHMARK_CAPTURE(BM_GemmShapes, linear_fwd_256x128x64, GemmOp::kNn, 256,
+                  128, 64)
+    ->DenseRange(0, 2)->ArgName("simd");
+// The Linear input gradient: dy·Wᵀ.
+BENCHMARK_CAPTURE(BM_GemmShapes, linear_dx_256x64x64, GemmOp::kNt, 256, 64,
+                  64)
+    ->DenseRange(0, 2)->ArgName("simd");
+// The W pass: xᵀ·dy over the micro batch's tokens.
+BENCHMARK_CAPTURE(BM_GemmShapes, linear_dw_64x256x64, GemmOp::kTn, 64, 256,
+                  64)
+    ->DenseRange(0, 2)->ArgName("simd");
+// Attention per (sequence, head): the scores q·kᵀ and the context p·v.
+BENCHMARK_CAPTURE(BM_GemmShapes, head_scores_32x16x32, GemmOp::kNt, 32, 16,
+                  32)
+    ->DenseRange(0, 2)->ArgName("simd");
+BENCHMARK_CAPTURE(BM_GemmShapes, head_context_32x32x16, GemmOp::kNn, 32, 32,
+                  16)
+    ->DenseRange(0, 2)->ArgName("simd");
 
 void BM_CurvatureFactor(benchmark::State& state) {
   // A_l = XᵀX/N for N tokens of dimension d: syrk_tn_acc, the kernel the

@@ -20,9 +20,17 @@ namespace pf {
 
 namespace detail {
 
+// GCC's loop vectorizer, given the unknown A strides, versions the k loop
+// for a unit stride and vectorizes it as in-order reductions, which runs
+// this kernel about 2x slower than the superword-vectorized j loop it gets
+// without that pass. Either way each element's chain is the same.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("no-tree-loop-vectorize")))
+#endif
 void micro_kernel_scalar(std::size_t kc, double alpha, const double* ap,
-                         std::size_t a_stride, const double* bp, double* c,
-                         std::size_t ldc, std::size_t mr, std::size_t nr) {
+                         std::size_t a_rs, std::size_t a_cs, const double* bp,
+                         double* c, std::size_t ldc, std::size_t mr,
+                         std::size_t nr) {
   // Two output rows per pass: their 2×kNR accumulators fit the baseline
   // SSE2 register file (a full 6×8 tile would spill) while giving the
   // floating-point adders enough independent chains to hide their latency.
@@ -35,8 +43,8 @@ void micro_kernel_scalar(std::size_t kc, double alpha, const double* ap,
   for (; i + 1 < mr; i += 2) {
     double acc0[kNR] = {}, acc1[kNR] = {};
     for (std::size_t k = 0; k < kc; ++k) {
-      const double a0 = ap[k * a_stride + i];
-      const double a1 = ap[k * a_stride + i + 1];
+      const double a0 = ap[i * a_rs + k * a_cs];
+      const double a1 = ap[(i + 1) * a_rs + k * a_cs];
       const double* brow = bp + k * kNR;
       for (std::size_t j = 0; j < kNR; ++j) {
         acc0[j] += a0 * brow[j];
@@ -51,7 +59,7 @@ void micro_kernel_scalar(std::size_t kc, double alpha, const double* ap,
   for (; i < mr; ++i) {
     double acc[kNR] = {};
     for (std::size_t k = 0; k < kc; ++k) {
-      const double a = ap[k * a_stride + i];
+      const double a = ap[i * a_rs + k * a_cs];
       const double* brow = bp + k * kNR;
       for (std::size_t j = 0; j < kNR; ++j) acc[j] += a * brow[j];
     }
@@ -77,20 +85,13 @@ KernelSpec active_kernel_spec() {
 namespace {
 
 using detail::kKC;
-using detail::kMC;
 
-// Where Op(A)(i, k) lives. Row-major A (the nn and nt products) is packed
-// into MR-row tiles: Op(A)(i, k) = p[i*ld + k]. When k_major is set, Op(A)
-// is already laid out k-major in memory — the tile at output rows [ti, ·)
-// and k block k0 is p + k0*ld + ti, fed to the microkernel with
-// a_stride = ld instead of a packed copy. matmul_tn is the case:
-// Op(A)(i, k) = a(k, i) sits at a.data[k*ld + i], so its column-wise walk
-// needs no A pack at all. Addressing never enters the arithmetic, so this is
-// bitwise identical to the packed path.
+// Where Op(A)(i, k) lives: p[i*rs + k*cs]. Row-major A (the nn and nt
+// products) has (rs, cs) = (ld, 1); the tn products read aᵀ(i, k) = a(k, i)
+// with (1, ld). The microkernel reads A there in place.
 struct ASource {
   const double* p;
-  std::size_t ld;
-  bool k_major;
+  std::size_t rs, cs;
 };
 
 // Where Op(B)(k, j) lives: p[k*ld + j] for row-major B (the nn and tn
@@ -162,8 +163,8 @@ const double* pack_b(std::size_t K, std::size_t N, const BSource& b,
 }
 
 // Computes C rows [r0, r1) += alpha * Op(A)·Op(B) from the pre-packed B.
-// Loop order: row block → k block → column sliver → row tile, so each output
-// element sees ascending k regardless of where [r0, r1) starts — the thread
+// Loop order: k block → column sliver → row tile, so each output element
+// sees ascending k regardless of where [r0, r1) starts — the thread
 // partition cannot change results within one SIMD level. lower_only skips
 // every register tile lying wholly above the diagonal (column > row for all
 // its elements); the tiles it runs are computed exactly as without it.
@@ -173,49 +174,27 @@ void gemm_rows_packed(std::size_t r0, std::size_t r1, std::size_t N,
                       const detail::KernelSpec& spec, bool lower_only) {
   const std::size_t MR = spec.mr, NR = spec.nr;
   const std::size_t n_panels = (N + NR - 1) / NR;
-  // Per-thread scratch for packed A tiles; reused across calls. This
-  // function never enters the pool (no parallel_for, no waits), so a thread
-  // cannot start a second call inside the first: calls on one thread are
-  // sequential and repack before every use.
-  thread_local std::vector<double> apack;
-  if (!a.k_major && apack.size() < kMC * kKC) apack.resize(kMC * kKC);
-  for (std::size_t i0 = r0; i0 < r1; i0 += kMC) {
-    const std::size_t i1 = std::min(r1, i0 + kMC);
-    for (std::size_t k0 = 0; k0 < K; k0 += kKC) {
-      const std::size_t kb = std::min(kKC, K - k0);
-      if (!a.k_major) {
-        // Pack A rows [i0, i1) × k block into MR tiles, k-major, stride mr.
-        for (std::size_t ti = i0; ti < i1; ti += MR) {
-          const std::size_t mr = std::min(MR, i1 - ti);
-          double* dst = apack.data() + (ti - i0) * kb;
-          for (std::size_t ii = 0; ii < mr; ++ii) {
-            const double* src = a.p + (ti + ii) * a.ld + k0;
-            for (std::size_t k = 0; k < kb; ++k) dst[k * mr + ii] = src[k];
-          }
-        }
+  for (std::size_t k0 = 0; k0 < K; k0 += kKC) {
+    const std::size_t kb = std::min(kKC, K - k0);
+    const double* bblock = packed_b + k0 * n_panels * NR;
+    for (std::size_t p = 0; p < n_panels; ++p) {
+      const std::size_t j0 = p * NR;
+      if (lower_only && j0 >= r1) break;  // later slivers lie further right
+      const std::size_t jw = std::min(NR, N - j0);
+      const double* bp = bblock + p * kb * NR;
+      if (p + 1 < n_panels) {
+        // Touch the head of the next B sliver while this one computes so
+        // the hardware streamer is already running when we get there.
+        const double* nb = bblock + (p + 1) * kb * NR;
+        PF_PREFETCH_R(nb);
+        PF_PREFETCH_R(nb + 8);
       }
-      const double* bblock = packed_b + k0 * n_panels * NR;
-      for (std::size_t p = 0; p < n_panels; ++p) {
-        const std::size_t j0 = p * NR;
-        if (lower_only && j0 >= i1) break;  // later slivers lie further right
-        const std::size_t jw = std::min(NR, N - j0);
-        const double* bp = bblock + p * kb * NR;
-        if (p + 1 < n_panels) {
-          // Touch the head of the next B sliver while this one computes so
-          // the hardware streamer is already running when we get there.
-          const double* nb = bblock + (p + 1) * kb * NR;
-          PF_PREFETCH_R(nb);
-          PF_PREFETCH_R(nb + 8);
-        }
-        for (std::size_t ti = i0; ti < i1; ti += MR) {
-          const std::size_t mr = std::min(MR, i1 - ti);
-          if (lower_only && ti + mr <= j0) continue;
-          if (ti + MR < i1) PF_PREFETCH_R(c.data + (ti + MR) * c.ld + j0);
-          const double* ap = a.k_major ? a.p + k0 * a.ld + ti
-                                       : apack.data() + (ti - i0) * kb;
-          spec.fn(kb, alpha, ap, a.k_major ? a.ld : mr, bp,
-                  c.data + ti * c.ld + j0, c.ld, mr, jw);
-        }
+      for (std::size_t ti = r0; ti < r1; ti += MR) {
+        const std::size_t mr = std::min(MR, r1 - ti);
+        if (lower_only && ti + mr <= j0) continue;
+        if (ti + MR < r1) PF_PREFETCH_R(c.data + (ti + MR) * c.ld + j0);
+        spec.fn(kb, alpha, a.p + ti * a.rs + k0 * a.cs, a.rs, a.cs, bp,
+                c.data + ti * c.ld + j0, c.ld, mr, jw);
       }
     }
   }
@@ -283,7 +262,7 @@ void tn_acc(const ConstMatView& a, const ConstMatView& b, const MatView& c,
   PF_CHECK(c.rows == K && c.cols == N) << "matmul_tn output " << c.rows << "x"
                                        << c.cols << ", want " << K << "x" << N;
   check_operands("matmul_tn", a, b, c);
-  gemm_driver(K, N, M, alpha, ASource{a.data, a.ld, /*k_major=*/true},
+  gemm_driver(K, N, M, alpha, ASource{a.data, 1, a.ld},
               BSource{b.data, b.ld, /*transposed=*/false}, c, ctx, lower_only);
 }
 
@@ -311,7 +290,7 @@ void matmul_acc(ConstMatView a, ConstMatView b, MatView c, double alpha,
   PF_CHECK(c.rows == M && c.cols == N) << "matmul output " << c.rows << "x"
                                        << c.cols << ", want " << M << "x" << N;
   check_operands("matmul", a, b, c);
-  gemm_driver(M, N, K, alpha, ASource{a.data, a.ld, /*k_major=*/false},
+  gemm_driver(M, N, K, alpha, ASource{a.data, a.ld, 1},
               BSource{b.data, b.ld, /*transposed=*/false}, c, ctx);
 }
 
@@ -349,7 +328,7 @@ void matmul_nt_acc(ConstMatView a, ConstMatView b, MatView c, double alpha,
   PF_CHECK(c.rows == M && c.cols == N) << "matmul_nt output " << c.rows << "x"
                                        << c.cols << ", want " << M << "x" << N;
   check_operands("matmul_nt", a, b, c);
-  gemm_driver(M, N, K, alpha, ASource{a.data, a.ld, /*k_major=*/false},
+  gemm_driver(M, N, K, alpha, ASource{a.data, a.ld, 1},
               BSource{b.data, b.ld, /*transposed=*/true}, c, ctx);
 }
 

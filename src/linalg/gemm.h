@@ -6,12 +6,12 @@
 // syrk_tn_acc: C += α·Aᵀ · A (the K-FAC curvature factor; only the lower
 //              triangle's tiles run, the upper is mirrored)
 //
-// All of them run through one packed driver: B is packed once into NR-wide
-// column slivers, A into MR-row tiles (the tn products skip the A pack
-// entirely — aᵀ's column walk is already k-major in a's row-major storage,
-// so the microkernel reads the source matrix directly), and an MR×NR
-// register microkernel does the flops. The kernel
-// and its tile geometry are chosen at runtime via src/common/cpu_features.h:
+// All of them run through one driver: B is packed once into NR-wide column
+// slivers, and an MR×NR register microkernel reads Op(A) where it lies,
+// through a (row stride, column stride) pair: (ld, 1) for the nn and nt
+// products, (1, ld) for the tn products, whose aᵀ is a's column walk. Nothing
+// copies A. The kernel and its tile geometry are chosen at runtime via
+// src/common/cpu_features.h:
 //   scalar   6×8 portable tile, no ISA assumptions
 //   avx2     6×8 AVX2+FMA tile
 //   avx512   8×16 AVX-512F tile
@@ -32,13 +32,12 @@
 // product on views gives the same bits as on contiguous copies.
 //
 // Pack buffer: each thread packs B into one grow-only thread_local buffer
-// that every product kind shares (A tiles likewise). A threaded product's
-// workers read the buffer of the thread that called it. That thread
-// rewrites the buffer only at its next product, and while it waits in
-// parallel_for it runs only its own loop's chunks (thread_pool.h), none of
-// which packs B, so no buffer changes under a reader. Full panels are
-// copied branch-free; only a partial last panel is zero-padded, so stale
-// contents never reach C.
+// that every product kind shares. A threaded product's workers read the
+// buffer of the thread that called it. That thread rewrites the buffer only
+// at its next product, and while it waits in parallel_for it runs only its
+// own loop's chunks (thread_pool.h), none of which packs B, so no buffer
+// changes under a reader. Full panels are copied branch-free; only a partial
+// last panel is zero-padded, so stale contents never reach C.
 //
 // Threading: every kernel takes a trailing ExecContext (default: serial).
 // Output rows split into ctx.gemm_threads() contiguous blocks dispatched on

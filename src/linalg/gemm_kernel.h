@@ -10,24 +10,25 @@
 //                           = 19 of 32 registers; twice the arithmetic per B
 //                           load of the AVX2 tile.
 // The driver reads the tile geometry from KernelSpec at runtime and blocks
-// packing accordingly; kKC/kMC cache blocking is shared by every level.
+// the output rows accordingly; kKC k-panel blocking is shared by every level.
 //
-// Panel layouts the driver guarantees:
-//   ap  A tile, k-major with row stride a_stride:  ap[k*a_stride + i].
-//       Packed tiles use a_stride == mr; the copy-free matmul_tn path passes
-//       a pointer straight into the source matrix with a_stride == its
-//       leading dimension (aᵀ's column walk is already k-major in memory).
+// Operand layouts the driver guarantees:
+//   ap  Op(A) read in place through a (row stride, column stride) pair:
+//       element (i, k) of the tile at ap[i*a_rs + k*a_cs]. The nn and nt
+//       products pass (lda, 1), row-major A as it lies; the tn products pass
+//       (1, lda), since aᵀ(i, k) = a(k, i). Nothing copies A.
 //   bp  packed B sliver, always spec.nr wide, zero-padded past nr:
 //       bp[k*NR + j] (NR is the kernel's own full tile width).
 //
 // The microkernel computes, for i<mr, j<nr:
-//   C[i*ldc + j] += alpha * sum_k ap[k*a_stride+i] * bp[k*NR+j]
+//   C[i*ldc + j] += alpha * sum_k ap[i*a_rs + k*a_cs] * bp[k*NR+j]
 // with k strictly ascending per element and the alpha scaling applied once
 // after the k loop. Both requirements are load-bearing: ascending-k per
 // element is what makes row-partitioned threading bitwise reproducible, and
 // a single alpha application keeps edge tiles identical to interior tiles.
-// A-element addressing (packed copy vs direct stride) never enters the
-// arithmetic, so the copy-free path is bitwise identical to the packed one.
+// It reads A only at rows i < mr and k < kc, so a partial tile never reads
+// past its view. The strides never enter the arithmetic: every A layout
+// gives the same bits.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +38,6 @@ namespace pf::detail {
 inline constexpr std::size_t kMR = 6;    // scalar/AVX2 register-tile rows
 inline constexpr std::size_t kNR = 8;    // scalar/AVX2 register-tile columns
 inline constexpr std::size_t kKC = 256;  // k-panel depth (B sliver in L1)
-inline constexpr std::size_t kMC = 96;   // packed A block rows (~192 KB L2;
-                                         // divisible by 6 and 8)
 
 #if defined(PF_HAVE_AVX512)
 inline constexpr std::size_t kMR512 = 8;   // AVX-512 register-tile rows
@@ -46,11 +45,11 @@ inline constexpr std::size_t kNR512 = 16;  // AVX-512 register-tile columns
 #endif
 
 using MicroKernelFn = void (*)(std::size_t kc, double alpha, const double* ap,
-                               std::size_t a_stride, const double* bp,
-                               double* c, std::size_t ldc, std::size_t mr,
-                               std::size_t nr);
+                               std::size_t a_rs, std::size_t a_cs,
+                               const double* bp, double* c, std::size_t ldc,
+                               std::size_t mr, std::size_t nr);
 
-// A kernel plus the tile geometry the driver must pack for it. mr/nr are the
+// A kernel plus the tile geometry the driver must block and pack B for. mr/nr are the
 // FULL tile sizes (the kernel's own constants); the per-call mr/nr arguments
 // may be smaller at block edges.
 struct KernelSpec {
@@ -62,23 +61,26 @@ struct KernelSpec {
 // Portable fallback; mirrors the AVX2 blocking exactly (same panels, same
 // per-element accumulation order), plain mul+add arithmetic.
 void micro_kernel_scalar(std::size_t kc, double alpha, const double* ap,
-                         std::size_t a_stride, const double* bp, double* c,
-                         std::size_t ldc, std::size_t mr, std::size_t nr);
+                         std::size_t a_rs, std::size_t a_cs, const double* bp,
+                         double* c, std::size_t ldc, std::size_t mr,
+                         std::size_t nr);
 
 #if defined(PF_HAVE_AVX2)
 // FMA kernel, compiled with -mavx2 -mfma in gemm_kernels_avx2.cpp. Must only
 // be called when cpu_features reports SimdLevel::kAvx2 or higher.
 void micro_kernel_avx2(std::size_t kc, double alpha, const double* ap,
-                       std::size_t a_stride, const double* bp, double* c,
-                       std::size_t ldc, std::size_t mr, std::size_t nr);
+                       std::size_t a_rs, std::size_t a_cs, const double* bp,
+                       double* c, std::size_t ldc, std::size_t mr,
+                       std::size_t nr);
 #endif
 
 #if defined(PF_HAVE_AVX512)
 // AVX-512F kernel, compiled with -mavx512f in gemm_kernels_avx512.cpp. Must
 // only be called when cpu_features reports SimdLevel::kAvx512.
 void micro_kernel_avx512(std::size_t kc, double alpha, const double* ap,
-                         std::size_t a_stride, const double* bp, double* c,
-                         std::size_t ldc, std::size_t mr, std::size_t nr);
+                         std::size_t a_rs, std::size_t a_cs, const double* bp,
+                         double* c, std::size_t ldc, std::size_t mr,
+                         std::size_t nr);
 #endif
 
 // The kernel + tile geometry matching cpu_features::active_simd_level().

@@ -27,13 +27,15 @@ namespace {
 // element sees the identical ascending-k FMA sequence as the interior
 // kernel, so tile membership never changes a value.
 void edge_kernel_avx2(std::size_t kc, double alpha, const double* ap,
-                      std::size_t a_stride, const double* bp, double* c,
-                      std::size_t ldc, std::size_t mr, std::size_t nr) {
+                      std::size_t a_rs, std::size_t a_cs, const double* bp,
+                      double* c, std::size_t ldc, std::size_t mr,
+                      std::size_t nr) {
   if (nr == kNR) {
     for (std::size_t i = 0; i < mr; ++i) {
+      const double* arow = ap + i * a_rs;
       __m256d lo = _mm256_setzero_pd(), hi = _mm256_setzero_pd();
       for (std::size_t k = 0; k < kc; ++k) {
-        const __m256d a = _mm256_broadcast_sd(ap + k * a_stride + i);
+        const __m256d a = _mm256_broadcast_sd(arow + k * a_cs);
         lo = _mm256_fmadd_pd(a, _mm256_loadu_pd(bp + k * kNR), lo);
         hi = _mm256_fmadd_pd(a, _mm256_loadu_pd(bp + k * kNR + 4), hi);
       }
@@ -50,7 +52,7 @@ void edge_kernel_avx2(std::size_t kc, double alpha, const double* ap,
     for (std::size_t j = 0; j < nr; ++j) {
       double acc = 0.0;
       for (std::size_t k = 0; k < kc; ++k)
-        acc = std::fma(ap[k * a_stride + i], bp[k * kNR + j], acc);
+        acc = std::fma(ap[i * a_rs + k * a_cs], bp[k * kNR + j], acc);
       c[i * ldc + j] = std::fma(alpha, acc, c[i * ldc + j]);
     }
   }
@@ -59,10 +61,11 @@ void edge_kernel_avx2(std::size_t kc, double alpha, const double* ap,
 }  // namespace
 
 void micro_kernel_avx2(std::size_t kc, double alpha, const double* ap,
-                       std::size_t a_stride, const double* bp, double* c,
-                       std::size_t ldc, std::size_t mr, std::size_t nr) {
+                       std::size_t a_rs, std::size_t a_cs, const double* bp,
+                       double* c, std::size_t ldc, std::size_t mr,
+                       std::size_t nr) {
   if (mr != kMR || nr != kNR) {
-    edge_kernel_avx2(kc, alpha, ap, a_stride, bp, c, ldc, mr, nr);
+    edge_kernel_avx2(kc, alpha, ap, a_rs, a_cs, bp, c, ldc, mr, nr);
     return;
   }
   // 6×8 interior tile: 12 accumulators (2 ymm per row), 2 B loads, 1 A
@@ -74,26 +77,26 @@ void micro_kernel_avx2(std::size_t kc, double alpha, const double* ap,
   __m256d a40 = _mm256_setzero_pd(), a41 = _mm256_setzero_pd();
   __m256d a50 = _mm256_setzero_pd(), a51 = _mm256_setzero_pd();
   for (std::size_t k = 0; k < kc; ++k) {
-    const double* arow = ap + k * a_stride;
+    const double* acol = ap + k * a_cs;
     const __m256d b0 = _mm256_loadu_pd(bp + k * kNR);
     const __m256d b1 = _mm256_loadu_pd(bp + k * kNR + 4);
     __m256d a;
-    a = _mm256_broadcast_sd(arow + 0);
+    a = _mm256_broadcast_sd(acol);
     a00 = _mm256_fmadd_pd(a, b0, a00);
     a01 = _mm256_fmadd_pd(a, b1, a01);
-    a = _mm256_broadcast_sd(arow + 1);
+    a = _mm256_broadcast_sd(acol + a_rs);
     a10 = _mm256_fmadd_pd(a, b0, a10);
     a11 = _mm256_fmadd_pd(a, b1, a11);
-    a = _mm256_broadcast_sd(arow + 2);
+    a = _mm256_broadcast_sd(acol + 2 * a_rs);
     a20 = _mm256_fmadd_pd(a, b0, a20);
     a21 = _mm256_fmadd_pd(a, b1, a21);
-    a = _mm256_broadcast_sd(arow + 3);
+    a = _mm256_broadcast_sd(acol + 3 * a_rs);
     a30 = _mm256_fmadd_pd(a, b0, a30);
     a31 = _mm256_fmadd_pd(a, b1, a31);
-    a = _mm256_broadcast_sd(arow + 4);
+    a = _mm256_broadcast_sd(acol + 4 * a_rs);
     a40 = _mm256_fmadd_pd(a, b0, a40);
     a41 = _mm256_fmadd_pd(a, b1, a41);
-    a = _mm256_broadcast_sd(arow + 5);
+    a = _mm256_broadcast_sd(acol + 5 * a_rs);
     a50 = _mm256_fmadd_pd(a, b0, a50);
     a51 = _mm256_fmadd_pd(a, b1, a51);
   }

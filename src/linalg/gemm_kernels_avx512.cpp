@@ -31,8 +31,9 @@ namespace {
 // kNR512 wide and zero-padded past nr, so whole-vector loads are safe);
 // lane masks confine the C read-modify-write to the live nr columns.
 void edge_kernel_avx512(std::size_t kc, double alpha, const double* ap,
-                        std::size_t a_stride, const double* bp, double* c,
-                        std::size_t ldc, std::size_t mr, std::size_t nr) {
+                        std::size_t a_rs, std::size_t a_cs, const double* bp,
+                        double* c, std::size_t ldc, std::size_t mr,
+                        std::size_t nr) {
   const __mmask8 mlo =
       nr >= 8 ? 0xFF : static_cast<__mmask8>((1u << nr) - 1u);
   const __mmask8 mhi = nr >= kNR512 ? 0xFF
@@ -41,9 +42,10 @@ void edge_kernel_avx512(std::size_t kc, double alpha, const double* ap,
                            : 0;
   const __m512d valpha = _mm512_set1_pd(alpha);
   for (std::size_t i = 0; i < mr; ++i) {
+    const double* arow = ap + i * a_rs;
     __m512d lo = _mm512_setzero_pd(), hi = _mm512_setzero_pd();
     for (std::size_t k = 0; k < kc; ++k) {
-      const __m512d a = _mm512_set1_pd(ap[k * a_stride + i]);
+      const __m512d a = _mm512_set1_pd(arow[k * a_cs]);
       lo = _mm512_fmadd_pd(a, _mm512_loadu_pd(bp + k * kNR512), lo);
       hi = _mm512_fmadd_pd(a, _mm512_loadu_pd(bp + k * kNR512 + 8), hi);
     }
@@ -61,10 +63,11 @@ void edge_kernel_avx512(std::size_t kc, double alpha, const double* ap,
 }  // namespace
 
 void micro_kernel_avx512(std::size_t kc, double alpha, const double* ap,
-                         std::size_t a_stride, const double* bp, double* c,
-                         std::size_t ldc, std::size_t mr, std::size_t nr) {
+                         std::size_t a_rs, std::size_t a_cs, const double* bp,
+                         double* c, std::size_t ldc, std::size_t mr,
+                         std::size_t nr) {
   if (mr != kMR512 || nr != kNR512) {
-    edge_kernel_avx512(kc, alpha, ap, a_stride, bp, c, ldc, mr, nr);
+    edge_kernel_avx512(kc, alpha, ap, a_rs, a_cs, bp, c, ldc, mr, nr);
     return;
   }
   // 8×16 interior tile: 16 accumulators (2 zmm per row), 2 B loads, 1 A
@@ -78,32 +81,32 @@ void micro_kernel_avx512(std::size_t kc, double alpha, const double* ap,
   __m512d a60 = _mm512_setzero_pd(), a61 = _mm512_setzero_pd();
   __m512d a70 = _mm512_setzero_pd(), a71 = _mm512_setzero_pd();
   for (std::size_t k = 0; k < kc; ++k) {
-    const double* arow = ap + k * a_stride;
+    const double* acol = ap + k * a_cs;
     const __m512d b0 = _mm512_loadu_pd(bp + k * kNR512);
     const __m512d b1 = _mm512_loadu_pd(bp + k * kNR512 + 8);
     __m512d a;
-    a = _mm512_set1_pd(arow[0]);
+    a = _mm512_set1_pd(acol[0]);
     a00 = _mm512_fmadd_pd(a, b0, a00);
     a01 = _mm512_fmadd_pd(a, b1, a01);
-    a = _mm512_set1_pd(arow[1]);
+    a = _mm512_set1_pd(acol[a_rs]);
     a10 = _mm512_fmadd_pd(a, b0, a10);
     a11 = _mm512_fmadd_pd(a, b1, a11);
-    a = _mm512_set1_pd(arow[2]);
+    a = _mm512_set1_pd(acol[2 * a_rs]);
     a20 = _mm512_fmadd_pd(a, b0, a20);
     a21 = _mm512_fmadd_pd(a, b1, a21);
-    a = _mm512_set1_pd(arow[3]);
+    a = _mm512_set1_pd(acol[3 * a_rs]);
     a30 = _mm512_fmadd_pd(a, b0, a30);
     a31 = _mm512_fmadd_pd(a, b1, a31);
-    a = _mm512_set1_pd(arow[4]);
+    a = _mm512_set1_pd(acol[4 * a_rs]);
     a40 = _mm512_fmadd_pd(a, b0, a40);
     a41 = _mm512_fmadd_pd(a, b1, a41);
-    a = _mm512_set1_pd(arow[5]);
+    a = _mm512_set1_pd(acol[5 * a_rs]);
     a50 = _mm512_fmadd_pd(a, b0, a50);
     a51 = _mm512_fmadd_pd(a, b1, a51);
-    a = _mm512_set1_pd(arow[6]);
+    a = _mm512_set1_pd(acol[6 * a_rs]);
     a60 = _mm512_fmadd_pd(a, b0, a60);
     a61 = _mm512_fmadd_pd(a, b1, a61);
-    a = _mm512_set1_pd(arow[7]);
+    a = _mm512_set1_pd(acol[7 * a_rs]);
     a70 = _mm512_fmadd_pd(a, b0, a70);
     a71 = _mm512_fmadd_pd(a, b1, a71);
   }

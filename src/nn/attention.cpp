@@ -26,11 +26,11 @@ Matrix MultiHeadSelfAttention::forward(const Matrix& x, std::size_t batch,
                                        std::size_t seq, bool training,
                                        const ExecContext& ctx) {
   PF_CHECK(x.rows() == batch * seq && x.cols() == d_model_);
-  batch_ = batch;
-  seq_ = seq;
-  q_ = wq_.forward(x, training, ctx);
-  k_ = wk_.forward(x, training, ctx);
-  v_ = wv_.forward(x, training, ctx);
+  // q, k and v stay local until the end, so an inference forward leaves the
+  // caches of the last training forward for its backward.
+  Matrix q = wq_.forward(x, training, ctx);
+  Matrix k = wk_.forward(x, training, ctx);
+  Matrix v = wv_.forward(x, training, ctx);
   const double scale = 1.0 / std::sqrt(static_cast<double>(d_head_));
 
   Matrix context(batch * seq, d_model_, 0.0);
@@ -43,7 +43,7 @@ Matrix MultiHeadSelfAttention::forward(const Matrix& x, std::size_t batch,
   // serial outer loop they use the context's GEMM row blocks. Either choice
   // is bitwise neutral.
   //
-  // Heads are multiplied in place through views of q_, k_, v_ and context.
+  // Heads are multiplied in place through views of q, k, v and context.
   // The scale rides in as the scores product's alpha: for d_head ≤ 256 (one
   // k block) that rounds scale·acc once per score, as scaling the finished
   // product did. The context block starts at 0 and is written once, so
@@ -55,15 +55,22 @@ Matrix MultiHeadSelfAttention::forward(const Matrix& x, std::size_t batch,
       const std::size_t r0 = (bh / n_heads_) * seq;
       const std::size_t c0 = (bh % n_heads_) * d_head_;
       Matrix scores(seq, seq, 0.0);
-      matmul_nt_acc(ConstMatView(q_, r0, c0, seq, d_head_),
-                    ConstMatView(k_, r0, c0, seq, d_head_), scores, scale,
+      matmul_nt_acc(ConstMatView(q, r0, c0, seq, d_head_),
+                    ConstMatView(k, r0, c0, seq, d_head_), scores, scale,
                     inner);
       Matrix p = softmax_rows(scores, inner);
-      matmul_acc(p, ConstMatView(v_, r0, c0, seq, d_head_),
+      matmul_acc(p, ConstMatView(v, r0, c0, seq, d_head_),
                  MatView(context, r0, c0, seq, d_head_), 1.0, inner);
       if (training) probs_[bh] = std::move(p);
     }
   });
+  if (training) {
+    q_ = std::move(q);
+    k_ = std::move(k);
+    v_ = std::move(v);
+    batch_ = batch;
+    seq_ = seq;
+  }
   return wo_.forward(context, training, ctx);
 }
 

@@ -24,6 +24,11 @@ Matrix Embedding::forward(const std::vector<int>& ids,
   PF_CHECK(ids.size() == batch * seq);
   PF_CHECK(segments.size() == ids.size());
   PF_CHECK(seq <= max_seq_);
+  PF_CHECK(tokens_.w.rows() == vocab_ && positions_.w.rows() == max_seq_ &&
+           segments_.w.rows() == 2 && tokens_.w.cols() == d_model_ &&
+           positions_.w.cols() == d_model_ && segments_.w.cols() == d_model_)
+      << "embedding tables differ from " << vocab_ << "/" << max_seq_
+      << "/2 rows x " << d_model_;
   Matrix out(ids.size(), d_model_);
   // Token-parallel gather; the id/segment range checks ride inside the
   // chunks (parallel_for rethrows the first failure on the caller).
@@ -34,11 +39,11 @@ Matrix Embedding::forward(const std::vector<int>& ids,
       PF_CHECK(tok >= 0 && static_cast<std::size_t>(tok) < vocab_)
           << "token id " << tok << " out of vocab " << vocab_;
       PF_CHECK(seg == 0 || seg == 1);
-      const std::size_t pos = i % seq;
-      for (std::size_t c = 0; c < d_model_; ++c)
-        out(i, c) = tokens_.w(static_cast<std::size_t>(tok), c) +
-                    positions_.w(pos, c) +
-                    segments_.w(static_cast<std::size_t>(seg), c);
+      const double* t = tokens_.w.row(static_cast<std::size_t>(tok));
+      const double* p = positions_.w.row(i % seq);
+      const double* s = segments_.w.row(static_cast<std::size_t>(seg));
+      double* o = out.row(i);
+      for (std::size_t c = 0; c < d_model_; ++c) o[c] = t[c] + p[c] + s[c];
     }
   });
   if (training) {

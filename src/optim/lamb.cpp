@@ -24,26 +24,31 @@ void Lamb::step(const std::vector<Param*>& params, double lr) {
   for (Param* p : params) {
     Matrix& m = m_.get(p);
     Matrix& v = v_.get(p);
+    PF_CHECK(p->g.same_shape(p->w) && m.same_shape(p->w) &&
+             v.same_shape(p->w))
+        << p->name << ": gradient or moments differ from the weight's shape";
     Matrix update(p->w.rows(), p->w.cols());
-    for (std::size_t i = 0; i < p->w.rows(); ++i) {
-      for (std::size_t j = 0; j < p->w.cols(); ++j) {
-        const double g = p->g(i, j);
-        m(i, j) = beta1_ * m(i, j) + (1.0 - beta1_) * g;
-        v(i, j) = beta2_ * v(i, j) + (1.0 - beta2_) * g * g;
-        const double mhat = m(i, j) / bc1;
-        const double vhat = v(i, j) / bc2;
-        update(i, j) = mhat / (std::sqrt(vhat) + eps_) +
-                       weight_decay_ * p->w(i, j);
-      }
+    // All five share one shape, so the flat index visits the elements in
+    // the row-major order of a (row, column) loop.
+    const std::size_t n = p->w.size();
+    const double* g = p->g.data();
+    double* md = m.data();
+    double* vd = v.data();
+    double* ud = update.data();
+    double* w = p->w.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      md[i] = beta1_ * md[i] + (1.0 - beta1_) * g[i];
+      vd[i] = beta2_ * vd[i] + (1.0 - beta2_) * g[i] * g[i];
+      const double mhat = md[i] / bc1;
+      const double vhat = vd[i] / bc2;
+      ud[i] = mhat / (std::sqrt(vhat) + eps_) + weight_decay_ * w[i];
     }
     const double wnorm = p->w.frobenius_norm();
     const double unorm = update.frobenius_norm();
     double trust = 1.0;
     if (wnorm > 0.0 && unorm > 0.0)
       trust = std::min(wnorm / unorm, max_trust_);
-    for (std::size_t i = 0; i < p->w.rows(); ++i)
-      for (std::size_t j = 0; j < p->w.cols(); ++j)
-        p->w(i, j) -= lr * trust * update(i, j);
+    for (std::size_t i = 0; i < n; ++i) w[i] -= lr * trust * ud[i];
   }
 }
 

@@ -703,6 +703,32 @@ TEST(GemmView, ProductsOnViewsEqualProductsOnContiguousCopies) {
   });
 }
 
+TEST(GemmView, InPlaceReadsOfAStayInsideItsView) {
+  // A is the bottom-right block of its Matrix, so the view's last element is
+  // the allocation's last: under AddressSanitizer any read past the view
+  // leaves the heap block. m 7 and 13 leave partial row tiles on the 6- and
+  // 8-row tiers; k 300 crosses the 256-deep k panel.
+  Rng rng(169);
+  for_each_tier_and_thread_count([&](SimdLevel level, int threads) {
+    const ExecContext ctx(1, threads);
+    for (ProductKind kind : {ProductKind::kNn, ProductKind::kNt})
+      for (std::size_t m : {1u, 7u, 13u})
+        for (std::size_t k : {5u, 300u}) {
+          SCOPED_TRACE(std::string(simd_level_name(level)) + " " +
+                       kind_name(kind) + " threads=" +
+                       std::to_string(threads) + " m=" + std::to_string(m) +
+                       " k=" + std::to_string(k));
+          ProductOperands ops = make_operands(kind, m, k, 19, rng);
+          const Matrix pa = embed(ops.a, 2, 3, 2, 3, input_sentinel());
+          Matrix c = ops.c;
+          product_on_views(kind, ConstMatView(pa, 2, 3, m, k), ops.b, c, 0.75,
+                           ctx);
+          product_on_copies(kind, ops.a, ops.b, ops.c, 0.75, ctx);
+          ASSERT_TRUE(same_bits(c, ops.c));
+        }
+  });
+}
+
 TEST(GemmView, GuardBandAroundOutputViewStaysUntouched) {
   // An output block in the middle of a matrix of sentinels, one sentinel
   // wide on every side (and past the row end, where ld > cols): only the

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -316,6 +317,36 @@ TEST(Attention, SequencesDoNotLeakAcrossBatch) {
   for (std::size_t s = 0; s < seq; ++s)
     for (std::size_t c = 0; c < 8; ++c)
       EXPECT_DOUBLE_EQ(y1(s, c), y2(s, c));
+}
+
+TEST(Attention, InferenceForwardLeavesTheBackwardCachesAlone) {
+  // Train-forward x1, inference-forward x2, backward: dx and every parameter
+  // gradient must keep the bits of train-forward x1 then backward, as for
+  // the layers that write no cache when not training.
+  const std::size_t batch = 2, seq = 8, d = 16;
+  Rng data_rng(43);
+  const Matrix x1 = Matrix::randn(batch * seq, d, data_rng);
+  const Matrix x2 = Matrix::randn(batch * seq, d, data_rng);
+  const Matrix dy = Matrix::randn(batch * seq, d, data_rng);
+  const auto run = [&](bool infer_between) {
+    Rng rng(47);
+    MultiHeadSelfAttention attn(d, 2, rng, "attn");
+    zero_grads(attn.params());
+    attn.forward(x1, batch, seq, true);
+    if (infer_between) attn.forward(x2, batch, seq, false);
+    std::vector<Matrix> out{attn.backward(dy)};
+    for (Param* p : attn.params()) out.push_back(p->g);
+    return out;
+  };
+  const std::vector<Matrix> want = run(false), got = run(true);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].same_shape(want[i])) << "output " << i;
+    EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                          got[i].size() * sizeof(double)),
+              0)
+        << (i == 0 ? "dx" : "gradient " + std::to_string(i - 1));
+  }
 }
 
 TEST(Attention, RejectsIndivisibleHeadCount) {

@@ -5,6 +5,7 @@ Compares a fresh microbench_kernels JSON run against a committed baseline
 and fails (exit 1) when any gated benchmark's rate (items_per_second: a
 fixed, documented work count per call) drops more than --threshold
 (default 30%). The gated families are the GEMM ones — including
+BM_GemmShapes, the products at the training workloads' own shapes, and
 BM_CurvatureFactor, K-FAC's symmetric curvature product — BM_InversionWork,
 K-FAC's Cholesky + inverse, and BM_ExpSpan, the exp kernel under GELU and
 softmax (a toolchain that stops vectorizing its loop drops its vector-tier
@@ -48,8 +49,8 @@ import os
 import sys
 
 # Benchmark families whose items_per_second we gate on.
-GATED_FAMILIES = ("BM_GemmForward", "BM_GemmBackwardNt", "BM_CurvatureFactor",
-                  "BM_InversionWork", "BM_ExpSpan")
+GATED_FAMILIES = ("BM_GemmForward", "BM_GemmBackwardNt", "BM_GemmShapes",
+                  "BM_CurvatureFactor", "BM_InversionWork", "BM_ExpSpan")
 
 
 def load(path):
