@@ -62,8 +62,8 @@ WireMessage deserialize_tensor(const unsigned char* src, std::size_t len) {
       << " bytes (truncated payload or trailing garbage)";
   WireMessage msg;
   msg.micro = static_cast<int>(micro);
-  msg.payload = Matrix(static_cast<std::size_t>(rows),
-                       static_cast<std::size_t>(cols));
+  msg.payload = Matrix::uninitialized(static_cast<std::size_t>(rows),
+                                      static_cast<std::size_t>(cols));
   if (msg.payload.size() > 0)
     std::memcpy(msg.payload.data(), src + kWireHeaderBytes,
                 msg.payload.size() * sizeof(double));

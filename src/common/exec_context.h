@@ -46,12 +46,13 @@ class ExecContext {
   // unless overridden).
   ThreadPool& pool() const { return pool_ ? *pool_ : ThreadPool::global(); }
 
-  // Buffer recycler for activation caches/stashes; nullptr (the default)
-  // means plain allocation. Set by the pipeline runtime on each stage's
-  // context; layers route cache storage through arena_matrix,
-  // arena_reshape and arena_assign (common/arena.h), which fall back
-  // cleanly on null. Arena-backed values equal plain-allocated values bit
-  // for bit — only the storage is reused.
+  // Buffer recycler for activations, caches and stashes; nullptr (the
+  // default) means plain allocation. Set by the pipeline runtime on each
+  // stage's context; layers draw what they write through arena_matrix,
+  // arena_reshape and arena_assign and hand it back through arena_take and
+  // arena_recycle (common/arena.h), which fall back cleanly on null.
+  // Arena-backed values equal plain-allocated values bit for bit — only
+  // the storage is reused.
   ArenaAllocator* arena() const { return arena_; }
   ExecContext& set_arena(ArenaAllocator* arena) {
     arena_ = arena;

@@ -30,7 +30,7 @@ __attribute__((optimize("no-tree-loop-vectorize")))
 void micro_kernel_scalar(std::size_t kc, double alpha, const double* ap,
                          std::size_t a_rs, std::size_t a_cs, const double* bp,
                          double* c, std::size_t ldc, std::size_t mr,
-                         std::size_t nr) {
+                         std::size_t nr, bool overwrite) {
   // Two output rows per pass: their 2×kNR accumulators fit the baseline
   // SSE2 register file (a full 6×8 tile would spill) while giving the
   // floating-point adders enough independent chains to hide their latency.
@@ -38,7 +38,8 @@ void micro_kernel_scalar(std::size_t kc, double alpha, const double* ap,
   // the same structure as the AVX2 kernel, in plain mul+add arithmetic, so
   // thread partitioning is bitwise neutral here too (an element's chain does
   // not depend on whether its row ran paired or as the odd tail); the B
-  // sliver is re-streamed per row pair from L1.
+  // sliver is re-streamed per row pair from L1. An overwrite adds alpha·acc
+  // to +0.0 instead of to C, as a zero-filled C would.
   std::size_t i = 0;
   for (; i + 1 < mr; i += 2) {
     double acc0[kNR] = {}, acc1[kNR] = {};
@@ -51,9 +52,11 @@ void micro_kernel_scalar(std::size_t kc, double alpha, const double* ap,
         acc1[j] += a1 * brow[j];
       }
     }
+    double* c0 = c + i * ldc;
+    double* c1 = c0 + ldc;
     for (std::size_t j = 0; j < nr; ++j) {
-      c[i * ldc + j] += alpha * acc0[j];
-      c[(i + 1) * ldc + j] += alpha * acc1[j];
+      c0[j] = (overwrite ? 0.0 : c0[j]) + alpha * acc0[j];
+      c1[j] = (overwrite ? 0.0 : c1[j]) + alpha * acc1[j];
     }
   }
   for (; i < mr; ++i) {
@@ -63,7 +66,9 @@ void micro_kernel_scalar(std::size_t kc, double alpha, const double* ap,
       const double* brow = bp + k * kNR;
       for (std::size_t j = 0; j < kNR; ++j) acc[j] += a * brow[j];
     }
-    for (std::size_t j = 0; j < nr; ++j) c[i * ldc + j] += alpha * acc[j];
+    double* c0 = c + i * ldc;
+    for (std::size_t j = 0; j < nr; ++j)
+      c0[j] = (overwrite ? 0.0 : c0[j]) + alpha * acc[j];
   }
 }
 
@@ -162,21 +167,25 @@ const double* pack_b(std::size_t K, std::size_t N, const BSource& b,
   return buf.data();
 }
 
-// Computes C rows [r0, r1) += alpha * Op(A)·Op(B) from the pre-packed B.
-// Loop order: k block → column sliver → row tile, so each output element
-// sees ascending k regardless of where [r0, r1) starts — the thread
-// partition cannot change results within one SIMD level. lower_only skips
-// every register tile lying wholly above the diagonal (column > row for all
-// its elements); the tiles it runs are computed exactly as without it.
+// Computes C rows [r0, r1) += alpha * Op(A)·Op(B) from the pre-packed B,
+// or, with `overwrite`, C rows = alpha * Op(A)·Op(B): the first k block then
+// writes each tile without reading it. Loop order: k block → column sliver
+// → row tile, so each output element sees ascending k regardless of where
+// [r0, r1) starts — the thread partition cannot change results within one
+// SIMD level. lower_only skips every register tile lying wholly above the
+// diagonal (column > row for all its elements); the tiles it runs are
+// computed exactly as without it.
 void gemm_rows_packed(std::size_t r0, std::size_t r1, std::size_t N,
                       std::size_t K, double alpha, const ASource& a,
                       const double* packed_b, const MatView& c,
-                      const detail::KernelSpec& spec, bool lower_only) {
+                      const detail::KernelSpec& spec, bool overwrite,
+                      bool lower_only) {
   const std::size_t MR = spec.mr, NR = spec.nr;
   const std::size_t n_panels = (N + NR - 1) / NR;
   for (std::size_t k0 = 0; k0 < K; k0 += kKC) {
     const std::size_t kb = std::min(kKC, K - k0);
     const double* bblock = packed_b + k0 * n_panels * NR;
+    const bool first_write = overwrite && k0 == 0;
     for (std::size_t p = 0; p < n_panels; ++p) {
       const std::size_t j0 = p * NR;
       if (lower_only && j0 >= r1) break;  // later slivers lie further right
@@ -192,33 +201,45 @@ void gemm_rows_packed(std::size_t r0, std::size_t r1, std::size_t N,
       for (std::size_t ti = r0; ti < r1; ti += MR) {
         const std::size_t mr = std::min(MR, r1 - ti);
         if (lower_only && ti + mr <= j0) continue;
-        if (ti + MR < r1) PF_PREFETCH_R(c.data + (ti + MR) * c.ld + j0);
+        // The next C tile is read only when it accumulates.
+        if (!first_write && ti + MR < r1)
+          PF_PREFETCH_R(c.data + (ti + MR) * c.ld + j0);
         spec.fn(kb, alpha, a.p + ti * a.rs + k0 * a.cs, a.rs, a.cs, bp,
-                c.data + ti * c.ld + j0, c.ld, mr, jw);
+                c.data + ti * c.ld + j0, c.ld, mr, jw, first_write);
       }
     }
   }
 }
 
-// Shared driver: C(M×N) += alpha * Op(A)·Op(B). B is packed once up front;
-// output rows are then split into ctx.gemm_threads() contiguous blocks on
-// ctx.pool(). lower_only (square C) runs only the tiles touching the lower
-// triangle, in the same row chunks.
+// Shared driver: C(M×N) += alpha * Op(A)·Op(B), or C = alpha * Op(A)·Op(B)
+// with `overwrite` (C is written, never read: the bits of zero-filling C
+// first). B is packed once up front; output rows are then split into
+// ctx.gemm_threads() contiguous blocks on ctx.pool(). lower_only (square C)
+// runs only the tiles touching the lower triangle, in the same row chunks.
 void gemm_driver(std::size_t M, std::size_t N, std::size_t K, double alpha,
                  const ASource& a, const BSource& b, const MatView& c,
-                 const ExecContext& ctx, bool lower_only = false) {
-  if (M == 0 || N == 0 || K == 0) return;  // += alpha·0: nothing to do
+                 const ExecContext& ctx, bool overwrite,
+                 bool lower_only = false) {
+  if (M == 0 || N == 0) return;
+  if (K == 0) {  // alpha·(empty sum): += leaves C, an overwrite writes +0.0
+    if (overwrite)
+      for (std::size_t i = 0; i < M; ++i)
+        std::fill_n(c.data + i * c.ld, N, 0.0);
+    return;
+  }
   const detail::KernelSpec spec = detail::active_kernel_spec();
   const double* packed_b = pack_b(K, N, b, spec.nr);
   const auto n_threads = static_cast<std::size_t>(ctx.gemm_threads());
   if (n_threads <= 1 || M <= 1) {
     // Serial fast path: skip the std::function wrap — small products in the
     // nn forward/backward loops call in here at high frequency.
-    gemm_rows_packed(0, M, N, K, alpha, a, packed_b, c, spec, lower_only);
+    gemm_rows_packed(0, M, N, K, alpha, a, packed_b, c, spec, overwrite,
+                     lower_only);
     return;
   }
   ctx.pool().parallel_for(M, n_threads, [&](std::size_t r0, std::size_t r1) {
-    gemm_rows_packed(r0, r1, N, K, alpha, a, packed_b, c, spec, lower_only);
+    gemm_rows_packed(r0, r1, N, K, alpha, a, packed_b, c, spec, overwrite,
+                     lower_only);
   });
 }
 
@@ -253,9 +274,25 @@ void check_operands(const char* what, const ConstMatView& a,
       << what << ": C overlaps an input";
 }
 
-// c(K×N) += alpha · aᵀb for a (M×K), b (M×N); the reduction dim is M.
-void tn_acc(const ConstMatView& a, const ConstMatView& b, const MatView& c,
-            double alpha, const ExecContext& ctx, bool lower_only) {
+// The three products on views: c (+)= alpha · Op(a)·Op(b), overwriting c
+// when `overwrite` is set. tn: c(K×N) from a (M×K), b (M×N), reduction dim
+// M; syrk passes lower_only.
+void nn_product(const ConstMatView& a, const ConstMatView& b,
+                const MatView& c, double alpha, const ExecContext& ctx,
+                bool overwrite) {
+  const std::size_t M = a.rows, K = a.cols, N = b.cols;
+  PF_CHECK(b.rows == K) << "matmul shape: " << M << "x" << K << " * "
+                        << b.rows << "x" << N;
+  PF_CHECK(c.rows == M && c.cols == N) << "matmul output " << c.rows << "x"
+                                       << c.cols << ", want " << M << "x" << N;
+  check_operands("matmul", a, b, c);
+  gemm_driver(M, N, K, alpha, ASource{a.data, a.ld, 1},
+              BSource{b.data, b.ld, /*transposed=*/false}, c, ctx, overwrite);
+}
+
+void tn_product(const ConstMatView& a, const ConstMatView& b,
+                const MatView& c, double alpha, const ExecContext& ctx,
+                bool overwrite, bool lower_only = false) {
   const std::size_t M = a.rows, K = a.cols, N = b.cols;
   PF_CHECK(b.rows == M) << "matmul_tn shape: " << M << "x" << K << "^T * "
                         << b.rows << "x" << N;
@@ -263,7 +300,22 @@ void tn_acc(const ConstMatView& a, const ConstMatView& b, const MatView& c,
                                        << c.cols << ", want " << K << "x" << N;
   check_operands("matmul_tn", a, b, c);
   gemm_driver(K, N, M, alpha, ASource{a.data, 1, a.ld},
-              BSource{b.data, b.ld, /*transposed=*/false}, c, ctx, lower_only);
+              BSource{b.data, b.ld, /*transposed=*/false}, c, ctx, overwrite,
+              lower_only);
+}
+
+void nt_product(const ConstMatView& a, const ConstMatView& b,
+                const MatView& c, double alpha, const ExecContext& ctx,
+                bool overwrite) {
+  // a: (M×K), b: (N×K), c: (M×N). Reduction dim is K.
+  const std::size_t M = a.rows, K = a.cols, N = b.rows;
+  PF_CHECK(b.cols == K) << "matmul_nt shape: " << M << "x" << K << " * "
+                        << b.rows << "x" << b.cols << "^T";
+  PF_CHECK(c.rows == M && c.cols == N) << "matmul_nt output " << c.rows << "x"
+                                       << c.cols << ", want " << M << "x" << N;
+  check_operands("matmul_nt", a, b, c);
+  gemm_driver(M, N, K, alpha, ASource{a.data, a.ld, 1},
+              BSource{b.data, b.ld, /*transposed=*/true}, c, ctx, overwrite);
 }
 
 }  // namespace
@@ -284,19 +336,17 @@ MatView::MatView(Matrix& m, std::size_t r0, std::size_t c0, std::size_t rows_,
 
 void matmul_acc(ConstMatView a, ConstMatView b, MatView c, double alpha,
                 const ExecContext& ctx) {
-  const std::size_t M = a.rows, K = a.cols, N = b.cols;
-  PF_CHECK(b.rows == K) << "matmul shape: " << M << "x" << K << " * "
-                        << b.rows << "x" << N;
-  PF_CHECK(c.rows == M && c.cols == N) << "matmul output " << c.rows << "x"
-                                       << c.cols << ", want " << M << "x" << N;
-  check_operands("matmul", a, b, c);
-  gemm_driver(M, N, K, alpha, ASource{a.data, a.ld, 1},
-              BSource{b.data, b.ld, /*transposed=*/false}, c, ctx);
+  nn_product(a, b, c, alpha, ctx, /*overwrite=*/false);
+}
+
+void matmul_set(ConstMatView a, ConstMatView b, MatView c, double alpha,
+                const ExecContext& ctx) {
+  nn_product(a, b, c, alpha, ctx, /*overwrite=*/true);
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b, const ExecContext& ctx) {
-  Matrix c(a.rows(), b.cols(), 0.0);
-  matmul_acc(a, b, c, 1.0, ctx);
+  Matrix c = Matrix::uninitialized(a.rows(), b.cols());
+  matmul_set(a, b, c, 1.0, ctx);
   return c;
 }
 
@@ -306,12 +356,17 @@ Matrix matmul(const Matrix& a, const Matrix& b, int threads) {
 
 void matmul_tn_acc(ConstMatView a, ConstMatView b, MatView c, double alpha,
                    const ExecContext& ctx) {
-  tn_acc(a, b, c, alpha, ctx, /*lower_only=*/false);
+  tn_product(a, b, c, alpha, ctx, /*overwrite=*/false);
+}
+
+void matmul_tn_set(ConstMatView a, ConstMatView b, MatView c, double alpha,
+                   const ExecContext& ctx) {
+  tn_product(a, b, c, alpha, ctx, /*overwrite=*/true);
 }
 
 Matrix matmul_tn(const Matrix& a, const Matrix& b, const ExecContext& ctx) {
-  Matrix c(a.cols(), b.cols(), 0.0);
-  matmul_tn_acc(a, b, c, 1.0, ctx);
+  Matrix c = Matrix::uninitialized(a.cols(), b.cols());
+  matmul_tn_set(a, b, c, 1.0, ctx);
   return c;
 }
 
@@ -321,26 +376,23 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b, int threads) {
 
 void matmul_nt_acc(ConstMatView a, ConstMatView b, MatView c, double alpha,
                    const ExecContext& ctx) {
-  // a: (M×K), b: (N×K), c: (M×N) += alpha * a bᵀ. Reduction dim is K.
-  const std::size_t M = a.rows, K = a.cols, N = b.rows;
-  PF_CHECK(b.cols == K) << "matmul_nt shape: " << M << "x" << K << " * "
-                        << b.rows << "x" << b.cols << "^T";
-  PF_CHECK(c.rows == M && c.cols == N) << "matmul_nt output " << c.rows << "x"
-                                       << c.cols << ", want " << M << "x" << N;
-  check_operands("matmul_nt", a, b, c);
-  gemm_driver(M, N, K, alpha, ASource{a.data, a.ld, 1},
-              BSource{b.data, b.ld, /*transposed=*/true}, c, ctx);
+  nt_product(a, b, c, alpha, ctx, /*overwrite=*/false);
+}
+
+void matmul_nt_set(ConstMatView a, ConstMatView b, MatView c, double alpha,
+                   const ExecContext& ctx) {
+  nt_product(a, b, c, alpha, ctx, /*overwrite=*/true);
 }
 
 Matrix matmul_nt(const Matrix& a, const Matrix& b, const ExecContext& ctx) {
-  Matrix c(a.rows(), b.rows(), 0.0);
-  matmul_nt_acc(a, b, c, 1.0, ctx);
+  Matrix c = Matrix::uninitialized(a.rows(), b.rows());
+  matmul_nt_set(a, b, c, 1.0, ctx);
   return c;
 }
 
 void syrk_tn_acc(const Matrix& a, Matrix& c, double alpha,
                  const ExecContext& ctx) {
-  tn_acc(a, a, c, alpha, ctx, /*lower_only=*/true);
+  tn_product(a, a, c, alpha, ctx, /*overwrite=*/false, /*lower_only=*/true);
   // Mirror once every chunk has finished: the source (j, i) of an upper
   // element (i, j) may belong to another chunk's rows.
   const std::size_t n = c.rows();

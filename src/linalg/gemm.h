@@ -19,17 +19,25 @@
 // other value throws; PF_FORCE_SCALAR=1 remains an alias for scalar);
 // set_simd_level() switches it programmatically.
 //
-// Views: the accumulating products read A and B and write C through
-// ConstMatView/MatView — a (pointer, rows, cols, leading dimension) window
-// onto a Matrix, element (i, j) at data[i*ld + j]. A const Matrix& converts
-// implicitly to a view of the whole matrix and a Matrix& lvalue to a
-// writable one; the block constructors PF_CHECK that the block lies inside
-// its Matrix, and each product PF_CHECKs ld >= cols and that C's span
-// overlaps neither A's nor B's. Bounds are thus checked once per view, not
-// per element. Views are call arguments: build them at the call and never
-// store one (a view does not keep its Matrix alive, and reassigning the
-// Matrix moves its storage). Addressing never enters the arithmetic, so a
-// product on views gives the same bits as on contiguous copies.
+// Views: the accumulating (_acc) and overwriting (_set) products read A and
+// B and write C through ConstMatView/MatView — a (pointer, rows, cols,
+// leading dimension) window onto a Matrix, element (i, j) at
+// data[i*ld + j]. A const Matrix& converts implicitly to a view of the
+// whole matrix and a Matrix& lvalue to a writable one; the block
+// constructors PF_CHECK that the block lies inside its Matrix, and each
+// product PF_CHECKs ld >= cols and that C's span overlaps neither A's nor
+// B's. Bounds are thus checked once per view, not per element. Views are
+// call arguments: build them at the call and never store one (a view does
+// not keep its Matrix alive, and reassigning the Matrix moves its
+// storage). Addressing never enters the arithmetic, so a product on views
+// gives the same bits as on contiguous copies.
+//
+// Overwrite: an _set product writes alpha·Op(A)·Op(B) into C without ever
+// reading it — the first k block's epilogue adds to +0.0 instead of to C,
+// later k blocks accumulate as usual, and K = 0 writes +0.0. That is what
+// zero-filling C and calling the _acc form computes, ±0 included, so C may
+// start uninitialized (Matrix::uninitialized, an arena buffer) and the fill
+// goes. matmul, matmul_tn and matmul_nt return their result that way.
 //
 // Pack buffer: each thread packs B into one grow-only thread_local buffer
 // that every product kind shares. A threaded product's workers read the
@@ -103,6 +111,16 @@ void matmul_acc(ConstMatView a, ConstMatView b, MatView c, double alpha = 1.0,
 void matmul_tn_acc(ConstMatView a, ConstMatView b, MatView c,
                    double alpha = 1.0, const ExecContext& ctx = {});
 void matmul_nt_acc(ConstMatView a, ConstMatView b, MatView c,
+                   double alpha = 1.0, const ExecContext& ctx = {});
+
+// Overwriting variants: c = alpha * product, every element of c written and
+// none read (see "Overwrite" above); bitwise equal to zero-filling c and
+// calling the _acc form. Same shape and overlap rules.
+void matmul_set(ConstMatView a, ConstMatView b, MatView c, double alpha = 1.0,
+                const ExecContext& ctx = {});
+void matmul_tn_set(ConstMatView a, ConstMatView b, MatView c,
+                   double alpha = 1.0, const ExecContext& ctx = {});
+void matmul_nt_set(ConstMatView a, ConstMatView b, MatView c,
                    double alpha = 1.0, const ExecContext& ctx = {});
 
 // Forwards for callers that pass a bare row-block count: the same product

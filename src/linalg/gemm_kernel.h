@@ -26,6 +26,11 @@
 // after the k loop. Both requirements are load-bearing: ascending-k per
 // element is what makes row-partitioned threading bitwise reproducible, and
 // a single alpha application keeps edge tiles identical to interior tiles.
+// With `overwrite` set the epilogue adds alpha·acc to +0.0 instead of to C
+// (fma(alpha, acc, 0.0) on the FMA tiers, 0.0 + alpha·acc on the scalar
+// tier) and never reads C: the bits a zero-filled C would get, ±0
+// included, without the fill. The driver sets it for the first k block of
+// an overwriting product; later blocks accumulate.
 // It reads A only at rows i < mr and k < kc, so a partial tile never reads
 // past its view. The strides never enter the arithmetic: every A layout
 // gives the same bits.
@@ -47,7 +52,7 @@ inline constexpr std::size_t kNR512 = 16;  // AVX-512 register-tile columns
 using MicroKernelFn = void (*)(std::size_t kc, double alpha, const double* ap,
                                std::size_t a_rs, std::size_t a_cs,
                                const double* bp, double* c, std::size_t ldc,
-                               std::size_t mr, std::size_t nr);
+                               std::size_t mr, std::size_t nr, bool overwrite);
 
 // A kernel plus the tile geometry the driver must block and pack B for. mr/nr are the
 // FULL tile sizes (the kernel's own constants); the per-call mr/nr arguments
@@ -63,7 +68,7 @@ struct KernelSpec {
 void micro_kernel_scalar(std::size_t kc, double alpha, const double* ap,
                          std::size_t a_rs, std::size_t a_cs, const double* bp,
                          double* c, std::size_t ldc, std::size_t mr,
-                         std::size_t nr);
+                         std::size_t nr, bool overwrite);
 
 #if defined(PF_HAVE_AVX2)
 // FMA kernel, compiled with -mavx2 -mfma in gemm_kernels_avx2.cpp. Must only
@@ -71,7 +76,7 @@ void micro_kernel_scalar(std::size_t kc, double alpha, const double* ap,
 void micro_kernel_avx2(std::size_t kc, double alpha, const double* ap,
                        std::size_t a_rs, std::size_t a_cs, const double* bp,
                        double* c, std::size_t ldc, std::size_t mr,
-                       std::size_t nr);
+                       std::size_t nr, bool overwrite);
 #endif
 
 #if defined(PF_HAVE_AVX512)
@@ -80,7 +85,7 @@ void micro_kernel_avx2(std::size_t kc, double alpha, const double* ap,
 void micro_kernel_avx512(std::size_t kc, double alpha, const double* ap,
                          std::size_t a_rs, std::size_t a_cs, const double* bp,
                          double* c, std::size_t ldc, std::size_t mr,
-                         std::size_t nr);
+                         std::size_t nr, bool overwrite);
 #endif
 
 // The kernel + tile geometry matching cpu_features::active_simd_level().

@@ -8,7 +8,8 @@
 //    same vfmadd instruction, so an element computes the identical value
 //    whether its tile is full (vector path) or partial (edge path). Row
 //    partitioning across threads can change tile membership, never values.
-//  * The final C update is itself one FMA: c = fma(alpha, acc, c).
+//  * The final C update is itself one FMA: c = fma(alpha, acc, c), or
+//    fma(alpha, acc, 0.0) when the product overwrites C (C is not read).
 #include "src/linalg/gemm_kernel.h"
 
 #if defined(PF_HAVE_AVX2)
@@ -29,7 +30,7 @@ namespace {
 void edge_kernel_avx2(std::size_t kc, double alpha, const double* ap,
                       std::size_t a_rs, std::size_t a_cs, const double* bp,
                       double* c, std::size_t ldc, std::size_t mr,
-                      std::size_t nr) {
+                      std::size_t nr, bool overwrite) {
   if (nr == kNR) {
     for (std::size_t i = 0; i < mr; ++i) {
       const double* arow = ap + i * a_rs;
@@ -41,10 +42,12 @@ void edge_kernel_avx2(std::size_t kc, double alpha, const double* ap,
       }
       const __m256d valpha = _mm256_set1_pd(alpha);
       double* crow = c + i * ldc;
-      _mm256_storeu_pd(crow,
-                       _mm256_fmadd_pd(valpha, lo, _mm256_loadu_pd(crow)));
-      _mm256_storeu_pd(
-          crow + 4, _mm256_fmadd_pd(valpha, hi, _mm256_loadu_pd(crow + 4)));
+      const __m256d clo =
+          overwrite ? _mm256_setzero_pd() : _mm256_loadu_pd(crow);
+      const __m256d chi =
+          overwrite ? _mm256_setzero_pd() : _mm256_loadu_pd(crow + 4);
+      _mm256_storeu_pd(crow, _mm256_fmadd_pd(valpha, lo, clo));
+      _mm256_storeu_pd(crow + 4, _mm256_fmadd_pd(valpha, hi, chi));
     }
     return;
   }
@@ -53,7 +56,8 @@ void edge_kernel_avx2(std::size_t kc, double alpha, const double* ap,
       double acc = 0.0;
       for (std::size_t k = 0; k < kc; ++k)
         acc = std::fma(ap[i * a_rs + k * a_cs], bp[k * kNR + j], acc);
-      c[i * ldc + j] = std::fma(alpha, acc, c[i * ldc + j]);
+      double* cij = c + i * ldc + j;
+      *cij = std::fma(alpha, acc, overwrite ? 0.0 : *cij);
     }
   }
 }
@@ -63,9 +67,10 @@ void edge_kernel_avx2(std::size_t kc, double alpha, const double* ap,
 void micro_kernel_avx2(std::size_t kc, double alpha, const double* ap,
                        std::size_t a_rs, std::size_t a_cs, const double* bp,
                        double* c, std::size_t ldc, std::size_t mr,
-                       std::size_t nr) {
+                       std::size_t nr, bool overwrite) {
   if (mr != kMR || nr != kNR) {
-    edge_kernel_avx2(kc, alpha, ap, a_rs, a_cs, bp, c, ldc, mr, nr);
+    edge_kernel_avx2(kc, alpha, ap, a_rs, a_cs, bp, c, ldc, mr, nr,
+                     overwrite);
     return;
   }
   // 6×8 interior tile: 12 accumulators (2 ymm per row), 2 B loads, 1 A
@@ -102,10 +107,12 @@ void micro_kernel_avx2(std::size_t kc, double alpha, const double* ap,
   }
   const __m256d valpha = _mm256_set1_pd(alpha);
   const auto store_row = [&](double* crow, __m256d lo, __m256d hi) {
-    _mm256_storeu_pd(crow,
-                     _mm256_fmadd_pd(valpha, lo, _mm256_loadu_pd(crow)));
-    _mm256_storeu_pd(crow + 4,
-                     _mm256_fmadd_pd(valpha, hi, _mm256_loadu_pd(crow + 4)));
+    const __m256d clo =
+        overwrite ? _mm256_setzero_pd() : _mm256_loadu_pd(crow);
+    const __m256d chi =
+        overwrite ? _mm256_setzero_pd() : _mm256_loadu_pd(crow + 4);
+    _mm256_storeu_pd(crow, _mm256_fmadd_pd(valpha, lo, clo));
+    _mm256_storeu_pd(crow + 4, _mm256_fmadd_pd(valpha, hi, chi));
   };
   store_row(c + 0 * ldc, a00, a01);
   store_row(c + 1 * ldc, a10, a11);

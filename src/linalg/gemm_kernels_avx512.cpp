@@ -13,7 +13,8 @@
 //    identical value whether its tile is full (interior path) or partial
 //    (masked path). Row partitioning across threads can change tile
 //    membership, never values.
-//  * The final C update is itself one FMA: c = fma(alpha, acc, c).
+//  * The final C update is itself one FMA: c = fma(alpha, acc, c), or
+//    fma(alpha, acc, 0.0) when the product overwrites C (C is not read).
 //  * Results differ from the AVX2/scalar tiers only in the last ulps (tile
 //    geometry changes which k-chain an element belongs to, never its order);
 //    cross-ISA comparisons use an epsilon — see the GemmSimd tests.
@@ -33,7 +34,7 @@ namespace {
 void edge_kernel_avx512(std::size_t kc, double alpha, const double* ap,
                         std::size_t a_rs, std::size_t a_cs, const double* bp,
                         double* c, std::size_t ldc, std::size_t mr,
-                        std::size_t nr) {
+                        std::size_t nr, bool overwrite) {
   const __mmask8 mlo =
       nr >= 8 ? 0xFF : static_cast<__mmask8>((1u << nr) - 1u);
   const __mmask8 mhi = nr >= kNR512 ? 0xFF
@@ -50,10 +51,12 @@ void edge_kernel_avx512(std::size_t kc, double alpha, const double* ap,
       hi = _mm512_fmadd_pd(a, _mm512_loadu_pd(bp + k * kNR512 + 8), hi);
     }
     double* crow = c + i * ldc;
-    const __m512d clo = _mm512_maskz_loadu_pd(mlo, crow);
+    const __m512d clo =
+        overwrite ? _mm512_setzero_pd() : _mm512_maskz_loadu_pd(mlo, crow);
     _mm512_mask_storeu_pd(crow, mlo, _mm512_fmadd_pd(valpha, lo, clo));
     if (mhi != 0) {
-      const __m512d chi = _mm512_maskz_loadu_pd(mhi, crow + 8);
+      const __m512d chi = overwrite ? _mm512_setzero_pd()
+                                    : _mm512_maskz_loadu_pd(mhi, crow + 8);
       _mm512_mask_storeu_pd(crow + 8, mhi,
                             _mm512_fmadd_pd(valpha, hi, chi));
     }
@@ -65,9 +68,10 @@ void edge_kernel_avx512(std::size_t kc, double alpha, const double* ap,
 void micro_kernel_avx512(std::size_t kc, double alpha, const double* ap,
                          std::size_t a_rs, std::size_t a_cs, const double* bp,
                          double* c, std::size_t ldc, std::size_t mr,
-                         std::size_t nr) {
+                         std::size_t nr, bool overwrite) {
   if (mr != kMR512 || nr != kNR512) {
-    edge_kernel_avx512(kc, alpha, ap, a_rs, a_cs, bp, c, ldc, mr, nr);
+    edge_kernel_avx512(kc, alpha, ap, a_rs, a_cs, bp, c, ldc, mr, nr,
+                       overwrite);
     return;
   }
   // 8×16 interior tile: 16 accumulators (2 zmm per row), 2 B loads, 1 A
@@ -112,10 +116,12 @@ void micro_kernel_avx512(std::size_t kc, double alpha, const double* ap,
   }
   const __m512d valpha = _mm512_set1_pd(alpha);
   const auto store_row = [&](double* crow, __m512d lo, __m512d hi) {
-    _mm512_storeu_pd(crow,
-                     _mm512_fmadd_pd(valpha, lo, _mm512_loadu_pd(crow)));
-    _mm512_storeu_pd(crow + 8,
-                     _mm512_fmadd_pd(valpha, hi, _mm512_loadu_pd(crow + 8)));
+    const __m512d clo =
+        overwrite ? _mm512_setzero_pd() : _mm512_loadu_pd(crow);
+    const __m512d chi =
+        overwrite ? _mm512_setzero_pd() : _mm512_loadu_pd(crow + 8);
+    _mm512_storeu_pd(crow, _mm512_fmadd_pd(valpha, lo, clo));
+    _mm512_storeu_pd(crow + 8, _mm512_fmadd_pd(valpha, hi, chi));
   };
   store_row(c + 0 * ldc, a00, a01);
   store_row(c + 1 * ldc, a10, a11);

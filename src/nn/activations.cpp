@@ -46,7 +46,7 @@ void gelu_span(const double* x, std::size_t n, double* y, double* dydx) {
 }  // namespace
 
 Matrix gelu(const Matrix& x, const ExecContext& ctx) {
-  Matrix y(x.rows(), x.cols());
+  Matrix y = Matrix::uninitialized(x.rows(), x.cols());
   ctx.parallel_for(x.rows(), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r)
       gelu_span(x.row(r), x.cols(), y.row(r), nullptr);
@@ -57,7 +57,7 @@ Matrix gelu(const Matrix& x, const ExecContext& ctx) {
 Matrix gelu_backward(const Matrix& x, const Matrix& dy,
                      const ExecContext& ctx) {
   PF_CHECK(x.same_shape(dy));
-  Matrix dx(x.rows(), x.cols());
+  Matrix dx = Matrix::uninitialized(x.rows(), x.cols());
   ctx.parallel_for(x.rows(), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       double* dxr = dx.row(r);
@@ -95,18 +95,20 @@ void softmax_block(const double* x, double* p, std::size_t cols) {
   }
 }
 
-// dx = p ∘ (dy − rowsum(dy ∘ p)) for R consecutive rows, their dot-product
-// chains side by side, each ascending its columns.
+// dx = (p ∘ (dy − rowsum(dy ∘ p))) · scale for R consecutive rows, their
+// dot-product chains side by side, each ascending its columns.
 template <std::size_t R>
 void softmax_backward_block(const double* p, const double* dy, double* dx,
-                            std::size_t cols) {
+                            std::size_t cols, double scale) {
   double dot[R] = {};
   for (std::size_t c = 0; c < cols; ++c)
     for (std::size_t i = 0; i < R; ++i)
       dot[i] += p[i * cols + c] * dy[i * cols + c];
   for (std::size_t i = 0; i < R; ++i)
-    for (std::size_t c = 0; c < cols; ++c)
-      dx[i * cols + c] = p[i * cols + c] * (dy[i * cols + c] - dot[i]);
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double g = p[i * cols + c] * (dy[i * cols + c] - dot[i]);
+      dx[i * cols + c] = g * scale;
+    }
 }
 
 constexpr std::size_t kSoftmaxRows = 4;  // row chains run side by side
@@ -118,7 +120,7 @@ Matrix softmax_rows(const Matrix& logits, const ExecContext& ctx) {
   PF_CHECK(cols > 0 || logits.rows() == 0)
       << "softmax_rows of a " << logits.rows() << "x" << cols
       << " matrix: a row needs at least one column";
-  Matrix p(logits.rows(), cols);
+  Matrix p = Matrix::uninitialized(logits.rows(), cols);
   ctx.parallel_for(logits.rows(), [&](std::size_t r0, std::size_t r1) {
     std::size_t r = r0;
     for (; r + kSoftmaxRows <= r1; r += kSoftmaxRows)
@@ -129,24 +131,24 @@ Matrix softmax_rows(const Matrix& logits, const ExecContext& ctx) {
 }
 
 Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
-                             const ExecContext& ctx) {
+                             const ExecContext& ctx, double scale) {
   PF_CHECK(p.same_shape(dy));
   const std::size_t cols = p.cols();
-  Matrix dx(p.rows(), cols);
+  Matrix dx = Matrix::uninitialized(p.rows(), cols);
   ctx.parallel_for(p.rows(), [&](std::size_t r0, std::size_t r1) {
     std::size_t r = r0;
     for (; r + kSoftmaxRows <= r1; r += kSoftmaxRows)
       softmax_backward_block<kSoftmaxRows>(p.row(r), dy.row(r), dx.row(r),
-                                           cols);
+                                           cols, scale);
     for (; r < r1; ++r)
-      softmax_backward_block<1>(p.row(r), dy.row(r), dx.row(r), cols);
+      softmax_backward_block<1>(p.row(r), dy.row(r), dx.row(r), cols, scale);
   });
   return dx;
 }
 
 Matrix Gelu::forward(const Matrix& x, bool training, const ExecContext& ctx) {
   if (!training) return gelu(x, ctx);
-  Matrix y(x.rows(), x.cols());
+  Matrix y = arena_matrix(ctx.arena(), x.rows(), x.cols());
   arena_reshape(ctx.arena(), dydx_cache_, x.rows(), x.cols());
   ctx.parallel_for(x.rows(), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r)
@@ -158,7 +160,7 @@ Matrix Gelu::forward(const Matrix& x, bool training, const ExecContext& ctx) {
 Matrix Gelu::backward(const Matrix& dy, const ExecContext& ctx) {
   PF_CHECK(!dydx_cache_.empty());
   PF_CHECK(dydx_cache_.same_shape(dy));
-  Matrix dx(dy.rows(), dy.cols());
+  Matrix dx = arena_matrix(ctx.arena(), dy.rows(), dy.cols());
   ctx.parallel_for(dy.rows(), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       const double* gr = dydx_cache_.row(r);

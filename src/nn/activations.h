@@ -7,7 +7,8 @@
 //
 // All four free functions parallelize their row loops over the ExecContext
 // (rows are independent, so every thread count is bitwise identical to the
-// serial seed path); the defaulted context is serial.
+// serial seed path); the defaulted context is serial. Each writes every
+// element of its output once, so outputs start uninitialized (no fill).
 #pragma once
 
 #include "src/common/exec_context.h"
@@ -23,16 +24,19 @@ Matrix gelu_backward(const Matrix& x, const Matrix& dy,
 
 // Row-wise softmax (numerically stable).
 Matrix softmax_rows(const Matrix& logits, const ExecContext& ctx = {});
-// Backward through softmax given its output p and upstream dy:
-// dx = p ∘ (dy − rowsum(dy ∘ p)).
+// Backward through softmax given its output p and upstream dy, times
+// `scale`: dx = (p ∘ (dy − rowsum(dy ∘ p))) · scale, rounding the product
+// with p before the scaling (scaling a finished dx gives the same bits;
+// scale 1 changes none).
 Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
-                             const ExecContext& ctx = {});
+                             const ExecContext& ctx = {}, double scale = 1.0);
 
 // Stateful GELU layer for use inside blocks. A training forward computes
 // GELU'(x) from the same exp_span call as its output and caches that
 // derivative instead of x (same size), so backward is one multiply per
 // element, bitwise equal to gelu_backward(x, dy). An inference forward
-// (training = false) writes no cache.
+// (training = false) writes no cache. Training outputs and the cache draw
+// on the context's arena when it has one.
 class Gelu {
  public:
   Matrix forward(const Matrix& x, bool training = true,

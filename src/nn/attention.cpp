@@ -3,6 +3,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/common/arena.h"
 #include "src/linalg/gemm.h"
 #include "src/nn/activations.h"
 
@@ -22,18 +23,21 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t d_model,
       << "d_model " << d_model << " not divisible by heads " << n_heads;
 }
 
-Matrix MultiHeadSelfAttention::forward(const Matrix& x, std::size_t batch,
-                                       std::size_t seq, bool training,
-                                       const ExecContext& ctx) {
+template <typename X>
+Matrix MultiHeadSelfAttention::forward_impl(X&& x, std::size_t batch,
+                                            std::size_t seq, bool training,
+                                            const ExecContext& ctx) {
   PF_CHECK(x.rows() == batch * seq && x.cols() == d_model_);
+  ArenaAllocator* arena = ctx.arena();
   // q, k and v stay local until the end, so an inference forward leaves the
-  // caches of the last training forward for its backward.
+  // caches of the last training forward for its backward. wv goes last: an
+  // rvalue x is its to take.
   Matrix q = wq_.forward(x, training, ctx);
   Matrix k = wk_.forward(x, training, ctx);
-  Matrix v = wv_.forward(x, training, ctx);
+  Matrix v = wv_.forward(std::forward<X>(x), training, ctx);
   const double scale = 1.0 / std::sqrt(static_cast<double>(d_head_));
 
-  Matrix context(batch * seq, d_model_, 0.0);
+  Matrix context = arena_matrix(arena, batch * seq, d_model_);
   if (training) probs_.assign(batch * n_heads_, Matrix());
   // One task per (batch, head): each writes its own probs_ slot and a
   // disjoint [seq × d_head] block of `context` (rows of sequence b, columns
@@ -46,48 +50,64 @@ Matrix MultiHeadSelfAttention::forward(const Matrix& x, std::size_t batch,
   // Heads are multiplied in place through views of q, k, v and context.
   // The scale rides in as the scores product's alpha: for d_head ≤ 256 (one
   // k block) that rounds scale·acc once per score, as scaling the finished
-  // product did. The context block starts at 0 and is written once, so
-  // accumulating into it equals computing the head apart and adding it.
+  // product did. The overwriting products write every score and every
+  // element of the head's context block exactly once, with the bits a
+  // zeroed block accumulated into would get.
   const bool fan_out = ctx.nn_threads() > 1;
   const ExecContext inner = fan_out ? ExecContext() : ctx;
   ctx.parallel_for(batch * n_heads_, [&](std::size_t bh0, std::size_t bh1) {
     for (std::size_t bh = bh0; bh < bh1; ++bh) {
       const std::size_t r0 = (bh / n_heads_) * seq;
       const std::size_t c0 = (bh % n_heads_) * d_head_;
-      Matrix scores(seq, seq, 0.0);
-      matmul_nt_acc(ConstMatView(q, r0, c0, seq, d_head_),
+      Matrix scores = Matrix::uninitialized(seq, seq);
+      matmul_nt_set(ConstMatView(q, r0, c0, seq, d_head_),
                     ConstMatView(k, r0, c0, seq, d_head_), scores, scale,
                     inner);
       Matrix p = softmax_rows(scores, inner);
-      matmul_acc(p, ConstMatView(v, r0, c0, seq, d_head_),
+      matmul_set(p, ConstMatView(v, r0, c0, seq, d_head_),
                  MatView(context, r0, c0, seq, d_head_), 1.0, inner);
       if (training) probs_[bh] = std::move(p);
     }
   });
-  if (training) {
-    q_ = std::move(q);
-    k_ = std::move(k);
-    v_ = std::move(v);
-    batch_ = batch;
-    seq_ = seq;
-  }
-  return wo_.forward(context, training, ctx);
+  if (!training) return wo_.forward(context, false, ctx);
+  arena_take(arena, q_, std::move(q));
+  arena_take(arena, k_, std::move(k));
+  arena_take(arena, v_, std::move(v));
+  batch_ = batch;
+  seq_ = seq;
+  return wo_.forward(std::move(context), true, ctx);
 }
 
-Matrix MultiHeadSelfAttention::backward(const Matrix& dy,
-                                        const ExecContext& ctx,
+Matrix MultiHeadSelfAttention::forward(const Matrix& x, std::size_t batch,
+                                       std::size_t seq, bool training,
+                                       const ExecContext& ctx) {
+  return forward_impl(x, batch, seq, training, ctx);
+}
+
+Matrix MultiHeadSelfAttention::forward(Matrix&& x, std::size_t batch,
+                                       std::size_t seq, bool training,
+                                       const ExecContext& ctx) {
+  return forward_impl(std::move(x), batch, seq, training, ctx);
+}
+
+Matrix MultiHeadSelfAttention::backward(Matrix dy, const ExecContext& ctx,
                                         bool dx_only) {
   PF_CHECK(!probs_.empty()) << "backward before forward";
-  const Matrix dcontext =
-      dx_only ? wo_.backward_dx(dy, ctx) : wo_.backward(dy, ctx);
+  ArenaAllocator* arena = ctx.arena();
+  // Each projection takes its output gradient over as its K-FAC cache.
+  const auto back = [&](Linear& l, Matrix&& g) {
+    return dx_only ? l.backward_dx(std::move(g), ctx)
+                   : l.backward(std::move(g), ctx);
+  };
+  Matrix dcontext = back(wo_, std::move(dy));
   const double scale = 1.0 / std::sqrt(static_cast<double>(d_head_));
 
-  Matrix dq(q_.rows(), d_model_, 0.0);
-  Matrix dk(k_.rows(), d_model_, 0.0);
-  Matrix dv(v_.rows(), d_model_, 0.0);
+  Matrix dq = arena_matrix(arena, q_.rows(), d_model_);
+  Matrix dk = arena_matrix(arena, k_.rows(), d_model_);
+  Matrix dv = arena_matrix(arena, v_.rows(), d_model_);
   // Same task shape as forward: (batch, head) tasks read their head's
-  // blocks in place and accumulate into disjoint, zeroed blocks of
-  // dq/dk/dv, with the same inner-threading rule.
+  // blocks in place and overwrite disjoint blocks of dq/dk/dv, each exactly
+  // once, with the same inner-threading rule.
   const bool fan_out = ctx.nn_threads() > 1;
   const ExecContext inner = fan_out ? ExecContext() : ctx;
   ctx.parallel_for(batch_ * n_heads_, [&](std::size_t bh0, std::size_t bh1) {
@@ -97,22 +117,29 @@ Matrix MultiHeadSelfAttention::backward(const Matrix& dy,
       const Matrix& p = probs_[bh];
       const ConstMatView dctx(dcontext, r0, c0, seq_, d_head_);
       // head_ctx = p · v.
-      Matrix dp(seq_, seq_, 0.0);
-      matmul_nt_acc(dctx, ConstMatView(v_, r0, c0, seq_, d_head_), dp, 1.0,
+      Matrix dp = Matrix::uninitialized(seq_, seq_);
+      matmul_nt_set(dctx, ConstMatView(v_, r0, c0, seq_, d_head_), dp, 1.0,
                     inner);
-      matmul_tn_acc(p, dctx, MatView(dv, r0, c0, seq_, d_head_), 1.0, inner);
-      // scores backward through softmax, then through q·kᵀ·scale.
-      Matrix dscores = softmax_rows_backward(p, dp, inner);
-      dscores *= scale;
-      matmul_acc(dscores, ConstMatView(k_, r0, c0, seq_, d_head_),
+      matmul_tn_set(p, dctx, MatView(dv, r0, c0, seq_, d_head_), 1.0, inner);
+      // scores backward through softmax, then through q·kᵀ·scale (the
+      // softmax backward applies the scale in its own loop).
+      const Matrix dscores = softmax_rows_backward(p, dp, inner, scale);
+      matmul_set(dscores, ConstMatView(k_, r0, c0, seq_, d_head_),
                  MatView(dq, r0, c0, seq_, d_head_), 1.0, inner);
-      matmul_tn_acc(dscores, ConstMatView(q_, r0, c0, seq_, d_head_),
+      matmul_tn_set(dscores, ConstMatView(q_, r0, c0, seq_, d_head_),
                     MatView(dk, r0, c0, seq_, d_head_), 1.0, inner);
     }
   });
-  Matrix dx = dx_only ? wq_.backward_dx(dq, ctx) : wq_.backward(dq, ctx);
-  dx += dx_only ? wk_.backward_dx(dk, ctx) : wk_.backward(dk, ctx);
-  dx += dx_only ? wv_.backward_dx(dv, ctx) : wv_.backward(dv, ctx);
+  arena_recycle(arena, std::move(dcontext));
+  // dx sums the projections' input gradients in q, k, v order.
+  Matrix dx = back(wq_, std::move(dq));
+  const auto add_back = [&](Linear& l, Matrix&& g) {
+    Matrix part = back(l, std::move(g));
+    dx += part;
+    arena_recycle(arena, std::move(part));
+  };
+  add_back(wk_, std::move(dk));
+  add_back(wv_, std::move(dv));
   return dx;
 }
 

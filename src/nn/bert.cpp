@@ -23,7 +23,7 @@ Matrix BertModel::encode(const BertBatch& batch, bool training,
   Matrix h = emb_.forward(batch.ids, batch.segments, batch.batch, batch.seq,
                           training, ctx);
   for (auto& block : blocks_)
-    h = block.forward(h, batch.batch, batch.seq, training, ctx);
+    h = block.forward(std::move(h), batch.batch, batch.seq, training, ctx);
   return h;
 }
 
@@ -38,24 +38,26 @@ Matrix gather_cls_rows(const Matrix& h, std::size_t batch, std::size_t seq) {
 
 BertLossBreakdown BertModel::train_step_backward(const BertBatch& batch,
                                                  const ExecContext& ctx) {
-  const Matrix h = encode(batch, /*training=*/true, ctx);
+  // The MLM head takes h over, and the heads their loss gradients; the
+  // [CLS] rows are gathered from the MLM head's cache.
+  const Matrix mlm_logits =
+      mlm_head_.forward(encode(batch, /*training=*/true, ctx), true, ctx);
+  auto mlm = softmax_cross_entropy(mlm_logits, batch.mlm_labels, ctx);
 
-  const Matrix mlm_logits = mlm_head_.forward(h, true, ctx);
-  const auto mlm = softmax_cross_entropy(mlm_logits, batch.mlm_labels, ctx);
-
-  const Matrix cls = gather_cls_rows(h, batch.batch, batch.seq);
+  const Matrix cls =
+      gather_cls_rows(mlm_head_.cached_input(), batch.batch, batch.seq);
   const Matrix nsp_logits = nsp_head_.forward(cls, true, ctx);
-  const auto nsp = softmax_cross_entropy(nsp_logits, batch.nsp_labels, ctx);
+  auto nsp = softmax_cross_entropy(nsp_logits, batch.nsp_labels, ctx);
 
   // Backward: dL/dh from both heads.
-  Matrix dh = mlm_head_.backward(mlm.dlogits, ctx);
-  const Matrix dcls = nsp_head_.backward(nsp.dlogits, ctx);
+  Matrix dh = mlm_head_.backward(std::move(mlm.dlogits), ctx);
+  const Matrix dcls = nsp_head_.backward(std::move(nsp.dlogits), ctx);
   for (std::size_t b = 0; b < batch.batch; ++b) {
     double* row = dh.row(b * batch.seq);
     for (std::size_t c = 0; c < dh.cols(); ++c) row[c] += dcls(b, c);
   }
   for (std::size_t i = blocks_.size(); i-- > 0;)
-    dh = blocks_[i].backward(dh, ctx);
+    dh = blocks_[i].backward(std::move(dh), ctx);
   emb_.backward(dh, ctx);
 
   return {mlm.loss + nsp.loss, mlm.loss, nsp.loss};

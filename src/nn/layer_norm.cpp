@@ -18,13 +18,13 @@ Matrix LayerNorm::forward(const Matrix& x, bool training,
                           const ExecContext& ctx) {
   PF_CHECK(x.cols() == dim_);
   const std::size_t n = x.rows();
-  Matrix y(n, dim_);
+  Matrix y = arena_matrix(ctx.arena(), n, dim_);
   if (training) {
-    // Fresh every forward (the stash machinery moved last micro's out);
-    // arena-backed when the context carries a recycler. xhat is fully
-    // overwritten below, so the fill value never shows.
-    xhat_ = arena_matrix(ctx.arena(), n, dim_);
-    inv_std_.assign(n, 0.0);
+    // The storage the cache still holds, or (after the stash machinery moved
+    // the last micro's out) an arena buffer; the loop below writes every
+    // element of y, xhat and inv_std.
+    arena_reshape(ctx.arena(), xhat_, n, dim_);
+    inv_std_.resize(n);
   }
   // Shapes are checked above, so the loops index through row pointers.
   const double* gamma = gamma_.w.row(0);
@@ -60,7 +60,7 @@ Matrix LayerNorm::backward(const Matrix& dy, const ExecContext& ctx) {
   PF_CHECK(dy.rows() == xhat_.rows() && dy.cols() == dim_);
   const std::size_t n = dy.rows();
   const double dimd = static_cast<double>(dim_);
-  Matrix dx(n, dim_);
+  Matrix dx = arena_matrix(ctx.arena(), n, dim_);
   const double* gamma = gamma_.w.row(0);
   // Phase 1, row-parallel: dxhat = dy ∘ gamma;
   // dx = inv_std·(dxhat − mean(dxhat) − xhat·mean(dxhat ∘ xhat)).

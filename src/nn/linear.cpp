@@ -15,11 +15,11 @@ Linear::Linear(std::size_t d_in, std::size_t d_out, Rng& rng,
   w_.w = Matrix::randn(d_in, d_out, rng, init_std);
 }
 
-Matrix Linear::forward(const Matrix& x, bool training,
-                       const ExecContext& ctx) {
+Matrix Linear::affine(const Matrix& x, const ExecContext& ctx) const {
   PF_CHECK(x.cols() == d_in_)
       << name_ << ": input cols " << x.cols() << " != d_in " << d_in_;
-  Matrix y = matmul(x, w_.w, ctx);
+  Matrix y = arena_matrix(ctx.arena(), x.rows(), d_out_);
+  matmul_set(x, w_.w, y, 1.0, ctx);
   const double* bias = b_.w.row(0);
   ctx.parallel_for(y.rows(), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
@@ -27,23 +27,34 @@ Matrix Linear::forward(const Matrix& x, bool training,
       for (std::size_t c = 0; c < d_out_; ++c) row[c] += bias[c];
     }
   });
+  return y;
+}
+
+Matrix Linear::forward(const Matrix& x, bool training,
+                       const ExecContext& ctx) {
+  Matrix y = affine(x, ctx);
   if (training) arena_assign(ctx.arena(), x_cache_, x);
   return y;
 }
 
-Matrix Linear::backward(const Matrix& dy, const ExecContext& ctx) {
+Matrix Linear::forward(Matrix&& x, bool training, const ExecContext& ctx) {
+  Matrix y = affine(x, ctx);
+  if (training) arena_take(ctx.arena(), x_cache_, std::move(x));
+  return y;
+}
+
+Matrix Linear::backward(Matrix dy, const ExecContext& ctx) {
   // dW, db and dx write disjoint memory from unchanged inputs, so the B pass
   // then the W pass is the fused backward, bit for bit.
-  Matrix dx = backward_dx(dy, ctx);
+  Matrix dx = backward_dx(std::move(dy), ctx);
   backward_dw(ctx);
   return dx;
 }
 
-Matrix Linear::backward_dx(const Matrix& dy, const ExecContext& ctx) {
+Matrix Linear::backward_dx(Matrix dy, const ExecContext& ctx) {
   PF_CHECK(dy.cols() == d_out_);
   PF_CHECK(!x_cache_.empty()) << name_ << ": backward before forward";
   PF_CHECK(dy.rows() == x_cache_.rows());
-  arena_assign(ctx.arena(), dy_cache_, dy);
   // db += column sums; dx = dy·Wᵀ. The dW GEMM is deferred to backward_dw.
   // db is column-sharded: every bias coordinate accumulates its rows in
   // ascending order regardless of the partition — bitwise equal to serial.
@@ -54,7 +65,10 @@ Matrix Linear::backward_dx(const Matrix& dy, const ExecContext& ctx) {
       for (std::size_t c = c0; c < c1; ++c) db[c] += row[c];
     }
   });
-  return matmul_nt(dy, w_.w, ctx);
+  Matrix dx = arena_matrix(ctx.arena(), dy.rows(), d_in_);
+  matmul_nt_set(dy, w_.w, dx, 1.0, ctx);
+  arena_take(ctx.arena(), dy_cache_, std::move(dy));
+  return dx;
 }
 
 void Linear::backward_dw(const ExecContext& ctx) {

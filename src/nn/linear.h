@@ -4,6 +4,14 @@
 // During training the layer caches its input (the K-FAC activations a_l)
 // and, on backward, the output gradient (the K-FAC errors e_l) — exactly
 // the two tensors the curvature work of PipeFisher consumes.
+//
+// The caches take over the buffers they are handed: pass x or dy as an
+// rvalue when the caller is done with it and nothing is copied (the cache's
+// previous storage goes back to the context's arena). forward() also takes
+// a const x, which it copies into the cache; backward() and backward_dx()
+// take dy by value, so an lvalue dy is copied on the way in. Either way the
+// outputs, gradients and cached values are the same, bit for bit. Outputs
+// (y, dx) are drawn from the context's arena when it has one.
 #pragma once
 
 #include "src/common/exec_context.h"
@@ -17,14 +25,18 @@ class Linear {
   Linear(std::size_t d_in, std::size_t d_out, Rng& rng,
          const std::string& name, double init_std = 0.02);
 
-  // y = x·W + b. Caches x when `training`. The context threads the GEMM
-  // row blocks and the bias-add row loop (bitwise identical at every thread
-  // count — see exec_context.h).
+  // y = x·W + b. Caches a copy of x when `training`. The context threads
+  // the GEMM row blocks and the bias-add row loop (bitwise identical at
+  // every thread count — see exec_context.h).
   Matrix forward(const Matrix& x, bool training = true,
+                 const ExecContext& ctx = {});
+  // The same, but a training forward takes x over as the cached input (x is
+  // left empty); an inference forward only reads x, as the const form does.
+  Matrix forward(Matrix&& x, bool training = true,
                  const ExecContext& ctx = {});
   // Accumulates dW, db; returns dx. Caches dy for K-FAC. db is
   // column-sharded so each bias coordinate sums its rows in serial order.
-  Matrix backward(const Matrix& dy, const ExecContext& ctx = {});
+  Matrix backward(Matrix dy, const ExecContext& ctx = {});
 
   // Zero-bubble split of backward() (ZB-H1: Qi et al. 2023). backward_dx is
   // the B pass: caches dy, accumulates db, returns dx — everything on the
@@ -35,7 +47,7 @@ class Linear {
   // dW touches coordinates disjoint from db/dx, and only the per-micro
   // order of dW accumulation matters — the caller (the pipeline runtime's
   // per-stage W chain) keeps it ascending.
-  Matrix backward_dx(const Matrix& dy, const ExecContext& ctx = {});
+  Matrix backward_dx(Matrix dy, const ExecContext& ctx = {});
   void backward_dw(const ExecContext& ctx = {});
 
   std::size_t d_in() const { return d_in_; }
@@ -85,6 +97,9 @@ class Linear {
   const std::string& name() const { return name_; }
 
  private:
+  // y = x·W + b, y drawn from the context's arena.
+  Matrix affine(const Matrix& x, const ExecContext& ctx) const;
+
   std::size_t d_in_, d_out_;
   std::string name_;
   Param w_;

@@ -1,7 +1,9 @@
 #include "src/nn/loss.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "src/common/arena.h"
 #include "src/common/check.h"
 #include "src/nn/activations.h"
 
@@ -12,7 +14,7 @@ LossResult softmax_cross_entropy(const Matrix& logits,
                                  const ExecContext& ctx) {
   PF_CHECK(labels.size() == logits.rows());
   LossResult res;
-  res.dlogits = Matrix(logits.rows(), logits.cols(), 0.0);
+  res.dlogits = arena_matrix(ctx.arena(), logits.rows(), logits.cols());
   const Matrix p = softmax_rows(logits, ctx);
   // Serial scalar reduction: the loss sums counted rows in ascending order,
   // the seed sequence, so the value is thread-count-independent.
@@ -25,15 +27,24 @@ LossResult softmax_cross_entropy(const Matrix& logits,
     total += -std::log(std::max(p(r, static_cast<std::size_t>(labels[r])),
                                 1e-300));
   }
-  if (res.counted == 0) return res;
+  if (res.counted == 0) {
+    res.dlogits.fill(0.0);
+    return res;
+  }
   const double inv = 1.0 / static_cast<double>(res.counted);
   res.loss = total * inv;
+  // Ignored rows get zeros; every element is written once.
+  const std::size_t cols = logits.cols();
   ctx.parallel_for(logits.rows(), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
-      if (labels[r] < 0) continue;
-      for (std::size_t c = 0; c < logits.cols(); ++c)
-        res.dlogits(r, c) = p(r, c) * inv;
-      res.dlogits(r, static_cast<std::size_t>(labels[r])) -= inv;
+      double* d = res.dlogits.row(r);
+      if (labels[r] < 0) {
+        std::fill_n(d, cols, 0.0);
+        continue;
+      }
+      const double* pr = p.row(r);
+      for (std::size_t c = 0; c < cols; ++c) d[c] = pr[c] * inv;
+      d[static_cast<std::size_t>(labels[r])] -= inv;
     }
   });
   return res;

@@ -16,9 +16,11 @@ struct LossResult {
 };
 
 // Cross entropy over rows of `logits` [N × C]; rows with label < 0 are
-// ignored. Mean over counted rows. The softmax and the dlogits fill are
-// row-parallel over the context; the scalar loss reduction stays serial so
-// its accumulation order (and hence the value) matches the seed exactly.
+// ignored (their dlogits rows are zero). Mean over counted rows. The
+// softmax and the dlogits fill are row-parallel over the context; the
+// scalar loss reduction stays serial so its accumulation order (and hence
+// the value) matches the seed exactly. dlogits is drawn from the context's
+// arena when it has one, since the head that reads it caches it.
 LossResult softmax_cross_entropy(const Matrix& logits,
                                  const std::vector<int>& labels,
                                  const ExecContext& ctx = {});

@@ -21,21 +21,27 @@ Matrix BertStage::forward(int micro, const BertBatch& batch, Matrix in,
     h = std::move(in);
   }
   for (TransformerBlock* b : blocks_)
-    h = b->forward(h, batch.batch, batch.seq, /*training=*/true, ctx);
+    h = b->forward(std::move(h), batch.batch, batch.seq, /*training=*/true,
+                   ctx);
 
   Matrix mlm_dlogits, nsp_dlogits;
   if (is_last()) {
     // Identical op sequence to BertModel::train_step_backward's head/loss
-    // section — the bitwise contract depends on it.
-    const Matrix mlm_logits = mlm_head_->forward(h, /*training=*/true, ctx);
+    // section — the bitwise contract depends on it. The MLM head takes h
+    // over, so the step ends here with no boundary activation; the [CLS]
+    // rows are gathered from its cache.
+    ArenaAllocator* arena = ctx.arena();
+    Matrix mlm_logits = mlm_head_->forward(std::move(h), true, ctx);
     auto mlm = softmax_cross_entropy(mlm_logits, batch.mlm_labels, ctx);
-    const Matrix cls = gather_cls_rows(h, batch.batch, batch.seq);
-    const Matrix nsp_logits = nsp_head_->forward(cls, /*training=*/true, ctx);
+    arena_recycle(arena, std::move(mlm_logits));
+    const Matrix cls =
+        gather_cls_rows(mlm_head_->cached_input(), batch.batch, batch.seq);
+    Matrix nsp_logits = nsp_head_->forward(cls, /*training=*/true, ctx);
     auto nsp = softmax_cross_entropy(nsp_logits, batch.nsp_labels, ctx);
+    arena_recycle(arena, std::move(nsp_logits));
     loss_stash_[micro] = {mlm.loss + nsp.loss, mlm.loss, nsp.loss};
     mlm_dlogits = std::move(mlm.dlogits);
     nsp_dlogits = std::move(nsp.dlogits);
-    h = Matrix();  // the step ends here; no boundary activation
   }
 
   StageCache sc = save_caches();
@@ -58,7 +64,8 @@ Matrix BertStage::infer(const BertBatch& batch, Matrix in,
     h = std::move(in);
   }
   for (TransformerBlock* b : blocks_)
-    h = b->forward(h, batch.batch, batch.seq, /*training=*/false, ctx);
+    h = b->forward(std::move(h), batch.batch, batch.seq, /*training=*/false,
+                   ctx);
 
   if (!is_last()) return h;
 
@@ -85,37 +92,42 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
   // MOVE the whole cache set back into the layers and drop the entry.
   // Backward reads but never mutates a_l, so the buffers survive the round
   // trip bit for bit and are re-harvested below for the curvature tasks.
-  // Loss gradients live outside the layer caches: they are the only thing
-  // left of the entry once the layers take their caches back, and they are
-  // freed at the end of this call — not parked in the arena, where no
-  // acquire is of their size and every step would add a set.
+  // What an earlier backward left in the layers goes back to the arena
+  // first. Loss gradients live outside the layer caches: they are the only
+  // thing left of the entry once the layers take their caches back, and
+  // the heads take them over as their output-gradient caches.
+  ArenaAllocator* arena = ctx.arena();
   StageCache sc = std::move(it->second);
   stash_sub(bytes_of(sc));
   fwd_stash_.erase(it);
   Matrix mlm_dlogits = std::move(sc.mlm_dlogits);
   Matrix nsp_dlogits = std::move(sc.nsp_dlogits);
+  if (arena != nullptr) release_to_arena(arena, save_caches());
   restore_caches(std::move(sc));
 
   Matrix dh;
   if (is_last()) {
-    dh = defer_dw ? mlm_head_->backward_dx(mlm_dlogits, ctx)
-                  : mlm_head_->backward(mlm_dlogits, ctx);
-    const Matrix dcls = defer_dw ? nsp_head_->backward_dx(nsp_dlogits, ctx)
-                                 : nsp_head_->backward(nsp_dlogits, ctx);
+    const auto back = [&](Linear* l, Matrix&& g) {
+      return defer_dw ? l->backward_dx(std::move(g), ctx)
+                      : l->backward(std::move(g), ctx);
+    };
+    dh = back(mlm_head_, std::move(mlm_dlogits));
+    Matrix dcls = back(nsp_head_, std::move(nsp_dlogits));
     for (std::size_t b = 0; b < batch.batch; ++b) {
       double* row = dh.row(b * batch.seq);
       for (std::size_t c = 0; c < dh.cols(); ++c) row[c] += dcls(b, c);
     }
+    arena_recycle(arena, std::move(dcls));
   } else {
     PF_CHECK(!grad_in.empty())
         << "stage " << index_ << ": missing boundary gradient";
     dh = std::move(grad_in);
   }
   for (std::size_t i = blocks_.size(); i-- > 0;)
-    dh = blocks_[i]->backward(dh, ctx, defer_dw);
+    dh = blocks_[i]->backward(std::move(dh), ctx, defer_dw);
   if (is_first()) {
     emb_->backward(dh, ctx);
-    dh = Matrix();
+    arena_recycle(arena, std::move(dh));
   }
 
   if (keep_kfac_stash || defer_dw) {
@@ -286,22 +298,22 @@ std::size_t BertStage::bytes_of(const std::vector<Linear::Cache>& kcs) {
 }
 
 void BertStage::release_to_arena(ArenaAllocator* arena, StageCache&& c) {
-  // Doubles only: int id/segment vectors cannot feed the double arena and
-  // just free normally, as do the loss gradients (see backward()).
+  // Only what the layers draw from the arena goes back, so every parked
+  // buffer is one a later acquire takes again. The per-head softmax outputs
+  // and LayerNorm's inverse deviations are small plain allocations, and
+  // they free normally, as do the int id/segment vectors and the loss
+  // gradients of an entry whose backward never ran.
   for (TransformerBlock::Cache& bc : c.blocks) {
     arena->release(std::move(bc.attn.q));
     arena->release(std::move(bc.attn.k));
     arena->release(std::move(bc.attn.v));
-    for (Matrix& p : bc.attn.probs) arena->release(std::move(p));
     for (Linear::Cache* lc : {&bc.attn.wq, &bc.attn.wk, &bc.attn.wv,
                               &bc.attn.wo, &bc.w1, &bc.w2}) {
       arena->release(std::move(lc->x));
       arena->release(std::move(lc->dy));
     }
     arena->release(std::move(bc.ln1.xhat));
-    arena->release(std::move(bc.ln1.inv_std));
     arena->release(std::move(bc.ln2.xhat));
-    arena->release(std::move(bc.ln2.inv_std));
     arena->release(std::move(bc.gelu.dydx));
   }
   for (Linear::Cache* lc : {&c.mlm_head, &c.nsp_head}) {

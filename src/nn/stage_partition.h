@@ -13,7 +13,10 @@
 // flight per stage, but every nn layer holds exactly one backward cache.
 // Each stage therefore stashes its layers' caches per micro-batch
 // (Layer::save_cache / restore_cache, see linear.h). Stash traffic is
-// move/borrow, never copy — restore_cache takes only rvalues:
+// move/borrow, never copy — restore_cache takes only rvalues — and so are
+// the cache fills: the blocks hand each activation and gradient a linear
+// caches over to it (transformer_block.h), and the stage hands the boundary
+// input to the first block and the loss gradients to the heads:
 //
 //   forward(m):  run layer forwards, then MOVE the fresh caches into
 //                fwd_stash[m]. The stash is immutable while it exists —
@@ -29,7 +32,18 @@
 //                to the layers, where the next forward reuses (or arena-
 //                recycles) the storage — peak stash bytes stay
 //                O(in-flight micros) + O(n_micro) · |{a_l, e_l}| instead
-//                of O(n_micro) full activation sets.
+//                of O(n_micro) full activation sets. What an earlier
+//                backward left in the layers goes back to the arena
+//                before the micro's own caches move in.
+//
+// Arena: with ctx.arena() set, the layers draw every activation they write
+// from it and each buffer goes back when it dies (common/arena.h), so a
+// stage's buffers cycle through its arena instead of malloc and free. The
+// arena gets back only buffers of the sizes it hands out: every cached
+// buffer is an arena draw, except the boundary input, which is an
+// activation of the same size from the neighbouring stage. The per-head
+// softmax outputs and LayerNorm's inverse deviations are small plain
+// allocations and are freed, not parked.
 //
 // Gradients accumulate directly into the shared Param.g, so the caller
 // (the pipeline runtime) must order each stage's backwards by ascending

@@ -1,5 +1,7 @@
 #include "src/nn/transformer_block.h"
 
+#include "src/common/arena.h"
+
 namespace pf {
 
 TransformerBlock::TransformerBlock(std::size_t d_model, std::size_t d_ff,
@@ -11,32 +13,49 @@ TransformerBlock::TransformerBlock(std::size_t d_model, std::size_t d_ff,
       w2_(d_ff, d_model, rng, name + ".ffn.w2"),
       ln2_(d_model, name + ".ln2") {}
 
-Matrix TransformerBlock::forward(const Matrix& x, std::size_t batch,
+Matrix TransformerBlock::forward(Matrix x, std::size_t batch,
                                  std::size_t seq, bool training,
                                  const ExecContext& ctx) {
-  Matrix a = attn_.forward(x, batch, seq, training, ctx);
-  a += x;  // residual
-  const Matrix h = ln1_.forward(a, training, ctx);
-  Matrix f = w2_.forward(
-      gelu_.forward(w1_.forward(h, training, ctx), training, ctx), training,
-      ctx);
-  f += h;  // residual
-  return ln2_.forward(f, training, ctx);
+  ArenaAllocator* arena = ctx.arena();
+  // An inference forward caches nothing, so x and h stay here for the
+  // residuals.
+  Matrix a = training ? attn_.forward(std::move(x), batch, seq, true, ctx)
+                      : attn_.forward(x, batch, seq, false, ctx);
+  a += training ? attn_.cached_input() : x;  // residual
+  Matrix h = ln1_.forward(a, training, ctx);
+  arena_recycle(arena, std::move(a));
+  Matrix u = training ? w1_.forward(std::move(h), true, ctx)
+                      : w1_.forward(h, false, ctx);
+  Matrix g = gelu_.forward(u, training, ctx);
+  arena_recycle(arena, std::move(u));
+  Matrix f = w2_.forward(std::move(g), training, ctx);
+  f += training ? w1_.cached_input() : h;  // residual
+  Matrix y = ln2_.forward(f, training, ctx);
+  arena_recycle(arena, std::move(f));
+  return y;
 }
 
-Matrix TransformerBlock::backward(const Matrix& dy, const ExecContext& ctx,
+Matrix TransformerBlock::backward(Matrix dy, const ExecContext& ctx,
                                   bool dx_only) {
-  const Matrix df = ln2_.backward(dy, ctx);
-  // f = h + FFN(h): gradient flows both directly and through the FFN.
-  const Matrix dg =
-      gelu_.backward(dx_only ? w2_.backward_dx(df, ctx) : w2_.backward(df, ctx),
-                     ctx);
-  Matrix dh = dx_only ? w1_.backward_dx(dg, ctx) : w1_.backward(dg, ctx);
-  dh += df;
-  const Matrix da = ln1_.backward(dh, ctx);
-  // a = x + Attention(x).
-  Matrix dx = attn_.backward(da, ctx, dx_only);
-  dx += da;
+  ArenaAllocator* arena = ctx.arena();
+  const auto back = [&](Linear& l, Matrix&& g) {
+    return dx_only ? l.backward_dx(std::move(g), ctx)
+                   : l.backward(std::move(g), ctx);
+  };
+  Matrix df = ln2_.backward(dy, ctx);
+  arena_recycle(arena, std::move(dy));
+  Matrix dgelu_out = back(w2_, std::move(df));
+  Matrix dg = gelu_.backward(dgelu_out, ctx);
+  arena_recycle(arena, std::move(dgelu_out));
+  Matrix dh = back(w1_, std::move(dg));
+  // f = h + FFN(h): gradient flows both directly (df, as w2 cached it) and
+  // through the FFN.
+  dh += w2_.cached_output_grad();
+  Matrix da = ln1_.backward(dh, ctx);
+  arena_recycle(arena, std::move(dh));
+  // a = x + Attention(x); da as wo cached it.
+  Matrix dx = attn_.backward(std::move(da), ctx, dx_only);
+  dx += attn_.cached_output_grad();
   return dx;
 }
 

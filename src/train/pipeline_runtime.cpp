@@ -122,6 +122,8 @@ BertLossBreakdown PipelineRuntime::step() {
     last_memory_stats_[si].arena_recycled =
         now.recycled - arena_before[si].recycled;
     last_memory_stats_[si].arena_fresh = now.fresh - arena_before[si].fresh;
+    last_memory_stats_[si].arena_trimmed_bytes =
+        now.trimmed_bytes - arena_before[si].trimmed_bytes;
     last_memory_stats_[si].arena_free_bytes = now.free_bytes;
   }
   ++t_;

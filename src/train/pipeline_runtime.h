@@ -54,10 +54,11 @@
 // and the K-FAC work.
 //
 // Memory: each stage's context carries a private ArenaAllocator
-// (common/arena.h). Activation caches and stash traffic draw their
-// storage from it and park dead buffers back, so steady-state steps
-// recycle instead of malloc'ing; stages report per-step stash high-water
-// marks and arena recycle counts through memory_stats().
+// (common/arena.h). The stage's activations, caches and stash traffic draw
+// their storage from it and park dead buffers back, so steady-state steps
+// recycle instead of malloc'ing, and each step ends with a trim to the
+// step's working set; stages report per-step stash high-water marks and
+// arena recycle counts through memory_stats().
 //
 // After each step or stream the runtime exposes the realized execution as a
 // trace::Timeline (real wall-clock intervals, one lane per device) for
@@ -177,13 +178,15 @@ class PipelineRuntime {
   // Realized handover order on a boundary (micro ids in send order).
   std::vector<int> forward_send_order(int boundary) const;
   std::vector<int> backward_send_order(int boundary) const;
-  // Per-stage memory telemetry of the last step: stash high-water mark and
-  // the stage arena's recycle/fresh acquisition counts (deltas over the
-  // step) plus the bytes parked in it now.
+  // Per-stage memory telemetry of the last step: stash high-water mark, the
+  // stage arena's recycle/fresh acquisition counts and the bytes its
+  // end-of-step trim freed (deltas over the step), plus the bytes parked in
+  // it now.
   struct StageMemoryStats {
     std::size_t peak_stash_bytes = 0;
     std::size_t arena_recycled = 0;
     std::size_t arena_fresh = 0;
+    std::size_t arena_trimmed_bytes = 0;
     std::size_t arena_free_bytes = 0;
   };
   const std::vector<StageMemoryStats>& memory_stats() const {

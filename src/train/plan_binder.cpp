@@ -73,8 +73,11 @@ void PlanBinder::begin_step(std::size_t t, int n_batches) {
 }
 
 void PlanBinder::end_step() {
-  for (StageWorker& w : workers_)
-    if (w.stage != nullptr) w.stage->clear_stash(w.arena.get());
+  for (StageWorker& w : workers_) {
+    if (w.stage == nullptr) continue;
+    w.stage->clear_stash(w.arena.get());
+    w.arena->trim();
+  }
 }
 
 void PlanBinder::run(const PlannedTask& task) {

@@ -74,7 +74,8 @@ class PlanBinder {
   // K-FAC refresh flags. A stream's plan starts at t and draws every
   // step's batches up front.
   void begin_step(std::size_t t, int n_batches);
-  // Parks the owned stages' surviving stashes in their arenas.
+  // Parks the owned stages' surviving stashes in their arenas, then trims
+  // each arena to the step's working set (ArenaAllocator::trim).
   void end_step();
   bool curv_step() const { return curv_step_; }
   bool inv_step() const { return inv_step_; }

@@ -334,14 +334,14 @@ TEST(CpuFeatures, SetLevelClampsToDetectedAndRoundTrips) {
 
 TEST(Arena, RecyclesReleasedBuffersWithinWasteBound) {
   ArenaAllocator arena;
-  std::vector<double> buf = arena.acquire(100);
+  Matrix::Storage buf = arena.acquire(100);
   const double* storage = buf.data();
   arena.release(std::move(buf));
   EXPECT_EQ(arena.stats().released, 1u);
   EXPECT_EQ(arena.stats().free_bytes, 100 * sizeof(double));
 
   // A smaller request within the 2x bound reuses the same storage.
-  std::vector<double> again = arena.acquire(60);
+  Matrix::Storage again = arena.acquire(60);
   EXPECT_EQ(again.data(), storage);
   EXPECT_EQ(again.size(), 60u);
   EXPECT_EQ(arena.stats().recycled, 1u);
@@ -350,10 +350,77 @@ TEST(Arena, RecyclesReleasedBuffersWithinWasteBound) {
 
   // A request the parked buffer would waste >2x on allocates fresh and
   // leaves the parked buffer alone.
-  std::vector<double> tiny = arena.acquire(10);
+  Matrix::Storage tiny = arena.acquire(10);
   EXPECT_EQ(tiny.size(), 10u);
   EXPECT_EQ(arena.stats().fresh, 2u);  // the first acquire + this one
   EXPECT_GT(arena.stats().free_bytes, 0u);
+}
+
+TEST(Arena, RecyclesOnlyBelowTwiceTheRequest) {
+  // A parked capacity c serves acquire(n) when n <= c < 2n: 2n - 1 is the
+  // last capacity that recycles, 2n (a buffer twice the tensor's size) and
+  // anything short of n allocate fresh.
+  const std::size_t n = 48;
+  ArenaAllocator arena;
+  arena.release(Matrix::Storage(2 * n));
+  arena.release(Matrix::Storage(n - 1));
+  const Matrix::Storage a = arena.acquire(n);
+  EXPECT_EQ(arena.stats().fresh, 1u);
+  EXPECT_EQ(arena.stats().recycled, 0u);
+  EXPECT_EQ(arena.stats().free_bytes, (3 * n - 1) * sizeof(double));
+
+  arena.release(Matrix::Storage(2 * n - 1));
+  const Matrix::Storage b = arena.acquire(n);
+  EXPECT_EQ(arena.stats().recycled, 1u);
+  EXPECT_EQ(b.size(), n);
+  EXPECT_EQ(b.capacity(), 2 * n - 1);
+}
+
+TEST(Arena, ReusesTheLastParkedBufferOfACapacity) {
+  // Of several parked buffers of one capacity, acquire takes the one parked
+  // last, so the buffers left at the bottom are the ones trim() finds
+  // unused.
+  ArenaAllocator arena;
+  std::vector<const double*> parked;
+  for (int i = 0; i < 3; ++i) {
+    Matrix::Storage buf(32);
+    parked.push_back(buf.data());
+    arena.release(std::move(buf));
+  }
+  const Matrix::Storage last = arena.acquire(32);
+  const Matrix::Storage middle = arena.acquire(32);
+  EXPECT_EQ(last.data(), parked[2]);
+  EXPECT_EQ(middle.data(), parked[1]);
+  EXPECT_EQ(arena.stats().free_bytes, 32 * sizeof(double));
+}
+
+TEST(Arena, TrimFreesWhatNoAcquireTookSinceTheLastTrim) {
+  ArenaAllocator arena;
+  arena.release(Matrix::Storage(10));
+  arena.release(Matrix::Storage(20));
+  // Both were parked since the last trim (none yet): both stay.
+  arena.trim();
+  EXPECT_EQ(arena.stats().free_bytes, 30 * sizeof(double));
+  EXPECT_EQ(arena.stats().trimmed_bytes, 0u);
+
+  // The 10-buffer is taken and parked again; the 20-buffer sat through a
+  // whole interval untouched and goes.
+  arena.release(arena.acquire(10));
+  arena.trim();
+  EXPECT_EQ(arena.stats().free_bytes, 10 * sizeof(double));
+  EXPECT_EQ(arena.stats().trimmed_bytes, 20 * sizeof(double));
+  Matrix::Storage kept = arena.acquire(10);
+  EXPECT_EQ(arena.stats().recycled, 2u);
+  EXPECT_EQ(arena.stats().fresh, 0u);
+  arena.release(std::move(kept));
+
+  // A buffer released during the interval stays even if nothing took it;
+  // the next trim frees it unless an acquire takes it first.
+  arena.trim();
+  EXPECT_EQ(arena.stats().free_bytes, 10 * sizeof(double));
+  arena.trim();
+  EXPECT_EQ(arena.stats().free_bytes, 0u);
+  EXPECT_EQ(arena.stats().trimmed_bytes, 30 * sizeof(double));
 }
 
 TEST(Arena, ExhaustionGrowsInsteadOfFailing) {
@@ -361,8 +428,8 @@ TEST(Arena, ExhaustionGrowsInsteadOfFailing) {
   // fresh ("exhaustion growth"), nothing throws, and all buffers are
   // usable and distinct.
   ArenaAllocator arena;
-  arena.release(std::vector<double>(50));
-  std::vector<std::vector<double>> live;
+  arena.release(Matrix::Storage(50));
+  std::vector<Matrix::Storage> live;
   for (int i = 0; i < 8; ++i) live.push_back(arena.acquire(50));
   EXPECT_EQ(arena.stats().recycled, 1u);
   EXPECT_EQ(arena.stats().fresh, 7u);
@@ -375,14 +442,13 @@ TEST(Arena, ExhaustionGrowsInsteadOfFailing) {
 
 TEST(Arena, MatrixRoundTripPreservesValuesAndAlignment) {
   ArenaAllocator arena;
-  Matrix m = arena.acquire_matrix(7, 9, 1.5);
+  Matrix m = arena_matrix(&arena, 7, 9);
   EXPECT_EQ(m.rows(), 7u);
   EXPECT_EQ(m.cols(), 9u);
-  for (std::size_t r = 0; r < 7; ++r)
-    for (std::size_t c = 0; c < 9; ++c) EXPECT_EQ(m(r, c), 1.5);
-  // std::vector<double> storage: at least alignof(double) everywhere the
-  // kernels load from (they use unaligned loads, but the base must be a
-  // valid double array).
+  EXPECT_EQ(arena.stats().fresh, 1u);
+  // Matrix::Storage: at least alignof(double) everywhere the kernels load
+  // from (they use unaligned loads, but the base must be a valid double
+  // array).
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.row(0)) % alignof(double),
             0u);
 
@@ -395,16 +461,45 @@ TEST(Arena, MatrixRoundTripPreservesValuesAndAlignment) {
   EXPECT_EQ(max_abs_diff(copy, src), 0.0);
 
   // Null-arena helpers fall back to plain allocation with equal values.
-  const Matrix plain = arena_matrix(nullptr, 4, 4, 1.5);
-  EXPECT_EQ(max_abs_diff(plain, Matrix(4, 4, 1.5)), 0.0);
+  const Matrix plain = arena_matrix(nullptr, 4, 4);
+  EXPECT_EQ(plain.rows(), 4u);
+  EXPECT_EQ(plain.cols(), 4u);
   Matrix dst;
   arena_assign(nullptr, dst, src);
   EXPECT_EQ(max_abs_diff(dst, src), 0.0);
 }
 
+TEST(Arena, UnwrittenStorageReadsAsNaNInDebugBuilds) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "unwritten storage is poisoned only in Debug builds";
+#else
+  // Storage handed out without a fill reads as quiet NaN, so a kernel that
+  // reads an element before writing it turns a bitwise suite's result into
+  // NaN: Matrix::uninitialized, the growth of the adopting constructor,
+  // and every arena acquire, fresh or recycled.
+  const auto all_nan = [](const double* p, std::size_t n) {
+    return std::all_of(p, p + n, [](double v) { return std::isnan(v); });
+  };
+  const Matrix u = Matrix::uninitialized(3, 5);
+  EXPECT_TRUE(all_nan(u.data(), u.size()));
+  const Matrix grown(3, 3, Matrix::Storage(4, 2.0));
+  EXPECT_TRUE(std::all_of(grown.data(), grown.data() + 4,
+                          [](double v) { return v == 2.0; }));
+  EXPECT_TRUE(all_nan(grown.data() + 4, 5));
+  ArenaAllocator arena;
+  Matrix::Storage fresh = arena.acquire(6);
+  EXPECT_TRUE(all_nan(fresh.data(), fresh.size()));
+  std::fill(fresh.begin(), fresh.end(), 1.0);
+  arena.release(std::move(fresh));
+  const Matrix::Storage recycled = arena.acquire(5);
+  EXPECT_EQ(arena.stats().recycled, 1u);
+  EXPECT_TRUE(all_nan(recycled.data(), recycled.size()));
+#endif
+}
+
 TEST(Arena, ArenaAssignRecyclesOnlyIntoEmptyDestinations) {
   ArenaAllocator arena;
-  arena.release(std::vector<double>(12));
+  arena.release(Matrix::Storage(12));
   Matrix src(3, 4, 2.0);
   Matrix dst;  // empty: arena serves the storage
   arena_assign(&arena, dst, src);
@@ -429,7 +524,7 @@ TEST(Arena, ConcurrentBorrowAndReturnIsClean) {
   pool.parallel_for(64, 16, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       const std::size_t n = 64 + (i % 7) * 16;
-      std::vector<double> buf = arena.acquire(n);
+      Matrix::Storage buf = arena.acquire(n);
       const double tag = static_cast<double>(i + 1);
       for (auto& v : buf) v = tag;
       for (const auto& v : buf)

@@ -729,6 +729,63 @@ TEST(GemmView, InPlaceReadsOfAStayInsideItsView) {
   });
 }
 
+TEST(GemmView, OverwriteEqualsZeroFillThenAccumulate) {
+  // An _set product writes alpha·Op(A)·Op(B) without reading C; its bytes
+  // must equal the _acc product's into a zero-filled C. C starts as NaN, so
+  // a read of C shows. Rows 0 and 3 of Op(A) hold +1, −1 pairs against
+  // equal row pairs of Op(B) (and 0 against an odd k's last row), so their
+  // chains cancel to an exact +0.0 on every tier; under alpha −1 an
+  // epilogue that stored alpha·acc without adding it to +0.0 would write
+  // −0.0. k 0 must write +0.0, and k 300 crosses the 256-deep k block,
+  // whose later blocks accumulate onto what the first one wrote.
+  Rng rng(171);
+  const auto set_product = [](ProductKind kind, const Matrix& a,
+                              const Matrix& b, Matrix& c, double alpha,
+                              const ExecContext& ctx) {
+    switch (kind) {
+      case ProductKind::kNn: matmul_set(a, b, c, alpha, ctx); return;
+      case ProductKind::kTn: matmul_tn_set(a, b, c, alpha, ctx); return;
+      default: matmul_nt_set(a, b, c, alpha, ctx); return;
+    }
+  };
+  for_each_tier_and_thread_count([&](SimdLevel level, int threads) {
+    const ExecContext ctx(1, threads);
+    for (ProductKind kind :
+         {ProductKind::kNn, ProductKind::kNt, ProductKind::kTn})
+      for (std::size_t m : {1u, 7u, 13u, 32u})
+        for (std::size_t k : {0u, 5u, 300u})
+          for (std::size_t n : {3u, 16u, 19u}) {
+            Matrix op_a = Matrix::randn(m, k, rng);
+            Matrix op_b = Matrix::randn(k, n, rng);
+            for (std::size_t kk = 1; kk < k; kk += 2)
+              std::memcpy(op_b.row(kk), op_b.row(kk - 1), n * sizeof(double));
+            for (std::size_t i : {0u, 3u}) {
+              if (i >= m) continue;
+              for (std::size_t kk = 0; kk < k; ++kk)
+                op_a(i, kk) = kk % 2 == 1 ? -1.0 : kk + 1 < k ? 1.0 : 0.0;
+            }
+            const bool tn = kind == ProductKind::kTn;
+            const bool nt = kind == ProductKind::kNt;
+            const Matrix a = tn ? op_a.transposed() : op_a;
+            const Matrix b = nt ? op_b.transposed() : op_b;
+            for (double alpha : {1.0, 0.25, -1.0}) {
+              SCOPED_TRACE(std::string(simd_level_name(level)) + " " +
+                           kind_name(kind) +
+                           " threads=" + std::to_string(threads) +
+                           " m=" + std::to_string(m) +
+                           " k=" + std::to_string(k) +
+                           " n=" + std::to_string(n) +
+                           " alpha=" + std::to_string(alpha));
+              Matrix got(m, n, std::numeric_limits<double>::quiet_NaN());
+              set_product(kind, a, b, got, alpha, ctx);
+              Matrix want(m, n, 0.0);
+              product_on_views(kind, a, b, want, alpha, ctx);
+              ASSERT_TRUE(same_bits(got, want));
+            }
+          }
+  });
+}
+
 TEST(GemmView, GuardBandAroundOutputViewStaysUntouched) {
   // An output block in the middle of a matrix of sentinels, one sentinel
   // wide on every side (and past the row end, where ld > cols): only the

@@ -307,6 +307,46 @@ TEST(PipelineRuntime, StageArenasStopGrowingAfterWarmup) {
   }
 }
 
+TEST(PipelineRuntime, StageArenasCloseAfterWarmup) {
+  // The end-of-step trim frees what stayed parked through a step, so free
+  // bytes alone cannot show a leak. A closed arena, once warm, acquires
+  // nothing fresh (no buffer went to malloc instead of back to it) and
+  // trims nothing (no buffer was parked that no acquire takes). The shape
+  // is the growth test's. These runs park buffers only at the step
+  // boundary, so their traffic repeats exactly; zb-h1 under LAMB releases
+  // its W stashes mid-step, racing the forwards' acquires, and may trim and
+  // re-allocate a few buffers a step.
+  BertConfig cfg = small_bert(4);
+  cfg.d_model = 32;
+  cfg.d_ff = 64;
+  cfg.vocab = 24;
+  struct Run {
+    const char* schedule;
+    bool kfac;
+  };
+  for (const Run run : {Run{"1f1b", false}, Run{"1f1b", true},
+                        Run{"zb-h1", true}}) {
+    Rng rng(7);
+    BertModel model(cfg, rng);
+    Corpus data(cfg);
+    PipelineRuntime rt(model, data.batcher,
+                       runtime_config(run.schedule, 4, 8, 4, 12, run.kfac,
+                                      /*workers=*/2, /*stage_threads=*/1));
+    for (int step = 1; step <= 12; ++step) {
+      rt.step();
+      if (step <= 3) continue;  // warm-up
+      for (std::size_t s = 0; s < rt.memory_stats().size(); ++s) {
+        const auto& ms = rt.memory_stats()[s];
+        const std::string where =
+            format("%s %s step %d stage %zu", run.schedule,
+                   run.kfac ? "kfac" : "lamb", step, s);
+        EXPECT_EQ(ms.arena_fresh, 0u) << where;
+        EXPECT_EQ(ms.arena_trimmed_bytes, 0u) << where;
+      }
+    }
+  }
+}
+
 // --- Handover order and realized event order ------------------------------
 
 TEST(PipelineRuntime, StageChannelHandoverOrderIsPinned) {
