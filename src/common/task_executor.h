@@ -18,7 +18,10 @@
 // gives pipeline ops low priorities (their event-order position) and K-FAC
 // work high priorities, which realizes PipeFisher's bubble rule:
 // curvature/inversion work never takes a thread while an idle lane has a
-// runnable pipeline op, so it runs in the realized idle gaps.
+// runnable pipeline op, so it runs in the realized idle gaps. Within the
+// K-FAC tier the plan interleaves the stages' sequences (fair share,
+// pipeline/step_plan.h), so the pick spreads the threads over every lane's
+// bubble work.
 //
 // Determinism: the executor makes no ordering guarantees beyond the
 // dependency edges — any value the computation produces must be pinned by

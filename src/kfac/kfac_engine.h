@@ -13,6 +13,15 @@
 // π-correction π = sqrt( (tr A/d_in) / (tr B/d_out) ) of Martens & Grosse.
 // Both factors are EMAs with decay kKfacEmaDecay, read bias-corrected.
 //
+// Shared input: layers that read the same input have the same A factor.
+// The engine reads the layers' own declaration (Linear::read_input_of,
+// made by attention for wk and wv, which read wq's input) through
+// input_owners(): only an input owner folds curvature-A statistics, and
+// the layers that read its input take its A EMA when they commit — after
+// it — and fold only their own B. Their A EMAs are the owner's bytes, which
+// is what three chains over the same inputs would compute. Inverses stay
+// per layer: π-damping reads each layer's own B trace.
+//
 // Threads: every method runs under the ExecContext it is called with, as
 // the nn layers and the linalg kernels do. gemm_threads() row blocks reach
 // each layer's GEMMs and Choleskys; the whole-model methods also chunk
@@ -42,8 +51,9 @@ class KfacEngine {
 
   // Curvature work: folds each layer's cached (a_l, e_l) into the factor
   // EMAs through accumulate_curvature_{a,b} and commit_curvature_layer, as
-  // one micro-batch. Layers without caches (never ran backward) are
-  // skipped. A non-finite factor throws as commit_curvature_layer does;
+  // one micro-batch — input owners in a first pass, the layers that take
+  // their A factor in a second. Layers without caches (never ran backward)
+  // are skipped. A non-finite factor throws as commit_curvature_layer does;
   // layers folded before it (or alongside it, with nn_threads > 1) keep
   // their update.
   void update_curvature(const ExecContext& ctx = {});
@@ -69,18 +79,23 @@ class KfacEngine {
   // sides are independent of each other); commit_curvature after the last
   // micro; the inversion pair after commit (A then B — the B side bumps the
   // inverse counter); precondition_layer after inversion and after the
-  // step's gradients are final. Different layers are fully independent.
+  // step's gradients are final. Different layers are independent, except
+  // that a layer reading another's input (input_owner(i) != i) gets no
+  // curvature-A calls and commits after its input owner.
 
   // Folds one micro-batch's a_l = x ([N×d_in]) / e_l = dy ([N×d_out]) into
-  // the layer's pending factor sums.
+  // the layer's pending factor sums. The A side throws for a layer that
+  // reads another's input.
   void accumulate_curvature_a(std::size_t i, const Matrix& x,
                               const ExecContext& ctx = {});
   void accumulate_curvature_b(std::size_t i, const Matrix& dy,
                               const ExecContext& ctx = {});
   // Averages the pending micro contributions into the factor EMAs (no-op
-  // for a layer with nothing pending). Throws pf::Error naming the layer,
-  // the factor side and the curvature update, and leaves the layer's EMAs
-  // and pending sums as they were, when a pending factor has a non-finite
+  // for a layer with nothing pending); a layer that reads another's input
+  // copies its owner's freshly committed A EMA, and throws if the owner has
+  // not committed this update. Throws pf::Error naming the layer, the
+  // factor side and the curvature update, and leaves the layer's EMAs and
+  // pending sums as they were, when a pending factor has a non-finite
   // diagonal entry (a NaN, infinite or overflowing x or dy).
   void commit_curvature_layer(std::size_t i);
   // Recomputes one damped factor inverse from the current EMA. Call with
@@ -92,10 +107,14 @@ class KfacEngine {
 
   std::size_t n_layers() const { return layers_.size(); }
   Linear* layer(std::size_t i) const;
+  // The layer whose input layer i reads: i, or an earlier layer's index
+  // (input_owners() of the engine's layers).
+  std::size_t input_owner(std::size_t i) const;
   const KfacFactorState& state(std::size_t i) const;
 
  private:
   std::vector<Linear*> layers_;
+  std::vector<std::size_t> input_owners_;
   std::vector<KfacFactorState> states_;
 };
 

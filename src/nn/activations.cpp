@@ -115,35 +115,48 @@ constexpr std::size_t kSoftmaxRows = 4;  // row chains run side by side
 
 }  // namespace
 
-Matrix softmax_rows(const Matrix& logits, const ExecContext& ctx) {
-  const std::size_t cols = logits.cols();
-  PF_CHECK(cols > 0 || logits.rows() == 0)
-      << "softmax_rows of a " << logits.rows() << "x" << cols
+namespace {
+
+// Softmax of x's rows into p, which may be x itself: softmax_block reads a
+// row whole (its max) before it writes any of it.
+void softmax_rows_to(const Matrix& x, Matrix& p, const ExecContext& ctx) {
+  const std::size_t cols = x.cols();
+  PF_CHECK(cols > 0 || x.rows() == 0)
+      << "softmax_rows of a " << x.rows() << "x" << cols
       << " matrix: a row needs at least one column";
-  Matrix p = Matrix::uninitialized(logits.rows(), cols);
-  ctx.parallel_for(logits.rows(), [&](std::size_t r0, std::size_t r1) {
+  ctx.parallel_for(x.rows(), [&](std::size_t r0, std::size_t r1) {
     std::size_t r = r0;
     for (; r + kSoftmaxRows <= r1; r += kSoftmaxRows)
-      softmax_block<kSoftmaxRows>(logits.row(r), p.row(r), cols);
-    for (; r < r1; ++r) softmax_block<1>(logits.row(r), p.row(r), cols);
+      softmax_block<kSoftmaxRows>(x.row(r), p.row(r), cols);
+    for (; r < r1; ++r) softmax_block<1>(x.row(r), p.row(r), cols);
   });
+}
+
+}  // namespace
+
+Matrix softmax_rows(const Matrix& logits, const ExecContext& ctx) {
+  Matrix p = Matrix::uninitialized(logits.rows(), logits.cols());
+  softmax_rows_to(logits, p, ctx);
   return p;
 }
 
-Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
-                             const ExecContext& ctx, double scale) {
+void softmax_rows_in_place(Matrix& x, const ExecContext& ctx) {
+  softmax_rows_to(x, x, ctx);
+}
+
+void softmax_rows_backward_in_place(const Matrix& p, Matrix& dy,
+                                    const ExecContext& ctx, double scale) {
   PF_CHECK(p.same_shape(dy));
   const std::size_t cols = p.cols();
-  Matrix dx = Matrix::uninitialized(p.rows(), cols);
+  // Each row's dot product is finished before the row is overwritten.
   ctx.parallel_for(p.rows(), [&](std::size_t r0, std::size_t r1) {
     std::size_t r = r0;
     for (; r + kSoftmaxRows <= r1; r += kSoftmaxRows)
-      softmax_backward_block<kSoftmaxRows>(p.row(r), dy.row(r), dx.row(r),
+      softmax_backward_block<kSoftmaxRows>(p.row(r), dy.row(r), dy.row(r),
                                            cols, scale);
     for (; r < r1; ++r)
-      softmax_backward_block<1>(p.row(r), dy.row(r), dx.row(r), cols, scale);
+      softmax_backward_block<1>(p.row(r), dy.row(r), dy.row(r), cols, scale);
   });
-  return dx;
 }
 
 Matrix Gelu::forward(const Matrix& x, bool training, const ExecContext& ctx) {

@@ -9,6 +9,8 @@
 // (rows are independent, so every thread count is bitwise identical to the
 // serial seed path); the defaulted context is serial. Each writes every
 // element of its output once, so outputs start uninitialized (no fill).
+// Softmax reads each row whole before writing it, so its in-place forms
+// give the bits of the returning ones.
 #pragma once
 
 #include "src/common/exec_context.h"
@@ -24,12 +26,22 @@ Matrix gelu_backward(const Matrix& x, const Matrix& dy,
 
 // Row-wise softmax (numerically stable).
 Matrix softmax_rows(const Matrix& logits, const ExecContext& ctx = {});
+// The same, overwriting the logits with their softmax (same bits).
+void softmax_rows_in_place(Matrix& x, const ExecContext& ctx = {});
 // Backward through softmax given its output p and upstream dy, times
 // `scale`: dx = (p ∘ (dy − rowsum(dy ∘ p))) · scale, rounding the product
 // with p before the scaling (scaling a finished dx gives the same bits;
-// scale 1 changes none).
-Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
-                             const ExecContext& ctx = {}, double scale = 1.0);
+// scale 1 changes none). The in-place form overwrites dy with dx.
+void softmax_rows_backward_in_place(const Matrix& p, Matrix& dy,
+                                    const ExecContext& ctx = {},
+                                    double scale = 1.0);
+inline Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
+                                    const ExecContext& ctx = {},
+                                    double scale = 1.0) {
+  Matrix dx = dy;
+  softmax_rows_backward_in_place(p, dx, ctx, scale);
+  return dx;
+}
 
 // Stateful GELU layer for use inside blocks. A training forward computes
 // GELU'(x) from the same exp_span call as its output and caches that

@@ -21,6 +21,30 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t d_model,
       wo_(d_model, d_model, rng, name + ".wo") {
   PF_CHECK(d_model % n_heads == 0)
       << "d_model " << d_model << " not divisible by heads " << n_heads;
+  share_input();
+}
+
+MultiHeadSelfAttention::MultiHeadSelfAttention(
+    MultiHeadSelfAttention&& o) noexcept
+    : d_model_(o.d_model_),
+      n_heads_(o.n_heads_),
+      d_head_(o.d_head_),
+      wq_(std::move(o.wq_)),
+      wk_(std::move(o.wk_)),
+      wv_(std::move(o.wv_)),
+      wo_(std::move(o.wo_)),
+      q_(std::move(o.q_)),
+      k_(std::move(o.k_)),
+      v_(std::move(o.v_)),
+      probs_(std::move(o.probs_)),
+      batch_(o.batch_),
+      seq_(o.seq_) {
+  share_input();
+}
+
+void MultiHeadSelfAttention::share_input() {
+  wk_.read_input_of(wq_);
+  wv_.read_input_of(wq_);
 }
 
 template <typename X>
@@ -30,15 +54,21 @@ Matrix MultiHeadSelfAttention::forward_impl(X&& x, std::size_t batch,
   PF_CHECK(x.rows() == batch * seq && x.cols() == d_model_);
   ArenaAllocator* arena = ctx.arena();
   // q, k and v stay local until the end, so an inference forward leaves the
-  // caches of the last training forward for its backward. wv goes last: an
-  // rvalue x is its to take.
-  Matrix q = wq_.forward(x, training, ctx);
-  Matrix k = wk_.forward(x, training, ctx);
-  Matrix v = wv_.forward(std::forward<X>(x), training, ctx);
+  // caches of the last training forward for its backward. wq caches the
+  // input (an rvalue x is its to take); wk and wv read that one buffer.
+  Matrix q = wq_.forward(std::forward<X>(x), training, ctx);
+  const Matrix& in = training ? wq_.cached_input() : x;
+  Matrix k = wk_.forward(in, training, ctx);
+  Matrix v = wv_.forward(in, training, ctx);
   const double scale = 1.0 / std::sqrt(static_cast<double>(d_head_));
 
   Matrix context = arena_matrix(arena, batch * seq, d_model_);
-  if (training) probs_.assign(batch * n_heads_, Matrix());
+  if (training) {
+    const std::size_t n = batch * n_heads_;
+    for (std::size_t i = n; i < probs_.size(); ++i)
+      arena_recycle(arena, std::move(probs_[i]));
+    probs_.resize(n);
+  }
   // One task per (batch, head): each writes its own probs_ slot and a
   // disjoint [seq × d_head] block of `context` (rows of sequence b, columns
   // of head h), so any partition is race-free and bitwise identical. When
@@ -52,22 +82,27 @@ Matrix MultiHeadSelfAttention::forward_impl(X&& x, std::size_t batch,
   // k block) that rounds scale·acc once per score, as scaling the finished
   // product did. The overwriting products write every score and every
   // element of the head's context block exactly once, with the bits a
-  // zeroed block accumulated into would get.
+  // zeroed block accumulated into would get. The softmax overwrites the
+  // scores: a training forward writes them into the head's probs_ slot (its
+  // old storage, or an arena buffer), an inference forward into one scratch
+  // buffer per chunk.
   const bool fan_out = ctx.nn_threads() > 1;
   const ExecContext inner = fan_out ? ExecContext() : ctx;
   ctx.parallel_for(batch * n_heads_, [&](std::size_t bh0, std::size_t bh1) {
+    Matrix scratch;
+    if (!training) scratch = arena_matrix(arena, seq, seq);
     for (std::size_t bh = bh0; bh < bh1; ++bh) {
       const std::size_t r0 = (bh / n_heads_) * seq;
       const std::size_t c0 = (bh % n_heads_) * d_head_;
-      Matrix scores = Matrix::uninitialized(seq, seq);
+      Matrix& p = training ? probs_[bh] : scratch;
+      if (training) arena_reshape(arena, p, seq, seq);
       matmul_nt_set(ConstMatView(q, r0, c0, seq, d_head_),
-                    ConstMatView(k, r0, c0, seq, d_head_), scores, scale,
-                    inner);
-      Matrix p = softmax_rows(scores, inner);
+                    ConstMatView(k, r0, c0, seq, d_head_), p, scale, inner);
+      softmax_rows_in_place(p, inner);
       matmul_set(p, ConstMatView(v, r0, c0, seq, d_head_),
                  MatView(context, r0, c0, seq, d_head_), 1.0, inner);
-      if (training) probs_[bh] = std::move(p);
     }
+    arena_recycle(arena, std::move(scratch));
   });
   if (!training) return wo_.forward(context, false, ctx);
   arena_take(arena, q_, std::move(q));
@@ -107,28 +142,30 @@ Matrix MultiHeadSelfAttention::backward(Matrix dy, const ExecContext& ctx,
   Matrix dv = arena_matrix(arena, v_.rows(), d_model_);
   // Same task shape as forward: (batch, head) tasks read their head's
   // blocks in place and overwrite disjoint blocks of dq/dk/dv, each exactly
-  // once, with the same inner-threading rule.
+  // once, with the same inner-threading rule. The softmax backward
+  // overwrites dp with dscores; one dp buffer serves every task of a chunk.
   const bool fan_out = ctx.nn_threads() > 1;
   const ExecContext inner = fan_out ? ExecContext() : ctx;
   ctx.parallel_for(batch_ * n_heads_, [&](std::size_t bh0, std::size_t bh1) {
+    Matrix dp = arena_matrix(arena, seq_, seq_);
     for (std::size_t bh = bh0; bh < bh1; ++bh) {
       const std::size_t r0 = (bh / n_heads_) * seq_;
       const std::size_t c0 = (bh % n_heads_) * d_head_;
       const Matrix& p = probs_[bh];
       const ConstMatView dctx(dcontext, r0, c0, seq_, d_head_);
       // head_ctx = p · v.
-      Matrix dp = Matrix::uninitialized(seq_, seq_);
       matmul_nt_set(dctx, ConstMatView(v_, r0, c0, seq_, d_head_), dp, 1.0,
                     inner);
       matmul_tn_set(p, dctx, MatView(dv, r0, c0, seq_, d_head_), 1.0, inner);
       // scores backward through softmax, then through q·kᵀ·scale (the
       // softmax backward applies the scale in its own loop).
-      const Matrix dscores = softmax_rows_backward(p, dp, inner, scale);
-      matmul_set(dscores, ConstMatView(k_, r0, c0, seq_, d_head_),
+      softmax_rows_backward_in_place(p, dp, inner, scale);
+      matmul_set(dp, ConstMatView(k_, r0, c0, seq_, d_head_),
                  MatView(dq, r0, c0, seq_, d_head_), 1.0, inner);
-      matmul_tn_set(dscores, ConstMatView(q_, r0, c0, seq_, d_head_),
+      matmul_tn_set(dp, ConstMatView(q_, r0, c0, seq_, d_head_),
                     MatView(dk, r0, c0, seq_, d_head_), 1.0, inner);
     }
+    arena_recycle(arena, std::move(dp));
   });
   arena_recycle(arena, std::move(dcontext));
   // dx sums the projections' input gradients in q, k, v order.

@@ -20,11 +20,11 @@ Matrix LayerNorm::forward(const Matrix& x, bool training,
   const std::size_t n = x.rows();
   Matrix y = arena_matrix(ctx.arena(), n, dim_);
   if (training) {
-    // The storage the cache still holds, or (after the stash machinery moved
-    // the last micro's out) an arena buffer; the loop below writes every
+    // The storage the caches still hold, or (after the stash machinery moved
+    // the last micro's out) arena buffers; the loop below writes every
     // element of y, xhat and inv_std.
     arena_reshape(ctx.arena(), xhat_, n, dim_);
-    inv_std_.resize(n);
+    arena_reshape(ctx.arena(), inv_std_, n, 1);
   }
   // Shapes are checked above, so the loops index through row pointers.
   const double* gamma = gamma_.w.row(0);
@@ -49,7 +49,7 @@ Matrix LayerNorm::forward(const Matrix& x, bool training,
         if (training) xh_r[c] = xh;
         yr[c] = xh * gamma[c] + beta[c];
       }
-      if (training) inv_std_[r] = inv;
+      if (training) inv_std_.row(r)[0] = inv;
     }
   });
   return y;
@@ -62,6 +62,7 @@ Matrix LayerNorm::backward(const Matrix& dy, const ExecContext& ctx) {
   const double dimd = static_cast<double>(dim_);
   Matrix dx = arena_matrix(ctx.arena(), n, dim_);
   const double* gamma = gamma_.w.row(0);
+  const double* inv_std = inv_std_.data();
   // Phase 1, row-parallel: dxhat = dy ∘ gamma;
   // dx = inv_std·(dxhat − mean(dxhat) − xhat·mean(dxhat ∘ xhat)).
   ctx.parallel_for(n, [&](std::size_t r0, std::size_t r1) {
@@ -79,7 +80,7 @@ Matrix LayerNorm::backward(const Matrix& dy, const ExecContext& ctx) {
       mean_dxhat_xhat /= dimd;
       for (std::size_t c = 0; c < dim_; ++c) {
         const double dxh = dyr[c] * gamma[c];
-        dxr[c] = inv_std_[r] * (dxh - mean_dxhat - xh[c] * mean_dxhat_xhat);
+        dxr[c] = inv_std[r] * (dxh - mean_dxhat - xh[c] * mean_dxhat_xhat);
       }
     }
   });

@@ -21,15 +21,16 @@ class LayerNorm {
 
   std::vector<Param*> params() { return {&gamma_, &beta_}; }
 
-  // Cache externalization for pipeline stages (see linear.h).
+  // Cache externalization for pipeline stages (see linear.h). Both caches
+  // are drawn from the context's arena when the layer holds none.
   struct Cache {
     Matrix xhat;
-    std::vector<double> inv_std;
+    Matrix inv_std;  // [N × 1]
   };
   Cache save_cache() {
     Cache c{std::move(xhat_), std::move(inv_std_)};
     xhat_ = Matrix();
-    inv_std_.clear();
+    inv_std_ = Matrix();
     return c;
   }
   void restore_cache(Cache&& c) {
@@ -43,7 +44,7 @@ class LayerNorm {
   Param gamma_;  // [1 × dim]
   Param beta_;   // [1 × dim]
   Matrix xhat_;
-  std::vector<double> inv_std_;
+  Matrix inv_std_;  // [N × 1]
 };
 
 }  // namespace pf

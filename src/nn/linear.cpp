@@ -1,5 +1,7 @@
 #include "src/nn/linear.h"
 
+#include <utility>
+
 #include "src/common/arena.h"
 #include "src/linalg/gemm.h"
 
@@ -30,14 +32,29 @@ Matrix Linear::affine(const Matrix& x, const ExecContext& ctx) const {
   return y;
 }
 
+void Linear::read_input_of(const Linear& owner) {
+  PF_CHECK(owner.input_owner() == &owner && &owner != this &&
+           owner.d_in_ == d_in_)
+      << name_ << " cannot read the input of " << owner.name_;
+  input_of_.layer = &owner;
+}
+
 Matrix Linear::forward(const Matrix& x, bool training,
                        const ExecContext& ctx) {
   Matrix y = affine(x, ctx);
-  if (training) arena_assign(ctx.arena(), x_cache_, x);
+  if (training && input_owner() == this) {
+    arena_assign(ctx.arena(), x_cache_, x);
+  } else if (training) {
+    PF_CHECK(&x == &cached_input())
+        << name_ << " reads the input of " << input_owner()->name_
+        << ": a training forward takes that layer's cached input";
+  }
   return y;
 }
 
 Matrix Linear::forward(Matrix&& x, bool training, const ExecContext& ctx) {
+  if (input_owner() != this)
+    return forward(std::as_const(x), training, ctx);
   Matrix y = affine(x, ctx);
   if (training) arena_take(ctx.arena(), x_cache_, std::move(x));
   return y;
@@ -53,8 +70,8 @@ Matrix Linear::backward(Matrix dy, const ExecContext& ctx) {
 
 Matrix Linear::backward_dx(Matrix dy, const ExecContext& ctx) {
   PF_CHECK(dy.cols() == d_out_);
-  PF_CHECK(!x_cache_.empty()) << name_ << ": backward before forward";
-  PF_CHECK(dy.rows() == x_cache_.rows());
+  PF_CHECK(!cached_input().empty()) << name_ << ": backward before forward";
+  PF_CHECK(dy.rows() == cached_input().rows());
   // db += column sums; dx = dy·Wᵀ. The dW GEMM is deferred to backward_dw.
   // db is column-sharded: every bias coordinate accumulates its rows in
   // ascending order regardless of the partition — bitwise equal to serial.
@@ -72,17 +89,26 @@ Matrix Linear::backward_dx(Matrix dy, const ExecContext& ctx) {
 }
 
 void Linear::backward_dw(const ExecContext& ctx) {
-  PF_CHECK(!x_cache_.empty() && !dy_cache_.empty())
-      << name_ << ": backward_dw before backward_dx";
-  matmul_tn_acc(x_cache_, dy_cache_, w_.g, 1.0, ctx);
+  PF_CHECK(has_kfac_caches()) << name_ << ": backward_dw before backward_dx";
+  matmul_tn_acc(cached_input(), dy_cache_, w_.g, 1.0, ctx);
 }
 
-void Linear::backward_dw(const Cache& c, const ExecContext& ctx) {
-  PF_CHECK(!c.x.empty() && !c.dy.empty())
+void Linear::backward_dw(const Matrix& x, const Matrix& dy,
+                         const ExecContext& ctx) {
+  PF_CHECK(!x.empty() && !dy.empty())
       << name_ << ": backward_dw on an incomplete cache";
-  PF_CHECK(c.x.rows() == c.dy.rows() && c.x.cols() == d_in_ &&
-           c.dy.cols() == d_out_);
-  matmul_tn_acc(c.x, c.dy, w_.g, 1.0, ctx);
+  PF_CHECK(x.rows() == dy.rows() && x.cols() == d_in_ && dy.cols() == d_out_);
+  matmul_tn_acc(x, dy, w_.g, 1.0, ctx);
+}
+
+std::vector<std::size_t> input_owners(const std::vector<Linear*>& layers) {
+  std::vector<std::size_t> owner(layers.size());
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    owner[i] = i;
+    for (std::size_t j = 0; j < i; ++j)
+      if (layers[j] == layers[i]->input_owner()) owner[i] = j;
+  }
+  return owner;
 }
 
 }  // namespace pf

@@ -12,7 +12,18 @@
 // take dy by value, so an lvalue dy is copied on the way in. Either way the
 // outputs, gradients and cached values are the same, bit for bit. Outputs
 // (y, dx) are drawn from the context's arena when it has one.
+//
+// Shared input: the layer that holds two linears reading the same x
+// declares it with read_input_of() (attention's wk and wv read wq's). The
+// reading layer's training forward is then handed the other layer's cached
+// input and caches none of its own; cached_input(), the backward and the W
+// pass read that one buffer. input_owners() turns the declarations of
+// a layer list into indices, which is how the K-FAC engine, the pipeline
+// stage's stashes and the step plan learn that such a layer's curvature-A
+// statistics are its input owner's.
 #pragma once
+
+#include <vector>
 
 #include "src/common/exec_context.h"
 #include "src/common/rng.h"
@@ -25,15 +36,28 @@ class Linear {
   Linear(std::size_t d_in, std::size_t d_out, Rng& rng,
          const std::string& name, double init_std = 0.02);
 
-  // y = x·W + b. Caches a copy of x when `training`. The context threads
-  // the GEMM row blocks and the bias-add row loop (bitwise identical at
-  // every thread count — see exec_context.h).
+  // y = x·W + b. Caches a copy of x when `training` (a layer that reads
+  // another's input must be handed that layer's cached_input() and caches
+  // nothing). The context threads the GEMM row blocks and the bias-add row
+  // loop (bitwise identical at every thread count — see exec_context.h).
   Matrix forward(const Matrix& x, bool training = true,
                  const ExecContext& ctx = {});
   // The same, but a training forward takes x over as the cached input (x is
   // left empty); an inference forward only reads x, as the const form does.
   Matrix forward(Matrix&& x, bool training = true,
                  const ExecContext& ctx = {});
+
+  // Declares that this layer reads the input `owner` caches: from now on a
+  // training forward takes owner.cached_input() and caches no input of its
+  // own. `owner` must own its input and outlive the declaration. A copied
+  // or moved layer reads its own input again: the layer that holds both
+  // re-declares the pair when it moves.
+  void read_input_of(const Linear& owner);
+  // The layer whose cache holds this layer's input: this, or the layer
+  // read_input_of() named.
+  const Linear* input_owner() const {
+    return input_of_.layer != nullptr ? input_of_.layer : this;
+  }
   // Accumulates dW, db; returns dx. Caches dy for K-FAC. db is
   // column-sharded so each bias coordinate sums its rows in serial order.
   Matrix backward(Matrix dy, const ExecContext& ctx = {});
@@ -58,11 +82,11 @@ class Linear {
   const Param& weight() const { return w_; }
 
   // K-FAC capture: inputs a_l [N × d_in] and errors e_l [N × d_out] of the
-  // most recent forward/backward.
-  const Matrix& cached_input() const { return x_cache_; }
+  // most recent forward/backward. The input is the input owner's cache.
+  const Matrix& cached_input() const { return input_owner()->x_cache_; }
   const Matrix& cached_output_grad() const { return dy_cache_; }
   bool has_kfac_caches() const {
-    return !x_cache_.empty() && !dy_cache_.empty();
+    return !cached_input().empty() && !dy_cache_.empty();
   }
 
   // Cache externalization for pipeline execution (stage_partition.h): a
@@ -89,9 +113,14 @@ class Linear {
     dy_cache_ = std::move(c.dy);
   }
 
-  // W pass over an externalized cache (the pipeline runtime's deferred-dW
-  // stash): dW += c.xᵀ·c.dy without touching the live caches.
-  void backward_dw(const Cache& c, const ExecContext& ctx = {});
+  // W pass over externalized caches (the pipeline runtime's deferred-dW
+  // stash): dW += xᵀ·dy without touching the live caches. x is the input
+  // owner's stashed input.
+  void backward_dw(const Matrix& x, const Matrix& dy,
+                   const ExecContext& ctx = {});
+  void backward_dw(const Cache& c, const ExecContext& ctx = {}) {
+    backward_dw(c.x, c.dy, ctx);
+  }
 
   std::vector<Param*> params() { return {&w_, &b_}; }
   const std::string& name() const { return name_; }
@@ -106,6 +135,23 @@ class Linear {
   Param b_;  // [1 × d_out]
   Matrix x_cache_;
   Matrix dy_cache_;
+  // read_input_of()'s owner, null for a layer that owns its input. Copies
+  // and moves of the layer do not carry it (see read_input_of).
+  struct InputOf {
+    const Linear* layer = nullptr;
+    InputOf() = default;
+    InputOf(const InputOf&) noexcept {}
+    InputOf& operator=(const InputOf&) noexcept {
+      layer = nullptr;
+      return *this;
+    }
+  };
+  InputOf input_of_;
 };
+
+// For each layer of `layers`, the index of the layer whose cached input it
+// reads: an earlier entry of `layers` when the layer reads that entry's
+// input (Linear::read_input_of), its own index otherwise.
+std::vector<std::size_t> input_owners(const std::vector<Linear*>& layers);
 
 }  // namespace pf

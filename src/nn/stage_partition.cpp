@@ -166,9 +166,11 @@ void BertStage::backward_dw(int micro, const ExecContext& ctx, bool release,
       << " was not harvested with defer_dw";
   // Within one micro the per-linear order is irrelevant to the bitwise
   // contract (each dW touches its own Param), but keep it deterministic:
-  // tracked linears in kfac_linears() order, then the heads.
+  // tracked linears in kfac_linears() order, then the heads. A linear that
+  // reads another's input reads its owner's stashed x.
   for (std::size_t f = 0; f < kfac_linears_.size(); ++f)
-    kfac_linears_[f]->backward_dw(kcs[f], ctx);
+    kfac_linears_[f]->backward_dw(kcs[kfac_input_owners_[f]].x, kcs[f].dy,
+                                  ctx);
   if (is_last()) {
     mlm_head_->backward_dw(kcs[kfac_linears_.size()], ctx);
     nsp_head_->backward_dw(kcs[kfac_linears_.size() + 1], ctx);
@@ -194,7 +196,10 @@ BertLossBreakdown BertStage::losses(int micro) const {
 
 const Matrix& BertStage::kfac_input(int micro, std::size_t f) const {
   // Before the micro's backward a_l lives in the forward stash; after it
-  // in the harvested K-FAC stash. Both serve the same bytes.
+  // in the harvested K-FAC stash. Both serve the same bytes: the input
+  // owner's.
+  PF_CHECK(f < kfac_linears_.size());
+  f = kfac_input_owners_[f];
   const auto it = fwd_stash_.find(micro);
   if (it != fwd_stash_.end()) {
     const Matrix& x = kfac_cache_of(it->second, f).x;
@@ -204,7 +209,6 @@ const Matrix& BertStage::kfac_input(int micro, std::size_t f) const {
   const auto kt = kfac_stash_.find(micro);
   PF_CHECK(kt != kfac_stash_.end())
       << "kfac_input(" << micro << ") before its forward";
-  PF_CHECK(f < kt->second.size());
   const Matrix& x = kt->second[f].x;
   PF_CHECK(!x.empty());
   return x;
@@ -282,8 +286,8 @@ std::size_t BertStage::bytes_of(const StageCache& c) {
     for (const Matrix& p : bc.attn.probs) n += mat_bytes(p);
     n += lin_bytes(bc.attn.wq) + lin_bytes(bc.attn.wk) +
          lin_bytes(bc.attn.wv) + lin_bytes(bc.attn.wo);
-    n += mat_bytes(bc.ln1.xhat) + bc.ln1.inv_std.size() * sizeof(double);
-    n += mat_bytes(bc.ln2.xhat) + bc.ln2.inv_std.size() * sizeof(double);
+    n += mat_bytes(bc.ln1.xhat) + mat_bytes(bc.ln1.inv_std);
+    n += mat_bytes(bc.ln2.xhat) + mat_bytes(bc.ln2.inv_std);
     n += lin_bytes(bc.w1) + lin_bytes(bc.w2) + mat_bytes(bc.gelu.dydx);
   }
   n += lin_bytes(c.mlm_head) + lin_bytes(c.nsp_head);
@@ -299,21 +303,23 @@ std::size_t BertStage::bytes_of(const std::vector<Linear::Cache>& kcs) {
 
 void BertStage::release_to_arena(ArenaAllocator* arena, StageCache&& c) {
   // Only what the layers draw from the arena goes back, so every parked
-  // buffer is one a later acquire takes again. The per-head softmax outputs
-  // and LayerNorm's inverse deviations are small plain allocations, and
-  // they free normally, as do the int id/segment vectors and the loss
-  // gradients of an entry whose backward never ran.
+  // buffer is one a later acquire takes again. The int id/segment vectors
+  // and the loss gradients of an entry whose backward never ran free
+  // normally.
   for (TransformerBlock::Cache& bc : c.blocks) {
     arena->release(std::move(bc.attn.q));
     arena->release(std::move(bc.attn.k));
     arena->release(std::move(bc.attn.v));
+    for (Matrix& p : bc.attn.probs) arena->release(std::move(p));
     for (Linear::Cache* lc : {&bc.attn.wq, &bc.attn.wk, &bc.attn.wv,
                               &bc.attn.wo, &bc.w1, &bc.w2}) {
       arena->release(std::move(lc->x));
       arena->release(std::move(lc->dy));
     }
-    arena->release(std::move(bc.ln1.xhat));
-    arena->release(std::move(bc.ln2.xhat));
+    for (LayerNorm::Cache* lc : {&bc.ln1, &bc.ln2}) {
+      arena->release(std::move(lc->xhat));
+      arena->release(std::move(lc->inv_std));
+    }
     arena->release(std::move(bc.gelu.dydx));
   }
   for (Linear::Cache* lc : {&c.mlm_head, &c.nsp_head}) {
@@ -378,6 +384,7 @@ BertStagePartition::BertStagePartition(BertModel& model, int n_stages) {
           << b->kfac_linears().size();
       for (Linear* l : b->kfac_linears()) st.kfac_linears_.push_back(l);
     }
+    st.kfac_input_owners_ = input_owners(st.kfac_linears_);
   }
 }
 

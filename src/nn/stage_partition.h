@@ -42,8 +42,13 @@
 // arena gets back only buffers of the sizes it hands out: every cached
 // buffer is an arena draw, except the boundary input, which is an
 // activation of the same size from the neighbouring stage. The per-head
-// softmax outputs and LayerNorm's inverse deviations are small plain
-// allocations and are freed, not parked.
+// softmax outputs and LayerNorm's inverse deviations are arena draws too.
+//
+// Shared inputs: attention's wk and wv read wq's input (Linear::
+// read_input_of), so every stash holds that input once per block and
+// micro — in wq's cache; wk's and wv's entries carry their e_l only.
+// kfac_input() and the deferred W pass resolve such a linear to its input
+// owner through kfac_input_owners().
 //
 // Gradients accumulate directly into the shared Param.g, so the caller
 // (the pipeline runtime) must order each stage's backwards by ascending
@@ -120,8 +125,8 @@ class BertStage {
 
   // Stashed K-FAC tensors of one micro for factor (linear) index f in
   // kfac_linears() order: a_l after forward(micro) (served from fwd_stash
-  // before the micro's backward, from kfac_stash after it), e_l after
-  // backward(micro).
+  // before the micro's backward, from kfac_stash after it; the input
+  // owner's buffer), e_l after backward(micro).
   const Matrix& kfac_input(int micro, std::size_t f) const;
   const Matrix& kfac_output_grad(int micro, std::size_t f) const;
 
@@ -140,6 +145,11 @@ class BertStage {
 
   std::vector<Param*> params() const;
   std::vector<Linear*> kfac_linears() const { return kfac_linears_; }
+  // input_owners(kfac_linears()): per factor, the factor whose input it
+  // reads.
+  const std::vector<std::size_t>& kfac_input_owners() const {
+    return kfac_input_owners_;
+  }
 
   int index() const { return index_; }
   bool is_first() const { return emb_ != nullptr; }
@@ -173,6 +183,7 @@ class BertStage {
   Linear* mlm_head_ = nullptr;     // last stage
   Linear* nsp_head_ = nullptr;
   std::vector<Linear*> kfac_linears_;
+  std::vector<std::size_t> kfac_input_owners_;
   std::map<int, StageCache> fwd_stash_;
   // What K-FAC reads, harvested at backward in kfac_linears() order: a_l
   // and e_l of each tracked linear. Stashing the full cache set again would

@@ -2,14 +2,16 @@
 //   h   = LN1(x + Attention(x))
 //   out = LN2(h + W2·GELU(W1·h))
 // Exposes the six K-FAC-tracked linears (Wq, Wk, Wv, Wo, W1, W2) — the
-// factor shapes assumed by the cost model in src/hw.
+// factor shapes assumed by the cost model in src/hw. Wq, Wk and Wv share
+// one input and so one A factor (attention.h); the cost model in src/hw
+// still counts three, as the paper does.
 //
 // Every activation is written once. A training forward hands x, the
 // attention context, h and the GELU output to the linears that cache them
-// (wv, wo, w1, w2) instead of copying them, and the residuals read x and h
-// back from those caches; backward hands dq, dk, dv, da, the GELU gradient
-// and df over the same way. Temporaries go back to the context's arena
-// when they die.
+// (wq, wo, w1, w2 — wk and wv read wq's x) instead of copying them, and the
+// residuals read x and h back from those caches; backward hands dq, dk,
+// dv, da, the GELU gradient and df over the same way. Temporaries go back
+// to the context's arena when they die.
 #pragma once
 
 #include "src/nn/activations.h"
@@ -23,7 +25,7 @@ class TransformerBlock {
   TransformerBlock(std::size_t d_model, std::size_t d_ff, std::size_t n_heads,
                    Rng& rng, const std::string& name);
 
-  // Pass an rvalue x to hand it over (a training forward caches it in wv).
+  // Pass an rvalue x to hand it over (a training forward caches it in wq).
   Matrix forward(Matrix x, std::size_t batch, std::size_t seq,
                  bool training = true, const ExecContext& ctx = {});
   // `dx_only` defers the six tracked linears' dW GEMMs (zero-bubble B pass;

@@ -22,11 +22,13 @@ void KfacOptimizer::on_micro_batch() {
   if (t_ % opts_.curvature_interval != 0) return;  // not a refresh step
   // Fold this micro-batch's caches into the pending factor sums. The
   // Trainer calls this once per micro in ascending order, giving the same
-  // fold order the pipeline runtime pins with dependency chains.
+  // fold order the pipeline runtime pins with dependency chains. Only input
+  // owners fold A (see kfac_engine.h).
   for (std::size_t i = 0; i < engine_.n_layers(); ++i) {
     Linear* l = engine_.layer(i);
     if (!l->has_kfac_caches()) continue;
-    engine_.accumulate_curvature_a(i, l->cached_input(), ctx_);
+    if (engine_.input_owner(i) == i)
+      engine_.accumulate_curvature_a(i, l->cached_input(), ctx_);
     engine_.accumulate_curvature_b(i, l->cached_output_grad(), ctx_);
   }
 }
@@ -47,6 +49,8 @@ void KfacOptimizer::step(const std::vector<Param*>& params, double lr) {
              "were accumulated this step — the driver must call "
              "on_micro_batch() after every micro-batch backward (Trainer "
              "does)";
+      // Ascending layers: every input owner commits before the layers
+      // that take its A factor.
       for (std::size_t i = 0; i < engine_.n_layers(); ++i)
         engine_.commit_curvature_layer(i);
     } else {

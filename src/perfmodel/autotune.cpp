@@ -8,6 +8,7 @@
 #include "src/common/strings.h"
 #include "src/pipeline/step_plan.h"
 #include "src/train/pipeline_runtime.h"
+#include "src/train/plan_binder.h"
 
 namespace pf {
 
@@ -76,7 +77,7 @@ std::vector<AutotuneCandidate> enumerate_candidates(
 
 // The exact StepPlan PipelineRuntime would execute for this candidate:
 // same spec, same normalized event order (greedy realized order for
-// dynamic schedules), factor counts from the fitted profile.
+// dynamic schedules), K-FAC factors from the fitted profile.
 StepPlan candidate_plan(const AutotuneCandidate& c,
                         const CalibratedCosts& prof, bool use_kfac,
                         bool curv_step, bool inv_step) {
@@ -84,12 +85,14 @@ StepPlan candidate_plan(const AutotuneCandidate& c,
   PF_CHECK(spec.n_stages == prof.n_stages)
       << c.schedule << ": profile fitted at " << prof.n_stages
       << " model stages, candidate needs " << spec.n_stages;
-  std::vector<std::size_t> factors(static_cast<std::size_t>(spec.n_stages),
-                                   0);
+  const auto S = static_cast<std::size_t>(spec.n_stages);
+  std::vector<std::size_t> counts(S, 0);
   if (use_kfac)
-    for (int s = 0; s < spec.n_stages; ++s)
-      factors[static_cast<std::size_t>(s)] = static_cast<std::size_t>(
-          prof.n_factors[static_cast<std::size_t>(s)] + 0.5);
+    for (std::size_t s = 0; s < S; ++s)
+      counts[s] = static_cast<std::size_t>(prof.n_factors[s] + 0.5);
+  const KfacFactors factors =
+      use_kfac && !prof.kfac_factors.input_owner.empty() ? prof.kfac_factors
+                                                         : KfacFactors(counts);
   return build_step_plan(spec, plan_device_order(spec), factors,
                          use_kfac && curv_step, use_kfac && inv_step);
 }
@@ -98,6 +101,7 @@ struct BurstResult {
   std::vector<double> makespans;  // executed, cold step excluded
   std::size_t threads = 0;
   StepPlan plan;  // the runtime's own curv+inv plan (burst intervals = 1)
+  KfacFactors kfac_factors;  // the plan's K-FAC factors
 };
 
 // One live calibration run feeding `acc`. The first step is discarded
@@ -133,6 +137,8 @@ BurstResult run_burst(const BertConfig& model_cfg, const MlmBatcher& batcher,
   }
   r.threads = rt.executor_threads();
   r.plan = rt.make_step_plan(o.use_kfac, o.use_kfac);
+  r.kfac_factors =
+      kfac_factors(BertStagePartition(model, n_stages), o.use_kfac);
   return r;
 }
 
@@ -231,6 +237,7 @@ AutotuneReport autotune(const BertConfig& model_cfg, const MlmBatcher& batcher,
       if (needed_split.count(s) > 0)
         run_burst(model_cfg, batcher, options, "zb-h1", s, acc);
       CalibratedCosts prof = acc.fit(static_cast<int>(fused.threads));
+      prof.kfac_factors = fused.kfac_factors;
       // Residual: executed over replayed makespan of the burst itself.
       // Per-task means can't see dispatch latency or contention variance;
       // this one scalar folds them back in.

@@ -70,6 +70,11 @@ struct CalibratedCosts {
 
   // Distinct K-FAC factors observed per stage (6 per transformer block).
   std::vector<double> n_factors;
+  // The K-FAC factors the calibrated runtime planned, which factors share
+  // an input included. Timelines cannot show it, so fit() leaves it empty
+  // and the autotuner sets it from its burst's stage partition; an empty
+  // value plans n_factors factors per stage that each read their own input.
+  KfacFactors kfac_factors;
 
   std::vector<double> t_forward;     // fused forward pass
   std::vector<double> t_backward;    // fused backward (non-split traces)

@@ -55,6 +55,15 @@ std::vector<std::vector<PipeOp>> plan_device_order(const ScheduleSpec& spec) {
   return order;
 }
 
+KfacFactors::KfacFactors(const std::vector<std::size_t>& counts) {
+  input_owner.reserve(counts.size());
+  for (const std::size_t n : counts) {
+    std::vector<std::size_t> own(n);
+    for (std::size_t f = 0; f < n; ++f) own[f] = f;
+    input_owner.push_back(std::move(own));
+  }
+}
+
 PlanReplay replay_plan(const StepPlan& plan, const std::vector<double>& seconds,
                        double handoff, std::size_t n_threads) {
   const auto& tasks = plan.tasks;
@@ -194,21 +203,22 @@ Timeline replay_timeline(const StepPlan& plan, const PlanReplay& replay) {
 
 StepPlan build_step_plan(const ScheduleSpec& spec,
                          const std::vector<std::vector<PipeOp>>& device_order,
-                         const std::vector<std::size_t>& factors_per_stage,
-                         bool curv_step, bool inv_step, int micros_per_step) {
+                         const KfacFactors& factors, bool curv_step,
+                         bool inv_step, int micros_per_step) {
   const int S = spec.n_stages;
   const int N = spec.n_micro;
   const bool split = spec.split_backward;
-  PF_CHECK(factors_per_stage.size() == static_cast<std::size_t>(S))
-      << "factors_per_stage must have one entry per model stage";
+  const auto& owners = factors.input_owner;
+  PF_CHECK(owners.size() == static_cast<std::size_t>(S))
+      << "the K-FAC factors must have one entry per model stage";
   const int per_step = micros_per_step > 0 ? micros_per_step : N;
   PF_CHECK(micros_per_step >= 0 && N % per_step == 0)
       << micros_per_step << " micros per step do not divide " << N;
   const int n_steps = N / per_step;
   PF_CHECK(n_steps == 1 ||
            (!spec.dynamic_order && !split &&
-            std::all_of(factors_per_stage.begin(), factors_per_stage.end(),
-                        [](std::size_t f) { return f == 0; })))
+            std::all_of(owners.begin(), owners.end(),
+                        [](const auto& o) { return o.empty(); })))
       << spec.name
       << ": a multi-step plan needs static, unsplit programs and no K-FAC";
 
@@ -444,21 +454,36 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
   // core/kfac_work.cpp's generation rules + core/bubble_assigner's
   // readiness dispatch): curvature per (factor, micro) chained in
   // ascending micro order, one commit + inversion pair per factor, and a
-  // precondition per factor gated on the stage's final gradient.
+  // precondition per factor gated on the stage's final gradient. A factor
+  // that reads another's input has no curvature-A chain; its commit follows
+  // its input owner's. Priorities share the tier fairly across stages (see
+  // kKfacPriorityBase), ranked once every stage's sequence is known.
   std::vector<std::vector<std::size_t>> stage_precond(
       static_cast<std::size_t>(S));
-  long kfac_seq = 0;
-  auto kfac_priority = [&] { return kKfacPriorityBase + kfac_seq++; };
+  std::vector<std::vector<std::size_t>> kfac_seq(static_cast<std::size_t>(S));
 
   for (int s = 0; s < S; ++s) {
-    const std::size_t n_factors = factors_per_stage[static_cast<std::size_t>(s)];
+    const std::vector<std::size_t>& owner = owners[static_cast<std::size_t>(s)];
+    const std::size_t n_factors = owner.size();
     if (n_factors == 0) continue;
-    const auto owner = static_cast<std::size_t>(spec.device_of(0, s));
+    const auto lane = static_cast<std::size_t>(spec.device_of(0, s));
+    auto kfac_task = [&](PlannedTask t) {
+      const std::size_t id = add_task(std::move(t));
+      kfac_seq[static_cast<std::size_t>(s)].push_back(id);
+      return id;
+    };
+    std::vector<std::size_t> commit_of(n_factors, 0);
     for (std::size_t f = 0; f < n_factors; ++f) {
+      PF_CHECK(owner[f] <= f && owner[owner[f]] == owner[f])
+          << "stage " << s << ": factor " << f << " reads the input of "
+          << owner[f] << ", which is not an earlier input owner";
+      const bool own_a = owner[f] == f;
       // Trace labels only (block, linear-within-block); the 6-per-block
       // layout is asserted loudly by BertStagePartition.
-      const int layer = static_cast<int>(f / 6);
-      const int factor = static_cast<int>(f % 6);
+      PlannedTask label;
+      label.stage = s;
+      label.layer = static_cast<int>(f / 6);
+      label.factor = static_cast<int>(f % 6);
       std::size_t commit_id = 0;
       bool has_commit = false;
       if (curv_step) {
@@ -466,64 +491,45 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
         // backward, each chained per factor in ascending micro order so the
         // pending sums fold in the serial order.
         std::size_t prev_a = 0, prev_b = 0;
-        bool chain_a = false, chain_b = false;
         for (int m = 0; m < N; ++m) {
           const int pl = pl_of(m);
-          PlannedTask ca;
-          ca.lane = static_cast<std::size_t>(spec.device_of(pl, s));
-          ca.priority = kfac_priority();
-          ca.resource = s;
-          ca.deps = {op_task.at(op_key({OpType::kForward, pl, s, m}))};
-          if (chain_a) ca.deps.push_back(prev_a);
-          ca.kind = WorkKind::kCurvatureA;
-          ca.stage = s;
-          ca.micro = m;
-          ca.layer = layer;
-          ca.factor = factor;
-          PlannedTask cb = ca;
-          prev_a = add_task(std::move(ca));
-          chain_a = true;
-
-          cb.priority = kfac_priority();
-          cb.deps = {op_task.at(op_key({OpType::kBackward, pl, s, m}))};
-          if (chain_b) cb.deps.push_back(prev_b);
-          cb.kind = WorkKind::kCurvatureB;
-          prev_b = add_task(std::move(cb));
-          chain_b = true;
+          PlannedTask c = label;
+          c.lane = static_cast<std::size_t>(spec.device_of(pl, s));
+          c.resource = s;
+          c.micro = m;
+          if (own_a) {
+            PlannedTask ca = c;
+            ca.deps = {op_task.at(op_key({OpType::kForward, pl, s, m}))};
+            if (m > 0) ca.deps.push_back(prev_a);
+            ca.kind = WorkKind::kCurvatureA;
+            prev_a = kfac_task(std::move(ca));
+          }
+          c.deps = {op_task.at(op_key({OpType::kBackward, pl, s, m}))};
+          if (m > 0) c.deps.push_back(prev_b);
+          c.kind = WorkKind::kCurvatureB;
+          prev_b = kfac_task(std::move(c));
         }
         // The EMA fold merges the factor's per-micro contributions before
         // inversion — the single-process analog of sync-curvature, and
         // distinct from the curvature GEMMs in the executed trace.
-        PlannedTask cm;
-        cm.lane = owner;
-        cm.priority = kfac_priority();
-        cm.resource = -1;
-        cm.deps = {prev_a, prev_b};
+        PlannedTask cm = label;
+        cm.lane = lane;
+        cm.deps = {own_a ? prev_a : commit_of[owner[f]], prev_b};
         cm.kind = WorkKind::kSyncCurvature;
-        cm.stage = s;
-        cm.layer = layer;
-        cm.factor = factor;
-        commit_id = add_task(std::move(cm));
+        commit_id = commit_of[f] = kfac_task(std::move(cm));
         has_commit = true;
       }
       std::size_t precond_gate = 0;
       bool has_gate = false;
       if (inv_step) {
-        PlannedTask ia;
-        ia.lane = owner;
-        ia.priority = kfac_priority();
-        ia.resource = -1;
+        PlannedTask ia = label;
+        ia.lane = lane;
         if (has_commit) ia.deps.push_back(commit_id);
         ia.kind = WorkKind::kInversionA;
-        ia.stage = s;
-        ia.layer = layer;
-        ia.factor = factor;
         PlannedTask ib = ia;
-        const std::size_t inv_a = add_task(std::move(ia));
-        ib.priority = kfac_priority();
-        ib.deps = {inv_a};
+        ib.deps = {kfac_task(std::move(ia))};
         ib.kind = WorkKind::kInversionB;
-        precond_gate = add_task(std::move(ib));
+        precond_gate = kfac_task(std::move(ib));
         has_gate = true;
       } else if (has_commit) {
         precond_gate = commit_id;
@@ -531,20 +537,32 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
       }
       // Precondition every step (stale inverses allowed), after the stage's
       // gradients are final.
-      PlannedTask pc;
-      pc.lane = owner;
-      pc.priority = kfac_priority();
-      pc.resource = -1;
+      PlannedTask pc = label;
+      pc.lane = lane;
       pc.deps = {grad_final[static_cast<std::size_t>(s)]};
       if (has_gate) pc.deps.push_back(precond_gate);
       pc.kind = WorkKind::kPrecondition;
-      pc.stage = s;
-      pc.layer = layer;
-      pc.factor = factor;
       stage_precond[static_cast<std::size_t>(s)].push_back(
-          add_task(std::move(pc)));
+          kfac_task(std::move(pc)));
     }
   }
+
+  // Fair share: the i-th of stage s's n_s K-FAC tasks ranks by i / n_s, ties
+  // by stage, so every stage's sequence advances at the same fraction.
+  struct Rank {
+    std::size_t i, n, stage, id;
+  };
+  std::vector<Rank> ranks;
+  for (std::size_t st = 0; st < kfac_seq.size(); ++st)
+    for (std::size_t i = 0; i < kfac_seq[st].size(); ++i)
+      ranks.push_back({i, kfac_seq[st].size(), st, kfac_seq[st][i]});
+  std::sort(ranks.begin(), ranks.end(), [](const Rank& a, const Rank& b) {
+    return std::make_pair(a.i * b.n, a.stage) <
+           std::make_pair(b.i * a.n, b.stage);
+  });
+  for (std::size_t r = 0; r < ranks.size(); ++r)
+    plan.tasks[ranks[r].id].priority =
+        kKfacPriorityBase + static_cast<long>(r);
 
   // Per-stage optimizer update closes the step.
   for (int s = 0; s < S; ++s) {

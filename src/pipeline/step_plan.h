@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "src/pipeline/ops.h"
@@ -34,10 +35,33 @@ namespace pf {
 // program position so a lane takes one only when no pipeline op is runnable
 // — W passes float into idle time; step-tail tasks follow; K-FAC work sits
 // above everything so it is only dispatched into lane idle time (realized
-// bubbles).
+// bubbles). Within the K-FAC tier the stages share fairly: the i-th of the
+// n_s K-FAC tasks stage s creates ranks by the fraction i / n_s of its
+// stage's sequence, ties broken by stage, and gets kKfacPriorityBase + its
+// rank. (With equal sequences that is i·S + s.) When threads are fewer
+// than lanes, every stage's bubble work then advances at the same pace —
+// uneven block splits included — instead of stage 0's finishing first,
+// and no lane is left running its K-FAC alone at the end of the step.
 constexpr long kWeightPriorityBase = 1L << 16;
 constexpr long kTailPriorityBase = 1L << 18;
 constexpr long kKfacPriorityBase = 1L << 20;
+
+// The K-FAC factors build_step_plan plans, per stage in the order of the
+// stage's engine. input_owner[s][f] is the factor whose input factor f
+// reads: f itself, or an earlier factor of the stage (nn's
+// Linear::read_input_of — attention's wk and wv read wq's input, which
+// BertStage::kfac_input_owners() reports). Such a factor gets no
+// curvature-A chain; its commit takes its owner's A factor and follows the
+// owner's commit. An empty list: the stage runs no K-FAC.
+struct KfacFactors {
+  std::vector<std::vector<std::size_t>> input_owner;
+
+  KfacFactors() = default;
+  explicit KfacFactors(std::vector<std::vector<std::size_t>> owners)
+      : input_owner(std::move(owners)) {}
+  // counts[s] factors on stage s, each reading its own input.
+  KfacFactors(const std::vector<std::size_t>& counts);
+};
 
 struct PlannedTask {
   std::size_t lane = 0;  // device the task runs on
@@ -113,11 +137,12 @@ std::vector<std::vector<PipeOp>> plan_device_order(const ScheduleSpec& spec);
 //   pipeline F/B ops (creation order honors `device_order`), deferred W
 //   chains (split_backward), per-stage gradient finalization, K-FAC
 //   curvature/commit/inversion/precondition work for every stage with
-//   factors_per_stage[s] > 0 (gated by curv_step / inv_step), and the
-//   per-stage optimizer updates.
+//   factors (gated by curv_step / inv_step), and the per-stage optimizer
+//   updates.
 //
-// `device_order` is plan_device_order(spec); `factors_per_stage[s]` is the
-// K-FAC engine's tracked-factor count on stage s (0 = no engine).
+// `device_order` is plan_device_order(spec); `factors` holds one entry per
+// stage (see KfacFactors; a plain count per stage plans factors that each
+// read their own input).
 //
 // `micros_per_step` (0 = spec.n_micro) cuts the plan into steps: a value
 // below spec.n_micro that divides it makes the plan a flushless stream of
@@ -129,8 +154,7 @@ std::vector<std::vector<PipeOp>> plan_device_order(const ScheduleSpec& spec);
 // waits for it. The last step keeps the end-of-plan tail.
 StepPlan build_step_plan(const ScheduleSpec& spec,
                          const std::vector<std::vector<PipeOp>>& device_order,
-                         const std::vector<std::size_t>& factors_per_stage,
-                         bool curv_step, bool inv_step,
-                         int micros_per_step = 0);
+                         const KfacFactors& factors, bool curv_step,
+                         bool inv_step, int micros_per_step = 0);
 
 }  // namespace pf

@@ -60,15 +60,14 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
   const int D = spec.n_devices;
   const int steps = static_cast<int>(cfg.total_steps);
 
-  // Event order and K-FAC factor counts: the plan inputs the in-process
+  // Event order and K-FAC factors: the plan inputs the in-process
   // runtime derives, by the same calls — computed ONCE, pre-fork, so every
   // child plans the same steps. Neither starts a thread or builds an
   // engine (each child builds engines for its own stages, after the fork).
   BertStagePartition partition(model, S);
   const std::vector<std::vector<PipeOp>> device_order =
       plan_device_order(spec);
-  const std::vector<std::size_t> factors =
-      kfac_factor_counts(partition, cfg.use_kfac);
+  const KfacFactors factors = kfac_factors(partition, cfg.use_kfac);
 
   // Stage ownership: the device whose program runs the stage's ops. The
   // plan builder puts a stage's K-FAC and tail tasks on the same lane, so

@@ -40,7 +40,7 @@ PipelineRuntime::PipelineRuntime(BertModel& model, const MlmBatcher& batcher,
   PF_CHECK(cfg_.workers >= 0);
 
   device_order_ = plan_device_order(spec_);
-  kfac_factors_ = kfac_factor_counts(partition_, cfg_.use_kfac);
+  kfac_factors_ = kfac_factors(partition_, cfg_.use_kfac);
 
   const std::size_t workers = cfg_.workers > 0
                                   ? static_cast<std::size_t>(cfg_.workers)

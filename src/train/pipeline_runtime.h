@@ -13,12 +13,18 @@
 // carry lower dispatch priority than pipeline ops, and the executor's pick
 // is global across idle lanes, so bubble work never takes a thread while
 // an idle lane has a runnable pipeline op — the executable analog of
-// core/bubble_assigner's greedy gap packing, with the simulator's
-// readiness rules become task dependencies:
+// core/bubble_assigner's greedy gap packing. Among themselves the stages'
+// K-FAC tasks take fair shares (step_plan.h): each ranks by the fraction
+// of its stage's sequence it stands at, so with fewer threads than lanes
+// every stage's bubble work keeps pace and none is left running alone at
+// the end of the step. The simulator's readiness rules become task
+// dependencies:
 //
 //   curvature-A(f, m)  after Forward(stage_of(f), m)   [+ the (f, m-1)
 //   curvature-B(f, m)  after Backward(stage_of(f), m)    fold-order chain]
-//   commit(f)          after every curvature task of f
+//   commit(f)          after every curvature task of f, and after the
+//                      commit of the factor whose input f reads (wk and
+//                      wv read wq's and have no curvature-A chain)
 //   inversion-A/B(f)   after commit(f)
 //   precondition(f)    after inversion-B(f) and the stage's final gradient
 //   optimizer(stage)   after every precondition of the stage
@@ -205,7 +211,7 @@ class PipelineRuntime {
   BertStagePartition partition_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::vector<PipeOp>> device_order_;
-  std::vector<std::size_t> kfac_factors_;         // per stage, 0 = none
+  KfacFactors kfac_factors_;                      // plan_binder.h
   std::string transport_;                         // resolved backend
   std::vector<SharedRegion> regions_;             // ring storage (shm only)
   std::vector<std::unique_ptr<Channel>> fwd_ch_;  // boundary s -> s+1

@@ -15,14 +15,13 @@ ScheduleSpec build_runtime_schedule(const PipelineRuntimeConfig& cfg) {
   return build_schedule(cfg.schedule, p);
 }
 
-std::vector<std::size_t> kfac_factor_counts(const BertStagePartition& part,
-                                            bool use_kfac) {
-  std::vector<std::size_t> factors(static_cast<std::size_t>(part.n_stages()),
-                                   0);
+KfacFactors kfac_factors(const BertStagePartition& part, bool use_kfac) {
+  KfacFactors factors;
+  factors.input_owner.resize(static_cast<std::size_t>(part.n_stages()));
   if (use_kfac)
     for (int s = 0; s < part.n_stages(); ++s)
-      factors[static_cast<std::size_t>(s)] =
-          part.stage(s).kfac_linears().size();
+      factors.input_owner[static_cast<std::size_t>(s)] =
+          part.stage(s).kfac_input_owners();
   return factors;
 }
 

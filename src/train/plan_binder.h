@@ -28,11 +28,10 @@ namespace pf {
 // The schedule a runtime config names (registry build).
 ScheduleSpec build_runtime_schedule(const PipelineRuntimeConfig& cfg);
 
-// Tracked K-FAC factors per stage, the plan builder's input: 0 where the
-// stage runs no K-FAC engine. Needs no engine, so a launcher can plan
-// before it forks.
-std::vector<std::size_t> kfac_factor_counts(const BertStagePartition& part,
-                                            bool use_kfac);
+// The tracked K-FAC factors of every stage, the plan builder's input: each
+// stage's kfac_input_owners(), empty where the stage runs no K-FAC engine.
+// Needs no engine, so a launcher can plan before it forks.
+KfacFactors kfac_factors(const BertStagePartition& part, bool use_kfac);
 
 struct StageWorker {
   BertStage* stage = nullptr;  // null: another process owns the stage

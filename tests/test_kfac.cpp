@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "src/kfac/kfac_engine.h"
 #include "src/linalg/cholesky.h"
 #include "src/linalg/gemm.h"
+#include "src/nn/attention.h"
 #include "tests/support/kron.h"
 #include "tests/support/matrix_util.h"
 #include "tests/support/simd_levels.h"
@@ -328,6 +330,80 @@ TEST(KfacEngine, NonFiniteCurvatureFailsAtCommitNamingTheLayer) {
       EXPECT_THROW(fresh.update_curvature(), Error) << label;
       EXPECT_EQ(fresh.state(0).curvature_updates, 0u) << label;
     }
+  }
+}
+
+TEST(KfacEngine, AttentionProjectionsShareOneAFactor) {
+  // wq, wk and wv read one block input (attention.h), so the engine folds
+  // one A factor for the three: wk and wv fold no curvature-A statistics
+  // and take wq's A EMA at commit, after wq's. After two committed steps,
+  // their A EMAs are wq's bytes and equal the EMA of Σ xᵀx / Σ N over each
+  // step's block inputs, folded here with syrk_tn_acc. Two ways in: the
+  // per-micro fold (two micros a step, the KfacOptimizer / pipeline path)
+  // and the whole-model update_curvature (one micro a step) at nn_threads
+  // 1-3. Each keeps its own B factor.
+  const std::size_t batch = 2, seq = 4, d = 8;
+  const auto same_bytes = [](const Matrix& a, const Matrix& b) {
+    return a.same_shape(b) &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  ThreadPool pool(2);
+  struct Way {
+    int micros;
+    ExecContext ctx;
+  };
+  for (const Way way : {Way{2, ExecContext()}, Way{1, ExecContext()},
+                        Way{1, ExecContext(2, 1, &pool)},
+                        Way{1, ExecContext(3, 2, &pool)}}) {
+    const std::string label = way.micros == 2
+                                  ? std::string("per-micro fold")
+                                  : "update_curvature nn_threads=" +
+                                        std::to_string(way.ctx.nn_threads());
+    Rng rng(61);
+    MultiHeadSelfAttention attn(d, 2, rng, "attn");
+    const std::vector<Linear*> layers = attn.kfac_linears();
+    KfacEngine engine(layers);
+    ASSERT_EQ(engine.input_owner(0), 0u);
+    ASSERT_EQ(engine.input_owner(1), 0u);
+    ASSERT_EQ(engine.input_owner(2), 0u);
+    ASSERT_EQ(engine.input_owner(3), 3u);
+    Matrix a_ref(d, d, 0.0);
+    for (int step = 0; step < 2; ++step) {
+      Matrix sum(d, d, 0.0);
+      double rows = 0.0;
+      for (int m = 0; m < way.micros; ++m) {
+        const Matrix x = Matrix::randn(batch * seq, d, rng);
+        zero_grads(attn.params());
+        attn.forward(x, batch, seq, true, way.ctx);
+        attn.backward(Matrix::randn(batch * seq, d, rng), way.ctx);
+        syrk_tn_acc(x, sum, 1.0);
+        rows += static_cast<double>(x.rows());
+        if (way.micros == 1) continue;
+        EXPECT_THROW(engine.accumulate_curvature_a(1, x), Error) << label;
+        for (std::size_t i = 0; i < layers.size(); ++i) {
+          if (engine.input_owner(i) == i)
+            engine.accumulate_curvature_a(i, layers[i]->cached_input());
+          engine.accumulate_curvature_b(i, layers[i]->cached_output_grad());
+        }
+      }
+      if (way.micros == 1) {
+        engine.update_curvature(way.ctx);
+      } else {
+        // wk cannot commit before wq, whose A factor it takes.
+        EXPECT_THROW(engine.commit_curvature_layer(1), Error) << label;
+        for (std::size_t i = 0; i < layers.size(); ++i)
+          engine.commit_curvature_layer(i);
+      }
+      sum *= 1.0 / rows;
+      a_ref.axpby(kKfacEmaDecay, sum, 1.0 - kKfacEmaDecay);
+    }
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(engine.state(i).curvature_updates, 2u) << label;
+      EXPECT_TRUE(same_bytes(engine.state(i).a_ema, a_ref))
+          << label << ": " << layers[i]->name();
+    }
+    EXPECT_FALSE(same_bytes(engine.state(1).b_ema, engine.state(0).b_ema))
+        << label;
   }
 }
 

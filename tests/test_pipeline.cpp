@@ -482,5 +482,79 @@ TEST(StepPlanProperties, HoldOnEveryStreamShape) {
   EXPECT_EQ(shapes, 7 * 4 * 4);
 }
 
+// Fair-share K-FAC dispatch in virtual time. The plan of every registry
+// schedule PipelineRuntime executes (flush, at most two pipelines) at D=4,
+// N=8 with 6 factors per stage, on a curvature step and on an inversion
+// step, is replayed under one per-kind cost vector at 2 and 3 threads
+// (fewer threads than lanes), then replayed again with its K-FAC
+// priorities rewritten to stage-major creation order (kKfacPriorityBase +
+// plan index: stage 0's whole sequence first). Interleaving the stages'
+// sequences never lengthens the step, and on 1f1b at 3 threads — the bench
+// shape, where the last stage has no steady-state bubble and its K-FAC ran
+// alone after the others' — it shortens it. (The simulator-only chimera-4,
+// four pipelines, is the one registry plan it lengthens here: 56.84 →
+// 57.05 on the curvature step at 3 threads.)
+TEST(StepPlanKfacDispatch, FairShareNeverLengthensTheStep) {
+  const auto cost = [](const PlannedTask& t) {
+    switch (t.kind) {
+      case WorkKind::kForward: return 1.4;
+      case WorkKind::kBackward: return 2.0;
+      case WorkKind::kBackwardWeight: return 1.0;
+      case WorkKind::kCurvatureA: return 0.06;
+      case WorkKind::kCurvatureB: return 0.12;
+      case WorkKind::kSyncCurvature: return 0.01;
+      case WorkKind::kInversionA: return 1.0;
+      case WorkKind::kInversionB: return 0.15;
+      case WorkKind::kPrecondition: return 0.1;
+      case WorkKind::kOptimizerUpdate: return 0.5;
+      default: return 0.01;
+    }
+  };
+  struct KfacStep {
+    const char* name;
+    bool inv_step;
+  };
+  int compared = 0;
+  for (const std::string& name : list_schedules()) {
+    const ScheduleTraits& traits = traits_of(name);
+    if (!traits.flush || traits.n_pipelines > 2) continue;  // not executable
+    const ScheduleParams p{4, 8, 2};
+    try {
+      traits.check_params(p);
+    } catch (const Error&) {
+      continue;  // a shape the schedule does not take
+    }
+    const ScheduleSpec spec = build_schedule(name, p);
+    const auto order = plan_device_order(spec);
+    for (const KfacStep k : {KfacStep{"curvature", false},
+                             KfacStep{"inversion", true}}) {
+      const StepPlan fair = build_step_plan(
+          spec, order,
+          std::vector<std::size_t>(static_cast<std::size_t>(spec.n_stages),
+                                   6),
+          true, k.inv_step);
+      StepPlan stage_major = fair;
+      std::vector<double> seconds;
+      for (std::size_t i = 0; i < fair.tasks.size(); ++i) {
+        seconds.push_back(cost(fair.tasks[i]));
+        if (is_kfac_kind(fair.tasks[i].kind))
+          stage_major.tasks[i].priority =
+              kKfacPriorityBase + static_cast<long>(i);
+      }
+      for (const std::size_t threads : {2, 3}) {
+        const double got = replay_plan(fair, seconds, 0.01, threads).makespan;
+        const double old =
+            replay_plan(stage_major, seconds, 0.01, threads).makespan;
+        const std::string label = name + " " + k.name + " threads=" +
+                                  std::to_string(threads);
+        EXPECT_LE(got, old) << label;
+        if (name == "1f1b" && threads == 3) EXPECT_LT(got, old) << label;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 5 * 2 * 2);  // 1f1b gpipe zb-h1 chimera interleaved
+}
+
 }  // namespace
 }  // namespace pf

@@ -10,10 +10,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include "src/common/strings.h"
 #include "src/common/task_executor.h"
@@ -343,6 +345,79 @@ TEST(PipelineRuntime, StageArenasCloseAfterWarmup) {
         EXPECT_EQ(ms.arena_fresh, 0u) << where;
         EXPECT_EQ(ms.arena_trimmed_bytes, 0u) << where;
       }
+    }
+  }
+}
+
+TEST(PipelineRuntime, AttentionStashesOneInputPerBlockAndMicro) {
+  // wk and wv read wq's input, so every stash — forward, K-FAC, and the
+  // deferred-W one — holds each block input once per micro instead of
+  // three times. At the arena tests' shape (1 block per stage, 8 micros of
+  // 4 × 12 tokens, d_model 32) a 1f1b K-FAC step's stash peaks with every
+  // micro's K-FAC stash held: 2 copies × 8 micros × 48 × 32 doubles =
+  // 196,608 bytes below the three-copy layout's 1,417,728 / 1,406,208 /
+  // 1,396,224 / 1,418,112 per stage.
+  BertConfig cfg = small_bert(4);
+  cfg.d_model = 32;
+  cfg.d_ff = 64;
+  cfg.vocab = 24;
+  Rng rng(7);
+  BertModel model(cfg, rng);
+  Corpus data(cfg);
+  PipelineRuntime rt(model, data.batcher,
+                     runtime_config("1f1b", 4, 8, 4, 2, true,
+                                    /*workers=*/2, /*stage_threads=*/1));
+  const std::size_t two_copies = 2 * 8 * (4 * 12) * 32 * sizeof(double);
+  const std::vector<std::size_t> three_copy = {1417728, 1406208, 1396224,
+                                               1418112};
+  for (int step = 0; step < 2; ++step) {
+    rt.step();
+    ASSERT_EQ(rt.memory_stats().size(), three_copy.size());
+    for (std::size_t s = 0; s < three_copy.size(); ++s)
+      EXPECT_EQ(rt.memory_stats()[s].peak_stash_bytes,
+                three_copy[s] - two_copies)
+          << "step " << step << " stage " << s;
+  }
+}
+
+TEST(PipelineRuntime, AttentionPlansOneCurvatureAChainPerBlock) {
+  // Per block the plan folds 4 curvature-A chains (wq, wo, w1, w2) and 6
+  // curvature-B chains, one task per micro each; wk's and wv's commits
+  // depend on wq's, whose A factor they take.
+  const auto cfg = small_bert(4);
+  Rng rng(7);
+  BertModel model(cfg, rng);
+  Corpus data(cfg);
+  const int S = 2, N = 4;
+  PipelineRuntime rt(model, data.batcher,
+                     runtime_config("1f1b", S, N, 2, 1, true, 2, 1));
+  const StepPlan plan = rt.make_step_plan(true, true);
+  using Block = std::pair<int, int>;  // (stage, layer)
+  std::map<Block, std::map<int, int>> a_tasks, b_tasks;  // factor -> count
+  std::map<std::tuple<int, int, int>, std::size_t> commit;
+  for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
+    const PlannedTask& t = plan.tasks[i];
+    const Block blk{t.stage, t.layer};
+    if (t.kind == WorkKind::kCurvatureA) ++a_tasks[blk][t.factor];
+    if (t.kind == WorkKind::kCurvatureB) ++b_tasks[blk][t.factor];
+    if (t.kind == WorkKind::kSyncCurvature)
+      commit[{t.stage, t.layer, t.factor}] = i;
+  }
+  const std::map<int, int> a_want = {{0, N}, {3, N}, {4, N}, {5, N}};
+  const std::map<int, int> b_want = {{0, N}, {1, N}, {2, N},
+                                     {3, N}, {4, N}, {5, N}};
+  ASSERT_EQ(b_tasks.size(), cfg.n_layers);
+  for (const auto& [blk, counts] : b_tasks) {
+    const std::string where = format("stage %d block %d", blk.first,
+                                     blk.second);
+    EXPECT_EQ(counts, b_want) << where;
+    EXPECT_EQ(a_tasks[blk], a_want) << where;
+    const std::size_t wq = commit.at({blk.first, blk.second, 0});
+    for (const int f : {1, 2}) {
+      const auto& deps =
+          plan.tasks[commit.at({blk.first, blk.second, f})].deps;
+      EXPECT_NE(std::find(deps.begin(), deps.end(), wq), deps.end())
+          << where << " factor " << f;
     }
   }
 }
