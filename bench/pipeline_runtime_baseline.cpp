@@ -29,8 +29,11 @@
 //
 // The "stash" block is the memory half of the story, taken from the
 // workers=2 row: peak stash bytes (max over stages, per step) of the
-// move/borrow stashes, and the arena recycle counts that show steady-state
-// steps reuse stash storage instead of re-allocating it.
+// move/borrow stashes, the storage-pool recycle counts that show
+// steady-state steps reuse storage instead of re-allocating it
+// (arena_recycled), and the pool's process-wide live and parked bytes after
+// the row's last step (linalg/matrix.h) — parked bytes are what the pool
+// keeps from glibc.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -70,6 +73,7 @@ struct TimedRun {
   double seconds_per_step = 0.0;
   double utilization = 0.0;  // executed (pipeline runs only)
   std::vector<PipelineRuntime::StageMemoryStats> mem;
+  StoragePoolBytes pool;  // after the last step (pipeline runs only)
   // Calibration inputs (pipeline runs only): every step's executed
   // timeline, the runtime's own step plans, and the executor concurrency
   // the run used.
@@ -171,6 +175,7 @@ int main(int argc, char** argv) {
     r.seconds_per_step = (now_seconds() - t0) / static_cast<double>(steps);
     r.utilization = rt.last_executed_timeline().utilization();
     r.mem = rt.memory_stats();
+    r.pool = storage_pool_bytes();
     r.plan_curv = rt.make_step_plan(/*curv_step=*/true, /*inv_step=*/false);
     r.plan_inv = rt.make_step_plan(/*curv_step=*/true, /*inv_step=*/true);
     r.threads = rt.executor_threads();
@@ -189,12 +194,15 @@ int main(int argc, char** argv) {
   std::printf("  %.1f ms/step\n", serial.seconds_per_step * 1e3);
 
   std::string rows;
-  std::size_t stash_peak = 0, stash_recycled = 0;  // the workers=2 row's
+  // The workers=2 row's.
+  std::size_t stash_peak = 0, stash_recycled = 0;
+  StoragePoolBytes stash_pool;
   for (const int workers : {1, 2, 4}) {
     const auto pr = pipeline_run(workers);
     if (workers == 2) {
       stash_peak = max_peak_stash(pr);
       stash_recycled = sum_recycled(pr);
+      stash_pool = pr.pool;
     }
     // The whole point: same bits, different wall clock.
     PF_CHECK(pr.losses == serial.losses)
@@ -204,10 +212,12 @@ int main(int argc, char** argv) {
     std::printf(
         "pipeline %s D=%d workers=%d: %.1f ms/step (%.2fx vs sequential), "
         "executed utilization %s (simulator predicts %s), "
-        "peak stash %zu KiB, %zu arena recycles/step\n",
+        "peak stash %zu KiB, %zu arena recycles/step, pool %zu KiB live "
+        "%zu KiB parked\n",
         schedule, n_stages, workers, pr.seconds_per_step * 1e3, speedup,
         percent(pr.utilization).c_str(), percent(sim_util).c_str(),
-        max_peak_stash(pr) / 1024, sum_recycled(pr));
+        max_peak_stash(pr) / 1024, sum_recycled(pr), pr.pool.live / 1024,
+        pr.pool.parked / 1024);
 
     // Calibrated prediction gate: fit a profile on the FIRST half of this
     // row's executed steps (steps 0-1 excluded — first-touch allocation
@@ -307,7 +317,8 @@ int main(int argc, char** argv) {
     rows += format(
         "    \"workers_%d\": {\"seconds_per_step\": %.6g, "
         "\"speedup_vs_sequential\": %.4g, \"executed_utilization\": %.4g, "
-        "\"peak_stash_bytes\": %zu, \"arena_recycled_per_step\": %zu,\n"
+        "\"peak_stash_bytes\": %zu, \"arena_recycled_per_step\": %zu, "
+        "\"pool_live_bytes\": %zu, \"pool_parked_bytes\": %zu,\n"
         "      \"calibration\": {\"residual_scale\": %.4g, "
         "\"predicted_makespan_curv\": %.6g, \"predicted_makespan_inv\": "
         "%.6g, \"executed_makespan_mean\": %.6g, "
@@ -316,7 +327,8 @@ int main(int argc, char** argv) {
         "%.4g, \"utilization_error\": %.4g, "
         "\"uncalibrated_utilization_error\": %.4g}}",
         workers, pr.seconds_per_step, speedup, pr.utilization,
-        max_peak_stash(pr), sum_recycled(pr), prof.residual_scale,
+        max_peak_stash(pr), sum_recycled(pr), pr.pool.live, pr.pool.parked,
+        prof.residual_scale,
         pred_curv.makespan, pred_inv.makespan, exec_mean, err_window,
         err_mean, err_max, pred_util, cal_util_err, uncal_util_err);
   }
@@ -370,11 +382,13 @@ int main(int argc, char** argv) {
       "  \"fitted_t_handoff_us\": {\"mutex_channel\": %.3f, "
       "\"shm_ring\": %.3f},\n"
       "  \"stash\": {\"borrow_peak_stash_bytes\": %zu, "
-      "\"borrow_arena_recycled_per_step\": %zu},\n"
+      "\"borrow_arena_recycled_per_step\": %zu, \"pool_live_bytes\": %zu, "
+      "\"pool_parked_bytes\": %zu},\n"
       "  \"pipeline\": {\n%s\n  }\n}\n",
       schedule, n_stages, n_micro, micro_batch, steps, cfg.d_model,
       cfg.n_layers, serial.seconds_per_step, sim_util, handoff_mutex * 1e6,
-      handoff_ring * 1e6, stash_peak, stash_recycled, rows.c_str());
+      handoff_ring * 1e6, stash_peak, stash_recycled, stash_pool.live,
+      stash_pool.parked, rows.c_str());
   FILE* f = std::fopen(path.c_str(), "w");
   PF_CHECK(f != nullptr) << "cannot open " << path;
   std::fputs(json.c_str(), f);

@@ -2,14 +2,15 @@
 //
 // A thread count reaches a kernel one way only: through the ExecContext it
 // is called with. The context carries the thread-pool handle, the nn loop
-// chunk count, the GEMM row-block count, the activation arena and the SIMD
-// dispatch level the kernels beneath will use. Every nn forward/backward,
-// every GEMM/Cholesky entry and every K-FAC engine method takes one; a
-// defaulted argument binds the default context, which is serial ({1, 1} on
-// the process-global pool), so nothing parallelizes unless a caller asks
-// with explicit counts — the pipeline runtime builds one context per stage,
-// the training binaries one from their PF_NN_THREADS / PF_GEMM_THREADS
-// environment.
+// chunk count, the GEMM row-block count and the SIMD dispatch level the
+// kernels beneath will use. Every nn forward/backward, every GEMM/Cholesky
+// entry and every K-FAC engine method takes one; a defaulted argument binds
+// the default context, which is serial ({1, 1} on the process-global pool),
+// so nothing parallelizes unless a caller asks with explicit counts — the
+// pipeline runtime builds one context per stage, the training binaries one
+// from their PF_NN_THREADS / PF_GEMM_THREADS environment. Buffers are not
+// the context's business: Matrix storage recycles itself through one
+// process-wide pool (linalg/matrix.h), whatever context a layer runs under.
 //
 // Determinism contract (extends gemm.h): every layer loop parallelized over
 // an ExecContext partitions its work so each memory location receives its
@@ -25,8 +26,6 @@
 #include "src/common/thread_pool.h"
 
 namespace pf {
-
-class ArenaAllocator;  // common/arena.h
 
 class ExecContext {
  public:
@@ -45,19 +44,6 @@ class ExecContext {
   // Pool the nn loops and linalg kernels fan out on (the shared global pool
   // unless overridden).
   ThreadPool& pool() const { return pool_ ? *pool_ : ThreadPool::global(); }
-
-  // Buffer recycler for activations, caches and stashes; nullptr (the
-  // default) means plain allocation. Set by the pipeline runtime on each
-  // stage's context; layers draw what they write through arena_matrix,
-  // arena_reshape and arena_assign and hand it back through arena_take and
-  // arena_recycle (common/arena.h), which fall back cleanly on null.
-  // Arena-backed values equal plain-allocated values bit for bit — only
-  // the storage is reused.
-  ArenaAllocator* arena() const { return arena_; }
-  ExecContext& set_arena(ArenaAllocator* arena) {
-    arena_ = arena;
-    return *this;
-  }
 
   // SIMD level the linalg kernels beneath this context dispatch on. SIMD
   // selection stays a process-wide property (cpu_features.h); the context
@@ -81,7 +67,6 @@ class ExecContext {
   int nn_threads_ = 1;
   int gemm_threads_ = 1;
   ThreadPool* pool_ = nullptr;
-  ArenaAllocator* arena_ = nullptr;
 };
 
 }  // namespace pf

@@ -36,8 +36,8 @@
 // reading it — the first k block's epilogue adds to +0.0 instead of to C,
 // later k blocks accumulate as usual, and K = 0 writes +0.0. That is what
 // zero-filling C and calling the _acc form computes, ±0 included, so C may
-// start uninitialized (Matrix::uninitialized, an arena buffer) and the fill
-// goes. matmul, matmul_tn and matmul_nt return their result that way.
+// start uninitialized (Matrix::uninitialized) and the fill goes. matmul,
+// matmul_tn and matmul_nt return their result that way.
 //
 // Pack buffer: each thread packs B into one grow-only thread_local buffer
 // that every product kind shares. A threaded product's workers read the

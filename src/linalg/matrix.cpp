@@ -1,9 +1,110 @@
 #include "src/linalg/matrix.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <mutex>
+#include <unordered_map>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define PF_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PF_ASAN 1
+#endif
+#endif
+#ifdef PF_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace pf {
+
+namespace {
+
+// This thread's hand-outs (thread_storage_handouts).
+thread_local StorageHandouts t_handouts;
+
+// The process-wide free lists of Matrix storage (matrix.h): parked blocks
+// keyed by element count, the one parked last at the back.
+class StoragePool {
+ public:
+  double* allocate(std::size_t n) {
+    const std::size_t bytes = n * sizeof(double);
+    double* p = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      std::vector<double*>& list = parked_[n];
+      if (list.empty()) {
+        p = static_cast<double*>(::operator new(bytes));
+        ++t_handouts.fresh;
+      } else {
+        p = list.back();
+        list.pop_back();
+        bytes_.parked -= bytes;
+        ++t_handouts.recycled;
+#ifdef PF_ASAN
+        ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+#endif
+      }
+      bytes_.live += bytes;
+    }
+#ifndef NDEBUG
+    std::fill(p, p + n, std::numeric_limits<double>::quiet_NaN());
+#endif
+    return p;
+  }
+
+  void deallocate(double* p, std::size_t n) {
+    const std::size_t bytes = n * sizeof(double);
+#ifdef PF_ASAN
+    ASAN_POISON_MEMORY_REGION(p, bytes);
+#endif
+    std::lock_guard<std::mutex> lock(mu_);
+    parked_[n].push_back(p);
+    bytes_.live -= bytes;
+    bytes_.parked += bytes;
+  }
+
+  StoragePoolBytes bytes() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return bytes_;
+  }
+
+  // fork(): taken by the prepare handler, released in parent and child.
+  void lock() { mu_.lock(); }
+  void unlock() { mu_.unlock(); }
+
+ private:
+  std::mutex mu_;
+  std::unordered_map<std::size_t, std::vector<double*>> parked_;
+  StoragePoolBytes bytes_;
+};
+
+// Never destroyed: a Matrix freed after main's locals, or by a static
+// destructor, still parks its block here.
+StoragePool& pool() {
+  static StoragePool* const instance = [] {
+    auto* p = new StoragePool;
+    pthread_atfork([] { pool().lock(); }, [] { pool().unlock(); },
+                   [] { pool().unlock(); });
+    return p;
+  }();
+  return *instance;
+}
+
+}  // namespace
+
+double* storage_pool_allocate(std::size_t n) { return pool().allocate(n); }
+
+void storage_pool_deallocate(double* p, std::size_t n) noexcept {
+  pool().deallocate(p, n);
+}
+
+StorageHandouts thread_storage_handouts() { return t_handouts; }
+
+StoragePoolBytes storage_pool_bytes() { return pool().bytes(); }
 
 Matrix Matrix::randn(std::size_t rows, std::size_t cols, Rng& rng,
                      double stddev) {

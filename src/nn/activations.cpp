@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/arena.h"
 #include "src/common/check.h"
 #include "src/linalg/exp_span.h"
 
@@ -161,8 +160,9 @@ void softmax_rows_backward_in_place(const Matrix& p, Matrix& dy,
 
 Matrix Gelu::forward(const Matrix& x, bool training, const ExecContext& ctx) {
   if (!training) return gelu(x, ctx);
-  Matrix y = arena_matrix(ctx.arena(), x.rows(), x.cols());
-  arena_reshape(ctx.arena(), dydx_cache_, x.rows(), x.cols());
+  Matrix y = Matrix::uninitialized(x.rows(), x.cols());
+  if (!dydx_cache_.same_shape(x))
+    dydx_cache_ = Matrix::uninitialized(x.rows(), x.cols());
   ctx.parallel_for(x.rows(), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r)
       gelu_span(x.row(r), x.cols(), y.row(r), dydx_cache_.row(r));
@@ -173,7 +173,7 @@ Matrix Gelu::forward(const Matrix& x, bool training, const ExecContext& ctx) {
 Matrix Gelu::backward(const Matrix& dy, const ExecContext& ctx) {
   PF_CHECK(!dydx_cache_.empty());
   PF_CHECK(dydx_cache_.same_shape(dy));
-  Matrix dx = arena_matrix(ctx.arena(), dy.rows(), dy.cols());
+  Matrix dx = Matrix::uninitialized(dy.rows(), dy.cols());
   ctx.parallel_for(dy.rows(), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       const double* gr = dydx_cache_.row(r);

@@ -47,8 +47,8 @@ inline Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
 // GELU'(x) from the same exp_span call as its output and caches that
 // derivative instead of x (same size), so backward is one multiply per
 // element, bitwise equal to gelu_backward(x, dy). An inference forward
-// (training = false) writes no cache. Training outputs and the cache draw
-// on the context's arena when it has one.
+// (training = false) writes no cache. A training forward writes the cache
+// into the storage it holds when the shape matches.
 class Gelu {
  public:
   Matrix forward(const Matrix& x, bool training = true,
@@ -59,11 +59,7 @@ class Gelu {
   struct Cache {
     Matrix dydx;  // GELU'(x) of the last training forward, x's shape
   };
-  Cache save_cache() {
-    Cache c{std::move(dydx_cache_)};
-    dydx_cache_ = Matrix();
-    return c;
-  }
+  Cache save_cache() { return {std::move(dydx_cache_)}; }
   void restore_cache(Cache&& c) { dydx_cache_ = std::move(c.dydx); }
 
  private:

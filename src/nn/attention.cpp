@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "src/common/arena.h"
 #include "src/linalg/gemm.h"
 #include "src/nn/activations.h"
 
@@ -52,7 +51,6 @@ Matrix MultiHeadSelfAttention::forward_impl(X&& x, std::size_t batch,
                                             std::size_t seq, bool training,
                                             const ExecContext& ctx) {
   PF_CHECK(x.rows() == batch * seq && x.cols() == d_model_);
-  ArenaAllocator* arena = ctx.arena();
   // q, k and v stay local until the end, so an inference forward leaves the
   // caches of the last training forward for its backward. wq caches the
   // input (an rvalue x is its to take); wk and wv read that one buffer.
@@ -62,13 +60,8 @@ Matrix MultiHeadSelfAttention::forward_impl(X&& x, std::size_t batch,
   Matrix v = wv_.forward(in, training, ctx);
   const double scale = 1.0 / std::sqrt(static_cast<double>(d_head_));
 
-  Matrix context = arena_matrix(arena, batch * seq, d_model_);
-  if (training) {
-    const std::size_t n = batch * n_heads_;
-    for (std::size_t i = n; i < probs_.size(); ++i)
-      arena_recycle(arena, std::move(probs_[i]));
-    probs_.resize(n);
-  }
+  Matrix context = Matrix::uninitialized(batch * seq, d_model_);
+  if (training) probs_.resize(batch * n_heads_);
   // One task per (batch, head): each writes its own probs_ slot and a
   // disjoint [seq × d_head] block of `context` (rows of sequence b, columns
   // of head h), so any partition is race-free and bitwise identical. When
@@ -84,30 +77,30 @@ Matrix MultiHeadSelfAttention::forward_impl(X&& x, std::size_t batch,
   // element of the head's context block exactly once, with the bits a
   // zeroed block accumulated into would get. The softmax overwrites the
   // scores: a training forward writes them into the head's probs_ slot (its
-  // old storage, or an arena buffer), an inference forward into one scratch
-  // buffer per chunk.
+  // old storage when the shape matches), an inference forward into one
+  // scratch buffer per chunk.
   const bool fan_out = ctx.nn_threads() > 1;
   const ExecContext inner = fan_out ? ExecContext() : ctx;
   ctx.parallel_for(batch * n_heads_, [&](std::size_t bh0, std::size_t bh1) {
     Matrix scratch;
-    if (!training) scratch = arena_matrix(arena, seq, seq);
+    if (!training) scratch = Matrix::uninitialized(seq, seq);
     for (std::size_t bh = bh0; bh < bh1; ++bh) {
       const std::size_t r0 = (bh / n_heads_) * seq;
       const std::size_t c0 = (bh % n_heads_) * d_head_;
       Matrix& p = training ? probs_[bh] : scratch;
-      if (training) arena_reshape(arena, p, seq, seq);
+      if (training && (p.rows() != seq || p.cols() != seq))
+        p = Matrix::uninitialized(seq, seq);
       matmul_nt_set(ConstMatView(q, r0, c0, seq, d_head_),
                     ConstMatView(k, r0, c0, seq, d_head_), p, scale, inner);
       softmax_rows_in_place(p, inner);
       matmul_set(p, ConstMatView(v, r0, c0, seq, d_head_),
                  MatView(context, r0, c0, seq, d_head_), 1.0, inner);
     }
-    arena_recycle(arena, std::move(scratch));
   });
   if (!training) return wo_.forward(context, false, ctx);
-  arena_take(arena, q_, std::move(q));
-  arena_take(arena, k_, std::move(k));
-  arena_take(arena, v_, std::move(v));
+  q_ = std::move(q);
+  k_ = std::move(k);
+  v_ = std::move(v);
   batch_ = batch;
   seq_ = seq;
   return wo_.forward(std::move(context), true, ctx);
@@ -128,7 +121,6 @@ Matrix MultiHeadSelfAttention::forward(Matrix&& x, std::size_t batch,
 Matrix MultiHeadSelfAttention::backward(Matrix dy, const ExecContext& ctx,
                                         bool dx_only) {
   PF_CHECK(!probs_.empty()) << "backward before forward";
-  ArenaAllocator* arena = ctx.arena();
   // Each projection takes its output gradient over as its K-FAC cache.
   const auto back = [&](Linear& l, Matrix&& g) {
     return dx_only ? l.backward_dx(std::move(g), ctx)
@@ -137,9 +129,9 @@ Matrix MultiHeadSelfAttention::backward(Matrix dy, const ExecContext& ctx,
   Matrix dcontext = back(wo_, std::move(dy));
   const double scale = 1.0 / std::sqrt(static_cast<double>(d_head_));
 
-  Matrix dq = arena_matrix(arena, q_.rows(), d_model_);
-  Matrix dk = arena_matrix(arena, k_.rows(), d_model_);
-  Matrix dv = arena_matrix(arena, v_.rows(), d_model_);
+  Matrix dq = Matrix::uninitialized(q_.rows(), d_model_);
+  Matrix dk = Matrix::uninitialized(k_.rows(), d_model_);
+  Matrix dv = Matrix::uninitialized(v_.rows(), d_model_);
   // Same task shape as forward: (batch, head) tasks read their head's
   // blocks in place and overwrite disjoint blocks of dq/dk/dv, each exactly
   // once, with the same inner-threading rule. The softmax backward
@@ -147,7 +139,7 @@ Matrix MultiHeadSelfAttention::backward(Matrix dy, const ExecContext& ctx,
   const bool fan_out = ctx.nn_threads() > 1;
   const ExecContext inner = fan_out ? ExecContext() : ctx;
   ctx.parallel_for(batch_ * n_heads_, [&](std::size_t bh0, std::size_t bh1) {
-    Matrix dp = arena_matrix(arena, seq_, seq_);
+    Matrix dp = Matrix::uninitialized(seq_, seq_);
     for (std::size_t bh = bh0; bh < bh1; ++bh) {
       const std::size_t r0 = (bh / n_heads_) * seq_;
       const std::size_t c0 = (bh % n_heads_) * d_head_;
@@ -165,18 +157,12 @@ Matrix MultiHeadSelfAttention::backward(Matrix dy, const ExecContext& ctx,
       matmul_tn_set(dp, ConstMatView(q_, r0, c0, seq_, d_head_),
                     MatView(dk, r0, c0, seq_, d_head_), 1.0, inner);
     }
-    arena_recycle(arena, std::move(dp));
   });
-  arena_recycle(arena, std::move(dcontext));
+  dcontext = Matrix();
   // dx sums the projections' input gradients in q, k, v order.
   Matrix dx = back(wq_, std::move(dq));
-  const auto add_back = [&](Linear& l, Matrix&& g) {
-    Matrix part = back(l, std::move(g));
-    dx += part;
-    arena_recycle(arena, std::move(part));
-  };
-  add_back(wk_, std::move(dk));
-  add_back(wv_, std::move(dv));
+  dx += back(wk_, std::move(dk));
+  dx += back(wv_, std::move(dv));
   return dx;
 }
 
@@ -192,9 +178,6 @@ MultiHeadSelfAttention::Cache MultiHeadSelfAttention::save_cache() {
   c.wk = wk_.save_cache();
   c.wv = wv_.save_cache();
   c.wo = wo_.save_cache();
-  q_ = Matrix();
-  k_ = Matrix();
-  v_ = Matrix();
   probs_.clear();
   return c;
 }

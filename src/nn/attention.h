@@ -27,9 +27,9 @@ class MultiHeadSelfAttention {
   // forward hands x itself over, with a const x it copies it once — and wk
   // and wv read wq's cache (read it back through cached_input()). An
   // inference forward only reads x. The per-head scores and their softmax
-  // are written once, into the head's probs_ slot (drawn from the
-  // context's arena when it is empty) or, in an inference forward, into a
-  // scratch buffer per task chunk.
+  // are written once, into the head's probs_ slot (its storage kept when
+  // the shape matches) or, in an inference forward, into a scratch buffer
+  // per task chunk.
   Matrix forward(const Matrix& x, std::size_t batch, std::size_t seq,
                  bool training = true, const ExecContext& ctx = {});
   Matrix forward(Matrix&& x, std::size_t batch, std::size_t seq,

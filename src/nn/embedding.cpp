@@ -1,6 +1,5 @@
 #include "src/nn/embedding.h"
 
-#include "src/common/arena.h"
 #include "src/common/check.h"
 
 namespace pf {
@@ -30,7 +29,7 @@ Matrix Embedding::forward(const std::vector<int>& ids,
            positions_.w.cols() == d_model_ && segments_.w.cols() == d_model_)
       << "embedding tables differ from " << vocab_ << "/" << max_seq_
       << "/2 rows x " << d_model_;
-  Matrix out = arena_matrix(ctx.arena(), ids.size(), d_model_);
+  Matrix out = Matrix::uninitialized(ids.size(), d_model_);
   // Token-parallel gather; the id/segment range checks ride inside the
   // chunks (parallel_for rethrows the first failure on the caller).
   ctx.parallel_for(ids.size(), [&](std::size_t i0, std::size_t i1) {

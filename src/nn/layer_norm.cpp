@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "src/common/arena.h"
-
 namespace pf {
 
 LayerNorm::LayerNorm(std::size_t dim, const std::string& name, double eps)
@@ -18,13 +16,13 @@ Matrix LayerNorm::forward(const Matrix& x, bool training,
                           const ExecContext& ctx) {
   PF_CHECK(x.cols() == dim_);
   const std::size_t n = x.rows();
-  Matrix y = arena_matrix(ctx.arena(), n, dim_);
+  Matrix y = Matrix::uninitialized(n, dim_);
   if (training) {
-    // The storage the caches still hold, or (after the stash machinery moved
-    // the last micro's out) arena buffers; the loop below writes every
-    // element of y, xhat and inv_std.
-    arena_reshape(ctx.arena(), xhat_, n, dim_);
-    arena_reshape(ctx.arena(), inv_std_, n, 1);
+    // The storage the caches still hold when the shape matches (the stash
+    // machinery moves the last micro's out, leaving them empty); the loop
+    // below writes every element of y, xhat and inv_std.
+    if (!xhat_.same_shape(x)) xhat_ = Matrix::uninitialized(n, dim_);
+    if (inv_std_.rows() != n) inv_std_ = Matrix::uninitialized(n, 1);
   }
   // Shapes are checked above, so the loops index through row pointers.
   const double* gamma = gamma_.w.row(0);
@@ -60,7 +58,7 @@ Matrix LayerNorm::backward(const Matrix& dy, const ExecContext& ctx) {
   PF_CHECK(dy.rows() == xhat_.rows() && dy.cols() == dim_);
   const std::size_t n = dy.rows();
   const double dimd = static_cast<double>(dim_);
-  Matrix dx = arena_matrix(ctx.arena(), n, dim_);
+  Matrix dx = Matrix::uninitialized(n, dim_);
   const double* gamma = gamma_.w.row(0);
   const double* inv_std = inv_std_.data();
   // Phase 1, row-parallel: dxhat = dy ∘ gamma;

@@ -21,18 +21,14 @@ class LayerNorm {
 
   std::vector<Param*> params() { return {&gamma_, &beta_}; }
 
-  // Cache externalization for pipeline stages (see linear.h). Both caches
-  // are drawn from the context's arena when the layer holds none.
+  // Cache externalization for pipeline stages (see linear.h). A training
+  // forward writes both caches into the storage the layer holds when the
+  // shape matches, into uninitialized storage otherwise.
   struct Cache {
     Matrix xhat;
     Matrix inv_std;  // [N × 1]
   };
-  Cache save_cache() {
-    Cache c{std::move(xhat_), std::move(inv_std_)};
-    xhat_ = Matrix();
-    inv_std_ = Matrix();
-    return c;
-  }
+  Cache save_cache() { return {std::move(xhat_), std::move(inv_std_)}; }
   void restore_cache(Cache&& c) {
     xhat_ = std::move(c.xhat);
     inv_std_ = std::move(c.inv_std);

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/common/arena.h"
 #include "src/linalg/gemm.h"
 
 namespace pf {
@@ -20,7 +19,7 @@ Linear::Linear(std::size_t d_in, std::size_t d_out, Rng& rng,
 Matrix Linear::affine(const Matrix& x, const ExecContext& ctx) const {
   PF_CHECK(x.cols() == d_in_)
       << name_ << ": input cols " << x.cols() << " != d_in " << d_in_;
-  Matrix y = arena_matrix(ctx.arena(), x.rows(), d_out_);
+  Matrix y = Matrix::uninitialized(x.rows(), d_out_);
   matmul_set(x, w_.w, y, 1.0, ctx);
   const double* bias = b_.w.row(0);
   ctx.parallel_for(y.rows(), [&](std::size_t r0, std::size_t r1) {
@@ -43,7 +42,7 @@ Matrix Linear::forward(const Matrix& x, bool training,
                        const ExecContext& ctx) {
   Matrix y = affine(x, ctx);
   if (training && input_owner() == this) {
-    arena_assign(ctx.arena(), x_cache_, x);
+    x_cache_ = x;
   } else if (training) {
     PF_CHECK(&x == &cached_input())
         << name_ << " reads the input of " << input_owner()->name_
@@ -56,7 +55,7 @@ Matrix Linear::forward(Matrix&& x, bool training, const ExecContext& ctx) {
   if (input_owner() != this)
     return forward(std::as_const(x), training, ctx);
   Matrix y = affine(x, ctx);
-  if (training) arena_take(ctx.arena(), x_cache_, std::move(x));
+  if (training) x_cache_ = std::move(x);
   return y;
 }
 
@@ -82,9 +81,9 @@ Matrix Linear::backward_dx(Matrix dy, const ExecContext& ctx) {
       for (std::size_t c = c0; c < c1; ++c) db[c] += row[c];
     }
   });
-  Matrix dx = arena_matrix(ctx.arena(), dy.rows(), d_in_);
+  Matrix dx = Matrix::uninitialized(dy.rows(), d_in_);
   matmul_nt_set(dy, w_.w, dx, 1.0, ctx);
-  arena_take(ctx.arena(), dy_cache_, std::move(dy));
+  dy_cache_ = std::move(dy);
   return dx;
 }
 

@@ -7,11 +7,11 @@
 //
 // The caches take over the buffers they are handed: pass x or dy as an
 // rvalue when the caller is done with it and nothing is copied (the cache's
-// previous storage goes back to the context's arena). forward() also takes
-// a const x, which it copies into the cache; backward() and backward_dx()
-// take dy by value, so an lvalue dy is copied on the way in. Either way the
-// outputs, gradients and cached values are the same, bit for bit. Outputs
-// (y, dx) are drawn from the context's arena when it has one.
+// previous storage is freed, back to Matrix's storage pool). forward() also
+// takes a const x, which it copies into the cache; backward() and
+// backward_dx() take dy by value, so an lvalue dy is copied on the way in.
+// Either way the outputs, gradients and cached values are the same, bit
+// for bit. Outputs (y, dx) start uninitialized.
 //
 // Shared input: the layer that holds two linears reading the same x
 // declares it with read_input_of() (attention's wk and wv read wq's). The
@@ -102,12 +102,7 @@ class Linear {
     Matrix x;   // a_l of one micro-batch
     Matrix dy;  // e_l, present only after the micro's backward ran
   };
-  Cache save_cache() {
-    Cache c{std::move(x_cache_), std::move(dy_cache_)};
-    x_cache_ = Matrix();
-    dy_cache_ = Matrix();
-    return c;
-  }
+  Cache save_cache() { return {std::move(x_cache_), std::move(dy_cache_)}; }
   void restore_cache(Cache&& c) {
     x_cache_ = std::move(c.x);
     dy_cache_ = std::move(c.dy);
@@ -126,7 +121,7 @@ class Linear {
   const std::string& name() const { return name_; }
 
  private:
-  // y = x·W + b, y drawn from the context's arena.
+  // y = x·W + b into uninitialized storage.
   Matrix affine(const Matrix& x, const ExecContext& ctx) const;
 
   std::size_t d_in_, d_out_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/arena.h"
 #include "src/common/check.h"
 #include "src/nn/activations.h"
 
@@ -14,7 +13,7 @@ LossResult softmax_cross_entropy(const Matrix& logits,
                                  const ExecContext& ctx) {
   PF_CHECK(labels.size() == logits.rows());
   LossResult res;
-  res.dlogits = arena_matrix(ctx.arena(), logits.rows(), logits.cols());
+  res.dlogits = Matrix::uninitialized(logits.rows(), logits.cols());
   const Matrix p = softmax_rows(logits, ctx);
   // Serial scalar reduction: the loss sums counted rows in ascending order,
   // the seed sequence, so the value is thread-count-independent.

@@ -19,8 +19,8 @@ struct LossResult {
 // ignored (their dlogits rows are zero). Mean over counted rows. The
 // softmax and the dlogits fill are row-parallel over the context; the
 // scalar loss reduction stays serial so its accumulation order (and hence
-// the value) matches the seed exactly. dlogits is drawn from the context's
-// arena when it has one, since the head that reads it caches it.
+// the value) matches the seed exactly. Every element of dlogits is written
+// once, so it starts uninitialized.
 LossResult softmax_cross_entropy(const Matrix& logits,
                                  const std::vector<int>& labels,
                                  const ExecContext& ctx = {});

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/common/arena.h"
 #include "src/common/check.h"
 
 namespace pf {
@@ -29,16 +28,14 @@ Matrix BertStage::forward(int micro, const BertBatch& batch, Matrix in,
     // Identical op sequence to BertModel::train_step_backward's head/loss
     // section — the bitwise contract depends on it. The MLM head takes h
     // over, so the step ends here with no boundary activation; the [CLS]
-    // rows are gathered from its cache.
-    ArenaAllocator* arena = ctx.arena();
-    Matrix mlm_logits = mlm_head_->forward(std::move(h), true, ctx);
-    auto mlm = softmax_cross_entropy(mlm_logits, batch.mlm_labels, ctx);
-    arena_recycle(arena, std::move(mlm_logits));
+    // rows are gathered from its cache. The logits die with the loss call.
+    auto mlm = softmax_cross_entropy(
+        mlm_head_->forward(std::move(h), true, ctx), batch.mlm_labels, ctx);
     const Matrix cls =
         gather_cls_rows(mlm_head_->cached_input(), batch.batch, batch.seq);
-    Matrix nsp_logits = nsp_head_->forward(cls, /*training=*/true, ctx);
-    auto nsp = softmax_cross_entropy(nsp_logits, batch.nsp_labels, ctx);
-    arena_recycle(arena, std::move(nsp_logits));
+    auto nsp = softmax_cross_entropy(
+        nsp_head_->forward(cls, /*training=*/true, ctx), batch.nsp_labels,
+        ctx);
     loss_stash_[micro] = {mlm.loss + nsp.loss, mlm.loss, nsp.loss};
     mlm_dlogits = std::move(mlm.dlogits);
     nsp_dlogits = std::move(nsp.dlogits);
@@ -92,17 +89,15 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
   // MOVE the whole cache set back into the layers and drop the entry.
   // Backward reads but never mutates a_l, so the buffers survive the round
   // trip bit for bit and are re-harvested below for the curvature tasks.
-  // What an earlier backward left in the layers goes back to the arena
-  // first. Loss gradients live outside the layer caches: they are the only
-  // thing left of the entry once the layers take their caches back, and
-  // the heads take them over as their output-gradient caches.
-  ArenaAllocator* arena = ctx.arena();
+  // What an earlier backward left in the layers is freed as the micro's
+  // caches replace it. Loss gradients live outside the layer caches: they
+  // are the only thing left of the entry once the layers take their caches
+  // back, and the heads take them over as their output-gradient caches.
   StageCache sc = std::move(it->second);
   stash_sub(bytes_of(sc));
   fwd_stash_.erase(it);
   Matrix mlm_dlogits = std::move(sc.mlm_dlogits);
   Matrix nsp_dlogits = std::move(sc.nsp_dlogits);
-  if (arena != nullptr) release_to_arena(arena, save_caches());
   restore_caches(std::move(sc));
 
   Matrix dh;
@@ -112,12 +107,11 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
                       : l->backward(std::move(g), ctx);
     };
     dh = back(mlm_head_, std::move(mlm_dlogits));
-    Matrix dcls = back(nsp_head_, std::move(nsp_dlogits));
+    const Matrix dcls = back(nsp_head_, std::move(nsp_dlogits));
     for (std::size_t b = 0; b < batch.batch; ++b) {
       double* row = dh.row(b * batch.seq);
       for (std::size_t c = 0; c < dh.cols(); ++c) row[c] += dcls(b, c);
     }
-    arena_recycle(arena, std::move(dcls));
   } else {
     PF_CHECK(!grad_in.empty())
         << "stage " << index_ << ": missing boundary gradient";
@@ -127,7 +121,7 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
     dh = blocks_[i]->backward(std::move(dh), ctx, defer_dw);
   if (is_first()) {
     emb_->backward(dh, ctx);
-    arena_recycle(arena, std::move(dh));
+    dh = Matrix();
   }
 
   if (keep_kfac_stash || defer_dw) {
@@ -152,8 +146,7 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
   return dh;
 }
 
-void BertStage::backward_dw(int micro, const ExecContext& ctx, bool release,
-                            ArenaAllocator* arena) {
+void BertStage::backward_dw(int micro, const ExecContext& ctx, bool release) {
   const auto it = kfac_stash_.find(micro);
   PF_CHECK(it != kfac_stash_.end())
       << "stage " << index_ << ": backward_dw(" << micro
@@ -177,11 +170,6 @@ void BertStage::backward_dw(int micro, const ExecContext& ctx, bool release,
   }
   if (release) {
     stash_sub(bytes_of(kcs));
-    if (arena != nullptr)
-      for (Linear::Cache& kc : kcs) {
-        arena->release(std::move(kc.x));
-        arena->release(std::move(kc.dy));
-      }
     kfac_stash_.erase(it);
   }
 }
@@ -224,16 +212,7 @@ const Matrix& BertStage::kfac_output_grad(int micro, std::size_t f) const {
   return dy;
 }
 
-void BertStage::clear_stash(ArenaAllocator* arena) {
-  if (arena != nullptr) {
-    for (auto& [m, sc] : fwd_stash_)
-      release_to_arena(arena, std::move(sc));
-    for (auto& [m, kcs] : kfac_stash_)
-      for (Linear::Cache& kc : kcs) {
-        arena->release(std::move(kc.x));
-        arena->release(std::move(kc.dy));
-      }
-  }
+void BertStage::clear_stash() {
   fwd_stash_.clear();
   kfac_stash_.clear();
   loss_stash_.clear();
@@ -299,33 +278,6 @@ std::size_t BertStage::bytes_of(const std::vector<Linear::Cache>& kcs) {
   std::size_t n = 0;
   for (const Linear::Cache& kc : kcs) n += lin_bytes(kc);
   return n;
-}
-
-void BertStage::release_to_arena(ArenaAllocator* arena, StageCache&& c) {
-  // Only what the layers draw from the arena goes back, so every parked
-  // buffer is one a later acquire takes again. The int id/segment vectors
-  // and the loss gradients of an entry whose backward never ran free
-  // normally.
-  for (TransformerBlock::Cache& bc : c.blocks) {
-    arena->release(std::move(bc.attn.q));
-    arena->release(std::move(bc.attn.k));
-    arena->release(std::move(bc.attn.v));
-    for (Matrix& p : bc.attn.probs) arena->release(std::move(p));
-    for (Linear::Cache* lc : {&bc.attn.wq, &bc.attn.wk, &bc.attn.wv,
-                              &bc.attn.wo, &bc.w1, &bc.w2}) {
-      arena->release(std::move(lc->x));
-      arena->release(std::move(lc->dy));
-    }
-    for (LayerNorm::Cache* lc : {&bc.ln1, &bc.ln2}) {
-      arena->release(std::move(lc->xhat));
-      arena->release(std::move(lc->inv_std));
-    }
-    arena->release(std::move(bc.gelu.dydx));
-  }
-  for (Linear::Cache* lc : {&c.mlm_head, &c.nsp_head}) {
-    arena->release(std::move(lc->x));
-    arena->release(std::move(lc->dy));
-  }
 }
 
 void BertStage::stash_add(std::size_t bytes) {

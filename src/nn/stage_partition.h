@@ -29,20 +29,16 @@
 //                buffers (backward reads but never mutates a_l), so a
 //                curvature-A task that runs after the backward sees a_l
 //                bit for bit. Everything else the forward stashed returns
-//                to the layers, where the next forward reuses (or arena-
-//                recycles) the storage — peak stash bytes stay
-//                O(in-flight micros) + O(n_micro) · |{a_l, e_l}| instead
-//                of O(n_micro) full activation sets. What an earlier
-//                backward left in the layers goes back to the arena
-//                before the micro's own caches move in.
+//                to the layers, where the next forward reuses the storage
+//                — peak stash bytes stay O(in-flight micros) +
+//                O(n_micro) · |{a_l, e_l}| instead of O(n_micro) full
+//                activation sets. What an earlier backward left in the
+//                layers is freed as the micro's own caches move in.
 //
-// Arena: with ctx.arena() set, the layers draw every activation they write
-// from it and each buffer goes back when it dies (common/arena.h), so a
-// stage's buffers cycle through its arena instead of malloc and free. The
-// arena gets back only buffers of the sizes it hands out: every cached
-// buffer is an arena draw, except the boundary input, which is an
-// activation of the same size from the neighbouring stage. The per-head
-// softmax outputs and LayerNorm's inverse deviations are arena draws too.
+// Storage: a stash entry, a layer cache or a temporary frees its buffers
+// when it dies, and Matrix's storage pool (linalg/matrix.h) hands them to
+// the next allocation of the same size, so a stage's steady-state steps
+// recycle storage with no hand-back here.
 //
 // Shared inputs: attention's wk and wv read wq's input (Linear::
 // read_input_of), so every stash holds that input once per block and
@@ -67,8 +63,6 @@
 #include "src/nn/bert.h"
 
 namespace pf {
-
-class ArenaAllocator;
 
 class BertStage {
  public:
@@ -113,12 +107,11 @@ class BertStage {
 
   // Zero-bubble W pass for one micro: dW += a_lᵀ·e_l for every Linear
   // whose GEMM backward(defer_dw=true) deferred, reading the harvested
-  // caches. `release` drops the micro's stash afterwards (parked in the
-  // arena) — pass false when curvature tasks still read it this step.
-  // Same thread-safety rule as backward: the runtime serializes this with
-  // the stage's other work through the stage resource token.
-  void backward_dw(int micro, const ExecContext& ctx, bool release,
-                   ArenaAllocator* arena = nullptr);
+  // caches. `release` drops the micro's stash afterwards — pass false when
+  // curvature tasks still read it this step. Same thread-safety rule as
+  // backward: the runtime serializes this with the stage's other work
+  // through the stage resource token.
+  void backward_dw(int micro, const ExecContext& ctx, bool release);
 
   // Last stage only: the losses recorded by forward(micro).
   BertLossBreakdown losses(int micro) const;
@@ -130,10 +123,8 @@ class BertStage {
   const Matrix& kfac_input(int micro, std::size_t f) const;
   const Matrix& kfac_output_grad(int micro, std::size_t f) const;
 
-  // Releases all per-micro stashes (end of step). With an arena, every
-  // stashed buffer is parked there for the next step's forwards to recycle
-  // instead of being freed.
-  void clear_stash(ArenaAllocator* arena = nullptr);
+  // Releases all per-micro stashes (end of step).
+  void clear_stash();
 
   // --- Stash telemetry ---------------------------------------------------
   // Bytes currently held by this stage's per-micro stashes (fwd + kfac) and
@@ -173,7 +164,6 @@ class BertStage {
 
   static std::size_t bytes_of(const StageCache& c);
   static std::size_t bytes_of(const std::vector<Linear::Cache>& kcs);
-  static void release_to_arena(ArenaAllocator* arena, StageCache&& c);
   void stash_add(std::size_t bytes);
   void stash_sub(std::size_t bytes);
 

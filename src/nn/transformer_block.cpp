@@ -1,7 +1,5 @@
 #include "src/nn/transformer_block.h"
 
-#include "src/common/arena.h"
-
 namespace pf {
 
 TransformerBlock::TransformerBlock(std::size_t d_model, std::size_t d_ff,
@@ -16,43 +14,40 @@ TransformerBlock::TransformerBlock(std::size_t d_model, std::size_t d_ff,
 Matrix TransformerBlock::forward(Matrix x, std::size_t batch,
                                  std::size_t seq, bool training,
                                  const ExecContext& ctx) {
-  ArenaAllocator* arena = ctx.arena();
   // An inference forward caches nothing, so x and h stay here for the
-  // residuals.
+  // residuals. Each temporary is freed as soon as it is dead, so the next
+  // allocation of its size can take its storage back from the pool.
   Matrix a = training ? attn_.forward(std::move(x), batch, seq, true, ctx)
                       : attn_.forward(x, batch, seq, false, ctx);
   a += training ? attn_.cached_input() : x;  // residual
   Matrix h = ln1_.forward(a, training, ctx);
-  arena_recycle(arena, std::move(a));
+  a = Matrix();
   Matrix u = training ? w1_.forward(std::move(h), true, ctx)
                       : w1_.forward(h, false, ctx);
   Matrix g = gelu_.forward(u, training, ctx);
-  arena_recycle(arena, std::move(u));
+  u = Matrix();
   Matrix f = w2_.forward(std::move(g), training, ctx);
   f += training ? w1_.cached_input() : h;  // residual
-  Matrix y = ln2_.forward(f, training, ctx);
-  arena_recycle(arena, std::move(f));
-  return y;
+  return ln2_.forward(f, training, ctx);
 }
 
 Matrix TransformerBlock::backward(Matrix dy, const ExecContext& ctx,
                                   bool dx_only) {
-  ArenaAllocator* arena = ctx.arena();
   const auto back = [&](Linear& l, Matrix&& g) {
     return dx_only ? l.backward_dx(std::move(g), ctx)
                    : l.backward(std::move(g), ctx);
   };
   Matrix df = ln2_.backward(dy, ctx);
-  arena_recycle(arena, std::move(dy));
+  dy = Matrix();
   Matrix dgelu_out = back(w2_, std::move(df));
   Matrix dg = gelu_.backward(dgelu_out, ctx);
-  arena_recycle(arena, std::move(dgelu_out));
+  dgelu_out = Matrix();
   Matrix dh = back(w1_, std::move(dg));
   // f = h + FFN(h): gradient flows both directly (df, as w2 cached it) and
   // through the FFN.
   dh += w2_.cached_output_grad();
   Matrix da = ln1_.backward(dh, ctx);
-  arena_recycle(arena, std::move(dh));
+  dh = Matrix();
   // a = x + Attention(x); da as wo cached it.
   Matrix dx = attn_.backward(std::move(da), ctx, dx_only);
   dx += attn_.cached_output_grad();

@@ -10,8 +10,9 @@
 // attention context, h and the GELU output to the linears that cache them
 // (wq, wo, w1, w2 — wk and wv read wq's x) instead of copying them, and the
 // residuals read x and h back from those caches; backward hands dq, dk,
-// dv, da, the GELU gradient and df over the same way. Temporaries go back
-// to the context's arena when they die.
+// dv, da, the GELU gradient and df over the same way. A temporary is freed
+// (back to Matrix's storage pool) as soon as it is dead, before the next
+// activation of the block is allocated.
 #pragma once
 
 #include "src/nn/activations.h"

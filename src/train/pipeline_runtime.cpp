@@ -101,31 +101,19 @@ BertLossBreakdown PipelineRuntime::step() {
   // Entry reset (not just exit): begin_step() clears the stashes a step
   // that threw mid-flight left populated.
   binder_->begin_step(t_, spec_.n_micro);
-  std::vector<ArenaAllocator::Stats> arena_before;
-  for (int s = 0; s < S; ++s)
-    arena_before.push_back(binder_->worker(s).arena->stats());
 
   execute(make_step_plan(binder_->curv_step(), binder_->inv_step()));
 
   // --- Step epilogue: losses in micro order, stash cleanup --------------
   const BertLossBreakdown total = binder_->mean_loss(0, spec_.n_micro);
   // Stash high-water marks first (clear_stash zeroes the running count, not
-  // the peak), then park the surviving K-FAC stashes in the arenas so the
-  // next step's forwards recycle them.
-  for (int s = 0; s < S; ++s)
-    last_memory_stats_[static_cast<std::size_t>(s)].peak_stash_bytes =
-        partition_.stage(s).peak_stash_bytes();
-  binder_->end_step();
+  // the peak), then free the surviving K-FAC stashes.
   for (int s = 0; s < S; ++s) {
-    const auto si = static_cast<std::size_t>(s);
-    const auto now = binder_->worker(s).arena->stats();
-    last_memory_stats_[si].arena_recycled =
-        now.recycled - arena_before[si].recycled;
-    last_memory_stats_[si].arena_fresh = now.fresh - arena_before[si].fresh;
-    last_memory_stats_[si].arena_trimmed_bytes =
-        now.trimmed_bytes - arena_before[si].trimmed_bytes;
-    last_memory_stats_[si].arena_free_bytes = now.free_bytes;
+    const StageWorker& w = binder_->worker(s);
+    last_memory_stats_[static_cast<std::size_t>(s)] = {
+        partition_.stage(s).peak_stash_bytes(), w.recycled, w.fresh};
   }
+  binder_->end_step();
   ++t_;
   return total;
 }

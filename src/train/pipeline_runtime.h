@@ -59,12 +59,12 @@
 // overloads — nothing a stage runs dispatches on the process-global pool)
 // and the K-FAC work.
 //
-// Memory: each stage's context carries a private ArenaAllocator
-// (common/arena.h). The stage's activations, caches and stash traffic draw
-// their storage from it and park dead buffers back, so steady-state steps
-// recycle instead of malloc'ing, and each step ends with a trim to the
-// step's working set; stages report per-step stash high-water marks and
-// arena recycle counts through memory_stats().
+// Memory: the stages' activations, caches and stashes free their buffers
+// when they die, and Matrix's process-wide storage pool (linalg/matrix.h)
+// hands them to the next allocation of the same size, so steady-state
+// steps recycle instead of malloc'ing. Stages report per-step stash
+// high-water marks and the pool's recycled/fresh hand-outs to their tasks
+// through memory_stats().
 //
 // After each step or stream the runtime exposes the realized execution as a
 // trace::Timeline (real wall-clock intervals, one lane per device) for
@@ -76,7 +76,6 @@
 
 #include "src/comm/stage_channel.h"
 #include "src/comm/transport_channel.h"
-#include "src/common/arena.h"
 #include "src/common/task_executor.h"
 #include "src/data/mlm_batcher.h"
 #include "src/nn/stage_partition.h"
@@ -184,16 +183,15 @@ class PipelineRuntime {
   // Realized handover order on a boundary (micro ids in send order).
   std::vector<int> forward_send_order(int boundary) const;
   std::vector<int> backward_send_order(int boundary) const;
-  // Per-stage memory telemetry of the last step: stash high-water mark, the
-  // stage arena's recycle/fresh acquisition counts and the bytes its
-  // end-of-step trim freed (deltas over the step), plus the bytes parked in
-  // it now.
+  // Per-stage memory telemetry of the last step: the stash high-water mark,
+  // and the storage-pool hand-outs (linalg/matrix.h) the stage's tasks
+  // received during the step, recycled and fresh. The hand-outs are
+  // counted on the thread that runs each task, so with stage_threads > 1
+  // the nn-loop chunks that other pool threads run are not credited.
   struct StageMemoryStats {
     std::size_t peak_stash_bytes = 0;
     std::size_t arena_recycled = 0;
     std::size_t arena_fresh = 0;
-    std::size_t arena_trimmed_bytes = 0;
-    std::size_t arena_free_bytes = 0;
   };
   const std::vector<StageMemoryStats>& memory_stats() const {
     return last_memory_stats_;

@@ -41,9 +41,7 @@ PlanBinder::PlanBinder(BertStagePartition& partition, const ScheduleSpec& spec,
     StageWorker& w = worker(s);
     w.stage = &partition.stage(s);
     w.params = w.stage->params();
-    w.arena = std::make_unique<ArenaAllocator>();
     w.ctx = ExecContext(cfg.stage_threads, cfg.stage_threads, pool);
-    w.ctx.set_arena(w.arena.get());
     w.opt = cfg.base_optimizer ? cfg.base_optimizer()
                                : std::make_unique<Lamb>();
     // The stage's K-FAC tasks run under w.ctx like its other ops, so bubble
@@ -66,23 +64,30 @@ void PlanBinder::begin_step(std::size_t t, int n_batches) {
   for (StageWorker& w : workers_) {
     if (w.stage == nullptr) continue;
     zero_grads(w.params);
-    w.stage->clear_stash(w.arena.get());
+    w.fresh = 0;
+    w.recycled = 0;
+    w.stage->clear_stash();
     w.stage->reset_stash_stats();
   }
 }
 
 void PlanBinder::end_step() {
-  for (StageWorker& w : workers_) {
-    if (w.stage == nullptr) continue;
-    w.stage->clear_stash(w.arena.get());
-    w.arena->trim();
-  }
+  for (StageWorker& w : workers_)
+    if (w.stage != nullptr) w.stage->clear_stash();
 }
 
 void PlanBinder::run(const PlannedTask& task) {
+  StageWorker& w = worker(task.stage);
+  const StorageHandouts before = thread_storage_handouts();
+  work(task, w);
+  const StorageHandouts after = thread_storage_handouts();
+  w.fresh += after.fresh - before.fresh;
+  w.recycled += after.recycled - before.recycled;
+}
+
+void PlanBinder::work(const PlannedTask& task, StageWorker& w) {
   const int s = task.stage;
   const int m = task.micro;
-  StageWorker& w = worker(s);
   KfacEngine* engine = w.engine.get();
   PF_CHECK(engine != nullptr || !is_kfac_kind(task.kind))
       << "stage " << s << ": K-FAC task without an engine";
@@ -105,8 +110,7 @@ void PlanBinder::run(const PlannedTask& task) {
       backward(s, m, keeps_kfac_stash(w), split_);
       return;
     case WorkKind::kBackwardWeight:
-      w.stage->backward_dw(m, w.ctx, /*release=*/!keeps_kfac_stash(w),
-                           w.arena.get());
+      w.stage->backward_dw(m, w.ctx, /*release=*/!keeps_kfac_stash(w));
       return;
     case WorkKind::kSyncGrad:
       sync_grads(s);

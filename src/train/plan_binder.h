@@ -2,7 +2,7 @@
 // binder that every training executor runs.
 //
 // StageWorker holds one pipeline stage's training state: the stage view,
-// its arena, ExecContext, optimizer, K-FAC engine and params. PlanBinder
+// its ExecContext, optimizer, K-FAC engine and params. PlanBinder
 // owns the workers of the stages one process runs, and its run() is the
 // ONLY place in the library where a planned task's WorkKind turns into
 // training work:
@@ -11,13 +11,16 @@
 //   * a forked child of run_multiproc filters the step plan by lane and
 //     calls run() in plan-index order.
 // The StepPlan that perfmodel's predict_step replays is therefore, by
-// construction, the work every executor runs.
+// construction, the work every executor runs. run() is also where a task's
+// storage-pool hand-outs (linalg/matrix.h) are credited to its stage.
 //
 // Thread safety: run() touches only the task's own stage (serialized by
 // the plan's stage resource tokens and lane chains) and state fixed by
 // begin_step(), so executor threads may call it concurrently.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -36,10 +39,13 @@ KfacFactors kfac_factors(const BertStagePartition& part, bool use_kfac);
 struct StageWorker {
   BertStage* stage = nullptr;  // null: another process owns the stage
   std::vector<Param*> params;
-  std::unique_ptr<ArenaAllocator> arena;
   ExecContext ctx;
   std::unique_ptr<Optimizer> opt;
   std::unique_ptr<KfacEngine> engine;  // null: no K-FAC on this stage
+  // Storage-pool hand-outs the stage's tasks received since begin_step(),
+  // on the threads that ran them (run() adds each task's own).
+  std::atomic<std::uint64_t> fresh{0};
+  std::atomic<std::uint64_t> recycled{0};
 };
 
 // Boundary channels and how a receive waits on them.
@@ -69,19 +75,20 @@ class PlanBinder {
 
   // Step preamble, exactly the serial Trainer's: draws `n_batches`
   // micro-batches in the serial order (one data RNG across steps), zeroes
-  // the owned stages' gradients, clears their stashes and fixes step t's
-  // K-FAC refresh flags. A stream's plan starts at t and draws every
-  // step's batches up front.
+  // the owned stages' gradients and hand-out counts, clears their stashes
+  // and fixes step t's K-FAC refresh flags. A stream's plan starts at t and
+  // draws every step's batches up front.
   void begin_step(std::size_t t, int n_batches);
-  // Parks the owned stages' surviving stashes in their arenas, then trims
-  // each arena to the step's working set (ArenaAllocator::trim).
+  // Frees the owned stages' surviving stashes.
   void end_step();
   bool curv_step() const { return curv_step_; }
   bool inv_step() const { return inv_step_; }
 
-  // Runs one planned task's work. `task.micro` indexes the batches
-  // begin_step() drew. kOptimizerUpdate steps the stage at the LR of step
-  // t + task.step and leaves its gradients zero for the next step's fold.
+  // Runs one planned task's work and credits the storage-pool hand-outs
+  // the calling thread received meanwhile to the task's stage. `task.micro`
+  // indexes the batches begin_step() drew. kOptimizerUpdate steps the stage
+  // at the LR of step t + task.step and leaves its gradients zero for the
+  // next step's fold.
   void run(const PlannedTask& task);
 
   // The last stage's losses over micros [first, first + n), summed in
@@ -91,6 +98,7 @@ class PlanBinder {
   StageWorker& worker(int s) { return workers_[static_cast<std::size_t>(s)]; }
 
  private:
+  void work(const PlannedTask& task, StageWorker& w);
   void forward(int s, int micro);
   void backward(int s, int micro, bool keep_kfac_stash, bool defer_dw);
   // Averages the stage's accumulated gradients over the step's micros.

@@ -1,5 +1,6 @@
 // Tests for src/common: checked errors, RNG, statistics, strings, thread
-// pool, execution context, CPU feature detection.
+// pool, execution context, CPU feature detection — and the storage pool
+// under Matrix (linalg/matrix.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,9 +9,10 @@
 #include <cstdlib>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/check.h"
 #include "src/common/cpu_features.h"
 #include "src/common/exec_context.h"
@@ -18,7 +20,7 @@
 #include "src/common/stats.h"
 #include "src/common/strings.h"
 #include "src/common/thread_pool.h"
-#include "tests/support/matrix_util.h"
+#include "src/linalg/matrix.h"
 #include "tests/support/running_stats.h"
 
 namespace pf {
@@ -332,211 +334,155 @@ TEST(CpuFeatures, SetLevelClampsToDetectedAndRoundTrips) {
   EXPECT_EQ(active_simd_level(), prev);
 }
 
-TEST(Arena, RecyclesReleasedBuffersWithinWasteBound) {
-  ArenaAllocator arena;
-  Matrix::Storage buf = arena.acquire(100);
-  const double* storage = buf.data();
-  arena.release(std::move(buf));
-  EXPECT_EQ(arena.stats().released, 1u);
-  EXPECT_EQ(arena.stats().free_bytes, 100 * sizeof(double));
+// Matrix storage comes from one process-wide pool (linalg/matrix.h). The
+// tests below use element counts that no other test in this binary
+// allocates, so the free lists they read start empty.
+TEST(StoragePool, AFreedBlockIsTheNextOneHandedOutAtItsCount) {
+  const StorageHandouts h0 = thread_storage_handouts();
+  const double* freed = nullptr;
+  {
+    const Matrix m = Matrix::uninitialized(7, 131);
+    freed = m.data();
+  }
+  const Matrix again = Matrix::uninitialized(131, 7);  // same count
+  EXPECT_EQ(again.data(), freed);
+  const StorageHandouts h1 = thread_storage_handouts();
+  EXPECT_EQ(h1.fresh - h0.fresh, 1u);
+  EXPECT_EQ(h1.recycled - h0.recycled, 1u);
+  // Another count does not take it: nothing is parked there yet.
+  const Matrix other = Matrix::uninitialized(7, 132);
+  const StorageHandouts h2 = thread_storage_handouts();
+  EXPECT_EQ(h2.fresh - h1.fresh, 1u);
+  EXPECT_EQ(h2.recycled, h1.recycled);
 
-  // A smaller request within the 2x bound reuses the same storage.
-  Matrix::Storage again = arena.acquire(60);
-  EXPECT_EQ(again.data(), storage);
-  EXPECT_EQ(again.size(), 60u);
-  EXPECT_EQ(arena.stats().recycled, 1u);
-  EXPECT_EQ(arena.stats().free_bytes, 0u);
-  arena.release(std::move(again));
-
-  // A request the parked buffer would waste >2x on allocates fresh and
-  // leaves the parked buffer alone.
-  Matrix::Storage tiny = arena.acquire(10);
-  EXPECT_EQ(tiny.size(), 10u);
-  EXPECT_EQ(arena.stats().fresh, 2u);  // the first acquire + this one
-  EXPECT_GT(arena.stats().free_bytes, 0u);
-}
-
-TEST(Arena, RecyclesOnlyBelowTwiceTheRequest) {
-  // A parked capacity c serves acquire(n) when n <= c < 2n: 2n - 1 is the
-  // last capacity that recycles, 2n (a buffer twice the tensor's size) and
-  // anything short of n allocate fresh.
-  const std::size_t n = 48;
-  ArenaAllocator arena;
-  arena.release(Matrix::Storage(2 * n));
-  arena.release(Matrix::Storage(n - 1));
-  const Matrix::Storage a = arena.acquire(n);
-  EXPECT_EQ(arena.stats().fresh, 1u);
-  EXPECT_EQ(arena.stats().recycled, 0u);
-  EXPECT_EQ(arena.stats().free_bytes, (3 * n - 1) * sizeof(double));
-
-  arena.release(Matrix::Storage(2 * n - 1));
-  const Matrix::Storage b = arena.acquire(n);
-  EXPECT_EQ(arena.stats().recycled, 1u);
-  EXPECT_EQ(b.size(), n);
-  EXPECT_EQ(b.capacity(), 2 * n - 1);
-}
-
-TEST(Arena, ReusesTheLastParkedBufferOfACapacity) {
-  // Of several parked buffers of one capacity, acquire takes the one parked
-  // last, so the buffers left at the bottom are the ones trim() finds
-  // unused.
-  ArenaAllocator arena;
+  // Of several parked blocks of one count, the one parked last goes first.
+  std::vector<Matrix> live;
   std::vector<const double*> parked;
   for (int i = 0; i < 3; ++i) {
-    Matrix::Storage buf(32);
-    parked.push_back(buf.data());
-    arena.release(std::move(buf));
+    live.push_back(Matrix::uninitialized(1, 1009));
+    parked.push_back(live.back().data());
   }
-  const Matrix::Storage last = arena.acquire(32);
-  const Matrix::Storage middle = arena.acquire(32);
+  for (Matrix& m : live) m = Matrix();
+  const Matrix last = Matrix::uninitialized(1, 1009);
+  const Matrix middle = Matrix::uninitialized(1, 1009);
   EXPECT_EQ(last.data(), parked[2]);
   EXPECT_EQ(middle.data(), parked[1]);
-  EXPECT_EQ(arena.stats().free_bytes, 32 * sizeof(double));
 }
 
-TEST(Arena, TrimFreesWhatNoAcquireTookSinceTheLastTrim) {
-  ArenaAllocator arena;
-  arena.release(Matrix::Storage(10));
-  arena.release(Matrix::Storage(20));
-  // Both were parked since the last trim (none yet): both stay.
-  arena.trim();
-  EXPECT_EQ(arena.stats().free_bytes, 30 * sizeof(double));
-  EXPECT_EQ(arena.stats().trimmed_bytes, 0u);
-
-  // The 10-buffer is taken and parked again; the 20-buffer sat through a
-  // whole interval untouched and goes.
-  arena.release(arena.acquire(10));
-  arena.trim();
-  EXPECT_EQ(arena.stats().free_bytes, 10 * sizeof(double));
-  EXPECT_EQ(arena.stats().trimmed_bytes, 20 * sizeof(double));
-  Matrix::Storage kept = arena.acquire(10);
-  EXPECT_EQ(arena.stats().recycled, 2u);
-  EXPECT_EQ(arena.stats().fresh, 0u);
-  arena.release(std::move(kept));
-
-  // A buffer released during the interval stays even if nothing took it;
-  // the next trim frees it unless an acquire takes it first.
-  arena.trim();
-  EXPECT_EQ(arena.stats().free_bytes, 10 * sizeof(double));
-  arena.trim();
-  EXPECT_EQ(arena.stats().free_bytes, 0u);
-  EXPECT_EQ(arena.stats().trimmed_bytes, 30 * sizeof(double));
-}
-
-TEST(Arena, ExhaustionGrowsInsteadOfFailing) {
-  // More concurrent acquires than parked buffers: the surplus allocates
-  // fresh ("exhaustion growth"), nothing throws, and all buffers are
-  // usable and distinct.
-  ArenaAllocator arena;
-  arena.release(Matrix::Storage(50));
-  std::vector<Matrix::Storage> live;
-  for (int i = 0; i < 8; ++i) live.push_back(arena.acquire(50));
-  EXPECT_EQ(arena.stats().recycled, 1u);
-  EXPECT_EQ(arena.stats().fresh, 7u);
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    EXPECT_EQ(live[i].size(), 50u);
-    for (std::size_t j = i + 1; j < live.size(); ++j)
-      EXPECT_NE(live[i].data(), live[j].data());
+TEST(StoragePool, CountersAreExact) {
+  // This thread's fresh/recycled hand-outs and the process-wide live and
+  // parked bytes move by exactly what each allocation and free implies.
+  const std::size_t n = 1013;
+  const std::size_t bytes = n * sizeof(double);
+  const StorageHandouts h0 = thread_storage_handouts();
+  const StoragePoolBytes b0 = storage_pool_bytes();
+  {
+    Matrix a = Matrix::uninitialized(1, n);  // fresh: nothing parked at n
+    Matrix b(1, n, 3.0);                     // fresh
+    const StoragePoolBytes b1 = storage_pool_bytes();
+    EXPECT_EQ(b1.live, b0.live + 2 * bytes);
+    EXPECT_EQ(b1.parked, b0.parked);
+    a = Matrix();  // parked
+    const StoragePoolBytes b2 = storage_pool_bytes();
+    EXPECT_EQ(b2.live, b0.live + bytes);
+    EXPECT_EQ(b2.parked, b0.parked + bytes);
+    const Matrix c = b;  // a copy takes the parked block back
+    const StoragePoolBytes b3 = storage_pool_bytes();
+    EXPECT_EQ(b3.live, b0.live + 2 * bytes);
+    EXPECT_EQ(b3.parked, b0.parked);
   }
+  const StorageHandouts h1 = thread_storage_handouts();
+  EXPECT_EQ(h1.fresh - h0.fresh, 2u);
+  EXPECT_EQ(h1.recycled - h0.recycled, 1u);
+  const StoragePoolBytes b4 = storage_pool_bytes();
+  EXPECT_EQ(b4.live, b0.live);
+  EXPECT_EQ(b4.parked, b0.parked + 2 * bytes);
+  // A move hands out and frees nothing; only d's allocation (one of the
+  // two parked blocks) counts.
+  Matrix d = Matrix::uninitialized(1, n);
+  Matrix e = std::move(d);
+  EXPECT_TRUE(d.empty());
+  EXPECT_EQ(d.rows(), 0u);
+  EXPECT_EQ(e.size(), n);
+  const StorageHandouts h2 = thread_storage_handouts();
+  EXPECT_EQ(h2.fresh - h1.fresh, 0u);
+  EXPECT_EQ(h2.recycled - h1.recycled, 1u);
 }
 
-TEST(Arena, MatrixRoundTripPreservesValuesAndAlignment) {
-  ArenaAllocator arena;
-  Matrix m = arena_matrix(&arena, 7, 9);
-  EXPECT_EQ(m.rows(), 7u);
-  EXPECT_EQ(m.cols(), 9u);
-  EXPECT_EQ(arena.stats().fresh, 1u);
-  // Matrix::Storage: at least alignof(double) everywhere the kernels load
-  // from (they use unaligned loads, but the base must be a valid double
-  // array).
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.row(0)) % alignof(double),
-            0u);
-
-  Matrix src(4, 4);
-  for (std::size_t r = 0; r < 4; ++r)
-    for (std::size_t c = 0; c < 4; ++c)
-      src(r, c) = static_cast<double>(r * 4 + c);
-  arena.release(std::move(m));
-  const Matrix copy = arena.copy_matrix(src);
-  EXPECT_EQ(max_abs_diff(copy, src), 0.0);
-
-  // Null-arena helpers fall back to plain allocation with equal values.
-  const Matrix plain = arena_matrix(nullptr, 4, 4);
-  EXPECT_EQ(plain.rows(), 4u);
-  EXPECT_EQ(plain.cols(), 4u);
-  Matrix dst;
-  arena_assign(nullptr, dst, src);
-  EXPECT_EQ(max_abs_diff(dst, src), 0.0);
-}
-
-TEST(Arena, UnwrittenStorageReadsAsNaNInDebugBuilds) {
+TEST(StoragePool, UnwrittenStorageReadsAsNaNInDebugBuilds) {
 #ifdef NDEBUG
   GTEST_SKIP() << "unwritten storage is poisoned only in Debug builds";
 #else
   // Storage handed out without a fill reads as quiet NaN, so a kernel that
   // reads an element before writing it turns a bitwise suite's result into
-  // NaN: Matrix::uninitialized, the growth of the adopting constructor,
-  // and every arena acquire, fresh or recycled.
-  const auto all_nan = [](const double* p, std::size_t n) {
-    return std::all_of(p, p + n, [](double v) { return std::isnan(v); });
+  // NaN rather than into its last user's values: every hand-out, fresh or
+  // recycled.
+  const auto all_nan = [](const Matrix& m) {
+    return std::all_of(m.data(), m.data() + m.size(),
+                       [](double v) { return std::isnan(v); });
   };
-  const Matrix u = Matrix::uninitialized(3, 5);
-  EXPECT_TRUE(all_nan(u.data(), u.size()));
-  const Matrix grown(3, 3, Matrix::Storage(4, 2.0));
-  EXPECT_TRUE(std::all_of(grown.data(), grown.data() + 4,
-                          [](double v) { return v == 2.0; }));
-  EXPECT_TRUE(all_nan(grown.data() + 4, 5));
-  ArenaAllocator arena;
-  Matrix::Storage fresh = arena.acquire(6);
-  EXPECT_TRUE(all_nan(fresh.data(), fresh.size()));
-  std::fill(fresh.begin(), fresh.end(), 1.0);
-  arena.release(std::move(fresh));
-  const Matrix::Storage recycled = arena.acquire(5);
-  EXPECT_EQ(arena.stats().recycled, 1u);
-  EXPECT_TRUE(all_nan(recycled.data(), recycled.size()));
+  const StorageHandouts h0 = thread_storage_handouts();
+  {
+    Matrix fresh = Matrix::uninitialized(3, 337);
+    EXPECT_TRUE(all_nan(fresh));
+    fresh.fill(1.0);
+  }
+  const Matrix recycled = Matrix::uninitialized(337, 3);
+  const StorageHandouts h1 = thread_storage_handouts();
+  EXPECT_EQ(h1.fresh - h0.fresh, 1u);
+  EXPECT_EQ(h1.recycled - h0.recycled, 1u);
+  EXPECT_TRUE(all_nan(recycled));
 #endif
 }
 
-TEST(Arena, ArenaAssignRecyclesOnlyIntoEmptyDestinations) {
-  ArenaAllocator arena;
-  arena.release(Matrix::Storage(12));
-  Matrix src(3, 4, 2.0);
-  Matrix dst;  // empty: arena serves the storage
-  arena_assign(&arena, dst, src);
-  EXPECT_EQ(max_abs_diff(dst, src), 0.0);
-  EXPECT_EQ(arena.stats().recycled, 1u);
-  // Non-empty destination: plain copy-assign, arena untouched.
-  Matrix dst2(3, 4, 0.0);
-  arena_assign(&arena, dst2, src);
-  EXPECT_EQ(max_abs_diff(dst2, src), 0.0);
-  EXPECT_EQ(arena.stats().recycled, 1u);
-  EXPECT_EQ(arena.stats().fresh, 0u);
+TEST(StoragePool, ConcurrentAllocateAndFreeIsClean) {
+  // The pipeline's pattern: stage tasks on several threads allocate, fill
+  // and free the same sizes, and a block freed on one thread is handed out
+  // on another. TSan must see clean hand-offs, and every hand-out must
+  // observe its own writes only.
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([t, &bad] {
+      for (int i = 0; i < 200; ++i) {
+        const std::size_t n = 64 + static_cast<std::size_t>(i % 7) * 16;
+        Matrix m = Matrix::uninitialized(1, n);
+        const double tag = static_cast<double>(t * 1000 + i);
+        m.fill(tag);
+        for (std::size_t j = 0; j < n; ++j)
+          if (m.data()[j] != tag) bad.fetch_add(1);
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(bad.load(), 0);
 }
 
-TEST(Arena, ConcurrentBorrowAndReturnIsClean) {
-  // The pipeline's pattern: many workers acquire, fill, and release
-  // concurrently (K-FAC bubble tasks release from different threads than
-  // the forwards that acquired). TSan must see clean handoffs, and every
-  // acquire must observe its own writes only.
-  ArenaAllocator arena;
-  ThreadPool pool(4);
-  std::atomic<int> bad{0};
-  pool.parallel_for(64, 16, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const std::size_t n = 64 + (i % 7) * 16;
-      Matrix::Storage buf = arena.acquire(n);
-      const double tag = static_cast<double>(i + 1);
-      for (auto& v : buf) v = tag;
-      for (const auto& v : buf)
-        if (v != tag) bad.fetch_add(1);
-      arena.release(std::move(buf));
-    }
-  });
-  EXPECT_EQ(bad.load(), 0);
-  const auto st = arena.stats();
-  EXPECT_EQ(st.recycled + st.fresh, 64u);
-  EXPECT_EQ(st.released, 64u);
+#if defined(__SANITIZE_ADDRESS__)
+#define PF_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PF_TEST_ASAN 1
+#endif
+#endif
+#ifdef PF_TEST_ASAN
+TEST(StoragePoolDeathTest, ReadingADeadMatrixIsReported) {
+  // A parked block is poisoned, so ASan reports a read of a dead Matrix's
+  // storage (use-after-poison) as it reports a read of freed memory
+  // (heap-use-after-free).
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        const double* p = nullptr;
+        {
+          const Matrix m(4, 4, 1.0);
+          p = m.data();
+        }
+        const volatile double v = p[0];
+        (void)v;
+      },
+      "use-after-");
 }
+#endif
 
 }  // namespace
 }  // namespace pf

@@ -9,12 +9,15 @@
 // parent is undefined-behavior territory. CI runs this file in the
 // regular and multi-process job legs only.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/optim/lamb.h"
@@ -193,6 +196,48 @@ TEST(Multiproc, BaseOptimizerBuiltOncePerStageInChildrenOnly) {
   EXPECT_EQ(calls->total.load(), 4);  // D · virtual_chunks model stages
   EXPECT_EQ(calls->in_parent.load(), 0);
   calls->~Calls();
+}
+
+TEST(Multiproc, ForkedChildAllocatesWhileAnotherThreadChurnsThePool) {
+  // Matrix storage comes from a pool with one lock (linalg/matrix.h), which
+  // a pthread_atfork handler holds across fork(), as glibc does for malloc,
+  // so no child inherits it locked. Children forked while another thread
+  // allocates and frees in a loop must each allocate a Matrix and exit.
+  // The fork window is a race, so this guards against a hang; it cannot
+  // prove that the handler is there.
+  std::atomic<bool> stop{false};
+  std::thread churn([&stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      Matrix m = Matrix::uninitialized(16, 16);
+      m.fill(1.0);
+    }
+  });
+  for (int i = 0; i < 20; ++i) {
+    const pid_t pid = fork();
+    if (pid == 0) {
+      const Matrix m(16, 16, 2.0);
+      _exit(m(15, 15) == 2.0 ? 0 : 1);
+    }
+    if (pid < 0) {
+      ADD_FAILURE() << "fork failed";
+      break;
+    }
+    int status = 0;
+    pid_t done = 0;
+    for (int waited_ms = 0; done == 0 && waited_ms < 10000; ++waited_ms) {
+      done = waitpid(pid, &status, WNOHANG);
+      if (done == 0) usleep(1000);
+    }
+    if (done == 0) {
+      kill(pid, SIGKILL);
+      waitpid(pid, &status, 0);
+    }
+    EXPECT_EQ(done, pid) << "child " << i << " still running after 10 s";
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "child " << i;
+  }
+  stop = true;
+  churn.join();
 }
 
 TEST(Multiproc, HandoffStatsCoverEveryBoundaryDirection) {

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/nn/activations.h"
@@ -94,10 +93,10 @@ TEST(Linear, KfacCachesCaptureActivationsAndErrors) {
 
 TEST(Linear, TakeOverPathsEqualCopyingPaths) {
   // Handing x and dy over as rvalues instead of letting the layer copy them
-  // changes no output, gradient or cached value, bit for bit, with and
-  // without an arena; the handed-over matrices are left empty. The fused
-  // backward takes dy over the same way, and an inference forward of an
-  // rvalue caches nothing and only reads x.
+  // changes no output, gradient or cached value, bit for bit; the
+  // handed-over matrices are left empty. The fused backward takes dy over
+  // the same way, and an inference forward of an rvalue caches nothing and
+  // only reads x.
   Rng data_rng(11);
   const Matrix x = Matrix::randn(7, 5, data_rng);
   const Matrix dy = Matrix::randn(7, 3, data_rng);
@@ -106,53 +105,43 @@ TEST(Linear, TakeOverPathsEqualCopyingPaths) {
     return a.same_shape(b) &&
            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
   };
-  for (const bool with_arena : {false, true}) {
-    SCOPED_TRACE(with_arena ? "arena" : "no arena");
-    ArenaAllocator arena_c, arena_t;
-    ExecContext ctx_c, ctx_t;
-    if (with_arena) {
-      ctx_c.set_arena(&arena_c);
-      ctx_t.set_arena(&arena_t);
-    }
-    Rng rng_c(13), rng_t(13);
-    Linear copying(5, 3, rng_c, "l"), taking(5, 3, rng_t, "l");
-    zero_grads(copying.params());
-    zero_grads(taking.params());
-    const auto same_state = [&] {
-      EXPECT_TRUE(bits(taking.weight().g, copying.weight().g)) << "dW";
-      EXPECT_TRUE(bits(taking.bias().g, copying.bias().g)) << "db";
-      EXPECT_TRUE(bits(taking.cached_input(), copying.cached_input()));
-      EXPECT_TRUE(bits(taking.cached_output_grad(),
-                       copying.cached_output_grad()));
-    };
+  Rng rng_c(13), rng_t(13);
+  Linear copying(5, 3, rng_c, "l"), taking(5, 3, rng_t, "l");
+  zero_grads(copying.params());
+  zero_grads(taking.params());
+  const auto same_state = [&] {
+    EXPECT_TRUE(bits(taking.weight().g, copying.weight().g)) << "dW";
+    EXPECT_TRUE(bits(taking.bias().g, copying.bias().g)) << "db";
+    EXPECT_TRUE(bits(taking.cached_input(), copying.cached_input()));
+    EXPECT_TRUE(
+        bits(taking.cached_output_grad(), copying.cached_output_grad()));
+  };
 
-    const Matrix y_c = copying.forward(x, true, ctx_c);
-    Matrix x_in = x;
-    const Matrix y_t = taking.forward(std::move(x_in), true, ctx_t);
-    EXPECT_TRUE(x_in.empty());
-    EXPECT_TRUE(bits(y_t, y_c)) << "y";
-    EXPECT_TRUE(bits(taking.cached_input(), x));
+  const Matrix y_c = copying.forward(x, true);
+  Matrix x_in = x;
+  const Matrix y_t = taking.forward(std::move(x_in), true);
+  EXPECT_TRUE(x_in.empty());
+  EXPECT_TRUE(bits(y_t, y_c)) << "y";
+  EXPECT_TRUE(bits(taking.cached_input(), x));
 
-    const Matrix dx_c = copying.backward_dx(dy, ctx_c);
-    Matrix dy_in = dy;
-    const Matrix dx_t = taking.backward_dx(std::move(dy_in), ctx_t);
-    EXPECT_TRUE(dy_in.empty());
-    EXPECT_TRUE(bits(dx_t, dx_c)) << "dx";
-    EXPECT_TRUE(bits(taking.cached_output_grad(), dy));
-    copying.backward_dw(ctx_c);
-    taking.backward_dw(ctx_t);
-    same_state();
+  const Matrix dx_c = copying.backward_dx(dy);
+  Matrix dy_in = dy;
+  const Matrix dx_t = taking.backward_dx(std::move(dy_in));
+  EXPECT_TRUE(dy_in.empty());
+  EXPECT_TRUE(bits(dx_t, dx_c)) << "dx";
+  EXPECT_TRUE(bits(taking.cached_output_grad(), dy));
+  copying.backward_dw();
+  taking.backward_dw();
+  same_state();
 
-    // A second micro through the fused backward: the caches now hold
-    // storage, which the copying path reuses and the taking path hands to
-    // the arena.
-    copying.forward(x, true, ctx_c);
-    taking.forward(Matrix(x), true, ctx_t);
-    const Matrix dx2_c = copying.backward(dy2, ctx_c);
-    const Matrix dx2_t = taking.backward(Matrix(dy2), ctx_t);
-    EXPECT_TRUE(bits(dx2_t, dx2_c)) << "fused dx";
-    same_state();
-  }
+  // A second micro through the fused backward: the caches now hold
+  // storage, which the copying path reuses and the taking path frees.
+  copying.forward(x, true);
+  taking.forward(Matrix(x), true);
+  const Matrix dx2_c = copying.backward(dy2);
+  const Matrix dx2_t = taking.backward(Matrix(dy2));
+  EXPECT_TRUE(bits(dx2_t, dx2_c)) << "fused dx";
+  same_state();
 
   Rng rng_i(13);
   Linear inference(5, 3, rng_i, "l");
