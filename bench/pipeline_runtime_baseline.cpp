@@ -33,7 +33,9 @@
 // steady-state steps reuse storage instead of re-allocating it
 // (arena_recycled), and the pool's process-wide live and parked bytes after
 // the row's last step (linalg/matrix.h) — parked bytes are what the pool
-// keeps from glibc.
+// keeps from glibc — with the live bytes' high-water mark over the row,
+// the one peak taken at a single moment (the per-stage stash peaks are
+// not).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -73,7 +75,8 @@ struct TimedRun {
   double seconds_per_step = 0.0;
   double utilization = 0.0;  // executed (pipeline runs only)
   std::vector<PipelineRuntime::StageMemoryStats> mem;
-  StoragePoolBytes pool;  // after the last step (pipeline runs only)
+  // After the last step; peak_live over the whole run (pipeline runs only).
+  StoragePoolBytes pool;
   // Calibration inputs (pipeline runs only): every step's executed
   // timeline, the runtime's own step plans, and the executor concurrency
   // the run used.
@@ -152,6 +155,7 @@ int main(int argc, char** argv) {
   };
 
   auto pipeline_run = [&](int workers) {
+    reset_storage_pool_peak();
     Rng rng(7);
     BertModel model(cfg, rng);
     PipelineRuntimeConfig pc;
@@ -213,11 +217,11 @@ int main(int argc, char** argv) {
         "pipeline %s D=%d workers=%d: %.1f ms/step (%.2fx vs sequential), "
         "executed utilization %s (simulator predicts %s), "
         "peak stash %zu KiB, %zu arena recycles/step, pool %zu KiB live "
-        "%zu KiB parked\n",
+        "(peak %zu KiB) %zu KiB parked\n",
         schedule, n_stages, workers, pr.seconds_per_step * 1e3, speedup,
         percent(pr.utilization).c_str(), percent(sim_util).c_str(),
         max_peak_stash(pr) / 1024, sum_recycled(pr), pr.pool.live / 1024,
-        pr.pool.parked / 1024);
+        pr.pool.peak_live / 1024, pr.pool.parked / 1024);
 
     // Calibrated prediction gate: fit a profile on the FIRST half of this
     // row's executed steps (steps 0-1 excluded — first-touch allocation
@@ -318,7 +322,8 @@ int main(int argc, char** argv) {
         "    \"workers_%d\": {\"seconds_per_step\": %.6g, "
         "\"speedup_vs_sequential\": %.4g, \"executed_utilization\": %.4g, "
         "\"peak_stash_bytes\": %zu, \"arena_recycled_per_step\": %zu, "
-        "\"pool_live_bytes\": %zu, \"pool_parked_bytes\": %zu,\n"
+        "\"pool_live_bytes\": %zu, \"pool_peak_live_bytes\": %zu, "
+        "\"pool_parked_bytes\": %zu,\n"
         "      \"calibration\": {\"residual_scale\": %.4g, "
         "\"predicted_makespan_curv\": %.6g, \"predicted_makespan_inv\": "
         "%.6g, \"executed_makespan_mean\": %.6g, "
@@ -327,7 +332,8 @@ int main(int argc, char** argv) {
         "%.4g, \"utilization_error\": %.4g, "
         "\"uncalibrated_utilization_error\": %.4g}}",
         workers, pr.seconds_per_step, speedup, pr.utilization,
-        max_peak_stash(pr), sum_recycled(pr), pr.pool.live, pr.pool.parked,
+        max_peak_stash(pr), sum_recycled(pr), pr.pool.live,
+        pr.pool.peak_live, pr.pool.parked,
         prof.residual_scale,
         pred_curv.makespan, pred_inv.makespan, exec_mean, err_window,
         err_mean, err_max, pred_util, cal_util_err, uncal_util_err);
@@ -383,12 +389,12 @@ int main(int argc, char** argv) {
       "\"shm_ring\": %.3f},\n"
       "  \"stash\": {\"borrow_peak_stash_bytes\": %zu, "
       "\"borrow_arena_recycled_per_step\": %zu, \"pool_live_bytes\": %zu, "
-      "\"pool_parked_bytes\": %zu},\n"
+      "\"pool_peak_live_bytes\": %zu, \"pool_parked_bytes\": %zu},\n"
       "  \"pipeline\": {\n%s\n  }\n}\n",
       schedule, n_stages, n_micro, micro_batch, steps, cfg.d_model,
       cfg.n_layers, serial.seconds_per_step, sim_util, handoff_mutex * 1e6,
       handoff_ring * 1e6, stash_peak, stash_recycled, stash_pool.live,
-      stash_pool.parked, rows.c_str());
+      stash_pool.peak_live, stash_pool.parked, rows.c_str());
   FILE* f = std::fopen(path.c_str(), "w");
   PF_CHECK(f != nullptr) << "cannot open " << path;
   std::fputs(json.c_str(), f);

@@ -49,6 +49,7 @@ class StoragePool {
 #endif
       }
       bytes_.live += bytes;
+      bytes_.peak_live = std::max(bytes_.peak_live, bytes_.live);
     }
 #ifndef NDEBUG
     std::fill(p, p + n, std::numeric_limits<double>::quiet_NaN());
@@ -70,6 +71,11 @@ class StoragePool {
   StoragePoolBytes bytes() {
     std::lock_guard<std::mutex> lock(mu_);
     return bytes_;
+  }
+
+  void reset_peak() {
+    std::lock_guard<std::mutex> lock(mu_);
+    bytes_.peak_live = bytes_.live;
   }
 
   // fork(): taken by the prepare handler, released in parent and child.
@@ -105,6 +111,8 @@ void storage_pool_deallocate(double* p, std::size_t n) noexcept {
 StorageHandouts thread_storage_handouts() { return t_handouts; }
 
 StoragePoolBytes storage_pool_bytes() { return pool().bytes(); }
+
+void reset_storage_pool_peak() { pool().reset_peak(); }
 
 Matrix Matrix::randn(std::size_t rows, std::size_t cols, Rng& rng,
                      double stddev) {

@@ -62,12 +62,18 @@ struct StorageHandouts {
 };
 StorageHandouts thread_storage_handouts();
 
-// Process-wide bytes handed out and not yet freed (live) and bytes parked.
+// Process-wide bytes handed out and not yet freed (live), bytes parked, and
+// the live bytes' high-water mark since the last reset_storage_pool_peak()
+// (or since start). Live plus parked is what the pool holds from the heap,
+// so the peak of live is the part of max RSS the pool accounts for.
 struct StoragePoolBytes {
   std::size_t live = 0;
   std::size_t parked = 0;
+  std::size_t peak_live = 0;
 };
 StoragePoolBytes storage_pool_bytes();
+// Restarts the live high-water mark at the current live bytes.
+void reset_storage_pool_peak();
 
 // The allocator of Matrix::Storage: blocks come from the storage pool, and
 // its argument-free construct default-initializes, so a vector built or

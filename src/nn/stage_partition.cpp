@@ -6,9 +6,44 @@
 
 namespace pf {
 
+namespace {
+std::size_t mat_bytes(const Matrix& m) { return m.size() * sizeof(double); }
+std::size_t lin_bytes(const Linear::Cache& c) {
+  return mat_bytes(c.x) + mat_bytes(c.dy);
+}
+}  // namespace
+
+void BertStage::begin_step(StashReaders readers) {
+  fwd_stash_.clear();
+  kfac_stash_.clear();
+  loss_stash_.clear();
+  stash_bytes_ = 0;
+  peak_stash_bytes_ = 0;
+  readers_ = readers;
+}
+
+void BertStage::end_step() {
+  PF_CHECK(fwd_stash_.empty())
+      << "stage " << index_ << " micro " << fwd_stash_.begin()->first
+      << ": the forward stash outlived its step (its backward never ran)";
+  for (const auto& [micro, e] : kfac_stash_) {
+    for (std::size_t b = 0; b < e.reads.size(); ++b)
+      PF_CHECK(e.reads[b] == 0)
+          << "stage " << index_ << " micro " << micro << ": factor " << b / 2
+          << " (" << linear_at(b / 2)->name() << ") "
+          << (b % 2 == 0 ? "a_l" : "e_l") << " outlived its step: "
+          << int{e.reads[b]} << " planned read(s) never ran"
+          << (e.weight_pass ? ", the W pass among them" : "");
+    PF_CHECK(!e.weight_pass) << "stage " << index_ << " micro " << micro
+                             << ": the K-FAC stash outlived its step (its "
+                                "W pass never ran)";
+  }
+  loss_stash_.clear();
+}
+
 Matrix BertStage::forward(int micro, const BertBatch& batch, Matrix in,
                           const ExecContext& ctx) {
-  PF_CHECK(!fwd_stash_.contains(micro))
+  PF_CHECK(!fwd_stash_.contains(micro) && !kfac_stash_.contains(micro))
       << "stage " << index_ << ": duplicate forward for micro " << micro;
   Matrix h;
   if (is_first()) {
@@ -46,6 +81,26 @@ Matrix BertStage::forward(int micro, const BertBatch& batch, Matrix in,
   sc.nsp_dlogits = std::move(nsp_dlogits);
   stash_add(bytes_of(sc));
   fwd_stash_.emplace(micro, std::move(sc));
+
+  // The micro's planned reads: curvature A of each input owner's a_l and
+  // B of every e_l, and the W pass of every a_l and e_l it reads — the
+  // heads' included.
+  const int per_factor = int{readers_.curvature} + int{readers_.weight_pass};
+  if (per_factor > 0) {
+    const std::size_t n_tracked = kfac_linears_.size();
+    const std::size_t n =
+        n_tracked + (readers_.weight_pass && is_last() ? 2 : 0);
+    KfacEntry e;
+    e.caches.resize(n);
+    e.reads.assign(2 * n, 1);
+    for (std::size_t f = 0; f < n_tracked; ++f) {
+      const bool owns_input = kfac_input_owners_[f] == f;
+      e.reads[2 * f] = static_cast<std::uint8_t>(owns_input ? per_factor : 0);
+      e.reads[2 * f + 1] = static_cast<std::uint8_t>(per_factor);
+    }
+    e.weight_pass = readers_.weight_pass;
+    kfac_stash_.emplace(micro, std::move(e));
+  }
   return h;
 }
 
@@ -77,22 +132,19 @@ Matrix BertStage::infer(const BertBatch& batch, Matrix in,
 }
 
 Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
-                           const ExecContext& ctx, bool keep_kfac_stash,
-                           bool defer_dw) {
+                           const ExecContext& ctx) {
   const auto it = fwd_stash_.find(micro);
   PF_CHECK(it != fwd_stash_.end())
       << "stage " << index_ << ": backward(" << micro
       << ") without a stashed forward";
-  PF_CHECK(!kfac_stash_.contains(micro))
-      << "stage " << index_ << ": duplicate backward for micro " << micro;
 
   // MOVE the whole cache set back into the layers and drop the entry.
   // Backward reads but never mutates a_l, so the buffers survive the round
-  // trip bit for bit and are re-harvested below for the curvature tasks.
-  // What an earlier backward left in the layers is freed as the micro's
-  // caches replace it. Loss gradients live outside the layer caches: they
-  // are the only thing left of the entry once the layers take their caches
-  // back, and the heads take them over as their output-gradient caches.
+  // trip bit for bit and are re-harvested below for their readers. What an
+  // earlier backward left in the layers is freed as the micro's caches
+  // replace it. Loss gradients live outside the layer caches: they are the
+  // only thing left of the entry once the layers take their caches back,
+  // and the heads take them over as their output-gradient caches.
   StageCache sc = std::move(it->second);
   stash_sub(bytes_of(sc));
   fwd_stash_.erase(it);
@@ -100,6 +152,7 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
   Matrix nsp_dlogits = std::move(sc.nsp_dlogits);
   restore_caches(std::move(sc));
 
+  const bool defer_dw = readers_.weight_pass;
   Matrix dh;
   if (is_last()) {
     const auto back = [&](Linear* l, Matrix&& g) {
@@ -124,54 +177,53 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
     dh = Matrix();
   }
 
-  if (keep_kfac_stash || defer_dw) {
-    // Harvest exactly what the curvature tasks read, in kfac_linears()
-    // order: each tracked linear's full {a_l, e_l} moves out (a
-    // curvature-A task scheduled before this backward may only run after
-    // it — a_l must stay addressable). Otherwise the caches stay in the
-    // layers, where the next forward reuses their storage.
-    // defer_dw additionally appends the head caches: the deferred W pass
-    // reads the same {a_l, e_l} pairs the curvature tasks do, plus the
-    // heads', without disturbing the tracked indices kfac_input() serves.
-    std::vector<Linear::Cache> kcs;
-    kcs.reserve(kfac_linears_.size() + (defer_dw && is_last() ? 2 : 0));
-    for (Linear* l : kfac_linears_) kcs.push_back(l->save_cache());
-    if (defer_dw && is_last()) {
-      kcs.push_back(mlm_head_->save_cache());
-      kcs.push_back(nsp_head_->save_cache());
+  // Every linear's {a_l, e_l} leaves its layer here: a buffer a planned
+  // reader still reads moves into the micro's K-FAC entry; the rest dies —
+  // a_l that a curvature-A task read from the forward stash with no W pass
+  // to follow, and every buffer of a step that plans no reader — so no
+  // later forward stashes this micro's e_l with its own caches.
+  const auto kt = kfac_stash_.find(micro);
+  KfacEntry* e = kt != kfac_stash_.end() ? &kt->second : nullptr;
+  const std::size_t n_linears = kfac_linears_.size() + (is_last() ? 2 : 0);
+  for (std::size_t i = 0; i < n_linears; ++i) {
+    Linear::Cache c = linear_at(i)->save_cache();
+    if (e == nullptr || i >= e->caches.size()) continue;
+    if (e->reads[2 * i] > 0) {
+      stash_add(mat_bytes(c.x));
+      e->caches[i].x = std::move(c.x);
     }
-    stash_add(bytes_of(kcs));
-    kfac_stash_.emplace(micro, std::move(kcs));
+    if (e->reads[2 * i + 1] > 0) {
+      stash_add(mat_bytes(c.dy));
+      e->caches[i].dy = std::move(c.dy);
+    }
   }
   return dh;
 }
 
-void BertStage::backward_dw(int micro, const ExecContext& ctx, bool release) {
+void BertStage::backward_dw(int micro, const ExecContext& ctx) {
   const auto it = kfac_stash_.find(micro);
-  PF_CHECK(it != kfac_stash_.end())
+  PF_CHECK(it != kfac_stash_.end() && it->second.weight_pass &&
+           !fwd_stash_.contains(micro))
       << "stage " << index_ << ": backward_dw(" << micro
       << ") without a deferred backward";
-  std::vector<Linear::Cache>& kcs = it->second;
-  const std::size_t expect =
-      kfac_linears_.size() + (is_last() ? 2 : 0);
-  PF_CHECK(kcs.size() == expect)
-      << "stage " << index_ << ": stash for micro " << micro
-      << " was not harvested with defer_dw";
+  KfacEntry& e = it->second;
   // Within one micro the per-linear order is irrelevant to the bitwise
   // contract (each dW touches its own Param), but keep it deterministic:
   // tracked linears in kfac_linears() order, then the heads. A linear that
   // reads another's input reads its owner's stashed x.
-  for (std::size_t f = 0; f < kfac_linears_.size(); ++f)
-    kfac_linears_[f]->backward_dw(kcs[kfac_input_owners_[f]].x, kcs[f].dy,
-                                  ctx);
-  if (is_last()) {
-    mlm_head_->backward_dw(kcs[kfac_linears_.size()], ctx);
-    nsp_head_->backward_dw(kcs[kfac_linears_.size() + 1], ctx);
+  const std::size_t n_tracked = kfac_linears_.size();
+  for (std::size_t f = 0; f < n_tracked; ++f)
+    kfac_linears_[f]->backward_dw(e.caches[kfac_input_owners_[f]].x,
+                                  e.caches[f].dy, ctx);
+  for (std::size_t i = n_tracked; i < e.caches.size(); ++i)
+    linear_at(i)->backward_dw(e.caches[i], ctx);
+  e.weight_pass = false;
+  for (std::size_t i = 0; i < e.caches.size(); ++i) {
+    if (i >= n_tracked || kfac_input_owners_[i] == i)
+      drop_read(e, micro, 2 * i);
+    drop_read(e, micro, 2 * i + 1);
   }
-  if (release) {
-    stash_sub(bytes_of(kcs));
-    kfac_stash_.erase(it);
-  }
+  erase_if_read(it);
 }
 
 BertLossBreakdown BertStage::losses(int micro) const {
@@ -195,28 +247,65 @@ const Matrix& BertStage::kfac_input(int micro, std::size_t f) const {
     return x;
   }
   const auto kt = kfac_stash_.find(micro);
-  PF_CHECK(kt != kfac_stash_.end())
-      << "kfac_input(" << micro << ") before its forward";
-  const Matrix& x = kt->second[f].x;
-  PF_CHECK(!x.empty());
-  return x;
+  PF_CHECK(kt != kfac_stash_.end() && !kt->second.caches[f].x.empty())
+      << "stage " << index_ << ": kfac_input(" << micro << ", " << f
+      << ") before its forward or after its last planned reader";
+  return kt->second.caches[f].x;
 }
 
 const Matrix& BertStage::kfac_output_grad(int micro, std::size_t f) const {
+  PF_CHECK(f < kfac_linears_.size());
   const auto it = kfac_stash_.find(micro);
-  PF_CHECK(it != kfac_stash_.end())
-      << "kfac_output_grad(" << micro << ") before its backward";
-  PF_CHECK(f < it->second.size());
-  const Matrix& dy = it->second[f].dy;
-  PF_CHECK(!dy.empty());
-  return dy;
+  PF_CHECK(it != kfac_stash_.end() && !fwd_stash_.contains(micro) &&
+           !it->second.caches[f].dy.empty())
+      << "stage " << index_ << ": kfac_output_grad(" << micro << ", " << f
+      << ") before its backward or after its last planned reader";
+  return it->second.caches[f].dy;
 }
 
-void BertStage::clear_stash() {
-  fwd_stash_.clear();
-  kfac_stash_.clear();
-  loss_stash_.clear();
-  stash_bytes_ = 0;
+void BertStage::kfac_input_done(int micro, std::size_t f) {
+  curvature_read_done(micro, f, 2 * f);
+}
+
+void BertStage::kfac_output_grad_done(int micro, std::size_t f) {
+  curvature_read_done(micro, f, 2 * f + 1);
+}
+
+void BertStage::curvature_read_done(int micro, std::size_t f,
+                                    std::size_t b) {
+  const auto it = kfac_stash_.find(micro);
+  PF_CHECK(it != kfac_stash_.end() && f < kfac_linears_.size())
+      << "stage " << index_ << ": no planned read of micro " << micro
+      << " factor " << f;
+  drop_read(it->second, micro, b);
+  erase_if_read(it);
+}
+
+void BertStage::drop_read(KfacEntry& e, int micro, std::size_t b) {
+  PF_CHECK(e.reads[b] > 0) << "stage " << index_ << " micro " << micro
+                           << ": factor " << b / 2 << " ("
+                           << linear_at(b / 2)->name() << ") "
+                           << (b % 2 == 0 ? "a_l" : "e_l")
+                           << " has no planned read left";
+  if (--e.reads[b] > 0) return;
+  Linear::Cache& c = e.caches[b / 2];
+  Matrix& m = b % 2 == 0 ? c.x : c.dy;
+  stash_sub(mat_bytes(m));
+  m = Matrix();
+}
+
+void BertStage::erase_if_read(KfacStash::iterator it) {
+  const KfacEntry& e = it->second;
+  if (e.weight_pass) return;
+  for (const std::uint8_t r : e.reads)
+    if (r > 0) return;
+  kfac_stash_.erase(it);
+}
+
+Linear* BertStage::linear_at(std::size_t i) const {
+  if (i < kfac_linears_.size()) return kfac_linears_[i];
+  PF_CHECK(is_last() && i < kfac_linears_.size() + 2);
+  return i == kfac_linears_.size() ? mlm_head_ : nsp_head_;
 }
 
 std::vector<Param*> BertStage::params() const {
@@ -251,13 +340,6 @@ void BertStage::restore_caches(StageCache&& c) {
   if (nsp_head_ != nullptr) nsp_head_->restore_cache(std::move(c.nsp_head));
 }
 
-namespace {
-std::size_t mat_bytes(const Matrix& m) { return m.size() * sizeof(double); }
-std::size_t lin_bytes(const Linear::Cache& c) {
-  return mat_bytes(c.x) + mat_bytes(c.dy);
-}
-}  // namespace
-
 std::size_t BertStage::bytes_of(const StageCache& c) {
   std::size_t n = (c.emb.ids.size() + c.emb.segments.size()) * sizeof(int);
   for (const TransformerBlock::Cache& bc : c.blocks) {
@@ -271,12 +353,6 @@ std::size_t BertStage::bytes_of(const StageCache& c) {
   }
   n += lin_bytes(c.mlm_head) + lin_bytes(c.nsp_head);
   n += mat_bytes(c.mlm_dlogits) + mat_bytes(c.nsp_dlogits);
-  return n;
-}
-
-std::size_t BertStage::bytes_of(const std::vector<Linear::Cache>& kcs) {
-  std::size_t n = 0;
-  for (const Linear::Cache& kc : kcs) n += lin_bytes(kc);
   return n;
 }
 

@@ -23,17 +23,27 @@
 //                K-FAC curvature-A tasks read a_l from it as soon as the
 //                forward is done (the paper's readiness rule 1).
 //   backward(m): MOVE fwd_stash[m] back into the layers (the entry is
-//                erased), run backwards, then harvest exactly what K-FAC
-//                reads — each tracked linear's {a_l, e_l} pair — into
-//                kfac_stash[m]. The borrow round trip preserves the exact
-//                buffers (backward reads but never mutates a_l), so a
-//                curvature-A task that runs after the backward sees a_l
-//                bit for bit. Everything else the forward stashed returns
-//                to the layers, where the next forward reuses the storage
-//                — peak stash bytes stay O(in-flight micros) +
-//                O(n_micro) · |{a_l, e_l}| instead of O(n_micro) full
-//                activation sets. What an earlier backward left in the
-//                layers is freed as the micro's own caches move in.
+//                erased), run backwards, then move every linear's
+//                {a_l, e_l} out of its layer: the buffers a planned reader
+//                still reads into kfac_stash[m], the rest freed. The
+//                borrow round trip preserves the exact buffers (backward
+//                reads but never mutates a_l), so a curvature-A task that
+//                runs after the backward sees a_l bit for bit. The other
+//                caches stay in the layers until the next forward or
+//                backward replaces them.
+//
+// Release at last read: begin_step() tells the stage which readers the
+// step plans for each micro's K-FAC buffers — curvature A and B on a K-FAC
+// refresh step, the deferred W pass under a split backward. Each read drops
+// its claim (kfac_input_done, kfac_output_grad_done, backward_dw), and a
+// buffer frees the moment its last claim drops; backward harvests a buffer
+// only while a claim on it remains, so a curvature-A task that read a_l
+// from fwd_stash[m] leaves a_l unharvested. Peak stash bytes are therefore
+// O(in-flight micros) full activation sets plus the {a_l, e_l} pairs whose
+// readers have not all run: at most n_micro of them, and how many depends
+// on when the executor runs the curvature tasks. A planned reader that
+// never runs leaves its buffer stashed, and end_step() fails naming the
+// stage, micro and factor.
 //
 // Storage: a stash entry, a layer cache or a temporary frees its buffers
 // when it dies, and Matrix's storage pool (linalg/matrix.h) hands them to
@@ -58,6 +68,7 @@
 // two devices, which is where the token actually bites.
 #pragma once
 
+#include <cstdint>
 #include <map>
 
 #include "src/nn/bert.h"
@@ -66,6 +77,21 @@ namespace pf {
 
 class BertStage {
  public:
+  // The readers a step plans for each micro's K-FAC buffers.
+  struct StashReaders {
+    bool curvature = false;    // curvature A and B of every tracked factor
+    bool weight_pass = false;  // the deferred W pass (split backward)
+  };
+
+  // Step boundaries. begin_step() frees whatever a step that threw left
+  // stashed, resets the stash high-water mark and fixes the step's
+  // readers; a stage that never sees begin_step() plans none. end_step()
+  // fails, naming the stage, micro and factor, if a forward or K-FAC
+  // stash entry outlived its step (a backward or a planned reader that
+  // never ran), then drops the step's losses.
+  void begin_step(StashReaders readers);
+  void end_step();
+
   // Per-micro forward. `in` is the boundary activation from stage s-1
   // (ignored by stage 0, which reads the batch); returns the boundary
   // activation for stage s+1 (empty for the last stage, which instead
@@ -75,7 +101,7 @@ class BertStage {
 
   // Inference-mode forward: the same op sequence as forward() with
   // training=false everywhere and NO stash writes — an unbounded micro
-  // stream can flow through the stage without clear_stash() and without
+  // stream can flow through the stage without begin_step() and without
   // growing memory (the serving engine's path). Non-last stages return the
   // boundary activation for stage s+1; the last stage fills `out` (required
   // there, ignored elsewhere) and returns an empty Matrix. Labels in
@@ -88,51 +114,50 @@ class BertStage {
   // for stage s-1 (empty for stage 0, which ends at the embedding
   // scatter). Must be called after this micro's forward; the runtime
   // orders calls by ascending micro (see file comment).
-  // `keep_kfac_stash`: when false (no curvature task will read this
-  // micro — LAMB-only runs, non-refresh steps) the micro's stashes are
-  // dropped here instead of held to end of step, keeping peak activation
-  // memory at O(in-flight micros) rather than O(n_micro).
-  // `defer_dw` (zero-bubble B pass): every Linear in the stage — the six
-  // tracked per block plus the heads — runs backward_dx instead of
-  // backward, and its {a_l, e_l} pair is harvested into the K-FAC stash
-  // (head caches appended after the tracked indices) regardless of
-  // keep_kfac_stash. The dW GEMMs then run in backward_dw(micro), which
-  // the runtime chains per stage by ascending micro so each weight
-  // coordinate accumulates in the serial trainer's order. Embedding,
-  // LayerNorm and bias grads are cheap and stay here on the critical
-  // path.
+  // Harvest: each tracked linear's a_l (input owners only) and e_l move
+  // into the K-FAC stash while a planned reader of them remains; every
+  // other linear buffer is freed here. With no reader planned (LAMB,
+  // non-refresh steps) nothing is harvested and peak stash memory stays at
+  // O(in-flight micros).
+  // A planned W pass (zero-bubble B pass): every Linear in the stage — the
+  // six tracked per block plus the heads — runs backward_dx instead of
+  // backward, and the heads' {a_l, e_l} are harvested after the tracked
+  // indices. The dW GEMMs then run in backward_dw(micro), which the
+  // runtime chains per stage by ascending micro so each weight coordinate
+  // accumulates in the serial trainer's order. Embedding, LayerNorm and
+  // bias grads are cheap and stay here on the critical path.
   Matrix backward(int micro, const BertBatch& batch, Matrix grad_in,
-                  const ExecContext& ctx, bool keep_kfac_stash = true,
-                  bool defer_dw = false);
+                  const ExecContext& ctx);
 
   // Zero-bubble W pass for one micro: dW += a_lᵀ·e_l for every Linear
-  // whose GEMM backward(defer_dw=true) deferred, reading the harvested
-  // caches. `release` drops the micro's stash afterwards — pass false when
-  // curvature tasks still read it this step. Same thread-safety rule as
-  // backward: the runtime serializes this with the stage's other work
-  // through the stage resource token.
-  void backward_dw(int micro, const ExecContext& ctx, bool release);
+  // whose GEMM the backward deferred, reading the harvested buffers, then
+  // drops the W pass's claims: each buffer no curvature task still reads
+  // is freed. Same thread-safety rule as backward: the runtime serializes
+  // this with the stage's other work through the stage resource token.
+  void backward_dw(int micro, const ExecContext& ctx);
 
   // Last stage only: the losses recorded by forward(micro).
   BertLossBreakdown losses(int micro) const;
 
   // Stashed K-FAC tensors of one micro for factor (linear) index f in
-  // kfac_linears() order: a_l after forward(micro) (served from fwd_stash
-  // before the micro's backward, from kfac_stash after it; the input
-  // owner's buffer), e_l after backward(micro).
+  // kfac_linears() order: a_l after forward(micro) (the input owner's
+  // buffer, served from fwd_stash before the micro's backward and from
+  // kfac_stash after it, until its last planned reader is done), e_l after
+  // backward(micro), until its last planned reader is done.
   const Matrix& kfac_input(int micro, std::size_t f) const;
   const Matrix& kfac_output_grad(int micro, std::size_t f) const;
-
-  // Releases all per-micro stashes (end of step).
-  void clear_stash();
+  // A curvature task is done with kfac_input(micro, f) (f an input owner)
+  // or kfac_output_grad(micro, f): drops its claim, freeing the buffer if
+  // no other planned reader remains.
+  void kfac_input_done(int micro, std::size_t f);
+  void kfac_output_grad_done(int micro, std::size_t f);
 
   // --- Stash telemetry ---------------------------------------------------
   // Bytes currently held by this stage's per-micro stashes (fwd + kfac) and
-  // the high-water mark since reset_stash_stats(). Counts matrix/vector
-  // payloads, not map overhead. Read between steps.
+  // the high-water mark since begin_step(). Counts matrix/vector payloads,
+  // not map overhead. Read between steps.
   std::size_t stash_bytes() const { return stash_bytes_; }
   std::size_t peak_stash_bytes() const { return peak_stash_bytes_; }
-  void reset_stash_stats() { peak_stash_bytes_ = stash_bytes_; }
 
   std::vector<Param*> params() const;
   std::vector<Linear*> kfac_linears() const { return kfac_linears_; }
@@ -157,13 +182,30 @@ class BertStage {
     Matrix mlm_dlogits, nsp_dlogits;            // loss grads (last stage)
   };
 
+  // One micro's K-FAC stash, created by forward(m) when the step plans a
+  // reader: per linear (kfac_linears() order, then the heads under a W
+  // pass) the harvested buffers, and per buffer — a_l at 2i, e_l at
+  // 2i + 1 — the planned reads left. A buffer frees when its count reaches
+  // zero; the entry goes once every count has and no W pass is pending.
+  struct KfacEntry {
+    std::vector<Linear::Cache> caches;
+    std::vector<std::uint8_t> reads;
+    bool weight_pass = false;
+  };
+  using KfacStash = std::map<int, KfacEntry>;
+
   StageCache save_caches();
   void restore_caches(StageCache&& c);
   const Linear::Cache& kfac_cache_of(const StageCache& c,
                                      std::size_t f) const;
+  Linear* linear_at(std::size_t i) const;
+  // Drops one planned read of buffer b; frees the buffer at the last.
+  void drop_read(KfacEntry& e, int micro, std::size_t b);
+  void curvature_read_done(int micro, std::size_t f, std::size_t b);
+  // Erases the entry once nothing reads it any more.
+  void erase_if_read(KfacStash::iterator it);
 
   static std::size_t bytes_of(const StageCache& c);
-  static std::size_t bytes_of(const std::vector<Linear::Cache>& kcs);
   void stash_add(std::size_t bytes);
   void stash_sub(std::size_t bytes);
 
@@ -174,13 +216,13 @@ class BertStage {
   Linear* nsp_head_ = nullptr;
   std::vector<Linear*> kfac_linears_;
   std::vector<std::size_t> kfac_input_owners_;
+  StashReaders readers_;  // fixed by begin_step()
   std::map<int, StageCache> fwd_stash_;
-  // What K-FAC reads, harvested at backward in kfac_linears() order: a_l
-  // and e_l of each tracked linear. Stashing the full cache set again would
-  // hold every forward activation twice until end of step.
-  std::map<int, std::vector<Linear::Cache>> kfac_stash_;
-  // Losses live outside the cache stash: they survive a dropped stash
-  // (keep_kfac_stash = false) until the step's loss fold reads them.
+  // What K-FAC and the W pass read, harvested at backward. Stashing the
+  // full cache set again would hold every forward activation twice.
+  KfacStash kfac_stash_;
+  // Losses live outside the cache stash: the step's loss fold reads them
+  // after every other buffer of the micro is gone.
   std::map<int, BertLossBreakdown> loss_stash_;
   std::size_t stash_bytes_ = 0;
   std::size_t peak_stash_bytes_ = 0;

@@ -104,10 +104,10 @@ BertLossBreakdown PipelineRuntime::step() {
 
   execute(make_step_plan(binder_->curv_step(), binder_->inv_step()));
 
-  // --- Step epilogue: losses in micro order, stash cleanup --------------
+  // --- Step epilogue: losses in micro order, stash check ----------------
   const BertLossBreakdown total = binder_->mean_loss(0, spec_.n_micro);
-  // Stash high-water marks first (clear_stash zeroes the running count, not
-  // the peak), then free the surviving K-FAC stashes.
+  // The stash high-water marks, then end_step() checks that every stash
+  // entry was freed by its last reader.
   for (int s = 0; s < S; ++s) {
     const StageWorker& w = binder_->worker(s);
     last_memory_stats_[static_cast<std::size_t>(s)] = {

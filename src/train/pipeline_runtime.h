@@ -185,9 +185,12 @@ class PipelineRuntime {
   std::vector<int> backward_send_order(int boundary) const;
   // Per-stage memory telemetry of the last step: the stash high-water mark,
   // and the storage-pool hand-outs (linalg/matrix.h) the stage's tasks
-  // received during the step, recycled and fresh. The hand-outs are
-  // counted on the thread that runs each task, so with stage_threads > 1
-  // the nn-loop chunks that other pool threads run are not credited.
+  // received during the step, recycled and fresh. Each K-FAC stash buffer
+  // frees when its last planned reader has run (nn/stage_partition.h), so
+  // under K-FAC the peak depends on when the executor ran the curvature
+  // tasks, not on the plan alone. The hand-outs are counted on the thread
+  // that runs each task, so with stage_threads > 1 the nn-loop chunks that
+  // other pool threads run are not credited.
   struct StageMemoryStats {
     std::size_t peak_stash_bytes = 0;
     std::size_t arena_recycled = 0;

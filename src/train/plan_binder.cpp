@@ -66,14 +66,14 @@ void PlanBinder::begin_step(std::size_t t, int n_batches) {
     zero_grads(w.params);
     w.fresh = 0;
     w.recycled = 0;
-    w.stage->clear_stash();
-    w.stage->reset_stash_stats();
+    w.stage->begin_step({.curvature = curv_step_ && w.engine != nullptr,
+                         .weight_pass = split_});
   }
 }
 
 void PlanBinder::end_step() {
   for (StageWorker& w : workers_)
-    if (w.stage != nullptr) w.stage->clear_stash();
+    if (w.stage != nullptr) w.stage->end_step();
 }
 
 void PlanBinder::run(const PlannedTask& task) {
@@ -102,25 +102,22 @@ void PlanBinder::work(const PlannedTask& task, StageWorker& w) {
       forward(s, m);
       return;
     case WorkKind::kBackward:
-      // Curvature tasks read the stashes only on refresh steps of K-FAC
-      // stages; otherwise backward releases this micro's activations —
-      // except under split_backward, where the harvested {a_l, e_l} pairs
-      // must survive until the micro's deferred W pass reads them (the W
-      // task then releases non-curvature stashes itself).
-      backward(s, m, keeps_kfac_stash(w), split_);
+      backward(s, m);
       return;
     case WorkKind::kBackwardWeight:
-      w.stage->backward_dw(m, w.ctx, /*release=*/!keeps_kfac_stash(w));
+      w.stage->backward_dw(m, w.ctx);
       return;
     case WorkKind::kSyncGrad:
       sync_grads(s);
       return;
     case WorkKind::kCurvatureA:
       engine->accumulate_curvature_a(f, w.stage->kfac_input(m, f), w.ctx);
+      w.stage->kfac_input_done(m, f);
       return;
     case WorkKind::kCurvatureB:
       engine->accumulate_curvature_b(f, w.stage->kfac_output_grad(m, f),
                                      w.ctx);
+      w.stage->kfac_output_grad_done(m, f);
       return;
     case WorkKind::kSyncCurvature:
       engine->commit_curvature_layer(f);
@@ -161,15 +158,13 @@ void PlanBinder::forward(int s, int micro) {
     links_.fwd[si]->send(key_base_ + micro, std::move(out));
 }
 
-void PlanBinder::backward(int s, int micro, bool keep_kfac_stash,
-                          bool defer_dw) {
+void PlanBinder::backward(int s, int micro) {
   const auto si = static_cast<std::size_t>(s);
   StageWorker& w = workers_[si];
   Matrix gin = receive(si < links_.bwd.size() ? links_.bwd[si] : nullptr,
                        micro);
   Matrix gout = w.stage->backward(
-      micro, batches_[static_cast<std::size_t>(micro)], std::move(gin), w.ctx,
-      keep_kfac_stash, defer_dw);
+      micro, batches_[static_cast<std::size_t>(micro)], std::move(gin), w.ctx);
   if (s > 0) links_.bwd[si - 1]->send(key_base_ + micro, std::move(gout));
 }
 

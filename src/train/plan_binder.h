@@ -75,11 +75,13 @@ class PlanBinder {
 
   // Step preamble, exactly the serial Trainer's: draws `n_batches`
   // micro-batches in the serial order (one data RNG across steps), zeroes
-  // the owned stages' gradients and hand-out counts, clears their stashes
-  // and fixes step t's K-FAC refresh flags. A stream's plan starts at t and
-  // draws every step's batches up front.
+  // the owned stages' gradients and hand-out counts, fixes step t's K-FAC
+  // refresh flags and begins the owned stages' step with the stash readers
+  // the plan holds for them: curvature A and B on a refresh step of a
+  // K-FAC stage, the deferred W pass under split_backward. A stream's plan
+  // starts at t and draws every step's batches up front.
   void begin_step(std::size_t t, int n_batches);
-  // Frees the owned stages' surviving stashes.
+  // Ends the owned stages' step: fails if a stash entry outlived it.
   void end_step();
   bool curv_step() const { return curv_step_; }
   bool inv_step() const { return inv_step_; }
@@ -100,13 +102,10 @@ class PlanBinder {
  private:
   void work(const PlannedTask& task, StageWorker& w);
   void forward(int s, int micro);
-  void backward(int s, int micro, bool keep_kfac_stash, bool defer_dw);
+  void backward(int s, int micro);
   // Averages the stage's accumulated gradients over the step's micros.
   void sync_grads(int s);
   Matrix receive(Channel* ch, int micro) const;
-  bool keeps_kfac_stash(const StageWorker& w) const {
-    return curv_step_ && w.engine != nullptr;
-  }
 
   const BertStagePartition& partition_;
   const PipelineRuntimeConfig& cfg_;

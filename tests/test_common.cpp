@@ -371,11 +371,14 @@ TEST(StoragePool, AFreedBlockIsTheNextOneHandedOutAtItsCount) {
 
 TEST(StoragePool, CountersAreExact) {
   // This thread's fresh/recycled hand-outs and the process-wide live and
-  // parked bytes move by exactly what each allocation and free implies.
+  // parked bytes move by exactly what each allocation and free implies;
+  // the live high-water mark keeps the largest live reading since reset.
   const std::size_t n = 1013;
   const std::size_t bytes = n * sizeof(double);
   const StorageHandouts h0 = thread_storage_handouts();
+  reset_storage_pool_peak();
   const StoragePoolBytes b0 = storage_pool_bytes();
+  EXPECT_EQ(b0.peak_live, b0.live);
   {
     Matrix a = Matrix::uninitialized(1, n);  // fresh: nothing parked at n
     Matrix b(1, n, 3.0);                     // fresh
@@ -397,6 +400,9 @@ TEST(StoragePool, CountersAreExact) {
   const StoragePoolBytes b4 = storage_pool_bytes();
   EXPECT_EQ(b4.live, b0.live);
   EXPECT_EQ(b4.parked, b0.parked + 2 * bytes);
+  EXPECT_EQ(b4.peak_live, b0.live + 2 * bytes);
+  reset_storage_pool_peak();
+  EXPECT_EQ(storage_pool_bytes().peak_live, b0.live);
   // A move hands out and frees nothing; only d's allocation (one of the
   // two parked blocks) counts.
   Matrix d = Matrix::uninitialized(1, n);

@@ -238,27 +238,54 @@ TEST(PipelineRuntime, RelayStagesKeepTheContractOnShallowModels) {
   expect_bitwise_equal(ref, pr, "interleaved relay stages");
 }
 
-TEST(PipelineRuntime, ArenaRecyclesStashBuffersAcrossSteps) {
-  // By the last step the stage arenas must be serving recycled storage to
-  // the forwards (buffers parked by earlier steps' stash teardown), and
-  // dropping the K-FAC stash early (LAMB mode) must shrink the stash
-  // high-water mark.
+TEST(PipelineRuntime, PoolRecyclesStashesAndLambStashesOnlyForwards) {
+  // By the last step the storage pool serves every stage's tasks recycled
+  // storage. A LAMB step plans no reader for the K-FAC buffers, so its
+  // stash peak is exactly its in-flight forward entries: 1f1b keeps S - s
+  // micros in flight on stage s. A K-FAC step holds the same entries plus
+  // the pairs whose curvature tasks have not run yet — how many depends on
+  // timing, at most all n_micro.
   const auto cfg = small_bert(4);
-  auto pc = runtime_config("1f1b", 2, 4, 4, 3, true, 2, 1);
+  const int S = 2, N = 4;
+  auto pc = runtime_config("1f1b", S, N, 4, 3, true, 2, 1);
   PipelineRuntime* rt = nullptr;
   pipeline_run(cfg, pc, &rt);
-  for (std::size_t st = 0; st < rt->memory_stats().size(); ++st) {
-    const auto& ms = rt->memory_stats()[st];
-    EXPECT_GT(ms.arena_recycled, 0u) << "stage " << st;
-    EXPECT_GT(ms.peak_stash_bytes, 0u) << "stage " << st;
-  }
-  auto lamb_pc = runtime_config("1f1b", 2, 4, 4, 3, false, 2, 1);
+  auto lamb_pc = runtime_config("1f1b", S, N, 4, 3, false, 2, 1);
   PipelineRuntime* lamb_rt = nullptr;
   pipeline_run(cfg, lamb_pc, &lamb_rt);
-  for (std::size_t st = 0; st < lamb_rt->memory_stats().size(); ++st) {
-    EXPECT_LT(lamb_rt->memory_stats()[st].peak_stash_bytes,
-              rt->memory_stats()[st].peak_stash_bytes)
-        << "stage " << st << ": no-curvature run should stash less";
+
+  // One micro's forward entry and harvested pair per stage, measured on a
+  // partition driven by hand.
+  Rng rng(7);
+  BertModel model(cfg, rng);
+  Corpus data(cfg);
+  Rng drng(17);
+  const auto batch = data.batcher.next_batch(4, drng);
+  const ExecContext ctx;
+  BertStagePartition part(model, S);
+  std::vector<std::size_t> fwd(S), pair(S);
+  Matrix h;
+  for (int s = 0; s < S; ++s) {
+    part.stage(s).begin_step({.curvature = true});
+    h = part.stage(s).forward(0, batch, std::move(h), ctx);
+    fwd[s] = part.stage(s).stash_bytes();
+  }
+  for (int s = S; s-- > 0;) {
+    h = part.stage(s).backward(0, batch, std::move(h), ctx);
+    pair[s] = part.stage(s).stash_bytes();
+  }
+
+  for (int s = 0; s < S; ++s) {
+    const auto& ms = rt->memory_stats()[static_cast<std::size_t>(s)];
+    const auto& lamb = lamb_rt->memory_stats()[static_cast<std::size_t>(s)];
+    EXPECT_GT(ms.arena_recycled, 0u) << "stage " << s;
+    EXPECT_GT(lamb.arena_recycled, 0u) << "stage " << s;
+    const std::size_t in_flight = static_cast<std::size_t>(S - s);
+    EXPECT_EQ(lamb.peak_stash_bytes, in_flight * fwd[s]) << "stage " << s;
+    EXPECT_GE(ms.peak_stash_bytes, lamb.peak_stash_bytes) << "stage " << s;
+    EXPECT_LE(ms.peak_stash_bytes,
+              lamb.peak_stash_bytes + static_cast<std::size_t>(N) * pair[s])
+        << "stage " << s;
   }
 }
 
@@ -298,14 +325,65 @@ TEST(PipelineRuntime, LiveStorageStopsChangingAfterWarmup) {
   }
 }
 
+// Runs one step of `plan` on `part` serially in plan order, with no
+// timing in it: the F/B ops in their per-stage program order, then every
+// curvature read — the latest a K-FAC task can run, so each stage peaks
+// holding all its micros' pairs. Returns each stage's stash high-water
+// mark; end_step() then finds every stash drained.
+std::vector<std::size_t> run_plan_reads_last(
+    BertStagePartition& part, const StepPlan& plan,
+    const std::vector<BertBatch>& batches) {
+  const ExecContext ctx;
+  const int S = part.n_stages();
+  for (int s = 0; s < S; ++s) part.stage(s).begin_step({.curvature = true});
+  std::map<std::pair<int, int>, Matrix> out;  // (stage, micro) -> boundary
+  std::vector<const PlannedTask*> reads;
+  for (const PlannedTask& t : plan.tasks) {
+    BertStage& st = part.stage(t.stage);
+    if (t.kind == WorkKind::kForward) {
+      Matrix in;
+      if (t.stage > 0) in = std::move(out.at({t.stage - 1, t.micro}));
+      out[{t.stage, t.micro}] = st.forward(
+          t.micro, batches[static_cast<std::size_t>(t.micro)], std::move(in),
+          ctx);
+    } else if (t.kind == WorkKind::kBackward) {
+      Matrix g;
+      if (t.stage + 1 < S) g = std::move(out.at({t.stage + 1, t.micro}));
+      out[{t.stage, t.micro}] = st.backward(
+          t.micro, batches[static_cast<std::size_t>(t.micro)], std::move(g),
+          ctx);
+    } else if (t.kind == WorkKind::kCurvatureA ||
+               t.kind == WorkKind::kCurvatureB) {
+      reads.push_back(&t);
+    }
+  }
+  std::vector<std::size_t> peaks;
+  for (int s = 0; s < S; ++s) peaks.push_back(part.stage(s).peak_stash_bytes());
+  for (const PlannedTask* t : reads) {
+    const auto f = static_cast<std::size_t>(t->layer * 6 + t->factor);
+    if (t->kind == WorkKind::kCurvatureA)
+      part.stage(t->stage).kfac_input_done(t->micro, f);
+    else
+      part.stage(t->stage).kfac_output_grad_done(t->micro, f);
+  }
+  for (int s = 0; s < S; ++s) {
+    EXPECT_EQ(part.stage(s).stash_bytes(), 0u) << "stage " << s;
+    part.stage(s).end_step();
+  }
+  return peaks;
+}
+
 TEST(PipelineRuntime, AttentionStashesOneInputPerBlockAndMicro) {
   // wk and wv read wq's input, so every stash — forward, K-FAC, and the
   // deferred-W one — holds each block input once per micro instead of
-  // three times. At the arena tests' shape (1 block per stage, 8 micros of
-  // 4 × 12 tokens, d_model 32) a 1f1b K-FAC step's stash peaks with every
-  // micro's K-FAC stash held: 2 copies × 8 micros × 48 × 32 doubles =
-  // 196,608 bytes below the three-copy layout's 1,417,728 / 1,406,208 /
-  // 1,396,224 / 1,418,112 per stage.
+  // three times. At 1 block per stage, 8 micros of 4 × 12 tokens and
+  // d_model 32, a 1f1b step whose curvature reads all come after the last
+  // backward peaks with every micro's pair held: 2 copies × 8 micros ×
+  // 48 × 32 doubles = 196,608 bytes below the three-copy layout's
+  // 1,417,728 / 1,406,208 / 1,396,224 / 1,418,112 per stage. The last
+  // stage holds 9,280 bytes less again: its backward frees the heads'
+  // e_l (48 × 24 + 4 × 2 doubles), which that layout's forward entries
+  // carried over from the micro before.
   BertConfig cfg = small_bert(4);
   cfg.d_model = 32;
   cfg.d_ff = 64;
@@ -313,19 +391,29 @@ TEST(PipelineRuntime, AttentionStashesOneInputPerBlockAndMicro) {
   Rng rng(7);
   BertModel model(cfg, rng);
   Corpus data(cfg);
-  PipelineRuntime rt(model, data.batcher,
-                     runtime_config("1f1b", 4, 8, 4, 2, true,
-                                    /*workers=*/2, /*stage_threads=*/1));
+  const int S = 4, N = 8;
+  BertStagePartition part(model, S);
+  const ScheduleSpec spec = build_schedule("1f1b", {S, N, 1});
+  std::vector<std::vector<std::size_t>> owners;
+  for (int s = 0; s < S; ++s)
+    owners.push_back(part.stage(s).kfac_input_owners());
+  const StepPlan plan =
+      build_step_plan(spec, plan_device_order(spec), KfacFactors(owners),
+                      /*curv_step=*/true, /*inv_step=*/false);
   const std::size_t two_copies = 2 * 8 * (4 * 12) * 32 * sizeof(double);
+  const std::size_t stale_head_dy = (48 * 24 + 4 * 2) * sizeof(double);
   const std::vector<std::size_t> three_copy = {1417728, 1406208, 1396224,
                                                1418112};
+  std::vector<std::size_t> want;
+  for (const std::size_t b : three_copy) want.push_back(b - two_copies);
+  want.back() -= stale_head_dy;
+  Rng drng(17);
   for (int step = 0; step < 2; ++step) {
-    rt.step();
-    ASSERT_EQ(rt.memory_stats().size(), three_copy.size());
-    for (std::size_t s = 0; s < three_copy.size(); ++s)
-      EXPECT_EQ(rt.memory_stats()[s].peak_stash_bytes,
-                three_copy[s] - two_copies)
-          << "step " << step << " stage " << s;
+    std::vector<BertBatch> batches;
+    for (int m = 0; m < N; ++m)
+      batches.push_back(data.batcher.next_batch(4, drng));
+    const auto peaks = run_plan_reads_last(part, plan, batches);
+    EXPECT_EQ(peaks, want) << "step " << step;
   }
 }
 
@@ -645,17 +733,19 @@ TEST(BertStage, BackwardShrinksTheStashBelowItsForward) {
   Rng drng(17);
   const auto batch = data.batcher.next_batch(4, drng);
   const ExecContext ctx;
-  for (const bool keep : {true, false}) {
+  for (const bool curvature : {true, false}) {
     BertStagePartition part(model, 2);
+    for (int s = 0; s < 2; ++s)
+      part.stage(s).begin_step({.curvature = curvature});
     Matrix h = part.stage(0).forward(0, batch, Matrix(), ctx);
     part.stage(1).forward(0, batch, std::move(h), ctx);
     const std::size_t after_fwd0 = part.stage(0).stash_bytes();
     const std::size_t after_fwd1 = part.stage(1).stash_bytes();
     ASSERT_GT(after_fwd0, 0u);
     ASSERT_GT(after_fwd1, 0u);
-    Matrix g = part.stage(1).backward(0, batch, Matrix(), ctx, keep);
-    part.stage(0).backward(0, batch, std::move(g), ctx, keep);
-    if (keep) {
+    Matrix g = part.stage(1).backward(0, batch, Matrix(), ctx);
+    part.stage(0).backward(0, batch, std::move(g), ctx);
+    if (curvature) {
       EXPECT_GT(part.stage(0).stash_bytes(), 0u);
       EXPECT_LT(part.stage(0).stash_bytes(), after_fwd0);
       EXPECT_LT(part.stage(1).stash_bytes(), after_fwd1);
@@ -663,9 +753,197 @@ TEST(BertStage, BackwardShrinksTheStashBelowItsForward) {
       EXPECT_EQ(part.stage(0).stash_bytes(), 0u);
       EXPECT_EQ(part.stage(1).stash_bytes(), 0u);
     }
-    part.stage(0).clear_stash();
-    part.stage(1).clear_stash();
   }
+}
+
+// --- Release at last read: BertStage's reader rule ------------------------
+
+// Two one-block stages driven by hand, one micro-batch per micro: no
+// executor, so nothing below depends on timing.
+struct StageRig {
+  BertConfig cfg = small_bert(2);
+  Rng rng{5};
+  BertModel model{cfg, rng};
+  Corpus data{cfg};
+  BertStagePartition part{model, 2};
+  BertBatch batch;
+  ExecContext ctx;
+
+  explicit StageRig(BertStage::StashReaders readers) {
+    Rng drng(17);
+    batch = data.batcher.next_batch(4, drng);
+    for (int s = 0; s < 2; ++s) part.stage(s).begin_step(readers);
+  }
+  BertStage& first() { return part.stage(0); }
+  void forward(int m) {
+    part.stage(1).forward(m, batch, first().forward(m, batch, Matrix(), ctx),
+                          ctx);
+  }
+  void backward(int m) {
+    first().backward(m, batch, part.stage(1).backward(m, batch, Matrix(), ctx),
+                     ctx);
+  }
+};
+
+std::size_t bytes(const Matrix& m) { return m.size() * sizeof(double); }
+
+// The message of the pf::Error `fn` throws ("" when it throws none).
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BertStage, EachBufferFreesAtItsLastReader) {
+  // Curvature readers only (1f1b, a refresh step): a_l of every input owner
+  // and e_l of every factor are harvested, and each read frees exactly its
+  // buffer. wk and wv (factors 1, 2) read wq's input and hold no a_l.
+  StageRig rig({.curvature = true});
+  rig.forward(0);
+  rig.backward(0);
+  BertStage& st = rig.first();
+  const std::vector<std::size_t>& owner = st.kfac_input_owners();
+  std::size_t held = 0;
+  for (std::size_t f = 0; f < owner.size(); ++f) {
+    if (owner[f] == f) held += bytes(st.kfac_input(0, f));
+    held += bytes(st.kfac_output_grad(0, f));
+  }
+  ASSERT_EQ(st.stash_bytes(), held);
+  for (std::size_t f = 0; f < owner.size(); ++f) {
+    if (owner[f] == f) {
+      const std::size_t x = bytes(st.kfac_input(0, f));
+      st.kfac_input_done(0, f);
+      held -= x;
+      EXPECT_EQ(st.stash_bytes(), held) << "a_l of factor " << f;
+      EXPECT_THROW(st.kfac_input(0, f), Error) << "factor " << f;
+    } else {
+      EXPECT_THROW(st.kfac_input_done(0, f), Error) << "factor " << f;
+    }
+    const std::size_t dy = bytes(st.kfac_output_grad(0, f));
+    st.kfac_output_grad_done(0, f);
+    held -= dy;
+    EXPECT_EQ(st.stash_bytes(), held) << "e_l of factor " << f;
+  }
+  EXPECT_EQ(st.stash_bytes(), 0u);
+  EXPECT_THROW(st.kfac_output_grad_done(0, 0), Error);
+}
+
+TEST(BertStage, TwoReadersFreeAtTheSecondReadInEitherOrder) {
+  // zb-h1 on a refresh step: the W pass and a curvature task both read each
+  // buffer. Micro 0 runs the curvature reads first, micro 1 the W pass.
+  StageRig rig({.curvature = true, .weight_pass = true});
+  BertStage& st = rig.first();
+  const std::size_t n = st.kfac_linears().size();
+  for (const int m : {0, 1}) {
+    rig.forward(m);
+    rig.backward(m);
+  }
+  const std::size_t both = st.stash_bytes();
+  ASSERT_GT(both, 0u);
+  const std::size_t per_micro = both / 2;
+
+  // Curvature first: no read frees anything until the W pass.
+  for (std::size_t f = 0; f < n; ++f) {
+    if (st.kfac_input_owners()[f] == f) st.kfac_input_done(0, f);
+    st.kfac_output_grad_done(0, f);
+  }
+  EXPECT_EQ(st.stash_bytes(), both);
+  st.backward_dw(0, rig.ctx);
+  EXPECT_EQ(st.stash_bytes(), both - per_micro);
+
+  // W pass first: it frees nothing; each curvature read then frees its
+  // buffer.
+  st.backward_dw(1, rig.ctx);
+  EXPECT_EQ(st.stash_bytes(), per_micro);
+  const std::size_t x = bytes(st.kfac_input(1, 0));
+  st.kfac_input_done(1, 0);
+  EXPECT_EQ(st.stash_bytes(), per_micro - x);
+  const std::size_t dy = bytes(st.kfac_output_grad(1, 3));
+  st.kfac_output_grad_done(1, 3);
+  EXPECT_EQ(st.stash_bytes(), per_micro - x - dy);
+  EXPECT_THROW(st.backward_dw(1, rig.ctx), Error);
+}
+
+TEST(BertStage, CurvatureAReadBeforeTheBackwardLeavesTheInputUnharvested) {
+  // Micro 0's wq input is read from the forward stash; micro 1's is not.
+  // Each backward harvests the same pair, less that one input.
+  StageRig rig({.curvature = true});
+  BertStage& st = rig.first();
+  rig.forward(0);
+  const std::size_t x = bytes(st.kfac_input(0, 0));
+  ASSERT_GT(x, 0u);
+  st.kfac_input_done(0, 0);
+  rig.backward(0);
+  const std::size_t early = st.stash_bytes();
+  EXPECT_THROW(st.kfac_input(0, 0), Error);
+  rig.forward(1);
+  rig.backward(1);
+  EXPECT_EQ(st.stash_bytes() - early, early + x);
+}
+
+TEST(BertStage, LambHarvestsOnlyWhatTheWPassReads) {
+  // No reader (1f1b under LAMB): the backward harvests nothing. The W pass
+  // alone (zb-h1 under LAMB): the backward harvests every linear's pair —
+  // the heads' too — and the W pass frees all of it.
+  {
+    StageRig rig({});
+    rig.forward(0);
+    rig.backward(0);
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(rig.part.stage(s).stash_bytes(), 0u) << "stage " << s;
+      rig.part.stage(s).end_step();
+    }
+  }
+  StageRig curv({.curvature = true});
+  StageRig w({.weight_pass = true});
+  for (StageRig* rig : {&curv, &w}) {
+    rig->forward(0);
+    rig->backward(0);
+  }
+  // Stage 0: the pairs curvature reads. Last stage: those plus the heads'.
+  EXPECT_EQ(w.part.stage(0).stash_bytes(), curv.part.stage(0).stash_bytes());
+  EXPECT_GT(w.part.stage(1).stash_bytes(), curv.part.stage(1).stash_bytes());
+  for (int s = 0; s < 2; ++s) {
+    w.part.stage(s).backward_dw(0, w.ctx);
+    EXPECT_EQ(w.part.stage(s).stash_bytes(), 0u) << "stage " << s;
+    w.part.stage(s).end_step();
+  }
+}
+
+TEST(BertStage, EndStepNamesAReaderThatNeverRan) {
+  StageRig rig({.curvature = true});
+  BertStage& st = rig.first();
+  rig.forward(0);
+  rig.backward(0);
+  for (std::size_t f = 0; f < st.kfac_linears().size(); ++f) {
+    if (st.kfac_input_owners()[f] == f) st.kfac_input_done(0, f);
+    if (f != 3) st.kfac_output_grad_done(0, f);
+  }
+  std::string what = error_of([&] { st.end_step(); });
+  EXPECT_NE(what.find("stage 0 micro 0: factor 3"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("e_l"), std::string::npos) << what;
+
+  // A forward whose backward never ran.
+  st.begin_step({.curvature = true});
+  rig.forward(2);
+  what = error_of([&] { st.end_step(); });
+  EXPECT_NE(what.find("stage 0 micro 2: the forward stash"),
+            std::string::npos)
+      << what;
+
+  // A W pass that never ran.
+  StageRig zb({.weight_pass = true});
+  zb.forward(1);
+  zb.backward(1);
+  what = error_of([&] { zb.part.stage(1).end_step(); });
+  EXPECT_NE(what.find("stage 1 micro 1: factor 0"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("the W pass among them"), std::string::npos) << what;
 }
 
 TEST(PipelineRuntime, FlushlessSchedulesStreamOnlyThroughRunFlushless) {
