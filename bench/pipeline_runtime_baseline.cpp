@@ -37,7 +37,6 @@
 // the one peak taken at a single moment (the per-stage stash peaks are
 // not).
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -48,6 +47,7 @@
 #include "bench/handoff_probe.h"
 #include "src/comm/tensor_wire.h"
 #include "src/comm/transport_channel.h"
+#include "src/common/clock.h"
 #include "src/common/stats.h"
 #include "src/common/strings.h"
 #include "src/optim/lamb.h"
@@ -100,12 +100,6 @@ std::size_t sum_recycled(const TimedRun& r) {
   std::size_t n = 0;
   for (const auto& m : r.mem) n += m.arena_recycled;
   return n;
-}
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -378,8 +372,9 @@ int main(int argc, char** argv) {
       "{\n  \"shape\": {\"schedule\": \"%s\", \"n_stages\": %d, "
       "\"n_micro\": %d, \"micro_batch\": %zu, \"steps\": %zu, "
       "\"d_model\": %zu, \"n_layers\": %zu},\n"
-      "  \"cpu_budget_note\": \"bitwise-identical losses asserted for every "
-      "row; wall-clock speedup needs real cores — under a 1-CPU cgroup "
+      "  \"cpu_budget_note\": \"recorded with %u hardware threads; "
+      "bitwise-identical losses asserted for every row; wall-clock speedup "
+      "needs real cores — under a 1-CPU cgroup "
       "budget the workers>1 rows stay ~1x, and the CI artifact "
       "(BENCH_pipeline_runtime_ci.json) carries the full multi-core "
       "numbers. Compare only against runs with the same CPU budget.\",\n"
@@ -392,7 +387,8 @@ int main(int argc, char** argv) {
       "\"pool_peak_live_bytes\": %zu, \"pool_parked_bytes\": %zu},\n"
       "  \"pipeline\": {\n%s\n  }\n}\n",
       schedule, n_stages, n_micro, micro_batch, steps, cfg.d_model,
-      cfg.n_layers, serial.seconds_per_step, sim_util, handoff_mutex * 1e6,
+      cfg.n_layers, std::thread::hardware_concurrency(),
+      serial.seconds_per_step, sim_util, handoff_mutex * 1e6,
       handoff_ring * 1e6, stash_peak, stash_recycled, stash_pool.live,
       stash_pool.peak_live, stash_pool.parked, rows.c_str());
   FILE* f = std::fopen(path.c_str(), "w");

@@ -30,6 +30,7 @@
 #include "bench/handoff_probe.h"
 #include "src/comm/tensor_wire.h"
 #include "src/comm/transport_channel.h"
+#include "src/common/clock.h"
 #include "src/common/stats.h"
 #include "src/common/strings.h"
 #include "src/optim/lamb.h"
@@ -50,12 +51,6 @@ BertConfig bench_bert() {
   cfg.n_layers = 4;
   cfg.seq_len = 32;
   return cfg;
-}
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 struct HandoffRow {

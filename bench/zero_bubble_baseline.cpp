@@ -21,13 +21,13 @@
 //     the same total work — the crossover is the K-FAC work-to-bubble
 //     ratio, reported below from the simulator.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/clock.h"
 #include "src/common/strings.h"
 #include "src/optim/lamb.h"
 #include "src/perfmodel/calibration.h"
@@ -55,12 +55,6 @@ struct TimedRun {
   double executed_makespan = 0.0;  // last step's executed timeline span
   double utilization = 0.0;
 };
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 

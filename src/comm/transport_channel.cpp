@@ -1,21 +1,13 @@
 #include "src/comm/transport_channel.h"
 
-#include <chrono>
 #include <utility>
 
 #include "src/comm/tensor_wire.h"
 #include "src/common/check.h"
+#include "src/common/clock.h"
 #include "src/common/strings.h"
 
 namespace pf {
-
-namespace {
-double now_seconds_mono() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
 
 TransportChannel::TransportChannel(std::string name, ShmRing ring,
                                    double send_timeout_seconds)
@@ -60,7 +52,7 @@ Matrix TransportChannel::take(int micro) {
 }
 
 Matrix TransportChannel::recv(int micro, double timeout_seconds) {
-  const double t0 = now_seconds_mono();
+  const double t0 = now_seconds();
   const double deadline = t0 + timeout_seconds;
   bool waited = false;
   for (;;) {
@@ -71,11 +63,11 @@ Matrix TransportChannel::recv(int micro, double timeout_seconds) {
       if (it != box_.end()) {
         Matrix out = std::move(it->second);
         box_.erase(it);
-        if (waited) waits_.push_back(now_seconds_mono() - t0);
+        if (waited) waits_.push_back(now_seconds() - t0);
         return out;
       }
     }
-    const double left = deadline - now_seconds_mono();
+    const double left = deadline - now_seconds();
     if (left <= 0) {
       std::string pending_keys;
       {

@@ -2,15 +2,16 @@
 //
 // A thread count reaches a kernel one way only: through the ExecContext it
 // is called with. The context carries the thread-pool handle, the nn loop
-// chunk count, the GEMM row-block count and the SIMD dispatch level the
-// kernels beneath will use. Every nn forward/backward, every GEMM/Cholesky
-// entry and every K-FAC engine method takes one; a defaulted argument binds
-// the default context, which is serial ({1, 1} on the process-global pool),
-// so nothing parallelizes unless a caller asks with explicit counts — the
-// pipeline runtime builds one context per stage, the training binaries one
-// from their PF_NN_THREADS / PF_GEMM_THREADS environment. Buffers are not
-// the context's business: Matrix storage recycles itself through one
-// process-wide pool (linalg/matrix.h), whatever context a layer runs under.
+// chunk count and the GEMM row-block count; the SIMD dispatch level stays
+// process-wide (cpu_features.h). Every nn forward/backward, every
+// GEMM/Cholesky entry and every K-FAC engine method takes one; a defaulted
+// argument binds the default context, which is serial ({1, 1} on the
+// process-global pool), so nothing parallelizes unless a caller asks with
+// explicit counts — the pipeline runtime builds one context per stage, the
+// training binaries one from their PF_NN_THREADS / PF_GEMM_THREADS
+// environment. Buffers are not the context's business: Matrix storage
+// recycles itself through one process-wide pool (linalg/matrix.h), whatever
+// context a layer runs under.
 //
 // Determinism contract (extends gemm.h): every layer loop parallelized over
 // an ExecContext partitions its work so each memory location receives its
@@ -22,7 +23,6 @@
 #include <cstddef>
 #include <utility>
 
-#include "src/common/cpu_features.h"
 #include "src/common/thread_pool.h"
 
 namespace pf {
@@ -44,11 +44,6 @@ class ExecContext {
   // Pool the nn loops and linalg kernels fan out on (the shared global pool
   // unless overridden).
   ThreadPool& pool() const { return pool_ ? *pool_ : ThreadPool::global(); }
-
-  // SIMD level the linalg kernels beneath this context dispatch on. SIMD
-  // selection stays a process-wide property (cpu_features.h); the context
-  // surfaces it so consumers log/record the level their results depend on.
-  SimdLevel simd_level() const { return active_simd_level(); }
 
   // Runs fn(begin, end) over [0, total) in nn_threads() contiguous chunks
   // on pool(); serial contexts call fn(0, total) inline with no

@@ -138,9 +138,6 @@ class Matrix {
     return m;
   }
 
-  static Matrix zeros(std::size_t rows, std::size_t cols) {
-    return Matrix(rows, cols, 0.0);
-  }
   static Matrix randn(std::size_t rows, std::size_t cols, Rng& rng,
                       double stddev = 1.0);
 

@@ -31,17 +31,10 @@ void softmax_rows_in_place(Matrix& x, const ExecContext& ctx = {});
 // Backward through softmax given its output p and upstream dy, times
 // `scale`: dx = (p ∘ (dy − rowsum(dy ∘ p))) · scale, rounding the product
 // with p before the scaling (scaling a finished dx gives the same bits;
-// scale 1 changes none). The in-place form overwrites dy with dx.
+// scale 1 changes none). Overwrites dy with dx.
 void softmax_rows_backward_in_place(const Matrix& p, Matrix& dy,
                                     const ExecContext& ctx = {},
                                     double scale = 1.0);
-inline Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
-                                    const ExecContext& ctx = {},
-                                    double scale = 1.0) {
-  Matrix dx = dy;
-  softmax_rows_backward_in_place(p, dx, ctx, scale);
-  return dx;
-}
 
 // Stateful GELU layer for use inside blocks. A training forward computes
 // GELU'(x) from the same exp_span call as its output and caches that

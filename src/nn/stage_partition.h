@@ -170,7 +170,6 @@ class BertStage {
   int index() const { return index_; }
   bool is_first() const { return emb_ != nullptr; }
   bool is_last() const { return mlm_head_ != nullptr; }
-  std::size_t n_blocks() const { return blocks_.size(); }
 
  private:
   friend class BertStagePartition;

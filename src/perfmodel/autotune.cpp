@@ -1,10 +1,11 @@
 #include "src/perfmodel/autotune.h"
 
 #include <algorithm>
-#include <chrono>
+#include <cstdint>
 #include <set>
 
 #include "src/common/check.h"
+#include "src/common/clock.h"
 #include "src/common/strings.h"
 #include "src/pipeline/step_plan.h"
 #include "src/train/pipeline_runtime.h"
@@ -14,62 +15,47 @@ namespace pf {
 
 namespace {
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+// What every live run shares (autotune.h): seeds, base learning rate and
+// interleaved-1f1b's chunks per device.
+constexpr unsigned kModelSeed = 7;
+constexpr std::uint64_t kDataSeed = 99;
+constexpr double kLr = 1e-2;
+constexpr int kVirtualChunks = 2;
 
-// The sweep grid with every profile-independent viability check applied.
-// Skipped entries keep their reasons so reports never silently drop a
-// combination.
+// The sweep grid — one (n_devices, n_micro) point per schedule — with every
+// profile-independent viability check applied. Skipped entries keep their
+// reasons so reports never silently drop a combination.
 std::vector<AutotuneCandidate> enumerate_candidates(
     const AutotuneOptions& o) {
   const std::vector<std::string> names =
       o.schedules.empty() ? list_schedules() : o.schedules;
-  const std::vector<int> stages = o.stage_candidates.empty()
-                                      ? std::vector<int>{o.n_devices}
-                                      : o.stage_candidates;
-  const std::vector<int> micros = o.micro_candidates.empty()
-                                      ? std::vector<int>{o.n_micro}
-                                      : o.micro_candidates;
   std::vector<AutotuneCandidate> out;
   for (const std::string& name : names) {
-    for (const int d : stages) {
-      for (const int n : micros) {
-        AutotuneCandidate c;
-        c.schedule = name;
-        c.params.n_stages = d;
-        c.params.n_micro = n;
-        c.params.virtual_chunks = o.virtual_chunks;
-        const ScheduleTraits& tr = traits_of(name);
-        if (!tr.flush) {
-          c.skip_reason =
-              "flushless: streams across step boundaries, no synchronous "
-              "step to plan";
-          out.push_back(c);
-          continue;
-        }
-        if (tr.n_pipelines > 2) {
-          c.skip_reason = format(
-              "maps %d pipelines onto the devices; the executable runtime "
-              "supports at most 2",
-              tr.n_pipelines);
-          out.push_back(c);
-          continue;
-        }
-        try {
-          tr.check_params(c.params);
-        } catch (const Error& e) {
-          c.skip_reason = e.what();
-          out.push_back(c);
-          continue;
-        }
+    AutotuneCandidate c;
+    c.schedule = name;
+    c.params.n_stages = o.n_devices;
+    c.params.n_micro = o.n_micro;
+    c.params.virtual_chunks = kVirtualChunks;
+    const ScheduleTraits& tr = traits_of(name);
+    if (!tr.flush) {
+      c.skip_reason =
+          "flushless: streams across step boundaries, no synchronous step "
+          "to plan";
+    } else if (tr.n_pipelines > 2) {
+      c.skip_reason = format(
+          "maps %d pipelines onto the devices; the executable runtime "
+          "supports at most 2",
+          tr.n_pipelines);
+    } else {
+      try {
+        tr.check_params(c.params);
         c.model_stages = tr.model_stages(c.params);
         c.viable = true;  // provisional: ranking still needs a profile
-        out.push_back(c);
+      } catch (const Error& e) {
+        c.skip_reason = e.what();
       }
     }
+    out.push_back(c);
   }
   PF_CHECK(!out.empty()) << "autotune sweep enumerated no candidates";
   return out;
@@ -77,68 +63,60 @@ std::vector<AutotuneCandidate> enumerate_candidates(
 
 // The exact StepPlan PipelineRuntime would execute for this candidate:
 // same spec, same normalized event order (greedy realized order for
-// dynamic schedules), K-FAC factors from the fitted profile.
+// dynamic schedules), the profile's K-FAC factor layout.
 StepPlan candidate_plan(const AutotuneCandidate& c,
-                        const CalibratedCosts& prof, bool use_kfac,
-                        bool curv_step, bool inv_step) {
+                        const CalibratedCosts& prof, bool inv_step) {
   const ScheduleSpec spec = build_schedule(c.schedule, c.params);
   PF_CHECK(spec.n_stages == prof.n_stages)
       << c.schedule << ": profile fitted at " << prof.n_stages
       << " model stages, candidate needs " << spec.n_stages;
-  const auto S = static_cast<std::size_t>(spec.n_stages);
-  std::vector<std::size_t> counts(S, 0);
-  if (use_kfac)
-    for (std::size_t s = 0; s < S; ++s)
-      counts[s] = static_cast<std::size_t>(prof.n_factors[s] + 0.5);
-  const KfacFactors factors =
-      use_kfac && !prof.kfac_factors.input_owner.empty() ? prof.kfac_factors
-                                                         : KfacFactors(counts);
-  return build_step_plan(spec, plan_device_order(spec), factors,
-                         use_kfac && curv_step, use_kfac && inv_step);
+  return build_step_plan(spec, plan_device_order(spec), prof.kfac_factors,
+                         true, inv_step);
 }
 
-struct BurstResult {
+struct LiveRun {
   std::vector<double> makespans;  // executed, cold step excluded
   std::size_t threads = 0;
-  StepPlan plan;  // the runtime's own curv+inv plan (burst intervals = 1)
+  StepPlan plan;  // the runtime's own curv+inv plan
   KfacFactors kfac_factors;  // the plan's K-FAC factors
 };
 
-// One live calibration run feeding `acc`. The first step is discarded
-// (first-touch allocation + cache warmup); with curvature_interval =
-// inverse_interval = 1 every remaining step exercises the full K-FAC
-// cycle, maximizing samples per kind.
-BurstResult run_burst(const BertConfig& model_cfg, const MlmBatcher& batcher,
-                      const AutotuneOptions& o, const std::string& schedule,
-                      int n_stages, CalibrationAccumulator& acc) {
-  Rng rng(o.model_seed);
+// One live PipelineRuntime run of `steps` steps: a calibration burst (which
+// hands each kept timeline to `acc`) or a candidate's measured window. The
+// first step is discarded (first-touch allocation + cache warmup).
+LiveRun run_live(const BertConfig& model_cfg, const MlmBatcher& batcher,
+                 const AutotuneOptions& o, const std::string& schedule,
+                 const ScheduleParams& params, std::size_t steps,
+                 int inverse_interval, CalibrationAccumulator* acc) {
+  Rng rng(kModelSeed);
   BertModel model(model_cfg, rng);
   PipelineRuntimeConfig pc;
   pc.schedule = schedule;
-  pc.n_stages = n_stages;
-  pc.n_micro = std::max(o.n_micro, n_stages);
+  pc.n_stages = params.n_stages;
+  pc.n_micro = params.n_micro;
+  pc.virtual_chunks = params.virtual_chunks;
   pc.micro_batch_size = o.micro_batch_size;
-  pc.total_steps = std::max<std::size_t>(o.burst_steps, 2);
-  pc.lr = PolyWarmupSchedule(o.lr, 0, pc.total_steps);
-  pc.data_seed = o.data_seed;
+  pc.total_steps = steps;
+  pc.lr = PolyWarmupSchedule(kLr, 0, steps);
+  pc.data_seed = kDataSeed;
   pc.workers = o.workers;
-  pc.stage_threads = o.stage_threads;
-  pc.use_kfac = o.use_kfac;
+  pc.stage_threads = 1;
+  pc.use_kfac = true;
   pc.kfac.curvature_interval = 1;
-  pc.kfac.inverse_interval = 1;
-  BurstResult r;
+  pc.kfac.inverse_interval = inverse_interval;
+  LiveRun r;
   PipelineRuntime rt(model, batcher, pc);
-  for (std::size_t i = 0; i < pc.total_steps; ++i) {
+  for (std::size_t i = 0; i < steps; ++i) {
     rt.step();
     if (i == 0) continue;  // cold step
     const Timeline& tl = rt.last_executed_timeline();
-    acc.ingest(tl);
+    if (acc != nullptr) acc->ingest(tl);
     r.makespans.push_back(tl.makespan() - tl.earliest_start());
   }
   r.threads = rt.executor_threads();
-  r.plan = rt.make_step_plan(o.use_kfac, o.use_kfac);
+  r.plan = rt.make_step_plan(true, true);
   r.kfac_factors =
-      kfac_factors(BertStagePartition(model, n_stages), o.use_kfac);
+      kfac_factors(BertStagePartition(model, rt.spec().n_stages), true);
   return r;
 }
 
@@ -170,14 +148,21 @@ std::vector<AutotuneCandidate> rank_candidates(
       continue;
     }
     const CalibratedCosts& prof = it->second;
+    if (prof.kfac_factors.input_owner.size() !=
+        static_cast<std::size_t>(c.model_stages)) {
+      c.viable = false;
+      c.skip_reason = format(
+          "the calibrated profile at %d model stages has no K-FAC factor "
+          "layout",
+          c.model_stages);
+      continue;
+    }
     try {
       const auto threads = static_cast<std::size_t>(prof.n_threads);
       const auto pred_curv =
-          predict_step(candidate_plan(c, prof, options.use_kfac, true, false),
-                       prof, threads);
+          predict_step(candidate_plan(c, prof, false), prof, threads);
       const auto pred_inv =
-          predict_step(candidate_plan(c, prof, options.use_kfac, true, true),
-                       prof, threads);
+          predict_step(candidate_plan(c, prof, true), prof, threads);
       const double interval =
           static_cast<double>(std::max(1, options.inverse_interval));
       c.predicted_makespan =
@@ -231,11 +216,18 @@ AutotuneReport autotune(const BertConfig& model_cfg, const MlmBatcher& batcher,
   const double t0 = now_seconds();
   for (const int s : needed) {
     CalibrationAccumulator acc(s);
+    ScheduleParams p;
+    p.n_stages = s;
+    p.n_micro = std::max(options.n_micro, s);
+    p.virtual_chunks = kVirtualChunks;
+    const std::size_t steps = std::max<std::size_t>(options.burst_steps, 2);
+    // Inverse interval 1: every kept step runs the full K-FAC cycle, so
+    // every kind gets samples.
     try {
-      const BurstResult fused = run_burst(model_cfg, batcher, options, "1f1b",
-                                          s, acc);
+      const LiveRun fused =
+          run_live(model_cfg, batcher, options, "1f1b", p, steps, 1, &acc);
       if (needed_split.count(s) > 0)
-        run_burst(model_cfg, batcher, options, "zb-h1", s, acc);
+        run_live(model_cfg, batcher, options, "zb-h1", p, steps, 1, &acc);
       CalibratedCosts prof = acc.fit(static_cast<int>(fused.threads));
       prof.kfac_factors = fused.kfac_factors;
       // Residual: executed over replayed makespan of the burst itself.
@@ -261,36 +253,13 @@ AutotuneReport autotune(const BertConfig& model_cfg, const MlmBatcher& batcher,
   if (options.measure_steps > 0) {
     PF_CHECK(options.measure_steps >= 2)
         << "measure_steps >= 2 required (the cold step is discarded)";
-    for (AutotuneCandidate& c : report.ranked) {
-      if (!c.viable) continue;
-      Rng rng(options.model_seed);
-      BertModel model(model_cfg, rng);
-      PipelineRuntimeConfig pc;
-      pc.schedule = c.schedule;
-      pc.n_stages = c.params.n_stages;
-      pc.n_micro = c.params.n_micro;
-      pc.virtual_chunks = c.params.virtual_chunks;
-      pc.micro_batch_size = options.micro_batch_size;
-      pc.total_steps = options.measure_steps;
-      pc.lr = PolyWarmupSchedule(options.lr, 0, pc.total_steps);
-      pc.data_seed = options.data_seed;
-      pc.workers = options.workers;
-      pc.stage_threads = options.stage_threads;
-      pc.use_kfac = options.use_kfac;
-      pc.kfac.curvature_interval = 1;
-      pc.kfac.inverse_interval = options.inverse_interval;
-      double total = 0.0;
-      std::size_t n = 0;
-      PipelineRuntime rt(model, batcher, pc);
-      for (std::size_t i = 0; i < pc.total_steps; ++i) {
-        rt.step();
-        if (i == 0) continue;  // cold step
-        const Timeline& tl = rt.last_executed_timeline();
-        total += tl.makespan() - tl.earliest_start();
-        ++n;
-      }
-      if (n > 0) c.executed_makespan = total / static_cast<double>(n);
-    }
+    for (AutotuneCandidate& c : report.ranked)
+      if (c.viable)
+        c.executed_makespan =
+            mean(run_live(model_cfg, batcher, options, c.schedule, c.params,
+                          options.measure_steps, options.inverse_interval,
+                          nullptr)
+                     .makespans);
   }
   return report;
 }

@@ -6,26 +6,32 @@
 //   1. Calibration burst — short live PipelineRuntime runs (1f1b for the
 //      fused costs + K-FAC terms at every model-stage count the sweep
 //      needs, zb-h1 for the B/W split) feed a CalibrationAccumulator; the
-//      fitted CalibratedCosts carries a residual_scale anchored on the
-//      burst's own executed-vs-replayed makespan.
+//      fitted CalibratedCosts (a (kind, stage) table of mean seconds)
+//      takes its K-FAC factor layout from the burst's stage partition and
+//      carries a residual_scale anchored on the burst's own
+//      executed-vs-replayed makespan.
 //   2. rank_candidates() — a PURE function of (profiles, options): for
-//      every registry schedule × stage count × micro count it builds the
-//      exact StepPlan the runtime would execute, replays it under the
-//      fitted costs (perfmodel/calibration.h), amortizes the K-FAC
-//      inversion cycle, and ranks by predicted seconds per sequence.
-//      Purity makes the ranking reproducible from a committed profile
-//      artifact alone — asserted in tests/test_calibration.cpp.
+//      every registry schedule at the options' D and N it builds the exact
+//      StepPlan the runtime would execute, replays it under the fitted
+//      costs (perfmodel/calibration.h), amortizes the K-FAC inversion
+//      cycle, and ranks by predicted seconds per sequence. Purity makes
+//      the ranking reproducible from a committed profile artifact alone —
+//      asserted in tests/test_calibration.cpp.
 //   3. autotune() — runs the burst, ranks, and (measure_steps > 0)
 //      executes the candidates so the winner's realized makespan can be
 //      PF_CHECKed against its prediction — DNNsim's simulate-with-CHECK
 //      idiom, gated in bench/autotune_baseline + CI.
 //
+// Every live run — burst and measured window — trains with K-FAC, one
+// nn/GEMM thread per stage, model seed 7, data seed 99 and base learning
+// rate 1e-2; interleaved-1f1b candidates run 2 chunks per device.
+//
 // Skipped candidates are reported with reasons, never silently dropped:
 // flushless schedules (no synchronous step to plan), >2 pipelines (runtime
-// ceiling), parameter-constraint violations, missing profiles.
+// ceiling), parameter-constraint violations, missing profiles, profiles
+// without a K-FAC factor layout.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -38,24 +44,20 @@
 namespace pf {
 
 struct AutotuneOptions {
-  // Device budget D and the shape knobs swept. Empty candidate lists
-  // default to {n_devices} / {n_micro} / every registered schedule.
+  // Device budget D and micro-batches per step N: the sweep is one (D, N)
+  // point per schedule. Empty `schedules` = every registered schedule.
   int n_devices = 4;
   int n_micro = 8;
   std::size_t micro_batch_size = 8;
   std::vector<std::string> schedules;
-  std::vector<int> stage_candidates;
-  std::vector<int> micro_candidates;
-  int virtual_chunks = 2;  // interleaved-1f1b sweep point
 
-  // Execution environment (must match between burst and candidates — a
-  // profile is only valid at the worker count it was fitted under).
+  // Runtime pool size of every live run (must match between burst and
+  // candidates — a profile is only valid at the worker count it was fitted
+  // under).
   int workers = 2;
-  int stage_threads = 1;
 
-  // K-FAC production cycle for the candidates; the burst itself always
-  // runs curvature_interval = inverse_interval = 1 for maximal samples.
-  bool use_kfac = true;
+  // K-FAC inversion cycle of the candidates; the burst itself always runs
+  // curvature_interval = inverse_interval = 1 for maximal samples.
   int inverse_interval = 3;
 
   // Burst length per needed stage count (>= 2; step 0 is discarded as the
@@ -65,10 +67,6 @@ struct AutotuneOptions {
   // for this many steps (inverse_interval + 1 makes the measured window
   // exactly one amortization cycle after the discarded cold step).
   std::size_t measure_steps = 0;
-
-  unsigned model_seed = 7;
-  std::uint64_t data_seed = 99;
-  double lr = 1e-2;
 };
 
 struct AutotuneCandidate {

@@ -1,37 +1,36 @@
 #include "src/perfmodel/calibration.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/strings.h"
 
 namespace pf {
 
-namespace {
-
-double vec_at(const std::vector<double>& v, int stage) {
-  PF_CHECK(stage >= 0 && static_cast<std::size_t>(stage) < v.size())
-      << "stage " << stage << " outside the profile's " << v.size()
+double CalibratedCosts::mean(WorkKind kind, int stage, bool split_b) const {
+  PF_CHECK(stage >= 0 && stage < n_stages)
+      << "stage " << stage << " outside the profile's " << n_stages
       << " stages";
-  return v[static_cast<std::size_t>(stage)];
+  const auto it = mean_seconds.find({kind, stage, split_b});
+  return it == mean_seconds.end() ? 0.0 : it->second;
 }
 
-}  // namespace
-
 double CalibratedCosts::fused_backward(int stage) const {
-  const double fused = vec_at(t_backward, stage);
+  const double fused = mean(WorkKind::kBackward, stage);
   if (fused > 0.0) return fused;
-  return vec_at(t_backward_b, stage) + vec_at(t_backward_w, stage);
+  return mean(WorkKind::kBackward, stage, true) +
+         mean(WorkKind::kBackwardWeight, stage);
 }
 
 double CalibratedCosts::split_backward_b(int stage) const {
-  const double b = vec_at(t_backward_b, stage);
+  const double b = mean(WorkKind::kBackward, stage, true);
   if (b > 0.0) return b;
   return fused_backward(stage) * (1.0 - backward_w_fraction);
 }
 
 double CalibratedCosts::split_backward_w(int stage) const {
-  const double w = vec_at(t_backward_w, stage);
+  const double w = mean(WorkKind::kBackwardWeight, stage);
   if (w > 0.0) return w;
   return fused_backward(stage) * backward_w_fraction;
 }
@@ -39,50 +38,17 @@ double CalibratedCosts::split_backward_w(int stage) const {
 double CalibratedCosts::task_seconds(WorkKind kind, int stage,
                                      bool split) const {
   double v = 0.0;
-  bool may_be_zero = false;
-  switch (kind) {
-    case WorkKind::kForward:
-      v = vec_at(t_forward, stage);
-      break;
-    case WorkKind::kBackward:
-      v = split ? split_backward_b(stage) : fused_backward(stage);
-      break;
-    case WorkKind::kBackwardWeight:
-      v = split_backward_w(stage);
-      break;
-    case WorkKind::kCurvatureA:
-      v = vec_at(t_curvature_a, stage);
-      break;
-    case WorkKind::kCurvatureB:
-      v = vec_at(t_curvature_b, stage);
-      break;
-    case WorkKind::kSyncCurvature:
-      v = vec_at(t_commit, stage);
-      may_be_zero = true;
-      break;
-    case WorkKind::kInversionA:
-      v = vec_at(t_inversion_a, stage);
-      break;
-    case WorkKind::kInversionB:
-      v = vec_at(t_inversion_b, stage);
-      break;
-    case WorkKind::kPrecondition:
-      v = vec_at(t_precondition, stage);
-      break;
-    // The tail bookkeeping tasks are legitimately near-free (g *= 1/N on a
-    // tiny stage) and synthetic traces may not record them at all.
-    case WorkKind::kSyncGrad:
-      v = vec_at(t_grad_final, stage);
-      may_be_zero = true;
-      break;
-    case WorkKind::kOptimizerUpdate:
-      v = vec_at(t_optimizer, stage);
-      may_be_zero = true;
-      break;
-    default:
-      PF_CHECK(false) << "no fitted cost bucket for kind "
-                      << work_kind_name(kind);
-  }
+  if (kind == WorkKind::kBackward)
+    v = split ? split_backward_b(stage) : fused_backward(stage);
+  else if (kind == WorkKind::kBackwardWeight)
+    v = split_backward_w(stage);
+  else
+    v = mean(kind, stage);
+  // The commit and the tail bookkeeping tasks are legitimately near-free
+  // (g *= 1/N on a tiny stage) and synthetic traces may not record them.
+  const bool may_be_zero = kind == WorkKind::kSyncCurvature ||
+                           kind == WorkKind::kSyncGrad ||
+                           kind == WorkKind::kOptimizerUpdate;
   PF_CHECK(may_be_zero || v > 0.0)
       << "profile has no fitted " << work_kind_name(kind) << " cost for stage "
       << stage << " — the calibration burst must exercise this kind";
@@ -92,8 +58,7 @@ double CalibratedCosts::task_seconds(WorkKind kind, int stage,
 // --- Accumulator ----------------------------------------------------------
 
 CalibrationAccumulator::CalibrationAccumulator(int n_stages)
-    : n_stages_(n_stages),
-      factors_seen_(static_cast<std::size_t>(n_stages)) {
+    : n_stages_(n_stages) {
   PF_CHECK(n_stages >= 1);
 }
 
@@ -126,18 +91,10 @@ void CalibrationAccumulator::ingest(const Timeline& timeline) {
         PF_CHECK(iv.stage < n_stages_)
             << "interval stage " << iv.stage << " outside the accumulator's "
             << n_stages_ << " stages";
-        if (split && iv.kind == WorkKind::kBackward) {
-          Stat& st = split_b_[iv.stage];
-          ++st.count;
-          st.total += iv.duration();
-        } else {
-          Stat& st = fused_[{iv.kind, iv.stage}];
-          ++st.count;
-          st.total += iv.duration();
-        }
-        if (iv.layer >= 0 && is_kfac_kind(iv.kind))
-          factors_seen_[static_cast<std::size_t>(iv.stage)].insert(
-              {iv.layer, iv.factor});
+        Stat& st = buckets_[{iv.kind, iv.stage,
+                             split && iv.kind == WorkKind::kBackward}];
+        ++st.count;
+        st.total += iv.duration();
         ++samples_;
       }
 
@@ -175,57 +132,13 @@ CalibratedCosts CalibrationAccumulator::fit(int n_threads) const {
   c.n_threads = n_threads;
   c.samples = samples_;
 
-  const auto zeros = std::vector<double>(static_cast<std::size_t>(n_stages_),
-                                         0.0);
-  c.n_factors = zeros;
-  c.t_forward = zeros;
-  c.t_backward = zeros;
-  c.t_backward_b = zeros;
-  c.t_backward_w = zeros;
-  c.t_curvature_a = zeros;
-  c.t_curvature_b = zeros;
-  c.t_commit = zeros;
-  c.t_inversion_a = zeros;
-  c.t_inversion_b = zeros;
-  c.t_precondition = zeros;
-  c.t_grad_final = zeros;
-  c.t_optimizer = zeros;
-
-  auto fill = [&](WorkKind kind, std::vector<double>& dst) {
-    for (int s = 0; s < n_stages_; ++s) {
-      const auto it = fused_.find({kind, s});
-      if (it != fused_.end() && it->second.count > 0)
-        dst[static_cast<std::size_t>(s)] =
-            it->second.total / static_cast<double>(it->second.count);
-    }
-  };
-  fill(WorkKind::kForward, c.t_forward);
-  fill(WorkKind::kBackward, c.t_backward);
-  fill(WorkKind::kBackwardWeight, c.t_backward_w);
-  fill(WorkKind::kCurvatureA, c.t_curvature_a);
-  fill(WorkKind::kCurvatureB, c.t_curvature_b);
-  fill(WorkKind::kSyncCurvature, c.t_commit);
-  fill(WorkKind::kInversionA, c.t_inversion_a);
-  fill(WorkKind::kInversionB, c.t_inversion_b);
-  fill(WorkKind::kPrecondition, c.t_precondition);
-  fill(WorkKind::kSyncGrad, c.t_grad_final);
-  fill(WorkKind::kOptimizerUpdate, c.t_optimizer);
-  for (const auto& [s, st] : split_b_)
-    if (st.count > 0)
-      c.t_backward_b[static_cast<std::size_t>(s)] =
-          st.total / static_cast<double>(st.count);
-
-  for (int s = 0; s < n_stages_; ++s)
-    c.n_factors[static_cast<std::size_t>(s)] = static_cast<double>(
-        factors_seen_[static_cast<std::size_t>(s)].size());
-
   // The executed B/W split: totals across stages so factor-heavy stages
   // weigh in proportionally.
   double total_b = 0.0, total_w = 0.0;
-  for (const auto& [s, st] : split_b_) total_b += st.total;
-  for (int s = 0; s < n_stages_; ++s) {
-    const auto it = fused_.find({WorkKind::kBackwardWeight, s});
-    if (it != fused_.end()) total_w += it->second.total;
+  for (const auto& [key, st] : buckets_) {
+    c.mean_seconds[key] = st.total / static_cast<double>(st.count);
+    if (key.split_b) total_b += st.total;
+    if (key.kind == WorkKind::kBackwardWeight) total_w += st.total;
   }
   if (total_w > 0.0 && total_b > 0.0)
     c.backward_w_fraction = total_w / (total_b + total_w);
@@ -250,12 +163,14 @@ void append_num(std::string& out, double v) {
   out += format("%.17g", v);
 }
 
-void append_vec(std::string& out, const char* name,
-                const std::vector<double>& v) {
+// One per-stage array: `"name": [v(0), v(1), ...],`.
+template <typename PerStage>
+void append_row(std::string& out, const char* name, int n_stages,
+                PerStage v) {
   out += format("  \"%s\": [", name);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ", ";
-    append_num(out, v[i]);
+  for (int s = 0; s < n_stages; ++s) {
+    if (s > 0) out += ", ";
+    append_num(out, v(s));
   }
   out += "],\n";
 }
@@ -274,19 +189,14 @@ std::string CalibratedCosts::to_json() const {
   out += ",\n  \"backward_w_fraction\": ";
   append_num(out, backward_w_fraction);
   out += format(",\n  \"samples\": %zu,\n", samples);
-  append_vec(out, "n_factors", n_factors);
-  append_vec(out, "t_forward", t_forward);
-  append_vec(out, "t_backward", t_backward);
-  append_vec(out, "t_backward_b", t_backward_b);
-  append_vec(out, "t_backward_w", t_backward_w);
-  append_vec(out, "t_curvature_a", t_curvature_a);
-  append_vec(out, "t_curvature_b", t_curvature_b);
-  append_vec(out, "t_commit", t_commit);
-  append_vec(out, "t_inversion_a", t_inversion_a);
-  append_vec(out, "t_inversion_b", t_inversion_b);
-  append_vec(out, "t_precondition", t_precondition);
-  append_vec(out, "t_grad_final", t_grad_final);
-  append_vec(out, "t_optimizer", t_optimizer);
+  const auto& owners = kfac_factors.input_owner;
+  append_row(out, "n_factors", n_stages, [&](int s) {
+    const auto i = static_cast<std::size_t>(s);
+    return i < owners.size() ? static_cast<double>(owners[i].size()) : 0.0;
+  });
+  for (const CostRow& row : kCostRows)
+    append_row(out, row.name, n_stages,
+               [&](int s) { return mean(row.kind, s, row.split_b); });
   out += "  \"end\": 0\n}";
   return out;
 }

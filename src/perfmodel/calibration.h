@@ -12,8 +12,12 @@
 //    T_f/T_b per stage, the B/W split of split-backward schedules, the
 //    per-factor K-FAC curvature/commit/inversion/precondition terms, the
 //    step-tail costs, and the per-boundary handoff overhead.
-//  * CalibratedCosts is the fitted profile: per-task seconds for
-//    predict_step(), written into committed bench JSON by to_json().
+//  * CalibratedCosts is the fitted profile: one table of mean seconds
+//    keyed the way plan tasks are, by (WorkKind, stage) — a split trace's
+//    B passes as their own reading — plus the K-FAC factor layout, which
+//    comes only from the calibrated runtime's stage partition (timelines
+//    cannot show which factors share an input). It prices each task for
+//    predict_step() and is written into committed bench JSON by to_json().
 //  * predict_step() replays a StepPlan — the EXACT task graph
 //    PipelineRuntime::step() executes, lanes/priorities/resources/deps and
 //    all — through the library's one virtual-time engine (replay_plan,
@@ -34,9 +38,7 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/pipeline/step_plan.h"
@@ -44,10 +46,41 @@
 
 namespace pf {
 
-// Fitted per-op-kind, per-stage realized costs (seconds). Vectors are
-// indexed by model stage (size n_stages); a bucket never observed fits to
-// 0 and the fallback-aware accessors below reconstruct it where possible
-// (fused backward = B + W, split halves = fused × the fitted fraction).
+// One reading of a calibrated profile: the plan's own (WorkKind, stage),
+// with a split-backward trace's B passes kept apart from fused backwards
+// (kBackward with split_b set), so one profile holds both readings.
+struct CostKey {
+  WorkKind kind = WorkKind::kForward;
+  int stage = 0;
+  bool split_b = false;
+  auto operator<=>(const CostKey&) const = default;
+};
+
+// The artifact's per-stage rows in to_json() order: key name and reading.
+struct CostRow {
+  const char* name;
+  WorkKind kind;
+  bool split_b;
+};
+inline constexpr CostRow kCostRows[] = {
+    {"t_forward", WorkKind::kForward, false},
+    {"t_backward", WorkKind::kBackward, false},  // fused (non-split traces)
+    {"t_backward_b", WorkKind::kBackward, true},  // B (dx) pass, split traces
+    {"t_backward_w", WorkKind::kBackwardWeight, false},
+    {"t_curvature_a", WorkKind::kCurvatureA, false},  // per (factor, micro)
+    {"t_curvature_b", WorkKind::kCurvatureB, false},
+    {"t_commit", WorkKind::kSyncCurvature, false},  // per factor
+    {"t_inversion_a", WorkKind::kInversionA, false},
+    {"t_inversion_b", WorkKind::kInversionB, false},
+    {"t_precondition", WorkKind::kPrecondition, false},
+    {"t_grad_final", WorkKind::kSyncGrad, false},  // owner-computes g *= 1/N
+    {"t_optimizer", WorkKind::kOptimizerUpdate, false},  // per-stage step
+};
+
+// Fitted realized costs (seconds): one table of mean seconds per reading.
+// A reading never observed is absent and reads 0; the fallback-aware
+// accessors below reconstruct it where possible (fused backward = B + W,
+// split halves = fused × the fitted fraction).
 struct CalibratedCosts {
   int n_stages = 0;
   // Executor concurrency the samples ran under (pool workers + main
@@ -68,28 +101,21 @@ struct CalibratedCosts {
   double backward_w_fraction = 0.5;
   std::size_t samples = 0;  // intervals ingested
 
-  // Distinct K-FAC factors observed per stage (6 per transformer block).
-  std::vector<double> n_factors;
   // The K-FAC factors the calibrated runtime planned, which factors share
-  // an input included. Timelines cannot show it, so fit() leaves it empty
-  // and the autotuner sets it from its burst's stage partition; an empty
-  // value plans n_factors factors per stage that each read their own input.
+  // an input included: the only source of the profile's factor layout.
+  // Timelines cannot show it, so fit() leaves it empty and the autotuner
+  // sets it from its burst's stage partition; rank_candidates skips the
+  // candidates of a profile without one.
   KfacFactors kfac_factors;
 
-  std::vector<double> t_forward;     // fused forward pass
-  std::vector<double> t_backward;    // fused backward (non-split traces)
-  std::vector<double> t_backward_b;  // B (dx) pass   (split traces)
-  std::vector<double> t_backward_w;  // W (dW) pass   (split traces)
-  std::vector<double> t_curvature_a;  // per (factor, micro) task
-  std::vector<double> t_curvature_b;
-  std::vector<double> t_commit;       // per factor
-  std::vector<double> t_inversion_a;
-  std::vector<double> t_inversion_b;
-  std::vector<double> t_precondition;
-  std::vector<double> t_grad_final;  // owner-computes g *= 1/N
-  std::vector<double> t_optimizer;   // per-stage base optimizer step
+  // Mean realized seconds per reading; fit() copies one per bucket seen.
+  std::map<CostKey, double> mean_seconds;
 
-  // Fused backward cost of a stage: the fused bucket when observed, else
+  // The fitted mean of one reading, 0 if never observed. Throws for a
+  // stage outside the profile.
+  double mean(WorkKind kind, int stage, bool split_b = false) const;
+
+  // Fused backward cost of a stage: the fused reading when observed, else
   // B + W from a split trace. 0 if neither was ingested.
   double fused_backward(int stage) const;
   // Split halves, falling back to fused × backward_w_fraction.
@@ -98,12 +124,15 @@ struct CalibratedCosts {
 
   // Realized duration of one planned task. `split` selects the B/W or the
   // fused reading of WorkKind::kBackward. Throws when the kind was never
-  // observed and cannot be reconstructed.
+  // observed and cannot be reconstructed, except for the commit and the
+  // step tail, which may fit to 0 s.
   double task_seconds(WorkKind kind, int stage, bool split) const;
 
   // Committable-artifact serialization: flat JSON (numbers at full
   // precision and per-stage arrays under a "pf-calibrated-costs-v1" schema
-  // tag). No reader exists yet; one arrives with its first program user.
+  // tag): the scalars, n_factors (each stage's factor count in
+  // kfac_factors, 0 without a layout), then kCostRows. No reader exists
+  // yet; one arrives with its first program user.
   std::string to_json() const;
 };
 
@@ -111,9 +140,10 @@ struct CalibratedCosts {
 // last_executed_timeline() after each step()); fit() aggregates whatever
 // was seen.
 // Split-backward timelines are auto-detected (they contain
-// kBackwardWeight intervals) and route their kBackward intervals into the
-// B bucket instead of the fused bucket, so one accumulator can ingest a
-// fused burst and a split burst and fit both readings at once.
+// kBackwardWeight intervals) and record their kBackward intervals as the
+// split_b reading instead of the fused one, so one accumulator can ingest a
+// fused burst and a split burst and fit both readings at once. fit() copies
+// each (kind, stage) bucket's mean into the profile's table.
 class CalibrationAccumulator {
  public:
   explicit CalibrationAccumulator(int n_stages);
@@ -141,12 +171,8 @@ class CalibrationAccumulator {
   int n_stages_;
   std::size_t steps_ = 0;
   std::size_t samples_ = 0;
-  // (kind, stage) -> aggregate; kBackward of split timelines is recorded
-  // under kBackwardWeight's sibling key via split_b_ instead.
-  std::map<std::pair<WorkKind, int>, Stat> fused_;
-  std::map<int, Stat> split_b_;
+  std::map<CostKey, Stat> buckets_;
   std::vector<double> handoff_samples_;
-  std::vector<std::set<std::pair<int, int>>> factors_seen_;  // per stage
 };
 
 // Virtual-time replay of a StepPlan under fitted durations: an adapter

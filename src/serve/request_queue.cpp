@@ -8,12 +8,6 @@
 
 namespace pf {
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 void RequestQueue::push(InferRequest r) {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -24,6 +24,8 @@
 
 #include <condition_variable>
 
+#include "src/common/clock.h"  // now_seconds(): every serving timestamp
+
 namespace pf {
 
 // One inference request: a token sequence plus deadline metadata. Sequences
@@ -40,10 +42,6 @@ struct InferRequest {
   // replay trace pre-sets it to carry synthetic arrival times.
   double enqueue_seconds = -1.0;
 };
-
-// Steady-clock seconds; the process-wide timebase every serving timestamp
-// (enqueue/admit/complete) is measured on.
-double now_seconds();
 
 class RequestQueue {
  public:

@@ -29,6 +29,13 @@ void add_slice_bh(Matrix& x, const Matrix& piece, std::size_t b,
 
 }  // namespace
 
+Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
+                             const ExecContext& ctx, double scale) {
+  Matrix dx = dy;
+  softmax_rows_backward_in_place(p, dx, ctx, scale);
+  return dx;
+}
+
 AttentionReference attention_slice_reference(MultiHeadSelfAttention& attn,
                                              std::size_t n_heads,
                                              const Matrix& x, const Matrix& dy,

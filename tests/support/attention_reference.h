@@ -2,7 +2,8 @@
 // in place through GEMM views. Here each (batch, head) copies its Q/K/V
 // blocks out into contiguous matrices, scales the finished scores, and adds
 // its results back into zeroed context/dq/dk/dv. The layer must match it
-// bit for bit on every SIMD tier and thread count.
+// bit for bit on every SIMD tier and thread count. The copying softmax
+// backward the oracle uses sits here too; the nn suites check it directly.
 #pragma once
 
 #include <vector>
@@ -18,6 +19,11 @@ struct AttentionReference {
   // weight then bias).
   std::vector<Matrix> param_grads;
 };
+
+// softmax_rows_backward_in_place (nn/activations.h) into a fresh matrix: dx
+// for softmax output p and upstream dy, dy left as it is.
+Matrix softmax_rows_backward(const Matrix& p, const Matrix& dy,
+                             const ExecContext& ctx = {}, double scale = 1.0);
 
 // Runs one training forward and backward with copies of attn's four
 // projections (their gradients zeroed first), serial; attn is not modified.

@@ -9,9 +9,11 @@
 //     replayed through predict_step() reproduces the simulated makespan
 //     (fused and zero-bubble-split variants);
 //   * the profile artifact — to_json() writes every field, each number
-//     reading back exactly;
+//     reading back exactly, and its bytes match a golden string;
 //   * autotuner determinism — rank_candidates() is a pure function of
 //     (profiles, options);
+//   * the factor layout rule — a profile without a K-FAC factor layout
+//     skips its candidates, with a reason;
 //   * K-FAC inversion accounting — executed inversion counts per device
 //     match the stage-ownership model the perf model's w multiplier
 //     assumes (Chimera: 1 owned pipeline-0 stage; interleaved: V chunks);
@@ -24,6 +26,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -36,6 +39,7 @@
 #include "src/pipeline/simulator.h"
 #include "src/pipeline/step_plan.h"
 #include "src/train/pipeline_runtime.h"
+#include "src/train/plan_binder.h"
 
 namespace pf {
 namespace {
@@ -67,8 +71,10 @@ struct Corpus {
         }()) {}
 };
 
-// A fully-populated synthetic profile at 4 model stages: every bucket
-// positive so any plan is predictable from it.
+// A fully-populated synthetic profile at 4 model stages: every reading
+// positive so any plan is predictable from it, and the K-FAC factor layout
+// the runtime plans for small_bert(4) — one block per stage, whose wk and
+// wv read wq's input.
 CalibratedCosts synthetic_profile() {
   CalibratedCosts c;
   c.n_stages = 4;
@@ -77,19 +83,28 @@ CalibratedCosts synthetic_profile() {
   c.t_handoff = 1e-4;
   c.backward_w_fraction = 0.4;
   c.samples = 123;
-  c.n_factors = {6, 6, 6, 6};
-  c.t_forward = {1.0e-3, 1.5e-3, 0.75e-3, 1.25e-3};
-  c.t_backward = {2.0e-3, 1.8e-3, 2.2e-3, 2.6e-3};
-  c.t_backward_b = {1.2e-3, 1.1e-3, 1.3e-3, 1.6e-3};
-  c.t_backward_w = {0.8e-3, 0.7e-3, 0.9e-3, 1.0e-3};
-  c.t_curvature_a = {1e-4, 1.2e-4, 0.9e-4, 1.1e-4};
-  c.t_curvature_b = {1e-4, 1.0e-4, 1.0e-4, 1.0e-4};
-  c.t_commit = {2e-5, 2e-5, 2e-5, 2e-5};
-  c.t_inversion_a = {3e-4, 3e-4, 3e-4, 3e-4};
-  c.t_inversion_b = {3e-4, 3.5e-4, 2.5e-4, 3e-4};
-  c.t_precondition = {5e-5, 5e-5, 5e-5, 5e-5};
-  c.t_grad_final = {1e-6, 1e-6, 1e-6, 1e-6};
-  c.t_optimizer = {4e-5, 4e-5, 4e-5, 4e-5};
+  Rng rng(7);
+  BertModel model(small_bert(4), rng);
+  c.kfac_factors = kfac_factors(BertStagePartition(model, 4), true);
+  const double per_stage[][4] = {  // kCostRows order
+      {1.0e-3, 1.5e-3, 0.75e-3, 1.25e-3},  // t_forward
+      {2.0e-3, 1.8e-3, 2.2e-3, 2.6e-3},    // t_backward
+      {1.2e-3, 1.1e-3, 1.3e-3, 1.6e-3},    // t_backward_b
+      {0.8e-3, 0.7e-3, 0.9e-3, 1.0e-3},    // t_backward_w
+      {1e-4, 1.2e-4, 0.9e-4, 1.1e-4},      // t_curvature_a
+      {1e-4, 1.0e-4, 1.0e-4, 1.0e-4},      // t_curvature_b
+      {2e-5, 2e-5, 2e-5, 2e-5},            // t_commit
+      {3e-4, 3e-4, 3e-4, 3e-4},            // t_inversion_a
+      {3e-4, 3.5e-4, 2.5e-4, 3e-4},        // t_inversion_b
+      {5e-5, 5e-5, 5e-5, 5e-5},            // t_precondition
+      {1e-6, 1e-6, 1e-6, 1e-6},            // t_grad_final
+      {4e-5, 4e-5, 4e-5, 4e-5},            // t_optimizer
+  };
+  static_assert(std::size(per_stage) == std::size(kCostRows));
+  for (std::size_t r = 0; r < std::size(kCostRows); ++r)
+    for (int s = 0; s < 4; ++s)
+      c.mean_seconds[{kCostRows[r].kind, s, kCostRows[r].split_b}] =
+          per_stage[r][s];
   return c;
 }
 
@@ -122,12 +137,9 @@ TEST(DispatchAgreement, ZeroWorkerExecutorRealizesPredictStepOrder) {
     CalibratedCosts unit;
     unit.n_stages = spec.n_stages;
     unit.n_threads = 1;
-    for (std::vector<double>* v :
-         {&unit.t_forward, &unit.t_backward, &unit.t_backward_b,
-          &unit.t_backward_w, &unit.t_curvature_a, &unit.t_curvature_b,
-          &unit.t_commit, &unit.t_inversion_a, &unit.t_inversion_b,
-          &unit.t_precondition, &unit.t_grad_final, &unit.t_optimizer})
-      v->assign(S, 1.0);
+    for (const CostRow& row : kCostRows)
+      for (int s = 0; s < spec.n_stages; ++s)
+        unit.mean_seconds[{row.kind, s, row.split_b}] = 1.0;
     for (const bool kfac : {false, true}) {
       const std::string label = name + (kfac ? " kfac" : " lamb");
       const StepPlan plan = build_step_plan(
@@ -191,14 +203,13 @@ TEST(PredictStep, ZeroCostTasksReplayOnEveryShape) {
         const auto S = static_cast<std::size_t>(spec.n_stages);
         CalibratedCosts prof;
         prof.n_stages = spec.n_stages;
-        for (std::vector<double>* v :
-             {&prof.t_forward, &prof.t_backward, &prof.t_backward_b,
-              &prof.t_backward_w, &prof.t_curvature_a, &prof.t_curvature_b,
-              &prof.t_inversion_a, &prof.t_inversion_b, &prof.t_precondition})
-          v->assign(S, 1e-3);
-        for (std::vector<double>* v :
-             {&prof.t_commit, &prof.t_grad_final, &prof.t_optimizer})
-          v->assign(S, 0.0);
+        for (const CostRow& row : kCostRows) {
+          const bool zero = row.kind == WorkKind::kSyncCurvature ||
+                            row.kind == WorkKind::kSyncGrad ||
+                            row.kind == WorkKind::kOptimizerUpdate;
+          for (int s = 0; s < spec.n_stages; ++s)
+            prof.mean_seconds[{row.kind, s, row.split_b}] = zero ? 0.0 : 1e-3;
+        }
         const StepPlan plan = build_step_plan(
             spec, plan_device_order(spec), std::vector<std::size_t>(S, 6),
             true, true);
@@ -244,8 +255,8 @@ TEST(CalibrationRoundTrip, FusedScheduleExact) {
   const CalibratedCosts prof = acc.fit(/*n_threads=*/4);
 
   for (int s = 0; s < 4; ++s) {
-    EXPECT_NEAR(prof.t_forward[static_cast<std::size_t>(s)],
-                costs.forward_cost(s), 1e-12)
+    EXPECT_NEAR(prof.mean(WorkKind::kForward, s), costs.forward_cost(s),
+                1e-12)
         << "stage " << s;
     EXPECT_NEAR(prof.fused_backward(s), costs.backward_cost(s), 1e-12)
         << "stage " << s;
@@ -301,9 +312,9 @@ TEST(CalibrationRoundTrip, MixedFusedAndSplitIngest) {
   acc.ingest(simulate_step(build_schedule("zb-h1", p), costs).timeline);
   const CalibratedCosts prof = acc.fit(2);
   for (int s = 0; s < 2; ++s) {
-    EXPECT_NEAR(prof.t_backward[static_cast<std::size_t>(s)], 2.0, 1e-12);
-    EXPECT_NEAR(prof.t_backward_b[static_cast<std::size_t>(s)], 1.5, 1e-12);
-    EXPECT_NEAR(prof.t_backward_w[static_cast<std::size_t>(s)], 0.5, 1e-12);
+    EXPECT_NEAR(prof.mean(WorkKind::kBackward, s), 2.0, 1e-12);
+    EXPECT_NEAR(prof.mean(WorkKind::kBackward, s, true), 1.5, 1e-12);
+    EXPECT_NEAR(prof.mean(WorkKind::kBackwardWeight, s), 0.5, 1e-12);
   }
   EXPECT_NEAR(prof.backward_w_fraction, 0.25, 1e-12);
 }
@@ -347,19 +358,48 @@ TEST(CalibrationProfile, JsonWritesEveryFieldExactly) {
   EXPECT_EQ(scalar("residual_scale"), a.residual_scale);
   EXPECT_EQ(scalar("t_handoff"), a.t_handoff);
   EXPECT_EQ(scalar("backward_w_fraction"), a.backward_w_fraction);
-  EXPECT_EQ(numbers("n_factors"), a.n_factors);
-  EXPECT_EQ(numbers("t_forward"), a.t_forward);
-  EXPECT_EQ(numbers("t_backward"), a.t_backward);
-  EXPECT_EQ(numbers("t_backward_b"), a.t_backward_b);
-  EXPECT_EQ(numbers("t_backward_w"), a.t_backward_w);
-  EXPECT_EQ(numbers("t_curvature_a"), a.t_curvature_a);
-  EXPECT_EQ(numbers("t_curvature_b"), a.t_curvature_b);
-  EXPECT_EQ(numbers("t_commit"), a.t_commit);
-  EXPECT_EQ(numbers("t_inversion_a"), a.t_inversion_a);
-  EXPECT_EQ(numbers("t_inversion_b"), a.t_inversion_b);
-  EXPECT_EQ(numbers("t_precondition"), a.t_precondition);
-  EXPECT_EQ(numbers("t_grad_final"), a.t_grad_final);
-  EXPECT_EQ(numbers("t_optimizer"), a.t_optimizer);
+  std::vector<double> n_factors;
+  for (const auto& owners : a.kfac_factors.input_owner)
+    n_factors.push_back(static_cast<double>(owners.size()));
+  EXPECT_EQ(numbers("n_factors"), n_factors);
+  for (const CostRow& row : kCostRows) {
+    std::vector<double> want;
+    for (int s = 0; s < a.n_stages; ++s)
+      want.push_back(a.mean(row.kind, s, row.split_b));
+    EXPECT_EQ(numbers(row.name), want) << row.name;
+  }
+}
+
+// The artifact's exact bytes: key names, key order and the %.17g numbers
+// (1/3 and 0.4 show the full 17 digits). BENCH_autotune.json embeds this
+// text, so a format change must show here and re-record that artifact.
+TEST(CalibrationProfile, JsonGoldenBytes) {
+  CalibratedCosts a = synthetic_profile();
+  a.residual_scale = 1.0 / 3.0;
+  const std::string expected = R"({
+  "schema": "pf-calibrated-costs-v1",
+  "n_stages": 4,
+  "n_threads": 3,
+  "residual_scale": 0.33333333333333331,
+  "t_handoff": 0.0001,
+  "backward_w_fraction": 0.40000000000000002,
+  "samples": 123,
+  "n_factors": [6, 6, 6, 6],
+  "t_forward": [0.001, 0.0015, 0.00075000000000000002, 0.00125],
+  "t_backward": [0.002, 0.0018, 0.0022000000000000001, 0.0025999999999999999],
+  "t_backward_b": [0.0011999999999999999, 0.0011000000000000001, 0.0012999999999999999, 0.0016000000000000001],
+  "t_backward_w": [0.00080000000000000004, 0.00069999999999999999, 0.00089999999999999998, 0.001],
+  "t_curvature_a": [0.0001, 0.00012, 9.0000000000000006e-05, 0.00011],
+  "t_curvature_b": [0.0001, 0.0001, 0.0001, 0.0001],
+  "t_commit": [2.0000000000000002e-05, 2.0000000000000002e-05, 2.0000000000000002e-05, 2.0000000000000002e-05],
+  "t_inversion_a": [0.00029999999999999997, 0.00029999999999999997, 0.00029999999999999997, 0.00029999999999999997],
+  "t_inversion_b": [0.00029999999999999997, 0.00035, 0.00025000000000000001, 0.00029999999999999997],
+  "t_precondition": [5.0000000000000002e-05, 5.0000000000000002e-05, 5.0000000000000002e-05, 5.0000000000000002e-05],
+  "t_grad_final": [9.9999999999999995e-07, 9.9999999999999995e-07, 9.9999999999999995e-07, 9.9999999999999995e-07],
+  "t_optimizer": [4.0000000000000003e-05, 4.0000000000000003e-05, 4.0000000000000003e-05, 4.0000000000000003e-05],
+  "end": 0
+})";
+  EXPECT_EQ(a.to_json(), expected);
 }
 
 // --- Autotuner ------------------------------------------------------------
@@ -371,7 +411,6 @@ TEST(Autotune, RankCandidatesIsDeterministic) {
   o.n_devices = 4;
   o.n_micro = 8;
   o.micro_batch_size = 8;
-  o.use_kfac = true;
   o.inverse_interval = 3;
 
   const auto r1 = rank_candidates(profiles, o);
@@ -406,9 +445,36 @@ TEST(Autotune, RankCandidatesIsDeterministic) {
   // The ceiling cases are reported, not dropped: chimera-4 exceeds the
   // runtime's 2-pipeline limit, 1f1b-flushless has no synchronous step.
   for (const auto& c : r1) {
-    if (c.schedule == "chimera-4" || c.schedule == "1f1b-flushless")
+    if (c.schedule == "chimera-4" || c.schedule == "1f1b-flushless") {
       EXPECT_FALSE(c.viable) << c.schedule;
+    }
   }
+}
+
+// The factor layout comes only from the calibrated runtime's partition. A
+// profile without one (fit() alone never sets it) cannot plan a K-FAC
+// step, so every candidate that would read it is skipped, and the reason
+// names the model-stage count; none is planned from a guessed layout.
+TEST(Autotune, ProfileWithoutFactorLayoutSkipsItsCandidates) {
+  CalibratedCosts prof = synthetic_profile();
+  prof.kfac_factors = KfacFactors();
+  AutotuneOptions o;
+  o.n_devices = 4;
+  o.n_micro = 8;
+  const auto ranked = rank_candidates({{4, prof}}, o);
+  ASSERT_EQ(ranked.size(), list_schedules().size());
+  int at_four = 0;
+  for (const AutotuneCandidate& c : ranked) {
+    EXPECT_FALSE(c.viable) << c.schedule;
+    EXPECT_EQ(c.predicted_makespan, 0.0) << c.schedule;
+    if (c.model_stages != 4) continue;
+    ++at_four;
+    EXPECT_EQ(c.skip_reason,
+              "the calibrated profile at 4 model stages has no K-FAC factor "
+              "layout")
+        << c.schedule;
+  }
+  EXPECT_EQ(at_four, 4);  // 1f1b, gpipe, zb-h1, chimera
 }
 
 // Executed inversion counts per device pin the perf model's w multiplier

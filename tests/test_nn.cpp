@@ -17,6 +17,7 @@
 #include "src/nn/linear.h"
 #include "src/nn/loss.h"
 #include "src/nn/transformer_block.h"
+#include "tests/support/attention_reference.h"
 #include "tests/support/bert_reference.h"
 #include "tests/support/grad_check.h"
 #include "tests/support/matrix_util.h"
