@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/common/strings.h"
@@ -181,12 +182,12 @@ int main(int argc, char** argv) {
       "{\n  \"shape\": {\"n_stages\": %d, \"max_batch\": %zu, "
       "\"workers\": %d, \"requests\": %zu, \"d_model\": %zu, "
       "\"n_layers\": %zu, \"seq_len\": %zu},\n"
-      "  \"cpu_budget_note\": \"per-request logits asserted bitwise-equal "
-      "between policies every run; the continuous >= static throughput SLA "
-      "needs real cores — under a 1-CPU cgroup budget both policies "
-      "serialize and the ratio hovers ~1x, and the CI bench job asserts the "
-      "SLA on its multi-core artifact (BENCH_serving_ci.json). Compare only "
-      "against runs with the same CPU budget.\",\n"
+      "  \"cpu_budget_note\": \"%s; per-request logits asserted "
+      "bitwise-equal between policies every run; the continuous >= static "
+      "throughput SLA needs real cores — on one CPU both policies serialize "
+      "and the ratio hovers ~1x, and the CI bench job asserts the SLA on "
+      "its artifact (BENCH_serving_ci.json). Compare only against runs "
+      "with the same CPU budget.\",\n"
       "  \"saturation\": {\n"
       "    \"continuous\": {%s},\n"
       "    \"static\": {%s},\n"
@@ -195,7 +196,8 @@ int main(int argc, char** argv) {
       engine_config(BatchPolicy::kContinuous).n_stages,
       engine_config(BatchPolicy::kContinuous).max_batch,
       engine_config(BatchPolicy::kContinuous).workers, n_requests,
-      cfg.d_model, cfg.n_layers, cfg.seq_len, percentile_row(cont).c_str(),
+      cfg.d_model, cfg.n_layers, cfg.seq_len,
+      pf::bench::cpu_budget().c_str(), percentile_row(cont).c_str(),
       percentile_row(stat).c_str(), ratio, sweep_rows.c_str());
   FILE* f = std::fopen(path.c_str(), "w");
   PF_CHECK(f != nullptr) << "cannot open " << path;

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "bench/handoff_probe.h"
 #include "src/comm/tensor_wire.h"
 #include "src/comm/transport_channel.h"
@@ -203,11 +204,11 @@ int main(int argc, char** argv) {
       "{\n  \"shape\": {\"schedule\": \"%s\", \"n_stages\": %d, "
       "\"n_micro\": %d, \"micro_batch\": %zu, \"steps\": %zu, "
       "\"d_model\": %zu, \"n_layers\": %zu, \"kfac\": true},\n"
-      "  \"cpu_budget_note\": \"bitwise-identical losses asserted across "
-      "serial, in-process (both transports) and multiproc every run; under "
-      "a 1-CPU cgroup budget the forked processes time-slice one core, so "
-      "multiproc seconds_per_step shows transport overhead, not speedup — "
-      "the CI artifact (BENCH_transport_ci.json) carries the multi-core "
+      "  \"cpu_budget_note\": \"%s; bitwise-identical losses asserted "
+      "across serial, in-process (both transports) and multiproc every run; "
+      "when the forked processes outnumber the CPUs they time-slice them, "
+      "so multiproc seconds_per_step shows transport overhead, not speedup "
+      "— the CI artifact (BENCH_transport_ci.json) carries the runner's "
       "numbers. Handoff latencies are scheduler-sensitive; compare only "
       "against runs with the same CPU budget.\",\n"
       "  \"handoff\": {\n"
@@ -226,7 +227,8 @@ int main(int argc, char** argv) {
       "    \"multiproc_processes\": %d,\n"
       "    \"multiproc_boundary_waits\": [\n%s\n    ]\n  }\n}\n",
       schedule, n_stages, n_micro, micro_batch, steps, cfg.d_model,
-      cfg.n_layers, iters, mutex_row.p50 * 1e6, mutex_row.p95 * 1e6,
+      cfg.n_layers, pf::bench::cpu_budget().c_str(), iters,
+      mutex_row.p50 * 1e6, mutex_row.p95 * 1e6,
       mutex_row.fitted * 1e6, ring_row.p50 * 1e6, ring_row.p95 * 1e6,
       ring_row.fitted * 1e6, ring_row.p50 / mutex_row.p50, serial_per_step,
       ip_mutex_per_step, ip_ring_per_step, mp_per_step, mp_total,

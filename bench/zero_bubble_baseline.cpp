@@ -8,10 +8,14 @@
 // Grid: {1f1b, zb-h1} × {LAMB-only, K-FAC} × workers {1, 2, 4} at the same
 // model shape, every cell asserted bitwise-identical to its serial Trainer
 // reference (losses) — the schedules differ only in wall clock and executed
-// timeline. Next to the executed numbers sit the discrete-event simulator's
-// predictions for the same shapes: 1f1b's bubble fraction, zb-h1's
-// closed-form (N+D-1)·T_f + N·T_b makespan, and the fill-vs-remove
-// crossover they imply:
+// timeline. The same four {schedule, optimizer} pairs also run forked, one
+// process per stage over the shm rings (train/multiproc.h), each row with
+// its seconds/step and every child's peak live storage-pool bytes: a child
+// runs its lane in plan-index order, so these show what the plan's task
+// placement holds in memory. Next to the executed numbers sit the
+// discrete-event simulator's predictions for the same shapes: 1f1b's
+// bubble fraction, zb-h1's closed-form (N+D-1)·T_f + N·T_b makespan, and
+// the fill-vs-remove crossover they imply:
 //
 //   * LAMB-only (no K-FAC work to fill with): the bubbles are pure waste
 //     under 1f1b; zb-h1 removes most of them — remove wins outright.
@@ -27,11 +31,13 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/clock.h"
 #include "src/common/strings.h"
 #include "src/optim/lamb.h"
 #include "src/perfmodel/calibration.h"
 #include "src/pipeline/simulator.h"
+#include "src/train/multiproc.h"
 #include "src/train/pipeline_runtime.h"
 
 namespace {
@@ -101,10 +107,7 @@ int main(int argc, char** argv) {
     return r;
   };
 
-  auto pipeline_run = [&](const char* schedule, bool use_kfac, int workers,
-                          CalibrationAccumulator* acc) {
-    Rng rng(7);
-    BertModel model(cfg, rng);
+  auto runtime_config = [&](const char* schedule, bool use_kfac) {
     PipelineRuntimeConfig pc;
     pc.schedule = schedule;
     pc.n_stages = n_stages;
@@ -112,10 +115,37 @@ int main(int argc, char** argv) {
     pc.micro_batch_size = micro_batch;
     pc.total_steps = steps;
     pc.lr = PolyWarmupSchedule(1e-2, 0, steps);
-    pc.workers = workers;
     pc.stage_threads = 1;
     pc.use_kfac = use_kfac;
     pc.kfac.inverse_interval = 3;
+    return pc;
+  };
+
+  // Forked rows first, while this process has started no thread (fork
+  // wants a quiescent parent, as in multiproc_train). Their losses are
+  // checked against the serial references once those exist.
+  struct ForkedRun {
+    std::string name;
+    bool use_kfac;
+    MultiprocResult res;
+  };
+  std::vector<ForkedRun> forked;
+  for (const bool use_kfac : {false, true})
+    for (const char* schedule : {"1f1b", "zb-h1"}) {
+      Rng rng(7);
+      BertModel model(cfg, rng);
+      MultiprocConfig mc;
+      mc.runtime = runtime_config(schedule, use_kfac);
+      forked.push_back({format("%s_%s", schedule, use_kfac ? "kfac" : "lamb"),
+                        use_kfac, run_multiproc(model, batcher, mc)});
+    }
+
+  auto pipeline_run = [&](const char* schedule, bool use_kfac, int workers,
+                          CalibrationAccumulator* acc) {
+    Rng rng(7);
+    BertModel model(cfg, rng);
+    PipelineRuntimeConfig pc = runtime_config(schedule, use_kfac);
+    pc.workers = workers;
     PipelineRuntime rt(model, batcher, pc);
     TimedRun r;
     const double t0 = now_seconds();
@@ -154,6 +184,24 @@ int main(int argc, char** argv) {
   std::printf("serial references (LAMB, K-FAC)...\n");
   const auto serial_lamb = serial_run(false);
   const auto serial_kfac = serial_run(true);
+
+  std::string forked_rows;
+  for (const ForkedRun& fr : forked) {
+    const auto& serial = fr.use_kfac ? serial_kfac : serial_lamb;
+    PF_CHECK(fr.res.trace.loss == serial.losses)
+        << "forked " << fr.name << " diverged from the serial reference";
+    const double per_step = fr.res.wall_seconds / static_cast<double>(steps);
+    std::string peaks;
+    for (const std::size_t b : fr.res.peak_live_bytes)
+      peaks += format("%s%zu", peaks.empty() ? "" : ", ", b);
+    std::printf("forked %-10s: %.1f ms/step, child peak live bytes [%s]\n",
+                fr.name.c_str(), per_step * 1e3, peaks.c_str());
+    if (!forked_rows.empty()) forked_rows += ",\n";
+    forked_rows += format(
+        "    \"%s\": {\"seconds_per_step\": %.6g, "
+        "\"child_peak_live_bytes\": [%s]}",
+        fr.name.c_str(), per_step, peaks.c_str());
+  }
 
   // Every executed zb-h1 cell (LAMB and K-FAC, all worker counts) feeds the
   // B/W-split fit: the split is a property of the backward math, not of the
@@ -225,12 +273,12 @@ int main(int argc, char** argv) {
       "{\n  \"shape\": {\"n_stages\": %d, \"n_micro\": %d, "
       "\"micro_batch\": %zu, \"steps\": %zu, \"d_model\": %zu, "
       "\"n_layers\": %zu},\n"
-      "  \"cpu_budget_note\": \"bitwise-identical losses asserted for every "
-      "cell; wall-clock deltas between 1f1b and zb-h1 need real cores — "
-      "under a 1-CPU cgroup budget every schedule serializes onto the same "
+      "  \"cpu_budget_note\": \"%s; bitwise-identical losses asserted for "
+      "every cell and forked row; wall-clock deltas between 1f1b and zb-h1 "
+      "need real cores — on one CPU every schedule serializes onto the same "
       "core and the cells collapse to ~1x of each other. The CI artifact "
-      "(BENCH_zero_bubble_ci.json) carries the multi-core numbers and the "
-      "SLA gate. Compare only against runs with the same CPU budget.\",\n"
+      "(BENCH_zero_bubble_ci.json) carries the runner's numbers and the SLA "
+      "gate. Compare only against runs with the same CPU budget.\",\n"
       "  \"simulator\": {\"t_forward\": %.3g, \"t_backward\": %.3g, "
       "\"backward_w_fraction_prior\": %.3g, "
       "\"backward_w_fraction_fitted\": %.4g,\n"
@@ -248,16 +296,17 @@ int main(int argc, char** argv) {
       "\"kfac_zb_over_1f1b_at_2_workers\": %.4g},\n"
       "  \"serial_lamb_seconds_per_step\": %.6g,\n"
       "  \"serial_kfac_seconds_per_step\": %.6g,\n"
-      "  \"runs\": {\n%s\n  }\n}\n",
+      "  \"runs\": {\n%s\n  },\n"
+      "  \"forked\": {\n%s\n  }\n}\n",
       n_stages, n_micro, micro_batch, steps, cfg.d_model, cfg.n_layers,
-      costs.t_forward, costs.t_backward, costs.backward_w_fraction,
-      fitted_wf, zb_acc.steps_ingested(), sim_1f1b.pipe_makespan,
-      bubble_1f1b, sim_zb.pipe_makespan, bubble_zb,
+      pf::bench::cpu_budget().c_str(), costs.t_forward, costs.t_backward,
+      costs.backward_w_fraction, fitted_wf, zb_acc.steps_ingested(),
+      sim_1f1b.pipe_makespan, bubble_1f1b, sim_zb.pipe_makespan, bubble_zb,
       sim_zb_fit.pipe_makespan, bubble_zb_fit,
       1.0 - bubble_zb / bubble_1f1b, 1.0 - bubble_zb_fit / bubble_1f1b,
       at2[0][1] / at2[0][0], at2[1][1] / at2[1][0],
       serial_lamb.seconds_per_step, serial_kfac.seconds_per_step,
-      rows.c_str());
+      rows.c_str(), forked_rows.c_str());
   FILE* f = std::fopen(path.c_str(), "w");
   PF_CHECK(f != nullptr) << "cannot open " << path;
   std::fputs(json.c_str(), f);

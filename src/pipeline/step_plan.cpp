@@ -254,6 +254,9 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
       << "event order does not cover the schedule's F/B ops";
 
   std::map<long, std::size_t> op_task;  // op_key -> plan task index
+  auto op_id = [&](OpType type, int s, int m) {
+    return op_task.at(op_key({type, pl_of(m), s, m}));
+  };
 
   // Pipeline-op dependencies, expressed over PipeOps:
   //   forward(pl, s, m):  forward(pl, s-1, m)            [activation]
@@ -278,6 +281,101 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
     return deps;
   };
 
+  // Floating work: the deferred W passes (split_backward) and the K-FAC
+  // curvature tasks. Each is created as soon as every task it depends on
+  // exists — W(s, m) and curvature-B(f, m) right after B(s, m),
+  // curvature-A(f, m) right after F(s, m) — so plan index order puts it
+  // next to the op whose stashed buffers it reads, and a lane run in index
+  // order (a forked child) frees them there. Priorities, not creation
+  // order, decide what the in-process executor dispatches.
+  //
+  // W passes: one task per (stage, micro), chained per stage in ascending
+  // global micro order — the same fold order the B chain enforces, so
+  // every dW coordinate accumulates in the serial trainer's sequence. Deps:
+  // the micro's own B pass (which harvested the {a_l, e_l} caches) plus
+  // the chain predecessor. Priority kWeightPriorityBase sits above every
+  // program position: a lane runs a W only when none of its pipeline ops
+  // is runnable — the same floating rule simulate_step's graph uses.
+  //
+  // Curvature (curv_step): per (factor, micro), A after the forward, B
+  // after the backward, each chained per factor in ascending micro order
+  // so the pending sums fold in the serial order. A factor that reads
+  // another's input has no curvature-A chain. Their priorities are set
+  // with the rest of the K-FAC tier below.
+  //
+  // curv_a[s][f][m], curv_b[s][f][m]: plan indices of the curvature tasks.
+  std::vector<std::vector<std::vector<std::size_t>>> curv_a(
+      static_cast<std::size_t>(S)),
+      curv_b(static_cast<std::size_t>(S));
+  std::vector<int> next_a(static_cast<std::size_t>(S), 0);
+  for (int s = 0; s < S; ++s) {
+    const auto& owner = owners[static_cast<std::size_t>(s)];
+    for (std::size_t f = 0; f < owner.size(); ++f)
+      PF_CHECK(owner[f] <= f && owner[owner[f]] == owner[f])
+          << "stage " << s << ": factor " << f << " reads the input of "
+          << owner[f] << ", which is not an earlier input owner";
+    curv_a[static_cast<std::size_t>(s)].resize(owner.size());
+    curv_b[static_cast<std::size_t>(s)].resize(owner.size());
+  }
+  auto kfac_label = [](int s, std::size_t f) {
+    // Trace labels only (block, linear-within-block); the 6-per-block
+    // layout is asserted loudly by BertStagePartition.
+    PlannedTask label;
+    label.stage = s;
+    label.layer = static_cast<int>(f / 6);
+    label.factor = static_cast<int>(f % 6);
+    return label;
+  };
+  auto curvature_task = [&](int s, std::size_t f, int m, WorkKind kind,
+                            std::size_t op, std::vector<std::size_t>& chain) {
+    PlannedTask c = kfac_label(s, f);
+    c.lane = static_cast<std::size_t>(spec.device_of(pl_of(m), s));
+    c.resource = s;
+    c.micro = m;
+    c.deps = {op};
+    if (m > 0) c.deps.push_back(chain.back());
+    c.kind = kind;
+    chain.push_back(add_task(std::move(c)));
+  };
+  // After F(s, ·): curvature-A of every micro whose forward and chain
+  // predecessor now exist (forwards may be created out of micro order).
+  auto place_after_forward = [&](int s) {
+    if (!curv_step) return;
+    const auto si = static_cast<std::size_t>(s);
+    for (int& m = next_a[si]; m < N; ++m) {
+      const auto it = op_task.find(op_key({OpType::kForward, pl_of(m), s, m}));
+      if (it == op_task.end()) return;
+      for (std::size_t f = 0; f < owners[si].size(); ++f)
+        if (owners[si][f] == f)
+          curvature_task(s, f, m, WorkKind::kCurvatureA, it->second,
+                         curv_a[si][f]);
+    }
+  };
+  // After B(s, m), which follows B(s, m-1): its W pass, then curvature-B.
+  auto place_after_backward = [&](int s, int m) {
+    const auto si = static_cast<std::size_t>(s);
+    const std::size_t b = op_id(OpType::kBackward, s, m);
+    if (split) {
+      const int pl = pl_of(m);
+      const PipeOp op{OpType::kBackwardWeight, pl, s, m};
+      PlannedTask t;
+      t.lane = static_cast<std::size_t>(spec.device_of(pl, s));
+      t.priority = kWeightPriorityBase + m;
+      t.resource = s;
+      t.deps = {b};
+      if (m > 0) t.deps.push_back(op_id(OpType::kBackwardWeight, s, m - 1));
+      t.kind = WorkKind::kBackwardWeight;
+      t.stage = s;
+      t.micro = m;
+      t.op = op;
+      t.is_op = true;
+      op_task[op_key(op)] = add_task(std::move(t));
+    }
+    if (!curv_step) return;
+    for (std::size_t f = 0; f < owners[si].size(); ++f)
+      curvature_task(s, f, m, WorkKind::kCurvatureB, b, curv_b[si][f]);
+  };
+
   auto make_op_task = [&](const PipeOp& op, std::vector<std::size_t> deps) {
     PlannedTask t;
     t.lane = static_cast<std::size_t>(spec.device_of(op.pipeline, op.stage));
@@ -292,6 +390,10 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
     t.is_op = true;
     const std::size_t id = add_task(std::move(t));
     op_task[op_key(op)] = id;
+    if (op.type == OpType::kForward)
+      place_after_forward(op.stage);
+    else
+      place_after_backward(op.stage, op.micro);
     return id;
   };
 
@@ -393,128 +495,68 @@ StepPlan build_step_plan(const ScheduleSpec& spec,
     }
   }
 
-  // Deferred W passes (split_backward): one task per (stage, micro),
-  // chained per stage in ascending global micro order — the same fold
-  // order the B chain enforces, so every dW coordinate accumulates in the
-  // serial trainer's sequence. Deps: the micro's own B pass (which
-  // harvested the {a_l, e_l} caches) plus the chain predecessor. Priority
-  // kWeightPriorityBase sits above every program position: a lane runs a W
-  // only when none of its pipeline ops is runnable — the same floating rule
-  // simulate_step's graph uses.
-  if (split) {
-    for (int s = 0; s < S; ++s) {
-      std::size_t prev_w = 0;
-      for (int m = 0; m < N; ++m) {
-        const int pl = pl_of(m);
-        const PipeOp op{OpType::kBackwardWeight, pl, s, m};
-        PlannedTask t;
-        t.lane = static_cast<std::size_t>(spec.device_of(pl, s));
-        t.priority = kWeightPriorityBase + m;
-        t.resource = s;
-        t.deps = {op_task.at(op_key({OpType::kBackward, pl, s, m}))};
-        if (m > 0) t.deps.push_back(prev_w);
-        t.kind = WorkKind::kBackwardWeight;
-        t.stage = s;
-        t.micro = m;
-        t.op = op;
-        t.is_op = true;
-        prev_w = add_task(std::move(t));
-        op_task[op_key(op)] = prev_w;
-      }
-    }
-  }
-
-  std::vector<std::size_t> last_bwd(static_cast<std::size_t>(S), 0);
-  for (int s = 0; s < S; ++s) {
-    const int m = N - 1;
-    // Under split_backward the gradients are final only after the stage's
-    // last deferred W pass; its chain already folds every earlier W.
-    last_bwd[static_cast<std::size_t>(s)] = op_task.at(op_key(
-        {split ? OpType::kBackwardWeight : OpType::kBackward, pl_of(m), s,
-         m}));
-  }
-
   // Step tail per stage: owner-computes gradient finalization (the serial
   // trainer's g *= 1/n_micro), then K-FAC preconditions, then the stage's
-  // base optimizer step.
+  // base optimizer step. Under split_backward the gradients are final only
+  // after the stage's last deferred W pass; its chain already folds every
+  // earlier W.
   std::vector<std::size_t> grad_final(static_cast<std::size_t>(S), 0);
   for (int s = 0; s < S; ++s) {
     PlannedTask t;
     t.lane = static_cast<std::size_t>(spec.device_of(0, s));
     t.priority = kTailPriorityBase + s;
     t.resource = -1;
-    t.deps = {last_bwd[static_cast<std::size_t>(s)]};
+    t.deps = {op_id(split ? OpType::kBackwardWeight : OpType::kBackward, s,
+                    N - 1)};
     t.kind = WorkKind::kSyncGrad;
     t.stage = s;
     t.step = n_steps - 1;
     grad_final[static_cast<std::size_t>(s)] = add_task(std::move(t));
   }
 
-  // K-FAC work, BubbleTask-shaped (the executable analog of
-  // core/kfac_work.cpp's generation rules + core/bubble_assigner's
-  // readiness dispatch): curvature per (factor, micro) chained in
-  // ascending micro order, one commit + inversion pair per factor, and a
-  // precondition per factor gated on the stage's final gradient. A factor
-  // that reads another's input has no curvature-A chain; its commit follows
-  // its input owner's. Priorities share the tier fairly across stages (see
-  // kKfacPriorityBase), ranked once every stage's sequence is known.
+  // The rest of the K-FAC work, BubbleTask-shaped (the executable analog
+  // of core/kfac_work.cpp's generation rules + core/bubble_assigner's
+  // readiness dispatch): one commit + inversion pair per factor after its
+  // curvature chains, and a precondition per factor gated on the stage's
+  // final gradient. A factor that reads another's input commits after its
+  // input owner. Priorities share the tier fairly across stages (see
+  // kKfacPriorityBase), ranked over each stage's factor-major sequence —
+  // per factor its curvature A and B by micro, commit, inversions,
+  // precondition — whatever the creation order.
   std::vector<std::vector<std::size_t>> stage_precond(
       static_cast<std::size_t>(S));
   std::vector<std::vector<std::size_t>> kfac_seq(static_cast<std::size_t>(S));
 
   for (int s = 0; s < S; ++s) {
-    const std::vector<std::size_t>& owner = owners[static_cast<std::size_t>(s)];
+    const auto si = static_cast<std::size_t>(s);
+    const std::vector<std::size_t>& owner = owners[si];
     const std::size_t n_factors = owner.size();
     if (n_factors == 0) continue;
     const auto lane = static_cast<std::size_t>(spec.device_of(0, s));
+    std::vector<std::size_t>& seq = kfac_seq[si];
     auto kfac_task = [&](PlannedTask t) {
-      const std::size_t id = add_task(std::move(t));
-      kfac_seq[static_cast<std::size_t>(s)].push_back(id);
-      return id;
+      seq.push_back(add_task(std::move(t)));
+      return seq.back();
     };
     std::vector<std::size_t> commit_of(n_factors, 0);
     for (std::size_t f = 0; f < n_factors; ++f) {
-      PF_CHECK(owner[f] <= f && owner[owner[f]] == owner[f])
-          << "stage " << s << ": factor " << f << " reads the input of "
-          << owner[f] << ", which is not an earlier input owner";
       const bool own_a = owner[f] == f;
-      // Trace labels only (block, linear-within-block); the 6-per-block
-      // layout is asserted loudly by BertStagePartition.
-      PlannedTask label;
-      label.stage = s;
-      label.layer = static_cast<int>(f / 6);
-      label.factor = static_cast<int>(f % 6);
+      const PlannedTask label = kfac_label(s, f);
       std::size_t commit_id = 0;
       bool has_commit = false;
       if (curv_step) {
-        // Curvature per (factor, micro): A after the forward, B after the
-        // backward, each chained per factor in ascending micro order so the
-        // pending sums fold in the serial order.
-        std::size_t prev_a = 0, prev_b = 0;
         for (int m = 0; m < N; ++m) {
-          const int pl = pl_of(m);
-          PlannedTask c = label;
-          c.lane = static_cast<std::size_t>(spec.device_of(pl, s));
-          c.resource = s;
-          c.micro = m;
-          if (own_a) {
-            PlannedTask ca = c;
-            ca.deps = {op_task.at(op_key({OpType::kForward, pl, s, m}))};
-            if (m > 0) ca.deps.push_back(prev_a);
-            ca.kind = WorkKind::kCurvatureA;
-            prev_a = kfac_task(std::move(ca));
-          }
-          c.deps = {op_task.at(op_key({OpType::kBackward, pl, s, m}))};
-          if (m > 0) c.deps.push_back(prev_b);
-          c.kind = WorkKind::kCurvatureB;
-          prev_b = kfac_task(std::move(c));
+          const auto mi = static_cast<std::size_t>(m);
+          if (own_a) seq.push_back(curv_a[si][f][mi]);
+          seq.push_back(curv_b[si][f][mi]);
         }
         // The EMA fold merges the factor's per-micro contributions before
         // inversion — the single-process analog of sync-curvature, and
         // distinct from the curvature GEMMs in the executed trace.
         PlannedTask cm = label;
         cm.lane = lane;
-        cm.deps = {own_a ? prev_a : commit_of[owner[f]], prev_b};
+        cm.deps = {own_a ? curv_a[si][f].back() : commit_of[owner[f]],
+                   curv_b[si][f].back()};
         cm.kind = WorkKind::kSyncCurvature;
         commit_id = commit_of[f] = kfac_task(std::move(cm));
         has_commit = true;

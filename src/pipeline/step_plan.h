@@ -140,6 +140,16 @@ std::vector<std::vector<PipeOp>> plan_device_order(const ScheduleSpec& spec);
 //   factors (gated by curv_step / inv_step), and the per-stage optimizer
 //   updates.
 //
+// Index order. Each W pass and curvature task is created as soon as every
+// task it depends on exists: W(s, m) and curvature-B(f, m) right after
+// B(s, m), curvature-A(f, m) right after F(s, m). So a lane run in index
+// order (a forked child, train/multiproc.h) reads each stashed buffer
+// right after the op that wrote it and frees it there. Commit, inversion,
+// precondition and tail tasks follow every op. Creation order changes no
+// priority: the K-FAC tier is ranked over each stage's factor-major
+// sequence (see kKfacPriorityBase), so the in-process executor makes the
+// same choices whatever the index order.
+//
 // `device_order` is plan_device_order(spec); `factors` holds one entry per
 // stage (see KfacFactors; a plain count per stage plans factors that each
 // read their own input).

@@ -16,6 +16,7 @@
 #include "src/common/check.h"
 #include "src/common/stats.h"
 #include "src/common/strings.h"
+#include "src/linalg/matrix.h"
 #include "src/train/plan_binder.h"
 
 namespace pf {
@@ -114,7 +115,8 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
   // Result region layout (doubles): per-step losses ‖ final params (flat,
   // stage order == model.params() order) ‖ per-ring handoff stats
   // [waits, p50, p95, mean] (fwd[0..S-2] then bwd[0..S-2]) ‖ per-child
-  // step-loop wall seconds. Children write disjoint slices.
+  // step-loop wall seconds ‖ per-child peak live pool bytes. Children
+  // write disjoint slices.
   std::vector<std::size_t> stage_param_off(static_cast<std::size_t>(S) + 1, 0);
   for (int s = 0; s < S; ++s) {
     std::size_t n = 0;
@@ -129,7 +131,8 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
       losses_off + static_cast<std::size_t>(steps) * 3;
   const std::size_t handoff_off = params_off + total_param;
   const std::size_t wall_off = handoff_off + n_rings * 4;
-  const std::size_t total_doubles = wall_off + static_cast<std::size_t>(D);
+  const std::size_t peak_off = wall_off + static_cast<std::size_t>(D);
+  const std::size_t total_doubles = peak_off + static_cast<std::size_t>(D);
   SharedRegion results(total_doubles * sizeof(double));
   double* res = static_cast<double*>(results.data());
   std::fill(res, res + total_doubles, 0.0);
@@ -142,6 +145,7 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
   // it — progress is guaranteed, and the gradient-fold order the bitwise
   // contract needs is exactly the plan's.
   auto child_main = [&](int d) {
+    reset_storage_pool_peak();
     std::vector<int> owned;
     for (int s = 0; s < S; ++s)
       if (owner[static_cast<std::size_t>(s)] == d) owned.push_back(s);
@@ -205,6 +209,8 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
         write_stats(static_cast<std::size_t>(S - 1) + bi, *bwd_ch[bi]);
     }
     res[wall_off + static_cast<std::size_t>(d)] = wall;
+    res[peak_off + static_cast<std::size_t>(d)] =
+        static_cast<double>(storage_pool_bytes().peak_live);
   };
 
   // --- Fork, run, join ----------------------------------------------------
@@ -276,9 +282,12 @@ MultiprocResult run_multiproc(BertModel& model, const MlmBatcher& batcher,
     mh.wait_mean = h[3];
     out.handoff.push_back(std::move(mh));
   }
-  for (int d = 0; d < D; ++d)
-    out.wall_seconds =
-        std::max(out.wall_seconds, res[wall_off + static_cast<std::size_t>(d)]);
+  for (int d = 0; d < D; ++d) {
+    const auto di = static_cast<std::size_t>(d);
+    out.wall_seconds = std::max(out.wall_seconds, res[wall_off + di]);
+    out.peak_live_bytes.push_back(
+        static_cast<std::size_t>(res[peak_off + di]));
+  }
   return out;
 #endif
 }

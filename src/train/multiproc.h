@@ -18,7 +18,10 @@
 // recv(), the producing task has a smaller index on some other lane whose
 // child is not past it, so progress is guaranteed (no cross-process
 // deadlock) and the gradient-fold deps that pin bitwise determinism are
-// honored.
+// honored. The plan creates each W pass and curvature task right after
+// the op whose stashed buffers it reads, so a child runs it there and
+// frees those buffers before its next pipeline op; the commit, inversion
+// and precondition tasks still run after the lane's last op.
 //
 // Channels are keyed by GLOBAL micro id g = step·n_micro + m and never
 // cleared between steps — a child may race one step ahead of a slow peer,
@@ -37,8 +40,8 @@
 // pool and run under those contexts). Results flow back through the
 // shared region: the last stage's owner writes per-step losses, every
 // child writes its owned stages' final parameters and its consumer-side
-// handoff-wait stats, and the parent joins exit codes and assembles the
-// result.
+// handoff-wait stats and its storage pool's peak live bytes, and the
+// parent joins exit codes and assembles the result.
 //
 // Bitwise contract (pinned in tests/test_multiproc.cpp): losses and final
 // parameters equal the in-process PipelineRuntime and the serial Trainer
@@ -87,6 +90,11 @@ struct MultiprocResult {
   // multi-process analog of summing PipelineRuntime step makespans.
   double wall_seconds = 0.0;
   int n_processes = 0;
+  // Per child, in device order: the storage pool's live-byte high-water
+  // mark (linalg/matrix.h) from the fork to the child's exit. It counts
+  // the live bytes the child inherits at the fork (the model's weights),
+  // so children forked from the same parent state compare directly.
+  std::vector<std::size_t> peak_live_bytes;
 };
 
 // Runs cfg.runtime.total_steps synchronous steps across one forked process

@@ -168,6 +168,66 @@ TEST(Multiproc, ZeroBubbleTwoStagesKfac) { check_grid_point("zb-h1", 2, true); }
 // processes: only D > 2 has a stage that both receives and sends.
 TEST(Multiproc, ZeroBubbleFourStagesKfac) { check_grid_point("zb-h1", 4, true); }
 
+// One micro's W-pass buffers per stage: the {a_l, e_l} a split backward
+// harvests for the deferred W pass, read off the stage's stash once the
+// micro's forward and B pass are done.
+std::vector<std::size_t> weight_pass_bytes(const BertConfig& cfg,
+                                           int stages) {
+  Rng rng(7);
+  BertModel model(cfg, rng);
+  Corpus data(cfg);
+  BertStagePartition part(model, stages);
+  Rng data_rng(1);
+  const BertBatch batch = data.batcher.next_batch(kMicroBatch, data_rng);
+  const ExecContext ctx;
+  Matrix act;
+  for (int s = 0; s < stages; ++s) {
+    part.stage(s).begin_step({.weight_pass = true});
+    act = part.stage(s).forward(0, batch, std::move(act), ctx);
+  }
+  std::vector<std::size_t> bytes(static_cast<std::size_t>(stages));
+  Matrix grad;
+  for (int s = stages - 1; s >= 0; --s) {
+    grad = part.stage(s).backward(0, batch, std::move(grad), ctx);
+    bytes[static_cast<std::size_t>(s)] = part.stage(s).stash_bytes();
+    part.stage(s).backward_dw(0, ctx);
+    part.stage(s).end_step();
+  }
+  return bytes;
+}
+
+// A forked child runs its lane in plan-index order, and the plan places
+// each W pass right after its micro's B pass, so a zb-h1 child frees a
+// micro's W-pass buffers before its next pipeline op. Its peak pool bytes
+// therefore stay within one micro's W-pass buffers of the forked 1f1b
+// child of the same stage, which has no W pass (D=2, N=8, LAMB). A child
+// that ran every W pass after its last op would hold all eight.
+TEST(Multiproc, ZeroBubbleChildPeakWithinOneWeightPassOfOneFOneB) {
+  const BertConfig cfg = small_bert();
+  Rng rng(7);
+  BertModel model(cfg, rng);
+  Corpus data(cfg);
+  auto peaks = [&](const char* schedule) {
+    MultiprocConfig mcfg;
+    mcfg.runtime = runtime_config(schedule, 2, false);
+    mcfg.runtime.n_micro = 8;
+    return run_multiproc(model, data.batcher, mcfg).peak_live_bytes;
+  };
+  const std::vector<std::size_t> zb = peaks("zb-h1");
+  const std::vector<std::size_t> one_f_one_b = peaks("1f1b");
+  const std::vector<std::size_t> w = weight_pass_bytes(cfg, 2);
+  ASSERT_EQ(zb.size(), 2u);
+  ASSERT_EQ(one_f_one_b.size(), 2u);
+  for (std::size_t d = 0; d < 2; ++d) {
+    EXPECT_GT(one_f_one_b[d], 0u) << "child " << d;
+    EXPECT_GT(w[d], 0u) << "stage " << d;
+    EXPECT_LE(zb[d], one_f_one_b[d] + w[d])
+        << "child " << d << ": zb-h1 peak " << zb[d] << " B, 1f1b peak "
+        << one_f_one_b[d] << " B, one micro's W-pass buffers " << w[d]
+        << " B";
+  }
+}
+
 TEST(Multiproc, BaseOptimizerBuiltOncePerStageInChildrenOnly) {
   // Children build per-stage state after the fork, for the stages they
   // own only: the factory runs exactly once per stage, never in the

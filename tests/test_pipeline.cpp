@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -313,13 +314,77 @@ TEST(PlanReplay, StartTimesCompareExactly) {
   EXPECT_EQ(r.start[3], 2.0);
 }
 
+// FNV-1a, 64 bit: a digest that is the same on every build and platform.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Every task's priority, keyed by (kind, stage, micro, layer, factor) and
+// listed in key order, so the digest ignores where a task was created.
+std::uint64_t priority_digest(const StepPlan& plan) {
+  std::map<std::tuple<int, int, int, int, int>, long> priority;
+  for (const PlannedTask& t : plan.tasks)
+    priority[{static_cast<int>(t.kind), t.stage, t.micro, t.layer,
+              t.factor}] = t.priority;
+  EXPECT_EQ(priority.size(), plan.tasks.size()) << "task keys not unique";
+  std::string text;
+  for (const auto& [key, p] : priority) {
+    const auto [kind, s, m, layer, factor] = key;
+    for (const long x : {long{kind}, long{s}, long{m}, long{layer},
+                         long{factor}, p})
+      text += std::to_string(x) + ' ';
+    text += '\n';
+  }
+  return fnv1a(text);
+}
+
+// The F/B ops in plan-index order.
+std::uint64_t op_order_digest(const StepPlan& plan) {
+  std::string text;
+  for (const PlannedTask& t : plan.tasks)
+    if (t.is_op && t.kind != WorkKind::kBackwardWeight)
+      text += std::to_string(static_cast<int>(t.kind)) + ' ' +
+              std::to_string(t.op.pipeline) + ' ' + std::to_string(t.stage) +
+              ' ' + std::to_string(t.micro) + '\n';
+  return fnv1a(text);
+}
+
 // Structural properties of the runtime's step graph, over every registry
 // schedule and shape the grid allows, with and without K-FAC work:
 //  * every dep precedes its task (TaskExecutor needs deps to exist first);
 //  * each lane's F/B ops, sorted by priority, are plan_device_order's;
 //  * B(s, m) depends on B(s, m-1): backwards fold micros in order;
-//  * W(s, m) depends on its own B(s, m) and on W(s, m-1).
+//  * W(s, m) depends on its own B(s, m) and on W(s, m-1);
+//  * every W and curvature task sits directly after its latest-created
+//    dependency, or after other such tasks placed at that same point, so
+//    a lane run in index order reads each stash right after the op that
+//    wrote it;
+//  * on four K-FAC plans, every task's priority and the index order of
+//    the F/B ops match digests taken from the builder that created every
+//    W chain and curvature task after all pipeline ops: placing them
+//    early moved no dispatch choice of the in-process executor.
 TEST(StepPlanProperties, HoldOnEveryRegistryShape) {
+  struct PlanGolden {
+    const char* schedule;
+    int d, n;
+    const char* step;
+    std::uint64_t priorities, op_order;
+  };
+  const PlanGolden goldens[] = {
+      {"1f1b", 4, 8, "curvature", 16558705401469048827ULL,
+       2261039538601453393ULL},
+      {"1f1b", 4, 8, "inversion", 934662444876506699ULL,
+       2261039538601453393ULL},
+      {"zb-h1", 2, 8, "curvature", 15884435368912019395ULL,
+       10321900798338676261ULL},
+      {"zb-h1", 2, 8, "inversion", 3424006002522248991ULL,
+       10321900798338676261ULL}};
+  int golden_checks = 0;
   struct KfacStep {
     const char* name;
     std::size_t factors;
@@ -405,10 +470,41 @@ TEST(StepPlanProperties, HoldOnEveryRegistryShape) {
                 }
               }
             }
+
+            const auto floating = [&](std::size_t i) {
+              const WorkKind kind = plan.tasks[i].kind;
+              return kind == WorkKind::kBackwardWeight ||
+                     kind == WorkKind::kCurvatureA ||
+                     kind == WorkKind::kCurvatureB;
+            };
+            for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
+              if (!floating(i)) continue;
+              const auto& deps = plan.tasks[i].deps;
+              ASSERT_FALSE(deps.empty()) << label << ": task " << i;
+              const std::size_t latest =
+                  *std::max_element(deps.begin(), deps.end());
+              for (std::size_t k = latest + 1; k < i; ++k)
+                ASSERT_TRUE(floating(k))
+                    << label << ": " << work_kind_name(plan.tasks[i].kind)
+                    << " (stage " << plan.tasks[i].stage << ", micro "
+                    << plan.tasks[i].micro << ") at " << i
+                    << " is not placed right after its dependency " << latest
+                    << " (task " << k << " is "
+                    << work_kind_name(plan.tasks[k].kind) << ")";
+            }
+
+            for (const PlanGolden& g : goldens)
+              if (name == g.schedule && d == g.d && n == g.n && v == 1 &&
+                  std::string(k.name) == g.step) {
+                EXPECT_EQ(priority_digest(plan), g.priorities) << label;
+                EXPECT_EQ(op_order_digest(plan), g.op_order) << label;
+                ++golden_checks;
+              }
           }
         }
     EXPECT_GT(shapes, 0) << name << " took no shape of the grid";
   }
+  EXPECT_EQ(golden_checks, 4);
 }
 
 // The same builder's flushless stream: 1f1b-flushless over steps·N micros
@@ -487,8 +583,8 @@ TEST(StepPlanProperties, HoldOnEveryStreamShape) {
 // N=8 with 6 factors per stage, on a curvature step and on an inversion
 // step, is replayed under one per-kind cost vector at 2 and 3 threads
 // (fewer threads than lanes), then replayed again with its K-FAC
-// priorities rewritten to stage-major creation order (kKfacPriorityBase +
-// plan index: stage 0's whole sequence first). Interleaving the stages'
+// priorities rewritten to stage-major order (stage 0's whole sequence
+// first, each stage's in its fair-share order). Interleaving the stages'
 // sequences never lengthens the step, and on 1f1b at 3 threads — the bench
 // shape, where the last stage has no steady-state bubble and its K-FAC ran
 // alone after the others' — it shortens it. (The simulator-only chimera-4,
@@ -535,12 +631,16 @@ TEST(StepPlanKfacDispatch, FairShareNeverLengthensTheStep) {
           true, k.inv_step);
       StepPlan stage_major = fair;
       std::vector<double> seconds;
+      std::vector<std::pair<std::pair<int, long>, std::size_t>> kfac;
       for (std::size_t i = 0; i < fair.tasks.size(); ++i) {
-        seconds.push_back(cost(fair.tasks[i]));
-        if (is_kfac_kind(fair.tasks[i].kind))
-          stage_major.tasks[i].priority =
-              kKfacPriorityBase + static_cast<long>(i);
+        const PlannedTask& t = fair.tasks[i];
+        seconds.push_back(cost(t));
+        if (is_kfac_kind(t.kind)) kfac.push_back({{t.stage, t.priority}, i});
       }
+      std::sort(kfac.begin(), kfac.end());
+      for (std::size_t r = 0; r < kfac.size(); ++r)
+        stage_major.tasks[kfac[r].second].priority =
+            kKfacPriorityBase + static_cast<long>(r);
       for (const std::size_t threads : {2, 3}) {
         const double got = replay_plan(fair, seconds, 0.01, threads).makespan;
         const double old =

@@ -222,6 +222,9 @@ int main(int argc, char** argv) {
                 schedule.c_str(), n_stages, n_micro, steps, optim.c_str());
     std::printf("  processes=%d wall=%.3fs (slowest child step loop)\n",
                 mp.n_processes, mp.wall_seconds);
+    for (std::size_t d = 0; d < mp.peak_live_bytes.size(); ++d)
+      std::printf("  child %zu peak live pool bytes=%zu\n", d,
+                  mp.peak_live_bytes[d]);
     for (const auto& h : mp.handoff)
       std::printf("  %-12s waits=%zu p50=%.1fus p95=%.1fus mean=%.1fus\n",
                   h.channel.c_str(), h.waits, h.wait_p50 * 1e6,
